@@ -118,10 +118,16 @@ def write_outputs(kernel: Kernel, config: RunConfig, exit_code: int):
     )
 
 
+def check_counts(config: RunConfig):
+    """Reject negative --steps/--portions before anything is built."""
+    for flag, value in (("--steps", config.steps), ("--portions", config.portions)):
+        if value is not None and value < 0:
+            raise SemsimError(f"{flag} must be >= 0")
+
+
 def run_command(config: RunConfig) -> int:
     try:
-        if config.steps is not None and config.steps < 0:
-            raise SemsimError("--steps must be >= 0")
+        check_counts(config)
         world = resolve_model(config)
         if config.scenario_path:
             apply_scenario(world, load_scenario(config.scenario_path))
@@ -145,6 +151,7 @@ def run_command(config: RunConfig) -> int:
 
 def console_command(config: RunConfig, inp=None, out=None) -> int:
     try:
+        check_counts(config)
         world = resolve_model(config)
         if config.scenario_path:
             apply_scenario(world, load_scenario(config.scenario_path))

@@ -156,7 +156,16 @@ def register_trigger(world: World, trigger: Trigger) -> Trigger:
 
 
 def guard_report(mechanism: Mechanism, world: World) -> dict[str, bool]:
-    return {cond.description: bool(cond.test(world)) for cond in mechanism.guard}
+    """Each condition's value by description; the guard holds when all are true.
+
+    Conditions sharing a description are and-ed, so the report never hides a
+    failing one.
+    """
+    values: dict[str, bool] = {}
+    for cond in mechanism.guard:
+        ok = bool(cond.test(world))
+        values[cond.description] = values.get(cond.description, True) and ok
+    return values
 
 
 def enabled(mechanism: Mechanism, world: World) -> bool:
@@ -214,16 +223,27 @@ class FireContext:
     def fire_if_enabled(self, mechanism_name: str) -> bool:
         """Delegate to a registered sub-mechanism; False when its guard fails."""
         sub = self.world.mechanisms[mechanism_name]
-        if not enabled(sub, self.world):
-            self.kernel._log_guard_failure(sub, "nested")
+        values = guard_report(sub, self.world)
+        if not all(values.values()):
+            self.kernel._log_guard_failure(sub, "nested", values)
             return False
-        fire(sub, self.world, self.kernel, via="nested")
+        fire(sub, self.world, self.kernel, via="nested", guard_values=values)
         return True
 
 
-def fire(mechanism: Mechanism, world: World, kernel: "Kernel", via: str = "direct"):
-    """Run the effect (and side effects, unless stripped) of an enabled mechanism."""
-    values = guard_report(mechanism, world)
+def fire(
+    mechanism: Mechanism,
+    world: World,
+    kernel: "Kernel",
+    via: str = "direct",
+    guard_values: dict[str, bool] | None = None,
+):
+    """Run the effect (and side effects, unless stripped) of an enabled mechanism.
+
+    guard_values is the guard_report a caller has just taken; without it the
+    guard is evaluated here.
+    """
+    values = guard_report(mechanism, world) if guard_values is None else guard_values
     if not all(values.values()):
         failing = [d for d, ok in values.items() if not ok]
         raise FiredWhileDisabled(f"{mechanism.name}: guard failed on {failing}")
@@ -303,8 +323,7 @@ class Kernel:
     def trace_lines(self) -> list[str]:
         return [e.line for e in self.trace]
 
-    def _log_guard_failure(self, mechanism: Mechanism, via: str):
-        values = guard_report(mechanism, self.world)
+    def _log_guard_failure(self, mechanism: Mechanism, via: str, values: dict[str, bool]):
         failed = [d for d, ok in values.items() if not ok]
         self.current_report.guard_failures.append(
             GuardFailure(mechanism.name, via, failed)
@@ -314,10 +333,11 @@ class Kernel:
         """Guard-check and fire one mechanism; wiring bugs become violations."""
         batches_before = len(self.pending_batches)
         try:
-            if enabled(mechanism, self.world):
-                fire(mechanism, self.world, self, via=via)
+            values = guard_report(mechanism, self.world)
+            if all(values.values()):
+                fire(mechanism, self.world, self, via=via, guard_values=values)
             else:
-                self._log_guard_failure(mechanism, via)
+                self._log_guard_failure(mechanism, via, values)
         except (
             PushWithoutConnection,
             PortionNotPresent,

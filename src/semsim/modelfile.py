@@ -347,7 +347,9 @@ def load_model(data: dict) -> World:
             portion.properties[prop] = QualValue(world.scales[prop], level)
         if portion.compartment is not None and portion.compartment not in world.compartments:
             raise SchemaError(f"unknown compartment {portion.compartment!r}", loc)
-        world.portions[portion.id] = portion
+        if portion.id in world.portions:
+            raise SchemaError(f"duplicate portion id {portion.id!r}", loc)
+        world.add_portion(portion)
 
     # Contents restore reservoir draw order, so they are authoritative.
     for i, c in enumerate(data.get("compartments", [])):

@@ -3,11 +3,22 @@
 The kernel calls validate after each step, so any assertion violated by that
 step's transitionals shows up in that step's report. Violations are data, not
 exceptions; the kernel decides whether to halt or warn.
+
+The snapshot holds live state only: derive_triples reads the world's live
+portion registry, so its size tracks what is alive now, not how many
+portions the run has ever made. validate derives it once per step and groups
+it by predicate, after the permutation indexes of Hexastore (Weiss, Karras
+and Bernstein, VLDB 2008). A rule whose pattern names its predicate tries
+only the triples with that predicate; a rule with a variable predicate tries
+them all. Only the matches are sorted, by the (subject, predicate, obj) of
+the matched triple, so a rule's violations come out in the same order
+whatever the set's iteration order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .errors import DuplicateNameError, ModelError
 
@@ -15,8 +26,7 @@ POLICIES = ("halt", "warn", "off")
 EXPECTATIONS = ("must_exist", "must_not_exist", "count_in_set")
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     subject: str
     predicate: str
     obj: str
@@ -32,22 +42,28 @@ class TriplePattern:
     subject: str | Var
     predicate: str | Var
     obj: str | Var
+    # (slot, term) and (slot, variable name) pairs, slots indexing a Triple.
+    _ground: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
+    _vars: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        terms = (self.subject, self.predicate, self.obj)
+        ground = tuple((i, t) for i, t in enumerate(terms) if not isinstance(t, Var))
+        variables = tuple((i, t.name) for i, t in enumerate(terms) if isinstance(t, Var))
+        object.__setattr__(self, "_ground", ground)
+        object.__setattr__(self, "_vars", variables)
 
     def ground_terms(self) -> int:
-        return sum(1 for t in (self.subject, self.predicate, self.obj) if not isinstance(t, Var))
+        return len(self._ground)
 
     def match(self, triple: Triple) -> dict[str, str] | None:
+        for slot, term in self._ground:
+            if triple[slot] != term:
+                return None
         bindings: dict[str, str] = {}
-        for term, value in (
-            (self.subject, triple.subject),
-            (self.predicate, triple.predicate),
-            (self.obj, triple.obj),
-        ):
-            if isinstance(term, Var):
-                if bindings.get(term.name, value) != value:
-                    return None
-                bindings[term.name] = value
-            elif term != value:
+        for slot, name in self._vars:
+            value = triple[slot]
+            if bindings.setdefault(name, value) != value:
                 return None
         return bindings
 
@@ -102,31 +118,30 @@ def derive_triples(world) -> frozenset[Triple]:
     Vocabulary: hasState:<var>, locatedIn, connectedTo, hasPart:<role>, and
     pushedTo for moves committed during the current step.
     """
-    triples: set[Triple] = set()
+    triples: list[Triple] = []
+    add = triples.append
     for obj in world.objects.values():
         if not obj.alive:
             continue
         for var, label in obj.states.items():
-            triples.add(Triple(obj.id, f"hasState:{var}", label))
+            add(Triple(obj.id, f"hasState:{var}", label))
         for prop, value in obj.properties.items():
-            triples.add(Triple(obj.id, f"hasState:{prop}", value.level))
+            add(Triple(obj.id, f"hasState:{prop}", value.level))
         for role, child in obj.parts:
-            triples.add(Triple(obj.id, f"hasPart:{role}", child))
-    for portion in world.portions.values():
-        if not portion.alive:
-            continue
-        triples.add(Triple(portion.id, "hasState:Location", portion.location_state))
+            add(Triple(obj.id, f"hasPart:{role}", child))
+    for portion in world.live_registry.values():
+        add(Triple(portion.id, "hasState:Location", portion.location_state))
         for prop, value in portion.properties.items():
-            triples.add(Triple(portion.id, f"hasState:{prop}", value.level))
+            add(Triple(portion.id, f"hasState:{prop}", value.level))
         if portion.compartment is not None:
-            triples.add(Triple(portion.id, "locatedIn", portion.compartment))
+            add(Triple(portion.id, "locatedIn", portion.compartment))
     for sub in world.substances.values():
-        triples.add(Triple(sub.name, "hasState:phase", sub.phase))
+        add(Triple(sub.name, "hasState:phase", sub.phase))
     for conn in world.connections.values():
-        triples.add(Triple(conn.from_id, "connectedTo", conn.to_id))
+        add(Triple(conn.from_id, "connectedTo", conn.to_id))
     for record in world.last_commits:
         for portion, src, dst in record.applied:
-            triples.add(Triple(src, "pushedTo", dst))
+            add(Triple(src, "pushedTo", dst))
     return frozenset(triples)
 
 
@@ -137,13 +152,22 @@ def register_rule(rules: dict[str, AssertionRule], rule: AssertionRule) -> Asser
     return rule
 
 
-def _matches(pattern: TriplePattern, triples) -> list[dict[str, str]]:
+_by_triple = itemgetter(0)
+
+
+def _matches(pattern: TriplePattern, triples, by_predicate) -> list[dict[str, str]]:
+    """Bindings of every triple the pattern matches, in triple order."""
+    if isinstance(pattern.predicate, Var):
+        candidates = triples
+    else:
+        candidates = by_predicate.get(pattern.predicate, ())
     found = []
-    for triple in sorted(triples, key=lambda t: (t.subject, t.predicate, t.obj)):
+    for triple in candidates:
         bindings = pattern.match(triple)
         if bindings is not None:
-            found.append(bindings)
-    return found
+            found.append((triple, bindings))
+    found.sort(key=_by_triple)  # triples in a snapshot are unique
+    return [bindings for _, bindings in found]
 
 
 def validate(world, step_index: int, rules, policy: str = "halt") -> ValidationReport:
@@ -154,8 +178,11 @@ def validate(world, step_index: int, rules, policy: str = "halt") -> ValidationR
     if policy == "off":
         return report
     triples = derive_triples(world)
+    by_predicate: dict[str, list[Triple]] = {}
+    for triple in triples:
+        by_predicate.setdefault(triple.predicate, []).append(triple)
     for rule in rules.values():
-        matches = _matches(rule.pattern, triples)
+        matches = _matches(rule.pattern, triples, by_predicate)
         if rule.check is not None:
             matches = [m for m in matches if rule.check(m, world, triples)]
         if rule.expectation == "must_exist" and not matches:

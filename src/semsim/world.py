@@ -116,7 +116,8 @@ class World:
         self.substances: dict[str, Substance] = {}
         self.scales: dict[str, StateSpace] = {}
         self.objects: dict[str, SemObject] = {}
-        self.portions: dict[str, Portion] = {}
+        self.portions: dict[str, Portion] = {}  # every portion ever made
+        self.live_registry: dict[str, Portion] = {}  # the live ones, in birth order
         self.compartments: dict[str, Compartment] = {}
         self.connections: dict[tuple[str, str, str], Connection] = {}
         self.circuits: dict[str, Circuit] = {}
@@ -321,7 +322,7 @@ class World:
             y=0,
             location_state=location,
         )
-        self.portions[pid] = portion
+        self.add_portion(portion)
         self._log(Transitional("birth", (pid,), (kind_name,), self.clock))
         return portion
 
@@ -343,11 +344,25 @@ class World:
         for key, label in (properties or {}).items():
             props[key] = QualValue(self._property_scale(key), label)
         portion = Portion(pid, substance_name, properties=props)
-        self.portions[pid] = portion
+        self.add_portion(portion)
         if compartment is not None:
             self.place_portion(pid, compartment)
         self._log(Transitional("birth", (pid,), (substance_name,), self.clock))
         return portion
+
+    def add_portion(self, portion: Portion) -> Portion:
+        """Register a built portion; the live registry holds it while it lives."""
+        self.portions[portion.id] = portion
+        if portion.alive:
+            self.live_registry[portion.id] = portion
+        return portion
+
+    def _retire_portion(self, portion: Portion):
+        portion.alive = False
+        del self.live_registry[portion.id]
+        if portion.compartment is not None:
+            self.compartments[portion.compartment].contents.remove(portion.id)
+            portion.compartment = None
 
     def _property_scale(self, prop: str) -> StateSpace:
         if prop not in self.scales:
@@ -433,10 +448,10 @@ class World:
         ent = self.entity(entity_id)
         if not getattr(ent, "alive", True):
             raise DeadSubjectError(f"subject {entity_id!r} is already dead")
-        ent.alive = False
-        if isinstance(ent, Portion) and ent.compartment is not None:
-            self.compartments[ent.compartment].contents.remove(ent.id)
-            ent.compartment = None
+        if isinstance(ent, Portion):
+            self._retire_portion(ent)
+        else:
+            ent.alive = False
         t = Transitional("death", (entity_id,), (), self.clock)
         self._log(t)
         return t
@@ -463,14 +478,11 @@ class World:
                 location_state=parent.location_state,
                 provenance=(parent.id,),
             )
-            self.portions[child.id] = child
+            self.add_portion(child)
             if parent.compartment is not None:
                 self.compartments[parent.compartment].contents.append(child.id)
             children.append(child)
-        parent.alive = False
-        if parent.compartment is not None:
-            self.compartments[parent.compartment].contents.remove(parent.id)
-            parent.compartment = None
+        self._retire_portion(parent)
         self._log(
             Transitional(
                 "split", (portion_id,), tuple(c.id for c in children), self.clock
@@ -526,12 +538,9 @@ class World:
             location_state=parents[0].location_state,
             provenance=ids,
         )
-        self.portions[result.id] = result
+        self.add_portion(result)
         for p in parents:
-            p.alive = False
-            if p.compartment is not None:
-                self.compartments[p.compartment].contents.remove(p.id)
-                p.compartment = None
+            self._retire_portion(p)
         if destination is not None:
             self.place_portion(result.id, destination)
         self._log(Transitional("merge", ids, (result.id,), self.clock))
@@ -650,17 +659,17 @@ class World:
 
     def occupant(self, compartment_id: str) -> Portion | None:
         """The single live portion in a compartment, or None."""
+        live = self.live_registry
         for pid in self.compartments[compartment_id].contents:
-            p = self.portions[pid]
-            if p.alive:
-                return p
+            if pid in live:
+                return live[pid]
         return None
 
     def live_portions(self, substance: str | None = None) -> list[Portion]:
         return [
             p
-            for p in self.portions.values()
-            if p.alive and (substance is None or p.substance == substance)
+            for p in self.live_registry.values()
+            if substance is None or p.substance == substance
         ]
 
     # ------------------------------------------------------------------

@@ -1,4 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _child_pythonpath():
+    # Subprocess tests run `python -m semsim` from tmp_path, where a relative
+    # PYTHONPATH such as `src` resolves to nothing; put the absolute source
+    # directory first so child processes import this checkout.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(SRC), prepend=os.pathsep)
+        yield
 
 
 def pytest_runtest_logreport(report):

@@ -325,3 +325,13 @@ def all_before_scenario(trace, push_indexes):
     last_push_line = max(push_indexes)
     heartbeat_lines = [i for i, l in enumerate(trace) if l == "SANode pulse"]
     return len(heartbeat_lines) == 2 and last_push_line < len(trace)
+
+
+def test_negative_portions_exits_1_without_traceback(tmp_path):
+    for command in ("run", "console"):
+        result = run_cli(
+            [command, "--model", "waterfall", "--portions", "-3"], cwd=tmp_path
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert "error: --portions must be >= 0" in result.stderr
+        assert "Traceback" not in result.stderr

@@ -164,6 +164,40 @@ def test_guard_failure_logged_not_fired():
     assert kernel.trace_lines() == []
 
 
+def test_each_guard_condition_runs_once_per_dispatch():
+    w = counter_world()
+    calls = {"open": 0, "shut": 0}
+
+    def counted(name, value):
+        def test(_):
+            calls[name] += 1
+            return value
+        return test
+
+    register_mechanism(
+        w, Mechanism("go", guard=(Condition("open", counted("open", True)),),
+                     effect=lambda ctx: ctx.emit("ping")),
+    )
+    # Two conditions share a description; the failing one must still block.
+    register_mechanism(
+        w,
+        Mechanism(
+            "stop",
+            guard=(Condition("gate", counted("shut", False)), Condition("gate", lambda _: True)),
+            effect=lambda ctx: ctx.emit("pong"),
+        ),
+    )
+    register_trigger(w, Trigger("t-go", period=1, target="go"))
+    register_trigger(w, Trigger("t-stop", period=1, target="stop"))
+    kernel = Kernel(w)
+    report = kernel.step()
+    assert calls == {"open": 1, "shut": 1}
+    assert [f.mechanism for f in report.fired] == ["go"]
+    assert report.fired[0].guard_values == {"open": True}
+    assert [(g.mechanism, g.failed) for g in report.guard_failures] == [("stop", ["gate"])]
+    assert kernel.trace_lines() == ["ping"]
+
+
 def test_trace_vocabulary_enforced():
     w = counter_world()
     register_mechanism(

@@ -100,6 +100,14 @@ def test_bad_portion_compartment_diagnosed():
     assert "portions[0]" in str(exc.value)
 
 
+def test_duplicate_portion_id_diagnosed():
+    data = save_model(build_cardio())
+    data["portions"].append(dict(data["portions"][0], alive=False, compartment=None))
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert "duplicate portion id" in str(exc.value)
+
+
 def test_counters_roundtrip_prevents_id_collisions():
     original = build_cardio()
     k = Kernel(original)

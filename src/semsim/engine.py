@@ -10,15 +10,20 @@ Two execution modes:
   order - triggers sorted by (period, name), then signal deliveries in
   emission order, then any leftover batch commit, then validation. The whole
   run is a pure function of (model, seed, periods, phases).
-* concurrent: one worker thread per subsystem fires that subsystem's due
-  mechanisms; the world is mutated only under a shared lock, and signal
-  delivery, commits, and validation stay on the kernel thread. Only causal
-  ordering is guaranteed, not a reproducible line sequence.
+* concurrent: subsystems are independent, so any order of their firings
+  is a valid interleaving. Each tick the due triggers are grouped by
+  subsystem and the groups run in a random order drawn from the kernel's
+  seeded generator, all on the kernel thread; signal delivery, commits and
+  validation follow as in deterministic mode. Causal ordering holds, and a
+  run replays exactly from its seed.
+
+Validation after each step is incremental: the kernel owns one
+validation.Snapshot and refreshes it from the world's recorded changes.
+With the policy off it keeps none and only clears those records.
 """
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -301,7 +306,7 @@ class Kernel:
         self.halted = False
         self.halted_at: int | None = None
         self.current_report = StepReport(step=0)
-        self._lock = threading.RLock()
+        self.snapshot: validation.Snapshot | None = None  # None while validation is off
         self._wiring_errors: list[tuple[str, str]] = []
 
     # ------------------------------------------------------------------
@@ -315,10 +320,9 @@ class Kernel:
                 f"line {line!r} is not in the declared vocabulary of "
                 f"{self.world.name!r}"
             )
-        with self._lock:
-            event = TraceEvent(self.tick, line)
-            self.trace.append(event)
-            self.current_report.traces.append(event)
+        event = TraceEvent(self.tick, line)
+        self.trace.append(event)
+        self.current_report.traces.append(event)
 
     def trace_lines(self) -> list[str]:
         return [e.line for e in self.trace]
@@ -360,12 +364,10 @@ class Kernel:
 
         due = [t for t in self.world.triggers.values() if t.due(self.tick)]
         due.sort(key=lambda t: (t.period, t.name))
-
-        if self.mode == "deterministic":
-            for trig in due:
-                self._dispatch(self.world.mechanisms[trig.target], f"trigger:{trig.name}")
-        else:
-            self._step_concurrent(due)
+        if self.mode == "concurrent":
+            due = self._shuffle_subsystems(due)
+        for trig in due:
+            self._dispatch(self.world.mechanisms[trig.target], f"trigger:{trig.name}")
 
         # Signal deliveries, in emission order.
         deliveries = [s for due_at, s in self.pending_signals if due_at <= self.tick]
@@ -392,8 +394,13 @@ class Kernel:
             self.pending_batches.remove(batch)
 
         report = self.current_report
+        if self.validate_policy == "off":
+            self.snapshot = None
+            self.world.clear_changes()
+        elif self.snapshot is None:
+            self.snapshot = validation.Snapshot()
         report.validation = validation.validate(
-            self.world, self.tick, self.rules, self.validate_policy
+            self.world, self.tick, self.rules, self.validate_policy, self.snapshot
         )
         for name, detail in self._wiring_errors:
             report.validation.violations.insert(
@@ -407,28 +414,15 @@ class Kernel:
         self.tick += 1
         return report
 
-    def _step_concurrent(self, due_triggers):
-        """Fire this tick's mechanisms from one worker thread per subsystem."""
-        by_subsystem: dict[str, list] = {}
+    def _shuffle_subsystems(self, due_triggers):
+        """The due triggers grouped by subsystem, groups in a seeded random order."""
+        by_subsystem: dict[str, list[Trigger]] = {}
         for trig in due_triggers:
-            mech = self.world.mechanisms[trig.target]
-            by_subsystem.setdefault(mech.subsystem, []).append((trig, mech))
-        groups = list(by_subsystem.items())
+            subsystem = self.world.mechanisms[trig.target].subsystem
+            by_subsystem.setdefault(subsystem, []).append(trig)
+        groups = list(by_subsystem.values())
         self.rng.shuffle(groups)
-
-        def worker(entries):
-            for trig, mech in entries:
-                with self._lock:
-                    self._dispatch(mech, f"trigger:{trig.name}")
-
-        threads = [
-            threading.Thread(target=worker, args=(entries,), name=f"subsystem-{name}")
-            for name, entries in groups
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        return [trig for group in groups for trig in group]
 
     def run(self, n_ticks: int) -> list[StepReport]:
         if n_ticks < 0:

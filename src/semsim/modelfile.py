@@ -9,6 +9,8 @@ transitional log, traces) is not part of a model file.
 from __future__ import annotations
 
 import json
+import re
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import models
@@ -216,28 +218,70 @@ def save_model(world: World) -> dict:
     }
 
 
+def _section(data: dict, key: str, kind: type = list):
+    """A top-level section, or an empty one when absent."""
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        raise SchemaError(f"expected {'a list' if kind is list else 'an object'}", key)
+    return value
+
+
+def _entries(data: dict, key: str):
+    """(location, entry) for each entry of a list section; entries are objects."""
+    for i, entry in enumerate(_section(data, key)):
+        loc = f"{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaError("expected an object", loc)
+        yield loc, entry
+
+
+@contextmanager
+def _diagnosed(loc: str):
+    """Report whatever a malformed entry raises as a SchemaError naming it."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except KeyError as exc:
+        raise SchemaError(f"missing field {exc}", loc) from exc
+    except SemsimError as exc:
+        raise SchemaError(str(exc), loc) from exc
+    except (TypeError, ValueError, AttributeError, re.error) as exc:
+        raise SchemaError(f"malformed entry: {exc}", loc) from exc
+
+
+def _qual(world: World, prop, level, loc: str) -> QualValue:
+    if prop not in world.scales:
+        raise SchemaError(f"property {prop!r} has no scale", loc)
+    return QualValue(world.scales[prop], level)
+
+
 def load_model(data: dict) -> World:
     """Rebuild a world from a dict produced by save_model (or written by hand)."""
     if not isinstance(data, dict) or not data:
         raise SchemaError("model file must be a non-empty JSON object")
     if data.get("format") != FORMAT:
         raise SchemaError(f"not a {FORMAT} document", "format")
-    if "name" not in data:
-        raise SchemaError("missing model name", "name")
+    if not isinstance(data.get("name"), str):
+        raise SchemaError("missing model name (a string)", "name")
     world = World(data["name"])
 
-    vocab = data.get("vocabulary", {})
-    world.vocabulary = Vocabulary(
-        literals=frozenset(vocab.get("literals", [])),
-        patterns=tuple(vocab.get("patterns", [])),
-    )
+    vocab = _section(data, "vocabulary", dict)
+    with _diagnosed("vocabulary"):
+        literals = frozenset(vocab.get("literals", []))
+        patterns = tuple(vocab.get("patterns", []))
+        if not all(isinstance(x, str) for x in literals | set(patterns)):
+            raise SchemaError("literals and patterns must be strings", "vocabulary")
+        for pattern in patterns:
+            re.compile(pattern)
+        world.vocabulary = Vocabulary(literals=literals, patterns=patterns)
 
-    for i, s in enumerate(data.get("scales", [])):
-        world.define_scale(_space_from_dict(s, f"scales[{i}]"))
+    for loc, s in _entries(data, "scales"):
+        with _diagnosed(loc):
+            world.define_scale(_space_from_dict(s, loc))
 
-    for i, s in enumerate(data.get("substances", [])):
-        loc = f"substances[{i}]"
-        try:
+    for loc, s in _entries(data, "substances"):
+        with _diagnosed(loc):
             sub = world.define_substance(
                 s["name"],
                 phases=tuple(s.get("phases", ("solid", "liquid", "gas"))),
@@ -245,15 +289,10 @@ def load_model(data: dict) -> World:
                 merge_policy=dict(s.get("merge_policy", {})),
             )
             for prop, level in s.get("default_properties", {}).items():
-                if prop not in world.scales:
-                    raise SchemaError(f"property {prop!r} has no scale", loc)
-                sub.default_properties[prop] = QualValue(world.scales[prop], level)
-        except KeyError as exc:
-            raise SchemaError(f"missing field {exc}", loc) from exc
+                sub.default_properties[prop] = _qual(world, prop, level, loc)
 
-    for i, k in enumerate(data.get("kinds", [])):
-        loc = f"kinds[{i}]"
-        try:
+    for loc, k in _entries(data, "kinds"):
+        with _diagnosed(loc):
             world.define_kind(
                 k["name"],
                 parent=k.get("parent"),
@@ -272,40 +311,24 @@ def load_model(data: dict) -> World:
                 granularity=k.get("granularity", "object"),
                 substance=k.get("substance"),
             )
-        except KeyError as exc:
-            raise SchemaError(f"missing field {exc}", loc) from exc
 
-    for i, c in enumerate(data.get("compartments", [])):
-        loc = f"compartments[{i}]"
-        try:
+    for loc, c in _entries(data, "compartments"):
+        with _diagnosed(loc):
             world.add_compartment(
                 c["name"], c.get("medium", "other"), c.get("capacity", 1),
                 c.get("structure"), c.get("region"),
             )
-        except KeyError as exc:
-            raise SchemaError(f"missing field {exc}", loc) from exc
 
-    for i, c in enumerate(data.get("connections", [])):
-        loc = f"connections[{i}]"
-        try:
+    for loc, c in _entries(data, "connections"):
+        with _diagnosed(loc):
             world.connect(c["from"], c["to"], c.get("kind", "fluid"))
-        except KeyError as exc:
-            raise SchemaError(f"missing field {exc}", loc) from exc
-        except SemsimError as exc:
-            raise SchemaError(str(exc), loc) from exc
 
-    for i, c in enumerate(data.get("circuits", [])):
-        loc = f"circuits[{i}]"
-        try:
+    for loc, c in _entries(data, "circuits"):
+        with _diagnosed(loc):
             world.define_circuit(c["name"], c["order"], c.get("successors", {}))
-        except KeyError as exc:
-            raise SchemaError(f"missing field {exc}", loc) from exc
-        except SemsimError as exc:
-            raise SchemaError(str(exc), loc) from exc
 
-    for i, o in enumerate(data.get("objects", [])):
-        loc = f"objects[{i}]"
-        try:
+    for loc, o in _entries(data, "objects"):
+        with _diagnosed(loc):
             obj = SemObject(
                 o["id"],
                 o["kind"],
@@ -313,19 +336,14 @@ def load_model(data: dict) -> World:
                 states=dict(o.get("states", {})),
                 alive=o.get("alive", True),
             )
-        except KeyError as exc:
-            raise SchemaError(f"missing field {exc}", loc) from exc
-        for prop, level in o.get("properties", {}).items():
-            if prop not in world.scales:
-                raise SchemaError(f"property {prop!r} has no scale", loc)
-            obj.properties[prop] = QualValue(world.scales[prop], level)
-        if obj.kind not in world.kinds:
-            raise SchemaError(f"unknown kind {obj.kind!r}", loc)
-        world.objects[obj.id] = obj
+            for prop, level in o.get("properties", {}).items():
+                obj.properties[prop] = _qual(world, prop, level, loc)
+            if obj.kind not in world.kinds:
+                raise SchemaError(f"unknown kind {obj.kind!r}", loc)
+            world.objects[obj.id] = obj
 
-    for i, p in enumerate(data.get("portions", [])):
-        loc = f"portions[{i}]"
-        try:
+    for loc, p in _entries(data, "portions"):
+        with _diagnosed(loc):
             portion = Portion(
                 p["id"],
                 p["substance"],
@@ -337,114 +355,93 @@ def load_model(data: dict) -> World:
                 provenance=tuple(p.get("provenance", [])),
                 alive=p.get("alive", True),
             )
-        except KeyError as exc:
-            raise SchemaError(f"missing field {exc}", loc) from exc
-        if portion.substance not in world.substances:
-            raise SchemaError(f"unknown substance {portion.substance!r}", loc)
-        for prop, level in p.get("properties", {}).items():
-            if prop not in world.scales:
-                raise SchemaError(f"property {prop!r} has no scale", loc)
-            portion.properties[prop] = QualValue(world.scales[prop], level)
-        if portion.compartment is not None and portion.compartment not in world.compartments:
-            raise SchemaError(f"unknown compartment {portion.compartment!r}", loc)
-        if portion.id in world.portions:
-            raise SchemaError(f"duplicate portion id {portion.id!r}", loc)
-        world.add_portion(portion)
+            if portion.substance not in world.substances:
+                raise SchemaError(f"unknown substance {portion.substance!r}", loc)
+            for prop, level in p.get("properties", {}).items():
+                portion.properties[prop] = _qual(world, prop, level, loc)
+            if portion.compartment is not None and portion.compartment not in world.compartments:
+                raise SchemaError(f"unknown compartment {portion.compartment!r}", loc)
+            if portion.id in world.portions:
+                raise SchemaError(f"duplicate portion id {portion.id!r}", loc)
+            world.add_portion(portion)
 
     # Contents restore reservoir draw order, so they are authoritative.
-    for i, c in enumerate(data.get("compartments", [])):
+    for loc, c in _entries(data, "compartments"):
         comp = world.compartments[c["name"]]
-        for pid in c.get("contents", []):
-            if pid not in world.portions:
-                raise SchemaError(f"contents reference unknown portion {pid!r}", f"compartments[{i}]")
-            if world.portions[pid].compartment != comp.id:
-                raise SchemaError(
-                    f"portion {pid!r} does not agree it is in {comp.id!r}", f"compartments[{i}]"
-                )
-            comp.contents.append(pid)
+        with _diagnosed(loc):
+            for pid in c.get("contents", []):
+                if pid not in world.portions:
+                    raise SchemaError(f"contents reference unknown portion {pid!r}", loc)
+                if world.portions[pid].compartment != comp.id:
+                    raise SchemaError(f"portion {pid!r} does not agree it is in {comp.id!r}", loc)
+                comp.contents.append(pid)
 
-    for i, f in enumerate(data.get("frames", [])):
-        loc = f"frames[{i}]"
-        try:
+    for loc, f in _entries(data, "frames"):
+        with _diagnosed(loc):
             define_frame(world, f["name"], tuple(f["core"]), tuple(f.get("non_core", [])), f.get("text", ""))
-        except KeyError as exc:
-            raise SchemaError(f"missing field {exc}", loc) from exc
 
-    for i, e in enumerate(data.get("lexicon", [])):
-        add_lexical_entry(world, e["word"], e["frame"], e.get("text", ""))
+    for loc, e in _entries(data, "lexicon"):
+        with _diagnosed(loc):
+            add_lexical_entry(world, e["word"], e["frame"], e.get("text", ""))
 
-    for i, b in enumerate(data.get("bindings", [])):
-        loc = f"bindings[{i}]"
-        frame = world.frames.get(b.get("frame"))
-        if frame is None:
-            raise SchemaError(f"unknown frame {b.get('frame')!r}", loc)
-        elements = {
-            k: _binding_value_from_dict(v, loc) for k, v in b.get("elements", {}).items()
-        }
-        world.bindings.append(FrameBinding(frame, elements))
+    for loc, b in _entries(data, "bindings"):
+        with _diagnosed(loc):
+            frame = world.frames.get(b.get("frame"))
+            if frame is None:
+                raise SchemaError(f"unknown frame {b.get('frame')!r}", loc)
+            elements = {
+                k: _binding_value_from_dict(v, loc) for k, v in b.get("elements", {}).items()
+            }
+            world.bindings.append(FrameBinding(frame, elements))
 
-    for i, spec in enumerate(data.get("mechanisms", [])):
-        loc = f"mechanisms[{i}]"
-        builtin = spec.get("builtin")
-        params = dict(spec.get("params", {}))
-        if builtin == "fluidic_motion":
-            idx = params.get("binding", 0)
-            if idx >= len(world.bindings):
-                raise SchemaError(f"binding index {idx} out of range", loc)
-            instantiate_fluidic_motion(
-                world,
-                world.bindings[idx],
-                name=spec.get("name"),
-                n_portions=params.get("n_portions"),
-                portion_kind=params.get("portion_kind"),
-            )
-        elif builtin in models.BUILTIN_MECHANISMS:
-            try:
+    for loc, spec in _entries(data, "mechanisms"):
+        with _diagnosed(loc):
+            builtin = spec.get("builtin")
+            params = dict(spec.get("params", {}))
+            if builtin == "fluidic_motion":
+                idx = params.get("binding", 0)
+                if idx >= len(world.bindings):
+                    raise SchemaError(f"binding index {idx} out of range", loc)
+                instantiate_fluidic_motion(
+                    world,
+                    world.bindings[idx],
+                    name=spec.get("name"),
+                    n_portions=params.get("n_portions"),
+                    portion_kind=params.get("portion_kind"),
+                )
+            elif builtin in models.BUILTIN_MECHANISMS:
                 models.BUILTIN_MECHANISMS[builtin](world, params)
-            except SemsimError as exc:
-                raise SchemaError(str(exc), loc) from exc
-        else:
-            raise SchemaError(f"unknown builtin mechanism {builtin!r}", loc)
+            else:
+                raise SchemaError(f"unknown builtin mechanism {builtin!r}", loc)
 
-    for i, t in enumerate(data.get("triggers", [])):
-        loc = f"triggers[{i}]"
-        try:
+    for loc, t in _entries(data, "triggers"):
+        with _diagnosed(loc):
             register_trigger(
                 world,
                 Trigger(t["name"], t["period"], t["target"], t.get("phase", 0), t.get("enabled", True)),
             )
-        except KeyError as exc:
-            raise SchemaError(f"missing field {exc}", loc) from exc
-        except SemsimError as exc:
-            raise SchemaError(str(exc), loc) from exc
 
-    for i, s in enumerate(data.get("systems", [])):
-        loc = f"systems[{i}]"
-        try:
+    for loc, s in _entries(data, "systems"):
+        with _diagnosed(loc):
             world.define_system(s["name"], s.get("members", []), s.get("feedback", False))
-        except SemsimError as exc:
-            raise SchemaError(str(exc), loc) from exc
 
-    for i, a in enumerate(data.get("assertions", [])):
-        loc = f"assertions[{i}]"
-        try:
+    for loc, a in _entries(data, "assertions"):
+        with _diagnosed(loc):
             world.assert_function(a["subject"], a["function"], a["context"])
-        except SemsimError as exc:
-            raise SchemaError(str(exc), loc) from exc
 
     # Scenario bookkeeping annotations from a saved world may target the
     # model root; other targets must resolve.
-    for i, a in enumerate(data.get("annotations", [])):
-        loc = f"annotations[{i}]"
-        try:
+    for loc, a in _entries(data, "annotations"):
+        with _diagnosed(loc):
             world.annotate(a["target"], a["kind"], a.get("note", ""))
-        except SemsimError as exc:
-            raise SchemaError(str(exc), loc) from exc
 
-    for prop, level in data.get("ambient", {}).items():
-        world.set_ambient(prop, level)
+    with _diagnosed("ambient"):
+        for prop, level in _section(data, "ambient", dict).items():
+            world.set_ambient(prop, level)
 
-    for prefix, n in data.get("counters", {}).items():
+    for prefix, n in _section(data, "counters", dict).items():
+        if not isinstance(n, int) or n < 0:
+            raise SchemaError(f"counter {prefix!r} must be a non-negative integer", "counters")
         world._counters[prefix] = n
 
     return world

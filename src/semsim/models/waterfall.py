@@ -50,15 +50,14 @@ def water_flowing_mechanism(world: World, params: dict) -> Mechanism:
     upper_label, drop_label, pool_label = config.labels
 
     def remaining(w) -> bool:
-        created = len([p for p in w.portions.values() if p.substance == "water"])
-        return n_portions is None or created < n_portions
+        return n_portions is None or w.portion_counts.get("water", 0) < n_portions
 
     def water_is_fluid(w) -> bool:
         return w.substances["water"].is_fluid
 
     def effect(ctx):
         w = ctx.world
-        i = len([p for p in w.portions.values() if p.substance == "water"])
+        i = w.portion_counts.get("water", 0)
         portion = w.instantiate("WaterPortion", entity_id=f"water-{i}")
         w.set_state(portion.id, "Location", upper_label)
         dx, dy = config.upper_delta

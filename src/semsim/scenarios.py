@@ -63,24 +63,38 @@ def apply_scenario(world: World, scenario: Scenario) -> Annotation:
     return annotation
 
 
+def _directive(entry: dict) -> Directive:
+    op = entry.get("op")
+    if op == "disable_trigger":
+        return disable_trigger(entry["target"])
+    if op == "set_ambient":
+        return set_ambient(entry["property"], entry["label"])
+    if op == "set_state":
+        return set_state(entry["target"], entry["variable"], entry["label"])
+    if op == "remove_connection":
+        return remove_connection(entry["from"], entry["to"], entry.get("kind", "fluid"))
+    raise ScenarioError(f"unknown op {op!r}")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict) or "name" not in data:
-        raise ScenarioError("scenario file needs a top-level object with a name")
+    if not isinstance(data, dict) or not isinstance(data.get("name"), str):
+        raise ScenarioError("scenario file needs a top-level object with a name (a string)")
+    entries = data.get("overrides", [])
+    if not isinstance(entries, list):
+        raise ScenarioError("overrides: expected a list")
     overrides = []
-    for i, entry in enumerate(data.get("overrides", [])):
-        op = entry.get("op")
-        if op == "disable_trigger":
-            overrides.append(disable_trigger(entry["target"]))
-        elif op == "set_ambient":
-            overrides.append(set_ambient(entry["property"], entry["label"]))
-        elif op == "set_state":
-            overrides.append(set_state(entry["target"], entry["variable"], entry["label"]))
-        elif op == "remove_connection":
-            overrides.append(
-                remove_connection(entry["from"], entry["to"], entry.get("kind", "fluid"))
-            )
-        else:
-            raise ScenarioError(f"overrides[{i}]: unknown op {op!r}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"overrides[{i}]: expected an object")
+        try:
+            directive = _directive(entry)
+            if not all(isinstance(arg, str) for arg in directive.args):
+                raise ScenarioError("fields must be strings")
+        except KeyError as exc:
+            raise ScenarioError(f"overrides[{i}]: missing field {exc}") from exc
+        except ScenarioError as exc:
+            raise ScenarioError(f"overrides[{i}]: {exc}") from exc
+        overrides.append(directive)
     return Scenario(data["name"], overrides)
 
 

@@ -166,6 +166,7 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
     for move in batch.moves:
         world.compartments[move.src].contents.remove(move.portion)
         world.portions[move.portion].compartment = None
+        world.touched.add(move.portion)
         vacated.append(move.src)
     for plan in batch.splits:
         src_comp = world.compartments[plan.src]
@@ -173,6 +174,7 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
             if src == plan.src and child in src_comp.contents:
                 src_comp.contents.remove(child)
                 world.portions[child].compartment = None
+                world.touched.add(child)
         vacated.append(plan.src)
 
     # Arrivals, with merge-on-collision where the medium permits it.

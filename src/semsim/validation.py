@@ -13,6 +13,31 @@ only the triples with that predicate; a rule with a variable predicate tries
 them all. Only the matches are sorted, by the (subject, predicate, obj) of
 the matched triple, so a rule's violations come out in the same order
 whatever the set's iteration order.
+
+That full recompute is the reference. A Kernel instead keeps one Snapshot
+from step to step and hands it to validate, which then works in proportion
+to what the step changed, not to how much is alive. The world records the
+ids of entities whose triples may have changed (World.touched) and whether
+any connection changed (World.wiring_changed). A refresh re-derives only
+those, plus the pushedTo triples of the step's commit records, with the
+same per-entity helpers derive_triples uses, diffs each
+against its cached triples and updates the predicate index, as Rete does
+(Forgy 1982). Each rule keeps its passing matches: the matched triples
+whose bindings pass its check. A rule is re-evaluated in full when it is new
+or replaced, when its predicate is a variable, when its check's reads are
+unknown (reads=None), or when a predicate it reads changed. Otherwise only
+the added and removed triples of its predicate are matched and checked, as
+in differential dataflow (McSherry et al., CIDR 2013). The report equals the
+full recompute's, violation order and bindings included.
+
+The reads contract. A rule's check may read its bindings; the triples of
+the predicates its rule lists in `reads`, from `triples` or from the world
+state they describe (a compartment's live contents are its locatedIn
+triples); and structure fixed after the build: the compartment registry and
+capacities, and a portion's substance. A check that reads anything else
+(say, len(triples)) leaves `reads` at None and is re-evaluated every step.
+A rule without a check reads nothing. The `triples` a check receives is
+read-only and valid only during the call.
 """
 from __future__ import annotations
 
@@ -27,6 +52,8 @@ EXPECTATIONS = ("must_exist", "must_not_exist", "count_in_set")
 
 
 class Triple(NamedTuple):
+    # A plain record: the snapshot helpers below build it with tuple.__new__,
+    # so a check added to its constructor would not run there.
     subject: str
     predicate: str
     obj: str
@@ -85,6 +112,7 @@ class AssertionRule:
     scope: str | None = None
     counts: frozenset[int] | None = None
     check: Callable[[dict[str, str], object, frozenset], bool] | None = None
+    reads: frozenset[str] | None = None
 
     def __post_init__(self):
         if self.expectation not in EXPECTATIONS:
@@ -93,6 +121,8 @@ class AssertionRule:
             raise ModelError(f"rule {self.name!r} has a fully-variable pattern")
         if self.expectation == "count_in_set" and self.counts is None:
             raise ModelError(f"rule {self.name!r} needs a counts set")
+        if self.reads is not None:
+            self.reads = frozenset(self.reads)
 
 
 @dataclass
@@ -112,6 +142,83 @@ class ValidationReport:
         return not self.violations
 
 
+# The per-entity helpers build each triple as _new(Triple, (s, p, o)): the
+# same Triple, without the Python-level __new__ of a NamedTuple, which
+# doubles the cost of the commonest allocation in a refresh.
+_new = tuple.__new__
+
+
+class _Predicates(dict):
+    """prefix + name, built once per name: one string object per predicate,
+    whose hash is computed once however often its triples are re-derived."""
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, name: str) -> str:
+        self[name] = predicate = self.prefix + name
+        return predicate
+
+
+_HAS_STATE = _Predicates("hasState:")
+_HAS_PART = _Predicates("hasPart:")
+
+
+def _object_triples(obj) -> list[Triple]:
+    if not obj.alive:
+        return []
+    oid = obj.id
+    out = [_new(Triple, (oid, _HAS_STATE[var], label)) for var, label in obj.states.items()]
+    out += [_new(Triple, (oid, _HAS_STATE[p], v.level)) for p, v in obj.properties.items()]
+    out += [_new(Triple, (oid, _HAS_PART[role], child)) for role, child in obj.parts]
+    return out
+
+
+def _portion_triples(portion) -> list[Triple]:
+    """Triples of a live portion."""
+    pid = portion.id
+    out = [_new(Triple, (pid, "hasState:Location", portion.location_state))]
+    out += [_new(Triple, (pid, _HAS_STATE[p], v.level)) for p, v in portion.properties.items()]
+    if portion.compartment is not None:
+        out.append(_new(Triple, (pid, "locatedIn", portion.compartment)))
+    return out
+
+
+def _substance_triples(sub) -> list[Triple]:
+    return [_new(Triple, (sub.name, "hasState:phase", sub.phase))]
+
+
+def _wiring_triples(world) -> list[Triple]:
+    return [
+        _new(Triple, (c.from_id, "connectedTo", c.to_id)) for c in world.connections.values()
+    ]
+
+
+def _pushed_triples(world) -> list[Triple]:
+    """pushedTo for every move committed during the current step."""
+    return [
+        _new(Triple, (src, "pushedTo", dst))
+        for record in world.last_commits
+        for _portion, src, dst in record.applied
+    ]
+
+
+def _entity_triples(world, entity_id: str) -> list[Triple]:
+    """Every triple whose subject is this object, live portion or substance."""
+    out = []
+    obj = world.objects.get(entity_id)
+    if obj is not None:
+        out += _object_triples(obj)
+    portion = world.live_registry.get(entity_id)
+    if portion is not None:
+        out += _portion_triples(portion)
+    sub = world.substances.get(entity_id)
+    if sub is not None:
+        out += _substance_triples(sub)
+    return out
+
+
 def derive_triples(world) -> frozenset[Triple]:
     """Pure snapshot of the live world in triple form.
 
@@ -119,29 +226,14 @@ def derive_triples(world) -> frozenset[Triple]:
     pushedTo for moves committed during the current step.
     """
     triples: list[Triple] = []
-    add = triples.append
     for obj in world.objects.values():
-        if not obj.alive:
-            continue
-        for var, label in obj.states.items():
-            add(Triple(obj.id, f"hasState:{var}", label))
-        for prop, value in obj.properties.items():
-            add(Triple(obj.id, f"hasState:{prop}", value.level))
-        for role, child in obj.parts:
-            add(Triple(obj.id, f"hasPart:{role}", child))
+        triples += _object_triples(obj)
     for portion in world.live_registry.values():
-        add(Triple(portion.id, "hasState:Location", portion.location_state))
-        for prop, value in portion.properties.items():
-            add(Triple(portion.id, f"hasState:{prop}", value.level))
-        if portion.compartment is not None:
-            add(Triple(portion.id, "locatedIn", portion.compartment))
+        triples += _portion_triples(portion)
     for sub in world.substances.values():
-        add(Triple(sub.name, "hasState:phase", sub.phase))
-    for conn in world.connections.values():
-        add(Triple(conn.from_id, "connectedTo", conn.to_id))
-    for record in world.last_commits:
-        for portion, src, dst in record.applied:
-            add(Triple(src, "pushedTo", dst))
+        triples += _substance_triples(sub)
+    triples += _wiring_triples(world)
+    triples += _pushed_triples(world)
     return frozenset(triples)
 
 
@@ -170,12 +262,22 @@ def _matches(pattern: TriplePattern, triples, by_predicate) -> list[dict[str, st
     return [bindings for _, bindings in found]
 
 
-def validate(world, step_index: int, rules, policy: str = "halt") -> ValidationReport:
-    """Evaluate every rule against the current triple snapshot."""
+def validate(
+    world, step_index: int, rules, policy: str = "halt", snapshot: Snapshot | None = None
+) -> ValidationReport:
+    """Evaluate every rule against the current triple snapshot.
+
+    Without a snapshot this is a full recompute. With one, the snapshot is
+    brought up to date from the world's recorded changes and only the rules
+    those changes can affect are re-checked; the report is the same.
+    """
     if policy not in POLICIES:
         raise ModelError(f"policy must be one of {POLICIES}")
     report = ValidationReport(step_index, [], policy)
     if policy == "off":
+        return report
+    if snapshot is not None:
+        report.violations = snapshot.violations(world, rules)
         return report
     triples = derive_triples(world)
     by_predicate: dict[str, list[Triple]] = {}
@@ -193,6 +295,153 @@ def validate(world, step_index: int, rules, policy: str = "halt") -> ValidationR
         elif rule.expectation == "count_in_set" and len(matches) not in rule.counts:
             report.violations.append(Violation(rule.name, {"count": str(len(matches))}))
     return report
+
+
+class _RuleState:
+    """A rule's passing matches: matched triple -> bindings that pass its check."""
+
+    __slots__ = ("rule", "passing")
+
+    def __init__(self, rule: AssertionRule, passing: dict[Triple, dict[str, str]]):
+        self.rule = rule
+        self.passing = passing
+
+
+class Snapshot:
+    """The live triple set of one world, kept up to date from step to step.
+
+    A world's recorded changes feed one snapshot: each refresh consumes them.
+    The first refresh, and the first after the snapshot is handed a different
+    world, is a full build.
+    """
+
+    def __init__(self):
+        self._reset(None)
+
+    def _reset(self, world):
+        self.world = world
+        self.triples: set[Triple] = set()
+        self.by_predicate: dict[str, set[Triple]] = {}
+        self._entities: dict[str, list[Triple]] = {}  # subject id -> its triples
+        self._wiring: list[Triple] = []
+        self._pushed: list[Triple] = []
+        self._rules: dict[str, _RuleState] = {}
+
+    def refresh(self, world) -> tuple[dict[str, list[Triple]], dict[str, list[Triple]]]:
+        """Apply the world's recorded changes; return (added, removed) by predicate."""
+        if self.world is not world:
+            self._reset(world)
+            ids = [*world.objects, *world.live_registry, *world.substances]
+            wiring = True
+        else:
+            ids, wiring = world.touched, world.wiring_changed
+        added: dict[str, list[Triple]] = {}
+        removed: dict[str, list[Triple]] = {}
+        entities = self._entities
+        for entity_id in ids:
+            new = _entity_triples(world, entity_id)
+            old = entities.get(entity_id)
+            if new:
+                entities[entity_id] = new
+            elif old is not None:
+                del entities[entity_id]
+            self._replace(old, new, added, removed)
+        world.clear_changes()
+        if wiring:
+            new = _wiring_triples(world)
+            self._replace(self._wiring, new, added, removed)
+            self._wiring = new
+        new = _pushed_triples(world)
+        if new or self._pushed:
+            self._replace(self._pushed, new, added, removed)
+            self._pushed = new
+        return added, removed
+
+    def _replace(self, old, new, added, removed):
+        """Swap one source's triples; a birth or a retirement builds no sets."""
+        if not old:
+            self._add(new, added)
+        elif not new:
+            self._remove(old, removed)
+        elif old != new:
+            old_set, new_set = set(old), set(new)
+            self._add(new_set - old_set, added)
+            self._remove(old_set - new_set, removed)
+
+    def _add(self, triples, added):
+        everything, by_predicate = self.triples, self.by_predicate
+        for triple in triples:
+            everything.add(triple)
+            predicate = triple[1]
+            bucket = by_predicate.get(predicate)
+            if bucket is None:
+                by_predicate[predicate] = {triple}
+            else:
+                bucket.add(triple)
+            batch = added.get(predicate)
+            if batch is None:
+                added[predicate] = [triple]
+            else:
+                batch.append(triple)
+
+    def _remove(self, triples, removed):
+        everything, by_predicate = self.triples, self.by_predicate
+        for triple in triples:
+            everything.discard(triple)
+            predicate = triple[1]
+            by_predicate[predicate].discard(triple)
+            batch = removed.get(predicate)
+            if batch is None:
+                removed[predicate] = [triple]
+            else:
+                batch.append(triple)
+
+    def _check_into(self, passing: dict, rule: AssertionRule, world, candidates) -> dict:
+        """Add each candidate the rule's pattern matches and its check passes."""
+        pattern, check, triples = rule.pattern, rule.check, self.triples
+        for triple in candidates:
+            bindings = pattern.match(triple)
+            if bindings is not None and (check is None or check(bindings, world, triples)):
+                passing[triple] = bindings
+        return passing
+
+    def violations(self, world, rules) -> list[Violation]:
+        """Refresh, re-check the affected rules, and report like validate."""
+        added, removed = self.refresh(world)
+        changed = added.keys() | removed.keys()
+        states = self._rules
+        for key in [k for k in states if k not in rules]:
+            del states[key]
+        out: list[Violation] = []
+        for key, rule in rules.items():
+            predicate = rule.pattern.predicate
+            reads = frozenset() if rule.check is None else rule.reads
+            state = states.get(key)
+            ground = not isinstance(predicate, Var)
+            if (
+                not ground
+                or state is None
+                or state.rule is not rule
+                or reads is None
+                or not reads.isdisjoint(changed)
+            ):
+                candidates = self.by_predicate.get(predicate, ()) if ground else self.triples
+                passing = self._check_into({}, rule, world, candidates)
+                state = states[key] = _RuleState(rule, passing)
+            elif predicate in changed:
+                for triple in removed.get(predicate, ()):
+                    state.passing.pop(triple, None)
+                self._check_into(state.passing, rule, world, added.get(predicate, ()))
+            passing = state.passing
+            if rule.expectation == "must_exist":
+                if not passing:
+                    out.append(Violation(rule.name, {}))
+            elif rule.expectation == "must_not_exist" and passing:
+                ordered = sorted(passing.items(), key=_by_triple)
+                out.extend(Violation(rule.name, dict(b)) for _, b in ordered)
+            elif rule.expectation == "count_in_set" and len(passing) not in rule.counts:
+                out.append(Violation(rule.name, {"count": str(len(passing))}))
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +463,7 @@ def capacity_rule() -> AssertionRule:
         TriplePattern(Var("p"), "locatedIn", Var("c")),
         expectation="must_not_exist",
         check=over_capacity,
+        reads=frozenset({"locatedIn"}),
     )
 
 
@@ -228,6 +478,7 @@ def dangling_location_rule() -> AssertionRule:
         TriplePattern(Var("p"), "locatedIn", Var("c")),
         expectation="must_not_exist",
         check=dangling,
+        reads=frozenset(),
     )
 
 
@@ -246,6 +497,7 @@ def connection_present_rule() -> AssertionRule:
         TriplePattern(Var("a"), "pushedTo", Var("b")),
         expectation="must_not_exist",
         check=unwired,
+        reads=frozenset({"connectedTo"}),
     )
 
 
@@ -265,4 +517,5 @@ def fluidity_rule(substance: str, resting_labels=("null", "pool")) -> AssertionR
         TriplePattern(Var("p"), "hasState:Location", Var("loc")),
         expectation="must_not_exist",
         check=moving_while_solid,
+        reads=frozenset({"hasState:phase"}),
     )

@@ -2,6 +2,13 @@
 
 All mutation during a run happens inside kernel steps; the world itself is a
 plain in-memory structure with no locking of its own.
+
+Every operation that changes what the world looks like as triples records
+it: the entity's id goes into `touched`, and a connection added or removed
+sets `wiring_changed`. An incremental validation snapshot re-derives only
+those (see validation.Snapshot); `clear_changes` forgets them. Code that
+writes entity fields directly, as the model-file loader does while it
+builds a world, is safe only before a snapshot's first (full) build.
 """
 from __future__ import annotations
 
@@ -118,6 +125,7 @@ class World:
         self.objects: dict[str, SemObject] = {}
         self.portions: dict[str, Portion] = {}  # every portion ever made
         self.live_registry: dict[str, Portion] = {}  # the live ones, in birth order
+        self.portion_counts: dict[str, int] = {}  # portions ever registered, per substance
         self.compartments: dict[str, Compartment] = {}
         self.connections: dict[tuple[str, str, str], Connection] = {}
         self.circuits: dict[str, Circuit] = {}
@@ -137,6 +145,12 @@ class World:
         self.clock = 0
         self.last_commits: list = []  # CommitRecords, cleared per kernel step
         self._counters: dict[str, int] = {}
+        self.touched: set[str] = set()  # ids whose triples may have changed
+        self.wiring_changed = False  # a connection was added or removed
+
+    def clear_changes(self):
+        self.touched.clear()
+        self.wiring_changed = False
 
     # ------------------------------------------------------------------
     # identifiers
@@ -191,6 +205,7 @@ class World:
         space = StateSpace("phase", tuple(phases), "nominal")
         sub = Substance(name, space, phase, default_properties or {}, merge_policy or {})
         self.substances[name] = sub
+        self.touched.add(name)
         return sub
 
     # ------------------------------------------------------------------
@@ -299,6 +314,7 @@ class World:
         }
         obj = SemObject(obj_id, kind_name, [], states, {})
         self.objects[obj_id] = obj
+        self.touched.add(obj_id)
         for role, spec in self.effective_part_schema(kind_name).items():
             for _ in range(spec.minimum):
                 child = self.instantiate(spec.part_kind, _stack=_stack + (kind_name,))
@@ -353,13 +369,17 @@ class World:
     def add_portion(self, portion: Portion) -> Portion:
         """Register a built portion; the live registry holds it while it lives."""
         self.portions[portion.id] = portion
+        counts = self.portion_counts
+        counts[portion.substance] = counts.get(portion.substance, 0) + 1
         if portion.alive:
             self.live_registry[portion.id] = portion
+            self.touched.add(portion.id)
         return portion
 
     def _retire_portion(self, portion: Portion):
         portion.alive = False
         del self.live_registry[portion.id]
+        self.touched.add(portion.id)
         if portion.compartment is not None:
             self.compartments[portion.compartment].contents.remove(portion.id)
             portion.compartment = None
@@ -394,6 +414,7 @@ class World:
                 )
             spaces[variable].index(label)
             ent.states[variable] = label
+        self.touched.add(entity_id)
         t = Transitional("state_change", (entity_id,), ((variable, label),), self.clock)
         self._log(t)
         return t
@@ -452,6 +473,7 @@ class World:
             self._retire_portion(ent)
         else:
             ent.alive = False
+            self.touched.add(entity_id)
         t = Transitional("death", (entity_id,), (), self.clock)
         self._log(t)
         return t
@@ -556,9 +578,11 @@ class World:
         obj = self.objects[parent_id]
         self.entity(child_id)
         obj.parts.append((role, child_id))
+        self.touched.add(parent_id)
 
     def remove_part(self, parent_id: str, role: str, child_id: str):
         self.objects[parent_id].parts.remove((role, child_id))
+        self.touched.add(parent_id)
 
     def check_cardinality(self, object_id: str) -> list[tuple[str, int, frozenset[int]]]:
         """Report (role, actual count, allowed set) for every violated role."""
@@ -623,6 +647,7 @@ class World:
         if conn.key in self.connections:
             raise DuplicateNameError(f"connection {conn.key} already exists")
         self.connections[conn.key] = conn
+        self.wiring_changed = True
         return conn
 
     def is_connected(self, from_id: str, to_id: str, conduit_kind: str = "fluid") -> bool:
@@ -633,6 +658,7 @@ class World:
         if key not in self.connections:
             raise UnknownEntityError(f"no connection {key}")
         del self.connections[key]
+        self.wiring_changed = True
 
     def define_circuit(self, name: str, order, successors) -> Circuit:
         if name in self.circuits:
@@ -656,6 +682,7 @@ class World:
         comp.contents.append(portion_id)
         portion.compartment = compartment_id
         portion.location_state = comp.name
+        self.touched.add(portion_id)
 
     def occupant(self, compartment_id: str) -> Portion | None:
         """The single live portion in a compartment, or None."""

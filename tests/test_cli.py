@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from semsim.cli import (
     EXIT_CONFIG,
     EXIT_HALTED,
@@ -12,8 +14,8 @@ from semsim.cli import (
     main,
     run_command,
 )
-from semsim.modelfile import save_model_file
-from semsim.models import build_cardio
+from semsim.modelfile import save_model, save_model_file
+from semsim.models import build_cardio, build_waterfall
 
 
 def run_cli(args, cwd):
@@ -335,3 +337,88 @@ def test_negative_portions_exits_1_without_traceback(tmp_path):
         assert result.returncode == EXIT_CONFIG
         assert "error: --portions must be >= 0" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+# ----------------------------------------------------------------------
+# malformed input: exit 1 with a message naming the place, never a traceback
+
+_SAVED_CARDIO = save_model(build_cardio())
+
+
+def _model_variants():
+    """A saved cardio model with one section set to 5, or a list section
+    replaced by [5] or [{}]. The version marker is not checked on load."""
+    for section, value in _SAVED_CARDIO.items():
+        if section == "version":
+            continue
+        yield section, 5
+        if isinstance(value, list):
+            yield section, [5]
+            yield section, [{}]
+
+
+@pytest.mark.parametrize(
+    "section,value", list(_model_variants()), ids=lambda v: json.dumps(v)
+)
+@pytest.mark.parametrize("command", ["validate-file", "run"])
+def test_malformed_model_file_exits_1_naming_the_section(tmp_path, capsys, command, section, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(_SAVED_CARDIO, **{section: value})), encoding="utf-8")
+    if command == "run":
+        args = ["run", "--model", str(path), "--steps", "3", "--trace", str(tmp_path / "t")]
+    else:
+        args = ["validate-file", str(path)]
+    assert main(args) == EXIT_CONFIG
+    message = capsys.readouterr().err.strip().splitlines()[-1]
+    assert message.startswith(("invalid: ", "error: "))
+    assert section in message
+
+
+@pytest.mark.parametrize(
+    "overrides,expected",
+    [
+        ([{"op": "set_state", "target": "water"}], "overrides[0]: missing field 'variable'"),
+        ([5], "overrides[0]: expected an object"),
+        (5, "overrides: expected a list"),
+        ([{"op": "disable_trigger", "target": ["Flow"]}], "overrides[0]: fields must be strings"),
+        ([{"op": "fly"}], "overrides[0]: unknown op 'fly'"),
+    ],
+)
+def test_malformed_scenario_exits_1_naming_the_override(tmp_path, capsys, overrides, expected):
+    path = tmp_path / "bad-scenario.json"
+    path.write_text(json.dumps({"name": "x", "overrides": overrides}), encoding="utf-8")
+    args = ["run", "--model", "waterfall", "--portions", "2", "--scenario", str(path),
+            "--trace", str(tmp_path / "t")]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"error: {expected}"
+
+
+def test_bad_vocabulary_pattern_is_a_schema_error(tmp_path, capsys):
+    data = save_model(build_waterfall(n_portions=2))
+    data["vocabulary"]["patterns"] = ["("]
+    path = tmp_path / "bad-pattern.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate-file", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("invalid: vocabulary: malformed entry: missing )")
+
+
+def test_malformed_model_file_subprocess_has_no_traceback(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(_SAVED_CARDIO, systems=[{}])), encoding="utf-8")
+    for args in (["validate-file", str(path)], ["run", "--model", str(path), "--steps", "3"]):
+        result = run_cli(args, cwd=tmp_path)
+        assert result.returncode == EXIT_CONFIG
+        assert "Traceback" not in result.stderr
+        assert "systems[0]: missing field 'name'" in result.stderr
+
+
+def test_concurrent_runs_with_one_seed_write_identical_traces(tmp_path):
+    traces = []
+    for attempt in range(2):
+        config = RunConfig(
+            model="cardio", steps=200, seed=11, mode="concurrent",
+            trace_path=str(tmp_path / f"concurrent-{attempt}.trace"),
+        )
+        assert run_command(config) == EXIT_OK
+        traces.append((tmp_path / f"concurrent-{attempt}.trace").read_bytes())
+    assert traces[0] == traces[1]

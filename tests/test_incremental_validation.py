@@ -1,0 +1,328 @@
+"""The kernel's incremental validation against the full recompute.
+
+A kernel keeps one triple snapshot from step to step and re-checks only the
+rules a step's changes can affect. After every step of a random schedule,
+its report must equal the standalone validate (violation order and bindings
+included) and its snapshot must equal derive_triples.
+"""
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from semsim import Kernel, Mechanism, StateSpace, Trigger, Triple, TriplePattern, Var, World
+from semsim.engine import register_mechanism, register_trigger
+from semsim.cli import standard_rules
+from semsim.modelfile import load_model, save_model
+from semsim.models import build_cardio, build_waterfall
+from semsim.scenarios import (
+    Scenario,
+    apply_scenario,
+    disable_trigger,
+    remove_connection,
+    set_ambient,
+    set_state,
+)
+from semsim.validation import AssertionRule, derive_triples, validate
+from semsim.world import Vocabulary
+
+
+def _even_snapshot(bindings, world, triples):
+    return len(triples) % 2 == 0  # reads everything, so reads stays None
+
+
+def _co2_rich_in_lungs(bindings, world, triples):
+    return Triple(bindings["p"], "locatedIn", "PulmCap") in triples
+
+
+def extra_rules():
+    return (
+        AssertionRule(
+            "nothing-points-at-lv",
+            TriplePattern(Var("s"), Var("p"), "LeftVentricle"),
+            expectation="must_not_exist",
+        ),
+        AssertionRule(
+            "located-count",
+            TriplePattern(Var("p"), "locatedIn", Var("c")),
+            expectation="count_in_set",
+            counts=frozenset({7, 10}),
+        ),
+        AssertionRule("some-push", TriplePattern(Var("a"), "pushedTo", Var("b"))),
+        AssertionRule("water-liquid", TriplePattern("water", "hasState:phase", "liquid")),
+        AssertionRule(
+            "even-snapshot",
+            TriplePattern(Var("p"), "hasState:Location", Var("l")),
+            expectation="must_not_exist",
+            check=_even_snapshot,
+        ),
+        AssertionRule(
+            "co2-rich-in-lungs",
+            TriplePattern(Var("p"), "hasState:CO2Level", "high"),
+            expectation="must_not_exist",
+            check=_co2_rich_in_lungs,
+            reads=frozenset({"locatedIn"}),
+        ),
+    )
+
+
+def violations(items):
+    return [(v.rule, v.bindings) for v in items]
+
+
+def assert_kernel_matches_full_recompute(kernel, report):
+    world = kernel.world
+    expected = validate(world, report.step, kernel.rules, kernel.validate_policy)
+    own = report.validation.violations[len(kernel._wiring_errors):]
+    assert violations(own) == violations(expected.violations)
+    if kernel.validate_policy == "off":
+        assert kernel.snapshot is None
+        return
+    snapshot = kernel.snapshot
+    triples = derive_triples(world)
+    assert snapshot.triples == triples
+    grouped = {}
+    for triple in triples:
+        grouped.setdefault(triple.predicate, set()).add(triple)
+    assert {p: s for p, s in snapshot.by_predicate.items() if s} == grouped
+
+
+OPS = (
+    "step", "step", "step", "step", "step", "place", "kill", "set_location",
+    "set_property", "phase", "unwire", "part", "scenario", "add_rule", "toggle", "policy",
+)
+
+
+def perturb(data, kernel, op, extras):
+    """One change between steps; an op the model cannot take is a no-op.
+
+    Every change leaves a world the kernel can step through, so each drawn
+    step is run and checked; none is skipped for raising.
+    """
+    world = kernel.world
+    live = sorted(world.live_registry)
+    if op == "place" and live and world.compartments:
+        pid = data.draw(st.sampled_from(live), label="place portion")
+        # Only where the portion's substance may go: air pushed into a blood
+        # compartment fails the next heartbeat's merge, which wedges the kernel.
+        medium = f"{world.portions[pid].substance}_path"
+        fits = sorted(c for c, comp in world.compartments.items() if comp.medium == medium)
+        if fits:
+            world.place_portion(pid, data.draw(st.sampled_from(fits), label="compartment"))
+    elif op == "kill":
+        objects = sorted(i for i, o in world.objects.items() if o.alive)
+        if live or objects:
+            world.kill(data.draw(st.sampled_from(live + objects), label="kill"))
+    elif op == "set_location" and live:
+        portion = world.live_registry[data.draw(st.sampled_from(live), label="relocate")]
+        labels = ("upper", "drop", "pool") if portion.kind else ("upper", "PulmCap")
+        world.set_state(portion.id, "Location", data.draw(st.sampled_from(labels)))
+    elif op == "set_property" and live:
+        portion = world.live_registry[data.draw(st.sampled_from(live), label="prop portion")]
+        if portion.properties:
+            prop = data.draw(st.sampled_from(sorted(portion.properties)))
+            labels = portion.properties[prop].scale.labels
+            world.set_state(portion.id, prop, data.draw(st.sampled_from(labels)))
+    elif op == "phase":
+        sub = data.draw(st.sampled_from(sorted(world.substances)), label="substance")
+        world.set_state(sub, "phase", data.draw(st.sampled_from(("solid", "liquid"))))
+    elif op == "unwire" and world.connections:
+        key = data.draw(st.sampled_from(sorted(world.connections)), label="connection")
+        world.remove_connection(*key)
+    elif op == "part" and world.objects:
+        wholes = sorted(i for i, o in world.objects.items() if o.parts)
+        if wholes and data.draw(st.booleans(), label="remove part"):
+            parent = world.objects[data.draw(st.sampled_from(wholes), label="whole")]
+            world.remove_part(parent.id, *data.draw(st.sampled_from(parent.parts)))
+        else:
+            parent = data.draw(st.sampled_from(sorted(world.objects)), label="parent")
+            world.add_part(parent, "extra", data.draw(st.sampled_from(sorted(world.objects))))
+    elif op == "scenario":
+        directive = data.draw(st.sampled_from(_scenario_directives(world)), label="directive")
+        apply_scenario(world, Scenario(f"s{world.clock}", [directive]))
+    elif op == "add_rule":
+        fresh = [r for r in extras if r.name not in kernel.rules]
+        if fresh:
+            kernel.add_rule(data.draw(st.sampled_from(fresh), label="rule"))
+    elif op == "toggle":
+        trigger = world.triggers[data.draw(st.sampled_from(sorted(world.triggers)))]
+        trigger.enabled = not trigger.enabled
+    elif op == "policy":
+        kernel.validate_policy = data.draw(st.sampled_from(("off", "halt")), label="policy")
+
+
+def _scenario_directives(world):
+    directives = [set_ambient("temperature", "below_freezing")]
+    directives += [disable_trigger(name) for name in sorted(world.triggers)]
+    directives += [set_state(sub, "phase", "solid") for sub in sorted(world.substances)]
+    directives += [remove_connection(*key) for key in sorted(world.connections)]
+    return directives
+
+
+@pytest.mark.parametrize("model", ["cardio", "waterfall"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_kernel_validation_equals_full_recompute(model, data):
+    world = build_cardio() if model == "cardio" else build_waterfall(n_portions=40)
+    kernel = Kernel(world, validate_policy="halt")
+    standard_rules(kernel)
+    extras = extra_rules()
+    for _ in range(data.draw(st.integers(min_value=1, max_value=80), label="ops")):
+        op = data.draw(st.sampled_from(OPS), label="op")
+        if op != "step":
+            perturb(data, kernel, op, extras)
+            continue
+        assert_kernel_matches_full_recompute(kernel, kernel.step())
+
+
+def test_replaced_and_removed_rules_are_rechecked():
+    world = build_cardio()
+    kernel = Kernel(world, validate_policy="warn")
+    standard_rules(kernel)
+    count = AssertionRule(
+        "located", TriplePattern(Var("p"), "locatedIn", Var("c")),
+        expectation="count_in_set", counts=frozenset({0}),
+    )
+    kernel.add_rule(count)
+    report = kernel.step()
+    assert violations(report.validation.violations) == [("located", {"count": "10"})]
+    kernel.rules["located"] = AssertionRule(
+        "located", TriplePattern(Var("p"), "locatedIn", "LeftVentricle"),
+        expectation="count_in_set", counts=frozenset({1}),
+    )
+    assert kernel.step().validation.violations == []
+    del kernel.rules["located"]
+    assert kernel.step().validation.violations == []
+    kernel.add_rule(count)
+    assert violations(kernel.step().validation.violations) == [("located", {"count": "10"})]
+
+    in_lv = AssertionRule(
+        "in-lv", TriplePattern(Var("p"), "locatedIn", "LeftVentricle"),
+        expectation="must_not_exist",
+    )
+    kernel.add_rule(in_lv)
+    before = kernel.step().validation.violations
+    del kernel.rules["in-lv"]
+    kernel.run(4)  # a heartbeat moves another portion into the ventricle
+    kernel.add_rule(in_lv)  # the same rule object, back after missing changes
+    report = kernel.step()
+    assert violations(report.validation.violations) != violations(before)
+    assert_kernel_matches_full_recompute(kernel, report)
+
+
+def test_entities_defined_mid_run_enter_the_snapshot():
+    world = build_cardio()
+    kernel = Kernel(world, validate_policy="warn")
+    standard_rules(kernel)
+    kernel.step()
+    world.define_substance("ink", phase="liquid")
+    world.define_kind("Quill", state_spaces=(StateSpace("nib", ("sharp", "blunt")),))
+    world.instantiate("Quill", entity_id="quill")
+    world.add_compartment("Inkwell", capacity=None)
+    world.connect("Inkwell", "LeftVentricle")
+    report = kernel.step()
+    assert {("ink", "hasState:phase", "liquid"), ("quill", "hasState:nib", "sharp"),
+            ("Inkwell", "connectedTo", "LeftVentricle")} <= kernel.snapshot.triples
+    assert_kernel_matches_full_recompute(kernel, report)
+
+
+def test_a_commit_that_fails_midway_leaves_the_snapshot_exact():
+    world = World("jam")
+    world.vocabulary = Vocabulary(literals=frozenset({"trigger updates"}))
+    world.define_substance("air", phase="gas")
+    for name in ("Src", "Dst"):
+        world.add_compartment(name, "air_path", capacity=1)
+    world.connect("Src", "Dst")
+    world.create_portion("air", entity_id="mover", compartment="Src")
+    world.create_portion("air", entity_id="stayer", compartment="Dst")
+
+    def push(ctx):
+        batch = ctx.new_batch()
+        ctx.stage(batch, "mover", "Src", "Dst")
+        ctx.commit(batch)  # mover departs, then Dst overflows
+
+    register_mechanism(world, Mechanism("push", guard=(), effect=push))
+    register_trigger(world, Trigger("once", period=100, target="push", phase=1))
+    kernel = Kernel(world, validate_policy="warn")
+    standard_rules(kernel)
+    kernel.step()  # builds the snapshot
+    report = kernel.step()
+    assert [v.rule for v in report.validation.violations] == ["CapacityExceeded"]
+    assert world.portions["mover"].compartment is None
+    assert_kernel_matches_full_recompute(kernel, report)
+
+
+def test_each_violation_gets_its_own_bindings():
+    world = build_waterfall(n_portions=5)
+    kernel = Kernel(world, validate_policy="warn")
+    standard_rules(kernel)
+    kernel.run(3)
+    world.set_state("water-1", "Location", "drop")
+    world.set_state("water", "phase", "solid")
+    first = kernel.step().validation.violations
+    assert violations(first) == [("water-fluid-while-moving", {"p": "water-1", "loc": "drop"})]
+    first[0].bindings["p"] = "tampered"
+    second = kernel.step().validation.violations
+    assert violations(second) == [("water-fluid-while-moving", {"p": "water-1", "loc": "drop"})]
+
+
+def test_validation_off_keeps_no_snapshot_and_rebuilds_on_return():
+    world = build_cardio()
+    kernel = Kernel(world, validate_policy="off")
+    standard_rules(kernel)
+    kernel.run(9)
+    assert kernel.snapshot is None
+    assert not world.touched and not world.wiring_changed
+    kernel.validate_policy = "halt"
+    report = kernel.step()
+    assert_kernel_matches_full_recompute(kernel, report)
+
+
+def test_match_calls_per_step_stay_flat_as_the_pool_grows(monkeypatch):
+    calls = []
+    match = TriplePattern.match
+
+    def counting(self, triple):
+        calls[-1] += 1
+        return match(self, triple)
+
+    monkeypatch.setattr(TriplePattern, "match", counting)
+    world = build_waterfall(n_portions=1000)
+    kernel = Kernel(world)
+    standard_rules(kernel)
+    for _ in range(1000):
+        calls.append(0)
+        kernel.step()
+    assert not kernel.halted
+    assert len(world.live_registry) == 1000
+    # From 10 pooled portions to 1000, each step matches only the new
+    # portion's Location triple.
+    assert calls[9:] == [1] * len(calls[9:])
+
+
+def _water_scan(world):
+    return len([p for p in world.portions.values() if p.substance == "water"])
+
+
+def test_portion_counts_equal_a_full_scan_across_a_run_and_a_reload():
+    world = build_waterfall(n_portions=25)
+    kernel = Kernel(world)
+    standard_rules(kernel)
+    for tick in range(10):
+        kernel.step()
+        assert world.portion_counts["water"] == _water_scan(world) == tick + 1
+    world.kill("water-3")  # dead portions still count
+    assert world.portion_counts["water"] == _water_scan(world) == 10
+
+    reloaded = load_model(save_model(world))
+    assert reloaded.portion_counts == world.portion_counts
+    kernel = Kernel(reloaded)
+    standard_rules(kernel)
+    kernel.run(20)  # five ticks past the budget: the guard stops the flow
+    assert kernel.trace_lines() == [f"{i} pool" for i in range(10, 25)]
+    assert reloaded.portion_counts["water"] == _water_scan(reloaded) == 25
+
+    cardio = build_cardio()
+    kernel = Kernel(cardio)
+    standard_rules(kernel)
+    kernel.run(30)  # splits and merges register new blood portions
+    blood = len([p for p in cardio.portions.values() if p.substance == "blood"])
+    assert cardio.portion_counts["blood"] == blood > 7

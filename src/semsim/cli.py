@@ -87,11 +87,17 @@ def planned_steps(world: World, config: RunConfig) -> int | None:
 
 
 def write_outputs(kernel: Kernel, config: RunConfig, exit_code: int):
+    """Write the trace, one line per event, and the report sidecar.
+
+    The sidecar is one JSON document: the run's header keys, then "reports"
+    with one compact step entry per line. Each entry is encoded on its own,
+    so writing costs memory for one step, not for the whole document.
+    """
     if config.trace_path is None:
         return
-    text = "".join(line + "\n" for line in kernel.trace_lines())
-    Path(config.trace_path).write_text(text, encoding="utf-8", newline="\n")
-    sidecar = {
+    with open(config.trace_path, "w", encoding="utf-8", newline="\n") as out:
+        out.writelines(event.line + "\n" for event in kernel.trace)
+    header = json.dumps({
         "model": kernel.world.name,
         "seed": kernel.seed,
         "mode": kernel.mode,
@@ -99,8 +105,13 @@ def write_outputs(kernel: Kernel, config: RunConfig, exit_code: int):
         "steps_executed": len(kernel.reports),
         "halted_at_step": kernel.halted_at,
         "exit_code": exit_code,
-        "reports": [
-            {
+    })
+    with open(config.report_path, "w", encoding="utf-8") as out:
+        out.write(header[:-1] + ', "reports": [')
+        separator = "\n"
+        for r in kernel.reports:
+            out.write(separator)
+            out.write(json.dumps({
                 "step": r.step,
                 "fired": [f.mechanism for f in r.fired],
                 "guard_failures": [
@@ -109,13 +120,9 @@ def write_outputs(kernel: Kernel, config: RunConfig, exit_code: int):
                 "violations": [
                     {"rule": v.rule, "bindings": v.bindings} for v in r.validation.violations
                 ],
-            }
-            for r in kernel.reports
-        ],
-    }
-    Path(config.report_path).write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-    )
+            }))
+            separator = ",\n"
+        out.write("\n]}\n")
 
 
 def check_counts(config: RunConfig):

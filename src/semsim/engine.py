@@ -45,6 +45,16 @@ from .world import World
 
 MODES = ("deterministic", "concurrent")
 
+# Faults in a model's wiring: a step reports them as violations instead of
+# raising, and drops the batches the failing firing staged.
+WIRING_ERRORS = (
+    PushWithoutConnection,
+    PortionNotPresent,
+    DuplicateMover,
+    CapacityExceeded,
+    NoNervePath,
+)
+
 
 @dataclass(frozen=True)
 class Condition:
@@ -93,13 +103,13 @@ class Signal:
     via: tuple[str, str, str] | None = None  # the nerve connection key, set on send
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     step: int
     line: str
 
 
-@dataclass
+@dataclass(slots=True)
 class FiringRecord:
     mechanism: str
     subsystem: str
@@ -107,14 +117,14 @@ class FiringRecord:
     guard_values: dict[str, bool]
 
 
-@dataclass
+@dataclass(slots=True)
 class GuardFailure:
     mechanism: str
     via: str
     failed: list[str]  # descriptions of the failing conditions
 
 
-@dataclass
+@dataclass(slots=True)
 class StepReport:
     step: int
     fired: list[FiringRecord] = field(default_factory=list)
@@ -315,12 +325,13 @@ class Kernel:
         return validation.register_rule(self.rules, rule)
 
     def emit_trace(self, line: str):
-        if not self.world.vocabulary.allows(line):
+        canonical = self.world.vocabulary.canonical(line)
+        if canonical is None:
             raise TraceVocabularyError(
                 f"line {line!r} is not in the declared vocabulary of "
                 f"{self.world.name!r}"
             )
-        event = TraceEvent(self.tick, line)
+        event = TraceEvent(self.tick, canonical)
         self.trace.append(event)
         self.current_report.traces.append(event)
 
@@ -342,13 +353,7 @@ class Kernel:
                 fire(mechanism, self.world, self, via=via, guard_values=values)
             else:
                 self._log_guard_failure(mechanism, via, values)
-        except (
-            PushWithoutConnection,
-            PortionNotPresent,
-            DuplicateMover,
-            CapacityExceeded,
-            NoNervePath,
-        ) as exc:
+        except WIRING_ERRORS as exc:
             # Anything this firing staged but never committed is abandoned.
             del self.pending_batches[batches_before:]
             self._wiring_errors.append((type(exc).__name__, f"{mechanism.name}: {exc}"))
@@ -385,13 +390,19 @@ class Kernel:
             for mech in receivers:
                 self._dispatch(mech, f"signal:{signal.payload}")
 
-        # Any batch staged but never committed by its mechanism commits now.
-        for batch in list(self.pending_batches):
-            if batch.status == "staging":
+        # Any batch staged but never committed by its mechanism commits now;
+        # one that cannot commit is dropped and reported like a firing's.
+        while self.pending_batches:
+            batch = self.pending_batches.pop(0)
+            if batch.status != "staging":
+                continue
+            try:
                 record = topology.commit(self.world, batch)
-                for line in record.trace_lines:
-                    self.emit_trace(line)
-            self.pending_batches.remove(batch)
+            except WIRING_ERRORS as exc:
+                self._wiring_errors.append((type(exc).__name__, f"staged batch: {exc}"))
+                continue
+            for line in record.trace_lines:
+                self.emit_trace(line)
 
         report = self.current_report
         if self.validate_policy == "off":

@@ -152,7 +152,7 @@ class Substance:
         return self.phase in ("liquid", "gas")
 
 
-@dataclass
+@dataclass(slots=True)
 class Portion:
     """An object-ified piece of a substance with stable identity across moves."""
 
@@ -168,7 +168,7 @@ class Portion:
     alive: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Transitional:
     """Any entity transformation: state change, birth, death, split, or merge."""
 

@@ -262,6 +262,9 @@ def load_model(data: dict) -> World:
         raise SchemaError("model file must be a non-empty JSON object")
     if data.get("format") != FORMAT:
         raise SchemaError(f"not a {FORMAT} document", "format")
+    version = data.get("version", VERSION)
+    if type(version) is not int or version != VERSION:  # bool and float are not versions
+        raise SchemaError(f"unsupported version {version!r} (expected {VERSION})", "version")
     if not isinstance(data.get("name"), str):
         raise SchemaError("missing model name (a string)", "name")
     world = World(data["name"])

@@ -54,14 +54,14 @@ class Circuit:
     successors: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     portion: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitPlan:
     """A branch-point intent: split the portion at commit, one child per dst."""
 
@@ -84,7 +84,7 @@ class MoveBatch:
         return {m.portion for m in self.moves} | {s.portion for s in self.splits}
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitRecord:
     """What one commit did, kept for validation rules and tests."""
 
@@ -134,31 +134,69 @@ def stage_split(
 def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRecord:
     """Apply every staged move as one simultaneous update.
 
-    Two portions landing in a capacity-1 compartment merge when the medium is
-    blood_path and raise CapacityExceeded otherwise. Returns the record of
-    what happened; trace lines ("pushed <X>Blood" per vacated blood
-    compartment, then "trigger updates") are on the record for the caller to
-    emit, so silent commits stay possible.
+    Portions overfilling a compartment merge when the medium is blood_path
+    and all of them are one substance; any other overfill raises
+    CapacityExceeded. Movers and merges are checked against the pre-commit
+    world, so those failures leave it untouched; an overfill where merging
+    is disallowed is found after the departures. Returns the record of what
+    happened; trace lines ("pushed <X>Blood" per vacated blood compartment,
+    then "trigger updates") are on the record for the caller to emit, so
+    silent commits stay possible.
     """
     if batch.status != "staging":
         raise BatchStateError("batch already committed")
 
-    # Work out departures and arrivals against the pre-commit world.
-    record = CommitRecord(world.clock, [], [], [], [], [])
+    # Check the movers against the pre-commit world. Until it splits, a split
+    # parent stands in for each child it sends to a dst.
+    portions = world.portions
+    leaving: set[str] = set()
     arrivals: dict[str, list[str]] = {}
-
     for move in batch.moves:
-        p = world.portions.get(move.portion)
+        p = portions.get(move.portion)
         if p is None or not p.alive or p.compartment != move.src:
             raise PortionNotPresent(f"portion {move.portion!r} left {move.src!r}")
+        leaving.add(move.portion)
         arrivals.setdefault(move.dst, []).append(move.portion)
+    for plan in batch.splits:
+        p = portions.get(plan.portion)
+        if p is None or not p.alive or p.compartment != plan.src:
+            raise PortionNotPresent(f"portion {plan.portion!r} left {plan.src!r}")
+        leaving.add(plan.portion)
+        for dst in plan.dsts:
+            arrivals.setdefault(dst, []).append(plan.portion)
 
+    # A blood compartment overfilled by one substance merges its portions;
+    # one that would hold two substances cannot, and fails here, unchanged.
+    merging: dict[str, list[str]] = {}  # dst -> stayers to merge with its arrivals
+    for dst, arriving in arrivals.items():
+        comp = world.compartments[dst]
+        if comp.medium != "blood_path" or comp.capacity is None:
+            continue
+        # Plain loops here and below: they run for every destination of every
+        # commit, and a comprehension costs a function call each time.
+        stayers = []
+        for pid in comp.contents:
+            if pid not in leaving and portions[pid].alive:
+                stayers.append(pid)
+        occupancy = len(stayers) + len(arriving)
+        if occupancy <= comp.capacity:
+            continue
+        substances = {portions[pid].substance for pid in stayers + arriving}
+        if len(substances) > 1:
+            raise CapacityExceeded(
+                f"{occupancy} portions for {dst!r} (capacity {comp.capacity}, "
+                f"cannot merge substances {sorted(substances)})"
+            )
+        merging[dst] = stayers
+
+    record = CommitRecord(world.clock, [], [], [], [], [])
     split_children: list[tuple[str, str, str]] = []  # (child, src, dst)
     for plan in batch.splits:
         children = world.split_portion(plan.portion, len(plan.dsts))
         record.split_parents.append(plan.portion)
         for child, dst in zip(children, plan.dsts):
-            arrivals.setdefault(dst, []).append(child.id)
+            landing = arrivals[dst]
+            landing[landing.index(plan.portion)] = child.id
             split_children.append((child.id, plan.src, dst))
 
     # Departures: remove movers (split parents were retired by split_portion).
@@ -177,21 +215,24 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
                 world.touched.add(child)
         vacated.append(plan.src)
 
-    # Arrivals, with merge-on-collision where the medium permits it.
-    for dst, incoming in arrivals.items():
+    # Arrivals: merged where the check above allowed it; any other overfill
+    # is found only now, after the departures.
+    for dst, arrived in arrivals.items():
         comp = world.compartments[dst]
-        stayers = [pid for pid in comp.contents if world.portions[pid].alive]
-        occupancy = len(stayers) + len(incoming)
-        if comp.capacity is not None and occupancy > comp.capacity:
-            if comp.medium != "blood_path":
+        if dst in merging:
+            merged = world.merge_portions(tuple(merging[dst] + arrived))
+            record.merges.append(merged.id)
+            arrived = [merged.id]
+        elif comp.medium != "blood_path" and comp.capacity is not None:
+            occupancy = len(arrived)
+            for pid in comp.contents:
+                occupancy += portions[pid].alive
+            if occupancy > comp.capacity:
                 raise CapacityExceeded(
                     f"{occupancy} portions for {dst!r} (capacity {comp.capacity}, "
                     f"merging disallowed for {comp.medium})"
                 )
-            merged = world.merge_portions(tuple(stayers + incoming))
-            record.merges.append(merged.id)
-            incoming = [merged.id]
-        for pid in incoming:
+        for pid in arrived:
             world.place_portion(pid, dst)
 
     record.applied = [(m.portion, m.src, m.dst) for m in batch.moves] + split_children

@@ -125,13 +125,13 @@ class AssertionRule:
             self.reads = frozenset(self.reads)
 
 
-@dataclass
+@dataclass(slots=True)
 class Violation:
     rule: str
     bindings: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class ValidationReport:
     step_index: int
     violations: list[Violation] = field(default_factory=list)

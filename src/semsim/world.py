@@ -101,17 +101,38 @@ class System:
     feedback: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
-    """The closed set of trace lines a model may emit."""
+    """The closed set of trace lines a model may emit.
+
+    Frozen, so the literal table built at construction always matches
+    `literals`; a model changes its vocabulary by replacing it.
+    """
 
     literals: frozenset[str] = frozenset()
     patterns: tuple[str, ...] = ()
+    _literal_table: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "literals", frozenset(self.literals))
+        object.__setattr__(self, "_literal_table", {line: line for line in self.literals})
+
+    def canonical(self, line: str) -> str | None:
+        """The vocabulary's own string for a declared literal, the line itself
+        when a pattern matches it, None when the line is not allowed.
+
+        A long trace then holds one string object per literal, however many
+        times it was emitted.
+        """
+        literal = self._literal_table.get(line)
+        if literal is not None:
+            return literal
+        if any(re.fullmatch(pat, line) for pat in self.patterns):
+            return line
+        return None
 
     def allows(self, line: str) -> bool:
-        if line in self.literals:
-            return True
-        return any(re.fullmatch(pat, line) for pat in self.patterns)
+        return self.canonical(line) is not None
 
 
 class World:

@@ -347,10 +347,8 @@ _SAVED_CARDIO = save_model(build_cardio())
 
 def _model_variants():
     """A saved cardio model with one section set to 5, or a list section
-    replaced by [5] or [{}]. The version marker is not checked on load."""
+    replaced by [5] or [{}]."""
     for section, value in _SAVED_CARDIO.items():
-        if section == "version":
-            continue
         yield section, 5
         if isinstance(value, list):
             yield section, [5]

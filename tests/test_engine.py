@@ -3,6 +3,7 @@ import pytest
 from semsim import Condition, Kernel, Mechanism, Signal, StateSpace, Trigger, World
 from semsim.engine import enabled, fire, register_mechanism, register_trigger, send_signal
 from semsim.errors import (
+    CapacityExceeded,
     DuplicateNameError,
     FiredWhileDisabled,
     NoNervePath,
@@ -224,6 +225,51 @@ def test_leftover_staged_batch_commits_at_step_end():
     kernel.step()
     assert p.compartment == "B"
     assert kernel.trace_lines() == ["pushed ABlood", "trigger updates"]
+
+
+def test_leftover_batch_that_cannot_commit_is_dropped_as_a_violation():
+    w = counter_world()
+    w.define_substance("air", phase="gas")
+    air = w.create_portion("air", compartment="A")
+    w.create_portion("blood", entity_id="resident", compartment="B")
+
+    def stage_only(ctx):
+        ctx.stage(ctx.new_batch(), air.id, "A", "B")
+
+    register_mechanism(w, Mechanism("stager", guard=(), effect=stage_only))
+    register_trigger(w, Trigger("t", period=1, target="stager"))
+    kernel = Kernel(w, validate_policy="warn")
+    for tick in range(3):
+        report = kernel.step()
+        assert [v.rule for v in report.validation.violations] == [CapacityExceeded.__name__]
+        assert report.validation.violations[0].bindings["detail"].startswith("staged batch: ")
+    assert kernel.tick == 3 and kernel.pending_batches == []
+    assert air.compartment == "A" and w.compartments["B"].contents == ["resident"]
+
+
+def test_mixed_substance_collision_is_a_violation_not_a_wedge():
+    world = build_cardio()
+    kernel = Kernel(world, validate_policy="warn")
+    standard_rules(kernel)
+    kernel.run(3)
+    world.place_portion("air-nose", "RightAtrium")
+    kernel.step()
+    blood_before = {p.id: p.compartment for p in world.live_portions("blood")}
+
+    report = kernel.step()  # the heartbeat pushes air and blood into RightVentricle
+    details = [
+        v.bindings["detail"] for v in report.validation.violations if v.rule == "CapacityExceeded"
+    ]
+    assert details == [
+        "HeartbeatPush: 2 portions for 'RightVentricle' (capacity 1, "
+        "cannot merge substances ['air', 'blood'])"
+    ]
+    assert {p.id: p.compartment for p in world.live_portions("blood")} == blood_before
+    assert kernel.pending_batches == []
+
+    reports = kernel.run(20)
+    assert len(reports) == 20 and kernel.tick == 25
+    assert [r.step for r in reports] == list(range(5, 25))
 
 
 def test_run_zero_ticks_empty_trace():

@@ -84,6 +84,20 @@ def test_wrong_format_marker():
         load_model({"format": "something-else", "name": "x"})
 
 
+@pytest.mark.parametrize("version", [2, "1", True, None])
+def test_unsupported_version_marker_rejected(version):
+    data = dict(save_model(build_waterfall(n_portions=1)), version=version)
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value).startswith("version: ")
+
+
+def test_document_without_version_marker_loads():
+    data = save_model(build_waterfall(n_portions=1))
+    del data["version"]
+    assert load_model(data).name == "waterfall"
+
+
 def test_unknown_builtin_mechanism():
     data = save_model(build_waterfall(n_portions=1))
     data["mechanisms"] = [{"name": "m", "builtin": "antigravity", "params": {}}]

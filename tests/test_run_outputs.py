@@ -1,0 +1,168 @@
+"""The files a run writes and the history it keeps to write them.
+
+The report sidecar is one JSON document with one step entry per line; it must
+parse to exactly the document the indented writer built before it, and the
+trace must keep its bytes. Writing must not build the whole document, and the
+per-step history must hold no per-record attribute dicts or per-line strings.
+"""
+import json
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from semsim import Kernel, Portion, StepReport, TraceEvent, Transitional, ValidationReport
+from semsim import cli
+from semsim.cli import RunConfig, make_kernel, resolve_model, write_outputs
+from semsim.engine import FiringRecord, GuardFailure
+from semsim.models import build_cardio
+from semsim.topology import CommitRecord, Move, SplitPlan
+from semsim.validation import Violation
+from semsim.world import Vocabulary
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+CUT_PHRENIC = str(SCENARIOS / "cut_phrenic.json")
+
+
+def legacy_sidecar(kernel: Kernel, exit_code: int) -> dict:
+    """The report document as the writer built it in memory before streaming."""
+    return {
+        "model": kernel.world.name,
+        "seed": kernel.seed,
+        "mode": kernel.mode,
+        "policy": kernel.validate_policy,
+        "steps_executed": len(kernel.reports),
+        "halted_at_step": kernel.halted_at,
+        "exit_code": exit_code,
+        "reports": [
+            {
+                "step": r.step,
+                "fired": [f.mechanism for f in r.fired],
+                "guard_failures": [
+                    {"mechanism": g.mechanism, "failed": g.failed} for g in r.guard_failures
+                ],
+                "violations": [
+                    {"rule": v.rule, "bindings": v.bindings} for v in r.validation.violations
+                ],
+            }
+            for r in kernel.reports
+        ],
+    }
+
+
+def run_capturing_kernel(monkeypatch, args):
+    """Run `semsim run` in-process; return its exit code, kernel and config."""
+    seen = []
+    real = cli.write_outputs
+
+    def spy(kernel, config, exit_code):
+        seen.append((kernel, config))
+        return real(kernel, config, exit_code)
+
+    monkeypatch.setattr(cli, "write_outputs", spy)
+    exit_code = cli.main(["run", *args])
+    (kernel, config), = seen
+    return exit_code, kernel, config
+
+
+@pytest.mark.parametrize(
+    "args,expected_exit",
+    [
+        (["--model", "cardio", "--steps", "40", "--scenario", CUT_PHRENIC], 2),
+        (["--model", "cardio", "--steps", "120", "--validate", "warn",
+          "--scenario", CUT_PHRENIC], 0),
+        (["--model", "waterfall", "--portions", "30"], 0),
+        (["--model", "waterfall", "--steps", "0"], 0),
+    ],
+    ids=["halted", "warn-guard-failures", "waterfall", "no-steps"],
+)
+def test_sidecar_parses_to_the_legacy_document(monkeypatch, tmp_path, args, expected_exit):
+    exit_code, kernel, config = run_capturing_kernel(
+        monkeypatch, [*args, "--trace", str(tmp_path / "run.trace")]
+    )
+    assert exit_code == expected_exit
+    text = Path(config.report_path).read_text(encoding="utf-8")
+    expected = legacy_sidecar(kernel, exit_code)
+    assert json.loads(text) == expected
+
+    # The header line, one line per step entry, then the closing line.
+    lines = text.splitlines()
+    assert len(lines) == len(kernel.reports) + 2
+    assert lines[0].endswith('"reports": [') and lines[-1] == "]}"
+    for line, entry in zip(lines[1:-1], expected["reports"]):
+        assert json.loads(line.removesuffix(",")) == entry
+
+    trace = "".join(line + "\n" for line in kernel.trace_lines())
+    assert Path(config.trace_path).read_bytes() == trace.encode("utf-8")
+
+
+def test_warn_run_sidecar_carries_guard_failures_and_violations(monkeypatch, tmp_path):
+    args = ["--model", "cardio", "--steps", "120", "--validate", "warn",
+            "--scenario", CUT_PHRENIC, "--trace", str(tmp_path / "t")]
+    _, _, config = run_capturing_kernel(monkeypatch, args)
+    reports = json.loads(Path(config.report_path).read_text(encoding="utf-8"))["reports"]
+    assert any(r["guard_failures"] for r in reports)
+    assert any(v["rule"] == "NoNervePath" for r in reports for v in r["violations"])
+
+
+def test_writing_outputs_does_not_build_the_whole_document(tmp_path):
+    config = RunConfig(
+        model="cardio", steps=3000, validate_policy="off", trace_path=str(tmp_path / "t")
+    )
+    kernel = make_kernel(resolve_model(config), config)
+    kernel.run(config.steps)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_outputs(kernel, config, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        TraceEvent(0, "SANode pulse"),
+        StepReport(0),
+        FiringRecord("m", "core", "trigger:t", {"ok": True}),
+        GuardFailure("m", "trigger:t", ["ok"]),
+        Violation("rule"),
+        ValidationReport(0),
+        Transitional("birth", ("p",), ("blood",)),
+        Portion("p", "blood"),
+        Move("p", "A", "B"),
+        SplitPlan("p", "A", ("B", "C")),
+        CommitRecord(0, [], [], [], [], []),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_history_records_have_no_attribute_dict(record):
+    assert not hasattr(record, "__dict__")
+
+
+def test_trace_keeps_the_vocabulary_string_for_each_literal():
+    world = build_cardio()
+    kernel = Kernel(world, validate_policy="off")
+    kernel.run(100)
+    first = {line: line for line in world.vocabulary.literals}
+    # Equal strings, other objects: the replacement's own must be stored.
+    world.vocabulary = Vocabulary(literals=frozenset(line[:1] + line[1:] for line in first))
+    second = {line: line for line in world.vocabulary.literals}
+    kernel.run(100)
+
+    pushes = [e for e in kernel.trace if e.line.startswith("pushed ")]
+    assert len(pushes) > len({e.line for e in pushes})  # lines repeat
+    for event in kernel.trace:
+        own = (first if event.step < 100 else second)[event.line]
+        assert event.line is own
+
+
+def test_pattern_lines_are_stored_as_emitted():
+    vocabulary = Vocabulary(literals=frozenset({"pause"}), patterns=(r"\d+ pool",))
+    line = "".join(["1", "2 pool"])
+    assert vocabulary.canonical(line) is line
+    assert vocabulary.canonical("pause") == "pause"
+    assert vocabulary.canonical("12 puddle") is None
+    assert not vocabulary.allows("12 puddle")

@@ -280,3 +280,27 @@ def test_atomicity_no_partial_world_after_commit():
             assert w.portions[pid].compartment == cid
     for p in w.live_portions():
         assert p.id in w.compartments[p.compartment].contents
+
+
+def test_mixed_substance_merge_fails_before_any_change():
+    # LV splits toward MC and CC; MC's air and CC's blood then collide in RA.
+    w, circuit = cardio_ring()
+    w.define_substance("air", phase="gas")
+    w.kill("b-2")
+    w.create_portion("air", entity_id="air-0", compartment="MC")
+    batch = topology.ring_push(w, circuit)
+    assert batch.splits and batch.moves
+
+    def state():
+        return (
+            {pid: (p.alive, p.compartment) for pid, p in w.portions.items()},
+            {cid: list(c.contents) for cid, c in w.compartments.items()},
+            len(w.transitional_log),
+            set(w.touched),
+        )
+
+    before = state()
+    with pytest.raises(CapacityExceeded, match=r"cannot merge substances \['air', 'blood'\]"):
+        topology.commit(w, batch, circuit)
+    assert state() == before
+    assert batch.status == "staging"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -368,16 +369,26 @@ def load_model(data: dict) -> World:
                 raise SchemaError(f"duplicate portion id {portion.id!r}", loc)
             world.add_portion(portion)
 
-    # Contents restore reservoir draw order, so they are authoritative.
+    # Contents restore reservoir draw order, so they are authoritative. Each
+    # lists every live portion placed in its compartment once, and no other.
+    placed = Counter(p.compartment for p in world.live_registry.values())
     for loc, c in _entries(data, "compartments"):
         comp = world.compartments[c["name"]]
         with _diagnosed(loc):
             for pid in c.get("contents", []):
-                if pid not in world.portions:
+                portion = world.portions.get(pid)
+                if portion is None:
                     raise SchemaError(f"contents reference unknown portion {pid!r}", loc)
-                if world.portions[pid].compartment != comp.id:
+                if not portion.alive:
+                    raise SchemaError(f"contents list dead portion {pid!r}", loc)
+                if portion.compartment != comp.id:
                     raise SchemaError(f"portion {pid!r} does not agree it is in {comp.id!r}", loc)
                 comp.contents.append(pid)
+            if len(set(comp.contents)) != len(comp.contents) or len(comp.contents) != placed[comp.id]:
+                raise SchemaError(
+                    f"contents must list each of the {placed[comp.id]} live portions "
+                    f"in {comp.id!r} once", loc
+                )
 
     for loc, f in _entries(data, "frames"):
         with _diagnosed(loc):

@@ -307,12 +307,8 @@ def mix_external_air(world: World, params: dict) -> Mechanism:
 
     def effect(ctx):
         w = ctx.world
-        live = [pid for pid in w.compartments[external].contents if w.portions[pid].alive]
-        if len(live) > 1:
-            merged = w.merge_portions(tuple(live), external)
-            target = merged.id
-        else:
-            target = live[0]
+        held = w.compartments[external].contents
+        target = w.merge_portions(held, external).id if len(held) > 1 else held[0]
         ctx.set_state(target, "O2Level", "high")
         ctx.set_state(target, "CO2Level", "low")
         ctx.emit("mixing external air")

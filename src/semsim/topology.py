@@ -104,7 +104,7 @@ def _check_stageable(world, batch: MoveBatch, portion: str, src: str, dst: str):
     p = world.portions.get(portion)
     if p is None or not p.alive:
         raise PortionNotPresent(f"no live portion {portion!r}")
-    if p.compartment != src or portion not in world.compartments[src].contents:
+    if p.compartment != src:
         raise PortionNotPresent(f"portion {portion!r} is not in {src!r}")
     if not world.is_connected(src, dst, "fluid"):
         raise PushWithoutConnection(f"no fluid connection {src!r} -> {dst!r}")
@@ -136,12 +136,12 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
 
     Portions overfilling a compartment merge when the medium is blood_path
     and all of them are one substance; any other overfill raises
-    CapacityExceeded. Movers and merges are checked against the pre-commit
-    world, so those failures leave it untouched; an overfill where merging
-    is disallowed is found after the departures. Returns the record of what
-    happened; trace lines ("pushed <X>Blood" per vacated blood compartment,
-    then "trigger updates") are on the record for the caller to emit, so
-    silent commits stay possible.
+    CapacityExceeded. Every mover, split parent, merge and overfill is
+    checked against the pre-commit world before the first change, so a
+    commit that raises leaves the world untouched. Returns the record of
+    what happened; trace lines ("pushed <X>Blood" per vacated blood
+    compartment, then "trigger updates") are on the record for the caller
+    to emit, so silent commits stay possible.
     """
     if batch.status != "staging":
         raise BatchStateError("batch already committed")
@@ -165,22 +165,27 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
         for dst in plan.dsts:
             arrivals.setdefault(dst, []).append(plan.portion)
 
-    # A blood compartment overfilled by one substance merges its portions;
-    # one that would hold two substances cannot, and fails here, unchanged.
+    # Find every overfill. A blood compartment overfilled by one substance
+    # merges its portions; any other overfill fails here, unchanged.
     merging: dict[str, list[str]] = {}  # dst -> stayers to merge with its arrivals
     for dst, arriving in arrivals.items():
         comp = world.compartments[dst]
-        if comp.medium != "blood_path" or comp.capacity is None:
+        if comp.capacity is None:
             continue
-        # Plain loops here and below: they run for every destination of every
-        # commit, and a comprehension costs a function call each time.
+        # A plain loop: it runs for every destination of every commit, and a
+        # comprehension costs a function call each time.
         stayers = []
         for pid in comp.contents:
-            if pid not in leaving and portions[pid].alive:
+            if pid not in leaving:
                 stayers.append(pid)
         occupancy = len(stayers) + len(arriving)
         if occupancy <= comp.capacity:
             continue
+        if comp.medium != "blood_path":
+            raise CapacityExceeded(
+                f"{occupancy} portions for {dst!r} (capacity {comp.capacity}, "
+                f"merging disallowed for {comp.medium})"
+            )
         substances = {portions[pid].substance for pid in stayers + arriving}
         if len(substances) > 1:
             raise CapacityExceeded(
@@ -199,43 +204,16 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
             landing[landing.index(plan.portion)] = child.id
             split_children.append((child.id, plan.src, dst))
 
-    # Departures: remove movers (split parents were retired by split_portion).
-    vacated: list[str] = []
-    for move in batch.moves:
-        world.compartments[move.src].contents.remove(move.portion)
-        world.portions[move.portion].compartment = None
-        world.touched.add(move.portion)
-        vacated.append(move.src)
-    for plan in batch.splits:
-        src_comp = world.compartments[plan.src]
-        for child, src, _dst in split_children:
-            if src == plan.src and child in src_comp.contents:
-                src_comp.contents.remove(child)
-                world.portions[child].compartment = None
-                world.touched.add(child)
-        vacated.append(plan.src)
-
-    # Arrivals: merged where the check above allowed it; any other overfill
-    # is found only now, after the departures.
+    # Arrivals leave their sources as they are placed or merged.
     for dst, arrived in arrivals.items():
-        comp = world.compartments[dst]
         if dst in merging:
-            merged = world.merge_portions(tuple(merging[dst] + arrived))
-            record.merges.append(merged.id)
-            arrived = [merged.id]
-        elif comp.medium != "blood_path" and comp.capacity is not None:
-            occupancy = len(arrived)
-            for pid in comp.contents:
-                occupancy += portions[pid].alive
-            if occupancy > comp.capacity:
-                raise CapacityExceeded(
-                    f"{occupancy} portions for {dst!r} (capacity {comp.capacity}, "
-                    f"merging disallowed for {comp.medium})"
-                )
-        for pid in arrived:
-            world.place_portion(pid, dst)
+            record.merges.append(world.merge_portions(merging[dst] + arrived, dst).id)
+        else:
+            for pid in arrived:
+                world.place_portion(pid, dst)
 
     record.applied = [(m.portion, m.src, m.dst) for m in batch.moves] + split_children
+    vacated = [m.src for m in batch.moves] + [s.src for s in batch.splits]
 
     # Vacated compartments report in circuit order when one is given.
     if circuit is not None:
@@ -261,9 +239,7 @@ def ring_push(world, circuit: Circuit) -> MoveBatch:
         succ = circuit.successors.get(cid, ())
         if not succ:
             raise PushWithoutConnection(f"circuit {circuit.name!r} dead-ends at {cid!r}")
-        for pid in list(world.compartments[cid].contents):
-            if not world.portions[pid].alive:
-                continue
+        for pid in world.compartments[cid].contents:
             if len(succ) == 1:
                 stage_move(world, batch, pid, cid, succ[0])
             else:

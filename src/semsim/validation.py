@@ -32,7 +32,7 @@ full recompute's, violation order and bindings included.
 
 The reads contract. A rule's check may read its bindings; the triples of
 the predicates its rule lists in `reads`, from `triples` or from the world
-state they describe (a compartment's live contents are its locatedIn
+state they describe (a compartment's contents are its locatedIn
 triples); and structure fixed after the build: the compartment registry and
 capacities, and a portion's substance. A check that reads anything else
 (say, len(triples)) leaves `reads` at None and is re-evaluated every step.
@@ -455,8 +455,7 @@ def capacity_rule() -> AssertionRule:
         comp = world.compartments.get(bindings["c"])
         if comp is None or comp.capacity is None:
             return False  # the dangling-location rule owns missing targets
-        live = [p for p in comp.contents if world.portions[p].alive]
-        return len(live) > comp.capacity
+        return len(comp.contents) > comp.capacity
 
     return AssertionRule(
         "compartment-capacity",
@@ -506,7 +505,7 @@ def fluidity_rule(substance: str, resting_labels=("null", "pool")) -> AssertionR
 
     def moving_while_solid(bindings, world, triples):
         portion = world.portions.get(bindings["p"])
-        if portion is None or portion.substance != substance or not portion.alive:
+        if portion is None or portion.substance != substance:
             return False
         if bindings["loc"] in resting_labels:
             return False

@@ -3,6 +3,13 @@
 All mutation during a run happens inside kernel steps; the world itself is a
 plain in-memory structure with no locking of its own.
 
+The world owns where portions are: a compartment's `contents` are exactly
+the live portions whose `compartment` is that compartment, in placement
+order. Placing refuses a dead portion and takes a portion out of its old
+compartment, retiring one takes it out of its compartment, and the
+model-file loader rejects contents that break the rule. Other modules read
+contents as they are and never write `contents`, `compartment` or `alive`.
+
 Every operation that changes what the world looks like as triples records
 it: the entity's id goes into `touched`, and a connection added or removed
 sets `wiring_changed`. An incremental validation snapshot re-derives only
@@ -695,9 +702,11 @@ class World:
         return circuit
 
     def place_portion(self, portion_id: str, compartment_id: str):
-        """Put a portion in a compartment, keeping position fields coherent."""
+        """Put a live portion in a compartment, taking it out of its old one."""
         portion = self.portions[portion_id]
         comp = self.compartments[compartment_id]
+        if not portion.alive:
+            raise DeadSubjectError(f"portion {portion_id!r} is dead")
         if portion.compartment is not None:
             self.compartments[portion.compartment].contents.remove(portion_id)
         comp.contents.append(portion_id)
@@ -706,12 +715,9 @@ class World:
         self.touched.add(portion_id)
 
     def occupant(self, compartment_id: str) -> Portion | None:
-        """The single live portion in a compartment, or None."""
-        live = self.live_registry
-        for pid in self.compartments[compartment_id].contents:
-            if pid in live:
-                return live[pid]
-        return None
+        """The first portion placed in a compartment, or None."""
+        contents = self.compartments[compartment_id].contents
+        return self.portions[contents[0]] if contents else None
 
     def live_portions(self, substance: str | None = None) -> list[Portion]:
         return [

@@ -25,6 +25,47 @@ def pytest_runtest_logreport(report):
     print(f"\n[acceptance] {name}: {outcome}")
 
 
+def _list_one_of_two_twice(data):
+    # blood-0 moves from LeftAtrium into LeftVentricle, which then lists
+    # blood-1 twice: the count is right, the portions are not.
+    data["portions"][0]["compartment"] = "LeftVentricle"
+    data["compartments"][0]["contents"] = []
+    data["compartments"][1]["contents"] = ["blood-1", "blood-1"]
+
+
+# Ways a model file's compartments[1] (LeftVentricle, holding blood-1) can
+# break the rule that contents list exactly the live portions placed there,
+# with the loader's diagnosis of each.
+PLACEMENT_BREACHES = {
+    "dead-portion-listed": (
+        lambda data: data["portions"][1].update(alive=False),
+        "compartments[1]: contents list dead portion 'blood-1'",
+    ),
+    "live-portion-unlisted": (
+        lambda data: data["compartments"][1].update(contents=[]),
+        "compartments[1]: contents must list each of the 1 live portions in 'LeftVentricle' once",
+    ),
+    "portion-listed-twice": (
+        _list_one_of_two_twice,
+        "compartments[1]: contents must list each of the 2 live portions in 'LeftVentricle' once",
+    ),
+}
+
+
+@pytest.fixture(params=sorted(PLACEMENT_BREACHES))
+def placement_breach(request):
+    """A saved cardio model whose compartments[1] breaks the placement rule,
+    and the SchemaError message loading it gives."""
+    from semsim.modelfile import save_model
+    from semsim.models import build_cardio
+
+    data = save_model(build_cardio())
+    assert data["compartments"][1]["contents"] == ["blood-1"] == [data["portions"][1]["id"]]
+    breach, message = PLACEMENT_BREACHES[request.param]
+    breach(data)
+    return data, message
+
+
 @pytest.fixture
 def cardio_world():
     from semsim.models import build_cardio

@@ -410,6 +410,16 @@ def test_malformed_model_file_subprocess_has_no_traceback(tmp_path):
         assert "systems[0]: missing field 'name'" in result.stderr
 
 
+def test_broken_placement_exits_1_without_traceback(tmp_path, placement_breach):
+    data, message = placement_breach
+    path = tmp_path / "bad-placement.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli(["validate-file", str(path)], cwd=tmp_path)
+    assert result.returncode == EXIT_CONFIG
+    assert "Traceback" not in result.stderr
+    assert result.stderr.strip() == f"invalid: {message}"
+
+
 def test_concurrent_runs_with_one_seed_write_identical_traces(tmp_path):
     traces = []
     for attempt in range(2):

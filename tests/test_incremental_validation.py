@@ -237,7 +237,7 @@ def test_a_commit_that_fails_midway_leaves_the_snapshot_exact():
     def push(ctx):
         batch = ctx.new_batch()
         ctx.stage(batch, "mover", "Src", "Dst")
-        ctx.commit(batch)  # mover departs, then Dst overflows
+        ctx.commit(batch)  # Dst would overflow, so nothing moves
 
     register_mechanism(world, Mechanism("push", guard=(), effect=push))
     register_trigger(world, Trigger("once", period=100, target="push", phase=1))
@@ -246,7 +246,9 @@ def test_a_commit_that_fails_midway_leaves_the_snapshot_exact():
     kernel.step()  # builds the snapshot
     report = kernel.step()
     assert [v.rule for v in report.validation.violations] == ["CapacityExceeded"]
-    assert world.portions["mover"].compartment is None
+    assert world.portions["mover"].compartment == "Src"
+    assert world.compartments["Src"].contents == ["mover"]
+    assert world.compartments["Dst"].contents == ["stayer"]
     assert_kernel_matches_full_recompute(kernel, report)
 
 

@@ -1,0 +1,106 @@
+"""Only world.py writes where portions are, and records what changed.
+
+`World` keeps the placement rule (a compartment's contents are exactly the
+live portions placed there, in placement order) and marks every change
+that triples can see in `touched`. A module that assigned `.compartment`,
+`.alive` or `.contents`, edited a contents list, or marked `touched` itself
+could break the rule or hide a change from the incremental validation
+snapshot. The model-file loader is the one other module that fills a
+contents list, while it builds a world, and it checks what it fills.
+"""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semsim"
+OWNED_FIELDS = {"compartment", "alive", "contents"}
+LIST_EDITS = {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
+LOADER_WRITES = {"edits .contents"}
+
+
+def _assigned(target):
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _assigned(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned(target.value)
+    else:
+        yield target
+
+
+def _owner_name(node):
+    """The attribute or variable name a method is called on, if any."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def writes(source: str):
+    """(line, what) for every write of placement or change records in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in targets:
+            for t in _assigned(target):
+                if isinstance(t, ast.Attribute) and t.attr in OWNED_FIELDS:
+                    found.append((t.lineno, f"assigns .{t.attr}"))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "setattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in OWNED_FIELDS
+        ):
+            found.append((node.lineno, f"assigns .{node.args[1].value}"))
+        elif isinstance(func, ast.Attribute):
+            owner = _owner_name(func.value)
+            if owner == "touched":
+                found.append((node.lineno, f"calls .touched.{func.attr}"))
+            elif owner == "contents" and func.attr in LIST_EDITS:
+                found.append((node.lineno, "edits .contents"))
+    return sorted(found)
+
+
+def test_only_world_writes_placement_and_change_records():
+    leaks = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        if module == "world.py":
+            continue
+        allowed = LOADER_WRITES if module == "modelfile.py" else set()
+        for line, what in writes(path.read_text(encoding="utf-8")):
+            if what not in allowed:
+                leaks.append(f"{module}:{line}: {what}")
+    assert leaks == []
+
+
+def test_the_guard_sees_each_kind_of_write():
+    source = """
+world.portions[pid].compartment = None
+first, portion.alive = 1, False
+comp.contents += [pid]
+setattr(portion, "compartment", "Dst")
+world.touched.add(pid)
+touched.update(ids)
+world.compartments[src].contents.remove(pid)
+n = len(comp.contents)
+portion.location_state = comp.name
+"""
+    assert writes(source) == [
+        (2, "assigns .compartment"),
+        (3, "assigns .alive"),
+        (4, "assigns .contents"),
+        (5, "assigns .compartment"),
+        (6, "calls .touched.add"),
+        (7, "calls .touched.update"),
+        (8, "edits .contents"),
+    ]

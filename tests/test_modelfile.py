@@ -114,6 +114,13 @@ def test_bad_portion_compartment_diagnosed():
     assert "portions[0]" in str(exc.value)
 
 
+def test_contents_breaking_the_placement_rule_diagnosed(placement_breach):
+    data, message = placement_breach
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == message
+
+
 def test_duplicate_portion_id_diagnosed():
     data = save_model(build_cardio())
     data["portions"].append(dict(data["portions"][0], alive=False, compartment=None))

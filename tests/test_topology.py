@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from semsim import World, topology
 from semsim.errors import (
     CapacityExceeded,
+    DeadSubjectError,
     DuplicateMover,
     DuplicateNameError,
     ModelError,
@@ -12,6 +13,16 @@ from semsim.errors import (
     UnknownEntityError,
 )
 from semsim.topology import MoveBatch
+
+
+def world_state(w):
+    """Everything a failed commit must leave as it was."""
+    return (
+        {pid: (p.alive, p.compartment) for pid, p in w.portions.items()},
+        {cid: list(c.contents) for cid, c in w.compartments.items()},
+        len(w.transitional_log),
+        set(w.touched),
+    )
 
 
 def line_world(n=3, capacity=1, medium="blood_path"):
@@ -64,6 +75,32 @@ def test_stage_requires_presence():
     batch = MoveBatch()
     with pytest.raises(PortionNotPresent):
         topology.stage_move(w, batch, p.id, "C1", "C2")
+
+
+def test_placing_a_dead_portion_is_refused():
+    w, names = line_world()
+    dead = w.create_portion("blood", compartment="C0")
+    w.create_portion("blood", compartment="C1")
+    w.kill(dead.id)
+    before = world_state(w)
+    with pytest.raises(DeadSubjectError):
+        w.place_portion(dead.id, "C1")
+    assert world_state(w) == before
+
+
+def test_commit_of_a_departed_mover_changes_nothing():
+    w, names = line_world(4)
+    first = w.create_portion("blood", compartment="C0")
+    last = w.create_portion("blood", compartment="C2")
+    batch = MoveBatch()
+    topology.stage_move(w, batch, first.id, "C0", "C1")
+    topology.stage_move(w, batch, last.id, "C2", "C3")
+    w.kill(last.id)  # gone between staging and commit
+    before = world_state(w)
+    with pytest.raises(PortionNotPresent):
+        topology.commit(w, batch)
+    assert world_state(w) == before
+    assert batch.status == "staging"
 
 
 def test_duplicate_mover_rejected():
@@ -132,8 +169,11 @@ def test_air_capacity_collision_is_error():
     batch = MoveBatch()
     topology.stage_move(w, batch, pa.id, "A", "Nose")
     topology.stage_move(w, batch, pb.id, "B", "Nose")
-    with pytest.raises(CapacityExceeded):
+    before = world_state(w)
+    with pytest.raises(CapacityExceeded, match="merging disallowed for air_path"):
         topology.commit(w, batch)
+    assert world_state(w) == before
+    assert batch.status == "staging"
 
 
 def test_blood_capacity_collision_merges():
@@ -290,17 +330,8 @@ def test_mixed_substance_merge_fails_before_any_change():
     w.create_portion("air", entity_id="air-0", compartment="MC")
     batch = topology.ring_push(w, circuit)
     assert batch.splits and batch.moves
-
-    def state():
-        return (
-            {pid: (p.alive, p.compartment) for pid, p in w.portions.items()},
-            {cid: list(c.contents) for cid, c in w.compartments.items()},
-            len(w.transitional_log),
-            set(w.touched),
-        )
-
-    before = state()
+    before = world_state(w)
     with pytest.raises(CapacityExceeded, match=r"cannot merge substances \['air', 'blood'\]"):
         topology.commit(w, batch, circuit)
-    assert state() == before
+    assert world_state(w) == before
     assert batch.status == "staging"

@@ -4,13 +4,14 @@ The reference evaluator below is the original one: sort the whole snapshot
 by (subject, predicate, obj) and try every rule's pattern on every triple.
 The indexed validator must report the same violations in the same order,
 bindings included. The live-portion registry must always equal the live
-subset of the portion history, in birth order.
+subset of the portion history, in birth order, and each compartment's
+contents the live portions placed there.
 """
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from semsim import Kernel, Triple, TriplePattern, Var, World
+from semsim import Kernel, Triple, TriplePattern, Var, World, topology
 from semsim.cli import standard_rules
 from semsim.modelfile import load_model, load_model_file, save_model, save_model_file
 from semsim.models import build_cardio, build_waterfall
@@ -211,15 +212,29 @@ def assert_registry_consistent(world):
     assert list(world.live_registry.items()) == expected
 
 
+def assert_placement_invariant(world):
+    for cid, comp in world.compartments.items():
+        placed = {pid for pid, p in world.live_registry.items() if p.compartment == cid}
+        assert len(set(comp.contents)) == len(comp.contents)
+        assert set(comp.contents) == placed  # so no dead id is in any contents
+
+
+SUCCESSORS = {"A": ("B", "C"), "B": ("C",), "C": ("A",)}
+
+
 def _small_world():
     w = World("registry")
     w.define_substance("blood", phase="liquid")
     for name in ("A", "B", "C"):
-        w.add_compartment(name, "blood_path", capacity=None)
+        # B fills up, so commits into it merge.
+        w.add_compartment(name, "blood_path", capacity=1 if name == "B" else None)
+    for src, dsts in SUCCESSORS.items():
+        for dst in dsts:
+            w.connect(src, dst)
     return w
 
 
-OPS = ("create", "split", "merge", "kill", "place")
+OPS = ("create", "split", "merge", "kill", "place", "move")
 
 
 @settings(max_examples=150, deadline=None)
@@ -229,6 +244,7 @@ def test_registry_tracks_random_lifecycles(data):
     compartments = sorted(w.compartments)
     for _ in range(data.draw(st.integers(min_value=1, max_value=25), label="ops")):
         live = list(w.live_registry)
+        placed = [pid for pid in live if w.portions[pid].compartment is not None]
         op = data.draw(st.sampled_from(OPS), label="op")
         if op == "create" or not live:
             where = data.draw(st.sampled_from([None, *compartments]), label="where")
@@ -244,7 +260,19 @@ def test_registry_tracks_random_lifecycles(data):
         elif op == "place":
             where = data.draw(st.sampled_from(compartments), label="to")
             w.place_portion(data.draw(st.sampled_from(live)), where)
+        elif op == "move" and placed:
+            batch = topology.MoveBatch()
+            movers = st.lists(st.sampled_from(placed), min_size=1, max_size=3, unique=True)
+            for pid in data.draw(movers, label="movers"):
+                src = w.portions[pid].compartment
+                dsts = SUCCESSORS[src]
+                if len(dsts) > 1 and data.draw(st.booleans(), label="split"):
+                    topology.stage_split(w, batch, pid, src, dsts)
+                else:
+                    topology.stage_move(w, batch, pid, src, data.draw(st.sampled_from(dsts)))
+            topology.commit(w, batch)
         assert_registry_consistent(w)
+        assert_placement_invariant(w)
         for cid in compartments:
             first_live = next(
                 (w.portions[p] for p in w.compartments[cid].contents if w.portions[p].alive), None
@@ -252,7 +280,10 @@ def test_registry_tracks_random_lifecycles(data):
             assert w.occupant(cid) is first_live
     reloaded = load_model(save_model(w))
     assert_registry_consistent(reloaded)
+    assert_placement_invariant(reloaded)
     assert list(reloaded.live_registry) == list(w.live_registry)
+    for cid, comp in w.compartments.items():
+        assert reloaded.compartments[cid].contents == comp.contents
 
 
 def test_registry_survives_midrun_file_roundtrip(tmp_path):

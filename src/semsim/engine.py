@@ -183,10 +183,6 @@ def guard_report(mechanism: Mechanism, world: World) -> dict[str, bool]:
     return values
 
 
-def enabled(mechanism: Mechanism, world: World) -> bool:
-    return all(cond.test(world) for cond in mechanism.guard)
-
-
 class FireContext:
     """Handed to an effect; every primitive action goes through it."""
 

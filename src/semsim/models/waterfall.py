@@ -3,6 +3,10 @@
 Each firing of the flow mechanism carries one portion through its whole
 journey (the next portion is only created once the previous one pooled), so
 a run of n ticks pools exactly n portions and prints "<i> pool" for each.
+Nothing observes a position inside a leg, so a firing computes each leg's
+displacement in closed form (length times the per-unit delta) and costs the
+same for any bed length. In integer coordinates that equals the unit-by-unit
+walk exactly; the unit-loop oracle that checks it lives in the tests.
 """
 from __future__ import annotations
 
@@ -33,8 +37,14 @@ class WaterfallConfig:
     labels: tuple[str, str, str] = ("upper", "drop", "pool")
 
     def __post_init__(self):
-        if self.upper_bed_length <= 0 or self.vertical_drop <= 0:
-            raise ValueError("bed length and drop must be positive")
+        # type() rather than isinstance(): bool is an int subclass.
+        for length in (self.upper_bed_length, self.vertical_drop):
+            if type(length) is not int or length <= 0:
+                raise ValueError(f"bed length and drop must be positive ints, not {length!r}")
+        for delta in (self.upper_delta, self.drop_delta):
+            if not (isinstance(delta, tuple) and len(delta) == 2
+                    and all(type(d) is int for d in delta)):
+                raise ValueError(f"a per-unit delta must be a pair of ints, not {delta!r}")
 
 
 def water_flowing_mechanism(world: World, params: dict) -> Mechanism:
@@ -47,6 +57,8 @@ def water_flowing_mechanism(world: World, params: dict) -> Mechanism:
         labels=tuple(params.get("labels", ("upper", "drop", "pool"))),
     )
     n_portions = params.get("n_portions")
+    if n_portions is not None and (type(n_portions) is not int or n_portions < 0):
+        raise ValueError(f"n_portions must be an int >= 0, not {n_portions!r}")
     upper_label, drop_label, pool_label = config.labels
 
     def remaining(w) -> bool:
@@ -61,14 +73,12 @@ def water_flowing_mechanism(world: World, params: dict) -> Mechanism:
         portion = w.instantiate("WaterPortion", entity_id=f"water-{i}")
         w.set_state(portion.id, "Location", upper_label)
         dx, dy = config.upper_delta
-        for _ in range(config.upper_bed_length):
-            portion.x += dx
-            portion.y += dy
+        portion.x += dx * config.upper_bed_length
+        portion.y += dy * config.upper_bed_length
         w.set_state(portion.id, "Location", drop_label)
         dx, dy = config.drop_delta
-        for _ in range(config.vertical_drop):
-            portion.x += dx
-            portion.y += dy
+        portion.x += dx * config.vertical_drop
+        portion.y += dy * config.vertical_drop
         w.set_state(portion.id, "Location", pool_label)
         ctx.emit(f"{i} {pool_label}")
 
@@ -145,8 +155,6 @@ def build_waterfall(
     config: WaterfallConfig = WaterfallConfig(), n_portions: int | None = None
 ) -> World:
     """Hand-built flow: one firing takes one portion from birth to the pool."""
-    if n_portions is not None and n_portions < 0:
-        raise ValueError("n_portions must be >= 0")
     world = _base_world(config, "waterfall")
     water_flowing_mechanism(
         world,

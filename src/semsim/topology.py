@@ -75,13 +75,11 @@ class MoveBatch:
     moves: list[Move] = field(default_factory=list)
     splits: list[SplitPlan] = field(default_factory=list)
     status: str = "staging"
+    movers: set[str] = field(default_factory=set)  # every staged portion
 
     @property
     def move_count(self) -> int:
         return len(self.moves) + len(self.splits)
-
-    def movers(self) -> set[str]:
-        return {m.portion for m in self.moves} | {s.portion for s in self.splits}
 
 
 @dataclass(slots=True)
@@ -99,13 +97,12 @@ class CommitRecord:
 def _check_stageable(world, batch: MoveBatch, portion: str, src: str, dst: str):
     if batch.status != "staging":
         raise BatchStateError("batch already committed")
-    if portion in batch.movers():
+    if portion in batch.movers:
         raise DuplicateMover(f"portion {portion!r} already staged in this batch")
+    # Only a live portion is placed, so the placement check covers liveness.
     p = world.portions.get(portion)
-    if p is None or not p.alive:
-        raise PortionNotPresent(f"no live portion {portion!r}")
-    if p.compartment != src:
-        raise PortionNotPresent(f"portion {portion!r} is not in {src!r}")
+    if p is None or p.compartment != src:
+        raise PortionNotPresent(f"no live portion {portion!r} in {src!r}")
     if not world.is_connected(src, dst, "fluid"):
         raise PushWithoutConnection(f"no fluid connection {src!r} -> {dst!r}")
 
@@ -114,6 +111,7 @@ def stage_move(world, batch: MoveBatch, portion: str, src: str, dst: str) -> Mov
     """Record one move. The world is left untouched."""
     _check_stageable(world, batch, portion, src, dst)
     batch.moves.append(Move(portion, src, dst))
+    batch.movers.add(portion)
     return batch
 
 
@@ -128,6 +126,7 @@ def stage_split(
             raise PushWithoutConnection(f"no fluid connection {src!r} -> {dst!r}")
     _check_stageable(world, batch, portion, src, dsts[0])
     batch.splits.append(SplitPlan(portion, src, tuple(dsts)))
+    batch.movers.add(portion)
     return batch
 
 
@@ -149,19 +148,17 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
     # Check the movers against the pre-commit world. Until it splits, a split
     # parent stands in for each child it sends to a dst.
     portions = world.portions
-    leaving: set[str] = set()
+    leaving = batch.movers
     arrivals: dict[str, list[str]] = {}
     for move in batch.moves:
         p = portions.get(move.portion)
-        if p is None or not p.alive or p.compartment != move.src:
+        if p is None or p.compartment != move.src:
             raise PortionNotPresent(f"portion {move.portion!r} left {move.src!r}")
-        leaving.add(move.portion)
         arrivals.setdefault(move.dst, []).append(move.portion)
     for plan in batch.splits:
         p = portions.get(plan.portion)
-        if p is None or not p.alive or p.compartment != plan.src:
+        if p is None or p.compartment != plan.src:
             raise PortionNotPresent(f"portion {plan.portion!r} left {plan.src!r}")
-        leaving.add(plan.portion)
         for dst in plan.dsts:
             arrivals.setdefault(dst, []).append(plan.portion)
 

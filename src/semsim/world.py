@@ -5,8 +5,9 @@ plain in-memory structure with no locking of its own.
 
 The world owns where portions are: a compartment's `contents` are exactly
 the live portions whose `compartment` is that compartment, in placement
-order. Placing refuses a dead portion and takes a portion out of its old
-compartment, retiring one takes it out of its compartment, and the
+order. A dead portion is in no compartment: placing one is refused, and so
+is registering one that names a compartment. Placing takes a portion out of
+its old compartment, retiring one takes it out of its compartment, and the
 model-file loader rejects contents that break the rule. Other modules read
 contents as they are and never write `contents`, `compartment` or `alive`.
 
@@ -395,7 +396,14 @@ class World:
         return portion
 
     def add_portion(self, portion: Portion) -> Portion:
-        """Register a built portion; the live registry holds it while it lives."""
+        """Register a built portion; the live registry holds it while it lives.
+
+        A dead portion is in no compartment, so one that names one is refused.
+        """
+        if not portion.alive and portion.compartment is not None:
+            raise DeadSubjectError(
+                f"dead portion {portion.id!r} cannot be placed in {portion.compartment!r}"
+            )
         self.portions[portion.id] = portion
         counts = self.portion_counts
         counts[portion.substance] = counts.get(portion.substance, 0) + 1

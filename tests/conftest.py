@@ -35,11 +35,16 @@ def _list_one_of_two_twice(data):
 
 # Ways a model file's compartments[1] (LeftVentricle, holding blood-1) can
 # break the rule that contents list exactly the live portions placed there,
-# with the loader's diagnosis of each.
+# with the loader's diagnosis of each. A dead portion that still names a
+# compartment is refused where the portion is read, before any contents.
 PLACEMENT_BREACHES = {
     "dead-portion-listed": (
-        lambda data: data["portions"][1].update(alive=False),
+        lambda data: data["portions"][1].update(alive=False, compartment=None),
         "compartments[1]: contents list dead portion 'blood-1'",
+    ),
+    "dead-portion-placed": (
+        lambda data: data["portions"][1].update(alive=False),
+        "portions[1]: dead portion 'blood-1' cannot be placed in 'LeftVentricle'",
     ),
     "live-portion-unlisted": (
         lambda data: data["compartments"][1].update(contents=[]),

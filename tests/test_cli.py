@@ -420,6 +420,29 @@ def test_broken_placement_exits_1_without_traceback(tmp_path, placement_breach):
     assert result.stderr.strip() == f"invalid: {message}"
 
 
+@pytest.mark.parametrize(
+    "param, value, diagnosis",
+    [
+        ("upper_bed_length", 2.5, "bed length and drop must be positive ints, not 2.5"),
+        ("upper_delta", [1], "a per-unit delta must be a pair of ints, not (1,)"),
+        ("upper_delta", [0.1, -1], "a per-unit delta must be a pair of ints, not (0.1, -1)"),
+        ("n_portions", "3", "n_portions must be an int >= 0, not '3'"),
+    ],
+)
+def test_malformed_water_flowing_params_fail_at_load(tmp_path, capsys, param, value, diagnosis):
+    data = save_model(build_waterfall(n_portions=2))
+    assert data["mechanisms"][0]["builtin"] == "water_flowing"
+    data["mechanisms"][0]["params"][param] = value
+    path = tmp_path / "bad-flow.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    message = f"mechanisms[0]: malformed entry: {diagnosis}"
+    assert main(["validate-file", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"invalid: {message}"
+    args = ["run", "--model", str(path), "--steps", "2", "--trace", str(tmp_path / "t")]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_concurrent_runs_with_one_seed_write_identical_traces(tmp_path):
     traces = []
     for attempt in range(2):

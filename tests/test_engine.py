@@ -1,7 +1,7 @@
 import pytest
 
 from semsim import Condition, Kernel, Mechanism, Signal, StateSpace, Trigger, World
-from semsim.engine import enabled, fire, register_mechanism, register_trigger, send_signal
+from semsim.engine import fire, guard_report, register_mechanism, register_trigger, send_signal
 from semsim.errors import (
     CapacityExceeded,
     DuplicateNameError,
@@ -62,8 +62,8 @@ def test_enabled_is_pure_guard_evaluation():
         effect=lambda ctx: None,
     )
     register_mechanism(w, mech)
-    assert enabled(mech, w)
-    assert enabled(mech, w)
+    assert all(guard_report(mech, w).values())
+    assert all(guard_report(mech, w).values())
     assert len(calls) == 2
     assert w.transitional_log == []
 

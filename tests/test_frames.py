@@ -18,7 +18,7 @@ from semsim.models import (
     ticks_to_pool,
     waterfall_path,
 )
-from semsim.engine import Trigger, enabled, register_trigger
+from semsim.engine import Trigger, guard_report, register_trigger
 
 
 def test_define_frame_fluidic_motion():
@@ -131,9 +131,9 @@ def test_instantiation_requires_a_path_mode():
 def test_frozen_fluid_disables_flow():
     w, binding = build_waterfall_from_frames(n_portions=1)
     mech = w.mechanisms["WaterFlowing"]
-    assert enabled(mech, w)
+    assert all(guard_report(mech, w).values())
     w.set_state("water", "phase", "solid")
-    assert not enabled(mech, w)
+    assert not all(guard_report(mech, w).values())
 
 
 def test_waterfall_per_unit_deltas():

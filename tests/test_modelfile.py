@@ -121,6 +121,20 @@ def test_contents_breaking_the_placement_rule_diagnosed(placement_breach):
     assert str(exc.value) == message
 
 
+def test_dead_portion_in_a_compartment_is_rejected():
+    # Listed in no contents, so only the portion itself shows the breach.
+    data = save_model(build_cardio())
+    data["portions"].append(
+        {"id": "ghost", "substance": "blood", "alive": False, "compartment": "LeftVentricle"}
+    )
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    ghost = len(data["portions"]) - 1
+    assert str(exc.value) == (
+        f"portions[{ghost}]: dead portion 'ghost' cannot be placed in 'LeftVentricle'"
+    )
+
+
 def test_duplicate_portion_id_diagnosed():
     data = save_model(build_cardio())
     data["portions"].append(dict(data["portions"][0], alive=False, compartment=None))

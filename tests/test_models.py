@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semsim import Kernel
 from semsim.cli import standard_rules
@@ -11,6 +12,7 @@ from semsim.models import (
     build_cardio,
     build_waterfall,
     freeze_watch_mechanism,
+    waterfall_path,
 )
 from semsim.scenarios import (
     apply_scenario,
@@ -21,19 +23,19 @@ from semsim.scenarios import (
 )
 
 
-def waterfall_oracle(upper_bed_length, vertical_drop):
+def waterfall_oracle(upper_bed_length, vertical_drop, upper_delta=(10, -1), drop_delta=(1, -10)):
     """Step-by-step traversal oracle: literal unit loops, no closed form."""
     x = y = 0
     states = ["null"]
     for _ in range(upper_bed_length):
-        x += 10
-        y -= 1
+        x += upper_delta[0]
+        y += upper_delta[1]
         if states[-1] != "upper":
             states.append("upper")
     mid = (x, y)
     for _ in range(vertical_drop):
-        x += 1
-        y -= 10
+        x += drop_delta[0]
+        y += drop_delta[1]
         if states[-1] != "drop":
             states.append("drop")
     states.append("pool")
@@ -46,6 +48,14 @@ def run_waterfall(config=WaterfallConfig(), n=3, ticks=None):
     standard_rules(kernel)
     kernel.run(ticks if ticks is not None else n)
     return world, kernel
+
+
+def location_changes(world, pid):
+    return [
+        t.results[0][1]
+        for t in world.transitional_log
+        if t.kind == "state_change" and t.subjects == (pid,)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -72,12 +82,7 @@ def test_waterfall_matches_oracle():
 def test_waterfall_location_sequence_exactly_once():
     world, kernel = run_waterfall(n=2)
     for i in range(2):
-        changes = [
-            t.results[0][1]
-            for t in world.transitional_log
-            if t.kind == "state_change" and t.subjects == (f"water-{i}",)
-        ]
-        assert changes == ["upper", "drop", "pool"]
+        assert location_changes(world, f"water-{i}") == ["upper", "drop", "pool"]
 
 
 def test_waterfall_monotone_coordinates():
@@ -102,9 +107,57 @@ def test_waterfall_totals_random_configs():
         assert (p.x, p.y) == oracle_final == (10 * length + drop, -(length + 10 * drop))
 
 
+deltas = st.tuples(st.integers(-100, 100), st.integers(-100, 100))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    length=st.integers(1, 10**4),
+    drop=st.integers(1, 10**4),
+    upper_delta=deltas,
+    drop_delta=deltas,
+)
+def test_closed_form_flow_equals_unit_loops(length, drop, upper_delta, drop_delta):
+    config = WaterfallConfig(length, drop, upper_delta, drop_delta)
+    world, kernel = run_waterfall(config, n=1, ticks=1)
+    p = world.portions["water-0"]
+    _, final, states = waterfall_oracle(length, drop, upper_delta, drop_delta)
+    assert (p.x, p.y) == final == waterfall_path(config).total_displacement()
+    assert ["null"] + location_changes(world, "water-0") == states
+    assert kernel.trace_lines() == ["0 pool"]
+
+
+def test_a_billion_unit_bed_pools_in_one_tick():
+    config = WaterfallConfig(upper_bed_length=10**9)
+    world, kernel = run_waterfall(config, n=1, ticks=1)
+    p = world.portions["water-0"]
+    assert kernel.trace_lines() == ["0 pool"]
+    assert (p.x, p.y) == (10 * 10**9 + 100, -(10**9) - 1000)
+    assert (p.x, p.y) == waterfall_path(config).total_displacement()
+    assert location_changes(world, "water-0") == ["upper", "drop", "pool"]
+
+
 def test_waterfall_rejects_nonpositive_config():
     with pytest.raises(ValueError):
         WaterfallConfig(upper_bed_length=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("upper_bed_length", 2.5),
+        ("vertical_drop", True),
+        ("vertical_drop", "100"),
+        ("upper_delta", (1,)),
+        ("upper_delta", (0.1, -1)),
+        ("drop_delta", [1, -10]),
+        ("drop_delta", (1, -10, 0)),
+    ],
+)
+def test_waterfall_rejects_non_integer_geometry(field, value):
+    # The closed form equals the unit-by-unit walk only in integers.
+    with pytest.raises(ValueError):
+        WaterfallConfig(**{field: value})
 
 
 def test_waterfall_freeze_scenario_stops_flow():

@@ -112,6 +112,24 @@ def test_duplicate_mover_rejected():
         topology.stage_move(w, batch, p.id, "C0", "C1")
 
 
+def test_a_split_portion_cannot_be_staged_again():
+    w = World("w")
+    w.define_substance("blood", phase="liquid")
+    for name in ("Src", "Left", "Right"):
+        w.add_compartment(name, "blood_path", 1)
+    w.connect("Src", "Left", "fluid")
+    w.connect("Src", "Right", "fluid")
+    p = w.create_portion("blood", compartment="Src")
+    batch = MoveBatch()
+    topology.stage_split(w, batch, p.id, "Src", ("Left", "Right"))
+    assert batch.movers == {p.id}
+    with pytest.raises(DuplicateMover):
+        topology.stage_move(w, batch, p.id, "Src", "Left")
+    with pytest.raises(DuplicateMover):
+        topology.stage_split(w, batch, p.id, "Src", ("Left", "Right"))
+    assert batch.move_count == 1
+
+
 def test_staging_is_pure():
     w, names = line_world()
     p = w.create_portion("blood", compartment="C0")

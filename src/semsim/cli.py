@@ -1,7 +1,8 @@
 """Command-line runner: `semsim run|console|validate-file`.
 
 Exit codes: 0 on clean completion, 1 on configuration errors (unknown model,
-malformed files), 2 when the validation policy halted the run.
+malformed files, a model fault raised inside a step), 2 when the validation
+policy halted the run.
 """
 from __future__ import annotations
 
@@ -151,6 +152,10 @@ def run_command(config: RunConfig) -> int:
             kernel.run(steps)
     except KeyboardInterrupt:
         pass
+    except SemsimError as exc:  # a fault inside a step: write what ran up to it
+        print(f"error: {exc}", file=sys.stderr)
+        write_outputs(kernel, config, EXIT_CONFIG)
+        return EXIT_CONFIG
     exit_code = EXIT_HALTED if kernel.halted else EXIT_OK
     write_outputs(kernel, config, exit_code)
     return exit_code

@@ -405,7 +405,8 @@ class Kernel:
             self.snapshot = None
             self.world.clear_changes()
         elif self.snapshot is None:
-            self.snapshot = validation.Snapshot()
+            self.world.clear_changes()  # the build below sees every change
+            self.snapshot = validation.Snapshot(self.world)
         report.validation = validation.validate(
             self.world, self.tick, self.rules, self.validate_policy, self.snapshot
         )

@@ -169,6 +169,13 @@ def _fluid_guard(world_substance: str) -> Condition:
     )
 
 
+def check_n_portions(n_portions):
+    """A flow's portion budget is None (unbounded) or an int >= 0."""
+    # type() rather than isinstance(): bool is an int subclass.
+    if n_portions is not None and (type(n_portions) is not int or n_portions < 0):
+        raise ValueError(f"n_portions must be an int >= 0, not {n_portions!r}")
+
+
 def instantiate_fluidic_motion(
     world: World,
     binding: FrameBinding,
@@ -186,6 +193,7 @@ def instantiate_fluidic_motion(
     """
     if binding.frame.name != "Fluidic_Motion":
         raise ModelError("only Fluidic_Motion bindings instantiate here")
+    check_n_portions(n_portions)
     fluid = binding.element_map["Fluid"]
     if not isinstance(fluid, str) or fluid not in world.substances:
         raise ModelError(f"Fluid must name a substance, got {fluid!r}")

@@ -414,8 +414,8 @@ def load_model(data: dict) -> World:
             params = dict(spec.get("params", {}))
             if builtin == "fluidic_motion":
                 idx = params.get("binding", 0)
-                if idx >= len(world.bindings):
-                    raise SchemaError(f"binding index {idx} out of range", loc)
+                if type(idx) is not int or not 0 <= idx < len(world.bindings):
+                    raise SchemaError(f"binding index {idx!r} out of range", loc)
                 instantiate_fluidic_motion(
                     world,
                     world.bindings[idx],

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
 from ..entities import StateSpace
+from ..errors import StateError
 from ..frames import (
     FrameBinding,
     PathSegment,
     PathSpec,
     add_lexical_entry,
     bind,
+    check_n_portions,
     instantiate_fluidic_motion,
     standard_frames,
 )
@@ -57,8 +59,12 @@ def water_flowing_mechanism(world: World, params: dict) -> Mechanism:
         labels=tuple(params.get("labels", ("upper", "drop", "pool"))),
     )
     n_portions = params.get("n_portions")
-    if n_portions is not None and (type(n_portions) is not int or n_portions < 0):
-        raise ValueError(f"n_portions must be an int >= 0, not {n_portions!r}")
+    check_n_portions(n_portions)
+    location = world.effective_state_spaces("WaterPortion").get("Location")
+    if location is None:
+        raise StateError("kind 'WaterPortion' has no 'Location' space")
+    for label in config.labels:
+        location.index(label)  # raises for a label the portions cannot take
     upper_label, drop_label, pool_label = config.labels
 
     def remaining(w) -> bool:

@@ -4,31 +4,33 @@ The kernel calls validate after each step, so any assertion violated by that
 step's transitionals shows up in that step's report. Violations are data, not
 exceptions; the kernel decides whether to halt or warn.
 
-The snapshot holds live state only: derive_triples reads the world's live
-portion registry, so its size tracks what is alive now, not how many
-portions the run has ever made. validate derives it once per step and groups
-it by predicate, after the permutation indexes of Hexastore (Weiss, Karras
-and Bernstein, VLDB 2008). A rule whose pattern names its predicate tries
-only the triples with that predicate; a rule with a variable predicate tries
-them all. Only the matches are sorted, by the (subject, predicate, obj) of
-the matched triple, so a rule's violations come out in the same order
-whatever the set's iteration order.
+There is one evaluator, Snapshot. It holds live state only: a build reads
+the world's live portion registry, so its size tracks what is alive now, not
+how many portions the run has ever made. Its triples are grouped by
+predicate, after the permutation indexes of Hexastore (Weiss, Karras and
+Bernstein, VLDB 2008): a rule whose pattern names its predicate tries only
+the triples with that predicate; a rule with a variable predicate tries them
+all. Only passing matches are sorted, by the (subject, predicate, obj) of the
+matched triple, so violations come out in the same order whatever the set's
+iteration order. A full recompute is a fresh Snapshot, which validate builds
+when it is given none and derive_triples reads; the independent reference
+both are checked against, a naive sort-everything evaluator, is in the tests.
 
-That full recompute is the reference. A Kernel instead keeps one Snapshot
-from step to step and hands it to validate, which then works in proportion
-to what the step changed, not to how much is alive. The world records the
-ids of entities whose triples may have changed (World.touched) and whether
-any connection changed (World.wiring_changed). A refresh re-derives only
-those, plus the pushedTo triples of the step's commit records, with the
-same per-entity helpers derive_triples uses, diffs each
-against its cached triples and updates the predicate index, as Rete does
-(Forgy 1982). Each rule keeps its passing matches: the matched triples
-whose bindings pass its check. A rule is re-evaluated in full when it is new
-or replaced, when its predicate is a variable, when its check's reads are
-unknown (reads=None), or when a predicate it reads changed. Otherwise only
-the added and removed triples of its predicate are matched and checked, as
-in differential dataflow (McSherry et al., CIDR 2013). The report equals the
-full recompute's, violation order and bindings included.
+A Kernel keeps one Snapshot from step to step, so validation works in
+proportion to what a step changed, not to how much is alive. The world
+records the ids of entities whose triples may have changed (World.touched)
+and whether any connection changed (World.wiring_changed). A build leaves
+those records alone. A refresh re-derives only those, plus the pushedTo
+triples of the step's commit records, with the build's per-entity helpers,
+diffs each against its cached triples, updates the predicate index and
+consumes the records, as Rete does (Forgy 1982). Each rule keeps its passing
+matches: the matched triples whose bindings pass its check. A rule is
+re-evaluated in full when it is new or replaced (so every rule after a
+build), when its predicate is a variable, when its check's reads are unknown
+(reads=None), or when a predicate it reads changed. Otherwise only the added
+and removed triples of its predicate are matched and checked, as in
+differential dataflow (McSherry et al., CIDR 2013). The report equals a fresh
+build's, violation order and bindings included.
 
 The reads contract. A rule's check may read its bindings; the triples of
 the predicates its rule lists in `reads`, from `triples` or from the world
@@ -220,21 +222,12 @@ def _entity_triples(world, entity_id: str) -> list[Triple]:
 
 
 def derive_triples(world) -> frozenset[Triple]:
-    """Pure snapshot of the live world in triple form.
+    """Pure snapshot of the live world in triple form: a fresh Snapshot's.
 
     Vocabulary: hasState:<var>, locatedIn, connectedTo, hasPart:<role>, and
     pushedTo for moves committed during the current step.
     """
-    triples: list[Triple] = []
-    for obj in world.objects.values():
-        triples += _object_triples(obj)
-    for portion in world.live_registry.values():
-        triples += _portion_triples(portion)
-    for sub in world.substances.values():
-        triples += _substance_triples(sub)
-    triples += _wiring_triples(world)
-    triples += _pushed_triples(world)
-    return frozenset(triples)
+    return frozenset(Snapshot(world).triples)
 
 
 def register_rule(rules: dict[str, AssertionRule], rule: AssertionRule) -> AssertionRule:
@@ -247,53 +240,27 @@ def register_rule(rules: dict[str, AssertionRule], rule: AssertionRule) -> Asser
 _by_triple = itemgetter(0)
 
 
-def _matches(pattern: TriplePattern, triples, by_predicate) -> list[dict[str, str]]:
-    """Bindings of every triple the pattern matches, in triple order."""
-    if isinstance(pattern.predicate, Var):
-        candidates = triples
-    else:
-        candidates = by_predicate.get(pattern.predicate, ())
-    found = []
-    for triple in candidates:
-        bindings = pattern.match(triple)
-        if bindings is not None:
-            found.append((triple, bindings))
-    found.sort(key=_by_triple)  # triples in a snapshot are unique
-    return [bindings for _, bindings in found]
-
-
 def validate(
     world, step_index: int, rules, policy: str = "halt", snapshot: Snapshot | None = None
 ) -> ValidationReport:
-    """Evaluate every rule against the current triple snapshot.
+    """Evaluate every rule against the live world's triples.
 
-    Without a snapshot this is a full recompute. With one, the snapshot is
-    brought up to date from the world's recorded changes and only the rules
-    those changes can affect are re-checked; the report is the same.
+    Without a snapshot this builds a fresh one: a full recompute. With one,
+    the snapshot is refreshed from the world's recorded changes and only the
+    rules those changes can affect are re-checked; the report is the same.
     """
     if policy not in POLICIES:
         raise ModelError(f"policy must be one of {POLICIES}")
     report = ValidationReport(step_index, [], policy)
     if policy == "off":
         return report
-    if snapshot is not None:
-        report.violations = snapshot.violations(world, rules)
-        return report
-    triples = derive_triples(world)
-    by_predicate: dict[str, list[Triple]] = {}
-    for triple in triples:
-        by_predicate.setdefault(triple.predicate, []).append(triple)
-    for rule in rules.values():
-        matches = _matches(rule.pattern, triples, by_predicate)
-        if rule.check is not None:
-            matches = [m for m in matches if rule.check(m, world, triples)]
-        if rule.expectation == "must_exist" and not matches:
-            report.violations.append(Violation(rule.name, {}))
-        elif rule.expectation == "must_not_exist":
-            for m in matches:
-                report.violations.append(Violation(rule.name, m))
-        elif rule.expectation == "count_in_set" and len(matches) not in rule.counts:
-            report.violations.append(Violation(rule.name, {"count": str(len(matches))}))
+    if snapshot is None:
+        snapshot = Snapshot(world)
+    elif snapshot.world is not world:
+        raise ModelError("the snapshot belongs to another world")
+    else:
+        snapshot.refresh()
+    report.violations = snapshot.violations(rules)
     return report
 
 
@@ -310,15 +277,13 @@ class _RuleState:
 class Snapshot:
     """The live triple set of one world, kept up to date from step to step.
 
-    A world's recorded changes feed one snapshot: each refresh consumes them.
-    The first refresh, and the first after the snapshot is handed a different
-    world, is a full build.
+    Building one derives every triple of its world and leaves the world's
+    recorded changes alone. Each refresh applies and consumes the changes
+    recorded since; violations re-checks against what the last refresh
+    changed, and after a build evaluates every rule in full.
     """
 
-    def __init__(self):
-        self._reset(None)
-
-    def _reset(self, world):
+    def __init__(self, world):
         self.world = world
         self.triples: set[Triple] = set()
         self.by_predicate: dict[str, set[Triple]] = {}
@@ -326,15 +291,21 @@ class Snapshot:
         self._wiring: list[Triple] = []
         self._pushed: list[Triple] = []
         self._rules: dict[str, _RuleState] = {}
+        self._apply([*world.objects, *world.live_registry, *world.substances], True)
+        # The last refresh's (added, removed) triples by predicate.
+        self._added: dict[str, list[Triple]] = {}
+        self._removed: dict[str, list[Triple]] = {}
 
-    def refresh(self, world) -> tuple[dict[str, list[Triple]], dict[str, list[Triple]]]:
-        """Apply the world's recorded changes; return (added, removed) by predicate."""
-        if self.world is not world:
-            self._reset(world)
-            ids = [*world.objects, *world.live_registry, *world.substances]
-            wiring = True
-        else:
-            ids, wiring = world.touched, world.wiring_changed
+    def refresh(self):
+        """Apply the world's recorded changes, then forget them."""
+        world = self.world
+        self._added, self._removed = self._apply(world.touched, world.wiring_changed)
+        world.clear_changes()
+
+    def _apply(self, ids, wiring: bool):
+        """Re-derive these entities, the wiring if it changed, and this step's
+        pushedTo triples; return (added, removed) by predicate."""
+        world = self.world
         added: dict[str, list[Triple]] = {}
         removed: dict[str, list[Triple]] = {}
         entities = self._entities
@@ -346,7 +317,6 @@ class Snapshot:
             elif old is not None:
                 del entities[entity_id]
             self._replace(old, new, added, removed)
-        world.clear_changes()
         if wiring:
             new = _wiring_triples(world)
             self._replace(self._wiring, new, added, removed)
@@ -396,18 +366,18 @@ class Snapshot:
             else:
                 batch.append(triple)
 
-    def _check_into(self, passing: dict, rule: AssertionRule, world, candidates) -> dict:
+    def _check_into(self, passing: dict, rule: AssertionRule, candidates) -> dict:
         """Add each candidate the rule's pattern matches and its check passes."""
-        pattern, check, triples = rule.pattern, rule.check, self.triples
+        pattern, check, world, triples = rule.pattern, rule.check, self.world, self.triples
         for triple in candidates:
             bindings = pattern.match(triple)
             if bindings is not None and (check is None or check(bindings, world, triples)):
                 passing[triple] = bindings
         return passing
 
-    def violations(self, world, rules) -> list[Violation]:
-        """Refresh, re-check the affected rules, and report like validate."""
-        added, removed = self.refresh(world)
+    def violations(self, rules) -> list[Violation]:
+        """Re-check the rules the last refresh's changes can affect, and report."""
+        added, removed = self._added, self._removed
         changed = added.keys() | removed.keys()
         states = self._rules
         for key in [k for k in states if k not in rules]:
@@ -426,12 +396,12 @@ class Snapshot:
                 or not reads.isdisjoint(changed)
             ):
                 candidates = self.by_predicate.get(predicate, ()) if ground else self.triples
-                passing = self._check_into({}, rule, world, candidates)
+                passing = self._check_into({}, rule, candidates)
                 state = states[key] = _RuleState(rule, passing)
             elif predicate in changed:
                 for triple in removed.get(predicate, ()):
                     state.passing.pop(triple, None)
-                self._check_into(state.passing, rule, world, added.get(predicate, ()))
+                self._check_into(state.passing, rule, added.get(predicate, ()))
             passing = state.passing
             if rule.expectation == "must_exist":
                 if not passing:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from semsim import Mechanism, Trigger, World, cli
 from semsim.cli import (
     EXIT_CONFIG,
     EXIT_HALTED,
@@ -15,7 +16,9 @@ from semsim.cli import (
     run_command,
 )
 from semsim.modelfile import save_model, save_model_file
-from semsim.models import build_cardio, build_waterfall
+from semsim.engine import register_mechanism, register_trigger
+from semsim.models import build_cardio, build_waterfall, build_waterfall_from_frames
+from semsim.world import Vocabulary
 
 
 def run_cli(args, cwd):
@@ -441,6 +444,96 @@ def test_malformed_water_flowing_params_fail_at_load(tmp_path, capsys, param, va
     args = ["run", "--model", str(path), "--steps", "2", "--trace", str(tmp_path / "t")]
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def assert_refused_at_load(tmp_path, capsys, data, message):
+    """validate-file and run both refuse the model file with this message."""
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate-file", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"invalid: {message}"
+    args = ["run", "--model", str(path), "--steps", "2", "--trace", str(tmp_path / "t")]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def _drop_water_portion_kind(data):
+    data["kinds"] = [k for k in data["kinds"] if k["name"] != "WaterPortion"]
+
+
+def _drop_location_space(data):
+    data["kinds"][0]["state_spaces"] = []
+
+
+@pytest.mark.parametrize(
+    "breach, diagnosis",
+    [
+        (
+            lambda data: data["mechanisms"][0]["params"].update(labels=["upper", "drop", "lake"]),
+            "label 'lake' is outside the 'Location' space ['null', 'upper', 'drop', 'pool']",
+        ),
+        (_drop_water_portion_kind, "no kind 'WaterPortion'"),
+        (_drop_location_space, "kind 'WaterPortion' has no 'Location' space"),
+    ],
+    ids=["unknown-label", "no-kind", "no-location-space"],
+)
+def test_water_flowing_labels_are_checked_at_load(tmp_path, capsys, breach, diagnosis):
+    data = save_model(build_waterfall(n_portions=2))
+    assert data["kinds"][0]["name"] == "WaterPortion"
+    breach(data)
+    assert_refused_at_load(tmp_path, capsys, data, f"mechanisms[0]: {diagnosis}")
+
+
+@pytest.mark.parametrize(
+    "param, value, diagnosis",
+    [
+        ("n_portions", "3", "malformed entry: n_portions must be an int >= 0, not '3'"),
+        ("n_portions", -1, "malformed entry: n_portions must be an int >= 0, not -1"),
+        ("binding", -1, "binding index -1 out of range"),
+        ("binding", 1, "binding index 1 out of range"),
+        ("binding", True, "binding index True out of range"),
+        ("binding", "0", "binding index '0' out of range"),
+    ],
+)
+def test_malformed_fluidic_motion_params_fail_at_load(tmp_path, capsys, param, value, diagnosis):
+    world, _ = build_waterfall_from_frames(n_portions=2)
+    data = save_model(world)
+    assert data["mechanisms"][0]["builtin"] == "fluidic_motion"
+    assert len(data["bindings"]) == 1
+    data["mechanisms"][0]["params"][param] = value
+    assert_refused_at_load(tmp_path, capsys, data, f"mechanisms[0]: {diagnosis}")
+
+
+def _world_that_faults_at_tick_2():
+    world = World("faulty")
+    world.vocabulary = Vocabulary(literals=frozenset({"melting"}))
+    world.define_substance("water", phase="solid")
+
+    def melt(ctx):
+        ctx.emit("melting")
+        ctx.set_state("water", "phase", "plasma")  # not a phase: StateError
+
+    register_mechanism(world, Mechanism("Melt", guard=(), effect=melt))
+    register_trigger(world, Trigger("Sun", period=100, target="Melt", phase=2))
+    return world
+
+
+def test_a_fault_inside_a_step_exits_1_and_keeps_the_steps_before_it(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "resolve_model", lambda config: _world_that_faults_at_tick_2())
+    trace = tmp_path / "faulty.trace"
+    config = RunConfig(model="faulty", steps=5, trace_path=str(trace))
+    assert run_command(config) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        "error: label 'plasma' is outside the 'phase' space ['solid', 'liquid', 'gas']"
+    )
+    # The failed step's trace event is kept; its report never finished.
+    assert trace.read_text() == "melting\n"
+    report = json.loads((tmp_path / "faulty.trace.report.json").read_text())
+    assert report["exit_code"] == EXIT_CONFIG
+    assert report["steps_executed"] == 2
+    assert [r["step"] for r in report["reports"]] == [0, 1]
 
 
 def test_concurrent_runs_with_one_seed_write_identical_traces(tmp_path):

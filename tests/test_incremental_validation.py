@@ -1,9 +1,10 @@
-"""The kernel's incremental validation against the full recompute.
+"""The kernel's incremental validation against the independent reference.
 
 A kernel keeps one triple snapshot from step to step and re-checks only the
 rules a step's changes can affect. After every step of a random schedule,
-its report must equal the standalone validate (violation order and bindings
-included) and its snapshot must equal derive_triples.
+its report must equal the naive reference evaluator's over the reference
+triples (violation order and bindings included), and its snapshot and
+predicate index must hold exactly those triples.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,11 @@ from semsim.scenarios import (
     set_ambient,
     set_state,
 )
-from semsim.validation import AssertionRule, derive_triples, validate
+from semsim.errors import ModelError
+from semsim.validation import AssertionRule, Snapshot, derive_triples, validate
 from semsim.world import Vocabulary
+
+from reference import as_items, reference_triples, reference_violations
 
 
 def _even_snapshot(bindings, world, triples):
@@ -70,14 +74,14 @@ def violations(items):
 
 def assert_kernel_matches_full_recompute(kernel, report):
     world = kernel.world
-    expected = validate(world, report.step, kernel.rules, kernel.validate_policy)
     own = report.validation.violations[len(kernel._wiring_errors):]
-    assert violations(own) == violations(expected.violations)
     if kernel.validate_policy == "off":
+        assert own == []
         assert kernel.snapshot is None
         return
+    triples = reference_triples(world)
+    assert as_items(own) == reference_violations(world, triples, kernel.rules)
     snapshot = kernel.snapshot
-    triples = derive_triples(world)
     assert snapshot.triples == triples
     grouped = {}
     for triple in triples:
@@ -276,6 +280,37 @@ def test_validation_off_keeps_no_snapshot_and_rebuilds_on_return():
     kernel.validate_policy = "halt"
     report = kernel.step()
     assert_kernel_matches_full_recompute(kernel, report)
+
+
+def test_a_standalone_full_build_leaves_the_kernels_change_records():
+    world = build_cardio()
+    kernel = Kernel(world, validate_policy="halt")
+    standard_rules(kernel)
+    kernel.step()  # the heartbeat at tick 0; the next is at tick 4
+    portion = next(p for p in world.live_registry.values() if p.compartment is not None
+                   and p.substance == "blood")
+    target = next(c for c, comp in sorted(world.compartments.items())
+                  if comp.medium == "blood_path" and c != portion.compartment)
+    world.place_portion(portion.id, target)
+    touched = set(world.touched)
+    assert portion.id in touched
+
+    standalone = validate(world, kernel.tick, kernel.rules)
+    triples = reference_triples(world)
+    assert derive_triples(world) == triples
+    assert as_items(standalone.violations) == reference_violations(world, triples, kernel.rules)
+    assert world.touched == touched and not world.wiring_changed
+
+    report = kernel.step()  # moves nothing, so only the records show the placement
+    assert [v.rule for v in report.validation.violations] == ["compartment-capacity"] * 2
+    assert (portion.id, "locatedIn", target) in kernel.snapshot.triples
+    assert_kernel_matches_full_recompute(kernel, report)
+
+
+def test_a_snapshot_validates_only_its_own_world():
+    snapshot = Snapshot(build_cardio())
+    with pytest.raises(ModelError, match="another world"):
+        validate(build_cardio(), 0, {}, "halt", snapshot)
 
 
 def test_match_calls_per_step_stay_flat_as_the_pool_grows(monkeypatch):

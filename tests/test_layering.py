@@ -7,6 +7,10 @@ that triples can see in `touched`. A module that assigned `.compartment`,
 could break the rule or hide a change from the incremental validation
 snapshot. The model-file loader is the one other module that fills a
 contents list, while it builds a world, and it checks what it fills.
+
+Only a snapshot's refresh and the kernel's step consume those records. A
+full build (a fresh Snapshot, as validate without a snapshot and
+derive_triples make) must leave them for the kernel's snapshot.
 """
 import ast
 from pathlib import Path
@@ -15,6 +19,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semsim"
 OWNED_FIELDS = {"compartment", "alive", "contents"}
 LIST_EDITS = {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
 LOADER_WRITES = {"edits .contents"}
+CHANGE_CONSUMERS = {("validation.py", "Snapshot.refresh"), ("engine.py", "Kernel.step")}
 
 
 def _assigned(target):
@@ -104,3 +109,43 @@ portion.location_state = comp.name
         (7, "calls .touched.update"),
         (8, "edits .contents"),
     ]
+
+
+def clear_changes_uses(source: str):
+    """(line, enclosing class and function) for every use of clear_changes."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "clear_changes":
+                found.append((child.lineno, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_refresh_and_the_kernel_step_consume_change_records():
+    uses = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        for line, scope in clear_changes_uses(path.read_text(encoding="utf-8")):
+            uses.append((module, scope))
+            assert (module, scope) in CHANGE_CONSUMERS, f"{module}:{line}: {scope}"
+    assert set(uses) == CHANGE_CONSUMERS
+
+
+def test_the_guard_sees_each_use_of_clear_changes():
+    source = """
+class Snapshot:
+    def __init__(self, world):
+        world.clear_changes()
+
+def build(world):
+    forget = world.clear_changes
+    forget()
+"""
+    assert clear_changes_uses(source) == [(4, "Snapshot.__init__"), (7, "build")]

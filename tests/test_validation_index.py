@@ -1,11 +1,11 @@
 """The predicate-indexed validator against the algorithm it replaced.
 
-The reference evaluator below is the original one: sort the whole snapshot
-by (subject, predicate, obj) and try every rule's pattern on every triple.
-The indexed validator must report the same violations in the same order,
-bindings included. The live-portion registry must always equal the live
-subset of the portion history, in birth order, and each compartment's
-contents the live portions placed there.
+The reference evaluator (tests/reference.py) is the original one: sort the
+whole snapshot by (subject, predicate, obj) and try every rule's pattern on
+every triple. The indexed validator must report the same violations in the
+same order, bindings included. The live-portion registry must always equal
+the live subset of the portion history, in birth order, and each
+compartment's contents the live portions placed there.
 """
 from unittest import mock
 
@@ -17,71 +17,7 @@ from semsim.modelfile import load_model, load_model_file, save_model, save_model
 from semsim.models import build_cardio, build_waterfall
 from semsim.validation import EXPECTATIONS, AssertionRule, derive_triples, validate
 
-
-def reference_match(pattern, triple):
-    bindings = {}
-    for term, value in (
-        (pattern.subject, triple.subject),
-        (pattern.predicate, triple.predicate),
-        (pattern.obj, triple.obj),
-    ):
-        if isinstance(term, Var):
-            if bindings.get(term.name, value) != value:
-                return None
-            bindings[term.name] = value
-        elif term != value:
-            return None
-    return bindings
-
-
-def reference_violations(world, triples, rules):
-    ordered = sorted(triples, key=lambda t: (t.subject, t.predicate, t.obj))
-    out = []
-    for rule in rules.values():
-        matches = [m for m in (reference_match(rule.pattern, t) for t in ordered) if m is not None]
-        if rule.check is not None:
-            matches = [m for m in matches if rule.check(m, world, triples)]
-        if rule.expectation == "must_exist" and not matches:
-            out.append((rule.name, []))
-        elif rule.expectation == "must_not_exist":
-            out.extend((rule.name, list(m.items())) for m in matches)
-        elif rule.expectation == "count_in_set" and len(matches) not in rule.counts:
-            out.append((rule.name, [("count", str(len(matches)))]))
-    return out
-
-
-def reference_triples(world):
-    """The original snapshot: every portion ever made, filtered by alive."""
-    triples = set()
-    for obj in world.objects.values():
-        if not obj.alive:
-            continue
-        for var, label in obj.states.items():
-            triples.add(Triple(obj.id, f"hasState:{var}", label))
-        for prop, value in obj.properties.items():
-            triples.add(Triple(obj.id, f"hasState:{prop}", value.level))
-        for role, child in obj.parts:
-            triples.add(Triple(obj.id, f"hasPart:{role}", child))
-    for portion in world.portions.values():
-        if not portion.alive:
-            continue
-        triples.add(Triple(portion.id, "hasState:Location", portion.location_state))
-        for prop, value in portion.properties.items():
-            triples.add(Triple(portion.id, f"hasState:{prop}", value.level))
-        if portion.compartment is not None:
-            triples.add(Triple(portion.id, "locatedIn", portion.compartment))
-    for sub in world.substances.values():
-        triples.add(Triple(sub.name, "hasState:phase", sub.phase))
-    for conn in world.connections.values():
-        triples.add(Triple(conn.from_id, "connectedTo", conn.to_id))
-    for record in world.last_commits:
-        for _portion, src, dst in record.applied:
-            triples.add(Triple(src, "pushedTo", dst))
-    return frozenset(triples)
-
-
-def violations(report):
-    return [(v.rule, list(v.bindings.items())) for v in report.violations]
+from reference import as_items, reference_triples, reference_violations
 
 
 # ----------------------------------------------------------------------
@@ -150,9 +86,12 @@ def rule_sets(draw):
 @given(triples=triple_sets, rules=rule_sets())
 def test_indexed_validation_equals_full_scan(triples, rules):
     world = World("snapshot")
-    with mock.patch("semsim.validation.derive_triples", return_value=triples):
+    # An empty world whose only triples are these, fed in where a build
+    # reads the wiring.
+    with mock.patch("semsim.validation._wiring_triples", return_value=list(triples)):
+        assert derive_triples(world) == triples
         report = validate(world, 0, rules)
-    assert violations(report) == reference_violations(world, triples, rules)
+    assert as_items(report.violations) == reference_violations(world, triples, rules)
 
 
 def test_repeated_variable_pattern_binds_once():
@@ -200,7 +139,7 @@ def test_model_runs_validate_like_full_scan(ticks, model):
         triples = reference_triples(world)
         assert derive_triples(world) == triples
         report = validate(world, kernel.tick, rules)
-        assert violations(report) == reference_violations(world, triples, rules)
+        assert as_items(report.violations) == reference_violations(world, triples, rules)
 
 
 # ----------------------------------------------------------------------

@@ -174,6 +174,8 @@ def console_command(config: RunConfig, inp=None, out=None) -> int:
     console = Console(world, kernel, planned_steps(world, config), out=out, inp=inp)
     console.run()
     exit_code = EXIT_HALTED if kernel.halted else EXIT_OK
+    if console.fault is not None:  # a step raised, as in run_command
+        exit_code = EXIT_CONFIG
     write_outputs(kernel, config, exit_code)
     return exit_code
 

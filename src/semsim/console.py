@@ -134,12 +134,30 @@ class Console:
         self.remaining = steps
         self.out = out or sys.stdout
         self.inp = inp or sys.stdin
+        self.fault: SemsimError | None = None  # a step raised; stepping is over
 
     def _print(self, text: str):
         print(text, file=self.out)
 
+    def _step(self):
+        """One kernel step. A step that raises leaves the world part-way
+        through it, so the session takes no further steps."""
+        try:
+            return self.kernel.step()
+        except SemsimError as exc:
+            self.fault = exc
+            raise
+
+    def _stopped_by_fault(self) -> bool:
+        """Whether a step has raised; says so when one has."""
+        if self.fault is not None:
+            self._print(f"stopped: step {self.kernel.tick} raised: {self.fault}")
+        return self.fault is not None
+
     def _advance(self, k: int):
         for _ in range(k):
+            if self._stopped_by_fault():
+                return
             if self.kernel.halted:
                 self._print(f"halted at step {self.kernel.halted_at}")
                 return
@@ -148,17 +166,18 @@ class Console:
                     self._print("step budget exhausted")
                     return
                 self.remaining -= 1
-            report = self.kernel.step()
-            self._print(report.describe())
+            self._print(self._step().describe())
 
     def _resume(self):
+        if self._stopped_by_fault():
+            return
         if self.remaining is None:
             self._print("no step budget; use `step [k]`, or restart with --steps")
             return
         while not self.kernel.halted and self.remaining > 0:
             self.remaining -= 1
             try:
-                self.kernel.step()
+                self._step()
             except KeyboardInterrupt:
                 break
         self._print(f"paused at step {self.kernel.tick}")

@@ -20,12 +20,16 @@ Two execution modes:
 Validation after each step is incremental: the kernel owns one
 validation.Snapshot and refreshes it from the world's recorded changes.
 With the policy off it keeps none and only clears those records.
+
+A step's record is published whole: its StepReport, trace events included,
+joins Kernel.reports only when the step finishes, and Kernel.trace reads the
+events from those reports. A step that raises publishes nothing.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import topology, validation
 from .errors import (
@@ -144,7 +148,11 @@ class StepReport:
         return text
 
 
-def register_mechanism(world: World, mechanism: Mechanism) -> Mechanism:
+def register_mechanism(
+    world: World, mechanism: Mechanism, builtin: str | None = None, params: dict | None = None
+) -> Mechanism:
+    """Add a mechanism; one built by a builtin factory also records the spec
+    a model file rebuilds it from."""
     if mechanism.name in world.mechanisms:
         raise DuplicateNameError(f"mechanism {mechanism.name!r} already registered")
     if mechanism.on_signal is not None and mechanism.on_signal not in world.compartments:
@@ -158,6 +166,12 @@ def register_mechanism(world: World, mechanism: Mechanism) -> Mechanism:
                 f"mechanism {mechanism.name!r} references unknown element {ref!r}"
             )
     world.mechanisms[mechanism.name] = mechanism
+    if builtin is not None:
+        world.mechanism_specs.append({
+            "name": mechanism.name,
+            "builtin": builtin,
+            "params": {k: v for k, v in (params or {}).items() if k != "name"},
+        })
     return mechanism
 
 
@@ -285,7 +299,7 @@ def send_signal(kernel: "Kernel", signal: Signal) -> Signal:
 
 
 class Kernel:
-    """Owns the tick counter, the trace, and the per-step reports."""
+    """Owns the tick counter and the per-step reports, which hold the trace."""
 
     def __init__(
         self,
@@ -304,18 +318,25 @@ class Kernel:
         self.include_side_effects = include_side_effects
         self.rng = random.Random(seed)
         self.tick = 0
-        self.trace: list[TraceEvent] = []
         self.reports: list[StepReport] = []
         self.rules: dict[str, validation.AssertionRule] = {}
         self.pending_signals: list[tuple[int, Signal]] = []
         self.pending_batches: list[MoveBatch] = []
-        self.halted = False
         self.halted_at: int | None = None
         self.current_report = StepReport(step=0)
         self.snapshot: validation.Snapshot | None = None  # None while validation is off
         self._wiring_errors: list[tuple[str, str]] = []
 
     # ------------------------------------------------------------------
+
+    @property
+    def halted(self) -> bool:
+        return self.halted_at is not None
+
+    @property
+    def trace(self) -> Iterator[TraceEvent]:
+        """The finished steps' trace events, in order."""
+        return (event for report in self.reports for event in report.traces)
 
     def add_rule(self, rule: validation.AssertionRule):
         return validation.register_rule(self.rules, rule)
@@ -327,9 +348,7 @@ class Kernel:
                 f"line {line!r} is not in the declared vocabulary of "
                 f"{self.world.name!r}"
             )
-        event = TraceEvent(self.tick, canonical)
-        self.trace.append(event)
-        self.current_report.traces.append(event)
+        self.current_report.traces.append(TraceEvent(self.tick, canonical))
 
     def trace_lines(self) -> list[str]:
         return [e.line for e in self.trace]
@@ -417,7 +436,6 @@ class Kernel:
         self.reports.append(report)
 
         if self.validate_policy == "halt" and report.validation.violations:
-            self.halted = True
             self.halted_at = self.tick
         self.tick += 1
         return report

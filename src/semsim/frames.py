@@ -201,7 +201,7 @@ def instantiate_fluidic_motion(
     mech_name = name or f"Flow({fluid})"
 
     if isinstance(path, PathSpec):
-        mech = _coordinate_flow(world, binding, mech_name, fluid, path, n_portions, portion_kind)
+        mech = _coordinate_flow(binding, mech_name, fluid, path, n_portions, portion_kind)
     else:
         circuit = None
         if isinstance(path, Circuit):
@@ -209,7 +209,7 @@ def instantiate_fluidic_motion(
         elif isinstance(path, str) and path in world.circuits:
             circuit = world.circuits[path]
         if circuit is not None:
-            mech = _circuit_flow(world, mech_name, fluid, circuit)
+            mech = _circuit_flow(mech_name, fluid, circuit)
         else:
             source = binding.element_map.get("Source")
             goal = binding.element_map.get("Goal")
@@ -220,22 +220,31 @@ def instantiate_fluidic_motion(
                     "binding satisfies neither path mode: need a PathSpec, a "
                     "declared circuit, or Source/Goal compartments"
                 )
+    register_mechanism(world, mech, "fluidic_motion", {
+        "binding": world.bindings.index(binding),
+        "n_portions": n_portions,
+        "portion_kind": portion_kind,
+    })
     binding.produced_mechanism = mech.name
-    world.mechanism_specs.append(
-        {
-            "name": mech.name,
-            "builtin": "fluidic_motion",
-            "params": {
-                "binding": world.bindings.index(binding),
-                "n_portions": n_portions,
-                "portion_kind": portion_kind,
-            },
-        }
-    )
     return mech
 
 
-def _coordinate_flow(world, binding, mech_name, fluid, path, n_portions, portion_kind):
+def fluidic_motion(world: World, params: dict) -> Mechanism:
+    """Factory for a model file's Fluidic_Motion mechanism: params name the
+    binding by its index in world.bindings."""
+    idx = params.get("binding", 0)
+    if type(idx) is not int or not 0 <= idx < len(world.bindings):
+        raise ModelError(f"binding index {idx!r} out of range")
+    return instantiate_fluidic_motion(
+        world,
+        world.bindings[idx],
+        name=params.get("name"),
+        n_portions=params.get("n_portions"),
+        portion_kind=params.get("portion_kind"),
+    )
+
+
+def _coordinate_flow(binding, mech_name, fluid, path, n_portions, portion_kind):
     goal = binding.element_map.get("Goal")
     goal_label = goal if isinstance(goal, str) else "pool"
 
@@ -275,32 +284,26 @@ def _coordinate_flow(world, binding, mech_name, fluid, path, n_portions, portion
                 state["portion"] = None
                 state["index"] += 1
 
-    return register_mechanism(
-        world,
-        Mechanism(
-            mech_name,
-            guard=(_fluid_guard(fluid), Condition("portions remain", remaining)),
-            effect=effect,
-            subsystem="flow",
-            requires=(fluid,),
-        ),
+    return Mechanism(
+        mech_name,
+        guard=(_fluid_guard(fluid), Condition("portions remain", remaining)),
+        effect=effect,
+        subsystem="flow",
+        requires=(fluid,),
     )
 
 
-def _circuit_flow(world, mech_name, fluid, circuit):
+def _circuit_flow(mech_name, fluid, circuit):
     def effect(ctx):
         batch = ctx.ring_push(circuit)
         ctx.commit(batch, circuit=circuit)
 
-    return register_mechanism(
-        world,
-        Mechanism(
-            mech_name,
-            guard=(_fluid_guard(fluid),),
-            effect=effect,
-            subsystem="flow",
-            requires=(fluid, circuit.name),
-        ),
+    return Mechanism(
+        mech_name,
+        guard=(_fluid_guard(fluid),),
+        effect=effect,
+        subsystem="flow",
+        requires=(fluid, circuit.name),
     )
 
 
@@ -315,13 +318,10 @@ def _hop_flow(world, mech_name, fluid, source, goal):
         portion = ctx.world.occupant(source)
         ctx.move(portion.id, source, goal)
 
-    return register_mechanism(
-        world,
-        Mechanism(
-            mech_name,
-            guard=(_fluid_guard(fluid), Condition(f"{source} occupied", occupied)),
-            effect=effect,
-            subsystem="flow",
-            requires=(fluid, source, goal),
-        ),
+    return Mechanism(
+        mech_name,
+        guard=(_fluid_guard(fluid), Condition(f"{source} occupied", occupied)),
+        effect=effect,
+        subsystem="flow",
+        requires=(fluid, source, goal),
     )

@@ -26,7 +26,6 @@ from .entities import (
 )
 from .errors import SchemaError, SemsimError
 from .frames import FrameBinding, PathSegment, PathSpec, define_frame, add_lexical_entry
-from .frames import instantiate_fluidic_motion
 from .world import Vocabulary, World
 
 FORMAT = "semsim-model"
@@ -411,22 +410,12 @@ def load_model(data: dict) -> World:
     for loc, spec in _entries(data, "mechanisms"):
         with _diagnosed(loc):
             builtin = spec.get("builtin")
-            params = dict(spec.get("params", {}))
-            if builtin == "fluidic_motion":
-                idx = params.get("binding", 0)
-                if type(idx) is not int or not 0 <= idx < len(world.bindings):
-                    raise SchemaError(f"binding index {idx!r} out of range", loc)
-                instantiate_fluidic_motion(
-                    world,
-                    world.bindings[idx],
-                    name=spec.get("name"),
-                    n_portions=params.get("n_portions"),
-                    portion_kind=params.get("portion_kind"),
-                )
-            elif builtin in models.BUILTIN_MECHANISMS:
-                models.BUILTIN_MECHANISMS[builtin](world, params)
-            else:
+            if builtin not in models.BUILTIN_MECHANISMS:
                 raise SchemaError(f"unknown builtin mechanism {builtin!r}", loc)
+            params = dict(spec.get("params", {}))
+            if "name" in spec:
+                params["name"] = spec["name"]
+            models.BUILTIN_MECHANISMS[builtin](world, params)
 
     for loc, t in _entries(data, "triggers"):
         with _diagnosed(loc):

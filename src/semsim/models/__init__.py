@@ -1,6 +1,7 @@
 """Reference models and the registry of model/mechanism builders by name."""
 from __future__ import annotations
 
+from ..frames import fluidic_motion
 from .cardio import (
     BLOOD_ORDER,
     CardioConfig,
@@ -34,6 +35,7 @@ BUILTIN_MECHANISMS = {
     "mix_external_air": mix_external_air,
     "water_flowing": water_flowing_mechanism,
     "freeze_watch": freeze_watch_mechanism,
+    "fluidic_motion": fluidic_motion,
 }
 
 

@@ -112,11 +112,7 @@ def heartbeat_push(world: World, params: dict) -> Mechanism:
         subsystem="circulation",
         requires=(circuit_name,),
     )
-    register_mechanism(world, mech)
-    world.mechanism_specs.append(
-        {"name": mech.name, "builtin": "heartbeat_push", "params": dict(params)}
-    )
-    return mech
+    return register_mechanism(world, mech, "heartbeat_push", params)
 
 
 def gas_exchange_alv(world: World, params: dict) -> Mechanism:
@@ -148,11 +144,7 @@ def gas_exchange_alv(world: World, params: dict) -> Mechanism:
         subsystem="diffusion",
         requires=(blood_at, air_at),
     )
-    register_mechanism(world, mech)
-    world.mechanism_specs.append(
-        {"name": mech.name, "builtin": "gas_exchange_alv", "params": dict(params)}
-    )
-    return mech
+    return register_mechanism(world, mech, "gas_exchange_alv", params)
 
 
 def cell_respiration(world: World, params: dict) -> Mechanism:
@@ -182,11 +174,7 @@ def cell_respiration(world: World, params: dict) -> Mechanism:
         subsystem="diffusion",
         requires=(blood_at,),
     )
-    register_mechanism(world, mech)
-    world.mechanism_specs.append(
-        {"name": mech.name, "builtin": "cell_respiration", "params": dict(params)}
-    )
-    return mech
+    return register_mechanism(world, mech, "cell_respiration", params)
 
 
 def diffusion_check(world: World, params: dict) -> Mechanism:
@@ -203,11 +191,7 @@ def diffusion_check(world: World, params: dict) -> Mechanism:
         effect=effect,
         subsystem="diffusion",
     )
-    register_mechanism(world, mech)
-    world.mechanism_specs.append(
-        {"name": mech.name, "builtin": "diffusion_check", "params": dict(params)}
-    )
-    return mech
+    return register_mechanism(world, mech, "diffusion_check", params)
 
 
 def medulla_sense(world: World, params: dict) -> Mechanism:
@@ -229,11 +213,7 @@ def medulla_sense(world: World, params: dict) -> Mechanism:
         subsystem="respiration",
         requires=(blood_at, nerve_from, nerve_to),
     )
-    register_mechanism(world, mech)
-    world.mechanism_specs.append(
-        {"name": mech.name, "builtin": "medulla_sense", "params": dict(params)}
-    )
-    return mech
+    return register_mechanism(world, mech, "medulla_sense", params)
 
 
 def inhale_cycle(world: World, params: dict) -> Mechanism:
@@ -292,11 +272,7 @@ def inhale_cycle(world: World, params: dict) -> Mechanism:
         on_signal=params.get("on_signal", "Diaphragm"),
         requires=(external, nose, alv, diaphragm),
     )
-    register_mechanism(world, mech)
-    world.mechanism_specs.append(
-        {"name": mech.name, "builtin": "inhale_cycle", "params": dict(params)}
-    )
-    return mech
+    return register_mechanism(world, mech, "inhale_cycle", params)
 
 
 def mix_external_air(world: World, params: dict) -> Mechanism:
@@ -320,11 +296,7 @@ def mix_external_air(world: World, params: dict) -> Mechanism:
         subsystem="respiration",
         requires=(external,),
     )
-    register_mechanism(world, mech)
-    world.mechanism_specs.append(
-        {"name": mech.name, "builtin": "mix_external_air", "params": dict(params)}
-    )
-    return mech
+    return register_mechanism(world, mech, "mix_external_air", params)
 
 
 # ----------------------------------------------------------------------

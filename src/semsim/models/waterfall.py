@@ -98,11 +98,7 @@ def water_flowing_mechanism(world: World, params: dict) -> Mechanism:
         subsystem="flow",
         requires=("water",),
     )
-    register_mechanism(world, mech)
-    world.mechanism_specs.append(
-        {"name": mech.name, "builtin": "water_flowing", "params": dict(params)}
-    )
-    return mech
+    return register_mechanism(world, mech, "water_flowing", params)
 
 
 def freeze_watch_mechanism(world: World, params: dict) -> Mechanism:
@@ -128,11 +124,7 @@ def freeze_watch_mechanism(world: World, params: dict) -> Mechanism:
         subsystem="ambient",
         requires=(substance,),
     )
-    register_mechanism(world, mech)
-    world.mechanism_specs.append(
-        {"name": mech.name, "builtin": "freeze_watch", "params": dict(params)}
-    )
-    return mech
+    return register_mechanism(world, mech, "freeze_watch", params)
 
 
 def _base_world(config: WaterfallConfig, name: str) -> World:

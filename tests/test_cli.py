@@ -528,11 +528,36 @@ def test_a_fault_inside_a_step_exits_1_and_keeps_the_steps_before_it(
     assert capsys.readouterr().err.strip() == (
         "error: label 'plasma' is outside the 'phase' space ['solid', 'liquid', 'gas']"
     )
-    # The failed step's trace event is kept; its report never finished.
-    assert trace.read_text() == "melting\n"
+    # The failed step never finished, so neither its report nor the trace
+    # event it emitted before the fault is written.
+    assert trace.read_text() == ""
     report = json.loads((tmp_path / "faulty.trace.report.json").read_text())
     assert report["exit_code"] == EXIT_CONFIG
     assert report["steps_executed"] == 2
+    assert [r["step"] for r in report["reports"]] == [0, 1]
+
+
+def test_the_console_takes_no_step_after_a_step_raised(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "resolve_model", lambda config: _world_that_faults_at_tick_2())
+    trace = tmp_path / "faulty.trace"
+    config = RunConfig(model="faulty", steps=10, trace_path=str(trace))
+    out = io.StringIO()
+    inp = io.StringIO("step 3\nstep\nstep\nresume\ninspect water.phase\nquit\n")
+    assert console_command(config, inp=inp, out=out) == EXIT_CONFIG
+    fault = "label 'plasma' is outside the 'phase' space ['solid', 'liquid', 'gas']"
+    lines = out.getvalue().splitlines()
+    assert lines[1:] == [
+        "step 0: fired=- violations=0",
+        "step 1: fired=- violations=0",
+        f"error: {fault}",
+        f"stopped: step 2 raised: {fault}",
+        f"stopped: step 2 raised: {fault}",
+        f"stopped: step 2 raised: {fault}",
+        "solid",
+    ]
+    assert trace.read_text() == ""
+    report = json.loads((tmp_path / "faulty.trace.report.json").read_text())
+    assert report["exit_code"] == EXIT_CONFIG
     assert [r["step"] for r in report["reports"]] == [0, 1]
 
 

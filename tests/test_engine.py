@@ -1,7 +1,14 @@
 import pytest
 
 from semsim import Condition, Kernel, Mechanism, Signal, StateSpace, Trigger, World
-from semsim.engine import fire, guard_report, register_mechanism, register_trigger, send_signal
+from semsim.engine import (
+    TraceEvent,
+    fire,
+    guard_report,
+    register_mechanism,
+    register_trigger,
+    send_signal,
+)
 from semsim.errors import (
     CapacityExceeded,
     DuplicateNameError,
@@ -208,6 +215,41 @@ def test_trace_vocabulary_enforced():
     kernel = Kernel(w)
     with pytest.raises(TraceVocabularyError):
         kernel.step()
+
+
+def test_a_step_that_raises_publishes_none_of_its_events():
+    w = counter_world()
+
+    def ping_then_fault(ctx):
+        ctx.emit("ping")
+        if ctx.kernel.tick == 1:
+            ctx.emit("undeclared line")
+
+    register_mechanism(w, Mechanism("pinger", guard=(), effect=ping_then_fault))
+    register_trigger(w, Trigger("t", period=1, target="pinger"))
+    kernel = Kernel(w)
+    kernel.step()
+    with pytest.raises(TraceVocabularyError):
+        kernel.step()
+    assert [(e.step, e.line) for e in kernel.trace] == [(0, "ping")]
+    assert [r.step for r in kernel.reports] == [0]
+    assert [(e.step, e.line) for e in kernel.current_report.traces] == [(1, "ping")]
+
+
+def test_the_trace_and_the_halt_are_each_stored_once():
+    w = build_cardio()
+    w.place_portion("air-nose", "RightAtrium")  # two portions in one chamber: a violation
+    kernel = Kernel(w)
+    standard_rules(kernel)
+    kernel.run(5)
+    assert kernel.halted and kernel.halted_at == 0 and len(kernel.reports) == 1
+    with pytest.raises(AttributeError):
+        kernel.halted = False
+    assert list(kernel.trace) == [e for r in kernel.reports for e in r.traces] != []
+    assert not any(
+        isinstance(value, list) and any(isinstance(x, TraceEvent) for x in value)
+        for value in vars(kernel).values()
+    )
 
 
 def test_leftover_staged_batch_commits_at_step_end():

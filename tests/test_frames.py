@@ -246,5 +246,6 @@ def test_circuit_flow_equivalent_to_heartbeat_for_one_hop(cardio_world):
     }
     assert all(len(contents) == 1 for contents in moved.values())
     assert moved != {k: v for k, v in snapshot_before.items() if k in moved}
-    pushes = [l for l in kernel.trace_lines() if l.startswith("pushed")]
+    # A direct fire() runs outside a step: its events stay on the open report.
+    pushes = [e.line for e in kernel.current_report.traces if e.line.startswith("pushed")]
     assert len(pushes) == 7

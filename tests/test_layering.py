@@ -11,6 +11,11 @@ contents list, while it builds a world, and it checks what it fills.
 Only a snapshot's refresh and the kernel's step consume those records. A
 full build (a fresh Snapshot, as validate without a snapshot and
 derive_triples make) must leave them for the kernel's snapshot.
+
+Two more facts have one writer each. A builtin mechanism's spec is recorded
+by register_mechanism, so a model file names the mechanism a factory built.
+A step's trace events are kept on its StepReport, appended by
+Kernel.emit_trace, so the trace lists exactly the finished steps' events.
 """
 import ast
 from pathlib import Path
@@ -20,6 +25,10 @@ OWNED_FIELDS = {"compartment", "alive", "contents"}
 LIST_EDITS = {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
 LOADER_WRITES = {"edits .contents"}
 CHANGE_CONSUMERS = {("validation.py", "Snapshot.refresh"), ("engine.py", "Kernel.step")}
+RECORD_WRITERS = {
+    "mechanism_specs": {("world.py", "World.__init__"), ("engine.py", "register_mechanism")},
+    "traces": {("engine.py", "Kernel.emit_trace")},
+}
 
 
 def _assigned(target):
@@ -111,20 +120,52 @@ portion.location_state = comp.name
     ]
 
 
-def clear_changes_uses(source: str):
-    """(line, enclosing class and function) for every use of clear_changes."""
-    found = []
+def _scoped(source: str):
+    """(node, enclosing class and function names) for every node in source."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, scope + (child.name,))
+                yield from visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "clear_changes":
-                found.append((child.lineno, ".".join(scope)))
-            visit(child, scope)
+            yield child, ".".join(scope)
+            yield from visit(child, scope)
 
-    visit(ast.parse(source), ())
+    return visit(ast.parse(source), ())
+
+
+def clear_changes_uses(source: str):
+    """(line, enclosing class and function) for every use of clear_changes."""
+    return [
+        (node.lineno, scope)
+        for node, scope in _scoped(source)
+        if isinstance(node, ast.Attribute) and node.attr == "clear_changes"
+    ]
+
+
+def record_writes(source: str):
+    """(line, field, enclosing class and function) for every assignment to, or
+    list edit of, a field in RECORD_WRITERS."""
+    found = []
+    for node, scope in _scoped(source):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in LIST_EDITS
+        ):
+            targets = [node.func.value]
+        else:
+            targets = []
+        for target in targets:
+            for t in _assigned(target):
+                if isinstance(t, ast.Subscript):
+                    t = t.value
+                if isinstance(t, ast.Attribute) and t.attr in RECORD_WRITERS:
+                    found.append((node.lineno, t.attr, scope))
     return found
 
 
@@ -149,3 +190,38 @@ def build(world):
     forget()
 """
     assert clear_changes_uses(source) == [(4, "Snapshot.__init__"), (7, "build")]
+
+
+def test_each_record_has_one_writer():
+    writers = {field: set() for field in RECORD_WRITERS}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        for line, field, scope in record_writes(path.read_text(encoding="utf-8")):
+            assert (module, scope) in RECORD_WRITERS[field], f"{module}:{line}: {scope} writes .{field}"
+            writers[field].add((module, scope))
+    assert writers == RECORD_WRITERS
+
+
+def test_the_guard_sees_each_kind_of_record_write():
+    source = """
+class Kernel:
+    def emit_trace(self, line):
+        self.current_report.traces.append(line)
+
+def build(world, spec, report):
+    world.mechanism_specs.append(spec)
+    world.mechanism_specs += [spec]
+    world.mechanism_specs[0] = spec
+    report.traces, n = [], 0
+    report.traces.clear()
+    n = len(report.traces) + len(world.mechanism_specs)
+    specs = list(world.mechanism_specs)
+"""
+    assert record_writes(source) == [
+        (4, "traces", "Kernel.emit_trace"),
+        (7, "mechanism_specs", "build"),
+        (8, "mechanism_specs", "build"),
+        (9, "mechanism_specs", "build"),
+        (10, "traces", "build"),
+        (11, "traces", "build"),
+    ]

@@ -42,6 +42,37 @@ def test_reloaded_cardio_runs_like_the_original():
     assert not k1.halted and not k2.halted
 
 
+def _renamed(data: dict, old: str, new: str) -> dict:
+    """The document with mechanism old renamed new, and every reference to it."""
+    for spec in data["mechanisms"]:
+        if spec["name"] == old:
+            spec["name"] = new
+    for trigger in data["triggers"]:
+        if trigger["target"] == old:
+            trigger["target"] = new
+    for system in data["systems"]:
+        system["members"] = [new if m == old else m for m in system["members"]]
+    return data
+
+
+@pytest.mark.parametrize(
+    "build, old",
+    [
+        (build_cardio, "HeartbeatPush"),
+        (lambda: build_waterfall(n_portions=3), "WaterFlowing"),
+        (lambda: build_waterfall_from_frames(n_portions=2)[0], "WaterFlowing"),
+    ],
+    ids=["heartbeat_push", "water_flowing", "fluidic_motion"],
+)
+def test_a_mechanism_entry_is_named_by_its_name(build, old):
+    data = _renamed(save_model(build()), old, "Beat")
+    world = load_model(data)
+    assert "Beat" in world.mechanisms and old not in world.mechanisms
+    saved = json.dumps(save_model(world))
+    assert saved == json.dumps(data)
+    assert json.dumps(save_model(load_model(json.loads(saved)))) == saved
+
+
 def test_roundtrip_through_file(tmp_path):
     path = tmp_path / "cardio.json"
     save_model_file(build_cardio(), path)

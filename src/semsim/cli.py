@@ -1,8 +1,8 @@
 """Command-line runner: `semsim run|console|validate-file`.
 
-Exit codes: 0 on clean completion, 1 on configuration errors (unknown model,
-malformed files, a model fault raised inside a step), 2 when the validation
-policy halted the run.
+Exit codes: 0 on clean completion or Ctrl-C, 1 on configuration errors
+(unknown model, malformed files, a model fault raised inside a step), 2 when
+the validation policy halted the run.
 """
 from __future__ import annotations
 
@@ -43,7 +43,11 @@ class RunConfig:
 
 
 def default_seed() -> int:
-    return int(os.environ.get("SEMSIM_SEED", "0"))
+    raw = os.environ.get("SEMSIM_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise SemsimError(f"SEMSIM_SEED must be an integer, not {raw!r}") from None
 
 
 def resolve_model(config: RunConfig) -> World:
@@ -75,7 +79,7 @@ def make_kernel(world: World, config: RunConfig) -> Kernel:
     return kernel
 
 
-def planned_steps(world: World, config: RunConfig) -> int | None:
+def planned_steps(config: RunConfig) -> int | None:
     if config.steps is not None:
         return config.steps
     # --portions sets the tick budget only for the builtin waterfalls; a model
@@ -126,58 +130,52 @@ def write_outputs(kernel: Kernel, config: RunConfig, exit_code: int):
         out.write("\n]}\n")
 
 
-def check_counts(config: RunConfig):
-    """Reject negative --steps/--portions before anything is built."""
+def prepare(config: RunConfig) -> Kernel:
+    """Check the flags and build the world and its kernel, all before the first step."""
     for flag, value in (("--steps", config.steps), ("--portions", config.portions)):
         if value is not None and value < 0:
             raise SemsimError(f"{flag} must be >= 0")
+    trace = config.trace_path
+    if trace is not None and (Path(trace).is_dir() or not Path(trace).parent.is_dir()):
+        raise SemsimError(f"--trace {trace!r} is not a file in an existing directory")
+    world = resolve_model(config)
+    if config.scenario_path:
+        apply_scenario(world, load_scenario(config.scenario_path))
+    return make_kernel(world, config)
+
+
+def finish(kernel: Kernel, config: RunConfig) -> int:
+    """Write the outputs; the exit code is read from the kernel's state."""
+    exit_code = EXIT_HALTED if kernel.halted else EXIT_OK
+    if isinstance(kernel.fault, SemsimError):  # a model fault inside a step
+        exit_code = EXIT_CONFIG
+    write_outputs(kernel, config, exit_code)
+    return exit_code
 
 
 def run_command(config: RunConfig) -> int:
     try:
-        check_counts(config)
-        world = resolve_model(config)
-        if config.scenario_path:
-            apply_scenario(world, load_scenario(config.scenario_path))
-        kernel = make_kernel(world, config)
+        kernel = prepare(config)
     except SemsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    steps = planned_steps(world, config)
     try:
-        if steps is None:
-            while not kernel.halted:  # unbounded; interrupt to stop
-                kernel.step()
-        else:
-            kernel.run(steps)
+        kernel.run(planned_steps(config))  # None: until halted or Ctrl-C
     except KeyboardInterrupt:
         pass
-    except SemsimError as exc:  # a fault inside a step: write what ran up to it
+    except SemsimError as exc:  # a fault inside a step
         print(f"error: {exc}", file=sys.stderr)
-        write_outputs(kernel, config, EXIT_CONFIG)
-        return EXIT_CONFIG
-    exit_code = EXIT_HALTED if kernel.halted else EXIT_OK
-    write_outputs(kernel, config, exit_code)
-    return exit_code
+    return finish(kernel, config)
 
 
 def console_command(config: RunConfig, inp=None, out=None) -> int:
     try:
-        check_counts(config)
-        world = resolve_model(config)
-        if config.scenario_path:
-            apply_scenario(world, load_scenario(config.scenario_path))
-        kernel = make_kernel(world, config)
+        kernel = prepare(config)
     except SemsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    console = Console(world, kernel, planned_steps(world, config), out=out, inp=inp)
-    console.run()
-    exit_code = EXIT_HALTED if kernel.halted else EXIT_OK
-    if console.fault is not None:  # a step raised, as in run_command
-        exit_code = EXIT_CONFIG
-    write_outputs(kernel, config, exit_code)
-    return exit_code
+    Console(kernel.world, kernel, planned_steps(config), out=out, inp=inp).run()
+    return finish(kernel, config)
 
 
 def validate_file_command(path: str) -> int:
@@ -233,11 +231,14 @@ def main(argv=None) -> int:
     val_p.add_argument("path")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_command(_config_from_args(args))
-    if args.command == "console":
-        return console_command(_config_from_args(args))
-    return validate_file_command(args.path)
+    if args.command == "validate-file":
+        return validate_file_command(args.path)
+    try:
+        config = _config_from_args(args)
+    except SemsimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return run_command(config) if args.command == "run" else console_command(config)
 
 
 if __name__ == "__main__":

@@ -131,95 +131,87 @@ class Console:
     def __init__(self, world, kernel, steps: int | None, out=None, inp=None):
         self.world = world
         self.kernel = kernel
-        self.remaining = steps
+        self.steps = steps  # the session's step budget, None for none
         self.out = out or sys.stdout
         self.inp = inp or sys.stdin
-        self.fault: SemsimError | None = None  # a step raised; stepping is over
 
     def _print(self, text: str):
         print(text, file=self.out)
 
-    def _step(self):
-        """One kernel step. A step that raises leaves the world part-way
-        through it, so the session takes no further steps."""
-        try:
-            return self.kernel.step()
-        except SemsimError as exc:
-            self.fault = exc
-            raise
-
-    def _stopped_by_fault(self) -> bool:
-        """Whether a step has raised; says so when one has."""
-        if self.fault is not None:
-            self._print(f"stopped: step {self.kernel.tick} raised: {self.fault}")
-        return self.fault is not None
+    def _stopped(self) -> bool:
+        """Whether a step raised or was interrupted; prints the kernel's refusal."""
+        if self.kernel.fault is not None:
+            try:
+                self.kernel.step()  # refused: raises and changes nothing
+            except SemsimError as refusal:
+                self._print(f"stopped: {refusal}")
+        return self.kernel.fault is not None
 
     def _advance(self, k: int):
         for _ in range(k):
-            if self._stopped_by_fault():
+            if self._stopped():
                 return
             if self.kernel.halted:
                 self._print(f"halted at step {self.kernel.halted_at}")
                 return
-            if self.remaining is not None:
-                if self.remaining <= 0:
-                    self._print("step budget exhausted")
-                    return
-                self.remaining -= 1
-            self._print(self._step().describe())
+            if self.steps is not None and self.kernel.tick >= self.steps:
+                self._print("step budget exhausted")
+                return
+            self._print(self.kernel.step().describe())
 
     def _resume(self):
-        if self._stopped_by_fault():
+        if self._stopped():
             return
-        if self.remaining is None:
+        if self.steps is None:
             self._print("no step budget; use `step [k]`, or restart with --steps")
             return
-        while not self.kernel.halted and self.remaining > 0:
-            self.remaining -= 1
-            try:
-                self._step()
-            except KeyboardInterrupt:
-                break
+        self.kernel.run(self.steps - self.kernel.tick)
         self._print(f"paused at step {self.kernel.tick}")
 
     def run(self):
+        """Read commands until quit, the end of input, or Ctrl-C at the prompt;
+        Ctrl-C during a command ends only that command."""
         self._print(f"semsim console: model {self.world.name!r} (type a command; quit to exit)")
-        for raw in self.inp:
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            cmd, args = parts[0], parts[1:]
-            try:
-                if cmd == "quit":
-                    break
-                elif cmd == "pause":
-                    self._print(f"paused at step {self.kernel.tick}")
-                elif cmd == "resume":
-                    self._resume()
-                elif cmd == "step":
-                    k = int(args[0]) if args else 1
-                    self._advance(k)
-                elif cmd == "inspect":
-                    self._print(inspect_path(self.world, args[0]))
-                elif cmd == "set":
-                    self._print(set_path(self.world, args[0], args[1]))
-                elif cmd == "annotations":
-                    target = args[0] if args else None
-                    for ann in self.world.list_annotations(target):
-                        self._print(f"[{ann.kind}] {ann.target}: {ann.note}")
-                elif cmd == "assertions":
-                    for fa in self.world.assertions:
-                        self._print(f"{fa.subject}: {fa.function_label} (in {fa.context})")
-                    for rule in self.kernel.rules.values():
-                        self._print(f"rule {rule.name}: {rule.expectation}")
-                elif cmd == "scenario":
-                    scenario = load_scenario(args[0])
-                    apply_scenario(self.world, scenario)
-                    self._print(f"scenario {scenario.name!r} applied")
-                else:
-                    self._print(f"unknown command {cmd!r}")
-                    self._print(USAGE)
-            except (SemsimError, IndexError, ValueError) as exc:
-                self._print(f"error: {exc}")
+        try:
+            for raw in self.inp:
+                parts = raw.split()
+                if not parts:
+                    continue
+                cmd, args = parts[0], parts[1:]
+                try:
+                    if cmd == "quit":
+                        break
+                    elif cmd == "pause":
+                        self._print(f"paused at step {self.kernel.tick}")
+                    elif cmd == "resume":
+                        self._resume()
+                    elif cmd == "step":
+                        k = int(args[0]) if args else 1
+                        self._advance(k)
+                    elif cmd == "inspect":
+                        self._print(inspect_path(self.world, args[0]))
+                    elif cmd == "set":
+                        self._print(set_path(self.world, args[0], args[1]))
+                    elif cmd == "annotations":
+                        target = args[0] if args else None
+                        for ann in self.world.list_annotations(target):
+                            self._print(f"[{ann.kind}] {ann.target}: {ann.note}")
+                    elif cmd == "assertions":
+                        for fa in self.world.assertions:
+                            self._print(f"{fa.subject}: {fa.function_label} (in {fa.context})")
+                        for rule in self.kernel.rules.values():
+                            self._print(f"rule {rule.name}: {rule.expectation}")
+                    elif cmd == "scenario":
+                        scenario = load_scenario(args[0])
+                        apply_scenario(self.world, scenario)
+                        self._print(f"scenario {scenario.name!r} applied")
+                    else:
+                        self._print(f"unknown command {cmd!r}")
+                        self._print(USAGE)
+                except (SemsimError, IndexError, ValueError) as exc:
+                    self._print(f"error: {exc}")
+                except KeyboardInterrupt:
+                    self._print(f"interrupted at step {self.kernel.tick}")
+        except KeyboardInterrupt:
+            pass  # at the prompt: end the session as quit does
         return self.kernel

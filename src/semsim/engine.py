@@ -23,7 +23,9 @@ With the policy off it keeps none and only clears those records.
 
 A step's record is published whole: its StepReport, trace events included,
 joins Kernel.reports only when the step finishes, and Kernel.trace reads the
-events from those reports. A step that raises publishes nothing.
+events from those reports. A step that raises publishes nothing and ends the
+run: whatever escaped it, KeyboardInterrupt included, is kept as Kernel.fault,
+and every later step() raises SemsimError and changes nothing.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from .errors import (
     NoNervePath,
     PortionNotPresent,
     PushWithoutConnection,
+    SemsimError,
     TraceVocabularyError,
     UnknownEntityError,
 )
@@ -247,13 +250,7 @@ class FireContext:
 
     def fire_if_enabled(self, mechanism_name: str) -> bool:
         """Delegate to a registered sub-mechanism; False when its guard fails."""
-        sub = self.world.mechanisms[mechanism_name]
-        values = guard_report(sub, self.world)
-        if not all(values.values()):
-            self.kernel._log_guard_failure(sub, "nested", values)
-            return False
-        fire(sub, self.world, self.kernel, via="nested", guard_values=values)
-        return True
+        return self.kernel._attempt(self.world.mechanisms[mechanism_name], "nested")
 
 
 def fire(
@@ -299,7 +296,7 @@ def send_signal(kernel: "Kernel", signal: Signal) -> Signal:
 
 
 class Kernel:
-    """Owns the tick counter and the per-step reports, which hold the trace."""
+    """Owns the tick counter, the per-step reports, which hold the trace, and the fault."""
 
     def __init__(
         self,
@@ -325,6 +322,7 @@ class Kernel:
         self.halted_at: int | None = None
         self.current_report = StepReport(step=0)
         self.snapshot: validation.Snapshot | None = None  # None while validation is off
+        self.fault: BaseException | None = None  # what escaped a step; no step runs after it
         self._wiring_errors: list[tuple[str, str]] = []
 
     # ------------------------------------------------------------------
@@ -353,21 +351,23 @@ class Kernel:
     def trace_lines(self) -> list[str]:
         return [e.line for e in self.trace]
 
-    def _log_guard_failure(self, mechanism: Mechanism, via: str, values: dict[str, bool]):
+    def _attempt(self, mechanism: Mechanism, via: str) -> bool:
+        """Evaluate the guard once, then fire, or record the failing conditions."""
+        values = guard_report(mechanism, self.world)
+        if all(values.values()):
+            fire(mechanism, self.world, self, via=via, guard_values=values)
+            return True
         failed = [d for d, ok in values.items() if not ok]
         self.current_report.guard_failures.append(
             GuardFailure(mechanism.name, via, failed)
         )
+        return False
 
     def _dispatch(self, mechanism: Mechanism, via: str):
-        """Guard-check and fire one mechanism; wiring bugs become violations."""
+        """Attempt one mechanism; wiring bugs become violations."""
         batches_before = len(self.pending_batches)
         try:
-            values = guard_report(mechanism, self.world)
-            if all(values.values()):
-                fire(mechanism, self.world, self, via=via, guard_values=values)
-            else:
-                self._log_guard_failure(mechanism, via, values)
+            self._attempt(mechanism, via)
         except WIRING_ERRORS as exc:
             # Anything this firing staged but never committed is abandoned.
             del self.pending_batches[batches_before:]
@@ -376,69 +376,77 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def step(self) -> StepReport:
-        """Run everything due at the current tick, then validate."""
-        self.world.clock = self.tick
-        self.world.last_commits = []
-        self._wiring_errors = []
-        self.current_report = StepReport(step=self.tick)
+        """Run everything due at the current tick, then validate; refused after a fault."""
+        if self.fault is not None:
+            interrupted = isinstance(self.fault, KeyboardInterrupt)
+            reason = "was interrupted" if interrupted else f"raised: {self.fault}"
+            raise SemsimError(f"step {self.tick} {reason}") from self.fault
+        try:
+            self.world.clock = self.tick
+            self.world.last_commits = []
+            self._wiring_errors = []
+            self.current_report = StepReport(step=self.tick)
 
-        due = [t for t in self.world.triggers.values() if t.due(self.tick)]
-        due.sort(key=lambda t: (t.period, t.name))
-        if self.mode == "concurrent":
-            due = self._shuffle_subsystems(due)
-        for trig in due:
-            self._dispatch(self.world.mechanisms[trig.target], f"trigger:{trig.name}")
+            due = [t for t in self.world.triggers.values() if t.due(self.tick)]
+            due.sort(key=lambda t: (t.period, t.name))
+            if self.mode == "concurrent":
+                due = self._shuffle_subsystems(due)
+            for trig in due:
+                self._dispatch(self.world.mechanisms[trig.target], f"trigger:{trig.name}")
 
-        # Signal deliveries, in emission order.
-        deliveries = [s for due_at, s in self.pending_signals if due_at <= self.tick]
-        self.pending_signals = [
-            (due_at, s) for due_at, s in self.pending_signals if due_at > self.tick
-        ]
-        for signal in deliveries:
-            receivers = [
-                m for m in self.world.mechanisms.values() if m.on_signal == signal.receiver
+            # Signal deliveries, in emission order.
+            deliveries = [s for due_at, s in self.pending_signals if due_at <= self.tick]
+            self.pending_signals = [
+                (due_at, s) for due_at, s in self.pending_signals if due_at > self.tick
             ]
-            if not receivers:
-                raise UnknownEntityError(
-                    f"signal to {signal.receiver!r} has no receiving mechanism"
-                )
-            for mech in receivers:
-                self._dispatch(mech, f"signal:{signal.payload}")
+            for signal in deliveries:
+                receivers = [
+                    m for m in self.world.mechanisms.values() if m.on_signal == signal.receiver
+                ]
+                if not receivers:
+                    raise UnknownEntityError(
+                        f"signal to {signal.receiver!r} has no receiving mechanism"
+                    )
+                for mech in receivers:
+                    self._dispatch(mech, f"signal:{signal.payload}")
 
-        # Any batch staged but never committed by its mechanism commits now;
-        # one that cannot commit is dropped and reported like a firing's.
-        while self.pending_batches:
-            batch = self.pending_batches.pop(0)
-            if batch.status != "staging":
-                continue
-            try:
-                record = topology.commit(self.world, batch)
-            except WIRING_ERRORS as exc:
-                self._wiring_errors.append((type(exc).__name__, f"staged batch: {exc}"))
-                continue
-            for line in record.trace_lines:
-                self.emit_trace(line)
+            # Any batch staged but never committed by its mechanism commits now;
+            # one that cannot commit is dropped and reported like a firing's.
+            while self.pending_batches:
+                batch = self.pending_batches.pop(0)
+                if batch.status != "staging":
+                    continue
+                try:
+                    record = topology.commit(self.world, batch)
+                except WIRING_ERRORS as exc:
+                    self._wiring_errors.append((type(exc).__name__, f"staged batch: {exc}"))
+                    continue
+                for line in record.trace_lines:
+                    self.emit_trace(line)
 
-        report = self.current_report
-        if self.validate_policy == "off":
-            self.snapshot = None
-            self.world.clear_changes()
-        elif self.snapshot is None:
-            self.world.clear_changes()  # the build below sees every change
-            self.snapshot = validation.Snapshot(self.world)
-        report.validation = validation.validate(
-            self.world, self.tick, self.rules, self.validate_policy, self.snapshot
-        )
-        for name, detail in self._wiring_errors:
-            report.validation.violations.insert(
-                0, validation.Violation(name, {"detail": detail})
+            report = self.current_report
+            if self.validate_policy == "off":
+                self.snapshot = None
+                self.world.clear_changes()
+            elif self.snapshot is None:
+                self.world.clear_changes()  # the build below sees every change
+                self.snapshot = validation.Snapshot(self.world)
+            report.validation = validation.validate(
+                self.world, self.tick, self.rules, self.validate_policy, self.snapshot
             )
-        self.reports.append(report)
+            for name, detail in self._wiring_errors:
+                report.validation.violations.insert(
+                    0, validation.Violation(name, {"detail": detail})
+                )
+            self.reports.append(report)
 
-        if self.validate_policy == "halt" and report.validation.violations:
-            self.halted_at = self.tick
-        self.tick += 1
-        return report
+            if self.validate_policy == "halt" and report.validation.violations:
+                self.halted_at = self.tick
+            self.tick += 1
+            return report
+        except BaseException as exc:
+            self.fault = exc
+            raise
 
     def _shuffle_subsystems(self, due_triggers):
         """The due triggers grouped by subsystem, groups in a seeded random order."""
@@ -450,12 +458,11 @@ class Kernel:
         self.rng.shuffle(groups)
         return [trig for group in groups for trig in group]
 
-    def run(self, n_ticks: int) -> list[StepReport]:
-        if n_ticks < 0:
+    def run(self, n_ticks: int | None = None) -> list[StepReport]:
+        """Step until the kernel halts, or at most n_ticks times."""
+        if n_ticks is not None and n_ticks < 0:
             raise ModelError("n_ticks must be >= 0")
         out = []
-        for _ in range(n_ticks):
-            if self.halted:
-                break
+        while not self.halted and (n_ticks is None or len(out) < n_ticks):
             out.append(self.step())
         return out

@@ -221,7 +221,7 @@ def instantiate_fluidic_motion(
                     "declared circuit, or Source/Goal compartments"
                 )
     register_mechanism(world, mech, "fluidic_motion", {
-        "binding": world.bindings.index(binding),
+        "binding": next(i for i, b in enumerate(world.bindings) if b is binding),
         "n_portions": n_portions,
         "portion_kind": portion_kind,
     })

@@ -111,7 +111,6 @@ class AssertionRule:
     name: str
     pattern: TriplePattern
     expectation: str = "must_exist"
-    scope: str | None = None
     counts: frozenset[int] | None = None
     check: Callable[[dict[str, str], object, frozenset], bool] | None = None
     reads: frozenset[str] | None = None

@@ -561,6 +561,89 @@ def test_the_console_takes_no_step_after_a_step_raised(tmp_path, monkeypatch):
     assert [r["step"] for r in report["reports"]] == [0, 1]
 
 
+def _world_interrupted_at_tick_2(ticks):
+    """Each firing records its tick; the first firing at tick 2 is interrupted."""
+    world = World("interrupted")
+    world.vocabulary = Vocabulary(literals=frozenset({"tock"}))
+
+    def tock(ctx):
+        ticks.append(ctx.kernel.tick)
+        ctx.emit("tock")
+        if ticks.count(2) == 1 and ctx.kernel.tick == 2:
+            raise KeyboardInterrupt
+
+    register_mechanism(world, Mechanism("Tock", guard=(), effect=tock))
+    register_trigger(world, Trigger("Clock", period=1, target="Tock"))
+    return world
+
+
+@pytest.mark.parametrize("commands", ["resume\nstep\nstep 2\nresume\n", "step 4\nstep\n"])
+def test_an_interrupted_console_step_ends_stepping(tmp_path, monkeypatch, commands):
+    ticks = []
+    monkeypatch.setattr(cli, "resolve_model", lambda config: _world_interrupted_at_tick_2(ticks))
+    trace = tmp_path / "interrupted.trace"
+    config = RunConfig(model="interrupted", steps=10, trace_path=str(trace))
+    out = io.StringIO()
+    assert console_command(config, inp=io.StringIO(commands), out=out) == EXIT_OK
+    assert ticks == [0, 1, 2]
+    lines = out.getvalue().splitlines()
+    assert "interrupted at step 2" in lines
+    after = lines[lines.index("interrupted at step 2") + 1:]
+    assert after and set(after) == {"stopped: step 2 was interrupted"}
+    assert trace.read_text() == "tock\ntock\n"
+    report = json.loads((tmp_path / "interrupted.trace.report.json").read_text())
+    assert report["exit_code"] == EXIT_OK
+    assert [r["step"] for r in report["reports"]] == [0, 1]
+
+
+def test_ctrl_c_at_the_console_prompt_ends_the_session_as_quit_does(tmp_path):
+    def typed():
+        yield "step 2\n"
+        raise KeyboardInterrupt
+
+    config = RunConfig(model="cardio", steps=10, trace_path=str(tmp_path / "c.trace"))
+    assert console_command(config, inp=typed(), out=io.StringIO()) == EXIT_OK
+    report = json.loads((tmp_path / "c.trace.report.json").read_text())
+    assert [r["step"] for r in report["reports"]] == [0, 1]
+
+
+@pytest.mark.parametrize("steps", [5, None])
+def test_an_interrupted_run_exits_0_with_the_finished_steps(tmp_path, monkeypatch, steps):
+    ticks = []
+    monkeypatch.setattr(cli, "resolve_model", lambda config: _world_interrupted_at_tick_2(ticks))
+    trace = tmp_path / "interrupted.trace"
+    config = RunConfig(model="interrupted", steps=steps, trace_path=str(trace))
+    assert run_command(config) == EXIT_OK
+    assert ticks == [0, 1, 2]
+    assert trace.read_text() == "tock\ntock\n"
+    report = json.loads((tmp_path / "interrupted.trace.report.json").read_text())
+    assert report["exit_code"] == EXIT_OK
+    assert [r["step"] for r in report["reports"]] == [0, 1]
+
+
+def test_a_malformed_seed_variable_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SEMSIM_SEED", "abc")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--model", "cardio", "--steps", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: SEMSIM_SEED must be an integer, not 'abc'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "console"])
+@pytest.mark.parametrize("where", ["missing/c.trace", "."])
+def test_an_unwritable_trace_path_exits_1_before_any_step(
+    tmp_path, capsys, monkeypatch, command, where
+):
+    monkeypatch.setattr(cli, "resolve_model", lambda config: pytest.fail("model built"))
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--model", "cardio", "--steps", "3", "--trace", where]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: --trace {where!r} is not a file in an existing directory\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_concurrent_runs_with_one_seed_write_identical_traces(tmp_path):
     traces = []
     for attempt in range(2):

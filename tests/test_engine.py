@@ -14,11 +14,14 @@ from semsim.errors import (
     DuplicateNameError,
     FiredWhileDisabled,
     NoNervePath,
+    SemsimError,
+    StateError,
     TraceVocabularyError,
     UnknownEntityError,
 )
 from semsim.models import build_cardio
 from semsim.cli import standard_rules
+from semsim.validation import AssertionRule, TriplePattern
 from semsim.world import Vocabulary
 
 
@@ -234,6 +237,51 @@ def test_a_step_that_raises_publishes_none_of_its_events():
     assert [(e.step, e.line) for e in kernel.trace] == [(0, "ping")]
     assert [r.step for r in kernel.reports] == [0]
     assert [(e.step, e.line) for e in kernel.current_report.traces] == [(1, "ping")]
+
+
+@pytest.mark.parametrize(
+    "fault, refusal",
+    [
+        (StateError("boom"), "step 2 raised: boom"),
+        (KeyboardInterrupt(), "step 2 was interrupted"),
+    ],
+)
+def test_no_step_runs_after_a_step_raised_or_was_interrupted(fault, refusal):
+    w = counter_world()
+
+    def boil_then_fault(ctx):
+        ctx.emit("ping")
+        ctx.set_state("blood", "phase", "gas" if ctx.kernel.tick % 2 else "liquid")
+        if ctx.kernel.tick == 2:
+            raise fault
+
+    register_mechanism(w, Mechanism("boiler", guard=(), effect=boil_then_fault))
+    register_trigger(w, Trigger("t", period=1, target="boiler"))
+    kernel = Kernel(w)
+    with pytest.raises(type(fault)):
+        kernel.run(5)
+    assert kernel.fault is fault
+    before = (kernel.tick, len(kernel.reports), len(w.transitional_log), set(w.touched))
+    for attempt in (kernel.step, lambda: kernel.run(5)):
+        with pytest.raises(SemsimError, match=f"^{refusal}$"):
+            attempt()
+        assert (kernel.tick, len(kernel.reports), len(w.transitional_log), set(w.touched)) == before
+    assert before == (2, 2, 3, {"blood"})
+
+
+def test_run_without_a_count_runs_until_halted():
+    w = counter_world()
+
+    def boil_at_tick_3(ctx):
+        if ctx.kernel.tick == 3:
+            ctx.set_state("blood", "phase", "gas")
+
+    register_mechanism(w, Mechanism("boiler", guard=(), effect=boil_at_tick_3))
+    register_trigger(w, Trigger("t", period=1, target="boiler"))
+    kernel = Kernel(w)
+    kernel.add_rule(AssertionRule("liquid", TriplePattern("blood", "hasState:phase", "liquid")))
+    assert [r.step for r in kernel.run()] == [0, 1, 2, 3]
+    assert kernel.halted_at == 3 and kernel.fault is None
 
 
 def test_the_trace_and_the_halt_are_each_stored_once():

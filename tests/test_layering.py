@@ -12,10 +12,12 @@ Only a snapshot's refresh and the kernel's step consume those records. A
 full build (a fresh Snapshot, as validate without a snapshot and
 derive_triples make) must leave them for the kernel's snapshot.
 
-Two more facts have one writer each. A builtin mechanism's spec is recorded
+Three more facts have one writer each. A builtin mechanism's spec is recorded
 by register_mechanism, so a model file names the mechanism a factory built.
 A step's trace events are kept on its StepReport, appended by
 Kernel.emit_trace, so the trace lists exactly the finished steps' events.
+The fault that ends stepping is kept by Kernel.step, which stores whatever
+escaped a step, so no driver keeps a stop rule of its own.
 """
 import ast
 from pathlib import Path
@@ -28,6 +30,7 @@ CHANGE_CONSUMERS = {("validation.py", "Snapshot.refresh"), ("engine.py", "Kernel
 RECORD_WRITERS = {
     "mechanism_specs": {("world.py", "World.__init__"), ("engine.py", "register_mechanism")},
     "traces": {("engine.py", "Kernel.emit_trace")},
+    "fault": {("engine.py", "Kernel.__init__"), ("engine.py", "Kernel.step")},
 }
 
 
@@ -208,6 +211,10 @@ class Kernel:
     def emit_trace(self, line):
         self.current_report.traces.append(line)
 
+class Console:
+    def _step(self):
+        self.kernel.fault = None
+
 def build(world, spec, report):
     world.mechanism_specs.append(spec)
     world.mechanism_specs += [spec]
@@ -219,9 +226,10 @@ def build(world, spec, report):
 """
     assert record_writes(source) == [
         (4, "traces", "Kernel.emit_trace"),
-        (7, "mechanism_specs", "build"),
-        (8, "mechanism_specs", "build"),
-        (9, "mechanism_specs", "build"),
-        (10, "traces", "build"),
-        (11, "traces", "build"),
+        (8, "fault", "Console._step"),
+        (11, "mechanism_specs", "build"),
+        (12, "mechanism_specs", "build"),
+        (13, "mechanism_specs", "build"),
+        (14, "traces", "build"),
+        (15, "traces", "build"),
     ]

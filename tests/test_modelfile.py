@@ -5,6 +5,7 @@ import pytest
 from semsim import Kernel
 from semsim.cli import standard_rules
 from semsim.errors import SchemaError
+from semsim.frames import bind, instantiate_fluidic_motion
 from semsim.modelfile import load_model, load_model_file, save_model, save_model_file
 from semsim.models import build_cardio, build_waterfall, build_waterfall_from_frames
 from semsim.validation import derive_triples
@@ -71,6 +72,17 @@ def test_a_mechanism_entry_is_named_by_its_name(build, old):
     saved = json.dumps(save_model(world))
     assert saved == json.dumps(data)
     assert json.dumps(save_model(load_model(json.loads(saved)))) == saved
+
+
+def test_a_mechanism_names_the_binding_it_was_built_from_not_an_equal_one():
+    world = build_cardio()
+    elements = {"Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": "cardio"}
+    bind(world, "Fluidic_Motion", elements)
+    instantiate_fluidic_motion(world, bind(world, "Fluidic_Motion", elements), name="Second")
+    data = save_model(world)
+    assert [m["params"]["binding"] for m in data["mechanisms"] if m["name"] == "Second"] == [1]
+    reloaded = load_model(data)
+    assert [b.produced_mechanism for b in reloaded.bindings] == [None, "Second"]
 
 
 def test_roundtrip_through_file(tmp_path):

@@ -7,7 +7,6 @@ from semsim.models import (
     WaterfallConfig,
     build_waterfall,
     build_waterfall_from_frames,
-    ticks_to_pool,
 )
 from semsim.scenarios import apply_scenario, waterfall_freeze
 
@@ -34,7 +33,7 @@ def main():
     framed, binding = build_waterfall_from_frames(config, n_portions=n)
     k3 = Kernel(framed)
     standard_rules(k3)
-    k3.run(ticks_to_pool(config, n))
+    k3.run(n)
     q = framed.portions["water-0"]
     print(f"frame-built:  {k3.trace_lines()}  final=({q.x}, {q.y})  "
           f"mechanism={binding.produced_mechanism}")

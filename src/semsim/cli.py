@@ -16,7 +16,7 @@ from pathlib import Path
 from . import models, validation
 from .console import Console
 from .engine import Kernel
-from .errors import SemsimError
+from .errors import SemsimError, describe
 from .modelfile import load_model_file
 from .scenarios import apply_scenario, load_scenario
 from .world import World
@@ -82,11 +82,9 @@ def make_kernel(world: World, config: RunConfig) -> Kernel:
 def planned_steps(config: RunConfig) -> int | None:
     if config.steps is not None:
         return config.steps
-    # --portions sets the tick budget only for the builtin waterfalls; a model
-    # file fixes its own portion count and needs --steps.
+    # Both builtin waterfalls pool one portion per step, so --portions is their
+    # step budget; a model file fixes its own portion count and needs --steps.
     if config.portions is not None and config.model in ("waterfall", "waterfall-frames"):
-        if config.model == "waterfall-frames":
-            return models.ticks_to_pool(models.WaterfallConfig(), config.portions)
         return config.portions
     return None
 
@@ -147,8 +145,8 @@ def prepare(config: RunConfig) -> Kernel:
 def finish(kernel: Kernel, config: RunConfig) -> int:
     """Write the outputs; the exit code is read from the kernel's state."""
     exit_code = EXIT_HALTED if kernel.halted else EXIT_OK
-    if isinstance(kernel.fault, SemsimError):  # a model fault inside a step
-        exit_code = EXIT_CONFIG
+    if kernel.fault is not None and not isinstance(kernel.fault, KeyboardInterrupt):
+        exit_code = EXIT_CONFIG  # a model fault inside a step
     write_outputs(kernel, config, exit_code)
     return exit_code
 
@@ -163,8 +161,8 @@ def run_command(config: RunConfig) -> int:
         kernel.run(planned_steps(config))  # None: until halted or Ctrl-C
     except KeyboardInterrupt:
         pass
-    except SemsimError as exc:  # a fault inside a step
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault inside a step, kept by the kernel
+        print(f"error: {describe(exc)}", file=sys.stderr)
     return finish(kernel, config)
 
 
@@ -193,7 +191,7 @@ def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--model", required=True, help="builtin name or model file path")
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--portions", type=int, default=None,
-                        help="waterfall only: portions to pool")
+                        help="builtin waterfalls only: portions to pool, one per step")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--mode", choices=("deterministic", "concurrent"),
                         default="deterministic")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import sys
 
 from .entities import Portion, Substance
-from .errors import SemsimError
+from .errors import SemsimError, describe
 from .scenarios import apply_scenario, load_scenario
 
 USAGE = """commands:
@@ -208,8 +208,8 @@ class Console:
                     else:
                         self._print(f"unknown command {cmd!r}")
                         self._print(USAGE)
-                except (SemsimError, IndexError, ValueError) as exc:
-                    self._print(f"error: {exc}")
+                except Exception as exc:  # a bad command, or a fault that ends stepping
+                    self._print(f"error: {describe(exc)}")
                 except KeyboardInterrupt:
                     self._print(f"interrupted at step {self.kernel.tick}")
         except KeyboardInterrupt:

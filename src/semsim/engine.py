@@ -46,6 +46,7 @@ from .errors import (
     SemsimError,
     TraceVocabularyError,
     UnknownEntityError,
+    describe,
 )
 from .topology import Circuit, MoveBatch
 from .world import World
@@ -379,7 +380,7 @@ class Kernel:
         """Run everything due at the current tick, then validate; refused after a fault."""
         if self.fault is not None:
             interrupted = isinstance(self.fault, KeyboardInterrupt)
-            reason = "was interrupted" if interrupted else f"raised: {self.fault}"
+            reason = "was interrupted" if interrupted else f"raised: {describe(self.fault)}"
             raise SemsimError(f"step {self.tick} {reason}") from self.fault
         try:
             self.world.clock = self.tick

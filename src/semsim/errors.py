@@ -5,6 +5,12 @@ class SemsimError(Exception):
     """Base class for every error raised by this package."""
 
 
+def describe(exc: BaseException) -> str:
+    """An error as one line: this package's errors by their message, anything
+    else (a bug, not a bad model) by its type and message."""
+    return str(exc) if isinstance(exc, SemsimError) else f"{type(exc).__name__}: {exc}"
+
+
 class ModelError(SemsimError):
     """A model definition is malformed (duplicate names, bad references, ...)."""
 

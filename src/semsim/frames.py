@@ -4,6 +4,9 @@ A frame names its core and non-core elements; a binding maps every core
 element to a model entity (or a path description) and can then be turned
 into a runnable mechanism. Three frames ship: a generic Motion parent,
 Fluidic_Motion, and Natural_Features.
+
+A Fluidic_Motion binding whose Path is a PathSpec compiles to `path_flow`,
+the one path walk, which the hand-built waterfall uses too.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from .errors import (
     DuplicateNameError,
     MissingCoreElement,
     ModelError,
+    StateError,
     UnknownEntityError,
 )
 from .topology import Circuit
@@ -44,6 +48,16 @@ class LexicalEntry:
     definition_text: str = ""
 
 
+def check_leg(length, pair, length_rule: str, pair_rule: str):
+    """length units of a per-unit pair add up to length × pair exactly only in
+    integers: refuse anything else with a ValueError naming the broken rule."""
+    # type() rather than isinstance(): bool is an int subclass.
+    if type(length) is not int or length <= 0:
+        raise ValueError(f"{length_rule}, not {length!r}")
+    if not (isinstance(pair, tuple) and len(pair) == 2 and all(type(v) is int for v in pair)):
+        raise ValueError(f"{pair_rule}, not {pair!r}")
+
+
 @dataclass(frozen=True)
 class PathSegment:
     """One leg of a path. slope is a (rise, run) pair in ordinal units, so a
@@ -55,8 +69,8 @@ class PathSegment:
     label: str | None = None  # location label while on this segment
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ModelError("segment length must be positive")
+        check_leg(self.length, self.slope,
+                  "a segment length must be a positive int", "a slope must be a pair of ints")
 
     @property
     def unit_delta(self) -> tuple[int, int]:
@@ -185,8 +199,8 @@ def instantiate_fluidic_motion(
 ) -> Mechanism:
     """Turn a Fluidic_Motion binding into a runnable mechanism.
 
-    Path bound to a PathSpec gives coordinate motion: each firing advances
-    the active portion one unit, pooling it at the goal. Path bound to a
+    Path bound to a PathSpec gives a path_flow: each firing releases the next
+    portion and carries it down the whole path to the goal. Path bound to a
     declared circuit gives one simultaneous hop for every portion per firing.
     Source and Goal bound to directly connected compartments give a
     single-portion hop per firing.
@@ -201,7 +215,9 @@ def instantiate_fluidic_motion(
     mech_name = name or f"Flow({fluid})"
 
     if isinstance(path, PathSpec):
-        mech = _coordinate_flow(binding, mech_name, fluid, path, n_portions, portion_kind)
+        goal = binding.element_map.get("Goal")
+        goal_label = goal if isinstance(goal, str) else "pool"
+        mech = path_flow(world, mech_name, fluid, path, goal_label, n_portions, portion_kind)
     else:
         circuit = None
         if isinstance(path, Circuit):
@@ -244,45 +260,56 @@ def fluidic_motion(world: World, params: dict) -> Mechanism:
     )
 
 
-def _coordinate_flow(binding, mech_name, fluid, path, n_portions, portion_kind):
-    goal = binding.element_map.get("Goal")
-    goal_label = goal if isinstance(goal, str) else "pool"
-
-    # Traversal cursor, shared across firings of this one mechanism.
-    state = {"index": 0, "portion": None, "segment": 0, "unit": 0}
+def path_flow(
+    world: World,
+    mech_name: str,
+    fluid: str,
+    path: PathSpec,
+    goal_label: str,
+    n_portions: int | None = None,
+    portion_kind: str | None = None,
+) -> Mechanism:
+    """A flow down a PathSpec. Each firing releases portion "<fluid>-<i>",
+    carries it down every leg in closed form (length × per-unit delta: nothing
+    observes it mid-leg), setting each leg's label and then the goal's, and
+    emits "<i> <goal_label>". The cursor i is the fluid's count of portions
+    ever registered, which a reloaded model file rebuilds. With a portion
+    kind, every label is checked against its Location space here.
+    """
+    if portion_kind is not None:
+        if world.effective_substance(portion_kind) != fluid:
+            raise ModelError(f"kind {portion_kind!r} is not a portion of {fluid!r}")
+        location = world.effective_state_spaces(portion_kind).get("Location")
+        if location is None:
+            raise StateError(f"kind {portion_kind!r} has no 'Location' space")
+        for seg in path.segments:
+            if seg.label is not None:
+                location.index(seg.label)  # raises for a label the portions cannot take
+        location.index(goal_label)
+    legs = tuple(
+        (seg.label, seg.length * seg.unit_delta[0], seg.length * seg.unit_delta[1])
+        for seg in path.segments
+    )
 
     def remaining(w) -> bool:
-        return n_portions is None or state["index"] < n_portions or state["portion"] is not None
+        return n_portions is None or w.portion_counts.get(fluid, 0) < n_portions
 
     def effect(ctx):
         w = ctx.world
-        if state["portion"] is None:
-            pid = f"{fluid}-{state['index']}"
-            if portion_kind is not None:
-                portion = w.instantiate(portion_kind, entity_id=pid)
-            else:
-                portion = w.create_portion(fluid, entity_id=pid)
-            if portion.x is None:
-                portion.x, portion.y = 0, 0
-            state["portion"] = portion.id
-            state["segment"] = 0
-            state["unit"] = 0
-        portion = w.portions[state["portion"]]
-        seg = path.segments[state["segment"]]
-        if state["unit"] == 0 and seg.label is not None:
-            w.set_state(portion.id, "Location", seg.label)
-        dx, dy = seg.unit_delta
-        portion.x += dx
-        portion.y += dy
-        state["unit"] += 1
-        if state["unit"] >= seg.length:
-            state["segment"] += 1
-            state["unit"] = 0
-            if state["segment"] >= len(path.segments):
-                w.set_state(portion.id, "Location", goal_label)
-                ctx.emit(f"{state['index']} {goal_label}")
-                state["portion"] = None
-                state["index"] += 1
+        i = w.portion_counts.get(fluid, 0)
+        pid = f"{fluid}-{i}"
+        if portion_kind is not None:
+            portion = w.instantiate(portion_kind, entity_id=pid)
+        else:
+            portion = w.create_portion(fluid, entity_id=pid)
+            portion.x, portion.y = 0, 0
+        for label, dx, dy in legs:
+            if label is not None:
+                w.set_state(pid, "Location", label)
+            portion.x += dx
+            portion.y += dy
+        w.set_state(pid, "Location", goal_label)
+        ctx.emit(f"{i} {goal_label}")
 
     return Mechanism(
         mech_name,

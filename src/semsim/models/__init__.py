@@ -19,7 +19,6 @@ from .waterfall import (
     build_waterfall,
     build_waterfall_from_frames,
     freeze_watch_mechanism,
-    ticks_to_pool,
     water_flowing_mechanism,
     waterfall_path,
 )

@@ -1,12 +1,11 @@
 """Waterfall reference model: water portions traverse a shallow bed, then a drop.
 
-Each firing of the flow mechanism carries one portion through its whole
-journey (the next portion is only created once the previous one pooled), so
-a run of n ticks pools exactly n portions and prints "<i> pool" for each.
-Nothing observes a position inside a leg, so a firing computes each leg's
-displacement in closed form (length times the per-unit delta) and costs the
-same for any bed length. In integer coordinates that equals the unit-by-unit
-walk exactly; the unit-loop oracle that checks it lives in the tests.
+The flow is `frames.path_flow` over the two-leg path the config implies,
+whether it is built by hand or through a Fluidic_Motion binding. Each firing
+carries one portion through its whole journey in closed form, so a run of n
+ticks pools exactly n portions and prints "<i> pool" for each. In integer
+coordinates that equals the unit-by-unit walk exactly; the unit-loop oracle
+that checks it lives in the tests.
 """
 from __future__ import annotations
 
@@ -14,15 +13,16 @@ from dataclasses import dataclass
 
 from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
 from ..entities import StateSpace
-from ..errors import StateError
 from ..frames import (
     FrameBinding,
     PathSegment,
     PathSpec,
     add_lexical_entry,
     bind,
+    check_leg,
     check_n_portions,
     instantiate_fluidic_motion,
+    path_flow,
     standard_frames,
 )
 from ..world import Vocabulary, World
@@ -39,14 +39,10 @@ class WaterfallConfig:
     labels: tuple[str, str, str] = ("upper", "drop", "pool")
 
     def __post_init__(self):
-        # type() rather than isinstance(): bool is an int subclass.
-        for length in (self.upper_bed_length, self.vertical_drop):
-            if type(length) is not int or length <= 0:
-                raise ValueError(f"bed length and drop must be positive ints, not {length!r}")
-        for delta in (self.upper_delta, self.drop_delta):
-            if not (isinstance(delta, tuple) and len(delta) == 2
-                    and all(type(d) is int for d in delta)):
-                raise ValueError(f"a per-unit delta must be a pair of ints, not {delta!r}")
+        for length, delta in ((self.upper_bed_length, self.upper_delta),
+                              (self.vertical_drop, self.drop_delta)):
+            check_leg(length, delta, "bed length and drop must be positive ints",
+                      "a per-unit delta must be a pair of ints")
 
 
 def water_flowing_mechanism(world: World, params: dict) -> Mechanism:
@@ -60,44 +56,8 @@ def water_flowing_mechanism(world: World, params: dict) -> Mechanism:
     )
     n_portions = params.get("n_portions")
     check_n_portions(n_portions)
-    location = world.effective_state_spaces("WaterPortion").get("Location")
-    if location is None:
-        raise StateError("kind 'WaterPortion' has no 'Location' space")
-    for label in config.labels:
-        location.index(label)  # raises for a label the portions cannot take
-    upper_label, drop_label, pool_label = config.labels
-
-    def remaining(w) -> bool:
-        return n_portions is None or w.portion_counts.get("water", 0) < n_portions
-
-    def water_is_fluid(w) -> bool:
-        return w.substances["water"].is_fluid
-
-    def effect(ctx):
-        w = ctx.world
-        i = w.portion_counts.get("water", 0)
-        portion = w.instantiate("WaterPortion", entity_id=f"water-{i}")
-        w.set_state(portion.id, "Location", upper_label)
-        dx, dy = config.upper_delta
-        portion.x += dx * config.upper_bed_length
-        portion.y += dy * config.upper_bed_length
-        w.set_state(portion.id, "Location", drop_label)
-        dx, dy = config.drop_delta
-        portion.x += dx * config.vertical_drop
-        portion.y += dy * config.vertical_drop
-        w.set_state(portion.id, "Location", pool_label)
-        ctx.emit(f"{i} {pool_label}")
-
-    mech = Mechanism(
-        params.get("name", "WaterFlowing"),
-        guard=(
-            Condition("water is fluid", water_is_fluid),
-            Condition("portions remain", remaining),
-        ),
-        effect=effect,
-        subsystem="flow",
-        requires=("water",),
-    )
+    mech = path_flow(world, params.get("name", "WaterFlowing"), "water",
+                     waterfall_path(config), config.labels[2], n_portions, "WaterPortion")
     return register_mechanism(world, mech, "water_flowing", params)
 
 
@@ -194,9 +154,9 @@ def build_waterfall_from_frames(
 ) -> tuple[World, FrameBinding]:
     """The same waterfall, defined through a Fluidic_Motion binding.
 
-    The frame mechanism advances one unit per firing, so it needs
-    n_portions * (bed + drop + 1) ticks to pool everything; the emitted
-    "<i> pool" lines and final coordinates match the hand-built model.
+    The binding compiles to the same path flow as the hand-built model, so n
+    ticks pool n portions and the trace, coordinates and Location changes
+    match it exactly.
     """
     world = _base_world(config, "waterfall")
     world.define_kind("Place")
@@ -219,9 +179,3 @@ def build_waterfall_from_frames(
     )
     register_trigger(world, Trigger("Flow", period=1, target="WaterFlowing"))
     return world, binding
-
-
-def ticks_to_pool(config: WaterfallConfig, n_portions: int) -> int:
-    """Firings the frame-built flow needs to pool n portions (birth shares the
-    first advance's firing, so each portion takes bed + drop firings)."""
-    return n_portions * (config.upper_bed_length + config.vertical_drop)

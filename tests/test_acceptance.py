@@ -22,7 +22,6 @@ from semsim.models import (
     build_cardio,
     build_waterfall,
     build_waterfall_from_frames,
-    ticks_to_pool,
 )
 from semsim.scenarios import apply_scenario, heart_stop, waterfall_freeze
 from semsim.validation import derive_triples
@@ -279,7 +278,7 @@ def test_criterion_9_frames_equivalence():
     framed, _ = build_waterfall_from_frames(config, n_portions=2)
     k_framed = Kernel(framed)
     standard_rules(k_framed)
-    k_framed.run(ticks_to_pool(config, 2))
+    k_framed.run(2)
 
     assert k_hand.trace_lines() == k_framed.trace_lines() == ["0 pool", "1 pool"]
     for i in range(2):

@@ -21,10 +21,11 @@ from semsim.models import build_cardio, build_waterfall, build_waterfall_from_fr
 from semsim.world import Vocabulary
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, input=None):
     return subprocess.run(
         [sys.executable, "-m", "semsim", *args],
         cwd=cwd,
+        input=input,
         capture_output=True,
         text=True,
         timeout=60,
@@ -504,6 +505,43 @@ def test_malformed_fluidic_motion_params_fail_at_load(tmp_path, capsys, param, v
     assert_refused_at_load(tmp_path, capsys, data, f"mechanisms[0]: {diagnosis}")
 
 
+def _frames_path_breach(field, value):
+    def breach(data):
+        data["bindings"][0]["elements"]["Path"]["segments"][0][field] = value
+    return breach
+
+
+def _frames_goal_breach(data):
+    data["bindings"][0]["elements"]["Goal"]["id"] = "lake"
+
+
+_LAKE = "label 'lake' is outside the 'Location' space ['null', 'upper', 'drop', 'pool']"
+
+
+@pytest.mark.parametrize(
+    "breach, message",
+    [
+        (_frames_path_breach("length", 2.5),
+         "bindings[0]: malformed entry: a segment length must be a positive int, not 2.5"),
+        (_frames_path_breach("length", True),
+         "bindings[0]: malformed entry: a segment length must be a positive int, not True"),
+        (_frames_path_breach("slope", [0.5, 1]),
+         "bindings[0]: malformed entry: a slope must be a pair of ints, not (0.5, 1)"),
+        (_frames_path_breach("label", "lake"), f"mechanisms[0]: {_LAKE}"),
+        (_frames_goal_breach, f"mechanisms[0]: {_LAKE}"),
+        (lambda data: data["mechanisms"][0]["params"].update(portion_kind="Place"),
+         "mechanisms[0]: kind 'Place' is not a portion of 'water'"),
+    ],
+    ids=["float-length", "bool-length", "float-slope", "segment-label", "goal-label",
+         "kind-of-another-substance"],
+)
+def test_malformed_fluidic_motion_path_fails_at_load(tmp_path, capsys, breach, message):
+    world, _ = build_waterfall_from_frames(n_portions=2)
+    data = save_model(world)
+    breach(data)
+    assert_refused_at_load(tmp_path, capsys, data, message)
+
+
 def _world_that_faults_at_tick_2():
     world = World("faulty")
     world.vocabulary = Vocabulary(literals=frozenset({"melting"}))
@@ -559,6 +597,26 @@ def test_the_console_takes_no_step_after_a_step_raised(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "faulty.trace.report.json").read_text())
     assert report["exit_code"] == EXIT_CONFIG
     assert [r["step"] for r in report["reports"]] == [0, 1]
+
+
+@pytest.mark.parametrize("command", ["run", "console"])
+def test_a_bug_inside_a_step_exits_1_with_one_error_line(tmp_path, command):
+    data = json.loads(json.dumps(_SAVED_CARDIO))
+    (portion,) = [p for p in data["portions"] if p["id"] == "blood-5"]
+    portion["properties"] = {}  # loads, but reading its O2Level at step 4 raises KeyError
+    path = tmp_path / "levels-missing.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    args = [command, "--model", str(path), "--steps", "10", "--trace", "t.trace"]
+    result = run_cli(args, cwd=tmp_path, input="step 10\nstep\nquit\n")
+    assert result.returncode == EXIT_CONFIG
+    output = result.stdout + result.stderr
+    assert "Traceback" not in output
+    errors = [line for line in output.splitlines() if line.startswith("error:")]
+    assert errors == ["error: KeyError: 'O2Level'"]
+    report = json.loads((tmp_path / "t.trace.report.json").read_text())
+    assert report["exit_code"] == EXIT_CONFIG
+    assert report["steps_executed"] == 4
+    assert [r["step"] for r in report["reports"]] == [0, 1, 2, 3]
 
 
 def _world_interrupted_at_tick_2(ticks):

@@ -244,6 +244,7 @@ def test_a_step_that_raises_publishes_none_of_its_events():
     [
         (StateError("boom"), "step 2 raised: boom"),
         (KeyboardInterrupt(), "step 2 was interrupted"),
+        (TypeError("boom"), "step 2 raised: TypeError: boom"),
     ],
 )
 def test_no_step_runs_after_a_step_raised_or_was_interrupted(fault, refusal):

@@ -15,10 +15,10 @@ from semsim.models import (
     WaterfallConfig,
     build_waterfall,
     build_waterfall_from_frames,
-    ticks_to_pool,
     waterfall_path,
 )
 from semsim.engine import Trigger, guard_report, register_trigger
+from semsim.modelfile import load_model, save_model
 
 
 def test_define_frame_fluidic_motion():
@@ -150,7 +150,7 @@ def test_frames_waterfall_trace_equivalent_to_hand_built():
 
     framed, _ = build_waterfall_from_frames(config, n_portions=3)
     k2 = Kernel(framed)
-    k2.run(ticks_to_pool(config, 3))
+    k2.run(3)
 
     assert k1.trace_lines() == k2.trace_lines() == ["0 pool", "1 pool", "2 pool"]
     for i in range(3):
@@ -158,6 +158,28 @@ def test_frames_waterfall_trace_equivalent_to_hand_built():
         pf = framed.portions[f"water-{i}"]
         assert (ph.x, ph.y) == (pf.x, pf.y)
         assert ph.location_state == pf.location_state == "pool"
+
+
+@pytest.mark.parametrize("cut", [0, 1, 2, 3])
+def test_a_reloaded_frames_waterfall_runs_on_as_if_uninterrupted(cut):
+    config = WaterfallConfig(upper_bed_length=3, vertical_drop=2)
+    whole, _ = build_waterfall_from_frames(config, n_portions=3)
+    k_whole = Kernel(whole)
+    k_whole.run(4)
+
+    first, _ = build_waterfall_from_frames(config, n_portions=3)
+    k_first = Kernel(first)
+    k_first.run(cut)
+    reloaded = load_model(save_model(first))
+    k_rest = Kernel(reloaded)
+    k_rest.run(4 - cut)
+
+    assert k_first.trace_lines() + k_rest.trace_lines() == k_whole.trace_lines()
+    assert k_whole.trace_lines() == ["0 pool", "1 pool", "2 pool"]
+    for i in range(3):
+        pw, pr = whole.portions[f"water-{i}"], reloaded.portions[f"water-{i}"]
+        assert (pr.x, pr.y, pr.location_state) == (pw.x, pw.y, pw.location_state)
+        assert pr.location_state == "pool"
 
 
 @given(

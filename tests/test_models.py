@@ -11,6 +11,7 @@ from semsim.models import (
     WaterfallConfig,
     build_cardio,
     build_waterfall,
+    build_waterfall_from_frames,
     freeze_watch_mechanism,
     waterfall_path,
 )
@@ -42,8 +43,13 @@ def waterfall_oracle(upper_bed_length, vertical_drop, upper_delta=(10, -1), drop
     return mid, (x, y), states
 
 
-def run_waterfall(config=WaterfallConfig(), n=3, ticks=None):
-    world = build_waterfall(config, n_portions=n)
+def build_framed_waterfall(config, n_portions):
+    world, _ = build_waterfall_from_frames(config, n_portions=n_portions)
+    return world
+
+
+def run_waterfall(config=WaterfallConfig(), n=3, ticks=None, build=build_waterfall):
+    world = build(config, n_portions=n)
     kernel = Kernel(world)
     standard_rules(kernel)
     kernel.run(ticks if ticks is not None else n)
@@ -119,12 +125,13 @@ deltas = st.tuples(st.integers(-100, 100), st.integers(-100, 100))
 )
 def test_closed_form_flow_equals_unit_loops(length, drop, upper_delta, drop_delta):
     config = WaterfallConfig(length, drop, upper_delta, drop_delta)
-    world, kernel = run_waterfall(config, n=1, ticks=1)
-    p = world.portions["water-0"]
     _, final, states = waterfall_oracle(length, drop, upper_delta, drop_delta)
-    assert (p.x, p.y) == final == waterfall_path(config).total_displacement()
-    assert ["null"] + location_changes(world, "water-0") == states
-    assert kernel.trace_lines() == ["0 pool"]
+    for build in (build_waterfall, build_framed_waterfall):
+        world, kernel = run_waterfall(config, n=1, ticks=1, build=build)
+        p = world.portions["water-0"]
+        assert (p.x, p.y) == final == waterfall_path(config).total_displacement(), build
+        assert ["null"] + location_changes(world, "water-0") == states, build
+        assert kernel.trace_lines() == ["0 pool"], build
 
 
 def test_a_billion_unit_bed_pools_in_one_tick():

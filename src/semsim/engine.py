@@ -431,7 +431,7 @@ class Kernel:
                 self.world.clear_changes()
             elif self.snapshot is None:
                 self.world.clear_changes()  # the build below sees every change
-                self.snapshot = validation.Snapshot(self.world)
+                self.snapshot = validation.Snapshot(self.world, validation.rule_scope(self.rules))
             report.validation = validation.validate(
                 self.world, self.tick, self.rules, self.validate_policy, self.snapshot
             )

@@ -272,9 +272,12 @@ def path_flow(
     """A flow down a PathSpec. Each firing releases portion "<fluid>-<i>",
     carries it down every leg in closed form (length × per-unit delta: nothing
     observes it mid-leg), setting each leg's label and then the goal's, and
-    emits "<i> <goal_label>". The cursor i is the fluid's count of portions
-    ever registered, which a reloaded model file rebuilds. With a portion
-    kind, every label is checked against its Location space here.
+    emits "<i> <goal_label>". The cursor i is the flow's own, world state in
+    world.flow_cursors that a model file saves: it starts at the number of
+    portions of the fluid that exist when the flow is built, so its ids do
+    not collide with theirs, and advances only with the flow's releases.
+    With a portion kind, every label is checked against its Location space
+    here.
     """
     if portion_kind is not None:
         if world.effective_substance(portion_kind) != fluid:
@@ -291,18 +294,23 @@ def path_flow(
         for seg in path.segments
     )
 
+    # A taken name is refused when the flow is registered: leave its cursor.
+    if mech_name not in world.mechanisms:
+        world.flow_cursors[mech_name] = world.portion_counts.get(fluid, 0)
+
     def remaining(w) -> bool:
-        return n_portions is None or w.portion_counts.get(fluid, 0) < n_portions
+        return n_portions is None or w.flow_cursors[mech_name] < n_portions
 
     def effect(ctx):
         w = ctx.world
-        i = w.portion_counts.get(fluid, 0)
+        i = w.flow_cursors[mech_name]
         pid = f"{fluid}-{i}"
         if portion_kind is not None:
             portion = w.instantiate(portion_kind, entity_id=pid)
         else:
             portion = w.create_portion(fluid, entity_id=pid)
             portion.x, portion.y = 0, 0
+        w.flow_cursors[mech_name] = i + 1
         for label, dx, dy in legs:
             if label is not None:
                 w.set_state(pid, "Location", label)

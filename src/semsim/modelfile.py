@@ -81,6 +81,14 @@ def _binding_value_from_dict(data: dict, loc: str):
     raise SchemaError(f"unknown binding value type {kind!r}", loc)
 
 
+def _mechanism_to_dict(world: World, spec: dict) -> dict:
+    """A mechanism's build record, plus a path flow's cursor."""
+    entry = dict(spec)
+    if spec["name"] in world.flow_cursors:
+        entry["cursor"] = world.flow_cursors[spec["name"]]
+    return entry
+
+
 def save_model(world: World) -> dict:
     """Serialize the world to a JSON-compatible dict."""
     return {
@@ -191,7 +199,7 @@ def save_model(world: World) -> dict:
             }
             for b in world.bindings
         ],
-        "mechanisms": [dict(spec) for spec in world.mechanism_specs],
+        "mechanisms": [_mechanism_to_dict(world, spec) for spec in world.mechanism_specs],
         "triggers": [
             {
                 "name": t.name,
@@ -366,6 +374,13 @@ def load_model(data: dict) -> World:
                 raise SchemaError(f"unknown compartment {portion.compartment!r}", loc)
             if portion.id in world.portions:
                 raise SchemaError(f"duplicate portion id {portion.id!r}", loc)
+            # Mechanisms read a live portion's substance properties.
+            defaults = world.substances[portion.substance].default_properties
+            missing = [prop for prop in defaults if prop not in portion.properties]
+            if portion.alive and missing:
+                raise SchemaError(
+                    f"portion {portion.id!r} lacks its substance's properties {missing}", loc
+                )
             world.add_portion(portion)
 
     # Contents restore reservoir draw order, so they are authoritative. Each
@@ -415,7 +430,18 @@ def load_model(data: dict) -> World:
             params = dict(spec.get("params", {}))
             if "name" in spec:
                 params["name"] = spec["name"]
-            models.BUILTIN_MECHANISMS[builtin](world, params)
+            mechanism = models.BUILTIN_MECHANISMS[builtin](world, params)
+            # A file without a path flow's cursor keeps the one the build
+            # set: the fluid's portion count, as flows counted before.
+            if "cursor" in spec:
+                cursor = spec["cursor"]
+                if mechanism.name not in world.flow_cursors:
+                    raise SchemaError(
+                        f"{mechanism.name!r} is not a path flow; it has no cursor", loc
+                    )
+                if type(cursor) is not int or cursor < 0:  # bool is not a cursor
+                    raise SchemaError(f"cursor must be an int >= 0, not {cursor!r}", loc)
+                world.flow_cursors[mechanism.name] = cursor
 
     for loc, t in _entries(data, "triggers"):
         with _diagnosed(loc):

@@ -40,6 +40,18 @@ capacities, and a portion's substance. A check that reads anything else
 (say, len(triples)) leaves `reads` at None and is re-evaluated every step.
 A rule without a check reads nothing. The `triples` a check receives is
 read-only and valid only during the call.
+
+The contract also decides what the kernel's snapshot holds. rule_scope gives
+the predicates a rule set matches or reads, and the kernel builds its
+Snapshot with that scope, so it derives, indexes and diffs no triple that
+no rule looks at (the demand-driven evaluation of magic sets: Bancilhon,
+Maier, Sagiv and Ullman, PODS 1986). A variable predicate, or a check with
+reads=None, widens the scope to every predicate. A rule that is new or
+replaced and needs a predicate outside the scope rebuilds the snapshot
+from live state with the wider scope before it is evaluated. The rebuild
+leaves the triples already in scope as they were, so the other rules'
+passing matches stay valid. validate without a snapshot and derive_triples
+still build with every predicate.
 """
 from __future__ import annotations
 
@@ -166,38 +178,75 @@ _HAS_STATE = _Predicates("hasState:")
 _HAS_PART = _Predicates("hasPart:")
 
 
-def _object_triples(obj) -> list[Triple]:
+class _Every:
+    """The scope of a full snapshot: every predicate is in it."""
+
+    __slots__ = ()
+
+    def __contains__(self, predicate) -> bool:
+        return True
+
+
+_EVERY = _Every()
+
+
+# Each helper builds only the triples whose predicate is in `scope` (a set of
+# predicates, or _EVERY), so a scoped snapshot derives nothing it would drop.
+
+
+def _object_triples(obj, scope) -> list[Triple]:
+    out = []
     if not obj.alive:
-        return []
+        return out
     oid = obj.id
-    out = [_new(Triple, (oid, _HAS_STATE[var], label)) for var, label in obj.states.items()]
-    out += [_new(Triple, (oid, _HAS_STATE[p], v.level)) for p, v in obj.properties.items()]
-    out += [_new(Triple, (oid, _HAS_PART[role], child)) for role, child in obj.parts]
+    for var, label in obj.states.items():
+        predicate = _HAS_STATE[var]
+        if predicate in scope:
+            out.append(_new(Triple, (oid, predicate, label)))
+    for name, value in obj.properties.items():
+        predicate = _HAS_STATE[name]
+        if predicate in scope:
+            out.append(_new(Triple, (oid, predicate, value.level)))
+    for role, child in obj.parts:
+        predicate = _HAS_PART[role]
+        if predicate in scope:
+            out.append(_new(Triple, (oid, predicate, child)))
     return out
 
 
-def _portion_triples(portion) -> list[Triple]:
+def _portion_triples(portion, scope) -> list[Triple]:
     """Triples of a live portion."""
+    out = []
     pid = portion.id
-    out = [_new(Triple, (pid, "hasState:Location", portion.location_state))]
-    out += [_new(Triple, (pid, _HAS_STATE[p], v.level)) for p, v in portion.properties.items()]
-    if portion.compartment is not None:
+    if "hasState:Location" in scope:
+        out.append(_new(Triple, (pid, "hasState:Location", portion.location_state)))
+    for name, value in portion.properties.items():
+        predicate = _HAS_STATE[name]
+        if predicate in scope:
+            out.append(_new(Triple, (pid, predicate, value.level)))
+    if portion.compartment is not None and "locatedIn" in scope:
         out.append(_new(Triple, (pid, "locatedIn", portion.compartment)))
     return out
 
 
-def _substance_triples(sub) -> list[Triple]:
+def _substance_triples(sub, scope) -> list[Triple]:
+    if "hasState:phase" not in scope:
+        return []
     return [_new(Triple, (sub.name, "hasState:phase", sub.phase))]
 
 
-def _wiring_triples(world) -> list[Triple]:
+def _wiring_triples(world, scope) -> list[Triple]:
+    if "connectedTo" not in scope:
+        return []
     return [
         _new(Triple, (c.from_id, "connectedTo", c.to_id)) for c in world.connections.values()
     ]
 
 
-def _pushed_triples(world) -> list[Triple]:
+def _pushed_triples(world, scope) -> list[Triple]:
     """pushedTo for every move committed during the current step."""
+    if "pushedTo" not in scope:
+        return []
     return [
         _new(Triple, (src, "pushedTo", dst))
         for record in world.last_commits
@@ -205,18 +254,18 @@ def _pushed_triples(world) -> list[Triple]:
     ]
 
 
-def _entity_triples(world, entity_id: str) -> list[Triple]:
-    """Every triple whose subject is this object, live portion or substance."""
+def _entity_triples(world, entity_id: str, scope) -> list[Triple]:
+    """Every triple in scope whose subject is this object, live portion or substance."""
     out = []
     obj = world.objects.get(entity_id)
     if obj is not None:
-        out += _object_triples(obj)
+        out += _object_triples(obj, scope)
     portion = world.live_registry.get(entity_id)
     if portion is not None:
-        out += _portion_triples(portion)
+        out += _portion_triples(portion, scope)
     sub = world.substances.get(entity_id)
     if sub is not None:
-        out += _substance_triples(sub)
+        out += _substance_triples(sub, scope)
     return out
 
 
@@ -227,6 +276,26 @@ def derive_triples(world) -> frozenset[Triple]:
     pushedTo for moves committed during the current step.
     """
     return frozenset(Snapshot(world).triples)
+
+
+def rule_scope(rules) -> frozenset[str] | None:
+    """The predicates these rules match or read, or None for every predicate.
+
+    A rule needs its pattern's predicate and, if it has a check, the
+    predicates its check reads. A variable predicate, or a check whose reads
+    are unknown, needs them all.
+    """
+    scope: set[str] = set()
+    for rule in rules.values():
+        predicate = rule.pattern.predicate
+        if isinstance(predicate, Var):
+            return None
+        scope.add(predicate)
+        if rule.check is not None:
+            if rule.reads is None:
+                return None
+            scope |= rule.reads
+    return frozenset(scope)
 
 
 def register_rule(rules: dict[str, AssertionRule], rule: AssertionRule) -> AssertionRule:
@@ -276,24 +345,47 @@ class _RuleState:
 class Snapshot:
     """The live triple set of one world, kept up to date from step to step.
 
-    Building one derives every triple of its world and leaves the world's
-    recorded changes alone. Each refresh applies and consumes the changes
-    recorded since; violations re-checks against what the last refresh
-    changed, and after a build evaluates every rule in full.
+    A scope (a set of predicates, see rule_scope) limits it to the triples
+    with those predicates; None, the default, keeps every triple. Building
+    one derives every triple in scope and leaves the world's recorded
+    changes alone. Each refresh applies and consumes the changes recorded
+    since; violations re-checks against what the last refresh changed, and
+    after a build evaluates every rule in full.
     """
 
-    def __init__(self, world):
+    def __init__(self, world, scope: frozenset[str] | None = None):
         self.world = world
+        self._rules: dict[str, _RuleState] = {}
+        self._build(scope)
+        # The last refresh's (added, removed) triples by predicate.
+        self._added: dict[str, list[Triple]] = {}
+        self._removed: dict[str, list[Triple]] = {}
+
+    def _build(self, scope: frozenset[str] | None):
+        """Derive every triple in scope from the world's live state."""
+        world = self.world
+        self.scope = scope
+        self._keep = _EVERY if scope is None else scope
         self.triples: set[Triple] = set()
         self.by_predicate: dict[str, set[Triple]] = {}
         self._entities: dict[str, list[Triple]] = {}  # subject id -> its triples
         self._wiring: list[Triple] = []
         self._pushed: list[Triple] = []
-        self._rules: dict[str, _RuleState] = {}
         self._apply([*world.objects, *world.live_registry, *world.substances], True)
-        # The last refresh's (added, removed) triples by predicate.
-        self._added: dict[str, list[Triple]] = {}
-        self._removed: dict[str, list[Triple]] = {}
+
+    def _widen(self, rule: AssertionRule):
+        """Rebuild with a scope wide enough for this rule, if it is not yet.
+
+        The rebuild reads live state, so the triples already in scope come
+        out the same and the other rules' passing matches stay valid.
+        """
+        if self.scope is None:
+            return
+        needs = rule_scope({rule.name: rule})
+        if needs is None:
+            self._build(None)
+        elif not needs <= self.scope:
+            self._build(self.scope | needs)
 
     def refresh(self):
         """Apply the world's recorded changes, then forget them."""
@@ -304,12 +396,12 @@ class Snapshot:
     def _apply(self, ids, wiring: bool):
         """Re-derive these entities, the wiring if it changed, and this step's
         pushedTo triples; return (added, removed) by predicate."""
-        world = self.world
+        world, scope = self.world, self._keep
         added: dict[str, list[Triple]] = {}
         removed: dict[str, list[Triple]] = {}
         entities = self._entities
         for entity_id in ids:
-            new = _entity_triples(world, entity_id)
+            new = _entity_triples(world, entity_id, scope)
             old = entities.get(entity_id)
             if new:
                 entities[entity_id] = new
@@ -317,10 +409,10 @@ class Snapshot:
                 del entities[entity_id]
             self._replace(old, new, added, removed)
         if wiring:
-            new = _wiring_triples(world)
+            new = _wiring_triples(world, scope)
             self._replace(self._wiring, new, added, removed)
             self._wiring = new
-        new = _pushed_triples(world)
+        new = _pushed_triples(world, scope)
         if new or self._pushed:
             self._replace(self._pushed, new, added, removed)
             self._pushed = new
@@ -394,6 +486,8 @@ class Snapshot:
                 or reads is None
                 or not reads.isdisjoint(changed)
             ):
+                if state is None or state.rule is not rule:
+                    self._widen(rule)
                 candidates = self.by_predicate.get(predicate, ()) if ground else self.triples
                 passing = self._check_into({}, rule, candidates)
                 state = states[key] = _RuleState(rule, passing)

@@ -602,8 +602,12 @@ def test_the_console_takes_no_step_after_a_step_raised(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["run", "console"])
 def test_a_bug_inside_a_step_exits_1_with_one_error_line(tmp_path, command):
     data = json.loads(json.dumps(_SAVED_CARDIO))
+    # Blood declares no O2Level, so blood-5 without one loads; the first
+    # read of its O2Level, at step 4, raises KeyError.
+    (blood,) = [s for s in data["substances"] if s["name"] == "blood"]
+    del blood["default_properties"]["O2Level"]
     (portion,) = [p for p in data["portions"] if p["id"] == "blood-5"]
-    portion["properties"] = {}  # loads, but reading its O2Level at step 4 raises KeyError
+    del portion["properties"]["O2Level"]
     path = tmp_path / "levels-missing.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     args = [command, "--model", str(path), "--steps", "10", "--trace", "t.trace"]
@@ -617,6 +621,20 @@ def test_a_bug_inside_a_step_exits_1_with_one_error_line(tmp_path, command):
     assert report["exit_code"] == EXIT_CONFIG
     assert report["steps_executed"] == 4
     assert [r["step"] for r in report["reports"]] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "pid, missing", [("blood-5", "['O2Level', 'CO2Level', 'Warmth']"),
+                     ("air-alv", "['O2Level', 'CO2Level']")],
+)
+def test_a_portion_without_its_substance_properties_is_refused_at_load(
+    tmp_path, capsys, pid, missing
+):
+    data = json.loads(json.dumps(_SAVED_CARDIO))
+    (index,) = [i for i, p in enumerate(data["portions"]) if p["id"] == pid]
+    data["portions"][index]["properties"] = {}
+    message = f"portions[{index}]: portion {pid!r} lacks its substance's properties {missing}"
+    assert_refused_at_load(tmp_path, capsys, data, message)
 
 
 def _world_interrupted_at_tick_2(ticks):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semsim import Kernel, World
-from semsim.errors import MissingCoreElement, ModelError
+from semsim.errors import DuplicateNameError, MissingCoreElement, ModelError, SchemaError
 from semsim.frames import (
     PathSegment,
     PathSpec,
@@ -13,6 +13,7 @@ from semsim.frames import (
 )
 from semsim.models import (
     WaterfallConfig,
+    build_cardio,
     build_waterfall,
     build_waterfall_from_frames,
     waterfall_path,
@@ -180,6 +181,77 @@ def test_a_reloaded_frames_waterfall_runs_on_as_if_uninterrupted(cut):
         pw, pr = whole.portions[f"water-{i}"], reloaded.portions[f"water-{i}"]
         assert (pr.x, pr.y, pr.location_state) == (pw.x, pw.y, pw.location_state)
         assert pr.location_state == "pool"
+
+
+def _build_hand(n_portions):
+    return build_waterfall(WaterfallConfig(upper_bed_length=3, vertical_drop=2), n_portions)
+
+
+def _build_framed(n_portions):
+    config = WaterfallConfig(upper_bed_length=3, vertical_drop=2)
+    return build_waterfall_from_frames(config, n_portions)[0]
+
+
+@pytest.mark.parametrize("build", [_build_hand, _build_framed], ids=["hand", "frames"])
+def test_a_flow_counts_its_own_releases_not_every_portion_of_its_fluid(build):
+    world = build(2)
+    world.create_portion("water", entity_id="puddle")
+    kernel = Kernel(world)
+    kernel.run(3)
+    assert kernel.trace_lines() == ["0 pool", "1 pool"]
+    assert world.flow_cursors == {"WaterFlowing": 2}
+    assert world.portions["puddle"].location_state == "null"
+
+
+@pytest.mark.parametrize("build", [_build_hand, _build_framed], ids=["hand", "frames"])
+def test_a_saved_flow_cursor_resumes_and_an_old_file_resumes_as_before(build):
+    world = build(3)
+    world.create_portion("water", entity_id="puddle")
+    Kernel(world).run(1)
+    data = save_model(world)
+    (entry,) = [m for m in data["mechanisms"] if m["name"] == "WaterFlowing"]
+    assert entry["cursor"] == 1
+    kernel = Kernel(load_model(data))
+    kernel.run(3)
+    assert kernel.trace_lines() == ["1 pool", "2 pool"]
+
+    # A file from before flows kept a cursor counts the fluid's portions, as
+    # flows did then: water-0 and the puddle.
+    del entry["cursor"]
+    old = load_model(data)
+    assert old.flow_cursors == {"WaterFlowing": 2}
+    kernel = Kernel(old)
+    kernel.run(3)
+    assert kernel.trace_lines() == ["2 pool"]
+
+
+@pytest.mark.parametrize("cursor", [-1, True, 1.0, "1"])
+def test_a_malformed_flow_cursor_is_refused(cursor):
+    data = save_model(_build_hand(2))
+    data["mechanisms"][0]["cursor"] = cursor
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == f"mechanisms[0]: cursor must be an int >= 0, not {cursor!r}"
+
+
+def test_a_flow_whose_name_is_taken_leaves_no_cursor():
+    world = build_cardio()
+    path = PathSpec((PathSegment(2, slope=(0, 1)),))
+    elements = {"Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": path}
+    binding = bind(world, "Fluidic_Motion", elements)
+    with pytest.raises(DuplicateNameError):
+        instantiate_fluidic_motion(world, binding, name="HeartbeatPush")
+    assert world.flow_cursors == {}
+    assert load_model(save_model(world)).flow_cursors == {}
+
+
+def test_a_cursor_on_a_mechanism_that_is_no_path_flow_is_refused():
+    data = save_model(build_cardio())
+    assert data["mechanisms"][0]["name"] == "HeartbeatPush"
+    data["mechanisms"][0]["cursor"] = 0
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == "mechanisms[0]: 'HeartbeatPush' is not a path flow; it has no cursor"
 
 
 @given(

@@ -23,7 +23,7 @@ from semsim.scenarios import (
     set_state,
 )
 from semsim.errors import ModelError
-from semsim.validation import AssertionRule, Snapshot, derive_triples, validate
+from semsim.validation import AssertionRule, Snapshot, derive_triples, rule_scope, validate
 from semsim.world import Vocabulary
 
 from reference import as_items, reference_triples, reference_violations
@@ -82,9 +82,12 @@ def assert_kernel_matches_full_recompute(kernel, report):
     triples = reference_triples(world)
     assert as_items(own) == reference_violations(world, triples, kernel.rules)
     snapshot = kernel.snapshot
-    assert snapshot.triples == triples
+    # The kernel's snapshot keeps only the predicates its rules match or read.
+    scope = snapshot.scope
+    in_scope = {t for t in triples if scope is None or t.predicate in scope}
+    assert snapshot.triples == in_scope
     grouped = {}
-    for triple in triples:
+    for triple in in_scope:
         grouped.setdefault(triple.predicate, set()).add(triple)
     assert {p: s for p, s in snapshot.by_predicate.items() if s} == grouped
 
@@ -177,6 +180,82 @@ def test_kernel_validation_equals_full_recompute(model, data):
         assert_kernel_matches_full_recompute(kernel, kernel.step())
 
 
+def _in_lungs(bindings, world, triples):
+    return Triple(bindings["p"], "locatedIn", "PulmCap") in triples
+
+
+def _oxygen_poor(bindings, world, triples):
+    return Triple(bindings["p"], "hasState:O2Level", "low") in triples
+
+
+def test_rule_scope_is_what_the_rules_match_or_read():
+    kernel = Kernel(build_waterfall(n_portions=2))
+    standard_rules(kernel)
+    assert rule_scope(kernel.rules) == {
+        "locatedIn", "pushedTo", "connectedTo", "hasState:Location", "hasState:phase",
+    }
+    assert rule_scope({}) == frozenset()
+    unchecked = AssertionRule("some-push", TriplePattern(Var("a"), "pushedTo", Var("b")))
+    assert rule_scope({"r": unchecked}) == {"pushedTo"}
+    co2 = AssertionRule(
+        "co2", TriplePattern(Var("p"), "hasState:CO2Level", "high"),
+        expectation="must_not_exist", check=_in_lungs, reads=frozenset({"locatedIn"}),
+    )
+    assert rule_scope({"r": co2}) == {"hasState:CO2Level", "locatedIn"}
+
+    variable = AssertionRule(
+        "anything-at-lv", TriplePattern(Var("s"), Var("p"), "LeftVentricle"),
+        expectation="must_not_exist",
+    )
+    unknown_reads = AssertionRule(
+        "even", TriplePattern(Var("p"), "locatedIn", Var("c")),
+        expectation="must_not_exist", check=_even_snapshot,
+    )
+    for rule in (variable, unknown_reads):
+        assert rule_scope({**kernel.rules, rule.name: rule}) is None
+
+
+def test_the_kernel_snapshot_holds_only_what_the_standard_rules_read():
+    kernel = Kernel(build_cardio())
+    standard_rules(kernel)
+    kernel.run(9)  # the last step, tick 8, is a heartbeat
+    snapshot = kernel.snapshot
+    assert snapshot.scope == {"locatedIn", "pushedTo", "connectedTo"}
+    assert {t.predicate for t in snapshot.triples} == snapshot.scope
+    assert not [t for t in snapshot.triples if t.predicate == "hasState:O2Level"]
+    assert_kernel_matches_full_recompute(kernel, kernel.reports[-1])
+    # A standalone validate is still a full recompute.
+    assert derive_triples(kernel.world) == reference_triples(kernel.world)
+
+
+@pytest.mark.parametrize("via", ["pattern", "reads"])
+def test_a_rule_added_mid_run_widens_the_scope(via):
+    world = build_cardio()
+    kernel = Kernel(world, validate_policy="warn")
+    standard_rules(kernel)
+    kernel.run(5)
+    built = kernel.snapshot
+    if via == "pattern":
+        rule = AssertionRule(
+            "oxygen-poor", TriplePattern(Var("p"), "hasState:O2Level", "low"),
+            expectation="must_not_exist",
+        )
+    else:
+        rule = AssertionRule(
+            "oxygen-poor", TriplePattern(Var("p"), "locatedIn", Var("c")),
+            expectation="must_not_exist", check=_oxygen_poor,
+            reads=frozenset({"hasState:O2Level"}),
+        )
+    kernel.add_rule(rule)
+    report = kernel.step()
+    assert kernel.snapshot is built
+    assert "hasState:O2Level" in built.scope
+    assert [v.rule for v in report.validation.violations].count("oxygen-poor") > 0
+    assert_kernel_matches_full_recompute(kernel, report)
+    for _ in range(12):
+        assert_kernel_matches_full_recompute(kernel, kernel.step())
+
+
 def test_replaced_and_removed_rules_are_rechecked():
     world = build_cardio()
     kernel = Kernel(world, validate_policy="warn")
@@ -212,10 +291,19 @@ def test_replaced_and_removed_rules_are_rechecked():
     assert_kernel_matches_full_recompute(kernel, report)
 
 
+def _ink_frozen(bindings, world, triples):
+    return Triple("ink", "hasState:phase", "solid") in triples
+
+
 def test_entities_defined_mid_run_enter_the_snapshot():
     world = build_cardio()
     kernel = Kernel(world, validate_policy="warn")
     standard_rules(kernel)
+    # A rule over nibs that reads phases: both predicates are in the scope.
+    kernel.add_rule(AssertionRule(
+        "no-nib-while-ink-frozen", TriplePattern(Var("q"), "hasState:nib", Var("n")),
+        expectation="must_not_exist", check=_ink_frozen, reads=frozenset({"hasState:phase"}),
+    ))
     kernel.step()
     world.define_substance("ink", phase="liquid")
     world.define_kind("Quill", state_spaces=(StateSpace("nib", ("sharp", "blunt")),))

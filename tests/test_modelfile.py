@@ -178,6 +178,22 @@ def test_dead_portion_in_a_compartment_is_rejected():
     )
 
 
+def test_a_live_portion_must_carry_its_substance_properties():
+    data = save_model(build_cardio())
+    (index,) = [i for i, p in enumerate(data["portions"]) if p["id"] == "blood-5"]
+    del data["portions"][index]["properties"]["CO2Level"]
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == (
+        f"portions[{index}]: portion 'blood-5' lacks its substance's properties ['CO2Level']"
+    )
+    # A dead portion is never read, so its properties may be partial.
+    data["portions"][index].update(alive=False, compartment=None)
+    for compartment in data["compartments"]:
+        compartment["contents"] = [p for p in compartment["contents"] if p != "blood-5"]
+    assert "CO2Level" not in load_model(data).portions["blood-5"].properties
+
+
 def test_duplicate_portion_id_diagnosed():
     data = save_model(build_cardio())
     data["portions"].append(dict(data["portions"][0], alive=False, compartment=None))

@@ -22,3 +22,20 @@ def test_script_runs_without_a_traceback(script, tmp_path):
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
     assert result.stdout
+
+
+def test_layer_split_prints_a_row_per_model_and_configuration(tmp_path):
+    script = SCRIPTS[0].parent / "layer_split.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--ticks", "20", "--repeats", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.splitlines()[2:]
+    labels = ("--validate off", "halt, no rules", "halt, standard rules")
+    assert [(row[:10].strip(), row[11:33].strip()) for row in rows] == [
+        (model, label) for model in ("cardio", "waterfall") for label in labels
+    ]
+    for row in rows:
+        steps_per_s, micros, _added = (float(field) for field in row[33:].split())
+        assert steps_per_s > 0 and micros > 0

@@ -6,10 +6,18 @@ world), with validation on and no rules (plus snapshot maintenance), and
 with the standard rules (plus rule re-checks). Each row is the best of
 --repeats runs of Kernel.run(--ticks), the model build excluded; the last
 column is the step cost that row adds to the row above it.
+
+The last row is the fixed cost of starting a run: `import semsim.cli` in a
+fresh `python3 -I` interpreter, best of --startup-repeats, next to the step
+costs it is paid once beside.
 """
 import argparse
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import semsim
 from semsim.cli import standard_rules
 from semsim.engine import Kernel
 from semsim.models import build_cardio, build_waterfall
@@ -36,10 +44,32 @@ def best_seconds(build, policy, rules, ticks, repeats):
     return best
 
 
+# Run in a fresh interpreter; prints the seconds `import semsim.cli` took.
+IMPORT_PROBE = (
+    "import sys, time; sys.path.insert(0, sys.argv[1]); start = time.perf_counter(); "
+    "import semsim.cli; print(time.perf_counter() - start)"
+)
+
+
+def best_import_seconds(repeats):
+    """Best of `repeats` fresh `python3 -I` imports of semsim.cli from this
+    package's source tree (-I: no PYTHONPATH, user site or working directory)."""
+    src = str(Path(semsim.__file__).resolve().parent.parent)
+    best = float("inf")
+    for _ in range(repeats):
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", IMPORT_PROBE, src],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        best = min(best, float(out))
+    return best
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--ticks", type=int, default=5000)
     parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--startup-repeats", type=int, default=9)
     args = parser.parse_args()
 
     models = (
@@ -56,6 +86,9 @@ def main():
             print(f"{model:<10} {label:<22} {1 / per_step:>9.0f} {micros:>8.1f} "
                   f"{micros - previous:>+8.1f}")
             previous = micros
+    millis = best_import_seconds(args.startup_repeats) * 1e3
+    print(f"{'startup':<10} {'import semsim.cli':<22} {millis:>9.1f} ms, best of "
+          f"{args.startup_repeats} fresh python3 -I")
 
 
 if __name__ == "__main__":

@@ -7,10 +7,10 @@ the validation policy halted the run.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import models, validation
@@ -18,6 +18,7 @@ from .console import Console
 from .engine import Kernel
 from .errors import SemsimError, describe
 from .modelfile import load_model_file
+from .records import Record
 from .scenarios import apply_scenario, load_scenario
 from .world import World
 
@@ -26,16 +27,31 @@ EXIT_CONFIG = 1
 EXIT_HALTED = 2
 
 
-@dataclass
-class RunConfig:
-    model: str
-    steps: int | None = None
-    portions: int | None = None
-    seed: int = 0
-    mode: str = "deterministic"
-    validate_policy: str = "halt"
-    trace_path: str | None = None
-    scenario_path: str | None = None
+class RunConfig(Record):
+    _fields = (
+        "model", "steps", "portions", "seed", "mode", "validate_policy",
+        "trace_path", "scenario_path",
+    )
+
+    def __init__(
+        self,
+        model: str,
+        steps: int | None = None,
+        portions: int | None = None,
+        seed: int = 0,
+        mode: str = "deterministic",
+        validate_policy: str = "halt",
+        trace_path: str | None = None,
+        scenario_path: str | None = None,
+    ):
+        self.model = model
+        self.steps = steps
+        self.portions = portions
+        self.seed = seed
+        self.mode = mode
+        self.validate_policy = validate_policy
+        self.trace_path = trace_path
+        self.scenario_path = scenario_path
 
     @property
     def report_path(self) -> str:
@@ -157,12 +173,19 @@ def run_command(config: RunConfig) -> int:
     except SemsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # What setup built (modules, model, kernel) lives for the whole run, so
+    # the collections during the steps need not scan it again. Frozen, it
+    # stays out of them, and how much setup allocated no longer decides what
+    # they cost.
+    gc.freeze()
     try:
         kernel.run(planned_steps(config))  # None: until halted or Ctrl-C
     except KeyboardInterrupt:
         pass
     except Exception as exc:  # a fault inside a step, kept by the kernel
         print(f"error: {describe(exc)}", file=sys.stderr)
+    finally:
+        gc.unfreeze()
     return finish(kernel, config)
 
 

@@ -30,7 +30,6 @@ and every later step() raises SemsimError and changes nothing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from . import topology, validation
@@ -48,6 +47,7 @@ from .errors import (
     UnknownEntityError,
     describe,
 )
+from .records import FrozenRecord, Record, set_field
 from .topology import Circuit, MoveBatch
 from .world import World
 
@@ -64,81 +64,123 @@ WIRING_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(FrozenRecord):
     """One readable conjunct of a guard."""
 
-    description: str
-    test: Callable[[World], bool]
+    _fields = ("description", "test")
+
+    def __init__(self, description: str, test: Callable[[World], bool]):
+        set_field(self, "description", description)
+        set_field(self, "test", test)
 
 
-@dataclass
-class Mechanism:
-    name: str
-    guard: tuple[Condition, ...]
-    effect: Callable[["FireContext"], None]
-    side_effects: tuple[Callable[["FireContext"], None], ...] = ()
-    subsystem: str = "core"
-    on_signal: str | None = None  # compartment this mechanism listens on
-    requires: tuple[str, ...] = ()  # compartments/entities the guard and effect read
+class Mechanism(Record):
+    _fields = ("name", "guard", "effect", "side_effects", "subsystem", "on_signal", "requires")
+
+    def __init__(
+        self,
+        name: str,
+        guard: tuple[Condition, ...],
+        effect: Callable[[FireContext], None],
+        side_effects: tuple[Callable[[FireContext], None], ...] = (),
+        subsystem: str = "core",
+        on_signal: str | None = None,  # compartment this mechanism listens on
+        requires: tuple[str, ...] = (),  # compartments/entities the guard and effect read
+    ):
+        self.name = name
+        self.guard = guard
+        self.effect = effect
+        self.side_effects = side_effects
+        self.subsystem = subsystem
+        self.on_signal = on_signal
+        self.requires = requires
 
 
-@dataclass
-class Trigger:
+class Trigger(Record):
     """An independent periodic source that fires one mechanism."""
 
-    name: str
-    period: int
-    target: str
-    phase: int = 0
-    enabled: bool = True
+    _fields = ("name", "period", "target", "phase", "enabled")
 
-    def __post_init__(self):
-        if self.period < 1:
-            raise ModelError(f"trigger {self.name!r} needs period >= 1")
+    def __init__(self, name: str, period: int, target: str, phase: int = 0, enabled: bool = True):
+        if period < 1:
+            raise ModelError(f"trigger {name!r} needs period >= 1")
+        self.name = name
+        self.period = period
+        self.target = target
+        self.phase = phase
+        self.enabled = enabled
 
     def due(self, tick: int) -> bool:
         return self.enabled and tick >= self.phase and (tick - self.phase) % self.period == 0
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(FrozenRecord):
     """A nerve-style message between compartments."""
 
-    sender: str
-    receiver: str
-    payload: str
-    via: tuple[str, str, str] | None = None  # the nerve connection key, set on send
+    _fields = ("sender", "receiver", "payload", "via")
+
+    def __init__(
+        self,
+        sender: str,
+        receiver: str,
+        payload: str,
+        via: tuple[str, str, str] | None = None,  # the nerve connection key, set on send
+    ):
+        set_field(self, "sender", sender)
+        set_field(self, "receiver", receiver)
+        set_field(self, "payload", payload)
+        set_field(self, "via", via)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    step: int
-    line: str
+class TraceEvent(FrozenRecord):
+    _fields = __slots__ = ("step", "line")
+
+    def __init__(self, step: int, line: str):
+        set_field(self, "step", step)
+        set_field(self, "line", line)
 
 
-@dataclass(slots=True)
-class FiringRecord:
-    mechanism: str
-    subsystem: str
-    via: str  # "trigger:<name>" or "signal:<payload>"
-    guard_values: dict[str, bool]
+class FiringRecord(Record):
+    _fields = __slots__ = ("mechanism", "subsystem", "via", "guard_values")
+
+    def __init__(
+        self,
+        mechanism: str,
+        subsystem: str,
+        via: str,  # "trigger:<name>" or "signal:<payload>"
+        guard_values: dict[str, bool],
+    ):
+        self.mechanism = mechanism
+        self.subsystem = subsystem
+        self.via = via
+        self.guard_values = guard_values
 
 
-@dataclass(slots=True)
-class GuardFailure:
-    mechanism: str
-    via: str
-    failed: list[str]  # descriptions of the failing conditions
+class GuardFailure(Record):
+    _fields = __slots__ = ("mechanism", "via", "failed")
+
+    def __init__(self, mechanism: str, via: str, failed: list[str]):
+        self.mechanism = mechanism
+        self.via = via
+        self.failed = failed  # descriptions of the failing conditions
 
 
-@dataclass(slots=True)
-class StepReport:
-    step: int
-    fired: list[FiringRecord] = field(default_factory=list)
-    guard_failures: list[GuardFailure] = field(default_factory=list)
-    traces: list[TraceEvent] = field(default_factory=list)
-    validation: validation.ValidationReport | None = None
+class StepReport(Record):
+    _fields = __slots__ = ("step", "fired", "guard_failures", "traces", "validation")
+
+    def __init__(
+        self,
+        step: int,
+        fired: list[FiringRecord] | None = None,
+        guard_failures: list[GuardFailure] | None = None,
+        traces: list[TraceEvent] | None = None,
+        validation: validation.ValidationReport | None = None,
+    ):
+        self.step = step
+        self.fired = [] if fired is None else fired
+        self.guard_failures = [] if guard_failures is None else guard_failures
+        self.traces = [] if traces is None else traces
+        self.validation = validation
 
     def describe(self) -> str:
         fired = ", ".join(f.mechanism for f in self.fired) or "-"

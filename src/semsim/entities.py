@@ -7,9 +7,8 @@ them in discrete units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import StateError, TransitionalError
+from .records import FrozenRecord, Record, set_field
 
 SCALE_KINDS = ("nominal", "binary", "ordinal", "interval", "ratio")
 #: Scale kinds models may actually use; interval/ratio are declared in the
@@ -21,23 +20,23 @@ PART_ROLES = ("functional", "structural")
 TRANSITIONAL_KINDS = ("state_change", "birth", "death", "split", "merge")
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(FrozenRecord):
     """A named qualitative variable and its ordered set of labels."""
 
-    variable: str
-    labels: tuple[str, ...]
-    scale_kind: str = "nominal"
+    _fields = ("variable", "labels", "scale_kind")
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise StateError(f"state space {self.variable!r} has repeated labels")
-        if self.scale_kind not in SCALE_KINDS:
-            raise StateError(f"unknown scale kind {self.scale_kind!r}")
-        if self.scale_kind == "binary" and len(self.labels) != 2:
+    def __init__(self, variable: str, labels: tuple[str, ...], scale_kind: str = "nominal"):
+        if len(set(labels)) != len(labels):
+            raise StateError(f"state space {variable!r} has repeated labels")
+        if scale_kind not in SCALE_KINDS:
+            raise StateError(f"unknown scale kind {scale_kind!r}")
+        if scale_kind == "binary" and len(labels) != 2:
             raise StateError(
-                f"binary space {self.variable!r} must have exactly two labels"
+                f"binary space {variable!r} must have exactly two labels"
             )
+        set_field(self, "variable", variable)
+        set_field(self, "labels", labels)
+        set_field(self, "scale_kind", scale_kind)
 
     @property
     def first(self) -> str:
@@ -56,15 +55,15 @@ class StateSpace:
         return self.scale_kind in ("binary", "ordinal")
 
 
-@dataclass(frozen=True)
-class QualValue:
+class QualValue(FrozenRecord):
     """A level on one scale. Comparisons are defined only within the scale."""
 
-    scale: StateSpace
-    level: str
+    _fields = ("scale", "level")
 
-    def __post_init__(self):
-        self.scale.index(self.level)
+    def __init__(self, scale: StateSpace, level: str):
+        scale.index(level)
+        set_field(self, "scale", scale)
+        set_field(self, "level", level)
 
     def rank(self) -> int:
         if not self.scale.ordered:
@@ -78,22 +77,28 @@ class QualValue:
         return self.scale.variable == other.scale.variable
 
 
-@dataclass(frozen=True)
-class PartSpec:
+class PartSpec(FrozenRecord):
     """One role in a kind's part schema; cardinality is a finite allowed set."""
 
-    role_name: str
-    part_kind: str
-    part_role: str = "functional"
-    cardinality: frozenset[int] = frozenset({1})
+    _fields = ("role_name", "part_kind", "part_role", "cardinality")
 
-    def __post_init__(self):
-        if self.part_role not in PART_ROLES:
+    def __init__(
+        self,
+        role_name: str,
+        part_kind: str,
+        part_role: str = "functional",
+        cardinality: frozenset[int] = frozenset({1}),
+    ):
+        if part_role not in PART_ROLES:
             raise StateError(f"part role must be one of {PART_ROLES}")
-        if not self.cardinality:
-            raise StateError(f"role {self.role_name!r} has an empty cardinality set")
-        if any(n < 0 for n in self.cardinality):
-            raise StateError(f"role {self.role_name!r} allows a negative count")
+        if not cardinality:
+            raise StateError(f"role {role_name!r} has an empty cardinality set")
+        if any(n < 0 for n in cardinality):
+            raise StateError(f"role {role_name!r} allows a negative count")
+        set_field(self, "role_name", role_name)
+        set_field(self, "part_kind", part_kind)
+        set_field(self, "part_role", part_role)
+        set_field(self, "cardinality", cardinality)
 
     @property
     def minimum(self) -> int:
@@ -107,95 +112,141 @@ def cardinality(allowed) -> frozenset[int]:
     return frozenset(allowed)
 
 
-@dataclass
-class KindDef:
+class KindDef(Record):
     """A named entity type; children overlay the parent's spaces and schema."""
 
-    name: str
-    parent: str | None = None
-    state_spaces: tuple[StateSpace, ...] = ()
-    part_schema: tuple[PartSpec, ...] = ()
-    granularity: str = "object"
-    # When set, instances of this kind are Portions of the named substance.
-    substance: str | None = None
+    _fields = ("name", "parent", "state_spaces", "part_schema", "granularity", "substance")
+
+    def __init__(
+        self,
+        name: str,
+        parent: str | None = None,
+        state_spaces: tuple[StateSpace, ...] = (),
+        part_schema: tuple[PartSpec, ...] = (),
+        granularity: str = "object",
+        # When set, instances of this kind are Portions of the named substance.
+        substance: str | None = None,
+    ):
+        self.name = name
+        self.parent = parent
+        self.state_spaces = state_spaces
+        self.part_schema = part_schema
+        self.granularity = granularity
+        self.substance = substance
 
 
-@dataclass
-class SemObject:
-    id: str
-    kind: str
-    parts: list[tuple[str, str]] = field(default_factory=list)  # (role, child id)
-    states: dict[str, str] = field(default_factory=dict)
-    properties: dict[str, QualValue] = field(default_factory=dict)
-    alive: bool = True
+class SemObject(Record):
+    _fields = ("id", "kind", "parts", "states", "properties", "alive")
+
+    def __init__(
+        self,
+        id: str,
+        kind: str,
+        parts: list[tuple[str, str]] | None = None,  # (role, child id)
+        states: dict[str, str] | None = None,
+        properties: dict[str, QualValue] | None = None,
+        alive: bool = True,
+    ):
+        self.id = id
+        self.kind = kind
+        self.parts = [] if parts is None else parts
+        self.states = {} if states is None else states
+        self.properties = {} if properties is None else properties
+        self.alive = alive
 
     def parts_in_role(self, role: str) -> list[str]:
         return [child for r, child in self.parts if r == role]
 
 
-@dataclass
-class Substance:
+class Substance(Record):
     """Matter described by kind and phase rather than identity."""
 
-    name: str
-    phase_space: StateSpace
-    phase: str
-    default_properties: dict[str, QualValue] = field(default_factory=dict)
-    # How portion properties combine on merge: property -> min | max | first.
-    merge_policy: dict[str, str] = field(default_factory=dict)
+    _fields = ("name", "phase_space", "phase", "default_properties", "merge_policy")
 
-    def __post_init__(self):
-        self.phase_space.index(self.phase)
+    def __init__(
+        self,
+        name: str,
+        phase_space: StateSpace,
+        phase: str,
+        default_properties: dict[str, QualValue] | None = None,
+        # How portion properties combine on merge: property -> min | max | first.
+        merge_policy: dict[str, str] | None = None,
+    ):
+        self.name = name
+        self.phase_space = phase_space
+        self.phase = phase
+        self.default_properties = {} if default_properties is None else default_properties
+        self.merge_policy = {} if merge_policy is None else merge_policy
+        phase_space.index(phase)
 
     @property
     def is_fluid(self) -> bool:
         return self.phase in ("liquid", "gas")
 
 
-@dataclass(slots=True)
-class Portion:
+class Portion(Record):
     """An object-ified piece of a substance with stable identity across moves."""
 
-    id: str
-    substance: str
-    kind: str | None = None
-    properties: dict[str, QualValue] = field(default_factory=dict)
-    x: int | None = None
-    y: int | None = None
-    compartment: str | None = None
-    location_state: str = "null"
-    provenance: tuple[str, ...] = ()
-    alive: bool = True
+    _fields = __slots__ = (
+        "id", "substance", "kind", "properties", "x", "y",
+        "compartment", "location_state", "provenance", "alive",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        substance: str,
+        kind: str | None = None,
+        properties: dict[str, QualValue] | None = None,
+        x: int | None = None,
+        y: int | None = None,
+        compartment: str | None = None,
+        location_state: str = "null",
+        provenance: tuple[str, ...] = (),
+        alive: bool = True,
+    ):
+        self.id = id
+        self.substance = substance
+        self.kind = kind
+        self.properties = {} if properties is None else properties
+        self.x = x
+        self.y = y
+        self.compartment = compartment
+        self.location_state = location_state
+        self.provenance = provenance
+        self.alive = alive
 
 
-@dataclass(slots=True)
-class Transitional:
+class Transitional(Record):
     """Any entity transformation: state change, birth, death, split, or merge."""
 
-    kind: str
-    subjects: tuple[str, ...]
-    results: tuple = ()
-    step: int = 0
+    _fields = __slots__ = ("kind", "subjects", "results", "step")
 
-    def __post_init__(self):
-        if self.kind not in TRANSITIONAL_KINDS:
-            raise TransitionalError(f"unknown transitional kind {self.kind!r}")
-        if self.kind == "split":
-            if len(self.subjects) != 1:
+    def __init__(self, kind: str, subjects: tuple[str, ...], results: tuple = (), step: int = 0):
+        if kind not in TRANSITIONAL_KINDS:
+            raise TransitionalError(f"unknown transitional kind {kind!r}")
+        if kind == "split":
+            if len(subjects) != 1:
                 raise TransitionalError("split takes exactly one subject")
-            if len(self.results) < 2:
+            if len(results) < 2:
                 raise TransitionalError("split needs at least two results")
-        if self.kind == "merge":
-            if len(self.subjects) < 2:
+        elif kind == "merge":
+            if len(subjects) < 2:
                 raise TransitionalError("merge needs at least two subjects")
-            if len(self.results) != 1:
+            if len(results) != 1:
                 raise TransitionalError("merge produces exactly one result")
+        self.kind = kind
+        self.subjects = subjects
+        self.results = results
+        self.step = step
 
 
-@dataclass(frozen=True)
-class FunctionAssertion:
+class FunctionAssertion(FrozenRecord):
     """A function claim, valid only relative to a mechanism/system/scenario."""
 
-    subject: str
-    function_label: str
-    context: str
+    _fields = ("subject", "function_label", "context")
+
+    def __init__(self, subject: str, function_label: str, context: str):
+        set_field(self, "subject", subject)
+        set_field(self, "function_label", function_label)
+        set_field(self, "context", context)

@@ -10,8 +10,6 @@ the one path walk, which the hand-built waterfall uses too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .engine import Condition, Mechanism, register_mechanism
 from .errors import (
     DuplicateNameError,
@@ -20,32 +18,41 @@ from .errors import (
     StateError,
     UnknownEntityError,
 )
+from .records import FrozenRecord, Record, set_field
 from .topology import Circuit
 from .world import World
 
 
-@dataclass(frozen=True)
-class Frame:
-    name: str
-    core_elements: tuple[str, ...]
-    non_core_elements: tuple[str, ...] = ()
-    definition_text: str = ""
+class Frame(FrozenRecord):
+    _fields = ("name", "core_elements", "non_core_elements", "definition_text")
 
-    def __post_init__(self):
-        if not self.core_elements:
-            raise ModelError(f"frame {self.name!r} needs at least one core element")
-        overlap = set(self.core_elements) & set(self.non_core_elements)
+    def __init__(
+        self,
+        name: str,
+        core_elements: tuple[str, ...],
+        non_core_elements: tuple[str, ...] = (),
+        definition_text: str = "",
+    ):
+        if not core_elements:
+            raise ModelError(f"frame {name!r} needs at least one core element")
+        overlap = set(core_elements) & set(non_core_elements)
         if overlap:
             raise ModelError(
-                f"frame {self.name!r}: elements {sorted(overlap)} are both core and non-core"
+                f"frame {name!r}: elements {sorted(overlap)} are both core and non-core"
             )
+        set_field(self, "name", name)
+        set_field(self, "core_elements", core_elements)
+        set_field(self, "non_core_elements", non_core_elements)
+        set_field(self, "definition_text", definition_text)
 
 
-@dataclass(frozen=True)
-class LexicalEntry:
-    word: str
-    frame: str
-    definition_text: str = ""
+class LexicalEntry(FrozenRecord):
+    _fields = ("word", "frame", "definition_text")
+
+    def __init__(self, word: str, frame: str, definition_text: str = ""):
+        set_field(self, "word", word)
+        set_field(self, "frame", frame)
+        set_field(self, "definition_text", definition_text)
 
 
 def check_leg(length, pair, length_rule: str, pair_rule: str):
@@ -58,19 +65,25 @@ def check_leg(length, pair, length_rule: str, pair_rule: str):
         raise ValueError(f"{pair_rule}, not {pair!r}")
 
 
-@dataclass(frozen=True)
-class PathSegment:
+class PathSegment(FrozenRecord):
     """One leg of a path. slope is a (rise, run) pair in ordinal units, so a
     unit of traversal displaces the mover by (run, rise)."""
 
-    length: int
-    width: int = 1
-    slope: tuple[int, int] = (0, 1)
-    label: str | None = None  # location label while on this segment
+    _fields = ("length", "width", "slope", "label")
 
-    def __post_init__(self):
-        check_leg(self.length, self.slope,
+    def __init__(
+        self,
+        length: int,
+        width: int = 1,
+        slope: tuple[int, int] = (0, 1),
+        label: str | None = None,  # location label while on this segment
+    ):
+        check_leg(length, slope,
                   "a segment length must be a positive int", "a slope must be a pair of ints")
+        set_field(self, "length", length)
+        set_field(self, "width", width)
+        set_field(self, "slope", slope)
+        set_field(self, "label", label)
 
     @property
     def unit_delta(self) -> tuple[int, int]:
@@ -78,13 +91,13 @@ class PathSegment:
         return (run, rise)
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    segments: tuple[PathSegment, ...]
+class PathSpec(FrozenRecord):
+    _fields = ("segments",)
 
-    def __post_init__(self):
-        if not self.segments:
+    def __init__(self, segments: tuple[PathSegment, ...]):
+        if not segments:
             raise ModelError("a path needs at least one segment")
+        set_field(self, "segments", segments)
 
     def total_displacement(self) -> tuple[int, int]:
         dx = sum(seg.length * seg.unit_delta[0] for seg in self.segments)
@@ -92,11 +105,18 @@ class PathSpec:
         return (dx, dy)
 
 
-@dataclass
-class FrameBinding:
-    frame: Frame
-    element_map: dict[str, object] = field(default_factory=dict)
-    produced_mechanism: str | None = None
+class FrameBinding(Record):
+    _fields = ("frame", "element_map", "produced_mechanism")
+
+    def __init__(
+        self,
+        frame: Frame,
+        element_map: dict[str, object] | None = None,
+        produced_mechanism: str | None = None,
+    ):
+        self.frame = frame
+        self.element_map = {} if element_map is None else element_map
+        self.produced_mechanism = produced_mechanism
 
 
 def standard_frames() -> dict[str, Frame]:

@@ -12,11 +12,10 @@ the medulla, a breath refreshes the alveoli.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
 from ..entities import PartSpec, QualValue, StateSpace, cardinality
 from ..frames import standard_frames
+from ..records import Record
 from ..world import Vocabulary, World
 
 BLOOD_ORDER = (
@@ -49,18 +48,31 @@ def _default_periods() -> dict[str, int]:
     return {"SANode": 4, "DiffusionTimer": 4, "ExternalMix": 5, "Medulla": 6}
 
 
-@dataclass
-class CardioConfig:
-    blood_compartments: tuple[str, ...] = BLOOD_ORDER
-    air_compartments: tuple[str, ...] = AIR_ORDER
-    circuit: dict[str, tuple[str, ...]] = field(default_factory=lambda: dict(CIRCUIT))
-    periods: dict[str, int] = field(default_factory=_default_periods)
-    initial_blood: dict[str, str] = field(
-        default_factory=lambda: {"O2Level": "low", "CO2Level": "high"}
+class CardioConfig(Record):
+    _fields = (
+        "blood_compartments", "air_compartments", "circuit", "periods",
+        "initial_blood", "initial_air",
     )
-    initial_air: dict[str, str] = field(
-        default_factory=lambda: {"O2Level": "high", "CO2Level": "low"}
-    )
+
+    def __init__(
+        self,
+        blood_compartments: tuple[str, ...] = BLOOD_ORDER,
+        air_compartments: tuple[str, ...] = AIR_ORDER,
+        circuit: dict[str, tuple[str, ...]] | None = None,
+        periods: dict[str, int] | None = None,
+        initial_blood: dict[str, str] | None = None,
+        initial_air: dict[str, str] | None = None,
+    ):
+        self.blood_compartments = blood_compartments
+        self.air_compartments = air_compartments
+        self.circuit = dict(CIRCUIT) if circuit is None else circuit
+        self.periods = _default_periods() if periods is None else periods
+        self.initial_blood = (
+            {"O2Level": "low", "CO2Level": "high"} if initial_blood is None else initial_blood
+        )
+        self.initial_air = (
+            {"O2Level": "high", "CO2Level": "low"} if initial_air is None else initial_air
+        )
 
 
 def cardio_vocabulary(blood_compartments=BLOOD_ORDER) -> Vocabulary:

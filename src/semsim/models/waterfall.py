@@ -9,8 +9,6 @@ that checks it lives in the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
 from ..entities import StateSpace
 from ..frames import (
@@ -25,24 +23,31 @@ from ..frames import (
     path_flow,
     standard_frames,
 )
+from ..records import FrozenRecord, set_field
 from ..world import Vocabulary, World
 
 LOCATION_LABELS = ("null", "upper", "drop", "pool")
 
 
-@dataclass(frozen=True)
-class WaterfallConfig:
-    upper_bed_length: int = 1000
-    vertical_drop: int = 100
-    upper_delta: tuple[int, int] = (10, -1)  # (dx, dy) per unit on the bed
-    drop_delta: tuple[int, int] = (1, -10)  # (dx, dy) per unit on the drop
-    labels: tuple[str, str, str] = ("upper", "drop", "pool")
+class WaterfallConfig(FrozenRecord):
+    _fields = ("upper_bed_length", "vertical_drop", "upper_delta", "drop_delta", "labels")
 
-    def __post_init__(self):
-        for length, delta in ((self.upper_bed_length, self.upper_delta),
-                              (self.vertical_drop, self.drop_delta)):
+    def __init__(
+        self,
+        upper_bed_length: int = 1000,
+        vertical_drop: int = 100,
+        upper_delta: tuple[int, int] = (10, -1),  # (dx, dy) per unit on the bed
+        drop_delta: tuple[int, int] = (1, -10),  # (dx, dy) per unit on the drop
+        labels: tuple[str, str, str] = ("upper", "drop", "pool"),
+    ):
+        for length, delta in ((upper_bed_length, upper_delta), (vertical_drop, drop_delta)):
             check_leg(length, delta, "bed length and drop must be positive ints",
                       "a per-unit delta must be a pair of ints")
+        set_field(self, "upper_bed_length", upper_bed_length)
+        set_field(self, "vertical_drop", vertical_drop)
+        set_field(self, "upper_delta", upper_delta)
+        set_field(self, "drop_delta", drop_delta)
+        set_field(self, "labels", labels)
 
 
 def water_flowing_mechanism(world: World, params: dict) -> Mechanism:

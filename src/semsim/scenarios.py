@@ -2,29 +2,31 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ScenarioError, UnknownEntityError
+from .records import FrozenRecord, Record, set_field
 from .world import Annotation, World
 
 DIRECTIVE_OPS = ("disable_trigger", "set_ambient", "set_state", "remove_connection")
 
 
-@dataclass(frozen=True)
-class Directive:
-    op: str
-    args: tuple
+class Directive(FrozenRecord):
+    _fields = ("op", "args")
 
-    def __post_init__(self):
-        if self.op not in DIRECTIVE_OPS:
-            raise ScenarioError(f"unknown scenario directive {self.op!r}")
+    def __init__(self, op: str, args: tuple):
+        if op not in DIRECTIVE_OPS:
+            raise ScenarioError(f"unknown scenario directive {op!r}")
+        set_field(self, "op", op)
+        set_field(self, "args", args)
 
 
-@dataclass
-class Scenario:
-    name: str
-    overrides: list[Directive] = field(default_factory=list)
+class Scenario(Record):
+    _fields = ("name", "overrides")
+
+    def __init__(self, name: str, overrides: list[Directive] | None = None):
+        self.name = name
+        self.overrides = [] if overrides is None else overrides
 
 
 def disable_trigger(name: str) -> Directive:

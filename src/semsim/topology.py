@@ -7,8 +7,6 @@ compartment contents.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     BatchStateError,
     CapacityExceeded,
@@ -16,82 +14,131 @@ from .errors import (
     PortionNotPresent,
     PushWithoutConnection,
 )
+from .records import FrozenRecord, Record, set_field
 
 MEDIA = ("blood_path", "air_path", "other")
 CONDUIT_KINDS = ("fluid", "nerve")
 
 
-@dataclass
-class Compartment:
+class Compartment(Record):
     """A node that holds portions; capacity is enforced after every commit."""
 
-    id: str
-    name: str
-    medium: str = "other"
-    capacity: int | None = 1  # None means unbounded (reservoir)
-    structure: str | None = None
-    region: str | None = None
-    contents: list[str] = field(default_factory=list)
+    _fields = ("id", "name", "medium", "capacity", "structure", "region", "contents")
+
+    def __init__(
+        self,
+        id: str,
+        name: str,
+        medium: str = "other",
+        capacity: int | None = 1,  # None means unbounded (reservoir)
+        structure: str | None = None,
+        region: str | None = None,
+        contents: list[str] | None = None,
+    ):
+        self.id = id
+        self.name = name
+        self.medium = medium
+        self.capacity = capacity
+        self.structure = structure
+        self.region = region
+        self.contents = [] if contents is None else contents
 
 
-@dataclass(frozen=True)
-class Connection:
-    from_id: str
-    to_id: str
-    conduit_kind: str = "fluid"
+class Connection(FrozenRecord):
+    _fields = ("from_id", "to_id", "conduit_kind")
+
+    def __init__(self, from_id: str, to_id: str, conduit_kind: str = "fluid"):
+        set_field(self, "from_id", from_id)
+        set_field(self, "to_id", to_id)
+        set_field(self, "conduit_kind", conduit_kind)
 
     @property
     def key(self) -> tuple[str, str, str]:
         return (self.from_id, self.to_id, self.conduit_kind)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(FrozenRecord):
     """A declared ordered ring over compartments, with branch/merge points."""
 
-    name: str
-    order: tuple[str, ...]
-    successors: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    _fields = ("name", "order", "successors")
+
+    def __init__(
+        self,
+        name: str,
+        order: tuple[str, ...],
+        successors: dict[str, tuple[str, ...]] | None = None,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "order", order)
+        set_field(self, "successors", {} if successors is None else successors)
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
-    portion: str
-    src: str
-    dst: str
+class Move(FrozenRecord):
+    _fields = __slots__ = ("portion", "src", "dst")
+
+    def __init__(self, portion: str, src: str, dst: str):
+        set_field(self, "portion", portion)
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
 
 
-@dataclass(frozen=True, slots=True)
-class SplitPlan:
+class SplitPlan(FrozenRecord):
     """A branch-point intent: split the portion at commit, one child per dst."""
 
-    portion: str
-    src: str
-    dsts: tuple[str, ...]
+    _fields = __slots__ = ("portion", "src", "dsts")
+
+    def __init__(self, portion: str, src: str, dsts: tuple[str, ...]):
+        set_field(self, "portion", portion)
+        set_field(self, "src", src)
+        set_field(self, "dsts", dsts)
 
 
-@dataclass(eq=False)
-class MoveBatch:
-    moves: list[Move] = field(default_factory=list)
-    splits: list[SplitPlan] = field(default_factory=list)
-    status: str = "staging"
-    movers: set[str] = field(default_factory=set)  # every staged portion
+class MoveBatch(Record):
+    """One firing's staged moves. It compares by identity: the kernel looks a
+    batch up among its pending ones, and two batches with the same moves are
+    still two batches."""
+
+    _fields = ("moves", "splits", "status", "movers")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        moves: list[Move] | None = None,
+        splits: list[SplitPlan] | None = None,
+        status: str = "staging",
+        movers: set[str] | None = None,  # every staged portion
+    ):
+        self.moves = [] if moves is None else moves
+        self.splits = [] if splits is None else splits
+        self.status = status
+        self.movers = set() if movers is None else movers
 
     @property
     def move_count(self) -> int:
         return len(self.moves) + len(self.splits)
 
 
-@dataclass(slots=True)
-class CommitRecord:
+class CommitRecord(Record):
     """What one commit did, kept for validation rules and tests."""
 
-    step: int
-    applied: list[tuple[str, str, str]]  # (portion, src, dst) incl. split children
-    vacated: list[str]
-    merges: list[str]  # merged result portion ids
-    split_parents: list[str]
-    trace_lines: list[str]
+    _fields = __slots__ = ("step", "applied", "vacated", "merges", "split_parents", "trace_lines")
+
+    def __init__(
+        self,
+        step: int,
+        applied: list[tuple[str, str, str]],  # (portion, src, dst) incl. split children
+        vacated: list[str],
+        merges: list[str],  # merged result portion ids
+        split_parents: list[str],
+        trace_lines: list[str],
+    ):
+        self.step = step
+        self.applied = applied
+        self.vacated = vacated
+        self.merges = merges
+        self.split_parents = split_parents
+        self.trace_lines = trace_lines
 
 
 def _check_stageable(world, batch: MoveBatch, portion: str, src: str, dst: str):

@@ -50,16 +50,19 @@ reads=None, widens the scope to every predicate. A rule that is new or
 replaced and needs a predicate outside the scope rebuilds the snapshot
 from live state with the wider scope before it is evaluated. The rebuild
 leaves the triples already in scope as they were, so the other rules'
-passing matches stay valid. validate without a snapshot and derive_triples
-still build with every predicate.
+passing matches stay valid. A scope with no hasState: or hasPart:
+predicate holds no object's or substance's triple, so a refresh then
+derives only live portions' locatedIn, or no entity triple at all when
+locatedIn is out of scope too. validate without a snapshot and
+derive_triples still build with every predicate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import DuplicateNameError, ModelError
+from .records import FrozenRecord, Record, set_field
 
 POLICIES = ("halt", "warn", "off")
 EXPECTATIONS = ("must_exist", "must_not_exist", "count_in_set")
@@ -73,26 +76,27 @@ class Triple(NamedTuple):
     obj: str
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(FrozenRecord):
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class TriplePattern:
-    subject: str | Var
-    predicate: str | Var
-    obj: str | Var
-    # (slot, term) and (slot, variable name) pairs, slots indexing a Triple.
-    _ground: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
-    _vars: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
+class TriplePattern(FrozenRecord):
+    _fields = ("subject", "predicate", "obj")
 
-    def __post_init__(self):
-        terms = (self.subject, self.predicate, self.obj)
+    def __init__(self, subject: str | Var, predicate: str | Var, obj: str | Var):
+        set_field(self, "subject", subject)
+        set_field(self, "predicate", predicate)
+        set_field(self, "obj", obj)
+        # (slot, term) and (slot, variable name) pairs, slots indexing a Triple;
+        # derived, so they take no part in repr, == or hash.
+        terms = (subject, predicate, obj)
         ground = tuple((i, t) for i, t in enumerate(terms) if not isinstance(t, Var))
         variables = tuple((i, t.name) for i, t in enumerate(terms) if isinstance(t, Var))
-        object.__setattr__(self, "_ground", ground)
-        object.__setattr__(self, "_vars", variables)
+        set_field(self, "_ground", ground)
+        set_field(self, "_vars", variables)
 
     def ground_terms(self) -> int:
         return len(self._ground)
@@ -109,8 +113,7 @@ class TriplePattern:
         return bindings
 
 
-@dataclass
-class AssertionRule:
+class AssertionRule(Record):
     """A triple-pattern expectation over the snapshot.
 
     An optional check(bindings, world, triples) -> bool refines which matches
@@ -120,35 +123,51 @@ class AssertionRule:
     check may exist.
     """
 
-    name: str
-    pattern: TriplePattern
-    expectation: str = "must_exist"
-    counts: frozenset[int] | None = None
-    check: Callable[[dict[str, str], object, frozenset], bool] | None = None
-    reads: frozenset[str] | None = None
+    _fields = ("name", "pattern", "expectation", "counts", "check", "reads")
 
-    def __post_init__(self):
-        if self.expectation not in EXPECTATIONS:
+    def __init__(
+        self,
+        name: str,
+        pattern: TriplePattern,
+        expectation: str = "must_exist",
+        counts: frozenset[int] | None = None,
+        check: Callable[[dict[str, str], object, frozenset], bool] | None = None,
+        reads: frozenset[str] | None = None,
+    ):
+        if expectation not in EXPECTATIONS:
             raise ModelError(f"expectation must be one of {EXPECTATIONS}")
-        if self.pattern.ground_terms() == 0:
-            raise ModelError(f"rule {self.name!r} has a fully-variable pattern")
-        if self.expectation == "count_in_set" and self.counts is None:
-            raise ModelError(f"rule {self.name!r} needs a counts set")
-        if self.reads is not None:
-            self.reads = frozenset(self.reads)
+        if pattern.ground_terms() == 0:
+            raise ModelError(f"rule {name!r} has a fully-variable pattern")
+        if expectation == "count_in_set" and counts is None:
+            raise ModelError(f"rule {name!r} needs a counts set")
+        self.name = name
+        self.pattern = pattern
+        self.expectation = expectation
+        self.counts = counts
+        self.check = check
+        self.reads = None if reads is None else frozenset(reads)
 
 
-@dataclass(slots=True)
-class Violation:
-    rule: str
-    bindings: dict[str, str] = field(default_factory=dict)
+class Violation(Record):
+    _fields = __slots__ = ("rule", "bindings")
+
+    def __init__(self, rule: str, bindings: dict[str, str] | None = None):
+        self.rule = rule
+        self.bindings = {} if bindings is None else bindings
 
 
-@dataclass(slots=True)
-class ValidationReport:
-    step_index: int
-    violations: list[Violation] = field(default_factory=list)
-    policy_applied: str = "halt"
+class ValidationReport(Record):
+    _fields = __slots__ = ("step_index", "violations", "policy_applied")
+
+    def __init__(
+        self,
+        step_index: int,
+        violations: list[Violation] | None = None,
+        policy_applied: str = "halt",
+    ):
+        self.step_index = step_index
+        self.violations = [] if violations is None else violations
+        self.policy_applied = policy_applied
 
     @property
     def passed(self) -> bool:
@@ -269,6 +288,23 @@ def _entity_triples(world, entity_id: str, scope) -> list[Triple]:
     return out
 
 
+def _location_triples(world, entity_id: str, scope) -> list[Triple]:
+    """_entity_triples for a scope whose only entity predicate is locatedIn:
+    an object or a substance has no triple in it, a live portion one."""
+    portion = world.live_registry.get(entity_id)
+    if portion is None or portion.compartment is None:
+        return []
+    return [_new(Triple, (entity_id, "locatedIn", portion.compartment))]
+
+
+def _entity_deriver(scope):
+    """The helper that derives an entity's triples in scope, or None when no
+    entity can have one (the scope holds only connectedTo and pushedTo)."""
+    if scope is None or any(p.startswith(("hasState:", "hasPart:")) for p in scope):
+        return _entity_triples
+    return _location_triples if "locatedIn" in scope else None
+
+
 def derive_triples(world) -> frozenset[Triple]:
     """Pure snapshot of the live world in triple form: a fresh Snapshot's.
 
@@ -366,6 +402,7 @@ class Snapshot:
         world = self.world
         self.scope = scope
         self._keep = _EVERY if scope is None else scope
+        self._derive = _entity_deriver(scope)
         self.triples: set[Triple] = set()
         self.by_predicate: dict[str, set[Triple]] = {}
         self._entities: dict[str, list[Triple]] = {}  # subject id -> its triples
@@ -396,16 +433,18 @@ class Snapshot:
     def _apply(self, ids, wiring: bool):
         """Re-derive these entities, the wiring if it changed, and this step's
         pushedTo triples; return (added, removed) by predicate."""
-        world, scope = self.world, self._keep
+        world, scope, derive = self.world, self._keep, self._derive
         added: dict[str, list[Triple]] = {}
         removed: dict[str, list[Triple]] = {}
         entities = self._entities
-        for entity_id in ids:
-            new = _entity_triples(world, entity_id, scope)
+        for entity_id in ids if derive is not None else ():
+            new = derive(world, entity_id, scope)
             old = entities.get(entity_id)
             if new:
                 entities[entity_id] = new
-            elif old is not None:
+            elif old is None:
+                continue
+            else:
                 del entities[entity_id]
             self._replace(old, new, added, removed)
         if wiring:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .entities import (
     SUPPORTED_SCALE_KINDS,
@@ -46,6 +45,7 @@ from .errors import (
     TransitionalError,
     UnknownEntityError,
 )
+from .records import FrozenRecord, Record, set_field
 from .topology import CONDUIT_KINDS, MEDIA, Circuit, Compartment, Connection
 
 AMBIENT_PROPERTIES = ("temperature", "pressure", "humidity", "gravity")
@@ -65,16 +65,18 @@ def stp_ambient() -> dict[str, QualValue]:
     return {name: QualValue(scale, "standard") for name, scale in AMBIENT_SCALES.items()}
 
 
-@dataclass
-class Microworld:
+class Microworld(Record):
     """Ambient properties of the idealized world frame; defaults at STP."""
 
-    ambient: dict[str, QualValue] = field(default_factory=stp_ambient)
+    _fields = ("ambient",)
 
-    def __post_init__(self):
-        missing = [k for k in AMBIENT_PROPERTIES if k not in self.ambient]
+    def __init__(self, ambient: dict[str, QualValue] | None = None):
+        if ambient is None:
+            ambient = stp_ambient()
+        missing = [k for k in AMBIENT_PROPERTIES if k not in ambient]
         if missing:
             raise ModelError(f"microworld missing ambient properties {missing}")
+        self.ambient = ambient
 
 
 ANNOTATION_KINDS = (
@@ -88,43 +90,45 @@ ANNOTATION_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(FrozenRecord):
     """How the model knowingly departs from reality, pinned to an element."""
 
-    kind: str
-    target: str
-    note: str
+    _fields = ("kind", "target", "note")
 
-    def __post_init__(self):
-        if self.kind not in ANNOTATION_KINDS:
-            raise ModelError(f"unknown annotation kind {self.kind!r}")
+    def __init__(self, kind: str, target: str, note: str):
+        if kind not in ANNOTATION_KINDS:
+            raise ModelError(f"unknown annotation kind {kind!r}")
+        set_field(self, "kind", kind)
+        set_field(self, "target", target)
+        set_field(self, "note", note)
 
 
-@dataclass(frozen=True)
-class System:
+class System(FrozenRecord):
     """A complex object made of interacting mechanisms."""
 
-    name: str
-    members: tuple[str, ...]
-    feedback: bool = False
+    _fields = ("name", "members", "feedback")
+
+    def __init__(self, name: str, members: tuple[str, ...], feedback: bool = False):
+        set_field(self, "name", name)
+        set_field(self, "members", members)
+        set_field(self, "feedback", feedback)
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(FrozenRecord):
     """The closed set of trace lines a model may emit.
 
     Frozen, so the literal table built at construction always matches
     `literals`; a model changes its vocabulary by replacing it.
     """
 
-    literals: frozenset[str] = frozenset()
-    patterns: tuple[str, ...] = ()
-    _literal_table: dict[str, str] = field(init=False, repr=False, compare=False)
+    _fields = ("literals", "patterns")
 
-    def __post_init__(self):
-        object.__setattr__(self, "literals", frozenset(self.literals))
-        object.__setattr__(self, "_literal_table", {line: line for line in self.literals})
+    def __init__(self, literals: frozenset[str] = frozenset(), patterns: tuple[str, ...] = ()):
+        literals = frozenset(literals)
+        set_field(self, "literals", literals)
+        set_field(self, "patterns", patterns)
+        # Derived, so it takes no part in repr, == or hash.
+        set_field(self, "_literal_table", {line: line for line in literals})
 
     def canonical(self, line: str) -> str | None:
         """The vocabulary's own string for a declared literal, the line itself

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import subprocess
@@ -573,6 +574,24 @@ def test_a_fault_inside_a_step_exits_1_and_keeps_the_steps_before_it(
     assert report["exit_code"] == EXIT_CONFIG
     assert report["steps_executed"] == 2
     assert [r["step"] for r in report["reports"]] == [0, 1]
+
+
+@pytest.mark.parametrize("model", ["cardio", "faulty"])
+def test_a_run_steps_with_its_setup_frozen_and_unfreezes_after(tmp_path, monkeypatch, model):
+    if model == "faulty":
+        monkeypatch.setattr(cli, "resolve_model", lambda config: _world_that_faults_at_tick_2())
+    frozen_during = []
+    untimed_step = cli.Kernel.step
+
+    def step(kernel):
+        frozen_during.append(gc.get_freeze_count())
+        return untimed_step(kernel)
+
+    monkeypatch.setattr(cli.Kernel, "step", step)
+    assert gc.get_freeze_count() == 0
+    run_command(RunConfig(model=model, steps=5, trace_path=str(tmp_path / "r.trace")))
+    assert frozen_during and min(frozen_during) > 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_the_console_takes_no_step_after_a_step_raised(tmp_path, monkeypatch):

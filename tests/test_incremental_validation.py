@@ -228,6 +228,26 @@ def test_the_kernel_snapshot_holds_only_what_the_standard_rules_read():
     assert derive_triples(kernel.world) == reference_triples(kernel.world)
 
 
+@pytest.mark.parametrize(
+    "names, scope",
+    [((), set()), (("some-push",), {"pushedTo"}), (("located-count",), {"locatedIn"})],
+    ids=["no-rules", "pushedTo", "locatedIn"],
+)
+def test_a_scope_without_state_or_part_predicates_stays_exact(names, scope):
+    # Such a scope holds no object's or substance's triple and at most a live
+    # portion's locatedIn, so the snapshot derives only that.
+    kernel = Kernel(build_cardio(), validate_policy="warn")
+    extras = {rule.name: rule for rule in extra_rules()}
+    for name in names:
+        kernel.add_rule(extras[name])
+    for tick in range(40):
+        if tick == 20:
+            world = kernel.world
+            world.kill(sorted(world.live_registry)[0])
+        assert_kernel_matches_full_recompute(kernel, kernel.step())
+        assert kernel.snapshot.scope == scope
+
+
 @pytest.mark.parametrize("via", ["pattern", "reads"])
 def test_a_rule_added_mid_run_widens_the_scope(via):
     world = build_cardio()

@@ -18,18 +18,32 @@ A step's trace events are kept on its StepReport, appended by
 Kernel.emit_trace, so the trace lists exactly the finished steps' events.
 The fault that ends stepping is kept by Kernel.step, which stores whatever
 escaped a step, so no driver keeps a stop rule of its own.
+
+A record's constructor sets its own fields: that declares them and moves
+nothing, so the constructors of the records that hold these fields are the
+one other place they are assigned.
+
+`semsim run` imports no dataclasses (and so no inspect): the record classes
+are plain classes, and starting a run does not pay for the decorator.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semsim"
 OWNED_FIELDS = {"compartment", "alive", "contents"}
 LIST_EDITS = {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
 LOADER_WRITES = {"edits .contents"}
+DECLARING_CONSTRUCTORS = {
+    ("entities.py", "SemObject.__init__"): {"assigns .alive"},
+    ("entities.py", "Portion.__init__"): {"assigns .compartment", "assigns .alive"},
+    ("topology.py", "Compartment.__init__"): {"assigns .contents"},
+}
 CHANGE_CONSUMERS = {("validation.py", "Snapshot.refresh"), ("engine.py", "Kernel.step")}
 RECORD_WRITERS = {
     "mechanism_specs": {("world.py", "World.__init__"), ("engine.py", "register_mechanism")},
-    "traces": {("engine.py", "Kernel.emit_trace")},
+    "traces": {("engine.py", "StepReport.__init__"), ("engine.py", "Kernel.emit_trace")},
     "fault": {("engine.py", "Kernel.__init__"), ("engine.py", "Kernel.step")},
 }
 
@@ -88,16 +102,22 @@ def writes(source: str):
 
 
 def test_only_world_writes_placement_and_change_records():
-    leaks = []
+    leaks, declared = [], set()
     for path in sorted(PACKAGE.rglob("*.py")):
         module = path.relative_to(PACKAGE).as_posix()
         if module == "world.py":
             continue
+        source = path.read_text(encoding="utf-8")
+        scopes = {node.lineno: scope for node, scope in _scoped(source) if hasattr(node, "lineno")}
         allowed = LOADER_WRITES if module == "modelfile.py" else set()
-        for line, what in writes(path.read_text(encoding="utf-8")):
-            if what not in allowed:
+        for line, what in writes(source):
+            constructor = (module, scopes[line])
+            if what in DECLARING_CONSTRUCTORS.get(constructor, ()):
+                declared.add((constructor, what))
+            elif what not in allowed:
                 leaks.append(f"{module}:{line}: {what}")
     assert leaks == []
+    assert declared == {(c, what) for c, whats in DECLARING_CONSTRUCTORS.items() for what in whats}
 
 
 def test_the_guard_sees_each_kind_of_write():
@@ -233,3 +253,52 @@ def build(world, spec, report):
         (14, "traces", "build"),
         (15, "traces", "build"),
     ]
+
+
+def dataclass_imports(source: str):
+    """Line numbers of every import of dataclasses in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    found = [
+        f"{path.relative_to(PACKAGE).as_posix()}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line in dataclass_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_the_guard_sees_each_kind_of_dataclass_import():
+    source = """
+import dataclasses
+from dataclasses import dataclass, field
+import json, dataclasses as dc
+def build():
+    from dataclasses import replace
+"""
+    assert dataclass_imports(source) == [2, 3, 4, 6]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -I -S: no user site, no site-packages, no PYTHONPATH; only the checkout's src/.
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import semsim.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, str(PACKAGE.parent)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -27,11 +27,13 @@ def test_script_runs_without_a_traceback(script, tmp_path):
 def test_layer_split_prints_a_row_per_model_and_configuration(tmp_path):
     script = SCRIPTS[0].parent / "layer_split.py"
     result = subprocess.run(
-        [sys.executable, str(script), "--ticks", "20", "--repeats", "1"],
+        [sys.executable, str(script), "--ticks", "20", "--repeats", "1", "--startup-repeats", "2"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    rows = result.stdout.splitlines()[2:]
+    *rows, startup = result.stdout.splitlines()[2:]
+    assert startup.startswith("startup    import semsim.cli")
+    assert float(startup[33:].split()[0]) > 0
     labels = ("--validate off", "halt, no rules", "halt, standard rules")
     assert [(row[:10].strip(), row[11:33].strip()) for row in rows] == [
         (model, label) for model in ("cardio", "waterfall") for label in labels

@@ -8,8 +8,8 @@ with the standard rules (plus rule re-checks). Each row is the best of
 column is the step cost that row adds to the row above it.
 
 The last row is the fixed cost of starting a run: `import semsim.cli` in a
-fresh `python3 -I` interpreter, best of --startup-repeats, next to the step
-costs it is paid once beside.
+fresh `python3 -I` interpreter, best of --repeats, next to the step costs
+it is paid once beside.
 """
 import argparse
 import subprocess
@@ -69,7 +69,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--ticks", type=int, default=5000)
     parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--startup-repeats", type=int, default=9)
     args = parser.parse_args()
 
     models = (
@@ -86,9 +85,9 @@ def main():
             print(f"{model:<10} {label:<22} {1 / per_step:>9.0f} {micros:>8.1f} "
                   f"{micros - previous:>+8.1f}")
             previous = micros
-    millis = best_import_seconds(args.startup_repeats) * 1e3
+    millis = best_import_seconds(args.repeats) * 1e3
     print(f"{'startup':<10} {'import semsim.cli':<22} {millis:>9.1f} ms, best of "
-          f"{args.startup_repeats} fresh python3 -I")
+          f"{args.repeats} fresh python3 -I")
 
 
 if __name__ == "__main__":

@@ -176,8 +176,11 @@ def run_command(config: RunConfig) -> int:
     # What setup built (modules, model, kernel) lives for the whole run, so
     # the collections during the steps need not scan it again. Frozen, it
     # stays out of them, and how much setup allocated no longer decides what
-    # they cost.
-    gc.freeze()
+    # they cost. A caller that froze its own objects keeps its freeze: the
+    # run then neither freezes nor unfreezes.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         kernel.run(planned_steps(config))  # None: until halted or Ctrl-C
     except KeyboardInterrupt:
@@ -185,7 +188,8 @@ def run_command(config: RunConfig) -> int:
     except Exception as exc:  # a fault inside a step, kept by the kernel
         print(f"error: {describe(exc)}", file=sys.stderr)
     finally:
-        gc.unfreeze()
+        if freeze:
+            gc.unfreeze()
     return finish(kernel, config)
 
 

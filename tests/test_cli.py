@@ -594,6 +594,17 @@ def test_a_run_steps_with_its_setup_frozen_and_unfreezes_after(tmp_path, monkeyp
     assert gc.get_freeze_count() == 0
 
 
+def test_a_run_keeps_a_freeze_its_caller_made(tmp_path):
+    gc.freeze()
+    try:
+        frozen_before = gc.get_freeze_count()
+        run_command(RunConfig(model="cardio", steps=5, trace_path=str(tmp_path / "r.trace")))
+        assert gc.get_freeze_count() == frozen_before > 0
+    finally:
+        gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+
+
 def test_the_console_takes_no_step_after_a_step_raised(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "resolve_model", lambda config: _world_that_faults_at_tick_2())
     trace = tmp_path / "faulty.trace"

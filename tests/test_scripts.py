@@ -27,7 +27,7 @@ def test_script_runs_without_a_traceback(script, tmp_path):
 def test_layer_split_prints_a_row_per_model_and_configuration(tmp_path):
     script = SCRIPTS[0].parent / "layer_split.py"
     result = subprocess.run(
-        [sys.executable, str(script), "--ticks", "20", "--repeats", "1", "--startup-repeats", "2"],
+        [sys.executable, str(script), "--ticks", "20", "--repeats", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -19,7 +19,8 @@ Two execution modes:
 
 Validation after each step is incremental: the kernel owns one
 validation.Snapshot and refreshes it from the world's recorded changes.
-With the policy off it keeps none and only clears those records.
+With the policy off it keeps none and only clears those records, and a
+step without wiring errors shares the one empty validation.NOT_VALIDATED.
 
 A step's record is published whole: its StepReport, trace events included,
 joins Kernel.reports only when the step finishes, and Kernel.trace reads the
@@ -257,9 +258,6 @@ class FireContext:
     def set_state(self, entity_id: str, variable: str, label: str):
         return self.world.set_state(entity_id, variable, label)
 
-    def apply(self, transitional):
-        return self.world.apply_transitional(transitional)
-
     def emit_signal(self, sender: str, receiver: str, payload: str):
         return send_signal(self.kernel, Signal(sender, receiver, payload))
 
@@ -474,7 +472,8 @@ class Kernel:
             elif self.snapshot is None:
                 self.world.clear_changes()  # the build below sees every change
                 self.snapshot = validation.Snapshot(self.world, validation.rule_scope(self.rules))
-            report.validation = validation.validate(
+            unchecked = self.validate_policy == "off" and not self._wiring_errors
+            report.validation = validation.NOT_VALIDATED if unchecked else validation.validate(
                 self.world, self.tick, self.rules, self.validate_policy, self.snapshot
             )
             for name, detail in self._wiring_errors:

@@ -6,7 +6,9 @@ into a runnable mechanism. Three frames ship: a generic Motion parent,
 Fluidic_Motion, and Natural_Features.
 
 A Fluidic_Motion binding whose Path is a PathSpec compiles to `path_flow`,
-the one path walk, which the hand-built waterfall uses too.
+the one path walk, which the hand-built waterfall uses too. One whose Path
+is a declared circuit compiles to the one circuit flow: cardio's heartbeat
+is such a binding, its pulse line in the binding's Configuration.
 """
 from __future__ import annotations
 
@@ -221,9 +223,8 @@ def instantiate_fluidic_motion(
 
     Path bound to a PathSpec gives a path_flow: each firing releases the next
     portion and carries it down the whole path to the goal. Path bound to a
-    declared circuit gives one simultaneous hop for every portion per firing.
-    Source and Goal bound to directly connected compartments give a
-    single-portion hop per firing.
+    declared circuit gives a circuit flow: one simultaneous hop for every
+    portion per firing.
     """
     if binding.frame.name != "Fluidic_Motion":
         raise ModelError("only Fluidic_Motion bindings instantiate here")
@@ -238,24 +239,15 @@ def instantiate_fluidic_motion(
         goal = binding.element_map.get("Goal")
         goal_label = goal if isinstance(goal, str) else "pool"
         mech = path_flow(world, mech_name, fluid, path, goal_label, n_portions, portion_kind)
+    elif isinstance(path, Circuit) or (isinstance(path, str) and path in world.circuits):
+        circuit = world.circuits[path] if isinstance(path, str) else path
+        config = binding.element_map.get("Configuration")
+        pulse = config.get("pulse") if isinstance(config, dict) else None
+        mech = _circuit_flow(mech_name, fluid, circuit, pulse)
     else:
-        circuit = None
-        if isinstance(path, Circuit):
-            circuit = path
-        elif isinstance(path, str) and path in world.circuits:
-            circuit = world.circuits[path]
-        if circuit is not None:
-            mech = _circuit_flow(mech_name, fluid, circuit)
-        else:
-            source = binding.element_map.get("Source")
-            goal = binding.element_map.get("Goal")
-            if source in world.compartments and goal in world.compartments:
-                mech = _hop_flow(world, mech_name, fluid, source, goal)
-            else:
-                raise ModelError(
-                    "binding satisfies neither path mode: need a PathSpec, a "
-                    "declared circuit, or Source/Goal compartments"
-                )
+        raise ModelError(
+            "binding satisfies neither path mode: need a PathSpec or a declared circuit"
+        )
     register_mechanism(world, mech, "fluidic_motion", {
         "binding": next(i for i, b in enumerate(world.bindings) if b is binding),
         "n_portions": n_portions,
@@ -348,35 +340,25 @@ def path_flow(
     )
 
 
-def _circuit_flow(mech_name, fluid, circuit):
+def _circuit_flow(mech_name, fluid, circuit, pulse=None):
+    """A flow around a circuit. Each firing emits the pulse line, when there
+    is one, then moves every portion on the circuit one hop, all at once."""
+    if pulse is not None and not isinstance(pulse, str):
+        raise ModelError(f"a circuit flow's pulse must be a trace line, not {pulse!r}")
+
+    def occupied(w) -> bool:
+        return any(w.occupant(cid) is not None for cid in circuit.order)
+
     def effect(ctx):
+        if pulse is not None:
+            ctx.emit(pulse)
         batch = ctx.ring_push(circuit)
         ctx.commit(batch, circuit=circuit)
 
     return Mechanism(
         mech_name,
-        guard=(_fluid_guard(fluid),),
+        guard=(_fluid_guard(fluid), Condition("circuit occupied", occupied)),
         effect=effect,
-        subsystem="flow",
+        subsystem="circulation",
         requires=(fluid, circuit.name),
-    )
-
-
-def _hop_flow(world, mech_name, fluid, source, goal):
-    if not world.is_connected(source, goal, "fluid"):
-        raise ModelError(f"no fluid connection {source!r} -> {goal!r} for hop flow")
-
-    def occupied(w) -> bool:
-        return w.occupant(source) is not None
-
-    def effect(ctx):
-        portion = ctx.world.occupant(source)
-        ctx.move(portion.id, source, goal)
-
-    return Mechanism(
-        mech_name,
-        guard=(_fluid_guard(fluid), Condition(f"{source} occupied", occupied)),
-        effect=effect,
-        subsystem="flow",
-        requires=(fluid, source, goal),
     )

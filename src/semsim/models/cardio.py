@@ -9,12 +9,17 @@ compartment faces an air compartment (alveoli) or the body (cells), and the
 medulla senses blood CO2 to trigger breathing over the phrenic nerve - a
 feedback loop: stale alveolar air stops oxygenation, CO2-rich blood reaches
 the medulla, a breath refreshes the alveoli.
+
+The circulation compiles from a Fluidic_Motion binding: blood around the
+"cardio" circuit, the SA node's pulse line in its Configuration. Each
+heartbeat is one firing of that circuit flow.
 """
 from __future__ import annotations
 
 from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
 from ..entities import PartSpec, QualValue, StateSpace, cardinality
-from ..frames import standard_frames
+from ..errors import ModelError
+from ..frames import bind, instantiate_fluidic_motion, standard_frames
 from ..records import Record
 from ..world import Vocabulary, World
 
@@ -104,27 +109,25 @@ def _occupant_level(world, compartment: str, prop: str, label: str) -> bool:
     return portion is not None and portion.properties[prop].level == label
 
 
+def heartbeat(world: World, circuit: str = "cardio", name: str = "HeartbeatPush") -> Mechanism:
+    """Bind blood's Fluidic_Motion around the circuit, from and back to its
+    first compartment, with the SA node's pulse, and build the flow."""
+    order = world.circuits[circuit].order if circuit in world.circuits else ()
+    if not order:
+        raise ModelError(f"no circuit {circuit!r} with compartments for the heartbeat")
+    binding = bind(world, "Fluidic_Motion", {
+        "Fluid": "blood", "Source": order[0], "Goal": order[0], "Path": circuit,
+        "Configuration": {"pulse": "SANode pulse"},
+    })
+    return instantiate_fluidic_motion(world, binding, name=name)
+
+
 def heartbeat_push(world: World, params: dict) -> Mechanism:
-    circuit_name = params.get("circuit", "cardio")
-
-    def circuit_occupied(w) -> bool:
-        circuit = w.circuits[circuit_name]
-        return any(w.occupant(cid) is not None for cid in circuit.order)
-
-    def effect(ctx):
-        circuit = ctx.world.circuits[circuit_name]
-        ctx.emit("SANode pulse")
-        batch = ctx.ring_push(circuit)
-        ctx.commit(batch, circuit=circuit)
-
-    mech = Mechanism(
-        params.get("name", "HeartbeatPush"),
-        guard=(Condition("circuit occupied", circuit_occupied),),
-        effect=effect,
-        subsystem="circulation",
-        requires=(circuit_name,),
-    )
-    return register_mechanism(world, mech, "heartbeat_push", params)
+    """Loader alias for model files saved while the heartbeat had a builtin of
+    its own: it binds and builds the same flow, so such a file runs as before."""
+    # Such a file need not declare the frame: the heartbeat did not use it.
+    world.frames.setdefault("Fluidic_Motion", standard_frames()["Fluidic_Motion"])
+    return heartbeat(world, params.get("circuit", "cardio"), params.get("name", "HeartbeatPush"))
 
 
 def gas_exchange_alv(world: World, params: dict) -> Mechanism:
@@ -403,7 +406,7 @@ def build_cardio(config: CardioConfig | None = None) -> World:
     world.create_portion("air", entity_id="air-nose", compartment="NoseAir")
     world.create_portion("air", entity_id="air-alv", compartment="AlvAir")
 
-    heartbeat_push(world, {"circuit": "cardio"})
+    heartbeat(world, "cardio")
     gas_exchange_alv(world, {"blood_at": "AlvCap", "air_at": "AlvAir"})
     cell_respiration(world, {"blood_at": "CellCap"})
     diffusion_check(world, {"members": ["GasExchangeAlv", "CellRespiration"]})

@@ -161,7 +161,7 @@ class ValidationReport(Record):
 
     def __init__(
         self,
-        step_index: int,
+        step_index: int | None,
         violations: list[Violation] | None = None,
         policy_applied: str = "halt",
     ):
@@ -172,6 +172,11 @@ class ValidationReport(Record):
     @property
     def passed(self) -> bool:
         return not self.violations
+
+
+#: The one report shared by every step that validated nothing (policy off, no
+#: wiring error), so an unvalidated run keeps none per step. Nothing adds to it.
+NOT_VALIDATED = ValidationReport(None, [], "off")
 
 
 # The per-entity helpers build each triple as _new(Triple, (s, p, o)): the

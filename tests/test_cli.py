@@ -486,6 +486,50 @@ def test_water_flowing_labels_are_checked_at_load(tmp_path, capsys, breach, diag
     assert_refused_at_load(tmp_path, capsys, data, f"mechanisms[0]: {diagnosis}")
 
 
+def _source_and_goal_only(data):
+    # The hop form: Source and Goal are connected compartments, and Path
+    # names a compartment, neither a PathSpec nor a circuit.
+    elements = data["bindings"][0]["elements"]
+    elements["Goal"] = {"type": "ref", "id": "LeftVentricle"}
+    elements["Path"] = {"type": "ref", "id": "LeftAtrium"}
+
+
+def _pulse_not_a_line(data):
+    data["bindings"][0]["elements"]["Configuration"]["value"]["pulse"] = 3
+
+
+def _heartbeat_builtin_over_no_circuit(data):
+    data["mechanisms"][0] = {
+        "name": "HeartbeatPush", "builtin": "heartbeat_push", "params": {"circuit": "nowhere"},
+    }
+    data["bindings"] = []
+
+
+@pytest.mark.parametrize(
+    "breach, message",
+    [
+        (_source_and_goal_only,
+         "binding satisfies neither path mode: need a PathSpec or a declared circuit"),
+        (_pulse_not_a_line, "a circuit flow's pulse must be a trace line, not 3"),
+        (_heartbeat_builtin_over_no_circuit,
+         "no circuit 'nowhere' with compartments for the heartbeat"),
+    ],
+    ids=["source-and-goal-only", "pulse-not-a-line", "heartbeat-builtin-over-no-circuit"],
+)
+def test_a_heartbeat_no_flow_fits_is_refused_without_traceback(tmp_path, breach, message):
+    data = save_model(build_cardio())
+    assert data["mechanisms"][0] == {
+        "name": "HeartbeatPush", "builtin": "fluidic_motion",
+        "params": {"binding": 0, "n_portions": None, "portion_kind": None},
+    }
+    breach(data)
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli(["validate-file", str(path)], cwd=tmp_path)
+    assert result.returncode == EXIT_CONFIG
+    assert result.stderr == f"invalid: mechanisms[0]: {message}\n"
+
+
 @pytest.mark.parametrize(
     "param, value, diagnosis",
     [

@@ -288,33 +288,6 @@ def test_slope_consistency_total_displacement(lengths, rises, runs):
     assert (p.x, p.y) == (expected_dx, expected_dy)
 
 
-def test_hop_flow_moves_the_source_occupant():
-    from semsim.engine import Trigger, register_trigger
-    from semsim.world import Vocabulary
-
-    w = World("pipe")
-    w.frames.update(standard_frames())
-    w.define_substance("blood", phase="liquid")
-    w.add_compartment("A", "blood_path", 1)
-    w.add_compartment("B", "blood_path", 1)
-    w.connect("A", "B", "fluid")
-    p = w.create_portion("blood", compartment="A")
-    binding = bind(
-        w,
-        "Fluidic_Motion",
-        # Source/Goal carry the mode; Path names the conduit compartment
-        {"Fluid": "blood", "Source": "A", "Goal": "B", "Path": "A"},
-    )
-    instantiate_fluidic_motion(w, binding, name="PipeFlow")
-    register_trigger(w, Trigger("t", period=1, target="PipeFlow"))
-    w.vocabulary = Vocabulary(literals=frozenset({"pushed ABlood", "trigger updates"}))
-    kernel = Kernel(w)
-    kernel.step()
-    assert p.compartment == "B"
-    report = kernel.step()  # source empty now: guard fails, no crash
-    assert report.guard_failures and report.guard_failures[0].failed == ["A occupied"]
-
-
 def test_circuit_flow_equivalent_to_heartbeat_for_one_hop(cardio_world):
     from semsim.frames import bind as fbind
 
@@ -343,3 +316,50 @@ def test_circuit_flow_equivalent_to_heartbeat_for_one_hop(cardio_world):
     # A direct fire() runs outside a step: its events stay on the open report.
     pushes = [e.line for e in kernel.current_report.traces if e.line.startswith("pushed")]
     assert len(pushes) == 7
+
+
+def test_cardio_heartbeat_is_the_circuit_flow_of_its_binding(cardio_kernel):
+    world = cardio_kernel.world
+    (binding,) = world.bindings
+    assert binding.produced_mechanism == "HeartbeatPush"
+    assert binding.element_map == {
+        "Fluid": "blood",
+        "Source": "LeftAtrium",
+        "Goal": "LeftAtrium",
+        "Path": "cardio",
+        "Configuration": {"pulse": "SANode pulse"},
+    }
+    cardio_kernel.run(40)
+    beats = [
+        (r.step, f) for r in cardio_kernel.reports for f in r.fired if f.mechanism == "HeartbeatPush"
+    ]
+    assert len(beats) == 10
+    for _, beat in beats:
+        assert beat.subsystem == "circulation"
+        assert beat.guard_values == {"blood is fluid": True, "circuit occupied": True}
+    pulses = [e.step for e in cardio_kernel.trace if e.line == "SANode pulse"]
+    assert pulses == [step for step, _ in beats]
+
+
+def test_a_heartbeat_over_an_empty_circuit_names_only_the_failed_condition(cardio_kernel):
+    world = cardio_kernel.world
+    for portion in world.live_portions("blood"):
+        world.kill(portion.id)
+    report = cardio_kernel.step()
+    (failure,) = [g for g in report.guard_failures if g.mechanism == "HeartbeatPush"]
+    assert failure.failed == ["circuit occupied"]
+    assert "SANode pulse" not in [e.line for e in report.traces]
+
+
+@pytest.mark.parametrize("pulse", [3, ["SANode pulse"], {"line": "SANode pulse"}])
+def test_a_circuit_flow_refuses_a_pulse_that_is_not_a_line(cardio_world, pulse):
+    elements = {
+        "Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": "cardio",
+        "Configuration": {"pulse": pulse},
+    }
+    binding = bind(cardio_world, "Fluidic_Motion", elements)
+    with pytest.raises(ModelError) as exc:
+        instantiate_fluidic_motion(cardio_world, binding, name="Beat")
+    assert str(exc.value) == f"a circuit flow's pulse must be a trace line, not {pulse!r}"
+    assert "Beat" not in cardio_world.mechanisms
+

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -76,13 +77,59 @@ def test_a_mechanism_entry_is_named_by_its_name(build, old):
 
 def test_a_mechanism_names_the_binding_it_was_built_from_not_an_equal_one():
     world = build_cardio()
+    len_before = len(world.bindings)  # cardio's own heartbeat binding
     elements = {"Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": "cardio"}
     bind(world, "Fluidic_Motion", elements)
     instantiate_fluidic_motion(world, bind(world, "Fluidic_Motion", elements), name="Second")
     data = save_model(world)
-    assert [m["params"]["binding"] for m in data["mechanisms"] if m["name"] == "Second"] == [1]
+    assert [m["params"]["binding"] for m in data["mechanisms"] if m["name"] == "Second"] == [
+        len_before + 1
+    ]
     reloaded = load_model(data)
-    assert [b.produced_mechanism for b in reloaded.bindings] == [None, "Second"]
+    assert [b.produced_mechanism for b in reloaded.bindings] == ["HeartbeatPush", None, "Second"]
+
+
+def saved_with_the_heartbeat_builtin() -> dict:
+    """save_model(build_cardio()) as written while the heartbeat had a
+    builtin of its own: mechanisms[0] names heartbeat_push, and cardio
+    bound no frame."""
+    data = save_model(build_cardio())
+    assert data["mechanisms"][0]["name"] == "HeartbeatPush"
+    data["mechanisms"][0] = {
+        "name": "HeartbeatPush", "builtin": "heartbeat_push", "params": {"circuit": "cardio"},
+    }
+    data["bindings"] = []
+    return data
+
+
+def run_trace(world, ticks: int) -> list[str]:
+    kernel = Kernel(world)
+    standard_rules(kernel)
+    kernel.run(ticks)
+    assert not kernel.halted
+    return kernel.trace_lines()
+
+
+def test_a_file_naming_the_heartbeat_builtin_runs_the_same_trace_and_saves_as_a_binding():
+    old = saved_with_the_heartbeat_builtin()
+    trace = run_trace(load_model(old), 200)
+    assert trace == run_trace(build_cardio(), 200)
+    text = "".join(line + "\n" for line in trace).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == (
+        "cded0b1e1cb55a80478313dcdaad685cbb315eabb836bcb9cac3858948e48552"
+    )
+
+    saved = json.dumps(save_model(load_model(old)))
+    assert saved == json.dumps(save_model(build_cardio()))
+    assert json.dumps(save_model(load_model(json.loads(saved)))) == saved
+
+
+def test_a_file_naming_the_heartbeat_builtin_needs_no_frames():
+    old = saved_with_the_heartbeat_builtin()
+    old["frames"] = []
+    world = load_model(old)
+    assert list(world.frames) == ["Fluidic_Motion"]
+    assert run_trace(world, 40) == run_trace(build_cardio(), 40)
 
 
 def test_roundtrip_through_file(tmp_path):

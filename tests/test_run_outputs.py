@@ -5,6 +5,7 @@ parse to exactly the document the indented writer built before it, and the
 trace must keep its bytes. Writing must not build the whole document, and the
 per-step history must hold no per-record attribute dicts or per-line strings.
 """
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -17,7 +18,7 @@ from semsim.cli import RunConfig, make_kernel, resolve_model, write_outputs
 from semsim.engine import FiringRecord, GuardFailure
 from semsim.models import build_cardio
 from semsim.topology import CommitRecord, Move, SplitPlan
-from semsim.validation import Violation
+from semsim.validation import NOT_VALIDATED, Violation
 from semsim.world import Vocabulary
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
@@ -166,3 +167,57 @@ def test_pattern_lines_are_stored_as_emitted():
     assert vocabulary.canonical("pause") == "pause"
     assert vocabulary.canonical("12 puddle") is None
     assert not vocabulary.allows("12 puddle")
+
+
+# `semsim run --model cardio --steps 200` trace and sidecar digests, as the
+# program wrote them before cardio's heartbeat was built from its binding.
+PINNED_RUNS = {
+    "concurrent-seed-11": (
+        ["--mode", "concurrent", "--seed", "11"],
+        "c23b957a6e2fa147fe7d64df7d6d1c59b433ee521794b83879146cfbec979976",
+        "183cd995478b5ce0390bd3fb213fd9a69e2d03ca803987fed8e2c30b13b5400c",
+    ),
+    "concurrent-seed-12": (
+        ["--mode", "concurrent", "--seed", "12"],
+        "6f87b647ec91e0fad5006fe346696d3b2009e5f37f0b720c578ce9b3cde731f4",
+        "be3be60ddf881371e15ca125d0415a7e7b71de54ad06746b0f2ca22edd64a3d3",
+    ),
+    "deterministic-seed-0": (
+        ["--seed", "0"],
+        "cded0b1e1cb55a80478313dcdaad685cbb315eabb836bcb9cac3858948e48552",
+        "cbc2ad8c08e3bb90e281d4e2eaa35931dfb44d224c0612d4d54bb3581552b8d2",
+    ),
+    "validate-off-seed-0": (
+        ["--seed", "0", "--validate", "off"],
+        "cded0b1e1cb55a80478313dcdaad685cbb315eabb836bcb9cac3858948e48552",
+        "6067577fa038a3d532d5cd89d2ad120b3d455fca20edafbd5e6cfff29f34242d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_a_cardio_run_writes_its_pinned_trace_and_sidecar(tmp_path, name):
+    flags, trace_sha256, sidecar_sha256 = PINNED_RUNS[name]
+    trace = tmp_path / "cardio.trace"
+    args = ["run", "--model", "cardio", "--steps", "200", *flags, "--trace", str(trace)]
+    assert cli.main(args) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha256
+    sidecar = Path(str(trace) + ".report.json").read_bytes()
+    assert hashlib.sha256(sidecar).hexdigest() == sidecar_sha256
+
+
+def test_an_unvalidated_step_keeps_no_report_of_its_own():
+    kernel = Kernel(build_cardio(), validate_policy="off")
+    kernel.run(50)
+    assert all(r.validation is NOT_VALIDATED for r in kernel.reports)
+    assert NOT_VALIDATED.violations == []
+    assert kernel.reports[3].describe() == "step 3: fired=- violations=0"
+
+    # A wiring error is still reported, on the step's own report.
+    kernel.world.remove_connection("LeftAtrium", "LeftVentricle")
+    reports = kernel.run(4)  # ticks 50 to 53: the SA node beats at 52
+    beat = reports[2]
+    assert beat.validation.step_index == beat.step == 52
+    assert [v.rule for v in beat.validation.violations] == ["PushWithoutConnection"]
+    assert all(r.validation is NOT_VALIDATED for r in reports if r is not beat)
+    assert NOT_VALIDATED.violations == []

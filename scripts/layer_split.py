@@ -4,14 +4,19 @@
 Each model runs three ways: with validation off (the engine, topology and
 world), with validation on and no rules (plus snapshot maintenance), and
 with the standard rules (plus rule re-checks). Each row is the best of
---repeats runs of Kernel.run(--ticks), the model build excluded; the last
-column is the step cost that row adds to the row above it.
+--repeats runs of Kernel.run(--ticks), the model build excluded, with the
+cyclic garbage collector off, as `semsim run` steps; the last column is the
+step cost that row adds to the row above it. A fourth row per model runs
+with validation off and the collector on, as a library caller's
+Kernel.run does; its last column is what the collector adds to the
+validation-off row, per step.
 
 The last row is the fixed cost of starting a run: `import semsim.cli` in a
 fresh `python3 -I` interpreter, best of --repeats, next to the step costs
 it is paid once beside.
 """
 import argparse
+import gc
 import subprocess
 import sys
 import time
@@ -27,21 +32,36 @@ CONFIGURATIONS = (
     ("halt, no rules", "halt", False),
     ("halt, standard rules", "halt", True),
 )
+COLLECTOR_ON = "--validate off, gc on"
 
 
-def best_seconds(build, policy, rules, ticks, repeats):
+def best_seconds(build, policy, rules, ticks, repeats, collect=False):
     best = float("inf")
     for _ in range(repeats):
         kernel = Kernel(build(), validate_policy=policy)
         if rules:
             standard_rules(kernel)
-        start = time.perf_counter()
-        kernel.run(ticks)
-        elapsed = time.perf_counter() - start
+        gc.collect()
+        if not collect:
+            gc.disable()
+        try:
+            start = time.perf_counter()
+            kernel.run(ticks)
+            elapsed = time.perf_counter() - start
+        finally:
+            gc.enable()
         if kernel.halted or len(kernel.reports) != ticks:
             raise SystemExit(f"{policy} run stopped after {len(kernel.reports)} of {ticks} ticks")
         best = min(best, elapsed)
     return best
+
+
+def print_row(model, label, per_step, previous_micros):
+    """Print one row; return its microseconds per step."""
+    micros = per_step * 1e6
+    print(f"{model:<10} {label:<22} {1 / per_step:>9.0f} {micros:>8.1f} "
+          f"{micros - previous_micros:>+8.1f}")
+    return micros
 
 
 # Run in a fresh interpreter; prints the seconds `import semsim.cli` took.
@@ -78,13 +98,13 @@ def main():
     print(f"{args.ticks} ticks, best of {args.repeats}")
     print(f"{'model':<10} {'configuration':<22} {'steps/s':>9} {'us/step':>8} {'added':>8}")
     for model, build in models:
-        previous = 0.0
+        micros = []
         for label, policy, rules in CONFIGURATIONS:
-            per_step = best_seconds(build, policy, rules, args.ticks, args.repeats) / args.ticks
-            micros = per_step * 1e6
-            print(f"{model:<10} {label:<22} {1 / per_step:>9.0f} {micros:>8.1f} "
-                  f"{micros - previous:>+8.1f}")
-            previous = micros
+            seconds = best_seconds(build, policy, rules, args.ticks, args.repeats)
+            micros.append(print_row(model, label, seconds / args.ticks,
+                                    micros[-1] if micros else 0.0))
+        seconds = best_seconds(build, "off", False, args.ticks, args.repeats, collect=True)
+        print_row(model, COLLECTOR_ON, seconds / args.ticks, micros[0])
     millis = best_import_seconds(args.repeats) * 1e3
     print(f"{'startup':<10} {'import semsim.cli':<22} {millis:>9.1f} ms, best of "
           f"{args.repeats} fresh python3 -I")

@@ -21,7 +21,6 @@ from .errors import (
     UnknownEntityError,
 )
 from .records import FrozenRecord, Record, set_field
-from .topology import Circuit
 from .world import World
 
 
@@ -166,7 +165,7 @@ def add_lexical_entry(world: World, word: str, frame: str, text: str = "") -> Le
 
 
 def _element_resolvable(world: World, value) -> bool:
-    if isinstance(value, (PathSpec, Circuit, dict)):
+    if isinstance(value, (PathSpec, dict)):
         return True
     if isinstance(value, str):
         return (
@@ -222,9 +221,10 @@ def instantiate_fluidic_motion(
     """Turn a Fluidic_Motion binding into a runnable mechanism.
 
     Path bound to a PathSpec gives a path_flow: each firing releases the next
-    portion and carries it down the whole path to the goal. Path bound to a
-    declared circuit gives a circuit flow: one simultaneous hop for every
-    portion per firing.
+    portion and carries it down the whole path to the goal. Path bound to the
+    name of a declared circuit gives a circuit flow: one simultaneous hop for
+    every portion per firing. A circuit is bound by name, the form a model
+    file saves.
     """
     if binding.frame.name != "Fluidic_Motion":
         raise ModelError("only Fluidic_Motion bindings instantiate here")
@@ -239,8 +239,8 @@ def instantiate_fluidic_motion(
         goal = binding.element_map.get("Goal")
         goal_label = goal if isinstance(goal, str) else "pool"
         mech = path_flow(world, mech_name, fluid, path, goal_label, n_portions, portion_kind)
-    elif isinstance(path, Circuit) or (isinstance(path, str) and path in world.circuits):
-        circuit = world.circuits[path] if isinstance(path, str) else path
+    elif isinstance(path, str) and path in world.circuits:
+        circuit = world.circuits[path]
         config = binding.element_map.get("Configuration")
         pulse = config.get("pulse") if isinstance(config, dict) else None
         mech = _circuit_flow(mech_name, fluid, circuit, pulse)

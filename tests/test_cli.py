@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +15,12 @@ from semsim.cli import (
     RunConfig,
     console_command,
     main,
+    planned_steps,
+    prepare,
     run_command,
 )
 from semsim.modelfile import save_model, save_model_file
-from semsim.engine import register_mechanism, register_trigger
+from semsim.engine import StepReport, register_mechanism, register_trigger
 from semsim.models import build_cardio, build_waterfall, build_waterfall_from_frames
 from semsim.world import Vocabulary
 
@@ -620,22 +623,108 @@ def test_a_fault_inside_a_step_exits_1_and_keeps_the_steps_before_it(
     assert [r["step"] for r in report["reports"]] == [0, 1]
 
 
-@pytest.mark.parametrize("model", ["cardio", "faulty"])
-def test_a_run_steps_with_its_setup_frozen_and_unfreezes_after(tmp_path, monkeypatch, model):
+def _step_interrupted_at_tick_2(untimed_step):
+    def step(kernel):
+        if kernel.tick == 2:
+            raise KeyboardInterrupt
+        return untimed_step(kernel)
+    return step
+
+
+@pytest.mark.parametrize("model", ["cardio", "faulty", "interrupted"])
+def test_a_run_steps_with_the_collector_off_and_restores_it(tmp_path, monkeypatch, model):
     if model == "faulty":
         monkeypatch.setattr(cli, "resolve_model", lambda config: _world_that_faults_at_tick_2())
-    frozen_during = []
+    collecting_during = []
     untimed_step = cli.Kernel.step
+    if model == "interrupted":
+        untimed_step = _step_interrupted_at_tick_2(untimed_step)
 
     def step(kernel):
-        frozen_during.append(gc.get_freeze_count())
+        collecting_during.append(gc.isenabled())
         return untimed_step(kernel)
 
     monkeypatch.setattr(cli.Kernel, "step", step)
-    assert gc.get_freeze_count() == 0
-    run_command(RunConfig(model=model, steps=5, trace_path=str(tmp_path / "r.trace")))
-    assert frozen_during and min(frozen_during) > 0
-    assert gc.get_freeze_count() == 0
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    config = RunConfig(model="cardio" if model == "interrupted" else model, steps=5,
+                       trace_path=str(tmp_path / "r.trace"))
+    run_command(config)
+    assert collecting_during and not any(collecting_during)
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("model", ["cardio", "faulty"])
+def test_a_run_keeps_a_collector_its_caller_disabled(tmp_path, monkeypatch, model):
+    if model == "faulty":
+        monkeypatch.setattr(cli, "resolve_model", lambda config: _world_that_faults_at_tick_2())
+    gc.disable()
+    try:
+        run_command(RunConfig(model=model, steps=5, trace_path=str(tmp_path / "r.trace")))
+        assert not gc.isenabled()
+        assert gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_run_leaves_its_history_in_the_oldest_generation(tmp_path, monkeypatch):
+    # Left young, the history would be rescanned by the first collection
+    # after the run, which then costs as much as the history is long.
+    kernels = []
+    untimed_step = cli.Kernel.step
+
+    def step(kernel):
+        kernels.append(kernel)
+        return untimed_step(kernel)
+
+    monkeypatch.setattr(cli.Kernel, "step", step)
+    run_command(RunConfig(model="cardio", steps=50, trace_path=str(tmp_path / "r.trace")))
+    young = gc.get_objects(generation=0) + gc.get_objects(generation=1)
+    assert len(kernels[0].reports) == 50
+    assert not any(isinstance(o, StepReport) for o in young)
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+# The model each shipped scenario (test_shipped_scenario_files_parse) loads on.
+SCENARIO_MODELS = {"cut_phrenic": "cardio", "heart_stop": "cardio", "freeze": "waterfall"}
+GARBAGE_FREE_RUNS = {
+    **{
+        f"cardio-{policy}-{mode}": (RunConfig(
+            model="cardio", steps=400, seed=5, mode=mode, validate_policy=policy
+        ), None)
+        for policy in ("halt", "warn", "off") for mode in ("deterministic", "concurrent")
+    },
+    "waterfall": (RunConfig(model="waterfall", portions=200), None),
+    "waterfall-frames": (RunConfig(model="waterfall-frames", portions=200), None),
+    **{
+        f"scenario-{name}": (RunConfig(
+            model=model, steps=200, portions=200, validate_policy="warn",
+            scenario_path=str(SCENARIO_DIR / f"{name}.json"),
+        ), None)
+        for name, model in SCENARIO_MODELS.items()
+    },
+    "faulty": (RunConfig(model="faulty", steps=5), _world_that_faults_at_tick_2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GARBAGE_FREE_RUNS))
+def test_a_run_makes_no_cyclic_garbage(monkeypatch, name):
+    # The premise of `run_command` stepping with the collector off: what a
+    # run allocates is freed by reference counting or stays reachable.
+    config, build = GARBAGE_FREE_RUNS[name]
+    if build is not None:
+        monkeypatch.setattr(cli, "resolve_model", lambda config: build())
+    kernel = prepare(config)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            kernel.run(planned_steps(config))
+        except Exception:
+            assert name == "faulty" and kernel.fault is not None
+        assert kernel.reports
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_run_keeps_a_freeze_its_caller_made(tmp_path):

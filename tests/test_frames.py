@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semsim import Kernel, World
-from semsim.errors import DuplicateNameError, MissingCoreElement, ModelError, SchemaError
+from semsim.errors import (
+    DuplicateNameError,
+    MissingCoreElement,
+    ModelError,
+    SchemaError,
+    UnknownEntityError,
+)
 from semsim.frames import (
     PathSegment,
     PathSpec,
@@ -363,3 +369,32 @@ def test_a_circuit_flow_refuses_a_pulse_that_is_not_a_line(cardio_world, pulse):
     assert str(exc.value) == f"a circuit flow's pulse must be a trace line, not {pulse!r}"
     assert "Beat" not in cardio_world.mechanisms
 
+
+
+def test_a_circuit_object_is_refused_at_bind(cardio_world):
+    circuit = cardio_world.circuits["cardio"]
+    elements = {"Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": circuit}
+    with pytest.raises(UnknownEntityError):
+        bind(cardio_world, "Fluidic_Motion", elements)
+    assert len(cardio_world.bindings) == 1  # cardio's own
+
+
+def test_a_circuit_bound_by_name_saves_and_reloads_to_the_same_trace(cardio_world, tmp_path):
+    from semsim.cli import standard_rules
+    from semsim.modelfile import load_model_file, save_model_file
+
+    elements = {"Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": "cardio"}
+    binding = bind(cardio_world, "Fluidic_Motion", elements)
+    instantiate_fluidic_motion(cardio_world, binding, name="ExtraPush")
+    register_trigger(cardio_world, Trigger("Extra", period=7, target="ExtraPush", phase=3))
+    path = tmp_path / "cardio-extra.json"
+    save_model_file(cardio_world, path)
+
+    traces = []
+    for world in (cardio_world, load_model_file(path)):
+        kernel = Kernel(world)
+        standard_rules(kernel)
+        kernel.run(60)
+        assert any(f.mechanism == "ExtraPush" for r in kernel.reports for f in r.fired)
+        traces.append(kernel.trace_lines())
+    assert traces[0] == traces[1]

@@ -97,6 +97,54 @@ def test_sidecar_parses_to_the_legacy_document(monkeypatch, tmp_path, args, expe
     assert Path(config.trace_path).read_bytes() == trace.encode("utf-8")
 
 
+def per_entry_sidecar(kernel: Kernel, exit_code: int) -> str:
+    """The sidecar text with every step entry encoded by its own json.dumps."""
+    document = legacy_sidecar(kernel, exit_code)
+    entries = document.pop("reports")
+    header = json.dumps(document)[:-1] + ', "reports": ['
+    return header + "".join(
+        ("\n" if i == 0 else ",\n") + json.dumps(entry) for i, entry in enumerate(entries)
+    ) + "\n]}\n"
+
+
+@pytest.mark.parametrize(
+    "args,expected_exit",
+    [
+        (["--model", "cardio", "--steps", "40", "--scenario", CUT_PHRENIC], 2),
+        (["--model", "cardio", "--steps", "300", "--validate", "warn",
+          "--scenario", CUT_PHRENIC], 0),
+        (["--model", "cardio", "--steps", "1000", "--validate", "off"], 0),
+    ],
+    ids=["halted", "warn-guard-failures", "off"],
+)
+def test_sidecar_bytes_match_encoding_each_entry_alone(
+    monkeypatch, tmp_path, args, expected_exit
+):
+    exit_code, kernel, config = run_capturing_kernel(
+        monkeypatch, [*args, "--trace", str(tmp_path / "run.trace")]
+    )
+    assert exit_code == expected_exit
+    written = Path(config.report_path).read_text(encoding="utf-8")
+    assert written == per_entry_sidecar(kernel, exit_code)
+
+
+def test_steps_of_one_shape_keep_their_own_violations(tmp_path):
+    config = RunConfig(model="cardio", steps=40, validate_policy="off",
+                       trace_path=str(tmp_path / "t"))
+    kernel = make_kernel(resolve_model(config), config)
+    kernel.run(config.steps)
+    def fired(r):
+        return [f.mechanism for f in r.fired]
+
+    quiet = [r for r in kernel.reports if not r.guard_failures]
+    alike = [r for r in quiet if fired(r) == fired(quiet[0])]
+    assert len(alike) >= 3
+    alike[0].validation = ValidationReport(alike[0].step, [Violation("A", {"x": "1"})])
+    alike[1].validation = ValidationReport(alike[1].step, [Violation("B")])
+    write_outputs(kernel, config, 0)
+    assert Path(config.report_path).read_text(encoding="utf-8") == per_entry_sidecar(kernel, 0)
+
+
 def test_warn_run_sidecar_carries_guard_failures_and_violations(monkeypatch, tmp_path):
     args = ["--model", "cardio", "--steps", "120", "--validate", "warn",
             "--scenario", CUT_PHRENIC, "--trace", str(tmp_path / "t")]

@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Pool a few portions through the waterfall three ways: hand-built, frozen
-mid-run, and rebuilt from a Fluidic_Motion frame binding."""
+"""Pool a few portions through the waterfall three ways: built from its
+Fluidic_Motion binding, frozen mid-run, and loaded from a model file saved
+while the waterfall was built by hand (tests/golden/waterfall_water_flowing.json)."""
+from pathlib import Path
+
 from semsim.cli import standard_rules
 from semsim.engine import Kernel
-from semsim.models import (
-    WaterfallConfig,
-    build_waterfall,
-    build_waterfall_from_frames,
-)
+from semsim.modelfile import load_model_file
+from semsim.models import WaterfallConfig, build_waterfall
 from semsim.scenarios import apply_scenario, waterfall_freeze
+
+SAVED_BY_HAND = (
+    Path(__file__).resolve().parent.parent / "tests" / "golden" / "waterfall_water_flowing.json"
+)
 
 
 def main():
@@ -20,7 +24,8 @@ def main():
     standard_rules(kernel)
     kernel.run(n)
     p = world.portions["water-0"]
-    print(f"hand-built:   {kernel.trace_lines()}  final=({p.x}, {p.y})")
+    print(f"frame-built:  {kernel.trace_lines()}  final=({p.x}, {p.y})  "
+          f"mechanism={world.bindings[0].produced_mechanism}")
 
     frozen = build_waterfall(config, n_portions=n)
     apply_scenario(frozen, waterfall_freeze())
@@ -30,13 +35,13 @@ def main():
     failed = k2.reports[0].guard_failures[0].failed
     print(f"frozen:       trace={k2.trace_lines()}  guard failed on {failed}")
 
-    framed, binding = build_waterfall_from_frames(config, n_portions=n)
-    k3 = Kernel(framed)
+    saved = load_model_file(SAVED_BY_HAND)  # a 2-portion water_flowing file
+    k3 = Kernel(saved)
     standard_rules(k3)
     k3.run(n)
-    q = framed.portions["water-0"]
-    print(f"frame-built:  {k3.trace_lines()}  final=({q.x}, {q.y})  "
-          f"mechanism={binding.produced_mechanism}")
+    q = saved.portions["water-0"]
+    print(f"saved file:   {k3.trace_lines()}  final=({q.x}, {q.y})  "
+          f"builtin=water_flowing")
 
 
 if __name__ == "__main__":

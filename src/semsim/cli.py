@@ -98,9 +98,9 @@ def make_kernel(world: World, config: RunConfig) -> Kernel:
 def planned_steps(config: RunConfig) -> int | None:
     if config.steps is not None:
         return config.steps
-    # Both builtin waterfalls pool one portion per step, so --portions is their
+    # The builtin waterfall pools one portion per step, so --portions is its
     # step budget; a model file fixes its own portion count and needs --steps.
-    if config.portions is not None and config.model in ("waterfall", "waterfall-frames"):
+    if config.portions is not None and config.model == "waterfall":
         return config.portions
     return None
 
@@ -246,7 +246,7 @@ def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--model", required=True, help="builtin name or model file path")
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--portions", type=int, default=None,
-                        help="builtin waterfalls only: portions to pool, one per step")
+                        help="builtin waterfall only: portions to pool, one per step")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--mode", choices=("deterministic", "concurrent"),
                         default="deterministic")

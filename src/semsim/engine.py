@@ -476,10 +476,11 @@ class Kernel:
             report.validation = validation.NOT_VALIDATED if unchecked else validation.validate(
                 self.world, self.tick, self.rules, self.validate_policy, self.snapshot
             )
-            for name, detail in self._wiring_errors:
-                report.validation.violations.insert(
-                    0, validation.Violation(name, {"detail": detail})
-                )
+            if self._wiring_errors:
+                report.validation.violations[:0] = [
+                    validation.Violation(name, {"detail": detail})
+                    for name, detail in self._wiring_errors
+                ]
             self.reports.append(report)
 
             if self.validate_policy == "halt" and report.validation.violations:
@@ -504,7 +505,8 @@ class Kernel:
         """Step until the kernel halts, or at most n_ticks times."""
         if n_ticks is not None and n_ticks < 0:
             raise ModelError("n_ticks must be >= 0")
-        out = []
-        while not self.halted and (n_ticks is None or len(out) < n_ticks):
-            out.append(self.step())
-        return out
+        start = len(self.reports)
+        stop = None if n_ticks is None else self.tick + n_ticks
+        while not self.halted and (stop is None or self.tick < stop):
+            self.step()
+        return self.reports[start:]

@@ -6,9 +6,9 @@ into a runnable mechanism. Three frames ship: a generic Motion parent,
 Fluidic_Motion, and Natural_Features.
 
 A Fluidic_Motion binding whose Path is a PathSpec compiles to `path_flow`,
-the one path walk, which the hand-built waterfall uses too. One whose Path
-is a declared circuit compiles to the one circuit flow: cardio's heartbeat
-is such a binding, its pulse line in the binding's Configuration.
+the one path walk: the waterfall is such a binding. One whose Path is a
+declared circuit compiles to the one circuit flow: cardio's heartbeat is
+such a binding, its pulse line in the binding's Configuration.
 """
 from __future__ import annotations
 
@@ -228,6 +228,10 @@ def instantiate_fluidic_motion(
     """
     if binding.frame.name != "Fluidic_Motion":
         raise ModelError("only Fluidic_Motion bindings instantiate here")
+    # The mechanism is saved by its binding's index: find it before building.
+    index = next((i for i, b in enumerate(world.bindings) if b is binding), None)
+    if index is None:
+        raise ModelError("the binding is not one of the world's bindings")
     check_n_portions(n_portions)
     fluid = binding.element_map["Fluid"]
     if not isinstance(fluid, str) or fluid not in world.substances:
@@ -249,7 +253,7 @@ def instantiate_fluidic_motion(
             "binding satisfies neither path mode: need a PathSpec or a declared circuit"
         )
     register_mechanism(world, mech, "fluidic_motion", {
-        "binding": next(i for i, b in enumerate(world.bindings) if b is binding),
+        "binding": index,
         "n_portions": n_portions,
         "portion_kind": portion_kind,
     })

@@ -17,7 +17,6 @@ from .cardio import (
 from .waterfall import (
     WaterfallConfig,
     build_waterfall,
-    build_waterfall_from_frames,
     freeze_watch_mechanism,
     water_flowing_mechanism,
     waterfall_path,
@@ -44,10 +43,7 @@ def build_builtin(name: str, portions: int | None = None):
         return build_cardio()
     if name == "waterfall":
         return build_waterfall(n_portions=portions)
-    if name == "waterfall-frames":
-        world, _ = build_waterfall_from_frames(n_portions=portions)
-        return world
     raise KeyError(name)
 
 
-BUILTIN_MODEL_NAMES = ("cardio", "waterfall", "waterfall-frames")
+BUILTIN_MODEL_NAMES = ("cardio", "waterfall")

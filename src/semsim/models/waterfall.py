@@ -1,18 +1,18 @@
 """Waterfall reference model: water portions traverse a shallow bed, then a drop.
 
-The flow is `frames.path_flow` over the two-leg path the config implies,
-whether it is built by hand or through a Fluidic_Motion binding. Each firing
-carries one portion through its whole journey in closed form, so a run of n
-ticks pools exactly n portions and prints "<i> pool" for each. In integer
-coordinates that equals the unit-by-unit walk exactly; the unit-loop oracle
-that checks it lives in the tests.
+The model is its structured definition: a Fluidic_Motion binding of water
+from the bed inlet to the pool, compiled to `frames.path_flow` over the
+two-leg path the config implies. Each firing carries one portion through its
+whole journey in closed form, so a run of n ticks pools exactly n portions
+and prints "<i> pool" for each. In integer coordinates that equals the
+unit-by-unit walk exactly; the unit-loop oracle that checks it lives in the
+tests.
 """
 from __future__ import annotations
 
 from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
 from ..entities import StateSpace
 from ..frames import (
-    FrameBinding,
     PathSegment,
     PathSpec,
     add_lexical_entry,
@@ -25,9 +25,6 @@ from ..frames import (
 )
 from ..records import FrozenRecord, set_field
 from ..world import Vocabulary, World
-
-LOCATION_LABELS = ("null", "upper", "drop", "pool")
-
 
 class WaterfallConfig(FrozenRecord):
     _fields = ("upper_bed_length", "vertical_drop", "upper_delta", "drop_delta", "labels")
@@ -51,7 +48,9 @@ class WaterfallConfig(FrozenRecord):
 
 
 def water_flowing_mechanism(world: World, params: dict) -> Mechanism:
-    """Factory for the hand-built flow; also used when loading model files."""
+    """Factory for the flow of a model file saved before the waterfall was
+    built from its binding: such a file names this builtin, with the config
+    in its params, and binds no frame. It loads as the same path flow."""
     config = WaterfallConfig(
         upper_bed_length=params.get("upper_bed_length", 1000),
         vertical_drop=params.get("vertical_drop", 100),
@@ -92,8 +91,17 @@ def freeze_watch_mechanism(world: World, params: dict) -> Mechanism:
     return register_mechanism(world, mech, "freeze_watch", params)
 
 
-def _base_world(config: WaterfallConfig, name: str) -> World:
-    world = World(name)
+def build_waterfall(
+    config: WaterfallConfig = WaterfallConfig(), n_portions: int | None = None
+) -> World:
+    """The waterfall from its structured definition: water flows from the bed
+    inlet to the pool along the path the config implies.
+
+    The flow is compiled from the Fluidic_Motion binding, world.bindings[0],
+    so one firing takes one portion from birth to the pool, and n ticks pool
+    n portions.
+    """
+    world = World("waterfall")
     world.vocabulary = Vocabulary(patterns=(r"\d+ pool",))
     world.define_substance("water", phase="liquid")
     world.define_kind(
@@ -111,24 +119,23 @@ def _base_world(config: WaterfallConfig, name: str) -> World:
         "idealization",
         "portions stay unified while they move; real fluid would not retain continuity",
     )
-    return world
-
-
-def build_waterfall(
-    config: WaterfallConfig = WaterfallConfig(), n_portions: int | None = None
-) -> World:
-    """Hand-built flow: one firing takes one portion from birth to the pool."""
-    world = _base_world(config, "waterfall")
-    water_flowing_mechanism(
+    world.define_kind("Place")
+    world.instantiate("Place", entity_id="bedInlet")
+    world.instantiate("Place", entity_id=config.labels[2])
+    binding = bind(
         world,
+        "Fluidic_Motion",
         {
-            "upper_bed_length": config.upper_bed_length,
-            "vertical_drop": config.vertical_drop,
-            "upper_delta": list(config.upper_delta),
-            "drop_delta": list(config.drop_delta),
-            "labels": list(config.labels),
-            "n_portions": n_portions,
+            "Fluid": "water",
+            "Source": "bedInlet",
+            "Goal": config.labels[2],
+            "Path": waterfall_path(config),
+            "Configuration": {"volume": "high", "speed": "moderate"},
         },
+    )
+    instantiate_fluidic_motion(
+        world, binding, name="WaterFlowing", n_portions=n_portions,
+        portion_kind="WaterPortion",
     )
     register_trigger(world, Trigger("Flow", period=1, target="WaterFlowing"))
     world.define_system("waterfall-flow", ["WaterFlowing"])
@@ -152,35 +159,3 @@ def waterfall_path(config: WaterfallConfig = WaterfallConfig()) -> PathSpec:
             ),
         )
     )
-
-
-def build_waterfall_from_frames(
-    config: WaterfallConfig = WaterfallConfig(), n_portions: int | None = None
-) -> tuple[World, FrameBinding]:
-    """The same waterfall, defined through a Fluidic_Motion binding.
-
-    The binding compiles to the same path flow as the hand-built model, so n
-    ticks pool n portions and the trace, coordinates and Location changes
-    match it exactly.
-    """
-    world = _base_world(config, "waterfall")
-    world.define_kind("Place")
-    world.instantiate("Place", entity_id="bedInlet")
-    world.instantiate("Place", entity_id=config.labels[2])
-    binding = bind(
-        world,
-        "Fluidic_Motion",
-        {
-            "Fluid": "water",
-            "Source": "bedInlet",
-            "Goal": config.labels[2],
-            "Path": waterfall_path(config),
-            "Configuration": {"volume": "high", "speed": "moderate"},
-        },
-    )
-    instantiate_fluidic_motion(
-        world, binding, name="WaterFlowing", n_portions=n_portions,
-        portion_kind="WaterPortion",
-    )
-    register_trigger(world, Trigger("Flow", period=1, target="WaterFlowing"))
-    return world, binding

@@ -21,11 +21,12 @@ from semsim.models import (
     WaterfallConfig,
     build_cardio,
     build_waterfall,
-    build_waterfall_from_frames,
 )
 from semsim.scenarios import apply_scenario, heart_stop, waterfall_freeze
 from semsim.validation import derive_triples
 from semsim.world import World
+
+from saved_forms import saved_water_flowing
 
 FIG3_LINE_TYPES = [
     "pushed LeftAtriumBlood",
@@ -270,12 +271,13 @@ def test_criterion_8_scenarios():
 
 def test_criterion_9_frames_equivalence():
     config = WaterfallConfig()  # full-size bed and drop
-    hand = build_waterfall(config, n_portions=2)
+    # The hand-built waterfall, as a file saved before it had a binding.
+    hand = load_model(saved_water_flowing())
     k_hand = Kernel(hand)
     standard_rules(k_hand)
     k_hand.run(2)
 
-    framed, _ = build_waterfall_from_frames(config, n_portions=2)
+    framed = build_waterfall(config, n_portions=2)
     k_framed = Kernel(framed)
     standard_rules(k_framed)
     k_framed.run(2)

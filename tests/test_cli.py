@@ -21,8 +21,10 @@ from semsim.cli import (
 )
 from semsim.modelfile import save_model, save_model_file
 from semsim.engine import StepReport, register_mechanism, register_trigger
-from semsim.models import build_cardio, build_waterfall, build_waterfall_from_frames
+from semsim.models import build_cardio, build_waterfall
 from semsim.world import Vocabulary
+
+from saved_forms import saved_water_flowing
 
 
 def run_cli(args, cwd, input=None):
@@ -49,6 +51,15 @@ def test_run_unknown_model_exits_1(tmp_path):
     result = run_cli(["run", "--model", "unicorn", "--steps", "1"], cwd=tmp_path)
     assert result.returncode == EXIT_CONFIG
     assert "unknown model" in result.stderr
+
+
+def test_the_waterfall_has_one_builtin_name(tmp_path, capsys):
+    args = ["run", "--model", "waterfall-frames", "--portions", "3",
+            "--trace", str(tmp_path / "t")]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: unknown model 'waterfall-frames' (not a builtin, not a file)\n"
+    )
 
 
 def test_run_negative_steps_exits_1(tmp_path):
@@ -438,7 +449,7 @@ def test_broken_placement_exits_1_without_traceback(tmp_path, placement_breach):
     ],
 )
 def test_malformed_water_flowing_params_fail_at_load(tmp_path, capsys, param, value, diagnosis):
-    data = save_model(build_waterfall(n_portions=2))
+    data = saved_water_flowing()
     assert data["mechanisms"][0]["builtin"] == "water_flowing"
     data["mechanisms"][0]["params"][param] = value
     path = tmp_path / "bad-flow.json"
@@ -483,7 +494,7 @@ def _drop_location_space(data):
     ids=["unknown-label", "no-kind", "no-location-space"],
 )
 def test_water_flowing_labels_are_checked_at_load(tmp_path, capsys, breach, diagnosis):
-    data = save_model(build_waterfall(n_portions=2))
+    data = saved_water_flowing()
     assert data["kinds"][0]["name"] == "WaterPortion"
     breach(data)
     assert_refused_at_load(tmp_path, capsys, data, f"mechanisms[0]: {diagnosis}")
@@ -545,8 +556,7 @@ def test_a_heartbeat_no_flow_fits_is_refused_without_traceback(tmp_path, breach,
     ],
 )
 def test_malformed_fluidic_motion_params_fail_at_load(tmp_path, capsys, param, value, diagnosis):
-    world, _ = build_waterfall_from_frames(n_portions=2)
-    data = save_model(world)
+    data = save_model(build_waterfall(n_portions=2))
     assert data["mechanisms"][0]["builtin"] == "fluidic_motion"
     assert len(data["bindings"]) == 1
     data["mechanisms"][0]["params"][param] = value
@@ -584,8 +594,7 @@ _LAKE = "label 'lake' is outside the 'Location' space ['null', 'upper', 'drop', 
          "kind-of-another-substance"],
 )
 def test_malformed_fluidic_motion_path_fails_at_load(tmp_path, capsys, breach, message):
-    world, _ = build_waterfall_from_frames(n_portions=2)
-    data = save_model(world)
+    data = save_model(build_waterfall(n_portions=2))
     breach(data)
     assert_refused_at_load(tmp_path, capsys, data, message)
 
@@ -694,7 +703,6 @@ GARBAGE_FREE_RUNS = {
         for policy in ("halt", "warn", "off") for mode in ("deterministic", "concurrent")
     },
     "waterfall": (RunConfig(model="waterfall", portions=200), None),
-    "waterfall-frames": (RunConfig(model="waterfall-frames", portions=200), None),
     **{
         f"scenario-{name}": (RunConfig(
             model=model, steps=200, portions=200, validate_policy="warn",

@@ -479,3 +479,29 @@ def test_side_effect_observable_when_enabled():
         if "Warmth" in p.properties and p.properties["Warmth"].level == "high"
     ]
     assert not warmed2
+
+
+def _move_back_over_no_connection(ctx):
+    ctx.move("p", "B", "A")
+
+
+@pytest.mark.parametrize("policy", ["warn", "off"])
+def test_a_steps_wiring_errors_are_reported_in_the_order_they_happened(policy):
+    w = counter_world()
+    w.create_portion("blood", entity_id="p")
+    w.place_portion("p", "B")
+    for name in ("first", "second"):
+        register_mechanism(w, Mechanism(name, guard=(), effect=_move_back_over_no_connection))
+        register_trigger(w, Trigger(name, period=1, target=name))
+    kernel = Kernel(w, validate_policy=policy)
+    kernel.add_rule(AssertionRule("liquid", TriplePattern("blood", "hasState:phase", "gas")))
+    (report,) = kernel.run(1)
+    details = [(v.rule, v.bindings["detail"]) for v in report.validation.violations[:2]]
+    assert details == [
+        ("PushWithoutConnection", "first: no fluid connection 'B' -> 'A'"),
+        ("PushWithoutConnection", "second: no fluid connection 'B' -> 'A'"),
+    ]
+    # The rule's own violation, checked only under warn, follows them.
+    assert [v.rule for v in report.validation.violations[2:]] == (
+        ["liquid"] if policy == "warn" else []
+    )

@@ -10,6 +10,7 @@ from semsim.errors import (
     UnknownEntityError,
 )
 from semsim.frames import (
+    FrameBinding,
     PathSegment,
     PathSpec,
     bind,
@@ -21,11 +22,12 @@ from semsim.models import (
     WaterfallConfig,
     build_cardio,
     build_waterfall,
-    build_waterfall_from_frames,
     waterfall_path,
 )
 from semsim.engine import Trigger, guard_report, register_trigger
 from semsim.modelfile import load_model, save_model
+
+from saved_forms import saved_water_flowing
 
 
 def test_define_frame_fluidic_motion():
@@ -136,7 +138,7 @@ def test_instantiation_requires_a_path_mode():
 
 
 def test_frozen_fluid_disables_flow():
-    w, binding = build_waterfall_from_frames(n_portions=1)
+    w = build_waterfall(n_portions=1)
     mech = w.mechanisms["WaterFlowing"]
     assert all(guard_report(mech, w).values())
     w.set_state("water", "phase", "solid")
@@ -150,12 +152,13 @@ def test_waterfall_per_unit_deltas():
 
 
 def test_frames_waterfall_trace_equivalent_to_hand_built():
-    config = WaterfallConfig(upper_bed_length=30, vertical_drop=5)
-    hand = build_waterfall(config, n_portions=3)
+    # The hand-built form survives only in files saved before the waterfall
+    # was built from its binding.
+    hand = load_model(saved_water_flowing(upper_bed_length=30, vertical_drop=5, n_portions=3))
     k1 = Kernel(hand)
     k1.run(3)
 
-    framed, _ = build_waterfall_from_frames(config, n_portions=3)
+    framed = build_waterfall(WaterfallConfig(upper_bed_length=30, vertical_drop=5), n_portions=3)
     k2 = Kernel(framed)
     k2.run(3)
 
@@ -170,11 +173,11 @@ def test_frames_waterfall_trace_equivalent_to_hand_built():
 @pytest.mark.parametrize("cut", [0, 1, 2, 3])
 def test_a_reloaded_frames_waterfall_runs_on_as_if_uninterrupted(cut):
     config = WaterfallConfig(upper_bed_length=3, vertical_drop=2)
-    whole, _ = build_waterfall_from_frames(config, n_portions=3)
+    whole = build_waterfall(config, n_portions=3)
     k_whole = Kernel(whole)
     k_whole.run(4)
 
-    first, _ = build_waterfall_from_frames(config, n_portions=3)
+    first = build_waterfall(config, n_portions=3)
     k_first = Kernel(first)
     k_first.run(cut)
     reloaded = load_model(save_model(first))
@@ -190,12 +193,13 @@ def test_a_reloaded_frames_waterfall_runs_on_as_if_uninterrupted(cut):
 
 
 def _build_hand(n_portions):
-    return build_waterfall(WaterfallConfig(upper_bed_length=3, vertical_drop=2), n_portions)
+    """The hand-built flow: a file saved before the waterfall had a binding, loaded."""
+    return load_model(saved_water_flowing(upper_bed_length=3, vertical_drop=2,
+                                          n_portions=n_portions))
 
 
 def _build_framed(n_portions):
-    config = WaterfallConfig(upper_bed_length=3, vertical_drop=2)
-    return build_waterfall_from_frames(config, n_portions)[0]
+    return build_waterfall(WaterfallConfig(upper_bed_length=3, vertical_drop=2), n_portions)
 
 
 @pytest.mark.parametrize("build", [_build_hand, _build_framed], ids=["hand", "frames"])
@@ -249,6 +253,16 @@ def test_a_flow_whose_name_is_taken_leaves_no_cursor():
         instantiate_fluidic_motion(world, binding, name="HeartbeatPush")
     assert world.flow_cursors == {}
     assert load_model(save_model(world)).flow_cursors == {}
+
+
+def test_a_binding_the_world_does_not_hold_builds_nothing():
+    world = build_waterfall(n_portions=1)
+    stray = FrameBinding(world.frames["Fluidic_Motion"], dict(world.bindings[0].element_map))
+    with pytest.raises(ModelError) as exc:
+        instantiate_fluidic_motion(world, stray, name="Stray", portion_kind="WaterPortion")
+    assert str(exc.value) == "the binding is not one of the world's bindings"
+    assert "Stray" not in world.mechanisms and stray.produced_mechanism is None
+    assert world.flow_cursors == {"WaterFlowing": 0}
 
 
 def test_a_cursor_on_a_mechanism_that_is_no_path_flow_is_refused():

@@ -8,8 +8,10 @@ from semsim.cli import standard_rules
 from semsim.errors import SchemaError
 from semsim.frames import bind, instantiate_fluidic_motion
 from semsim.modelfile import load_model, load_model_file, save_model, save_model_file
-from semsim.models import build_cardio, build_waterfall, build_waterfall_from_frames
+from semsim.models import build_cardio, build_waterfall
 from semsim.validation import derive_triples
+
+from saved_forms import WATER_FLOWING_FILE, saved_water_flowing
 
 
 def test_cardio_roundtrip_triples_equal():
@@ -25,11 +27,45 @@ def test_waterfall_roundtrip_triples_equal():
 
 
 def test_frames_waterfall_roundtrip():
-    original, _ = build_waterfall_from_frames(n_portions=2)
+    original = build_waterfall(n_portions=2)
     reloaded = load_model(save_model(original))
     assert derive_triples(original) == derive_triples(reloaded)
     assert "WaterFlowing" in reloaded.mechanisms
     assert reloaded.bindings[0].produced_mechanism == "WaterFlowing"
+
+
+def test_a_file_saved_while_the_waterfall_was_built_by_hand_runs_as_before():
+    text = WATER_FLOWING_FILE.read_text(encoding="utf-8")
+    data = json.loads(text)
+    assert [m["builtin"] for m in data["mechanisms"]] == ["water_flowing"]
+    assert data["bindings"] == [] and data["objects"] == []
+    saved = load_model_file(WATER_FLOWING_FILE)
+    assert json.dumps(save_model(saved), indent=2) + "\n" == text
+
+    traces = []
+    for world in (saved, build_waterfall(n_portions=2)):
+        kernel = Kernel(world)
+        standard_rules(kernel)
+        kernel.run(3)
+        assert not kernel.halted
+        traces.append(kernel.trace_lines())
+    assert traces[0] == traces[1] == ["0 pool", "1 pool"]
+
+
+def test_the_waterfall_saves_its_binding_and_the_flow_built_from_it():
+    data = save_model(build_waterfall(n_portions=2))
+    assert [k["name"] for k in data["kinds"]] == ["WaterPortion", "Place"]
+    assert [(o["kind"], o["id"]) for o in data["objects"]] == [
+        ("Place", "bedInlet"), ("Place", "pool"),
+    ]
+    (binding,) = data["bindings"]
+    assert binding["frame"] == "Fluidic_Motion"
+    assert data["mechanisms"] == [{
+        "name": "WaterFlowing", "builtin": "fluidic_motion",
+        "params": {"binding": 0, "n_portions": 2, "portion_kind": "WaterPortion"},
+        "cursor": 0,
+    }]
+    assert load_model(data).bindings[0].produced_mechanism == "WaterFlowing"
 
 
 def test_reloaded_cardio_runs_like_the_original():
@@ -61,8 +97,8 @@ def _renamed(data: dict, old: str, new: str) -> dict:
     "build, old",
     [
         (build_cardio, "HeartbeatPush"),
-        (lambda: build_waterfall(n_portions=3), "WaterFlowing"),
-        (lambda: build_waterfall_from_frames(n_portions=2)[0], "WaterFlowing"),
+        (lambda: load_model(saved_water_flowing(n_portions=3)), "WaterFlowing"),
+        (lambda: build_waterfall(n_portions=2), "WaterFlowing"),
     ],
     ids=["heartbeat_push", "water_flowing", "fluidic_motion"],
 )

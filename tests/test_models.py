@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from semsim import Kernel
 from semsim.cli import standard_rules
 from semsim.errors import ModelError
+from semsim.modelfile import load_model
 from semsim.models import (
     CardioConfig,
     WaterfallConfig,
     build_cardio,
     build_waterfall,
-    build_waterfall_from_frames,
     freeze_watch_mechanism,
     waterfall_path,
 )
@@ -22,6 +22,8 @@ from semsim.scenarios import (
     waterfall_freeze,
     Scenario,
 )
+
+from saved_forms import saved_water_flowing
 
 
 def waterfall_oracle(upper_bed_length, vertical_drop, upper_delta=(10, -1), drop_delta=(1, -10)):
@@ -43,9 +45,15 @@ def waterfall_oracle(upper_bed_length, vertical_drop, upper_delta=(10, -1), drop
     return mid, (x, y), states
 
 
-def build_framed_waterfall(config, n_portions):
-    world, _ = build_waterfall_from_frames(config, n_portions=n_portions)
-    return world
+def build_saved_water_flowing(config, n_portions):
+    """The waterfall as a file saved while it was built by hand loads."""
+    return load_model(saved_water_flowing(
+        upper_bed_length=config.upper_bed_length,
+        vertical_drop=config.vertical_drop,
+        upper_delta=list(config.upper_delta),
+        drop_delta=list(config.drop_delta),
+        n_portions=n_portions,
+    ))
 
 
 def run_waterfall(config=WaterfallConfig(), n=3, ticks=None, build=build_waterfall):
@@ -126,7 +134,7 @@ deltas = st.tuples(st.integers(-100, 100), st.integers(-100, 100))
 def test_closed_form_flow_equals_unit_loops(length, drop, upper_delta, drop_delta):
     config = WaterfallConfig(length, drop, upper_delta, drop_delta)
     _, final, states = waterfall_oracle(length, drop, upper_delta, drop_delta)
-    for build in (build_waterfall, build_framed_waterfall):
+    for build in (build_waterfall, build_saved_water_flowing):
         world, kernel = run_waterfall(config, n=1, ticks=1, build=build)
         p = world.portions["water-0"]
         assert (p.x, p.y) == final == waterfall_path(config).total_displacement(), build

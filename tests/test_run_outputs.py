@@ -269,3 +269,41 @@ def test_an_unvalidated_step_keeps_no_report_of_its_own():
     assert [v.rule for v in beat.validation.violations] == ["PushWithoutConnection"]
     assert all(r.validation is NOT_VALIDATED for r in reports if r is not beat)
     assert NOT_VALIDATED.violations == []
+
+
+# `semsim run --model waterfall` trace and sidecar digests, as the program
+# wrote them while the waterfall was built by hand, not from its binding.
+POOL_500_TRACE = "487779bcb3834b7641c33f2a5e31c9929a7aa4fbfaee898d4c2558684a4a8a26"
+EMPTY_TRACE = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+PINNED_WATERFALL_RUNS = {
+    "portions-500-halt": (
+        ["--portions", "500"],
+        POOL_500_TRACE,
+        "1008a4dc628f7ee8465b8724a56014c779aa74981b50ae4177106fabebd19e8e",
+    ),
+    "portions-500-off": (
+        ["--portions", "500", "--validate", "off"],
+        POOL_500_TRACE,
+        "cf06eccd78468f91a92da50ce4ada2617218d7530f761d102e450a01d601a92c",
+    ),
+    "portions-500-freeze-warn": (
+        ["--portions", "500", "--scenario", str(SCENARIOS / "freeze.json"), "--validate", "warn"],
+        EMPTY_TRACE,
+        "a014b660230f5a431758d801afcf10b10d8487a9eb8bd6cfa55e977758a814f7",
+    ),
+    "steps-40-portions-30": (
+        ["--steps", "40", "--portions", "30"],
+        "42e955a3275deeae0fd88c6fbb32efbeaf3e340962c617ff9122c8170f876a15",
+        "14f10222d4da79ce7960f331ebeb11b45d5743981a95ee3814c395434e2e26ec",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WATERFALL_RUNS))
+def test_a_waterfall_run_writes_its_pinned_trace_and_sidecar(tmp_path, name):
+    flags, trace_sha256, sidecar_sha256 = PINNED_WATERFALL_RUNS[name]
+    trace = tmp_path / "waterfall.trace"
+    assert cli.main(["run", "--model", "waterfall", *flags, "--trace", str(trace)]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha256
+    sidecar = Path(str(trace) + ".report.json").read_bytes()
+    assert hashlib.sha256(sidecar).hexdigest() == sidecar_sha256

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Pool a few portions through the waterfall three ways: built from its
-Fluidic_Motion binding, frozen mid-run, and loaded from a model file saved
-while the waterfall was built by hand (tests/golden/waterfall_water_flowing.json)."""
+Fluidic_Motion binding, frozen mid-run, and loaded from a version-1 model file
+saved while the waterfall was built by hand (tests/golden/waterfall_water_flowing.json),
+which is upgraded at load."""
 from pathlib import Path
 
 from semsim.cli import standard_rules
@@ -35,13 +36,13 @@ def main():
     failed = k2.reports[0].guard_failures[0].failed
     print(f"frozen:       trace={k2.trace_lines()}  guard failed on {failed}")
 
-    saved = load_model_file(SAVED_BY_HAND)  # a 2-portion water_flowing file
+    saved = load_model_file(SAVED_BY_HAND)  # a 2-portion version-1 file
     k3 = Kernel(saved)
     standard_rules(k3)
     k3.run(n)
     q = saved.portions["water-0"]
     print(f"saved file:   {k3.trace_lines()}  final=({q.x}, {q.y})  "
-          f"builtin=water_flowing")
+          f"version-1 file, upgraded at load")
 
 
 if __name__ == "__main__":

@@ -204,13 +204,6 @@ def _fluid_guard(world_substance: str) -> Condition:
     )
 
 
-def check_n_portions(n_portions):
-    """A flow's portion budget is None (unbounded) or an int >= 0."""
-    # type() rather than isinstance(): bool is an int subclass.
-    if n_portions is not None and (type(n_portions) is not int or n_portions < 0):
-        raise ValueError(f"n_portions must be an int >= 0, not {n_portions!r}")
-
-
 def instantiate_fluidic_motion(
     world: World,
     binding: FrameBinding,
@@ -232,7 +225,9 @@ def instantiate_fluidic_motion(
     index = next((i for i, b in enumerate(world.bindings) if b is binding), None)
     if index is None:
         raise ModelError("the binding is not one of the world's bindings")
-    check_n_portions(n_portions)
+    # type() rather than isinstance(): bool is an int subclass.
+    if n_portions is not None and (type(n_portions) is not int or n_portions < 0):
+        raise ValueError(f"n_portions must be an int >= 0, not {n_portions!r}")
     fluid = binding.element_map["Fluid"]
     if not isinstance(fluid, str) or fluid not in world.substances:
         raise ModelError(f"Fluid must name a substance, got {fluid!r}")
@@ -241,8 +236,9 @@ def instantiate_fluidic_motion(
 
     if isinstance(path, PathSpec):
         goal = binding.element_map.get("Goal")
-        goal_label = goal if isinstance(goal, str) else "pool"
-        mech = path_flow(world, mech_name, fluid, path, goal_label, n_portions, portion_kind)
+        if not isinstance(goal, str):
+            raise ModelError(f"a path flow's Goal must name a place, not {goal!r}")
+        mech = path_flow(world, mech_name, fluid, path, goal, n_portions, portion_kind)
     elif isinstance(path, str) and path in world.circuits:
         circuit = world.circuits[path]
         config = binding.element_map.get("Configuration")

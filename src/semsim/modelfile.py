@@ -4,7 +4,9 @@ A file holds the full initial model - scales, substances, kinds, topology,
 portions, mechanisms (by builtin name plus parameters), triggers, frames,
 bindings, annotations, and ambient state - so a reloaded world produces the
 same triple snapshot as the programmatic build. Runtime history (the
-transitional log, traces) is not part of a model file.
+transitional log, traces) is not part of a model file. Files are saved as
+version 2; a version-1 file (no version reads as 1) loads through `upgrade`,
+the one place that knows its form.
 """
 from __future__ import annotations
 
@@ -24,12 +26,12 @@ from .entities import (
     StateSpace,
     cardinality,
 )
-from .errors import SchemaError, SemsimError
-from .frames import FrameBinding, PathSegment, PathSpec, define_frame, add_lexical_entry
+from .errors import ModelError, SchemaError, SemsimError
+from .frames import FrameBinding, PathSegment, PathSpec, define_frame, add_lexical_entry, standard_frames
 from .world import Vocabulary, World
 
 FORMAT = "semsim-model"
-VERSION = 1
+VERSION = 2
 
 
 def _space_to_dict(space: StateSpace) -> dict:
@@ -79,6 +81,15 @@ def _binding_value_from_dict(data: dict, loc: str):
     if kind == "ref":
         return data["id"]
     raise SchemaError(f"unknown binding value type {kind!r}", loc)
+
+
+def _binding_to_dict(frame: str, elements: dict) -> dict:
+    return {"frame": frame, "elements": {k: _binding_value_to_dict(v) for k, v in elements.items()}}
+
+
+def _frame_to_dict(frame) -> dict:
+    return {"name": frame.name, "core": list(frame.core_elements),
+            "non_core": list(frame.non_core_elements), "text": frame.definition_text}
 
 
 def _mechanism_to_dict(world: World, spec: dict) -> dict:
@@ -179,26 +190,12 @@ def save_model(world: World) -> dict:
             }
             for p in world.portions.values()
         ],
-        "frames": [
-            {
-                "name": f.name,
-                "core": list(f.core_elements),
-                "non_core": list(f.non_core_elements),
-                "text": f.definition_text,
-            }
-            for f in world.frames.values()
-        ],
+        "frames": [_frame_to_dict(f) for f in world.frames.values()],
         "lexicon": [
             {"word": e.word, "frame": e.frame, "text": e.definition_text}
             for e in world.lexicon.values()
         ],
-        "bindings": [
-            {
-                "frame": b.frame.name,
-                "elements": {k: _binding_value_to_dict(v) for k, v in b.element_map.items()},
-            }
-            for b in world.bindings
-        ],
+        "bindings": [_binding_to_dict(b.frame.name, b.element_map) for b in world.bindings],
         "mechanisms": [_mechanism_to_dict(world, spec) for spec in world.mechanism_specs],
         "triggers": [
             {
@@ -264,15 +261,63 @@ def _qual(world: World, prop, level, loc: str) -> QualValue:
     return QualValue(world.scales[prop], level)
 
 
+def _add_missing(data: dict, key: str, field: str, entry: dict):
+    """Append entry to a section that has no entry with its field's value."""
+    section = _section(data, key)
+    if not any(isinstance(e, dict) and e.get(field) == entry[field] for e in section):
+        data[key] = [*section, entry]
+
+
+def _heartbeat_push_v1(data: dict, params: dict):
+    """heartbeat_push's circulation, around its circuit."""
+    circuit = params.get("circuit", "cardio")
+    order = next((c.get("order") for _, c in _entries(data, "circuits") if c.get("name") == circuit), None)
+    if not order:
+        raise ModelError(f"no circuit {circuit!r} with compartments for the heartbeat")
+    return models.circulation_elements(circuit, order), {"name": params.get("name", "HeartbeatPush")}
+
+
+def _water_flowing_v1(data: dict, params: dict):
+    """water_flowing's path flow, from the config in its params, and its places."""
+    params = dict(params)
+    name, n_portions = params.pop("name", "WaterFlowing"), params.pop("n_portions", None)
+    config = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
+    elements = models.waterfall_elements(models.WaterfallConfig(**config))
+    _add_missing(data, "kinds", "name", {"name": "Place"})
+    for place in (elements["Source"], elements["Goal"]):
+        _add_missing(data, "objects", "id", {"id": place, "kind": "Place"})
+    return elements, {"name": name, "n_portions": n_portions, "portion_kind": "WaterPortion"}
+
+
+def upgrade(data: dict) -> dict:
+    """The document as version 2, its argument unchanged: each version-1 builtin's
+    entry becomes a binding (and its frame, if missing) and a fluidic_motion entry."""
+    version = data.get("version", 1)
+    if type(version) is not int or version not in (1, VERSION):  # bool and float are not versions
+        raise SchemaError(f"unsupported version {version!r} (expected 1 or {VERSION})", "version")
+    if version == VERSION:
+        return data
+    rewrites = {"heartbeat_push": _heartbeat_push_v1, "water_flowing": _water_flowing_v1}
+    data = dict(data, version=VERSION, mechanisms=list(_section(data, "mechanisms")))
+    for i, (loc, spec) in enumerate(_entries(data, "mechanisms")):
+        with _diagnosed(loc):
+            if spec.get("builtin") in rewrites:
+                elements, params = rewrites[spec["builtin"]](data, spec.get("params", {}))
+                _add_missing(data, "frames", "name", _frame_to_dict(standard_frames()["Fluidic_Motion"]))
+                bindings = _section(data, "bindings")
+                data["bindings"] = [*bindings, _binding_to_dict("Fluidic_Motion", elements)]
+                params = {"binding": len(bindings), **params}
+                data["mechanisms"][i] = dict(spec, builtin="fluidic_motion", params=params)
+    return data
+
+
 def load_model(data: dict) -> World:
     """Rebuild a world from a dict produced by save_model (or written by hand)."""
     if not isinstance(data, dict) or not data:
         raise SchemaError("model file must be a non-empty JSON object")
     if data.get("format") != FORMAT:
         raise SchemaError(f"not a {FORMAT} document", "format")
-    version = data.get("version", VERSION)
-    if type(version) is not int or version != VERSION:  # bool and float are not versions
-        raise SchemaError(f"unsupported version {version!r} (expected {VERSION})", "version")
+    data = upgrade(data)
     if not isinstance(data.get("name"), str):
         raise SchemaError("missing model name (a string)", "name")
     world = World(data["name"])

@@ -6,10 +6,10 @@ from .cardio import (
     BLOOD_ORDER,
     CardioConfig,
     build_cardio,
+    circulation_elements,
     cell_respiration,
     diffusion_check,
     gas_exchange_alv,
-    heartbeat_push,
     inhale_cycle,
     medulla_sense,
     mix_external_air,
@@ -18,20 +18,18 @@ from .waterfall import (
     WaterfallConfig,
     build_waterfall,
     freeze_watch_mechanism,
-    water_flowing_mechanism,
+    waterfall_elements,
     waterfall_path,
 )
 
 #: Mechanism factories addressable from model files: name -> f(world, params).
 BUILTIN_MECHANISMS = {
-    "heartbeat_push": heartbeat_push,
     "gas_exchange_alv": gas_exchange_alv,
     "cell_respiration": cell_respiration,
     "diffusion_check": diffusion_check,
     "medulla_sense": medulla_sense,
     "inhale_cycle": inhale_cycle,
     "mix_external_air": mix_external_air,
-    "water_flowing": water_flowing_mechanism,
     "freeze_watch": freeze_watch_mechanism,
     "fluidic_motion": fluidic_motion,
 }

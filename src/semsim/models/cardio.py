@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
 from ..entities import PartSpec, QualValue, StateSpace, cardinality
-from ..errors import ModelError
 from ..frames import bind, instantiate_fluidic_motion, standard_frames
 from ..records import Record
 from ..world import Vocabulary, World
@@ -100,6 +99,12 @@ def cardio_vocabulary(blood_compartments=BLOOD_ORDER) -> Vocabulary:
     return Vocabulary(literals=frozenset(lines))
 
 
+def circulation_elements(circuit: str, order) -> dict[str, object]:
+    """Blood around the circuit from its first compartment, with the SA node's pulse."""
+    return {"Fluid": "blood", "Source": order[0], "Goal": order[0], "Path": circuit,
+            "Configuration": {"pulse": "SANode pulse"}}
+
+
 # ----------------------------------------------------------------------
 # mechanism factories (also used by the model-file loader)
 
@@ -107,27 +112,6 @@ def cardio_vocabulary(blood_compartments=BLOOD_ORDER) -> Vocabulary:
 def _occupant_level(world, compartment: str, prop: str, label: str) -> bool:
     portion = world.occupant(compartment)
     return portion is not None and portion.properties[prop].level == label
-
-
-def heartbeat(world: World, circuit: str = "cardio", name: str = "HeartbeatPush") -> Mechanism:
-    """Bind blood's Fluidic_Motion around the circuit, from and back to its
-    first compartment, with the SA node's pulse, and build the flow."""
-    order = world.circuits[circuit].order if circuit in world.circuits else ()
-    if not order:
-        raise ModelError(f"no circuit {circuit!r} with compartments for the heartbeat")
-    binding = bind(world, "Fluidic_Motion", {
-        "Fluid": "blood", "Source": order[0], "Goal": order[0], "Path": circuit,
-        "Configuration": {"pulse": "SANode pulse"},
-    })
-    return instantiate_fluidic_motion(world, binding, name=name)
-
-
-def heartbeat_push(world: World, params: dict) -> Mechanism:
-    """Loader alias for model files saved while the heartbeat had a builtin of
-    its own: it binds and builds the same flow, so such a file runs as before."""
-    # Such a file need not declare the frame: the heartbeat did not use it.
-    world.frames.setdefault("Fluidic_Motion", standard_frames()["Fluidic_Motion"])
-    return heartbeat(world, params.get("circuit", "cardio"), params.get("name", "HeartbeatPush"))
 
 
 def gas_exchange_alv(world: World, params: dict) -> Mechanism:
@@ -406,7 +390,8 @@ def build_cardio(config: CardioConfig | None = None) -> World:
     world.create_portion("air", entity_id="air-nose", compartment="NoseAir")
     world.create_portion("air", entity_id="air-alv", compartment="AlvAir")
 
-    heartbeat(world, "cardio")
+    circulation = bind(world, "Fluidic_Motion", circulation_elements("cardio", config.blood_compartments))
+    instantiate_fluidic_motion(world, circulation, name="HeartbeatPush")
     gas_exchange_alv(world, {"blood_at": "AlvCap", "air_at": "AlvAir"})
     cell_respiration(world, {"blood_at": "CellCap"})
     diffusion_check(world, {"members": ["GasExchangeAlv", "CellRespiration"]})

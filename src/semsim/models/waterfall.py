@@ -18,9 +18,7 @@ from ..frames import (
     add_lexical_entry,
     bind,
     check_leg,
-    check_n_portions,
     instantiate_fluidic_motion,
-    path_flow,
     standard_frames,
 )
 from ..records import FrozenRecord, set_field
@@ -45,24 +43,6 @@ class WaterfallConfig(FrozenRecord):
         set_field(self, "upper_delta", upper_delta)
         set_field(self, "drop_delta", drop_delta)
         set_field(self, "labels", labels)
-
-
-def water_flowing_mechanism(world: World, params: dict) -> Mechanism:
-    """Factory for the flow of a model file saved before the waterfall was
-    built from its binding: such a file names this builtin, with the config
-    in its params, and binds no frame. It loads as the same path flow."""
-    config = WaterfallConfig(
-        upper_bed_length=params.get("upper_bed_length", 1000),
-        vertical_drop=params.get("vertical_drop", 100),
-        upper_delta=tuple(params.get("upper_delta", (10, -1))),
-        drop_delta=tuple(params.get("drop_delta", (1, -10))),
-        labels=tuple(params.get("labels", ("upper", "drop", "pool"))),
-    )
-    n_portions = params.get("n_portions")
-    check_n_portions(n_portions)
-    mech = path_flow(world, params.get("name", "WaterFlowing"), "water",
-                     waterfall_path(config), config.labels[2], n_portions, "WaterPortion")
-    return register_mechanism(world, mech, "water_flowing", params)
 
 
 def freeze_watch_mechanism(world: World, params: dict) -> Mechanism:
@@ -119,20 +99,11 @@ def build_waterfall(
         "idealization",
         "portions stay unified while they move; real fluid would not retain continuity",
     )
+    elements = waterfall_elements(config)
     world.define_kind("Place")
-    world.instantiate("Place", entity_id="bedInlet")
-    world.instantiate("Place", entity_id=config.labels[2])
-    binding = bind(
-        world,
-        "Fluidic_Motion",
-        {
-            "Fluid": "water",
-            "Source": "bedInlet",
-            "Goal": config.labels[2],
-            "Path": waterfall_path(config),
-            "Configuration": {"volume": "high", "speed": "moderate"},
-        },
-    )
+    for place in (elements["Source"], elements["Goal"]):
+        world.instantiate("Place", entity_id=place)
+    binding = bind(world, "Fluidic_Motion", elements)
     instantiate_fluidic_motion(
         world, binding, name="WaterFlowing", n_portions=n_portions,
         portion_kind="WaterPortion",
@@ -140,6 +111,12 @@ def build_waterfall(
     register_trigger(world, Trigger("Flow", period=1, target="WaterFlowing"))
     world.define_system("waterfall-flow", ["WaterFlowing"])
     return world
+
+
+def waterfall_elements(config: WaterfallConfig) -> dict[str, object]:
+    """Water from the bed inlet to the pool, along the path the config implies."""
+    return {"Fluid": "water", "Source": "bedInlet", "Goal": config.labels[2],
+            "Path": waterfall_path(config), "Configuration": {"volume": "high", "speed": "moderate"}}
 
 
 def waterfall_path(config: WaterfallConfig = WaterfallConfig()) -> PathSpec:

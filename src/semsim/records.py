@@ -51,3 +51,8 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __reduce__(self):
+        # Copy and pickle rebuild through __init__: restoring slots would
+        # assign fields, and that raises above.
+        return (type(self), self._values())

@@ -1,8 +1,11 @@
-"""Model files in a form an earlier semsim saved, which the loader still reads."""
+"""Model files in version 1, the form semsim saved before version 2. The
+loader reads them through `modelfile.upgrade`; these files pin that form."""
 import json
 from pathlib import Path
 
-WATER_FLOWING_FILE = Path(__file__).resolve().parent / "golden" / "waterfall_water_flowing.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WATER_FLOWING_FILE = GOLDEN / "waterfall_water_flowing.json"
+HEARTBEAT_PUSH_FILE = GOLDEN / "cardio_heartbeat_push.json"
 
 
 def saved_water_flowing(**params) -> dict:
@@ -11,5 +14,14 @@ def saved_water_flowing(**params) -> dict:
     file binds no frame and has no Place objects. params override the flow's
     own (the config fields and n_portions)."""
     data = json.loads(WATER_FLOWING_FILE.read_text(encoding="utf-8"))
+    data["mechanisms"][0]["params"].update(params)
+    return data
+
+
+def saved_heartbeat_push(**params) -> dict:
+    """save_model(build_cardio()) as written while the heartbeat had a builtin
+    of its own: mechanisms[0] names heartbeat_push, and cardio bound no frame.
+    params override the builtin's own (the circuit)."""
+    data = json.loads(HEARTBEAT_PUSH_FILE.read_text(encoding="utf-8"))
     data["mechanisms"][0]["params"].update(params)
     return data

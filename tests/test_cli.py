@@ -24,7 +24,7 @@ from semsim.engine import StepReport, register_mechanism, register_trigger
 from semsim.models import build_cardio, build_waterfall
 from semsim.world import Vocabulary
 
-from saved_forms import saved_water_flowing
+from saved_forms import saved_heartbeat_push, saved_water_flowing
 
 
 def run_cli(args, cwd, input=None):
@@ -473,6 +473,14 @@ def assert_refused_at_load(tmp_path, capsys, data, message):
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
+def test_a_path_flow_whose_goal_is_no_place_is_refused_at_load(tmp_path, capsys):
+    data = save_model(build_waterfall(n_portions=2))
+    data["bindings"][0]["elements"]["Goal"] = {"type": "config", "value": {"lake": 1}}
+    assert_refused_at_load(
+        tmp_path, capsys, data, "mechanisms[0]: a path flow's Goal must name a place, not {'lake': 1}"
+    )
+
+
 def _drop_water_portion_kind(data):
     data["kinds"] = [k for k in data["kinds"] if k["name"] != "WaterPortion"]
 
@@ -513,10 +521,8 @@ def _pulse_not_a_line(data):
 
 
 def _heartbeat_builtin_over_no_circuit(data):
-    data["mechanisms"][0] = {
-        "name": "HeartbeatPush", "builtin": "heartbeat_push", "params": {"circuit": "nowhere"},
-    }
-    data["bindings"] = []
+    # The version-1 file, whose heartbeat had a builtin of its own.
+    data.update(saved_heartbeat_push(circuit="nowhere"))
 
 
 @pytest.mark.parametrize(

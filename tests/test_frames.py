@@ -265,6 +265,17 @@ def test_a_binding_the_world_does_not_hold_builds_nothing():
     assert world.flow_cursors == {"WaterFlowing": 0}
 
 
+def test_a_path_flow_whose_goal_is_no_place_builds_nothing():
+    world = build_waterfall(n_portions=1)
+    elements = dict(world.bindings[0].element_map, Goal={"lake": 1})
+    binding = bind(world, "Fluidic_Motion", elements)
+    with pytest.raises(ModelError) as exc:
+        instantiate_fluidic_motion(world, binding, name="Lake")
+    assert str(exc.value) == "a path flow's Goal must name a place, not {'lake': 1}"
+    assert "Lake" not in world.mechanisms and binding.produced_mechanism is None
+    assert world.flow_cursors == {"WaterFlowing": 0}
+
+
 def test_a_cursor_on_a_mechanism_that_is_no_path_flow_is_refused():
     data = save_model(build_cardio())
     assert data["mechanisms"][0]["name"] == "HeartbeatPush"

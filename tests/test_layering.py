@@ -25,6 +25,11 @@ one other place they are assigned.
 
 `semsim run` imports no dataclasses (and so no inspect): the record classes
 are plain classes, and starting a run does not pay for the decorator.
+
+Only the upgrader knows a version-1 form. The builtins `heartbeat_push` and
+`water_flowing` exist only in version-1 model files, and `modelfile.upgrade`
+rewrites them into version 2 before anything else reads the file. A module
+that named either again would bring back a second saved form of a model.
 """
 import ast
 import subprocess
@@ -40,6 +45,7 @@ DECLARING_CONSTRUCTORS = {
     ("entities.py", "Portion.__init__"): {"assigns .compartment", "assigns .alive"},
     ("topology.py", "Compartment.__init__"): {"assigns .contents"},
 }
+VERSION_1_BUILTINS = {"heartbeat_push", "water_flowing"}
 CHANGE_CONSUMERS = {("validation.py", "Snapshot.refresh"), ("engine.py", "Kernel.step")}
 RECORD_WRITERS = {
     "mechanism_specs": {("world.py", "World.__init__"), ("engine.py", "register_mechanism")},
@@ -302,3 +308,34 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def version_1_names(source: str):
+    """(line, name, enclosing class and function) for every string constant
+    in source that is the name of a version-1 builtin."""
+    return [
+        (node.lineno, node.value, scope)
+        for node, scope in _scoped(source)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in VERSION_1_BUILTINS
+    ]
+
+
+def test_only_the_upgrader_names_a_version_1_builtin():
+    uses = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        for line, name, scope in version_1_names(path.read_text(encoding="utf-8")):
+            assert (module, scope) == ("modelfile.py", "upgrade"), f"{module}:{line}: {name!r}"
+            uses.add(name)
+    assert uses == VERSION_1_BUILTINS
+
+
+def test_the_guard_sees_each_version_1_builtin_name():
+    source = """
+BUILTINS = {"heartbeat_push": make}
+def load(spec):
+    \"\"\"Loads water_flowing files.\"\"\"
+    return spec["builtin"] in ("water_flowing", "heartbeat_push_v2", f"{spec}")
+"""
+    assert version_1_names(source) == [(2, "heartbeat_push", ""), (5, "water_flowing", "load")]

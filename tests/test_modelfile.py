@@ -7,11 +7,11 @@ from semsim import Kernel
 from semsim.cli import standard_rules
 from semsim.errors import SchemaError
 from semsim.frames import bind, instantiate_fluidic_motion
-from semsim.modelfile import load_model, load_model_file, save_model, save_model_file
+from semsim.modelfile import load_model, load_model_file, save_model, save_model_file, upgrade
 from semsim.models import build_cardio, build_waterfall
 from semsim.validation import derive_triples
 
-from saved_forms import WATER_FLOWING_FILE, saved_water_flowing
+from saved_forms import WATER_FLOWING_FILE, saved_heartbeat_push, saved_water_flowing
 
 
 def test_cardio_roundtrip_triples_equal():
@@ -35,21 +35,23 @@ def test_frames_waterfall_roundtrip():
 
 
 def test_a_file_saved_while_the_waterfall_was_built_by_hand_runs_as_before():
-    text = WATER_FLOWING_FILE.read_text(encoding="utf-8")
-    data = json.loads(text)
+    data = json.loads(WATER_FLOWING_FILE.read_text(encoding="utf-8"))
+    assert data["version"] == 1
     assert [m["builtin"] for m in data["mechanisms"]] == ["water_flowing"]
     assert data["bindings"] == [] and data["objects"] == []
-    saved = load_model_file(WATER_FLOWING_FILE)
-    assert json.dumps(save_model(saved), indent=2) + "\n" == text
+    worlds = [load_model_file(WATER_FLOWING_FILE), build_waterfall(n_portions=2)]
+    # It saves as version 2: the form the builder saves, not its own.
+    assert json.dumps(save_model(worlds[0])) == json.dumps(save_model(worlds[1]))
 
     traces = []
-    for world in (saved, build_waterfall(n_portions=2)):
+    for world in worlds:
         kernel = Kernel(world)
         standard_rules(kernel)
         kernel.run(3)
         assert not kernel.halted
         traces.append(kernel.trace_lines())
     assert traces[0] == traces[1] == ["0 pool", "1 pool"]
+    assert json.dumps(save_model(worlds[0])) == json.dumps(save_model(worlds[1]))
 
 
 def test_the_waterfall_saves_its_binding_and_the_flow_built_from_it():
@@ -96,11 +98,12 @@ def _renamed(data: dict, old: str, new: str) -> dict:
 @pytest.mark.parametrize(
     "build, old",
     [
-        (build_cardio, "HeartbeatPush"),
+        (lambda: load_model(saved_heartbeat_push()), "HeartbeatPush"),
         (lambda: load_model(saved_water_flowing(n_portions=3)), "WaterFlowing"),
         (lambda: build_waterfall(n_portions=2), "WaterFlowing"),
+        (build_cardio, "HeartbeatPush"),
     ],
-    ids=["heartbeat_push", "water_flowing", "fluidic_motion"],
+    ids=["heartbeat_push", "water_flowing", "fluidic_motion", "cardio"],
 )
 def test_a_mechanism_entry_is_named_by_its_name(build, old):
     data = _renamed(save_model(build()), old, "Beat")
@@ -125,19 +128,6 @@ def test_a_mechanism_names_the_binding_it_was_built_from_not_an_equal_one():
     assert [b.produced_mechanism for b in reloaded.bindings] == ["HeartbeatPush", None, "Second"]
 
 
-def saved_with_the_heartbeat_builtin() -> dict:
-    """save_model(build_cardio()) as written while the heartbeat had a
-    builtin of its own: mechanisms[0] names heartbeat_push, and cardio
-    bound no frame."""
-    data = save_model(build_cardio())
-    assert data["mechanisms"][0]["name"] == "HeartbeatPush"
-    data["mechanisms"][0] = {
-        "name": "HeartbeatPush", "builtin": "heartbeat_push", "params": {"circuit": "cardio"},
-    }
-    data["bindings"] = []
-    return data
-
-
 def run_trace(world, ticks: int) -> list[str]:
     kernel = Kernel(world)
     standard_rules(kernel)
@@ -147,25 +137,67 @@ def run_trace(world, ticks: int) -> list[str]:
 
 
 def test_a_file_naming_the_heartbeat_builtin_runs_the_same_trace_and_saves_as_a_binding():
-    old = saved_with_the_heartbeat_builtin()
-    trace = run_trace(load_model(old), 200)
-    assert trace == run_trace(build_cardio(), 200)
-    text = "".join(line + "\n" for line in trace).encode("utf-8")
-    assert hashlib.sha256(text).hexdigest() == (
-        "cded0b1e1cb55a80478313dcdaad685cbb315eabb836bcb9cac3858948e48552"
-    )
-
+    old = saved_heartbeat_push()
+    assert old["version"] == 1 and old["bindings"] == []
+    assert old["mechanisms"][0] == {
+        "name": "HeartbeatPush", "builtin": "heartbeat_push", "params": {"circuit": "cardio"},
+    }
     saved = json.dumps(save_model(load_model(old)))
     assert saved == json.dumps(save_model(build_cardio()))
     assert json.dumps(save_model(load_model(json.loads(saved)))) == saved
 
+    worlds = [load_model(old), build_cardio()]
+    trace = run_trace(worlds[0], 200)
+    assert trace == run_trace(worlds[1], 200)
+    text = "".join(line + "\n" for line in trace).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == (
+        "cded0b1e1cb55a80478313dcdaad685cbb315eabb836bcb9cac3858948e48552"
+    )
+    assert json.dumps(save_model(worlds[0])) == json.dumps(save_model(worlds[1]))
+
 
 def test_a_file_naming_the_heartbeat_builtin_needs_no_frames():
-    old = saved_with_the_heartbeat_builtin()
+    old = saved_heartbeat_push()
     old["frames"] = []
     world = load_model(old)
     assert list(world.frames) == ["Fluidic_Motion"]
     assert run_trace(world, 40) == run_trace(build_cardio(), 40)
+    # The upgrade adds the missing frame after the file's others.
+    old = saved_heartbeat_push()
+    old["frames"] = [f for f in old["frames"] if f["name"] != "Fluidic_Motion"]
+    assert list(load_model(old).frames) == ["Motion", "Natural_Features", "Fluidic_Motion"]
+
+
+@pytest.mark.parametrize("saved", [saved_heartbeat_push, saved_water_flowing])
+def test_upgrade_leaves_its_argument_unchanged(saved):
+    old = saved()
+    new = upgrade(old)
+    assert old == saved()
+    assert new["version"] == 2 and old["version"] == 1
+    assert [m["builtin"] for m in new["mechanisms"]][:1] == ["fluidic_motion"]
+
+
+def test_upgrade_returns_a_version_2_document_unchanged():
+    data = save_model(build_cardio())
+    assert upgrade(data) is data
+    assert data == save_model(build_cardio())
+
+
+@pytest.mark.parametrize("saved", [saved_heartbeat_push, saved_water_flowing])
+def test_a_version_2_document_naming_a_version_1_builtin_is_refused(saved):
+    data = dict(saved(), version=2)
+    builtin = data["mechanisms"][0]["builtin"]
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == f"mechanisms[0]: unknown builtin mechanism {builtin!r}"
+
+
+def test_a_version_1_file_without_its_version_marker_loads_as_version_1():
+    data = saved_water_flowing()
+    del data["version"]
+    assert json.dumps(save_model(load_model(data))) == json.dumps(
+        save_model(build_waterfall(n_portions=2))
+    )
 
 
 def test_roundtrip_through_file(tmp_path):
@@ -210,7 +242,7 @@ def test_wrong_format_marker():
         load_model({"format": "something-else", "name": "x"})
 
 
-@pytest.mark.parametrize("version", [2, "1", True, None])
+@pytest.mark.parametrize("version", [3, "1", True, None, 2.0])
 def test_unsupported_version_marker_rejected(version):
     data = dict(save_model(build_waterfall(n_portions=1)), version=version)
     with pytest.raises(SchemaError) as exc:

@@ -1,14 +1,29 @@
 """The contract every record class keeps: constructor, repr, equality, hashing,
-immutability, slots, fresh defaults and construction checks.
+immutability, slots, fresh defaults, construction checks, copying and pickling.
 
 The repr strings are the ones the classes printed when they were dataclasses;
 the console prints property reprs, so they must not drift.
 """
+import copy
+import pickle
+
 import pytest
 
-from semsim.cli import RunConfig
-from semsim.engine import StepReport, Trigger
+from semsim import Kernel
+from semsim.cli import RunConfig, standard_rules
+from semsim.engine import (
+    Condition,
+    FiringRecord,
+    GuardFailure,
+    Mechanism,
+    Signal,
+    StepReport,
+    TraceEvent,
+    Trigger,
+)
 from semsim.entities import (
+    FunctionAssertion,
+    KindDef,
     PartSpec,
     Portion,
     QualValue,
@@ -18,13 +33,15 @@ from semsim.entities import (
     Transitional,
 )
 from semsim.errors import ModelError, ScenarioError, StateError, TransitionalError
-from semsim.frames import Frame, FrameBinding, PathSegment
+from semsim.frames import Frame, FrameBinding, LexicalEntry, PathSegment, PathSpec
+from semsim.models import build_cardio
 from semsim.models.cardio import CardioConfig
 from semsim.models.waterfall import WaterfallConfig
+from semsim.records import FrozenRecord, Record
 from semsim.scenarios import Directive, Scenario
-from semsim.topology import Circuit, Compartment, Connection, Move, MoveBatch
+from semsim.topology import Circuit, CommitRecord, Compartment, Connection, Move, MoveBatch, SplitPlan
 from semsim.validation import AssertionRule, TriplePattern, ValidationReport, Var, Violation
-from semsim.world import Microworld, Vocabulary
+from semsim.world import Annotation, Microworld, System, Vocabulary
 
 O2 = StateSpace("O2Level", ("low", "high"), "ordinal")
 
@@ -215,3 +232,102 @@ def test_constructors_keep_their_positional_order_and_defaults():
 def test_construction_checks_still_raise(build, error):
     with pytest.raises(error):
         build()
+
+
+ALWAYS = Condition("always", lambda w: True)
+
+#: One instance of every record class.
+EXAMPLES = [
+    Connection("A", "B"),
+    Circuit("ring", ("A", "B"), {"A": ("B",), "B": ("A",)}),
+    Move("p", "A", "B"),
+    SplitPlan("p", "A", ("B", "C")),
+    Var("p"),
+    TriplePattern(Var("p"), "locatedIn", "LeftAtrium"),
+    O2,
+    QualValue(O2, "high"),
+    PartSpec("valve", "Valve"),
+    FunctionAssertion("heart", "pumps blood", "circulation"),
+    Annotation("idealization", "blood", "stays intact"),
+    System("circulation", ("HeartbeatPush",)),
+    Vocabulary({"a"}, (r"\d+ pool",)),
+    ALWAYS,
+    Signal("Medulla", "Diaphragm", "contract", ("Medulla", "Diaphragm", "nerve")),
+    TraceEvent(3, "SANode pulse"),
+    Frame("F", ("Theme",), ("Manner",), "text"),
+    LexicalEntry("flowing", "F"),
+    PathSegment(2, slope=(-1, 10), label="upper"),
+    PathSpec((PathSegment(2),)),
+    WaterfallConfig(),
+    Directive("disable_trigger", ("SANode",)),
+    Compartment("A", "A", contents=["p"]),
+    MoveBatch(),
+    CommitRecord(1, [("p", "A", "B")], ["A"], [], [], ["pushed ABlood"]),
+    AssertionRule("r", TriplePattern(Var("p"), "locatedIn", Var("c")), reads={"locatedIn"}),
+    Violation("rule", {"c": "A"}),
+    ValidationReport(0, [Violation("rule")]),
+    KindDef("Heart", part_schema=(PartSpec("valve", "Valve"),)),
+    SemObject("o", "Heart", states={"tension": "relaxed"}),
+    Substance("water", StateSpace("phase", ("solid", "liquid")), "liquid"),
+    Portion("p", "blood", properties={"O2Level": QualValue(O2, "low")}),
+    Transitional("birth", ("p",), ("blood",)),
+    Microworld(),
+    Mechanism("M", (ALWAYS,), lambda ctx: None),
+    Trigger("t", 2, "M"),
+    FiringRecord("M", "core", "trigger:t", {"always": True}),
+    GuardFailure("M", "trigger:t", ["always"]),
+    StepReport(0, traces=[TraceEvent(0, "x")], validation=ValidationReport(0)),
+    FrameBinding(Frame("F", ("Theme",)), {"Theme": "water"}),
+    CardioConfig(),
+    Scenario("s", [Directive("disable_trigger", ("SANode",))]),
+    RunConfig("cardio", steps=3),
+]
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub is not FrozenRecord:
+            yield sub
+        yield from _record_classes(sub)
+
+
+def test_the_examples_cover_every_record_class():
+    assert {type(r) for r in EXAMPLES} == set(_record_classes())
+
+
+def _assert_same_record(copied, record):
+    assert copied is not record and type(copied) is type(record)
+    assert repr(copied) == repr(record)
+    if type(record) is not MoveBatch:  # a batch compares by identity
+        assert copied == record
+
+
+@pytest.mark.parametrize("record", EXAMPLES, ids=lambda r: type(r).__name__)
+def test_every_record_deep_copies(record):
+    _assert_same_record(copy.deepcopy(record), record)
+    _assert_same_record(copy.copy(record), record)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [r for r in EXAMPLES if not any(callable(v) for v in r._values())],
+    ids=lambda r: type(r).__name__,
+)
+def test_every_record_without_a_callable_field_pickles(record):
+    _assert_same_record(pickle.loads(pickle.dumps(record)), record)
+
+
+def test_a_copied_record_rebuilds_its_derived_fields():
+    pattern = copy.deepcopy(TriplePattern(Var("p"), "locatedIn", "LeftAtrium"))
+    assert pattern._ground == ((1, "locatedIn"), (2, "LeftAtrium"))
+    assert pattern._vars == ((0, "p"),)
+
+
+def test_a_kernel_that_has_traced_a_line_deep_copies():
+    kernel = Kernel(build_cardio())
+    standard_rules(kernel)
+    kernel.run(4)
+    assert kernel.trace_lines()
+    clone = copy.deepcopy(kernel)
+    assert clone.trace_lines() == kernel.trace_lines()
+    assert clone.world is not kernel.world

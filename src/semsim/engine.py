@@ -8,8 +8,8 @@ Two execution modes:
 
 * deterministic (default): everything due at a tick runs in a canonical
   order - triggers sorted by (period, name), then signal deliveries in
-  emission order, then any leftover batch commit, then validation. The whole
-  run is a pure function of (model, seed, periods, phases).
+  emission order, then validation. The whole run is a pure function of
+  (model, seed, periods, phases).
 * concurrent: subsystems are independent, so any order of their firings
   is a valid interleaving. Each tick the due triggers are grouped by
   subsystem and the groups run in a random order drawn from the kernel's
@@ -47,6 +47,7 @@ from .errors import (
     TraceVocabularyError,
     UnknownEntityError,
     describe,
+    need,
 )
 from .records import FrozenRecord, Record, set_field
 from .topology import Circuit, MoveBatch
@@ -55,7 +56,7 @@ from .world import World
 MODES = ("deterministic", "concurrent")
 
 # Faults in a model's wiring: a step reports them as violations instead of
-# raising, and drops the batches the failing firing staged.
+# raising. A commit that raises one has changed nothing.
 WIRING_ERRORS = (
     PushWithoutConnection,
     PortionNotPresent,
@@ -76,7 +77,7 @@ class Condition(FrozenRecord):
 
 
 class Mechanism(Record):
-    _fields = ("name", "guard", "effect", "side_effects", "subsystem", "on_signal", "requires")
+    _fields = ("name", "guard", "effect", "side_effects", "subsystem", "on_signal")
 
     def __init__(
         self,
@@ -86,7 +87,6 @@ class Mechanism(Record):
         side_effects: tuple[Callable[[FireContext], None], ...] = (),
         subsystem: str = "core",
         on_signal: str | None = None,  # compartment this mechanism listens on
-        requires: tuple[str, ...] = (),  # compartments/entities the guard and effect read
     ):
         self.name = name
         self.guard = guard
@@ -94,7 +94,6 @@ class Mechanism(Record):
         self.side_effects = side_effects
         self.subsystem = subsystem
         self.on_signal = on_signal
-        self.requires = requires
 
 
 class Trigger(Record):
@@ -103,8 +102,13 @@ class Trigger(Record):
     _fields = ("name", "period", "target", "phase", "enabled")
 
     def __init__(self, name: str, period: int, target: str, phase: int = 0, enabled: bool = True):
-        if period < 1:
-            raise ModelError(f"trigger {name!r} needs period >= 1")
+        # type() rather than isinstance(): bool is an int subclass.
+        if not (type(period) is int and period >= 1 and type(phase) is int and phase >= 0):
+            raise ModelError(
+                f"trigger {name!r} needs int period >= 1 and phase >= 0, not {period!r}, {phase!r}"
+            )
+        if type(enabled) is not bool:
+            raise ModelError(f"trigger {name!r} needs enabled true or false, not {enabled!r}")
         self.name = name
         self.period = period
         self.target = target
@@ -195,30 +199,18 @@ class StepReport(Record):
         return text
 
 
-def register_mechanism(
-    world: World, mechanism: Mechanism, builtin: str | None = None, params: dict | None = None
-) -> Mechanism:
-    """Add a mechanism; one built by a builtin factory also records the spec
-    a model file rebuilds it from."""
+def register_mechanism(world: World, mechanism: Mechanism, spec: dict | None = None) -> Mechanism:
+    """Add a mechanism. With a spec, its model-file entry less the name, also
+    record what a model file rebuilds it from."""
+    if not isinstance(mechanism.name, str):
+        raise ModelError(f"a mechanism's name must be a string, not {mechanism.name!r}")
     if mechanism.name in world.mechanisms:
         raise DuplicateNameError(f"mechanism {mechanism.name!r} already registered")
-    if mechanism.on_signal is not None and mechanism.on_signal not in world.compartments:
-        raise UnknownEntityError(
-            f"mechanism {mechanism.name!r} listens on unknown compartment "
-            f"{mechanism.on_signal!r}"
-        )
-    for ref in mechanism.requires:
-        if ref not in world.compartments and not world.has_entity(ref) and ref not in world.circuits:
-            raise UnknownEntityError(
-                f"mechanism {mechanism.name!r} references unknown element {ref!r}"
-            )
+    if mechanism.on_signal is not None:
+        need(world.compartments, mechanism.on_signal, "compartment to listen on")
     world.mechanisms[mechanism.name] = mechanism
-    if builtin is not None:
-        world.mechanism_specs.append({
-            "name": mechanism.name,
-            "builtin": builtin,
-            "params": {k: v for k, v in (params or {}).items() if k != "name"},
-        })
+    if spec is not None:
+        world.mechanism_specs.append({"name": mechanism.name, **spec})
     return mechanism
 
 
@@ -261,26 +253,10 @@ class FireContext:
     def emit_signal(self, sender: str, receiver: str, payload: str):
         return send_signal(self.kernel, Signal(sender, receiver, payload))
 
-    def new_batch(self) -> MoveBatch:
-        batch = MoveBatch()
-        self.kernel.pending_batches.append(batch)
-        return batch
-
-    def stage(self, batch: MoveBatch, portion: str, src: str, dst: str):
-        topology.stage_move(self.world, batch, portion, src, dst)
-
-    def ring_push(self, circuit: Circuit) -> MoveBatch:
-        batch = topology.ring_push(self.world, circuit)
-        self.kernel.pending_batches.append(batch)
-        return batch
-
-    def commit(self, batch: MoveBatch, circuit: Circuit | None = None, traced: bool = True):
+    def commit(self, batch: MoveBatch, circuit: Circuit | None = None):
         record = topology.commit(self.world, batch, circuit)
-        if batch in self.kernel.pending_batches:
-            self.kernel.pending_batches.remove(batch)
-        if traced:
-            for line in record.trace_lines:
-                self.emit(line)
+        for line in record.trace_lines:
+            self.emit(line)
         return record
 
     def move(self, portion: str, src: str, dst: str):
@@ -359,7 +335,6 @@ class Kernel:
         self.reports: list[StepReport] = []
         self.rules: dict[str, validation.AssertionRule] = {}
         self.pending_signals: list[tuple[int, Signal]] = []
-        self.pending_batches: list[MoveBatch] = []
         self.halted_at: int | None = None
         self.current_report = StepReport(step=0)
         self.snapshot: validation.Snapshot | None = None  # None while validation is off
@@ -406,12 +381,9 @@ class Kernel:
 
     def _dispatch(self, mechanism: Mechanism, via: str):
         """Attempt one mechanism; wiring bugs become violations."""
-        batches_before = len(self.pending_batches)
         try:
             self._attempt(mechanism, via)
         except WIRING_ERRORS as exc:
-            # Anything this firing staged but never committed is abandoned.
-            del self.pending_batches[batches_before:]
             self._wiring_errors.append((type(exc).__name__, f"{mechanism.name}: {exc}"))
 
     # ------------------------------------------------------------------
@@ -450,20 +422,6 @@ class Kernel:
                     )
                 for mech in receivers:
                     self._dispatch(mech, f"signal:{signal.payload}")
-
-            # Any batch staged but never committed by its mechanism commits now;
-            # one that cannot commit is dropped and reported like a firing's.
-            while self.pending_batches:
-                batch = self.pending_batches.pop(0)
-                if batch.status != "staging":
-                    continue
-                try:
-                    record = topology.commit(self.world, batch)
-                except WIRING_ERRORS as exc:
-                    self._wiring_errors.append((type(exc).__name__, f"staged batch: {exc}"))
-                    continue
-                for line in record.trace_lines:
-                    self.emit_trace(line)
 
             report = self.current_report
             if self.validate_policy == "off":

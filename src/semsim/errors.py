@@ -15,6 +15,13 @@ class ModelError(SemsimError):
     """A model definition is malformed (duplicate names, bad references, ...)."""
 
 
+def need(registry, name, what: str):
+    """registry[name], or an UnknownEntityError naming what is missing."""
+    if name not in registry:
+        raise UnknownEntityError(f"no {what} {name!r}")
+    return registry[name]
+
+
 class DuplicateNameError(ModelError):
     pass
 

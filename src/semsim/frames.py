@@ -12,6 +12,7 @@ such a binding, its pulse line in the binding's Configuration.
 """
 from __future__ import annotations
 
+from . import topology
 from .engine import Condition, Mechanism, register_mechanism
 from .errors import (
     DuplicateNameError,
@@ -19,6 +20,7 @@ from .errors import (
     ModelError,
     StateError,
     UnknownEntityError,
+    need,
 )
 from .records import FrozenRecord, Record, set_field
 from .world import World
@@ -178,9 +180,7 @@ def _element_resolvable(world: World, value) -> bool:
 
 def bind(world: World, frame_name: str, element_map: dict[str, object]) -> FrameBinding:
     """Bind frame elements to model entities; every core element is required."""
-    frame = world.frames.get(frame_name)
-    if frame is None:
-        raise UnknownEntityError(f"no frame {frame_name!r}")
+    frame = need(world.frames, frame_name, "frame")
     for element in frame.core_elements:
         if element not in element_map:
             raise MissingCoreElement(element)
@@ -248,11 +248,11 @@ def instantiate_fluidic_motion(
         raise ModelError(
             "binding satisfies neither path mode: need a PathSpec or a declared circuit"
         )
-    register_mechanism(world, mech, "fluidic_motion", {
+    register_mechanism(world, mech, {"builtin": "fluidic_motion", "params": {
         "binding": index,
         "n_portions": n_portions,
         "portion_kind": portion_kind,
-    })
+    }})
     binding.produced_mechanism = mech.name
     return mech
 
@@ -336,7 +336,6 @@ def path_flow(
         guard=(_fluid_guard(fluid), Condition("portions remain", remaining)),
         effect=effect,
         subsystem="flow",
-        requires=(fluid,),
     )
 
 
@@ -352,13 +351,11 @@ def _circuit_flow(mech_name, fluid, circuit, pulse=None):
     def effect(ctx):
         if pulse is not None:
             ctx.emit(pulse)
-        batch = ctx.ring_push(circuit)
-        ctx.commit(batch, circuit=circuit)
+        ctx.commit(topology.ring_push(ctx.world, circuit), circuit=circuit)
 
     return Mechanism(
         mech_name,
         guard=(_fluid_guard(fluid), Condition("circuit occupied", occupied)),
         effect=effect,
         subsystem="circulation",
-        requires=(fluid, circuit.name),
     )

@@ -1,0 +1,183 @@
+"""Mechanisms as data: one closed set of guard conditions and effects.
+
+A data mechanism is a model-file entry: a name, a subsystem, a guard,
+effects, side effects and the compartment it listens on. Each condition and
+effect is a list of strings, its kind first (CONDITIONS, EFFECTS).
+`build_mechanism` checks every argument by its type and compiles the lists
+once, at registration, into the engine's Mechanism of Conditions and effect
+closures, so a step pays nothing to interpret them. `check_links` checks,
+once all are registered, that each signal has a receiver and each fired
+member exists. A missing fluid or nerve connection is left to the run, which
+reports it as a violation: a scenario may cut one.
+"""
+from __future__ import annotations
+
+from .engine import Condition, Mechanism, register_mechanism
+from .errors import ModelError, TraceVocabularyError, UnknownEntityError, need
+from .world import AMBIENT_SCALES, World
+
+FIELDS = ("name", "subsystem", "guard", "effects", "side_effects", "on_signal")
+
+
+def _occupant_level(world, substance, compartment, prop, level):
+    """P=L of the occupant of C, an S portion: P must be one of S's default
+    properties, which every S portion carries, and L one of its labels."""
+    need(world.compartments, compartment, "compartment")
+    defaults = need(world.substances, substance, "substance").default_properties
+    need(defaults, prop, f"{substance} property").scale.index(level)
+
+
+def _occupant(world, substance, compartment, prop, level):
+    _occupant_level(world, substance, compartment, prop, level)
+
+    def test(w) -> bool:
+        portion = w.occupant(compartment)
+        if portion is None or portion.substance != substance:
+            return False
+        return portion.properties[prop].level == level
+
+    return f"{substance} at {compartment} has {prop}={level}", test
+
+
+def _holds(world, compartment, substance):
+    need(world.compartments, compartment, "compartment")
+    need(world.substances, substance, "substance")
+
+    def test(w) -> bool:
+        portion = w.occupant(compartment)
+        return portion is not None and portion.substance == substance
+
+    return f"{compartment} holds {substance}", test
+
+
+def _alive(world, obj):
+    need(world.objects, obj, "object")
+    return f"{obj} alive", lambda w: w.objects[obj].alive
+
+
+def _ambient(world, prop, level):
+    need(AMBIENT_SCALES, prop, "ambient property").index(level)
+    return f"ambient {prop} {level.replace('_', ' ')}", lambda w: w.ambient(prop) == level
+
+
+def _not_phase(world, substance, phase):
+    need(world.substances, substance, "substance").phase_space.index(phase)
+    return f"{substance} not yet {phase}", lambda w: w.substances[substance].phase != phase
+
+
+def _set_occupant(world, substance, compartment, prop, level):
+    """Set P=L on the occupant of C, if there is one and it has P."""
+    _occupant_level(world, substance, compartment, prop, level)
+
+    def effect(ctx):
+        portion = ctx.world.occupant(compartment)
+        if portion is not None and prop in portion.properties:
+            ctx.set_state(portion.id, prop, level)
+
+    return effect
+
+
+def _set(world, entity, variable, label):
+    """Set a state on an object, or a substance's phase."""
+    if entity in world.substances and variable == "phase":
+        world.substances[entity].phase_space.index(label)
+    else:
+        kind = need(world.objects, entity, "object").kind
+        need(world.effective_state_spaces(kind), variable, f"{kind} state").index(label)
+    return lambda ctx: ctx.set_state(entity, variable, label)
+
+
+def _emit(world, line):
+    if not world.vocabulary.allows(line):
+        raise TraceVocabularyError(
+            f"line {line!r} is not in the declared vocabulary of {world.name!r}"
+        )
+    return lambda ctx: ctx.emit(line)
+
+
+def _signal(world, sender, receiver, payload):
+    need(world.compartments, sender, "compartment")
+    need(world.compartments, receiver, "compartment")
+    return lambda ctx: ctx.emit_signal(sender, receiver, payload)
+
+
+def _merge(world, compartment):
+    """Merge C's contents into one portion, when it holds more than one."""
+    need(world.compartments, compartment, "compartment")
+
+    def effect(ctx):
+        held = ctx.world.compartments[compartment].contents
+        if len(held) > 1:
+            ctx.world.merge_portions(held, compartment)
+
+    return effect
+
+
+#: kind -> (number of arguments, compiler); a condition compiles to its
+#: description and test, an effect to a closure over the FireContext.
+CONDITIONS = {
+    "occupant": (4, _occupant),
+    "holds": (2, _holds),
+    "alive": (1, _alive),
+    "ambient": (2, _ambient),
+    "not_phase": (2, _not_phase),
+    "always": (0, lambda world: ("always", lambda w: True)),
+}
+EFFECTS = {
+    "set_occupant": (4, _set_occupant),
+    "set": (3, _set),
+    "emit": (1, _emit),
+    "signal": (3, _signal),
+    "merge": (1, _merge),
+    "fire": (1, lambda world, member: lambda ctx: ctx.fire_if_enabled(member)),
+}
+
+
+def compile_items(world: World, table: dict, items, field: str) -> list:
+    """Each item of a guard or effect list, checked and compiled by its kind."""
+    if not isinstance(items, list):
+        raise ModelError(f"{field} must be a list, not {items!r}")
+    compiled = []
+    for item in items:
+        if not (isinstance(item, list) and item and all(isinstance(a, str) for a in item)):
+            raise ModelError(f"{field}: {item!r} is not a list of strings")
+        arity, make = need(table, item[0], f"{field} kind")
+        if len(item) != arity + 1:
+            raise ModelError(f"{field}: {item[0]!r} takes {arity} arguments, not {len(item) - 1}")
+        compiled.append(make(world, *item[1:]))
+    return compiled
+
+
+def build_mechanism(world: World, spec: dict) -> Mechanism:
+    """Compile a data mechanism and register it with its spec, which a model file saves."""
+    unknown = set(spec) - set(FIELDS)
+    if unknown:
+        raise ModelError(f"unknown fields {sorted(unknown)}, expected some of {FIELDS}")
+    guard = compile_items(world, CONDITIONS, spec["guard"], "guard")
+    actions = compile_items(world, EFFECTS, spec["effects"], "effects")
+    side_effects = compile_items(world, EFFECTS, spec.get("side_effects", []), "side_effects")
+
+    def effect(ctx):
+        for action in actions:
+            action(ctx)
+
+    mechanism = Mechanism(
+        spec["name"],
+        guard=tuple(Condition(*c) for c in guard),
+        effect=effect,
+        side_effects=tuple(side_effects),
+        subsystem=spec.get("subsystem", "core"),
+        on_signal=spec.get("on_signal"),
+    )
+    return register_mechanism(world, mechanism, {k: v for k, v in spec.items() if k != "name"})
+
+
+def check_links(world: World, spec: dict):
+    """A mechanism's signals each reach one listening on their receiver, and
+    the members it fires are registered."""
+    listening = {m.on_signal for m in world.mechanisms.values()}
+    for kind, *args in spec.get("effects", []) + spec.get("side_effects", []):
+        if kind == "signal" and args[1] not in listening:
+            raise UnknownEntityError(f"signal to {args[1]!r} has no receiving mechanism")
+        if kind == "fire":
+            need(world.mechanisms, args[0], "mechanism to fire")

@@ -1,12 +1,14 @@
 """Declarative model files: JSON documents that rebuild a world exactly.
 
 A file holds the full initial model - scales, substances, kinds, topology,
-portions, mechanisms (by builtin name plus parameters), triggers, frames,
-bindings, annotations, and ambient state - so a reloaded world produces the
-same triple snapshot as the programmatic build. Runtime history (the
-transitional log, traces) is not part of a model file. Files are saved as
-version 2; a version-1 file (no version reads as 1) loads through `upgrade`,
-the one place that knows its form.
+portions, mechanisms (as data, or by builtin name plus parameters),
+triggers, frames, bindings, annotations, and ambient state - so a reloaded
+world produces the same triple snapshot as the programmatic build. Runtime
+history (the transitional log, traces) is not part of a model file. Files
+are saved as version 3; a version-1 or version-2 file (no version reads as
+1) loads through `upgrade`, the one place that knows their forms. Once
+every mechanism is built, the loader checks each one's signals and fired
+members (semsim.mechanisms).
 """
 from __future__ import annotations
 
@@ -28,10 +30,11 @@ from .entities import (
 )
 from .errors import ModelError, SchemaError, SemsimError
 from .frames import FrameBinding, PathSegment, PathSpec, define_frame, add_lexical_entry, standard_frames
+from .mechanisms import build_mechanism, check_links
 from .world import Vocabulary, World
 
 FORMAT = "semsim-model"
-VERSION = 2
+VERSION = 3
 
 
 def _space_to_dict(space: StateSpace) -> dict:
@@ -290,24 +293,35 @@ def _water_flowing_v1(data: dict, params: dict):
 
 
 def upgrade(data: dict) -> dict:
-    """The document as version 2, its argument unchanged: each version-1 builtin's
-    entry becomes a binding (and its frame, if missing) and a fluidic_motion entry."""
+    """The document as version 3, its argument unchanged. In version 1, each
+    version-1 builtin's entry becomes a binding (and its frame, if missing) and
+    a fluidic_motion entry; in versions 1 and 2, each entry of a builtin
+    retired in version 3 becomes its template's data form."""
     version = data.get("version", 1)
-    if type(version) is not int or version not in (1, VERSION):  # bool and float are not versions
-        raise SchemaError(f"unsupported version {version!r} (expected 1 or {VERSION})", "version")
+    if type(version) is not int or version not in (1, 2, VERSION):  # bool and float are not versions
+        raise SchemaError(f"unsupported version {version!r} (expected 1, 2 or {VERSION})", "version")
     if version == VERSION:
         return data
     rewrites = {"heartbeat_push": _heartbeat_push_v1, "water_flowing": _water_flowing_v1}
+    # Retired builtins, each now a template of its data form in models.
+    retired = ("gas_exchange_alv", "cell_respiration", "diffusion_check",
+               "medulla_sense", "mix_external_air", "freeze_watch")
     data = dict(data, version=VERSION, mechanisms=list(_section(data, "mechanisms")))
     for i, (loc, spec) in enumerate(_entries(data, "mechanisms")):
         with _diagnosed(loc):
-            if spec.get("builtin") in rewrites:
-                elements, params = rewrites[spec["builtin"]](data, spec.get("params", {}))
+            builtin = spec.get("builtin")
+            if version == 1 and builtin in rewrites:
+                elements, params = rewrites[builtin](data, spec.get("params", {}))
                 _add_missing(data, "frames", "name", _frame_to_dict(standard_frames()["Fluidic_Motion"]))
                 bindings = _section(data, "bindings")
                 data["bindings"] = [*bindings, _binding_to_dict("Fluidic_Motion", elements)]
                 params = {"binding": len(bindings), **params}
                 data["mechanisms"][i] = dict(spec, builtin="fluidic_motion", params=params)
+            elif builtin in retired:
+                params = dict(spec.get("params", {}))
+                if "name" in spec:
+                    params["name"] = spec["name"]
+                data["mechanisms"][i] = getattr(models, builtin)(**params)
     return data
 
 
@@ -324,13 +338,14 @@ def load_model(data: dict) -> World:
 
     vocab = _section(data, "vocabulary", dict)
     with _diagnosed("vocabulary"):
-        literals = frozenset(vocab.get("literals", []))
-        patterns = tuple(vocab.get("patterns", []))
-        if not all(isinstance(x, str) for x in literals | set(patterns)):
-            raise SchemaError("literals and patterns must be strings", "vocabulary")
+        literals = vocab.get("literals", [])
+        patterns = vocab.get("patterns", [])
+        lists = isinstance(literals, list) and isinstance(patterns, list)
+        if not lists or not all(isinstance(x, str) for x in literals + patterns):
+            raise SchemaError("literals and patterns must be lists of strings", "vocabulary")
         for pattern in patterns:
             re.compile(pattern)
-        world.vocabulary = Vocabulary(literals=literals, patterns=patterns)
+        world.vocabulary = Vocabulary(literals=frozenset(literals), patterns=tuple(patterns))
 
     for loc, s in _entries(data, "scales"):
         with _diagnosed(loc):
@@ -396,6 +411,8 @@ def load_model(data: dict) -> World:
                 obj.properties[prop] = _qual(world, prop, level, loc)
             if obj.kind not in world.kinds:
                 raise SchemaError(f"unknown kind {obj.kind!r}", loc)
+            if world.has_entity(obj.id):
+                raise SchemaError(f"duplicate object id {obj.id!r}", loc)
             world.objects[obj.id] = obj
 
     for loc, p in _entries(data, "portions"):
@@ -417,7 +434,7 @@ def load_model(data: dict) -> World:
                 portion.properties[prop] = _qual(world, prop, level, loc)
             if portion.compartment is not None and portion.compartment not in world.compartments:
                 raise SchemaError(f"unknown compartment {portion.compartment!r}", loc)
-            if portion.id in world.portions:
+            if world.has_entity(portion.id):
                 raise SchemaError(f"duplicate portion id {portion.id!r}", loc)
             # Mechanisms read a live portion's substance properties.
             defaults = world.substances[portion.substance].default_properties
@@ -469,7 +486,10 @@ def load_model(data: dict) -> World:
 
     for loc, spec in _entries(data, "mechanisms"):
         with _diagnosed(loc):
-            builtin = spec.get("builtin")
+            if "builtin" not in spec:
+                build_mechanism(world, spec)
+                continue
+            builtin = spec["builtin"]
             if builtin not in models.BUILTIN_MECHANISMS:
                 raise SchemaError(f"unknown builtin mechanism {builtin!r}", loc)
             params = dict(spec.get("params", {}))
@@ -487,6 +507,11 @@ def load_model(data: dict) -> World:
                 if type(cursor) is not int or cursor < 0:  # bool is not a cursor
                     raise SchemaError(f"cursor must be an int >= 0, not {cursor!r}", loc)
                 world.flow_cursors[mechanism.name] = cursor
+
+    # A mechanism may signal or fire one that comes after it in the file.
+    for i, spec in enumerate(world.mechanism_specs):
+        with _diagnosed(f"mechanisms[{i}]"):
+            check_links(world, spec)
 
     for loc, t in _entries(data, "triggers"):
         with _diagnosed(loc):
@@ -514,7 +539,7 @@ def load_model(data: dict) -> World:
             world.set_ambient(prop, level)
 
     for prefix, n in _section(data, "counters", dict).items():
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # bool is not a count
             raise SchemaError(f"counter {prefix!r} must be a non-negative integer", "counters")
         world._counters[prefix] = n
 

@@ -17,22 +17,14 @@ from .cardio import (
 from .waterfall import (
     WaterfallConfig,
     build_waterfall,
-    freeze_watch_mechanism,
+    freeze_watch,
     waterfall_elements,
     waterfall_path,
 )
 
 #: Mechanism factories addressable from model files: name -> f(world, params).
-BUILTIN_MECHANISMS = {
-    "gas_exchange_alv": gas_exchange_alv,
-    "cell_respiration": cell_respiration,
-    "diffusion_check": diffusion_check,
-    "medulla_sense": medulla_sense,
-    "inhale_cycle": inhale_cycle,
-    "mix_external_air": mix_external_air,
-    "freeze_watch": freeze_watch_mechanism,
-    "fluidic_motion": fluidic_motion,
-}
+#: Every other mechanism is saved as data (semsim.mechanisms).
+BUILTIN_MECHANISMS = {"inhale_cycle": inhale_cycle, "fluidic_motion": fluidic_motion}
 
 
 def build_builtin(name: str, portions: int | None = None):

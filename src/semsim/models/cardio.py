@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
 from ..entities import PartSpec, QualValue, StateSpace, cardinality
+from ..errors import ModelError, need
 from ..frames import bind, instantiate_fluidic_motion, standard_frames
+from ..mechanisms import CONDITIONS, EFFECTS, build_mechanism, compile_items
 from ..records import Record
 from ..world import Vocabulary, World
 
@@ -106,196 +108,134 @@ def circulation_elements(circuit: str, order) -> dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# mechanism factories (also used by the model-file loader)
+# mechanism templates: each maps its retired builtin's params to the data form
+# (semsim.mechanisms), for the builder and for modelfile.upgrade
 
 
-def _occupant_level(world, compartment: str, prop: str, label: str) -> bool:
-    portion = world.occupant(compartment)
-    return portion is not None and portion.properties[prop].level == label
+def gas_exchange_alv(name="GasExchangeAlv", blood_at="AlvCap", air_at="AlvAir") -> dict:
+    return {
+        "name": name,
+        "subsystem": "diffusion",
+        "guard": [
+            ["occupant", "blood", blood_at, "O2Level", "low"],
+            ["occupant", "air", air_at, "O2Level", "high"],
+        ],
+        "effects": [
+            ["set_occupant", "blood", blood_at, "O2Level", "high"],
+            ["set_occupant", "blood", blood_at, "CO2Level", "low"],
+            ["set_occupant", "air", air_at, "O2Level", "low"],
+            ["set_occupant", "air", air_at, "CO2Level", "high"],
+            ["emit", f"{blood_at}Blood O2 diffusion"],
+        ],
+    }
 
 
-def gas_exchange_alv(world: World, params: dict) -> Mechanism:
-    blood_at = params.get("blood_at", "AlvCap")
-    air_at = params.get("air_at", "AlvAir")
-
-    def blood_needs_o2(w) -> bool:
-        return _occupant_level(w, blood_at, "O2Level", "low")
-
-    def air_has_o2(w) -> bool:
-        return _occupant_level(w, air_at, "O2Level", "high")
-
-    def effect(ctx):
-        blood = ctx.world.occupant(blood_at)
-        air = ctx.world.occupant(air_at)
-        ctx.set_state(blood.id, "O2Level", "high")
-        ctx.set_state(blood.id, "CO2Level", "low")
-        ctx.set_state(air.id, "O2Level", "low")
-        ctx.set_state(air.id, "CO2Level", "high")
-        ctx.emit(f"{blood_at}Blood O2 diffusion")
-
-    mech = Mechanism(
-        params.get("name", "GasExchangeAlv"),
-        guard=(
-            Condition(f"blood at {blood_at} has O2Level=low", blood_needs_o2),
-            Condition(f"air at {air_at} has O2Level=high", air_has_o2),
-        ),
-        effect=effect,
-        subsystem="diffusion",
-        requires=(blood_at, air_at),
-    )
-    return register_mechanism(world, mech, "gas_exchange_alv", params)
+def cell_respiration(name="CellRespiration", blood_at="CellCap") -> dict:
+    # Metabolic heat is a side effect: no guard reads Warmth, so the exchange
+    # completes without it.
+    return {
+        "name": name,
+        "subsystem": "diffusion",
+        "guard": [["occupant", "blood", blood_at, "O2Level", "high"]],
+        "effects": [
+            ["set_occupant", "blood", blood_at, "O2Level", "low"],
+            ["set_occupant", "blood", blood_at, "CO2Level", "high"],
+            ["emit", f"{blood_at}Blood O2 diffusion"],
+        ],
+        "side_effects": [["set_occupant", "blood", blood_at, "Warmth", "high"]],
+    }
 
 
-def cell_respiration(world: World, params: dict) -> Mechanism:
-    blood_at = params.get("blood_at", "CellCap")
-
-    def blood_has_o2(w) -> bool:
-        return _occupant_level(w, blood_at, "O2Level", "high")
-
-    def effect(ctx):
-        blood = ctx.world.occupant(blood_at)
-        ctx.set_state(blood.id, "O2Level", "low")
-        ctx.set_state(blood.id, "CO2Level", "high")
-        ctx.emit(f"{blood_at}Blood O2 diffusion")
-
-    def metabolic_heat(ctx):
-        # Warmth is read by no guard; it is observable but not needed for
-        # the exchange to complete.
-        blood = ctx.world.occupant(blood_at)
-        if blood is not None and "Warmth" in blood.properties:
-            ctx.set_state(blood.id, "Warmth", "high")
-
-    mech = Mechanism(
-        params.get("name", "CellRespiration"),
-        guard=(Condition(f"blood at {blood_at} has O2Level=high", blood_has_o2),),
-        effect=effect,
-        side_effects=(metabolic_heat,),
-        subsystem="diffusion",
-        requires=(blood_at,),
-    )
-    return register_mechanism(world, mech, "cell_respiration", params)
+def diffusion_check(name="DiffusionCheck", members=("GasExchangeAlv", "CellRespiration")) -> dict:
+    if isinstance(members, str):
+        raise ModelError(f"members must be a list of mechanism names, not {members!r}")
+    return {
+        "name": name,
+        "subsystem": "diffusion",
+        "guard": [["always"]],
+        "effects": [["emit", "diffusion check"]] + [["fire", member] for member in members],
+    }
 
 
-def diffusion_check(world: World, params: dict) -> Mechanism:
-    members = tuple(params.get("members", ("GasExchangeAlv", "CellRespiration")))
-
-    def effect(ctx):
-        ctx.emit("diffusion check")
-        for name in members:
-            ctx.fire_if_enabled(name)
-
-    mech = Mechanism(
-        params.get("name", "DiffusionCheck"),
-        guard=(Condition("always", lambda w: True),),
-        effect=effect,
-        subsystem="diffusion",
-    )
-    return register_mechanism(world, mech, "diffusion_check", params)
+def medulla_sense(name="MedullaSense", blood_at="MedullaCap", nerve_from="Medulla",
+                  nerve_to="Diaphragm") -> dict:
+    return {
+        "name": name,
+        "subsystem": "respiration",
+        "guard": [["occupant", "blood", blood_at, "CO2Level", "high"]],
+        "effects": [
+            ["emit", "past phrenicNerve trigger"],
+            ["signal", nerve_from, nerve_to, "contract"],
+        ],
+    }
 
 
-def medulla_sense(world: World, params: dict) -> Mechanism:
-    blood_at = params.get("blood_at", "MedullaCap")
-    nerve_from = params.get("nerve_from", "Medulla")
-    nerve_to = params.get("nerve_to", "Diaphragm")
-
-    def too_much_co2(w) -> bool:
-        return _occupant_level(w, blood_at, "CO2Level", "high")
-
-    def effect(ctx):
-        ctx.emit("past phrenicNerve trigger")
-        ctx.emit_signal(nerve_from, nerve_to, "contract")
-
-    mech = Mechanism(
-        params.get("name", "MedullaSense"),
-        guard=(Condition(f"blood at {blood_at} has CO2Level=high", too_much_co2),),
-        effect=effect,
-        subsystem="respiration",
-        requires=(blood_at, nerve_from, nerve_to),
-    )
-    return register_mechanism(world, mech, "medulla_sense", params)
+def mix_external_air(name="MixExternalAir", reservoir="ExternalAir") -> dict:
+    return {
+        "name": name,
+        "subsystem": "respiration",
+        "guard": [["holds", reservoir, "air"]],
+        "effects": [
+            ["merge", reservoir],
+            ["set_occupant", "air", reservoir, "O2Level", "high"],
+            ["set_occupant", "air", reservoir, "CO2Level", "low"],
+            ["emit", "mixing external air"],
+        ],
+    }
 
 
 def inhale_cycle(world: World, params: dict) -> Mechanism:
+    """The breath, cardio's one builtin mechanism. Its moves are ordered and
+    conditional, and its trace narrates them in another order than they
+    happen: as data that would take conditional effects, more code than this
+    closure. Its references are checked by the types a data mechanism's are."""
     external, nose, alv = params.get("air_path", AIR_ORDER)
     diaphragm = params.get("diaphragm", "diaphragm")
-
-    def diaphragm_alive(w) -> bool:
-        return w.objects[diaphragm].alive
+    for compartment in (external, nose, alv):
+        need(world.compartments, compartment, "compartment")
+    guard = compile_items(world, CONDITIONS, [["alive", diaphragm]], "guard")
+    tension = [["set", diaphragm, "tension", label] for label in ("contracted", "relaxed")]
+    contract, relax = compile_items(world, EFFECTS, tension, "effects")
+    lines = (
+        "inhale cycle",
+        "into diaphragm contract",
+        f"completed inhale {external} to Nose Air",
+        "completed inhale Nose Air to Alv Air",
+        "completed exhale Alv Air to Nose Air",
+        f"completed exhale Nose Air to {external}",
+    )
+    compile_items(world, EFFECTS, [["emit", line] for line in lines], "effects")
+    # The stale column shifts outward before fresh air is drawn in. Each move
+    # names the line it completes, and the trace narrates them in line order.
+    moves = (
+        (nose, external, 5), (alv, nose, 4), (nose, external, 5), (external, nose, 2), (nose, alv, 3),
+    )
 
     def effect(ctx):
         w = ctx.world
-        ctx.emit("inhale cycle")
-        ctx.emit("into diaphragm contract")
-        ctx.set_state(diaphragm, "tension", "contracted")
-        # The stale column shifts outward before fresh air is drawn in; the
-        # trace below narrates the cycle in inhale-then-exhale order.
-        exhaled_nose = False
-        exhaled_alv = False
-        inhaled_nose = False
-        inhaled_alv = False
-        p = w.occupant(nose)
-        if p is not None:
-            ctx.move(p.id, nose, external)
-            exhaled_nose = True
-        p = w.occupant(alv)
-        if p is not None:
-            ctx.move(p.id, alv, nose)
-            exhaled_alv = True
-        p = w.occupant(nose)
-        if p is not None:
-            ctx.move(p.id, nose, external)
-            exhaled_nose = True
-        p = w.occupant(external)
-        if p is not None:
-            ctx.move(p.id, external, nose)
-            inhaled_nose = True
-        p = w.occupant(nose)
-        if p is not None and w.occupant(alv) is None:
-            ctx.move(p.id, nose, alv)
-            inhaled_alv = True
-        if inhaled_nose:
-            ctx.emit(f"completed inhale {external} to Nose Air")
-        if inhaled_alv:
-            ctx.emit("completed inhale Nose Air to Alv Air")
-        if exhaled_alv:
-            ctx.emit("completed exhale Alv Air to Nose Air")
-        if exhaled_nose:
-            ctx.emit(f"completed exhale Nose Air to {external}")
-        ctx.set_state(diaphragm, "tension", "relaxed")
+        ctx.emit(lines[0])
+        ctx.emit(lines[1])
+        contract(ctx)
+        completed = set()
+        for src, dst, line in moves:
+            p = w.occupant(src)
+            # Fresh air goes on into the alveoli only when they are empty.
+            if p is not None and (dst != alv or w.occupant(alv) is None):
+                ctx.move(p.id, src, dst)
+                completed.add(line)
+        for line in sorted(completed):
+            ctx.emit(lines[line])
+        relax(ctx)
 
     mech = Mechanism(
         params.get("name", "InhaleCycle"),
-        guard=(Condition("diaphragm alive", diaphragm_alive),),
+        guard=tuple(Condition(*c) for c in guard),
         effect=effect,
         subsystem="respiration",
         on_signal=params.get("on_signal", "Diaphragm"),
-        requires=(external, nose, alv, diaphragm),
     )
-    return register_mechanism(world, mech, "inhale_cycle", params)
-
-
-def mix_external_air(world: World, params: dict) -> Mechanism:
-    external = params.get("reservoir", "ExternalAir")
-
-    def has_air(w) -> bool:
-        return w.occupant(external) is not None
-
-    def effect(ctx):
-        w = ctx.world
-        held = w.compartments[external].contents
-        target = w.merge_portions(held, external).id if len(held) > 1 else held[0]
-        ctx.set_state(target, "O2Level", "high")
-        ctx.set_state(target, "CO2Level", "low")
-        ctx.emit("mixing external air")
-
-    mech = Mechanism(
-        params.get("name", "MixExternalAir"),
-        guard=(Condition(f"{external} holds air", has_air),),
-        effect=effect,
-        subsystem="respiration",
-        requires=(external,),
-    )
-    return register_mechanism(world, mech, "mix_external_air", params)
+    spec = {"builtin": "inhale_cycle", "params": {k: v for k, v in params.items() if k != "name"}}
+    return register_mechanism(world, mech, spec)
 
 
 # ----------------------------------------------------------------------
@@ -392,12 +332,10 @@ def build_cardio(config: CardioConfig | None = None) -> World:
 
     circulation = bind(world, "Fluidic_Motion", circulation_elements("cardio", config.blood_compartments))
     instantiate_fluidic_motion(world, circulation, name="HeartbeatPush")
-    gas_exchange_alv(world, {"blood_at": "AlvCap", "air_at": "AlvAir"})
-    cell_respiration(world, {"blood_at": "CellCap"})
-    diffusion_check(world, {"members": ["GasExchangeAlv", "CellRespiration"]})
-    medulla_sense(world, {"blood_at": "MedullaCap", "nerve_from": "Medulla", "nerve_to": "Diaphragm"})
+    for template in (gas_exchange_alv, cell_respiration, diffusion_check, medulla_sense):
+        build_mechanism(world, template())
     inhale_cycle(world, {"air_path": list(AIR_ORDER), "diaphragm": "diaphragm", "on_signal": "Diaphragm"})
-    mix_external_air(world, {"reservoir": "ExternalAir"})
+    build_mechanism(world, mix_external_air())
 
     periods = config.periods
     register_trigger(world, Trigger("SANode", periods["SANode"], "HeartbeatPush"))

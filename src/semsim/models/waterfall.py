@@ -10,7 +10,7 @@ tests.
 """
 from __future__ import annotations
 
-from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
+from ..engine import Trigger, register_trigger
 from ..entities import StateSpace
 from ..frames import (
     PathSegment,
@@ -45,30 +45,14 @@ class WaterfallConfig(FrozenRecord):
         set_field(self, "labels", labels)
 
 
-def freeze_watch_mechanism(world: World, params: dict) -> Mechanism:
+def freeze_watch(name="FreezeWatch", substance="water") -> dict:
     """Water turns solid whenever the ambient temperature is below freezing."""
-    substance = params.get("substance", "water")
-
-    def freezing(w) -> bool:
-        return w.ambient("temperature") == "below_freezing"
-
-    def not_solid(w, s=substance) -> bool:
-        return w.substances[s].phase != "solid"
-
-    def effect(ctx):
-        ctx.set_state(substance, "phase", "solid")
-
-    mech = Mechanism(
-        params.get("name", "FreezeWatch"),
-        guard=(
-            Condition("ambient temperature below freezing", freezing),
-            Condition(f"{substance} not yet solid", not_solid),
-        ),
-        effect=effect,
-        subsystem="ambient",
-        requires=(substance,),
-    )
-    return register_mechanism(world, mech, "freeze_watch", params)
+    return {
+        "name": name,
+        "subsystem": "ambient",
+        "guard": [["ambient", "temperature", "below_freezing"], ["not_phase", substance, "solid"]],
+        "effects": [["set", substance, "phase", "solid"]],
+    }
 
 
 def build_waterfall(

@@ -72,6 +72,10 @@ class Circuit(FrozenRecord):
         set_field(self, "order", order)
         set_field(self, "successors", {} if successors is None else successors)
 
+    def __hash__(self) -> int:
+        # successors is a dict, so it takes no part in the hash; == compares it.
+        return hash((self.name, self.order))
+
 
 class Move(FrozenRecord):
     _fields = __slots__ = ("portion", "src", "dst")
@@ -94,9 +98,8 @@ class SplitPlan(FrozenRecord):
 
 
 class MoveBatch(Record):
-    """One firing's staged moves. It compares by identity: the kernel looks a
-    batch up among its pending ones, and two batches with the same moves are
-    still two batches."""
+    """One firing's staged moves. It compares by identity: two batches with the
+    same moves are still two batches."""
 
     _fields = ("moves", "splits", "status", "movers")
     __eq__ = object.__eq__

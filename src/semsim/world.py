@@ -44,6 +44,7 @@ from .errors import (
     StateError,
     TransitionalError,
     UnknownEntityError,
+    need,
 )
 from .records import FrozenRecord, Record, set_field
 from .topology import CONDUIT_KINDS, MEDIA, Circuit, Compartment, Connection
@@ -339,8 +340,7 @@ class World:
         Kinds tied to a substance instantiate as Portions at (0, 0) with the
         first location label; everything else becomes a SemObject.
         """
-        if kind_name not in self.kinds:
-            raise UnknownEntityError(f"no kind {kind_name!r}")
+        need(self.kinds, kind_name, "kind")
         substance = self.effective_substance(kind_name)
         if substance is not None:
             return self._instantiate_portion(kind_name, substance, entity_id)
@@ -393,9 +393,7 @@ class World:
         properties: dict[str, str] | None = None,
     ) -> Portion:
         """Create a portion directly (no kind), optionally placed in a compartment."""
-        if substance_name not in self.substances:
-            raise UnknownEntityError(f"no substance {substance_name!r}")
-        sub = self.substances[substance_name]
+        sub = need(self.substances, substance_name, "substance")
         pid = entity_id or self.next_id(substance_name)
         if self.has_entity(pid):
             raise DuplicateNameError(f"entity id {pid!r} already in use")
@@ -530,9 +528,7 @@ class World:
         """Retire the portion; children copy its properties, provenance links back."""
         if n_children < 2:
             raise TransitionalError("split needs at least two results")
-        parent = self.portions.get(portion_id)
-        if parent is None:
-            raise UnknownEntityError(f"no portion {portion_id!r}")
+        parent = need(self.portions, portion_id, "portion")
         if not parent.alive:
             raise DeadSubjectError(f"portion {portion_id!r} is dead")
         children = []
@@ -571,9 +567,7 @@ class World:
             raise TransitionalError("merge needs at least two subjects")
         parents = []
         for pid in ids:
-            p = self.portions.get(pid)
-            if p is None:
-                raise UnknownEntityError(f"no portion {pid!r}")
+            p = need(self.portions, pid, "portion")
             if not p.alive:
                 raise DeadSubjectError(f"portion {pid!r} is dead")
             parents.append(p)
@@ -634,9 +628,7 @@ class World:
 
     def check_cardinality(self, object_id: str) -> list[tuple[str, int, frozenset[int]]]:
         """Report (role, actual count, allowed set) for every violated role."""
-        obj = self.objects.get(object_id)
-        if obj is None:
-            raise UnknownEntityError(f"no object {object_id!r}")
+        obj = need(self.objects, object_id, "object")
         violations = []
         for role, spec in self.effective_part_schema(obj.kind).items():
             count = len(obj.parts_in_role(role))
@@ -687,8 +679,7 @@ class World:
 
     def connect(self, from_id: str, to_id: str, conduit_kind: str = "fluid") -> Connection:
         for cid in (from_id, to_id):
-            if cid not in self.compartments:
-                raise UnknownEntityError(f"no compartment {cid!r}")
+            need(self.compartments, cid, "compartment")
         if conduit_kind not in CONDUIT_KINDS:
             raise ModelError(f"conduit kind must be one of {CONDUIT_KINDS}")
         conn = Connection(from_id, to_id, conduit_kind)
@@ -703,8 +694,7 @@ class World:
 
     def remove_connection(self, from_id: str, to_id: str, conduit_kind: str = "fluid"):
         key = (from_id, to_id, conduit_kind)
-        if key not in self.connections:
-            raise UnknownEntityError(f"no connection {key}")
+        need(self.connections, key, "connection")
         del self.connections[key]
         self.wiring_changed = True
 

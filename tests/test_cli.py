@@ -21,10 +21,17 @@ from semsim.cli import (
 )
 from semsim.modelfile import save_model, save_model_file
 from semsim.engine import StepReport, register_mechanism, register_trigger
-from semsim.models import build_cardio, build_waterfall
+from semsim.models import (
+    build_cardio,
+    build_waterfall,
+    cell_respiration,
+    diffusion_check,
+    medulla_sense,
+    mix_external_air,
+)
 from semsim.world import Vocabulary
 
-from saved_forms import saved_heartbeat_push, saved_water_flowing
+from saved_forms import saved_cardio_version_2, saved_heartbeat_push, saved_water_flowing
 
 
 def run_cli(args, cwd, input=None):
@@ -605,6 +612,178 @@ def test_malformed_fluidic_motion_path_fails_at_load(tmp_path, capsys, breach, m
     assert_refused_at_load(tmp_path, capsys, data, message)
 
 
+def _mechanism(data, name):
+    (entry,) = [m for m in data["mechanisms"] if m["name"] == name]
+    return entry
+
+
+def _rebuilt(name, template, **params):
+    """The saved cardio's entry called name, replaced by its template's data
+    form for these params: a version-2 param edit, made on version 3."""
+    def edit(data):
+        data["mechanisms"][data["mechanisms"].index(_mechanism(data, name))] = template(**params)
+    return edit
+
+
+def _inhale_params(**params):
+    return lambda data: _mechanism(data, "InhaleCycle")["params"].update(params)
+
+
+def _fire_members_as_one_list(data):
+    effects = _mechanism(data, "DiffusionCheck")["effects"]
+    effects[1:] = [["fire", [member for _, member in effects[1:]]]]
+
+
+def _drop_literal(data):
+    data["vocabulary"]["literals"].remove("diffusion check")
+
+
+def _trigger(index, **fields):
+    return lambda data: data["triggers"][index].update(fields)
+
+
+def _mix_called_5(data):
+    # Renamed everywhere, it loaded, and the console's step report then
+    # failed to join the fired mechanisms' names.
+    _mechanism(data, "MixExternalAir")["name"] = 5
+    for trigger in data["triggers"]:
+        if trigger["target"] == "MixExternalAir":
+            trigger["target"] = 5
+    for system in data["systems"]:
+        system["members"] = [5 if m == "MixExternalAir" else m for m in system["members"]]
+
+
+def _second_heart(data):
+    data["objects"].append(dict(data["objects"][0], kind="Lungs"))
+
+
+def _portion_called_heart(data):
+    data["portions"].append(dict(data["portions"][0], id="heart", alive=False, compartment=None))
+
+
+# One-field edits of the saved cardio, each of which the version-2 loader
+# accepted and `semsim run` then faulted on or ran as another model, and the
+# loader's diagnosis of each.
+LOAD_CHECKS = {
+    "members-unknown": (
+        _rebuilt("DiffusionCheck", diffusion_check, members=["Nope"]),
+        "mechanisms[3]: no mechanism to fire 'Nope'",
+    ),
+    "members-one-list": (
+        _fire_members_as_one_list,
+        "mechanisms[3]: effects: ['fire', ['GasExchangeAlv', 'CellRespiration']] "
+        "is not a list of strings",
+    ),
+    "reservoir-an-object": (
+        _rebuilt("MixExternalAir", mix_external_air, reservoir="heart"),
+        "mechanisms[6]: no compartment 'heart'",
+    ),
+    "diaphragm-a-compartment": (
+        _inhale_params(diaphragm="Diaphragm"), "mechanisms[5]: no object 'Diaphragm'",
+    ),
+    "diaphragm-the-heart": (
+        _inhale_params(diaphragm="heart"),
+        "mechanisms[5]: no Heart state 'tension'",
+    ),
+    "nerve-to-an-object": (
+        _rebuilt("MedullaSense", medulla_sense, nerve_to="lungs"),
+        "mechanisms[4]: no compartment 'lungs'",
+    ),
+    "respiration-in-the-nose": (
+        _rebuilt("CellRespiration", cell_respiration, blood_at="NoseAir"),
+        "mechanisms[2]: line 'NoseAirBlood O2 diffusion' is not in the declared vocabulary "
+        "of 'cardio'",
+    ),
+    "literal-dropped": (
+        _drop_literal,
+        "mechanisms[3]: line 'diffusion check' is not in the declared vocabulary of 'cardio'",
+    ),
+    "breath-listens-on-the-medulla": (
+        _inhale_params(on_signal="Medulla"),
+        "mechanisms[4]: signal to 'Diaphragm' has no receiving mechanism",
+    ),
+    "trigger-phase-a-string": (
+        _trigger(0, phase="x"),
+        "triggers[0]: trigger 'SANode' needs int period >= 1 and phase >= 0, not 4, 'x'",
+    ),
+    "trigger-period-a-string": (
+        _trigger(0, period="4"),
+        "triggers[0]: trigger 'SANode' needs int period >= 1 and phase >= 0, not '4', 0",
+    ),
+    "trigger-enabled-a-string": (
+        _trigger(0, enabled="no"),
+        "triggers[0]: trigger 'SANode' needs enabled true or false, not 'no'",
+    ),
+    "literals-a-string": (
+        lambda data: data["vocabulary"].update(literals="abc"),
+        "vocabulary: literals and patterns must be lists of strings",
+    ),
+    "counter-a-bool": (
+        lambda data: data["counters"].update(blood=True),
+        "counters: counter 'blood' must be a non-negative integer",
+    ),
+    "name-a-number": (_mix_called_5, "mechanisms[6]: a mechanism's name must be a string, not 5"),
+    "second-heart": (_second_heart, "objects[9]: duplicate object id 'heart'"),
+    "portion-called-heart": (_portion_called_heart, "portions[10]: duplicate portion id 'heart'"),
+}
+
+# The same kind of edit made to the params of a version-2 file, which the
+# upgrade turns into data before the loader checks it.
+VERSION_2_LOAD_CHECKS = {
+    "members-unknown": (
+        ("DiffusionCheck", {"members": ["Nope"]}),
+        "mechanisms[3]: no mechanism to fire 'Nope'",
+    ),
+    "members-a-string": (
+        ("DiffusionCheck", {"members": "GasExchangeAlv"}),
+        "mechanisms[3]: members must be a list of mechanism names, not 'GasExchangeAlv'",
+    ),
+    "reservoir-an-object": (
+        ("MixExternalAir", {"reservoir": "heart"}), "mechanisms[6]: no compartment 'heart'",
+    ),
+    "respiration-in-the-nose": (
+        ("CellRespiration", {"blood_at": "NoseAir"}),
+        "mechanisms[2]: line 'NoseAirBlood O2 diffusion' is not in the declared vocabulary "
+        "of 'cardio'",
+    ),
+    "diaphragm-a-compartment": (
+        ("InhaleCycle", {"diaphragm": "Diaphragm"}), "mechanisms[5]: no object 'Diaphragm'",
+    ),
+}
+
+
+def _load_check_cases():
+    for case, (edit, message) in LOAD_CHECKS.items():
+        data = json.loads(json.dumps(_SAVED_CARDIO))
+        edit(data)
+        yield pytest.param(data, message, id=f"version-3-{case}")
+    for case, ((name, params), message) in VERSION_2_LOAD_CHECKS.items():
+        yield pytest.param(saved_cardio_version_2(name, **params), message, id=f"version-2-{case}")
+
+
+@pytest.mark.parametrize("data, message", _load_check_cases())
+def test_a_file_that_would_fault_on_its_own_data_is_refused_at_load(tmp_path, capsys, data, message):
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command, prefix in (["validate-file", str(path)], "invalid"), (
+        ["run", "--model", str(path), "--steps", "30", "--trace", str(tmp_path / "t")], "error"
+    ):
+        assert main(command) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{prefix}: {message}\n")
+
+
+def test_a_refused_file_prints_no_traceback(tmp_path):
+    data = saved_cardio_version_2("DiffusionCheck", members=["Nope"])
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for args in (["validate-file", str(path)], ["run", "--model", str(path), "--steps", "3"]):
+        result = run_cli(args, cwd=tmp_path)
+        assert result.returncode == EXIT_CONFIG
+        assert "Traceback" not in result.stderr
+        assert result.stderr.endswith(": mechanisms[3]: no mechanism to fire 'Nope'\n")
+
+
 def _world_that_faults_at_tick_2():
     world = World("faulty")
     world.vocabulary = Vocabulary(literals=frozenset({"melting"}))
@@ -779,13 +958,18 @@ def test_the_console_takes_no_step_after_a_step_raised(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["run", "console"])
 def test_a_bug_inside_a_step_exits_1_with_one_error_line(tmp_path, command):
     data = json.loads(json.dumps(_SAVED_CARDIO))
-    # Blood declares no O2Level, so blood-5 without one loads; the first
-    # read of its O2Level, at step 4, raises KeyError.
-    (blood,) = [s for s in data["substances"] if s["name"] == "blood"]
-    del blood["default_properties"]["O2Level"]
-    (portion,) = [p for p in data["portions"] if p["id"] == "blood-5"]
-    del portion["properties"]["O2Level"]
-    path = tmp_path / "levels-missing.json"
+    # A blood portion strays into the air reservoir behind its air. No breath
+    # moves either (the medulla is off), so the first mix, at step 4, merges
+    # air with blood and raises. The loader checks data, not where a
+    # portion of a substance may be.
+    (blood,) = [p for p in data["portions"] if p["id"] == "blood-0"]
+    data["portions"].append(dict(blood, id="stray", compartment="ExternalAir"))
+    (reservoir,) = [c for c in data["compartments"] if c["name"] == "ExternalAir"]
+    reservoir["contents"].append("stray")
+    triggers = {t["name"]: t for t in data["triggers"]}
+    triggers["ExternalMix"]["phase"] = 4
+    triggers["Medulla"]["enabled"] = False
+    path = tmp_path / "stray-blood.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     args = [command, "--model", str(path), "--steps", "10", "--trace", "t.trace"]
     result = run_cli(args, cwd=tmp_path, input="step 10\nstep\nquit\n")
@@ -793,7 +977,7 @@ def test_a_bug_inside_a_step_exits_1_with_one_error_line(tmp_path, command):
     output = result.stdout + result.stderr
     assert "Traceback" not in output
     errors = [line for line in output.splitlines() if line.startswith("error:")]
-    assert errors == ["error: KeyError: 'O2Level'"]
+    assert errors == ["error: cannot merge portions of different substances"]
     report = json.loads((tmp_path / "t.trace.report.json").read_text())
     assert report["exit_code"] == EXIT_CONFIG
     assert report["steps_executed"] == 4

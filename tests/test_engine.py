@@ -10,9 +10,9 @@ from semsim.engine import (
     send_signal,
 )
 from semsim.errors import (
-    CapacityExceeded,
     DuplicateNameError,
     FiredWhileDisabled,
+    ModelError,
     NoNervePath,
     SemsimError,
     StateError,
@@ -55,12 +55,13 @@ def test_register_mechanism_unknown_signal_compartment():
 
 
 def test_register_mechanism_dangling_reference():
+    from semsim.mechanisms import build_mechanism
     from semsim.models.cardio import gas_exchange_alv
 
     w = counter_world()
     w.define_scale(StateSpace("O2Level", ("low", "high"), "binary"))
     with pytest.raises(UnknownEntityError):
-        gas_exchange_alv(w, {"blood_at": "NotACompartment", "air_at": "A"})
+        build_mechanism(w, gas_exchange_alv(blood_at="NotACompartment", air_at="A"))
 
 
 def test_enabled_is_pure_guard_evaluation():
@@ -90,6 +91,17 @@ def test_fire_while_disabled_raises():
 def test_trigger_period_validation():
     with pytest.raises(Exception):
         Trigger("bad", period=0, target="m")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"period": "4"}, {"period": 4.0}, {"period": True}, {"phase": "x"}, {"phase": -1},
+     {"phase": False}, {"phase": None}, {"enabled": "no"}, {"enabled": 1}, {"enabled": None}],
+    ids=lambda fields: repr(fields),
+)
+def test_a_trigger_takes_int_period_and_phase_and_a_bool_enabled(fields):
+    with pytest.raises(ModelError, match="trigger 't' needs"):
+        Trigger("t", **{"period": 4, "target": "m", **fields})
 
 
 def test_trigger_dueness():
@@ -301,43 +313,6 @@ def test_the_trace_and_the_halt_are_each_stored_once():
     )
 
 
-def test_leftover_staged_batch_commits_at_step_end():
-    w = counter_world()
-    p = w.create_portion("blood", compartment="A")
-
-    def stage_only(ctx):
-        batch = ctx.new_batch()
-        ctx.stage(batch, p.id, "A", "B")
-
-    register_mechanism(w, Mechanism("stager", guard=(), effect=stage_only))
-    register_trigger(w, Trigger("t", period=100, target="stager"))
-    w.vocabulary = Vocabulary(literals=frozenset({"pushed ABlood", "trigger updates"}))
-    kernel = Kernel(w)
-    kernel.step()
-    assert p.compartment == "B"
-    assert kernel.trace_lines() == ["pushed ABlood", "trigger updates"]
-
-
-def test_leftover_batch_that_cannot_commit_is_dropped_as_a_violation():
-    w = counter_world()
-    w.define_substance("air", phase="gas")
-    air = w.create_portion("air", compartment="A")
-    w.create_portion("blood", entity_id="resident", compartment="B")
-
-    def stage_only(ctx):
-        ctx.stage(ctx.new_batch(), air.id, "A", "B")
-
-    register_mechanism(w, Mechanism("stager", guard=(), effect=stage_only))
-    register_trigger(w, Trigger("t", period=1, target="stager"))
-    kernel = Kernel(w, validate_policy="warn")
-    for tick in range(3):
-        report = kernel.step()
-        assert [v.rule for v in report.validation.violations] == [CapacityExceeded.__name__]
-        assert report.validation.violations[0].bindings["detail"].startswith("staged batch: ")
-    assert kernel.tick == 3 and kernel.pending_batches == []
-    assert air.compartment == "A" and w.compartments["B"].contents == ["resident"]
-
-
 def test_mixed_substance_collision_is_a_violation_not_a_wedge():
     world = build_cardio()
     kernel = Kernel(world, validate_policy="warn")
@@ -356,7 +331,6 @@ def test_mixed_substance_collision_is_a_violation_not_a_wedge():
         "cannot merge substances ['air', 'blood'])"
     ]
     assert {p.id: p.compartment for p in world.live_portions("blood")} == blood_before
-    assert kernel.pending_batches == []
 
     reports = kernel.run(20)
     assert len(reports) == 20 and kernel.tick == 25

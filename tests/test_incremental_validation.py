@@ -9,7 +9,18 @@ predicate index must hold exactly those triples.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsim import Kernel, Mechanism, StateSpace, Trigger, Triple, TriplePattern, Var, World
+from semsim import (
+    Kernel,
+    Mechanism,
+    MoveBatch,
+    StateSpace,
+    Trigger,
+    Triple,
+    TriplePattern,
+    Var,
+    World,
+    topology,
+)
 from semsim.engine import register_mechanism, register_trigger
 from semsim.cli import standard_rules
 from semsim.modelfile import load_model, save_model
@@ -347,8 +358,7 @@ def test_a_commit_that_fails_midway_leaves_the_snapshot_exact():
     world.create_portion("air", entity_id="stayer", compartment="Dst")
 
     def push(ctx):
-        batch = ctx.new_batch()
-        ctx.stage(batch, "mover", "Src", "Dst")
+        batch = topology.stage_move(ctx.world, MoveBatch(), "mover", "Src", "Dst")
         ctx.commit(batch)  # Dst would overflow, so nothing moves
 
     register_mechanism(world, Mechanism("push", guard=(), effect=push))

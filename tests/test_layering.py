@@ -26,10 +26,13 @@ one other place they are assigned.
 `semsim run` imports no dataclasses (and so no inspect): the record classes
 are plain classes, and starting a run does not pay for the decorator.
 
-Only the upgrader knows a version-1 form. The builtins `heartbeat_push` and
-`water_flowing` exist only in version-1 model files, and `modelfile.upgrade`
-rewrites them into version 2 before anything else reads the file. A module
-that named either again would bring back a second saved form of a model.
+Only the upgrader knows an old form. The builtins `heartbeat_push` and
+`water_flowing` exist only in version-1 model files, and the six builtins
+retired in version 3 (`gas_exchange_alv`, `cell_respiration`,
+`diffusion_check`, `medulla_sense`, `mix_external_air`, `freeze_watch`) only
+in version-1 and version-2 files; `modelfile.upgrade` rewrites them all into
+version 3 before anything else reads the file. A module that named one of
+them again would bring back a second saved form of a model.
 """
 import ast
 import subprocess
@@ -46,6 +49,10 @@ DECLARING_CONSTRUCTORS = {
     ("topology.py", "Compartment.__init__"): {"assigns .contents"},
 }
 VERSION_1_BUILTINS = {"heartbeat_push", "water_flowing"}
+RETIRED_BUILTINS = VERSION_1_BUILTINS | {
+    "gas_exchange_alv", "cell_respiration", "diffusion_check", "medulla_sense",
+    "mix_external_air", "freeze_watch",
+}
 CHANGE_CONSUMERS = {("validation.py", "Snapshot.refresh"), ("engine.py", "Kernel.step")}
 RECORD_WRITERS = {
     "mechanism_specs": {("world.py", "World.__init__"), ("engine.py", "register_mechanism")},
@@ -312,12 +319,12 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 def version_1_names(source: str):
     """(line, name, enclosing class and function) for every string constant
-    in source that is the name of a version-1 builtin."""
+    in source that is the name of a retired builtin."""
     return [
         (node.lineno, node.value, scope)
         for node, scope in _scoped(source)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        and node.value in VERSION_1_BUILTINS
+        and node.value in RETIRED_BUILTINS
     ]
 
 
@@ -328,7 +335,7 @@ def test_only_the_upgrader_names_a_version_1_builtin():
         for line, name, scope in version_1_names(path.read_text(encoding="utf-8")):
             assert (module, scope) == ("modelfile.py", "upgrade"), f"{module}:{line}: {name!r}"
             uses.add(name)
-    assert uses == VERSION_1_BUILTINS
+    assert uses == RETIRED_BUILTINS
 
 
 def test_the_guard_sees_each_version_1_builtin_name():
@@ -337,5 +344,11 @@ BUILTINS = {"heartbeat_push": make}
 def load(spec):
     \"\"\"Loads water_flowing files.\"\"\"
     return spec["builtin"] in ("water_flowing", "heartbeat_push_v2", f"{spec}")
+def gas_exchange_alv(name="freeze_watch"):
+    return {"effects": [["fire", "cell_respiration"]], "medulla_sense": 1}
 """
-    assert version_1_names(source) == [(2, "heartbeat_push", ""), (5, "water_flowing", "load")]
+    assert version_1_names(source) == [
+        (2, "heartbeat_push", ""), (5, "water_flowing", "load"),
+        (6, "freeze_watch", "gas_exchange_alv"), (7, "medulla_sense", "gas_exchange_alv"),
+        (7, "cell_respiration", "gas_exchange_alv"),
+    ]

@@ -8,10 +8,15 @@ from semsim.cli import standard_rules
 from semsim.errors import SchemaError
 from semsim.frames import bind, instantiate_fluidic_motion
 from semsim.modelfile import load_model, load_model_file, save_model, save_model_file, upgrade
-from semsim.models import build_cardio, build_waterfall
+from semsim.models import build_cardio, build_waterfall, medulla_sense
 from semsim.validation import derive_triples
 
-from saved_forms import WATER_FLOWING_FILE, saved_heartbeat_push, saved_water_flowing
+from saved_forms import (
+    WATER_FLOWING_FILE,
+    saved_cardio_version_2,
+    saved_heartbeat_push,
+    saved_water_flowing,
+)
 
 
 def test_cardio_roundtrip_triples_equal():
@@ -40,7 +45,7 @@ def test_a_file_saved_while_the_waterfall_was_built_by_hand_runs_as_before():
     assert [m["builtin"] for m in data["mechanisms"]] == ["water_flowing"]
     assert data["bindings"] == [] and data["objects"] == []
     worlds = [load_model_file(WATER_FLOWING_FILE), build_waterfall(n_portions=2)]
-    # It saves as version 2: the form the builder saves, not its own.
+    # It saves as version 3: the form the builder saves, not its own.
     assert json.dumps(save_model(worlds[0])) == json.dumps(save_model(worlds[1]))
 
     traces = []
@@ -156,6 +161,48 @@ def test_a_file_naming_the_heartbeat_builtin_runs_the_same_trace_and_saves_as_a_
     assert json.dumps(save_model(worlds[0])) == json.dumps(save_model(worlds[1]))
 
 
+def test_a_version_2_cardio_file_runs_the_same_trace_and_saves_its_mechanisms_as_data():
+    old = saved_cardio_version_2()
+    assert old["version"] == 2
+    assert [m["builtin"] for m in old["mechanisms"]] == [
+        "fluidic_motion", "gas_exchange_alv", "cell_respiration", "diffusion_check",
+        "medulla_sense", "inhale_cycle", "mix_external_air",
+    ]
+    worlds = [load_model(old), build_cardio()]
+    saved = json.dumps(save_model(worlds[0]))
+    assert saved == json.dumps(save_model(worlds[1]))
+    assert [m.get("builtin") for m in json.loads(saved)["mechanisms"]] == [
+        "fluidic_motion", None, None, None, None, "inhale_cycle", None,
+    ]
+    kernels = [Kernel(world) for world in worlds]
+    for kernel in kernels:
+        standard_rules(kernel)
+    for ticks in (3, 197):  # the saved forms agree after 3 and after 200 ticks
+        for kernel in kernels:
+            kernel.run(ticks)
+        assert json.dumps(save_model(worlds[0])) == json.dumps(save_model(worlds[1]))
+    trace = kernels[0].trace_lines()
+    assert not kernels[0].halted and trace == kernels[1].trace_lines()
+    text = "".join(line + "\n" for line in trace).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == (
+        "cded0b1e1cb55a80478313dcdaad685cbb315eabb836bcb9cac3858948e48552"
+    )
+
+
+def test_upgrade_writes_each_retired_builtin_as_its_template_with_the_entry_params():
+    old = saved_cardio_version_2("MedullaSense", blood_at="CellCap")
+    new = upgrade(old)
+    assert new["mechanisms"][4] == medulla_sense(
+        name="MedullaSense", blood_at="CellCap", nerve_from="Medulla", nerve_to="Diaphragm"
+    )
+    assert new["mechanisms"][4]["guard"] == [["occupant", "blood", "CellCap", "CO2Level", "high"]]
+    old["mechanisms"][4]["params"]["nerve_form"] = "Medulla"
+    with pytest.raises(SchemaError) as exc:
+        upgrade(old)
+    assert str(exc.value).startswith("mechanisms[4]: malformed entry: ")
+    assert "nerve_form" in str(exc.value)
+
+
 def test_a_file_naming_the_heartbeat_builtin_needs_no_frames():
     old = saved_heartbeat_push()
     old["frames"] = []
@@ -168,16 +215,16 @@ def test_a_file_naming_the_heartbeat_builtin_needs_no_frames():
     assert list(load_model(old).frames) == ["Motion", "Natural_Features", "Fluidic_Motion"]
 
 
-@pytest.mark.parametrize("saved", [saved_heartbeat_push, saved_water_flowing])
+@pytest.mark.parametrize("saved", [saved_heartbeat_push, saved_water_flowing, saved_cardio_version_2])
 def test_upgrade_leaves_its_argument_unchanged(saved):
     old = saved()
     new = upgrade(old)
     assert old == saved()
-    assert new["version"] == 2 and old["version"] == 1
-    assert [m["builtin"] for m in new["mechanisms"]][:1] == ["fluidic_motion"]
+    assert new["version"] == 3 and old["version"] in (1, 2)
+    assert new["mechanisms"][0]["builtin"] == "fluidic_motion"
 
 
-def test_upgrade_returns_a_version_2_document_unchanged():
+def test_upgrade_returns_a_version_3_document_unchanged():
     data = save_model(build_cardio())
     assert upgrade(data) is data
     assert data == save_model(build_cardio())
@@ -242,7 +289,7 @@ def test_wrong_format_marker():
         load_model({"format": "something-else", "name": "x"})
 
 
-@pytest.mark.parametrize("version", [3, "1", True, None, 2.0])
+@pytest.mark.parametrize("version", [4, "1", True, None, 2.0])
 def test_unsupported_version_marker_rejected(version):
     data = dict(save_model(build_waterfall(n_portions=1)), version=version)
     with pytest.raises(SchemaError) as exc:
@@ -315,6 +362,56 @@ def test_duplicate_portion_id_diagnosed():
     with pytest.raises(SchemaError) as exc:
         load_model(data)
     assert "duplicate portion id" in str(exc.value)
+
+
+def _object(data, **fields):
+    data["objects"].append(dict(data["objects"][0], **fields))
+    return f"objects[{len(data['objects']) - 1}]"
+
+
+def _portion(data, **fields):
+    data["portions"].append(dict(data["portions"][0], alive=False, compartment=None, **fields))
+    return f"portions[{len(data['portions']) - 1}]"
+
+
+@pytest.mark.parametrize(
+    "add, what, entity",
+    [
+        (lambda data: _object(data, kind="Lungs"), "object", "heart"),
+        (lambda data: _object(data, id="blood", kind="Lungs"), "object", "blood"),
+        (lambda data: _portion(data, id="heart"), "portion", "heart"),
+        (lambda data: _portion(data, id="air"), "portion", "air"),
+    ],
+    ids=["second-heart", "object-called-blood", "portion-called-heart", "portion-called-air"],
+)
+def test_an_entity_id_already_in_use_is_refused(add, what, entity):
+    data = save_model(build_cardio())
+    loc = add(data)
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == f"{loc}: duplicate {what} id {entity!r}"
+
+
+@pytest.mark.parametrize(
+    "vocabulary",
+    [{"literals": "abc"}, {"literals": ("a",)}, {"patterns": r"\\d+ pool"}, {"literals": [1]}],
+    ids=repr,
+)
+def test_vocabulary_literals_and_patterns_are_lists_of_strings(vocabulary):
+    data = save_model(build_waterfall(n_portions=1))
+    data["vocabulary"] = vocabulary
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == "vocabulary: literals and patterns must be lists of strings"
+
+
+@pytest.mark.parametrize("count", [True, False, -1, 1.0, "1"])
+def test_a_counter_is_an_int_not_a_bool(count):
+    data = save_model(build_cardio())
+    data["counters"]["blood"] = count
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == "counters: counter 'blood' must be a non-negative integer"
 
 
 def test_counters_roundtrip_prevents_id_collisions():

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from semsim import Kernel
 from semsim.cli import standard_rules
 from semsim.errors import ModelError
+from semsim.mechanisms import build_mechanism
 from semsim.modelfile import load_model
 from semsim.models import (
     CardioConfig,
     WaterfallConfig,
     build_cardio,
     build_waterfall,
-    freeze_watch_mechanism,
+    freeze_watch,
     waterfall_path,
 )
 from semsim.scenarios import (
@@ -202,7 +203,7 @@ def test_ambient_freeze_rule():
     from semsim.engine import Trigger, register_trigger
 
     world = build_waterfall(n_portions=5)
-    freeze_watch_mechanism(world, {})
+    build_mechanism(world, freeze_watch())
     register_trigger(world, Trigger("FreezeWatch", period=1, target="FreezeWatch"))
     kernel = Kernel(world)
     standard_rules(kernel)

@@ -317,6 +317,15 @@ def test_every_record_without_a_callable_field_pickles(record):
     _assert_same_record(pickle.loads(pickle.dumps(record)), record)
 
 
+def test_a_circuit_hashes_on_its_name_and_order_and_compares_all_three_fields():
+    ring = Circuit("ring", ("A", "B"), {"A": ("B",), "B": ("A",)})
+    same = Circuit("ring", ("A", "B"), {"A": ("B",), "B": ("A",)})
+    assert hash(ring) == hash(same) and len({ring, same}) == 1
+    dead_end = Circuit("ring", ("A", "B"), {"A": ("B",)})
+    assert dead_end != ring and hash(dead_end) == hash(ring)
+    assert hash(copy.deepcopy(ring)) == hash(ring) and copy.copy(ring) == ring
+
+
 def test_a_copied_record_rebuilds_its_derived_fields():
     pattern = copy.deepcopy(TriplePattern(Var("p"), "locatedIn", "LeftAtrium"))
     assert pattern._ground == ((1, "locatedIn"), (2, "LeftAtrium"))

@@ -131,7 +131,7 @@ class Console:
     def __init__(self, world, kernel, steps: int | None, out=None, inp=None):
         self.world = world
         self.kernel = kernel
-        self.steps = steps  # the session's step budget, None for none
+        self.stop = None if steps is None else kernel.tick + steps  # None: no budget
         self.out = out or sys.stdout
         self.inp = inp or sys.stdin
 
@@ -154,7 +154,7 @@ class Console:
             if self.kernel.halted:
                 self._print(f"halted at step {self.kernel.halted_at}")
                 return
-            if self.steps is not None and self.kernel.tick >= self.steps:
+            if self.stop is not None and self.kernel.tick >= self.stop:
                 self._print("step budget exhausted")
                 return
             self._print(self.kernel.step().describe())
@@ -162,10 +162,10 @@ class Console:
     def _resume(self):
         if self._stopped():
             return
-        if self.steps is None:
+        if self.stop is None:
             self._print("no step budget; use `step [k]`, or restart with --steps")
             return
-        self.kernel.run(self.steps - self.kernel.tick)
+        self.kernel.run(self.stop - self.kernel.tick)
         self._print(f"paused at step {self.kernel.tick}")
 
     def run(self):

@@ -17,6 +17,11 @@ Two execution modes:
   validation follow as in deterministic mode. Causal ordering holds, and a
   run replays exactly from its seed.
 
+The world holds what a run carries on from: its clock, the tick the next
+step runs, and the signals in transit, which a step takes, delivers after
+the triggers, and replaces with those it sends. So a kernel on a saved and
+reloaded world carries on where the run stopped.
+
 Validation after each step is incremental: the kernel owns one
 validation.Snapshot and refreshes it from the world's recorded changes.
 With the policy off it keeps none and only clears those records, and a
@@ -122,19 +127,12 @@ class Trigger(Record):
 class Signal(FrozenRecord):
     """A nerve-style message between compartments."""
 
-    _fields = ("sender", "receiver", "payload", "via")
+    _fields = ("sender", "receiver", "payload")
 
-    def __init__(
-        self,
-        sender: str,
-        receiver: str,
-        payload: str,
-        via: tuple[str, str, str] | None = None,  # the nerve connection key, set on send
-    ):
+    def __init__(self, sender: str, receiver: str, payload: str):
         set_field(self, "sender", sender)
         set_field(self, "receiver", receiver)
         set_field(self, "payload", payload)
-        set_field(self, "via", via)
 
 
 class TraceEvent(FrozenRecord):
@@ -251,7 +249,7 @@ class FireContext:
         return self.world.set_state(entity_id, variable, label)
 
     def emit_signal(self, sender: str, receiver: str, payload: str):
-        return send_signal(self.kernel, Signal(sender, receiver, payload))
+        send_signal(self.kernel, Signal(sender, receiver, payload))
 
     def commit(self, batch: MoveBatch, circuit: Circuit | None = None):
         record = topology.commit(self.world, batch, circuit)
@@ -296,24 +294,19 @@ def fire(
     return record
 
 
-def send_signal(kernel: "Kernel", signal: Signal) -> Signal:
-    """Queue a signal for delivery at the next tick over a nerve connection."""
+def send_signal(kernel: "Kernel", signal: Signal):
+    """Put a signal in transit over a nerve connection; the next step delivers it."""
     world = kernel.world
     for cid in (signal.sender, signal.receiver):
         if cid not in world.compartments:
             raise UnknownEntityError(f"no compartment {cid!r} for signal")
     if not world.is_connected(signal.sender, signal.receiver, "nerve"):
         raise NoNervePath(f"no nerve connection {signal.sender!r} -> {signal.receiver!r}")
-    routed = Signal(
-        signal.sender, signal.receiver, signal.payload,
-        via=(signal.sender, signal.receiver, "nerve"),
-    )
-    kernel.pending_signals.append((kernel.tick + 1, routed))
-    return routed
+    world.signals.append(signal)
 
 
 class Kernel:
-    """Owns the tick counter, the per-step reports, which hold the trace, and the fault."""
+    """Steps a world on its clock; owns the per-step reports, which hold the trace, and the fault."""
 
     def __init__(
         self,
@@ -331,10 +324,8 @@ class Kernel:
         self.validate_policy = validate_policy
         self.include_side_effects = include_side_effects
         self.rng = random.Random(seed)
-        self.tick = 0
         self.reports: list[StepReport] = []
         self.rules: dict[str, validation.AssertionRule] = {}
-        self.pending_signals: list[tuple[int, Signal]] = []
         self.halted_at: int | None = None
         self.current_report = StepReport(step=0)
         self.snapshot: validation.Snapshot | None = None  # None while validation is off
@@ -342,6 +333,11 @@ class Kernel:
         self._wiring_errors: list[tuple[str, str]] = []
 
     # ------------------------------------------------------------------
+
+    @property
+    def tick(self) -> int:
+        """The tick the next step runs: the world's clock."""
+        return self.world.clock
 
     @property
     def halted(self) -> bool:
@@ -362,7 +358,7 @@ class Kernel:
                 f"line {line!r} is not in the declared vocabulary of "
                 f"{self.world.name!r}"
             )
-        self.current_report.traces.append(TraceEvent(self.tick, canonical))
+        self.current_report.traces.append(TraceEvent(self.current_report.step, canonical))
 
     def trace_lines(self) -> list[str]:
         return [e.line for e in self.trace]
@@ -389,32 +385,31 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def step(self) -> StepReport:
-        """Run everything due at the current tick, then validate; refused after a fault."""
+        """Run everything due at the world's clock, validate, advance the clock; refused after a fault."""
+        world = self.world
+        tick = world.clock
         if self.fault is not None:
             interrupted = isinstance(self.fault, KeyboardInterrupt)
             reason = "was interrupted" if interrupted else f"raised: {describe(self.fault)}"
-            raise SemsimError(f"step {self.tick} {reason}") from self.fault
+            raise SemsimError(f"step {tick} {reason}") from self.fault
         try:
-            self.world.clock = self.tick
-            self.world.last_commits = []
+            world.last_commits = []
             self._wiring_errors = []
-            self.current_report = StepReport(step=self.tick)
+            self.current_report = StepReport(step=tick)
+            # Signals sent during this step are delivered at the next.
+            signals, world.signals = world.signals, []
 
-            due = [t for t in self.world.triggers.values() if t.due(self.tick)]
+            due = [t for t in world.triggers.values() if t.due(tick)]
             due.sort(key=lambda t: (t.period, t.name))
             if self.mode == "concurrent":
                 due = self._shuffle_subsystems(due)
             for trig in due:
-                self._dispatch(self.world.mechanisms[trig.target], f"trigger:{trig.name}")
+                self._dispatch(world.mechanisms[trig.target], f"trigger:{trig.name}")
 
             # Signal deliveries, in emission order.
-            deliveries = [s for due_at, s in self.pending_signals if due_at <= self.tick]
-            self.pending_signals = [
-                (due_at, s) for due_at, s in self.pending_signals if due_at > self.tick
-            ]
-            for signal in deliveries:
+            for signal in signals:
                 receivers = [
-                    m for m in self.world.mechanisms.values() if m.on_signal == signal.receiver
+                    m for m in world.mechanisms.values() if m.on_signal == signal.receiver
                 ]
                 if not receivers:
                     raise UnknownEntityError(
@@ -426,13 +421,13 @@ class Kernel:
             report = self.current_report
             if self.validate_policy == "off":
                 self.snapshot = None
-                self.world.clear_changes()
+                world.clear_changes()
             elif self.snapshot is None:
-                self.world.clear_changes()  # the build below sees every change
-                self.snapshot = validation.Snapshot(self.world, validation.rule_scope(self.rules))
+                world.clear_changes()  # the build below sees every change
+                self.snapshot = validation.Snapshot(world, validation.rule_scope(self.rules))
             unchecked = self.validate_policy == "off" and not self._wiring_errors
             report.validation = validation.NOT_VALIDATED if unchecked else validation.validate(
-                self.world, self.tick, self.rules, self.validate_policy, self.snapshot
+                world, tick, self.rules, self.validate_policy, self.snapshot
             )
             if self._wiring_errors:
                 report.validation.violations[:0] = [
@@ -442,8 +437,8 @@ class Kernel:
             self.reports.append(report)
 
             if self.validate_policy == "halt" and report.validation.violations:
-                self.halted_at = self.tick
-            self.tick += 1
+                self.halted_at = tick
+            world.clock = tick + 1
             return report
         except BaseException as exc:
             self.fault = exc

@@ -281,15 +281,13 @@ def path_flow(
     n_portions: int | None = None,
     portion_kind: str | None = None,
 ) -> Mechanism:
-    """A flow down a PathSpec. Each firing releases portion "<fluid>-<i>",
-    carries it down every leg in closed form (length × per-unit delta: nothing
-    observes it mid-leg), setting each leg's label and then the goal's, and
-    emits "<i> <goal_label>". The cursor i is the flow's own, world state in
-    world.flow_cursors that a model file saves: it starts at the number of
-    portions of the fluid that exist when the flow is built, so its ids do
-    not collide with theirs, and advances only with the flow's releases.
-    With a portion kind, every label is checked against its Location space
-    here.
+    """A flow down a PathSpec. Each firing releases a portion of the fluid,
+    "<fluid>-<i>" as world.next_id mints it, carries it down every leg in
+    closed form (length × per-unit delta: nothing observes it mid-leg),
+    setting each leg's label and then the goal's, and emits "<i> <goal_label>".
+    The flow keeps no state of its own: the world's id counter for the fluid,
+    which a model file saves, bounds the releases by n_portions. With a
+    portion kind, every label is checked against its Location space here.
     """
     if portion_kind is not None:
         if world.effective_substance(portion_kind) != fluid:
@@ -306,30 +304,24 @@ def path_flow(
         for seg in path.segments
     )
 
-    # A taken name is refused when the flow is registered: leave its cursor.
-    if mech_name not in world.mechanisms:
-        world.flow_cursors[mech_name] = world.portion_counts.get(fluid, 0)
-
     def remaining(w) -> bool:
-        return n_portions is None or w.flow_cursors[mech_name] < n_portions
+        return n_portions is None or w._counters.get(fluid, 0) < n_portions
 
     def effect(ctx):
         w = ctx.world
-        i = w.flow_cursors[mech_name]
-        pid = f"{fluid}-{i}"
         if portion_kind is not None:
-            portion = w.instantiate(portion_kind, entity_id=pid)
+            portion = w.instantiate(portion_kind)
         else:
-            portion = w.create_portion(fluid, entity_id=pid)
+            portion = w.create_portion(fluid)
             portion.x, portion.y = 0, 0
-        w.flow_cursors[mech_name] = i + 1
+        pid = portion.id
         for label, dx, dy in legs:
             if label is not None:
                 w.set_state(pid, "Location", label)
             portion.x += dx
             portion.y += dy
         w.set_state(pid, "Location", goal_label)
-        ctx.emit(f"{i} {goal_label}")
+        ctx.emit(f"{pid.rpartition('-')[2]} {goal_label}")
 
     return Mechanism(
         mech_name,

@@ -7,8 +7,10 @@ effect is a list of strings, its kind first (CONDITIONS, EFFECTS).
 once, at registration, into the engine's Mechanism of Conditions and effect
 closures, so a step pays nothing to interpret them. `check_links` checks,
 once all are registered, that each signal has a receiver and each fired
-member exists. A missing fluid or nerve connection is left to the run, which
-reports it as a violation: a scenario may cut one.
+member exists, and that no mechanism fires itself, directly or through its
+members: nested firing happens within one step, so a cycle never ends. A
+missing fluid or nerve connection is left to the run, which reports it as a
+violation: a scenario may cut one.
 """
 from __future__ import annotations
 
@@ -172,12 +174,27 @@ def build_mechanism(world: World, spec: dict) -> Mechanism:
     return register_mechanism(world, mechanism, {k: v for k, v in spec.items() if k != "name"})
 
 
+def _fired(spec: dict) -> list[str]:
+    return [args[0] for kind, *args in spec.get("effects", []) + spec.get("side_effects", [])
+            if kind == "fire"]
+
+
 def check_links(world: World, spec: dict):
-    """A mechanism's signals each reach one listening on their receiver, and
-    the members it fires are registered."""
+    """A mechanism's signals each reach one listening on their receiver, the
+    members it fires are registered, and none of them fires it again."""
     listening = {m.on_signal for m in world.mechanisms.values()}
     for kind, *args in spec.get("effects", []) + spec.get("side_effects", []):
         if kind == "signal" and args[1] not in listening:
             raise UnknownEntityError(f"signal to {args[1]!r} has no receiving mechanism")
         if kind == "fire":
             need(world.mechanisms, args[0], "mechanism to fire")
+    name, specs = spec.get("name"), {s["name"]: s for s in world.mechanism_specs}
+    paths, seen = [(name,)], set()
+    while paths:
+        path = paths.pop()
+        for member in _fired(specs.get(path[-1], {})):
+            if member == name:
+                raise ModelError(f"fire cycle {' -> '.join(path + (member,))}")
+            if member not in seen:
+                seen.add(member)
+                paths.append(path + (member,))

@@ -1,14 +1,15 @@
 """Declarative model files: JSON documents that rebuild a world exactly.
 
-A file holds the full initial model - scales, substances, kinds, topology,
+A file holds the full model - scales, substances, kinds, topology,
 portions, mechanisms (as data, or by builtin name plus parameters),
-triggers, frames, bindings, annotations, and ambient state - so a reloaded
-world produces the same triple snapshot as the programmatic build. Runtime
-history (the transitional log, traces) is not part of a model file. Files
-are saved as version 3; a version-1 or version-2 file (no version reads as
-1) loads through `upgrade`, the one place that knows their forms. Once
-every mechanism is built, the loader checks each one's signals and fired
-members (semsim.mechanisms).
+triggers, frames, bindings, annotations, ambient state, id counters, the
+clock and the signals in transit - so a reloaded world produces the same
+triple snapshot as the programmatic build, and a kernel on it carries on
+the run. Runtime history (the transitional log, traces) is not part of a
+model file. Files are saved as version 4; older files (no version reads as
+1) load through `upgrade`, the one place that knows their forms. Once every
+mechanism is built, the loader checks each one's signals and fired members
+(semsim.mechanisms).
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import models
-from .engine import Trigger, register_trigger
+from .engine import Signal, Trigger, register_trigger
 from .entities import (
     PartSpec,
     Portion,
@@ -30,11 +31,11 @@ from .entities import (
 )
 from .errors import ModelError, SchemaError, SemsimError
 from .frames import FrameBinding, PathSegment, PathSpec, define_frame, add_lexical_entry, standard_frames
-from .mechanisms import build_mechanism, check_links
+from .mechanisms import EFFECTS, build_mechanism, check_links, compile_items
 from .world import Vocabulary, World
 
 FORMAT = "semsim-model"
-VERSION = 3
+VERSION = 4
 
 
 def _space_to_dict(space: StateSpace) -> dict:
@@ -93,14 +94,6 @@ def _binding_to_dict(frame: str, elements: dict) -> dict:
 def _frame_to_dict(frame) -> dict:
     return {"name": frame.name, "core": list(frame.core_elements),
             "non_core": list(frame.non_core_elements), "text": frame.definition_text}
-
-
-def _mechanism_to_dict(world: World, spec: dict) -> dict:
-    """A mechanism's build record, plus a path flow's cursor."""
-    entry = dict(spec)
-    if spec["name"] in world.flow_cursors:
-        entry["cursor"] = world.flow_cursors[spec["name"]]
-    return entry
 
 
 def save_model(world: World) -> dict:
@@ -199,7 +192,7 @@ def save_model(world: World) -> dict:
             for e in world.lexicon.values()
         ],
         "bindings": [_binding_to_dict(b.frame.name, b.element_map) for b in world.bindings],
-        "mechanisms": [_mechanism_to_dict(world, spec) for spec in world.mechanism_specs],
+        "mechanisms": [dict(spec) for spec in world.mechanism_specs],
         "triggers": [
             {
                 "name": t.name,
@@ -223,6 +216,8 @@ def save_model(world: World) -> dict:
         ],
         "ambient": {k: v.level for k, v in world.microworld.ambient.items()},
         "counters": dict(world._counters),
+        "clock": world.clock,
+        "signals": [[s.sender, s.receiver, s.payload] for s in world.signals],
     }
 
 
@@ -292,14 +287,26 @@ def _water_flowing_v1(data: dict, params: dict):
     return elements, {"name": name, "n_portions": n_portions, "portion_kind": "WaterPortion"}
 
 
+def _path_flow_fluid(data: dict, spec: dict):
+    """The fluid of a fluidic_motion entry whose binding's Path is a path, or None."""
+    try:
+        elements = data["bindings"][spec.get("params", {}).get("binding", 0)]["elements"]
+        if spec["builtin"] == "fluidic_motion" and elements["Path"]["type"] == "path":
+            return elements["Fluid"]["id"]
+    except (LookupError, TypeError, AttributeError):
+        return None
+
+
 def upgrade(data: dict) -> dict:
-    """The document as version 3, its argument unchanged. In version 1, each
+    """The document as version 4, its argument unchanged. In version 1, each
     version-1 builtin's entry becomes a binding (and its frame, if missing) and
     a fluidic_motion entry; in versions 1 and 2, each entry of a builtin
-    retired in version 3 becomes its template's data form."""
+    retired in version 3 becomes its template's data form; in versions 1 to 3,
+    each path flow's cursor, the index of its next portion, becomes the
+    world's id counter for its fluid."""
     version = data.get("version", 1)
-    if type(version) is not int or version not in (1, 2, VERSION):  # bool and float are not versions
-        raise SchemaError(f"unsupported version {version!r} (expected 1, 2 or {VERSION})", "version")
+    if type(version) is not int or not 1 <= version <= VERSION:  # bool and float are not versions
+        raise SchemaError(f"unsupported version {version!r} (expected 1 to {VERSION})", "version")
     if version == VERSION:
         return data
     rewrites = {"heartbeat_push": _heartbeat_push_v1, "water_flowing": _water_flowing_v1}
@@ -317,11 +324,26 @@ def upgrade(data: dict) -> dict:
                 data["bindings"] = [*bindings, _binding_to_dict("Fluidic_Motion", elements)]
                 params = {"binding": len(bindings), **params}
                 data["mechanisms"][i] = dict(spec, builtin="fluidic_motion", params=params)
-            elif builtin in retired:
+            elif version < 3 and builtin in retired:
                 params = dict(spec.get("params", {}))
                 if "name" in spec:
                     params["name"] = spec["name"]
                 data["mechanisms"][i] = getattr(models, builtin)(**params)
+    # A flow without a cursor counted the fluid's portions, as flows did then.
+    counters = data["counters"] = dict(_section(data, "counters", dict))
+    for i, (loc, spec) in enumerate(_entries(data, "mechanisms")):
+        with _diagnosed(loc):
+            fluid, cursor = _path_flow_fluid(data, spec), spec.get("cursor")
+            if "cursor" in spec and spec.get("builtin") in (None, *models.BUILTIN_MECHANISMS):
+                if fluid is None:
+                    raise SchemaError(f"{spec.get('name')!r} is not a path flow; it has no cursor", loc)
+                if type(cursor) is not int or cursor < 0:  # bool is not a cursor
+                    raise SchemaError(f"cursor must be an int >= 0, not {cursor!r}", loc)
+                data["mechanisms"][i] = {k: v for k, v in spec.items() if k != "cursor"}
+            elif fluid is not None:
+                cursor = sum(p.get("substance") == fluid for _, p in _entries(data, "portions"))
+            if fluid is not None and cursor > counters.get(fluid, 0):
+                counters[fluid] = cursor
     return data
 
 
@@ -495,18 +517,7 @@ def load_model(data: dict) -> World:
             params = dict(spec.get("params", {}))
             if "name" in spec:
                 params["name"] = spec["name"]
-            mechanism = models.BUILTIN_MECHANISMS[builtin](world, params)
-            # A file without a path flow's cursor keeps the one the build
-            # set: the fluid's portion count, as flows counted before.
-            if "cursor" in spec:
-                cursor = spec["cursor"]
-                if mechanism.name not in world.flow_cursors:
-                    raise SchemaError(
-                        f"{mechanism.name!r} is not a path flow; it has no cursor", loc
-                    )
-                if type(cursor) is not int or cursor < 0:  # bool is not a cursor
-                    raise SchemaError(f"cursor must be an int >= 0, not {cursor!r}", loc)
-                world.flow_cursors[mechanism.name] = cursor
+            models.BUILTIN_MECHANISMS[builtin](world, params)
 
     # A mechanism may signal or fire one that comes after it in the file.
     for i, spec in enumerate(world.mechanism_specs):
@@ -542,6 +553,16 @@ def load_model(data: dict) -> World:
         if type(n) is not int or n < 0:  # bool is not a count
             raise SchemaError(f"counter {prefix!r} must be a non-negative integer", "counters")
         world._counters[prefix] = n
+
+    world.clock = data.get("clock", 0)
+    if type(world.clock) is not int or world.clock < 0:  # bool is not a tick
+        raise SchemaError(f"must be an int >= 0, not {world.clock!r}", "clock")
+    for i, signal in enumerate(_section(data, "signals")):
+        with _diagnosed(f"signals[{i}]"):  # checked as the effect that sent it
+            sent = ["signal", *signal]
+            compile_items(world, EFFECTS, [sent], "signal")
+            check_links(world, {"effects": [sent]})
+            world.signals.append(Signal(*signal))
 
     return world
 

@@ -56,21 +56,19 @@ def _default_periods() -> dict[str, int]:
 
 class CardioConfig(Record):
     _fields = (
-        "blood_compartments", "air_compartments", "circuit", "periods",
+        "blood_compartments", "circuit", "periods",
         "initial_blood", "initial_air",
     )
 
     def __init__(
         self,
         blood_compartments: tuple[str, ...] = BLOOD_ORDER,
-        air_compartments: tuple[str, ...] = AIR_ORDER,
         circuit: dict[str, tuple[str, ...]] | None = None,
         periods: dict[str, int] | None = None,
         initial_blood: dict[str, str] | None = None,
         initial_air: dict[str, str] | None = None,
     ):
         self.blood_compartments = blood_compartments
-        self.air_compartments = air_compartments
         self.circuit = dict(CIRCUIT) if circuit is None else circuit
         self.periods = _default_periods() if periods is None else periods
         self.initial_blood = (

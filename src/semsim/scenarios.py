@@ -61,8 +61,7 @@ def apply_scenario(world: World, scenario: Scenario) -> Annotation:
             world.remove_connection(*directive.args)
     world.scenarios[scenario.name] = scenario
     note = f"scenario {scenario.name!r} applied at step {world.clock}"
-    annotation = world.annotate(world.name, "user_comment", note)
-    return annotation
+    return world.annotate(world.name, "user_comment", note)
 
 
 def _directive(entry: dict) -> Directive:

@@ -21,7 +21,6 @@ builds a world, is safe only before a snapshot's first (full) build.
 from __future__ import annotations
 
 import re
-from collections import Counter
 
 from .entities import (
     SUPPORTED_SCALE_KINDS,
@@ -163,7 +162,6 @@ class World:
         self.objects: dict[str, SemObject] = {}
         self.portions: dict[str, Portion] = {}  # every portion ever made
         self.live_registry: dict[str, Portion] = {}  # the live ones, in birth order
-        self.flow_cursors: dict[str, int] = {}  # path flow -> index of its next portion
         self.compartments: dict[str, Compartment] = {}
         self.connections: dict[tuple[str, str, str], Connection] = {}
         self.circuits: dict[str, Circuit] = {}
@@ -180,7 +178,8 @@ class World:
         self.assertions: list[FunctionAssertion] = []
         self.transitional_log: list[Transitional] = []
         self.vocabulary = Vocabulary()
-        self.clock = 0
+        self.clock = 0  # the tick the next kernel step runs
+        self.signals: list = []  # Signals in transit (engine module), delivered next step
         self.last_commits: list = []  # CommitRecords, cleared per kernel step
         self._counters: dict[str, int] = {}
         self.touched: set[str] = set()  # ids whose triples may have changed
@@ -189,12 +188,6 @@ class World:
     def clear_changes(self):
         self.touched.clear()
         self.wiring_changed = False
-
-    @property
-    def portion_counts(self) -> dict[str, int]:
-        """Portions ever registered, dead ones included, per substance;
-        counted on demand, since only a path flow's build reads it."""
-        return dict(Counter(p.substance for p in self.portions.values()))
 
     # ------------------------------------------------------------------
     # identifiers

@@ -1,7 +1,8 @@
-"""Model files in the forms semsim saved before version 3: version 1, before
-the circulation and the waterfall were bindings, and version 2, before
-mechanisms were data. The loader reads them through `modelfile.upgrade`;
-these files pin those forms."""
+"""Model files in the forms semsim saved before version 4: version 1, before
+the circulation and the waterfall were bindings, version 2, before
+mechanisms were data, and version 3, while each path flow kept its own
+cursor and no file carried the clock or the signals in transit. The loader
+reads them through `modelfile.upgrade`; these files pin those forms."""
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 WATER_FLOWING_FILE = GOLDEN / "waterfall_water_flowing.json"
 HEARTBEAT_PUSH_FILE = GOLDEN / "cardio_heartbeat_push.json"
 CARDIO_VERSION_2_FILE = GOLDEN / "cardio_version_2.json"
+WATERFALL_VERSION_3_FILE = GOLDEN / "waterfall_version_3.json"
 
 
 def saved_water_flowing(**params) -> dict:
@@ -39,3 +41,10 @@ def saved_cardio_version_2(name: str | None = None, **params) -> dict:
         if spec["name"] == name:
             spec["params"].update(params)
     return data
+
+
+def saved_waterfall_version_3() -> dict:
+    """A 3-portion waterfall on a 3-unit bed and a 2-unit drop, with a water
+    portion "puddle" made by hand, saved in version 3 after one tick: the
+    flow's entry has "cursor": 1, the index of its next portion."""
+    return json.loads(WATERFALL_VERSION_3_FILE.read_text(encoding="utf-8"))

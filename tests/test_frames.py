@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,7 +29,7 @@ from semsim.models import (
 from semsim.engine import Trigger, guard_report, register_trigger
 from semsim.modelfile import load_model, save_model
 
-from saved_forms import saved_water_flowing
+from saved_forms import saved_water_flowing, saved_waterfall_version_3
 
 
 def test_define_frame_fluidic_motion():
@@ -209,19 +211,40 @@ def test_a_flow_counts_its_own_releases_not_every_portion_of_its_fluid(build):
     kernel = Kernel(world)
     kernel.run(3)
     assert kernel.trace_lines() == ["0 pool", "1 pool"]
-    assert world.flow_cursors == {"WaterFlowing": 2}
+    assert save_model(world)["counters"] == {"water": 2}
     assert world.portions["puddle"].location_state == "null"
+
+
+def test_two_path_flows_of_one_fluid_release_distinct_portions_and_both_pool():
+    world = build_waterfall(WaterfallConfig(upper_bed_length=3, vertical_drop=2), n_portions=4)
+    binding = bind(world, "Fluidic_Motion", dict(world.bindings[0].element_map))
+    instantiate_fluidic_motion(world, binding, name="SecondFlow", portion_kind="WaterPortion")
+    register_trigger(world, Trigger("SecondFlowTrigger", period=1, target="SecondFlow"))
+    kernel = Kernel(world)
+    kernel.run(2)
+    # Each tick Flow releases first, then SecondFlowTrigger; both mint from one counter.
+    assert kernel.trace_lines() == ["0 pool", "1 pool", "2 pool", "3 pool"]
+    assert sorted(world.portions) == [f"water-{i}" for i in range(4)]
+    assert all(p.location_state == "pool" for p in world.portions.values())
+    reloaded = load_model(save_model(world))
+    rest = Kernel(reloaded)
+    rest.run(2)  # WaterFlowing's budget of 4 is spent; SecondFlow has none
+    assert rest.trace_lines() == ["4 pool", "5 pool"]
 
 
 @pytest.mark.parametrize("build", [_build_hand, _build_framed], ids=["hand", "frames"])
 def test_a_saved_flow_cursor_resumes_and_an_old_file_resumes_as_before(build):
+    # The version-3 file holds this world, saved with the flow's cursor and no clock.
     world = build(3)
     world.create_portion("water", entity_id="puddle")
     Kernel(world).run(1)
-    data = save_model(world)
+    data = saved_waterfall_version_3()
     (entry,) = [m for m in data["mechanisms"] if m["name"] == "WaterFlowing"]
-    assert entry["cursor"] == 1
-    kernel = Kernel(load_model(data))
+    assert data["version"] == 3 and entry["cursor"] == 1
+    reloaded = load_model(data)
+    assert reloaded.clock == 0 and world.clock == 1
+    assert json.dumps(save_model(reloaded)) == json.dumps(dict(save_model(world), clock=0))
+    kernel = Kernel(reloaded)
     kernel.run(3)
     assert kernel.trace_lines() == ["1 pool", "2 pool"]
 
@@ -229,7 +252,7 @@ def test_a_saved_flow_cursor_resumes_and_an_old_file_resumes_as_before(build):
     # flows did then: water-0 and the puddle.
     del entry["cursor"]
     old = load_model(data)
-    assert old.flow_cursors == {"WaterFlowing": 2}
+    assert save_model(old)["counters"] == {"water": 2}
     kernel = Kernel(old)
     kernel.run(3)
     assert kernel.trace_lines() == ["2 pool"]
@@ -237,7 +260,7 @@ def test_a_saved_flow_cursor_resumes_and_an_old_file_resumes_as_before(build):
 
 @pytest.mark.parametrize("cursor", [-1, True, 1.0, "1"])
 def test_a_malformed_flow_cursor_is_refused(cursor):
-    data = save_model(_build_hand(2))
+    data = saved_waterfall_version_3()
     data["mechanisms"][0]["cursor"] = cursor
     with pytest.raises(SchemaError) as exc:
         load_model(data)
@@ -249,10 +272,10 @@ def test_a_flow_whose_name_is_taken_leaves_no_cursor():
     path = PathSpec((PathSegment(2, slope=(0, 1)),))
     elements = {"Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": path}
     binding = bind(world, "Fluidic_Motion", elements)
+    before = save_model(world)
     with pytest.raises(DuplicateNameError):
         instantiate_fluidic_motion(world, binding, name="HeartbeatPush")
-    assert world.flow_cursors == {}
-    assert load_model(save_model(world)).flow_cursors == {}
+    assert save_model(world) == before
 
 
 def test_a_binding_the_world_does_not_hold_builds_nothing():
@@ -262,7 +285,7 @@ def test_a_binding_the_world_does_not_hold_builds_nothing():
         instantiate_fluidic_motion(world, stray, name="Stray", portion_kind="WaterPortion")
     assert str(exc.value) == "the binding is not one of the world's bindings"
     assert "Stray" not in world.mechanisms and stray.produced_mechanism is None
-    assert world.flow_cursors == {"WaterFlowing": 0}
+    assert save_model(world)["counters"] == {}
 
 
 def test_a_path_flow_whose_goal_is_no_place_builds_nothing():
@@ -273,11 +296,11 @@ def test_a_path_flow_whose_goal_is_no_place_builds_nothing():
         instantiate_fluidic_motion(world, binding, name="Lake")
     assert str(exc.value) == "a path flow's Goal must name a place, not {'lake': 1}"
     assert "Lake" not in world.mechanisms and binding.produced_mechanism is None
-    assert world.flow_cursors == {"WaterFlowing": 0}
+    assert save_model(world)["counters"] == {}
 
 
 def test_a_cursor_on_a_mechanism_that_is_no_path_flow_is_refused():
-    data = save_model(build_cardio())
+    data = dict(save_model(build_cardio()), version=3)
     assert data["mechanisms"][0]["name"] == "HeartbeatPush"
     data["mechanisms"][0]["cursor"] = 0
     with pytest.raises(SchemaError) as exc:

@@ -457,27 +457,27 @@ def _water_scan(world):
     return len([p for p in world.portions.values() if p.substance == "water"])
 
 
-def test_portion_counts_equal_a_full_scan_across_a_run_and_a_reload():
+def test_the_id_counters_equal_a_full_scan_across_a_run_and_a_reload():
     world = build_waterfall(n_portions=25)
     kernel = Kernel(world)
     standard_rules(kernel)
     for tick in range(10):
         kernel.step()
-        assert world.portion_counts["water"] == _water_scan(world) == tick + 1
+        assert world._counters["water"] == _water_scan(world) == tick + 1
     world.kill("water-3")  # dead portions still count
-    assert world.portion_counts["water"] == _water_scan(world) == 10
+    assert world._counters["water"] == _water_scan(world) == 10
 
     reloaded = load_model(save_model(world))
-    assert reloaded.portion_counts == world.portion_counts
+    assert reloaded._counters == world._counters
     kernel = Kernel(reloaded)
     standard_rules(kernel)
     kernel.run(20)  # five ticks past the budget: the guard stops the flow
     assert kernel.trace_lines() == [f"{i} pool" for i in range(10, 25)]
-    assert reloaded.portion_counts["water"] == _water_scan(reloaded) == 25
+    assert reloaded._counters["water"] == _water_scan(reloaded) == 25
 
     cardio = build_cardio()
     kernel = Kernel(cardio)
     standard_rules(kernel)
     kernel.run(30)  # splits and merges register new blood portions
     blood = len([p for p in cardio.portions.values() if p.substance == "blood"])
-    assert cardio.portion_counts["blood"] == blood > 7
+    assert cardio._counters["blood"] == blood > 7

@@ -12,12 +12,16 @@ Only a snapshot's refresh and the kernel's step consume those records. A
 full build (a fresh Snapshot, as validate without a snapshot and
 derive_triples make) must leave them for the kernel's snapshot.
 
-Three more facts have one writer each. A builtin mechanism's spec is recorded
+Five more facts have one writer each. A builtin mechanism's spec is recorded
 by register_mechanism, so a model file names the mechanism a factory built.
 A step's trace events are kept on its StepReport, appended by
 Kernel.emit_trace, so the trace lists exactly the finished steps' events.
 The fault that ends stepping is kept by Kernel.step, which stores whatever
-escaped a step, so no driver keeps a stop rule of its own.
+escaped a step, so no driver keeps a stop rule of its own. The world's
+clock is advanced by Kernel.step, and the signals in transit are put there
+by send_signal and taken by Kernel.step; the model-file loader restores
+both. No kernel or driver keeps a second copy, so a saved world carries on
+its run exactly.
 
 A record's constructor sets its own fields: that declares them and moves
 nothing, so the constructors of the records that hold these fields are the
@@ -58,6 +62,10 @@ RECORD_WRITERS = {
     "mechanism_specs": {("world.py", "World.__init__"), ("engine.py", "register_mechanism")},
     "traces": {("engine.py", "StepReport.__init__"), ("engine.py", "Kernel.emit_trace")},
     "fault": {("engine.py", "Kernel.__init__"), ("engine.py", "Kernel.step")},
+    "clock": {("world.py", "World.__init__"), ("engine.py", "Kernel.step"),
+              ("modelfile.py", "load_model")},
+    "signals": {("world.py", "World.__init__"), ("engine.py", "send_signal"),
+                ("engine.py", "Kernel.step"), ("modelfile.py", "load_model")},
 }
 
 
@@ -256,6 +264,10 @@ def build(world, spec, report):
     report.traces.clear()
     n = len(report.traces) + len(world.mechanism_specs)
     specs = list(world.mechanism_specs)
+    world.clock += 1
+    signals, world.signals = world.signals, []
+    world.signals.append(signal)
+    tick, pending = world.clock, list(world.signals)
 """
     assert record_writes(source) == [
         (4, "traces", "Kernel.emit_trace"),
@@ -265,6 +277,9 @@ def build(world, spec, report):
         (13, "mechanism_specs", "build"),
         (14, "traces", "build"),
         (15, "traces", "build"),
+        (18, "clock", "build"),
+        (19, "signals", "build"),
+        (20, "signals", "build"),
     ]
 
 

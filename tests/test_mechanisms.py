@@ -1,9 +1,12 @@
 """Mechanisms as data: the closed set of guard conditions and effects, the
 type checks made when a data mechanism is compiled, and the link checks made
 once every mechanism is registered."""
+import json
+
 import pytest
 
 from semsim import Kernel
+from semsim.cli import EXIT_CONFIG, main
 from semsim.errors import ModelError, StateError, TraceVocabularyError, UnknownEntityError
 from semsim.mechanisms import CONDITIONS, EFFECTS, build_mechanism, check_links, compile_items
 from semsim.modelfile import load_model, save_model
@@ -101,7 +104,7 @@ def test_each_effect_acts_through_the_fire_context():
     assert world.objects["diaphragm"].states["tension"] == "contracted"
     assert world.substances["blood"].phase == "gas"
     assert lines == ["mixing external air", "CellCapBlood O2 diffusion"]
-    assert [(s.sender, s.receiver, s.payload) for _, s in kernel.pending_signals] == [
+    assert [(s.sender, s.receiver, s.payload) for s in world.signals] == [
         ("Medulla", "Diaphragm", "contract")
     ]
     (merged,) = world.compartments["ExternalAir"].contents
@@ -196,6 +199,27 @@ def test_links_are_checked_against_every_registered_mechanism():
         check_links(world, {"effects": [["fire", "Nope"]]})
     with pytest.raises(UnknownEntityError, match="signal to 'Medulla' has no receiving mechanism"):
         check_links(world, {"effects": [], "side_effects": [["signal", "Diaphragm", "Medulla", "x"]]})
+
+
+@pytest.mark.parametrize(
+    "fires, message",
+    [
+        ({"DiffusionCheck": "DiffusionCheck"},
+         "mechanisms[3]: fire cycle DiffusionCheck -> DiffusionCheck"),
+        ({"CellRespiration": "DiffusionCheck"},
+         "mechanisms[2]: fire cycle CellRespiration -> DiffusionCheck -> CellRespiration"),
+    ],
+    ids=["self", "through-a-member"],
+)
+def test_a_mechanism_that_fires_itself_is_refused_at_load(tmp_path, capsys, fires, message):
+    data = save_model(build_cardio())
+    for spec in data["mechanisms"]:
+        if spec["name"] in fires:
+            spec["effects"].append(["fire", fires[spec["name"]]])
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate-file", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"invalid: {message}\n"
 
 
 def test_a_data_mechanism_saves_as_it_was_given_and_reloads_to_the_same_guard():

@@ -70,7 +70,6 @@ def test_the_waterfall_saves_its_binding_and_the_flow_built_from_it():
     assert data["mechanisms"] == [{
         "name": "WaterFlowing", "builtin": "fluidic_motion",
         "params": {"binding": 0, "n_portions": 2, "portion_kind": "WaterPortion"},
-        "cursor": 0,
     }]
     assert load_model(data).bindings[0].produced_mechanism == "WaterFlowing"
 
@@ -220,11 +219,11 @@ def test_upgrade_leaves_its_argument_unchanged(saved):
     old = saved()
     new = upgrade(old)
     assert old == saved()
-    assert new["version"] == 3 and old["version"] in (1, 2)
+    assert new["version"] == 4 and old["version"] in (1, 2)
     assert new["mechanisms"][0]["builtin"] == "fluidic_motion"
 
 
-def test_upgrade_returns_a_version_3_document_unchanged():
+def test_upgrade_returns_a_version_4_document_unchanged():
     data = save_model(build_cardio())
     assert upgrade(data) is data
     assert data == save_model(build_cardio())
@@ -289,7 +288,7 @@ def test_wrong_format_marker():
         load_model({"format": "something-else", "name": "x"})
 
 
-@pytest.mark.parametrize("version", [4, "1", True, None, 2.0])
+@pytest.mark.parametrize("version", [5, "1", True, None, 2.0])
 def test_unsupported_version_marker_rejected(version):
     data = dict(save_model(build_waterfall(n_portions=1)), version=version)
     with pytest.raises(SchemaError) as exc:
@@ -422,3 +421,30 @@ def test_counters_roundtrip_prevents_id_collisions():
     reloaded = load_model(save_model(original))
     fresh = reloaded.create_portion("blood")
     assert fresh.id not in {p["id"] for p in save_model(original)["portions"]}
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("clock", -1, "clock: must be an int >= 0, not -1"),
+        ("clock", True, "clock: must be an int >= 0, not True"),
+        ("signals", [["Medulla", "Diaphragm"]],
+         "signals[0]: signal: 'signal' takes 3 arguments, not 2"),
+        ("signals", [["Ghost", "Diaphragm", "contract"]], "signals[0]: no compartment 'Ghost'"),
+        ("signals", [["Diaphragm", "Medulla", "x"]],
+         "signals[0]: signal to 'Medulla' has no receiving mechanism"),
+    ],
+)
+def test_a_malformed_clock_or_signal_in_transit_is_refused(section, value, message):
+    data = dict(save_model(build_cardio()), **{section: value})
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == message
+
+
+def test_a_version_3_file_loads_at_clock_0_with_no_signals_in_transit():
+    data = save_model(build_cardio())
+    del data["clock"], data["signals"]
+    world = load_model(dict(data, version=3))
+    assert world.clock == 0 and world.signals == []
+    assert save_model(world) == save_model(build_cardio())

@@ -252,7 +252,7 @@ EXAMPLES = [
     System("circulation", ("HeartbeatPush",)),
     Vocabulary({"a"}, (r"\d+ pool",)),
     ALWAYS,
-    Signal("Medulla", "Diaphragm", "contract", ("Medulla", "Diaphragm", "nerve")),
+    Signal("Medulla", "Diaphragm", "contract"),
     TraceEvent(3, "SANode pulse"),
     Frame("F", ("Theme",), ("Manner",), "text"),
     LexicalEntry("flowing", "F"),

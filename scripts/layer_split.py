@@ -2,14 +2,18 @@
 """Split a step's cost into its layers, in-process, for cardio and waterfall.
 
 Each model runs three ways: with validation off (the engine, topology and
-world), with validation on and no rules (plus snapshot maintenance), and
-with the standard rules (plus rule re-checks). Each row is the best of
---repeats runs of Kernel.run(--ticks), the model build excluded, with the
-cyclic garbage collector off, as `semsim run` steps; the last column is the
-step cost that row adds to the row above it. A fourth row per model runs
-with validation off and the collector on, as a library caller's
-Kernel.run does; its last column is what the collector adds to the
-validation-off row, per step.
+world); with validation on, no rules, and a snapshot built beforehand with
+the standard rules' scope (plus snapshot maintenance: the triples those
+rules match or read, kept up to date each step); and with the standard
+rules (plus rule re-checks). Each row is the best of --repeats runs of
+Kernel.run(--ticks), the model build excluded, with the cyclic garbage
+collector off, as `semsim run` steps; the last column is the step cost that
+row adds to the row above it. A fourth row per model runs with validation
+off and the collector on, as a library caller's Kernel.run does; its last
+column is what the collector adds to the validation-off row, per step. A
+model's rows take turns, one run of each per round, so a change in the
+host's speed reaches every row alike instead of reading as one layer's
+cost.
 
 The last row is the fixed cost of starting a run: `import semsim.cli` in a
 fresh `python3 -I` interpreter, best of --repeats, next to the step costs
@@ -23,36 +27,59 @@ import time
 from pathlib import Path
 
 import semsim
+from semsim import validation
 from semsim.cli import standard_rules
 from semsim.engine import Kernel
 from semsim.models import build_cardio, build_waterfall
 
+# (label, validation policy, what the kernel validates with)
 CONFIGURATIONS = (
-    ("--validate off", "off", False),
-    ("halt, no rules", "halt", False),
-    ("halt, standard rules", "halt", True),
+    ("--validate off", "off", None),
+    ("halt, scope only", "halt", "scope"),
+    ("halt, standard rules", "halt", "rules"),
 )
 COLLECTOR_ON = "--validate off, gc on"
 
 
-def best_seconds(build, policy, rules, ticks, repeats, collect=False):
-    best = float("inf")
+def make_kernel(build, policy, rules):
+    """A kernel on a fresh model: with rules "rules" it carries the standard
+    rules; with "scope" it has none, and its snapshot is built beforehand
+    with the standard rules' scope, which a rule-less kernel would leave
+    empty."""
+    kernel = Kernel(build(), validate_policy=policy)
+    if rules is not None:
+        standard_rules(kernel)
+    if rules == "scope":
+        scope = validation.rule_scope(kernel.rules)
+        kernel.rules.clear()
+        kernel.world.clear_changes()  # as the kernel does before its own build
+        kernel.snapshot = validation.Snapshot(kernel.world, scope)
+    return kernel
+
+
+def run_seconds(ticks, build, policy, rules, collect):
+    kernel = make_kernel(build, policy, rules)
+    gc.collect()
+    if not collect:
+        gc.disable()
+    try:
+        start = time.perf_counter()
+        kernel.run(ticks)
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.enable()
+    if kernel.halted or len(kernel.reports) != ticks:
+        raise SystemExit(f"{policy} run stopped after {len(kernel.reports)} of {ticks} ticks")
+    return elapsed
+
+
+def best_seconds(runs, ticks, repeats):
+    """The best time of each (build, policy, rules, collect) run over
+    `repeats` rounds, each round timing every run once."""
+    best = [float("inf")] * len(runs)
     for _ in range(repeats):
-        kernel = Kernel(build(), validate_policy=policy)
-        if rules:
-            standard_rules(kernel)
-        gc.collect()
-        if not collect:
-            gc.disable()
-        try:
-            start = time.perf_counter()
-            kernel.run(ticks)
-            elapsed = time.perf_counter() - start
-        finally:
-            gc.enable()
-        if kernel.halted or len(kernel.reports) != ticks:
-            raise SystemExit(f"{policy} run stopped after {len(kernel.reports)} of {ticks} ticks")
-        best = min(best, elapsed)
+        for i, run in enumerate(runs):
+            best[i] = min(best[i], run_seconds(ticks, *run))
     return best
 
 
@@ -98,13 +125,14 @@ def main():
     print(f"{args.ticks} ticks, best of {args.repeats}")
     print(f"{'model':<10} {'configuration':<22} {'steps/s':>9} {'us/step':>8} {'added':>8}")
     for model, build in models:
+        runs = [(build, policy, rules, False) for _label, policy, rules in CONFIGURATIONS]
+        *rows, collected = best_seconds(runs + [(build, "off", None, True)], args.ticks,
+                                        args.repeats)
         micros = []
-        for label, policy, rules in CONFIGURATIONS:
-            seconds = best_seconds(build, policy, rules, args.ticks, args.repeats)
+        for (label, _policy, _rules), seconds in zip(CONFIGURATIONS, rows):
             micros.append(print_row(model, label, seconds / args.ticks,
                                     micros[-1] if micros else 0.0))
-        seconds = best_seconds(build, "off", False, args.ticks, args.repeats, collect=True)
-        print_row(model, COLLECTOR_ON, seconds / args.ticks, micros[0])
+        print_row(model, COLLECTOR_ON, collected / args.ticks, micros[0])
     millis = best_import_seconds(args.repeats) * 1e3
     print(f"{'startup':<10} {'import semsim.cli':<22} {millis:>9.1f} ms, best of "
           f"{args.repeats} fresh python3 -I")

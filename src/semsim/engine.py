@@ -199,7 +199,11 @@ class StepReport(Record):
 
 def register_mechanism(world: World, mechanism: Mechanism, spec: dict | None = None) -> Mechanism:
     """Add a mechanism. With a spec, its model-file entry less the name, also
-    record what a model file rebuilds it from."""
+    record what a model file rebuilds it from.
+
+    This is the one writer of world.mechanisms: it appends and refuses a
+    duplicate name, so a Kernel sees a new mechanism by the registry's size.
+    """
     if not isinstance(mechanism.name, str):
         raise ModelError(f"a mechanism's name must be a string, not {mechanism.name!r}")
     if mechanism.name in world.mechanisms:
@@ -213,6 +217,9 @@ def register_mechanism(world: World, mechanism: Mechanism, spec: dict | None = N
 
 
 def register_trigger(world: World, trigger: Trigger) -> Trigger:
+    """Add a trigger. This is the one writer of world.triggers: it appends
+    and refuses a duplicate name, so a Kernel sees a new trigger by the
+    registry's size."""
     if trigger.name in world.triggers:
         raise DuplicateNameError(f"trigger {trigger.name!r} already registered")
     if trigger.target not in world.mechanisms:
@@ -331,6 +338,10 @@ class Kernel:
         self.snapshot: validation.Snapshot | None = None  # None while validation is off
         self.fault: BaseException | None = None  # what escaped a step; no step runs after it
         self._wiring_errors: list[tuple[str, str]] = []
+        # Dispatch tables, rebuilt when a registry's size changes (_index).
+        self._indexed = (-1, -1)  # (len(world.triggers), len(world.mechanisms))
+        self._schedule: list[tuple[Trigger, Mechanism, str]] = []
+        self._receivers: dict[str, list[Mechanism]] = {}
 
     # ------------------------------------------------------------------
 
@@ -375,6 +386,27 @@ class Kernel:
         )
         return False
 
+    def _index(self):
+        """Rebuild the dispatch tables from the world's registries.
+
+        The schedule is every trigger, sorted by (period, name), with its
+        target and its via; the receivers are the mechanisms listening on
+        each compartment, in registration order. Both hold only what is fixed
+        at registration; whether a trigger is due, Trigger.due, is read every
+        tick, so a trigger disabled between steps is skipped at the next.
+        """
+        world = self.world
+        ordered = sorted(world.triggers.values(), key=lambda t: (t.period, t.name))
+        self._schedule = [
+            (trig, world.mechanisms[trig.target], f"trigger:{trig.name}") for trig in ordered
+        ]
+        receivers: dict[str, list[Mechanism]] = {}
+        for mech in world.mechanisms.values():
+            if mech.on_signal is not None:
+                receivers.setdefault(mech.on_signal, []).append(mech)
+        self._receivers = receivers
+        self._indexed = (len(world.triggers), len(world.mechanisms))
+
     def _dispatch(self, mechanism: Mechanism, via: str):
         """Attempt one mechanism; wiring bugs become violations."""
         try:
@@ -399,18 +431,19 @@ class Kernel:
             # Signals sent during this step are delivered at the next.
             signals, world.signals = world.signals, []
 
-            due = [t for t in world.triggers.values() if t.due(tick)]
-            due.sort(key=lambda t: (t.period, t.name))
+            # The only writers of both registries append, so a size that
+            # moved means something was registered since the last index.
+            if self._indexed != (len(world.triggers), len(world.mechanisms)):
+                self._index()
+            due = [entry for entry in self._schedule if entry[0].due(tick)]
             if self.mode == "concurrent":
                 due = self._shuffle_subsystems(due)
-            for trig in due:
-                self._dispatch(world.mechanisms[trig.target], f"trigger:{trig.name}")
+            for _trig, mech, via in due:
+                self._dispatch(mech, via)
 
             # Signal deliveries, in emission order.
             for signal in signals:
-                receivers = [
-                    m for m in world.mechanisms.values() if m.on_signal == signal.receiver
-                ]
+                receivers = self._receivers.get(signal.receiver)
                 if not receivers:
                     raise UnknownEntityError(
                         f"signal to {signal.receiver!r} has no receiving mechanism"
@@ -444,15 +477,15 @@ class Kernel:
             self.fault = exc
             raise
 
-    def _shuffle_subsystems(self, due_triggers):
-        """The due triggers grouped by subsystem, groups in a seeded random order."""
-        by_subsystem: dict[str, list[Trigger]] = {}
-        for trig in due_triggers:
-            subsystem = self.world.mechanisms[trig.target].subsystem
-            by_subsystem.setdefault(subsystem, []).append(trig)
+    def _shuffle_subsystems(self, due):
+        """The due schedule entries grouped by their mechanism's subsystem,
+        groups in a seeded random order."""
+        by_subsystem: dict[str, list] = {}
+        for entry in due:
+            by_subsystem.setdefault(entry[1].subsystem, []).append(entry)
         groups = list(by_subsystem.values())
         self.rng.shuffle(groups)
-        return [trig for group in groups for trig in group]
+        return [entry for group in groups for entry in group]
 
     def run(self, n_ticks: int | None = None) -> list[StepReport]:
         """Step until the kernel halts, or at most n_ticks times."""

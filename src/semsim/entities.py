@@ -21,7 +21,11 @@ TRANSITIONAL_KINDS = ("state_change", "birth", "death", "split", "merge")
 
 
 class StateSpace(FrozenRecord):
-    """A named qualitative variable and its ordered set of labels."""
+    """A named qualitative variable and its ordered set of labels.
+
+    Its label -> rank table is derived once here, so it takes no part in
+    repr, ==, hash, copy or pickle.
+    """
 
     _fields = ("variable", "labels", "scale_kind")
 
@@ -37,18 +41,20 @@ class StateSpace(FrozenRecord):
         set_field(self, "variable", variable)
         set_field(self, "labels", labels)
         set_field(self, "scale_kind", scale_kind)
+        set_field(self, "_ranks", {label: i for i, label in enumerate(labels)})
 
     @property
     def first(self) -> str:
         return self.labels[0]
 
     def index(self, label: str) -> int:
-        if label not in self.labels:
+        try:
+            return self._ranks[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise StateError(
                 f"label {label!r} is outside the {self.variable!r} space "
                 f"{list(self.labels)}"
-            )
-        return self.labels.index(label)
+            ) from None
 
     @property
     def ordered(self) -> bool:
@@ -113,7 +119,11 @@ def cardinality(allowed) -> frozenset[int]:
 
 
 class KindDef(Record):
-    """A named entity type; children overlay the parent's spaces and schema."""
+    """A named entity type; children overlay the parent's spaces and schema.
+
+    World.define_kind derives `_effective_spaces`, its state spaces over its
+    ancestors', once; it is not a field, so it takes no part in repr or ==.
+    """
 
     _fields = ("name", "parent", "state_spaces", "part_schema", "granularity", "substance")
 

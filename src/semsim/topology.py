@@ -58,7 +58,11 @@ class Connection(FrozenRecord):
 
 
 class Circuit(FrozenRecord):
-    """A declared ordered ring over compartments, with branch/merge points."""
+    """A declared ordered ring over compartments, with branch/merge points.
+
+    Its position map (compartment id -> index in order) is derived once
+    here, so it takes no part in repr, ==, hash, copy or pickle.
+    """
 
     _fields = ("name", "order", "successors")
 
@@ -71,6 +75,7 @@ class Circuit(FrozenRecord):
         set_field(self, "name", name)
         set_field(self, "order", order)
         set_field(self, "successors", {} if successors is None else successors)
+        set_field(self, "_position", {cid: i for i, cid in enumerate(order)})
 
     def __hash__(self) -> int:
         # successors is a dict, so it takes no part in the hash; == compares it.
@@ -259,14 +264,18 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
             for pid in arrived:
                 world.place_portion(pid, dst)
 
-    record.applied = [(m.portion, m.src, m.dst) for m in batch.moves] + split_children
-    vacated = [m.src for m in batch.moves] + [s.src for s in batch.splits]
+    applied, vacated = record.applied, record.vacated
+    for m in batch.moves:
+        applied.append((m.portion, m.src, m.dst))
+        vacated.append(m.src)
+    applied += split_children
+    for plan in batch.splits:
+        vacated.append(plan.src)
 
     # Vacated compartments report in circuit order when one is given.
     if circuit is not None:
-        pos = {cid: i for i, cid in enumerate(circuit.order)}
+        pos = circuit._position
         vacated.sort(key=lambda cid: pos.get(cid, len(pos)))
-    record.vacated = vacated
 
     for cid in vacated:
         comp = world.compartments[cid]

@@ -10,7 +10,9 @@ how many portions the run has ever made. Its triples are grouped by
 predicate, after the permutation indexes of Hexastore (Weiss, Karras and
 Bernstein, VLDB 2008): a rule whose pattern names its predicate tries only
 the triples with that predicate; a rule with a variable predicate tries them
-all. Only passing matches are sorted, by the (subject, predicate, obj) of the
+all. That index keeps each triple once; Snapshot.triples is a read-only set
+view over it (TripleView), which looks a triple up in its predicate's
+bucket. Only passing matches are sorted, by the (subject, predicate, obj) of the
 matched triple, so violations come out in the same order whatever the set's
 iteration order. A full recompute is a fresh Snapshot, which validate builds
 when it is given none and derive_triples reads; the independent reference
@@ -23,13 +25,16 @@ and whether any connection changed (World.wiring_changed). A build leaves
 those records alone. A refresh re-derives only those, plus the pushedTo
 triples of the step's commit records, with the build's per-entity helpers,
 diffs each against its cached triples, updates the predicate index and
-consumes the records, as Rete does (Forgy 1982). Each rule keeps its passing
-matches: the matched triples whose bindings pass its check. A rule is
-re-evaluated in full when it is new or replaced (so every rule after a
-build), when its predicate is a variable, when its check's reads are unknown
-(reads=None), or when a predicate it reads changed. Otherwise only the added
-and removed triples of its predicate are matched and checked, as in
-differential dataflow (McSherry et al., CIDR 2013). The report equals a fresh
+consumes the records, as Rete does (Forgy 1982). An entity whose one triple
+in scope was swapped for another (a moved portion's locatedIn) is diffed
+without building sets. Each rule keeps its passing matches: the matched
+triples whose bindings pass its check. A rule is re-evaluated in full when
+it is new or replaced (so every rule after a build), when its predicate is a
+variable, when its check's reads are unknown (reads=None), or when a
+predicate it reads changed. Otherwise only the added and removed triples of
+its predicate are matched and checked, as in differential dataflow
+(McSherry et al., CIDR 2013); after a refresh that added and removed
+nothing, no rule with known reads does any work. The report equals a fresh
 build's, violation order and bindings included.
 
 The reads contract. A rule's check may read its bindings; the triples of
@@ -58,6 +63,7 @@ derive_triples still build with every predicate.
 """
 from __future__ import annotations
 
+from collections.abc import Set
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -97,6 +103,8 @@ class TriplePattern(FrozenRecord):
         variables = tuple((i, t.name) for i, t in enumerate(terms) if isinstance(t, Var))
         set_field(self, "_ground", ground)
         set_field(self, "_vars", variables)
+        # With every variable named once, a match binds without comparing.
+        set_field(self, "_distinct", len({name for _, name in variables}) == len(variables))
 
     def ground_terms(self) -> int:
         return len(self._ground)
@@ -106,6 +114,10 @@ class TriplePattern(FrozenRecord):
             if triple[slot] != term:
                 return None
         bindings: dict[str, str] = {}
+        if self._distinct:
+            for slot, name in self._vars:
+                bindings[name] = triple[slot]
+            return bindings
         for slot, name in self._vars:
             value = triple[slot]
             if bindings.setdefault(name, value) != value:
@@ -373,14 +385,52 @@ def validate(
     return report
 
 
-class _RuleState:
-    """A rule's passing matches: matched triple -> bindings that pass its check."""
+class TripleView(Set):
+    """A snapshot's triples as a read-only set: a view over its predicate index.
 
-    __slots__ = ("rule", "passing")
+    A triple is looked up in its predicate's bucket, so the snapshot keeps
+    each triple once. It iterates, has a len and compares with sets (==, <=
+    and the rest come from collections.abc.Set); it has no add or discard.
+    """
+
+    __slots__ = ("_by_predicate",)
+
+    def __init__(self, by_predicate: dict[str, set[Triple]]):
+        self._by_predicate = by_predicate
+
+    def __contains__(self, triple) -> bool:
+        try:
+            bucket = self._by_predicate.get(triple[1])
+        except (TypeError, IndexError, KeyError):
+            return False
+        return bucket is not None and triple in bucket
+
+    def __iter__(self):
+        for bucket in self._by_predicate.values():
+            yield from bucket
+
+    def __len__(self) -> int:
+        return sum(map(len, self._by_predicate.values()))
+
+    @classmethod
+    def _from_iterable(cls, triples) -> set[Triple]:
+        # What the set operators (&, |, -, ^) return: a plain set.
+        return set(triples)
+
+
+class _RuleState:
+    """A rule's passing matches (matched triple -> bindings that pass its
+    check), with what decides when it is re-checked, derived from the rule."""
+
+    __slots__ = ("rule", "passing", "predicate", "reads", "always")
 
     def __init__(self, rule: AssertionRule, passing: dict[Triple, dict[str, str]]):
         self.rule = rule
         self.passing = passing
+        self.predicate = rule.pattern.predicate
+        self.reads = frozenset() if rule.check is None else rule.reads
+        # A variable predicate, or reads unknown: re-checked in full every time.
+        self.always = isinstance(self.predicate, Var) or self.reads is None
 
 
 class Snapshot:
@@ -408,8 +458,8 @@ class Snapshot:
         self.scope = scope
         self._keep = _EVERY if scope is None else scope
         self._derive = _entity_deriver(scope)
-        self.triples: set[Triple] = set()
         self.by_predicate: dict[str, set[Triple]] = {}
+        self.triples = TripleView(self.by_predicate)
         self._entities: dict[str, list[Triple]] = {}  # subject id -> its triples
         self._wiring: list[Triple] = []
         self._pushed: list[Triple] = []
@@ -463,20 +513,24 @@ class Snapshot:
         return added, removed
 
     def _replace(self, old, new, added, removed):
-        """Swap one source's triples; a birth or a retirement builds no sets."""
+        """Swap one source's triples; a birth, a retirement or a swap of one
+        triple for one builds no sets."""
         if not old:
             self._add(new, added)
         elif not new:
             self._remove(old, removed)
+        elif len(old) == 1 and len(new) == 1:
+            if old[0] != new[0]:
+                self._remove(old, removed)
+                self._add(new, added)
         elif old != new:
             old_set, new_set = set(old), set(new)
             self._add(new_set - old_set, added)
             self._remove(old_set - new_set, removed)
 
     def _add(self, triples, added):
-        everything, by_predicate = self.triples, self.by_predicate
+        by_predicate = self.by_predicate
         for triple in triples:
-            everything.add(triple)
             predicate = triple[1]
             bucket = by_predicate.get(predicate)
             if bucket is None:
@@ -490,9 +544,8 @@ class Snapshot:
                 batch.append(triple)
 
     def _remove(self, triples, removed):
-        everything, by_predicate = self.triples, self.by_predicate
+        by_predicate = self.by_predicate
         for triple in triples:
-            everything.discard(triple)
             predicate = triple[1]
             by_predicate[predicate].discard(triple)
             batch = removed.get(predicate)
@@ -510,32 +563,31 @@ class Snapshot:
                 passing[triple] = bindings
         return passing
 
+    def _matches(self, rule: AssertionRule) -> dict:
+        """Every passing match of the rule, from a full scan of its candidates."""
+        predicate = rule.pattern.predicate
+        if isinstance(predicate, Var):
+            return self._check_into({}, rule, self.triples)
+        return self._check_into({}, rule, self.by_predicate.get(predicate, ()))
+
     def violations(self, rules) -> list[Violation]:
         """Re-check the rules the last refresh's changes can affect, and report."""
         added, removed = self._added, self._removed
-        changed = added.keys() | removed.keys()
+        # Nothing added or removed: no rule with known reads is re-checked.
+        changed = added.keys() | removed.keys() if added or removed else None
         states = self._rules
         for key in [k for k in states if k not in rules]:
             del states[key]
         out: list[Violation] = []
         for key, rule in rules.items():
-            predicate = rule.pattern.predicate
-            reads = frozenset() if rule.check is None else rule.reads
             state = states.get(key)
-            ground = not isinstance(predicate, Var)
-            if (
-                not ground
-                or state is None
-                or state.rule is not rule
-                or reads is None
-                or not reads.isdisjoint(changed)
-            ):
-                if state is None or state.rule is not rule:
-                    self._widen(rule)
-                candidates = self.by_predicate.get(predicate, ()) if ground else self.triples
-                passing = self._check_into({}, rule, candidates)
-                state = states[key] = _RuleState(rule, passing)
-            elif predicate in changed:
+            if state is None or state.rule is not rule:
+                self._widen(rule)
+                state = states[key] = _RuleState(rule, self._matches(rule))
+            elif state.always or changed and not state.reads.isdisjoint(changed):
+                state.passing = self._matches(rule)
+            elif changed and state.predicate in changed:
+                predicate = state.predicate
                 for triple in removed.get(predicate, ()):
                     state.passing.pop(triple, None)
                 self._check_into(state.passing, rule, added.get(predicate, ()))
@@ -596,7 +648,8 @@ def connection_present_rule() -> AssertionRule:
     """
 
     def unwired(bindings, world, triples):
-        return Triple(bindings["a"], "connectedTo", bindings["b"]) not in triples
+        # A plain tuple hashes and compares as the Triple it stands for.
+        return (bindings["a"], "connectedTo", bindings["b"]) not in triples
 
     return AssertionRule(
         "connection-present",

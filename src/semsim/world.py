@@ -21,6 +21,8 @@ builds a world, is safe only before a snapshot's first (full) build.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .entities import (
     SUPPORTED_SCALE_KINDS,
@@ -279,6 +281,9 @@ class World:
         kind = KindDef(name, parent, tuple(state_spaces), tuple(part_schema), granularity, substance)
         self.kinds[name] = kind
         self._check_acyclic(kind)
+        # A kind is fixed once defined, and its parent was defined before it.
+        inherited = self.kinds[parent]._effective_spaces if parent is not None else {}
+        kind._effective_spaces = {**inherited, **{s.variable: s for s in kind.state_spaces}}
         return kind
 
     def _check_acyclic(self, kind: KindDef):
@@ -303,12 +308,10 @@ class World:
         chain.reverse()
         return chain
 
-    def effective_state_spaces(self, kind_name: str) -> dict[str, StateSpace]:
-        spaces: dict[str, StateSpace] = {}
-        for kind in self.ancestry(kind_name):
-            for space in kind.state_spaces:  # child overrides by variable name
-                spaces[space.variable] = space
-        return spaces
+    def effective_state_spaces(self, kind_name: str) -> Mapping[str, StateSpace]:
+        """The kind's state spaces by variable, a child's over its ancestors':
+        a read-only view of what define_kind derived once."""
+        return MappingProxyType(need(self.kinds, kind_name, "kind")._effective_spaces)
 
     def effective_part_schema(self, kind_name: str) -> dict[str, PartSpec]:
         schema: dict[str, PartSpec] = {}

@@ -479,3 +479,75 @@ def test_a_steps_wiring_errors_are_reported_in_the_order_they_happened(policy):
     assert [v.rule for v in report.validation.violations[2:]] == (
         ["liquid"] if policy == "warn" else []
     )
+
+
+# ----------------------------------------------------------------------
+# the kernel's dispatch tables follow registrations and trigger switches
+
+
+def _fired_at(kernel, name):
+    return [r.step for r in kernel.reports if any(f.mechanism == name for f in r.fired)]
+
+
+@pytest.mark.parametrize("mode, seed", [("deterministic", 0), ("concurrent", 11)])
+def test_a_trigger_registered_mid_run_fires_at_its_next_due_tick(mode, seed):
+    world = build_cardio()
+    kernel = Kernel(world, seed=seed, mode=mode)
+    standard_rules(kernel)
+    kernel.run(5)
+    register_mechanism(world, Mechanism("Late", guard=(), effect=lambda ctx: None, subsystem="late"))
+    register_trigger(world, Trigger("Late", period=3, target="Late"))
+    kernel.run(8)
+    assert _fired_at(kernel, "Late") == [6, 9, 12]
+    assert len(kernel.reports) == 13 and not kernel.halted
+
+
+def test_a_receiver_registered_mid_run_gets_the_next_delivery_after_the_earlier_ones():
+    w = counter_world()
+    heard = []
+    register_mechanism(
+        w, Mechanism("sender", guard=(), effect=lambda ctx: ctx.emit_signal("N1", "N2", "go"))
+    )
+    register_trigger(w, Trigger("every-other", period=2, target="sender"))
+
+    def listener(name):
+        return Mechanism(
+            name, guard=(), effect=lambda ctx: heard.append((ctx.kernel.tick, name)),
+            on_signal="N2",
+        )
+
+    register_mechanism(w, listener("first"))
+    kernel = Kernel(w)
+    kernel.run(2)  # sent at tick 0, delivered at tick 1
+    register_mechanism(w, listener("second"))
+    kernel.run(2)  # sent at tick 2, delivered at tick 3
+    assert heard == [(1, "first"), (3, "first"), (3, "second")]
+
+
+def test_heart_stop_applied_mid_run_silences_the_pacemaker_at_the_next_tick():
+    from semsim.scenarios import apply_scenario, heart_stop
+
+    beating, stopped = Kernel(build_cardio()), Kernel(build_cardio())
+    for kernel in (beating, stopped):
+        standard_rules(kernel)
+        kernel.run(8)
+    apply_scenario(stopped.world, heart_stop())
+    beating.run(9)
+    stopped.run(9)
+    assert _fired_at(beating, "HeartbeatPush") == [0, 4, 8, 12, 16]
+    assert _fired_at(stopped, "HeartbeatPush") == [0, 4]
+
+
+def test_a_signal_nobody_listens_for_faults_with_the_same_message():
+    w = counter_world()
+    register_mechanism(
+        w, Mechanism("sender", guard=(), effect=lambda ctx: ctx.emit_signal("N1", "N2", "go"))
+    )
+    # A listener elsewhere: the receivers index is not empty, only N2's entry is.
+    register_mechanism(w, Mechanism("elsewhere", guard=(), effect=lambda ctx: None, on_signal="A"))
+    register_trigger(w, Trigger("once", period=100, target="sender"))
+    kernel = Kernel(w)
+    kernel.step()
+    with pytest.raises(UnknownEntityError) as raised:
+        kernel.step()
+    assert str(raised.value) == "signal to 'N2' has no receiving mechanism"

@@ -370,3 +370,25 @@ def test_a_world_keeps_its_attributes_inline():
     # CPython 3.11 reads an instance's attributes fastest while it has at
     # most 29; every step reads the world's registries many times.
     assert len(vars(World("w"))) <= 29
+
+
+def test_a_kinds_state_spaces_are_derived_once_and_read_only():
+    import copy
+    import pickle
+
+    w = World("w")
+    power = StateSpace("power", ("off", "on"), "binary")
+    w.define_kind("Device", state_spaces=(power, StateSpace("color", ("green", "red"))))
+    w.define_kind("Lamp", parent="Device", state_spaces=(StateSpace("color", ("white", "blue")),
+                                                         StateSpace("bulb", ("ok", "blown"))))
+    spaces = w.effective_state_spaces("Lamp")
+    # The child's color overrides its parent's in the parent's position.
+    assert list(spaces) == ["power", "color", "bulb"]
+    assert spaces["power"] is power and spaces["color"].labels == ("white", "blue")
+    with pytest.raises(TypeError):
+        spaces["power"] = StateSpace("power", ("on", "off"), "binary")
+    assert w.effective_state_spaces("Lamp") == spaces  # the cache was not written
+    for clone in (copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert clone.effective_state_spaces("Lamp") == spaces
+    with pytest.raises(UnknownEntityError, match="no kind 'Ghost'"):
+        w.effective_state_spaces("Ghost")

@@ -481,3 +481,36 @@ def test_the_id_counters_equal_a_full_scan_across_a_run_and_a_reload():
     kernel.run(30)  # splits and merges register new blood portions
     blood = len([p for p in cardio.portions.values() if p.substance == "blood"])
     assert cardio._counters["blood"] == blood > 7
+
+
+@pytest.mark.parametrize("model", ["cardio", "waterfall"])
+def test_the_triples_view_is_a_fresh_build_in_scope_after_every_step(model):
+    world = build_cardio() if model == "cardio" else build_waterfall(n_portions=200)
+    kernel = Kernel(world)
+    standard_rules(kernel)
+    for _ in range(200):
+        kernel.step()
+        view, scope = kernel.snapshot.triples, kernel.snapshot.scope
+        everything = reference_triples(world)
+        in_scope = {t for t in everything if t.predicate in scope}
+        assert len(view) == len(in_scope)
+        assert all(t in view for t in in_scope)
+        assert not any(t in view for t in everything - in_scope)
+        assert set(view) == in_scope
+    assert not kernel.halted
+    # Cardio's scope leaves out its objects' and properties' triples.
+    assert (everything != in_scope) == (model == "cardio")
+
+
+def test_the_triples_view_is_read_only_and_compares_as_a_set():
+    kernel = Kernel(build_cardio())
+    standard_rules(kernel)
+    kernel.run(9)
+    view = kernel.snapshot.triples
+    assert not hasattr(view, "add") and not hasattr(view, "discard")
+    in_scope = set(view)
+    assert view == in_scope and in_scope == view and view <= in_scope and in_scope <= view
+    assert view != in_scope - {next(iter(in_scope))}
+    assert (view - in_scope) == set() and type(view | set()) is set
+    for stranger in ("locatedIn", 42, ("a", "b"), ("a", ["b"], "c")):
+        assert stranger not in view

@@ -340,3 +340,33 @@ def test_a_kernel_that_has_traced_a_line_deep_copies():
     clone = copy.deepcopy(kernel)
     assert clone.trace_lines() == kernel.trace_lines()
     assert clone.world is not kernel.world
+
+
+@pytest.mark.parametrize(
+    "make, tables",
+    [
+        (lambda: Circuit("ring", ("A", "B", "C"), {"A": ("B",), "B": ("C",), "C": ("A",)}),
+         {"_position": {"A": 0, "B": 1, "C": 2}}),
+        (lambda: StateSpace("O2Level", ("low", "mid", "high"), "ordinal"),
+         {"_ranks": {"low": 0, "mid": 1, "high": 2}}),
+    ],
+    ids=["Circuit", "StateSpace"],
+)
+def test_records_with_derived_tables_compare_hash_copy_and_pickle_by_their_fields(make, tables):
+    record, twin = make(), make()
+    assert record == twin and hash(record) == hash(twin) and repr(record) == repr(twin)
+    assert not any(name in repr(record) for name in tables)
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        _assert_same_record(clone, record)
+        assert hash(clone) == hash(record)
+        for name, table in tables.items():
+            assert getattr(clone, name) == table
+
+
+def test_a_state_spaces_rank_table_answers_index_and_rank():
+    space = StateSpace("O2Level", ("low", "mid", "high"), "ordinal")
+    assert [space.index(label) for label in space.labels] == [0, 1, 2]
+    assert QualValue(space, "high").rank() == 2
+    for outside in ("none", ["low"]):  # an unknown label, and an unhashable one
+        with pytest.raises(StateError, match="is outside the 'O2Level' space"):
+            space.index(outside)

@@ -34,7 +34,7 @@ def test_layer_split_prints_a_row_per_model_and_configuration(tmp_path):
     *rows, startup = result.stdout.splitlines()[2:]
     assert startup.startswith("startup    import semsim.cli")
     assert float(startup[33:].split()[0]) > 0
-    labels = ("--validate off", "halt, no rules", "halt, standard rules",
+    labels = ("--validate off", "halt, scope only", "halt, standard rules",
               "--validate off, gc on")
     assert [(row[:10].strip(), row[11:33].strip()) for row in rows] == [
         (model, label) for model in ("cardio", "waterfall") for label in labels

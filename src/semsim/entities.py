@@ -122,7 +122,9 @@ class KindDef(Record):
     """A named entity type; children overlay the parent's spaces and schema.
 
     World.define_kind derives `_effective_spaces`, its state spaces over its
-    ancestors', once; it is not a field, so it takes no part in repr or ==.
+    ancestors', and `_effective_substance`, the substance of the nearest kind
+    in its ancestry that names one, once; they are not fields, so they take
+    no part in repr or ==.
     """
 
     _fields = ("name", "parent", "state_spaces", "part_schema", "granularity", "substance")

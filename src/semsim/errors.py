@@ -17,9 +17,10 @@ class ModelError(SemsimError):
 
 def need(registry, name, what: str):
     """registry[name], or an UnknownEntityError naming what is missing."""
-    if name not in registry:
-        raise UnknownEntityError(f"no {what} {name!r}")
-    return registry[name]
+    try:
+        return registry[name]
+    except KeyError:
+        raise UnknownEntityError(f"no {what} {name!r}") from None
 
 
 class DuplicateNameError(ModelError):

@@ -365,8 +365,6 @@ def load_model(data: dict) -> World:
         lists = isinstance(literals, list) and isinstance(patterns, list)
         if not lists or not all(isinstance(x, str) for x in literals + patterns):
             raise SchemaError("literals and patterns must be lists of strings", "vocabulary")
-        for pattern in patterns:
-            re.compile(pattern)
         world.vocabulary = Vocabulary(literals=frozenset(literals), patterns=tuple(patterns))
 
     for loc, s in _entries(data, "scales"):

@@ -14,7 +14,7 @@ from .errors import (
     PortionNotPresent,
     PushWithoutConnection,
 )
-from .records import FrozenRecord, Record, set_field
+from .records import FrozenRecord, Record, set_field, slot_setters
 
 MEDIA = ("blood_path", "air_path", "other")
 CONDUIT_KINDS = ("fluid", "nerve")
@@ -57,6 +57,16 @@ class Connection(FrozenRecord):
         return (self.from_id, self.to_id, self.conduit_kind)
 
 
+class _Positions(dict):
+    """Compartment id -> index in a circuit's order. An id off the circuit
+    reads as the order's length, so it sorts after every id on it."""
+
+    __slots__ = ()
+
+    def __missing__(self, cid: str) -> int:
+        return len(self)
+
+
 class Circuit(FrozenRecord):
     """A declared ordered ring over compartments, with branch/merge points.
 
@@ -75,7 +85,7 @@ class Circuit(FrozenRecord):
         set_field(self, "name", name)
         set_field(self, "order", order)
         set_field(self, "successors", {} if successors is None else successors)
-        set_field(self, "_position", {cid: i for i, cid in enumerate(order)})
+        set_field(self, "_position", _Positions({cid: i for i, cid in enumerate(order)}))
 
     def __hash__(self) -> int:
         # successors is a dict, so it takes no part in the hash; == compares it.
@@ -86,9 +96,12 @@ class Move(FrozenRecord):
     _fields = __slots__ = ("portion", "src", "dst")
 
     def __init__(self, portion: str, src: str, dst: str):
-        set_field(self, "portion", portion)
-        set_field(self, "src", src)
-        set_field(self, "dst", dst)
+        _set_move_portion(self, portion)
+        _set_move_src(self, src)
+        _set_move_dst(self, dst)
+
+
+_set_move_portion, _set_move_src, _set_move_dst = slot_setters(Move)
 
 
 class SplitPlan(FrozenRecord):
@@ -97,9 +110,12 @@ class SplitPlan(FrozenRecord):
     _fields = __slots__ = ("portion", "src", "dsts")
 
     def __init__(self, portion: str, src: str, dsts: tuple[str, ...]):
-        set_field(self, "portion", portion)
-        set_field(self, "src", src)
-        set_field(self, "dsts", dsts)
+        _set_split_portion(self, portion)
+        _set_split_src(self, src)
+        _set_split_dsts(self, dsts)
+
+
+_set_split_portion, _set_split_src, _set_split_dsts = slot_setters(SplitPlan)
 
 
 class MoveBatch(Record):
@@ -200,28 +216,41 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
     if batch.status != "staging":
         raise BatchStateError("batch already committed")
 
-    # Check the movers against the pre-commit world. Until it splits, a split
-    # parent stands in for each child it sends to a dst.
-    portions = world.portions
+    # One pass checks each mover against the pre-commit world and notes where
+    # it lands, what was applied and what it vacates; the world is untouched
+    # until every check has passed. Until it splits, a split parent stands in
+    # for each child it sends to a dst.
+    portions, compartments = world.portions, world.compartments
     leaving = batch.movers
     arrivals: dict[str, list[str]] = {}
+    applied: list[tuple[str, str, str]] = []
+    vacated: list[str] = []
     for move in batch.moves:
-        p = portions.get(move.portion)
-        if p is None or p.compartment != move.src:
-            raise PortionNotPresent(f"portion {move.portion!r} left {move.src!r}")
-        arrivals.setdefault(move.dst, []).append(move.portion)
+        pid, src, dst = move.portion, move.src, move.dst
+        p = portions.get(pid)
+        if p is None or p.compartment != src:
+            raise PortionNotPresent(f"portion {pid!r} left {src!r}")
+        landing = arrivals.get(dst)
+        if landing is None:
+            arrivals[dst] = [pid]
+        else:
+            landing.append(pid)
+        applied.append((pid, src, dst))
+        vacated.append(src)
     for plan in batch.splits:
-        p = portions.get(plan.portion)
-        if p is None or p.compartment != plan.src:
-            raise PortionNotPresent(f"portion {plan.portion!r} left {plan.src!r}")
+        pid, src = plan.portion, plan.src
+        p = portions.get(pid)
+        if p is None or p.compartment != src:
+            raise PortionNotPresent(f"portion {pid!r} left {src!r}")
         for dst in plan.dsts:
-            arrivals.setdefault(dst, []).append(plan.portion)
+            arrivals.setdefault(dst, []).append(pid)
+        vacated.append(src)
 
     # Find every overfill. A blood compartment overfilled by one substance
     # merges its portions; any other overfill fails here, unchanged.
     merging: dict[str, list[str]] = {}  # dst -> stayers to merge with its arrivals
     for dst, arriving in arrivals.items():
-        comp = world.compartments[dst]
+        comp = compartments[dst]
         if comp.capacity is None:
             continue
         # A plain loop: it runs for every destination of every commit, and a
@@ -246,15 +275,14 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
             )
         merging[dst] = stayers
 
-    record = CommitRecord(world.clock, [], [], [], [], [])
-    split_children: list[tuple[str, str, str]] = []  # (child, src, dst)
+    record = CommitRecord(world.clock, applied, vacated, [], [], [])
     for plan in batch.splits:
         children = world.split_portion(plan.portion, len(plan.dsts))
         record.split_parents.append(plan.portion)
         for child, dst in zip(children, plan.dsts):
             landing = arrivals[dst]
             landing[landing.index(plan.portion)] = child.id
-            split_children.append((child.id, plan.src, dst))
+            applied.append((child.id, plan.src, dst))
 
     # Arrivals leave their sources as they are placed or merged.
     for dst, arrived in arrivals.items():
@@ -264,24 +292,17 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
             for pid in arrived:
                 world.place_portion(pid, dst)
 
-    applied, vacated = record.applied, record.vacated
-    for m in batch.moves:
-        applied.append((m.portion, m.src, m.dst))
-        vacated.append(m.src)
-    applied += split_children
-    for plan in batch.splits:
-        vacated.append(plan.src)
-
-    # Vacated compartments report in circuit order when one is given.
+    # Vacated compartments report in circuit order when one is given (the
+    # sort is stable, and a batch that ring_push staged is nearly in order).
     if circuit is not None:
-        pos = circuit._position
-        vacated.sort(key=lambda cid: pos.get(cid, len(pos)))
+        vacated.sort(key=circuit._position.__getitem__)
 
+    lines = record.trace_lines
     for cid in vacated:
-        comp = world.compartments[cid]
+        comp = compartments[cid]
         if comp.medium == "blood_path":
-            record.trace_lines.append(f"pushed {comp.name}Blood")
-    record.trace_lines.append("trigger updates")
+            lines.append(f"pushed {comp.name}Blood")
+    lines.append("trigger updates")
 
     batch.status = "committed"
     world.last_commits.append(record)
@@ -289,15 +310,43 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
 
 
 def ring_push(world, circuit: Circuit) -> MoveBatch:
-    """Stage one move per occupied compartment toward its successor(s)."""
+    """Stage one move per occupied compartment toward its successor(s).
+
+    Each portion is staged as stage_move (one successor) or stage_split
+    (several) would stage it, with their checks in their order, made inline:
+    the batch is new, so it is staging, and a compartment's connections are
+    looked up once for all the portions it holds.
+    """
     batch = MoveBatch()
+    moves, splits, movers = batch.moves, batch.splits, batch.movers
+    portions, compartments, connections = world.portions, world.compartments, world.connections
+    successors = circuit.successors
     for cid in circuit.order:
-        succ = circuit.successors.get(cid, ())
+        succ = successors.get(cid, ())
         if not succ:
             raise PushWithoutConnection(f"circuit {circuit.name!r} dead-ends at {cid!r}")
-        for pid in world.compartments[cid].contents:
+        contents = compartments[cid].contents
+        if not contents:
+            continue
+        if len(succ) == 1:
+            dst = succ[0]
+            wired = (cid, dst, "fluid") in connections
+        else:
+            dsts = tuple(succ)
+            for dst in dsts:  # stage_split checks these before the portion
+                if (cid, dst, "fluid") not in connections:
+                    raise PushWithoutConnection(f"no fluid connection {cid!r} -> {dst!r}")
+        for pid in contents:
+            if pid in movers:
+                raise DuplicateMover(f"portion {pid!r} already staged in this batch")
+            p = portions.get(pid)
+            if p is None or p.compartment != cid:
+                raise PortionNotPresent(f"no live portion {pid!r} in {cid!r}")
             if len(succ) == 1:
-                stage_move(world, batch, pid, cid, succ[0])
+                if not wired:
+                    raise PushWithoutConnection(f"no fluid connection {cid!r} -> {dst!r}")
+                moves.append(Move(pid, cid, dst))
             else:
-                stage_split(world, batch, pid, cid, tuple(succ))
+                splits.append(SplitPlan(pid, cid, dsts))
+            movers.add(pid)
     return batch

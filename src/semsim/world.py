@@ -119,8 +119,9 @@ class System(FrozenRecord):
 class Vocabulary(FrozenRecord):
     """The closed set of trace lines a model may emit.
 
-    Frozen, so the literal table built at construction always matches
-    `literals`; a model changes its vocabulary by replacing it.
+    Frozen, so the literal table and the compiled patterns built at
+    construction always match `literals` and `patterns`; a model changes its
+    vocabulary by replacing it.
     """
 
     _fields = ("literals", "patterns")
@@ -129,8 +130,10 @@ class Vocabulary(FrozenRecord):
         literals = frozenset(literals)
         set_field(self, "literals", literals)
         set_field(self, "patterns", patterns)
-        # Derived, so it takes no part in repr, == or hash.
+        # Derived, so they take no part in repr, ==, hash, copy or pickle. A
+        # malformed pattern raises re.error here, not at its first use.
         set_field(self, "_literal_table", {line: line for line in literals})
+        set_field(self, "_compiled", tuple(re.compile(pat) for pat in patterns))
 
     def canonical(self, line: str) -> str | None:
         """The vocabulary's own string for a declared literal, the line itself
@@ -142,12 +145,30 @@ class Vocabulary(FrozenRecord):
         literal = self._literal_table.get(line)
         if literal is not None:
             return literal
-        if any(re.fullmatch(pat, line) for pat in self.patterns):
-            return line
+        for pattern in self._compiled:
+            if pattern.fullmatch(line):
+                return line
         return None
 
     def allows(self, line: str) -> bool:
         return self.canonical(line) is not None
+
+
+def _ranked_pick(parents, key: str, highest: bool) -> QualValue:
+    """The value of key, among the parents that carry it, with the lowest
+    (or highest) rank on its scale; the earliest of those on a tie. Raises
+    StateError for a value on an unordered scale, as QualValue.rank does."""
+    best = None
+    for p in parents:
+        props = p.properties
+        if key not in props:
+            continue
+        value = props[key]
+        scale = value.scale
+        rank = scale._ranks[value.level] if scale.ordered else value.rank()  # rank() raises
+        if best is None or (rank > best_rank if highest else rank < best_rank):
+            best, best_rank = value, rank
+    return best
 
 
 class World:
@@ -197,7 +218,9 @@ class World:
     def next_id(self, prefix: str) -> str:
         n = self._counters.get(prefix, 0)
         candidate = f"{prefix}-{n}"
-        while self.has_entity(candidate):  # explicit ids may have claimed slots
+        objects, portions, substances = self.objects, self.portions, self.substances
+        # has_entity, inline: explicit ids may have claimed slots.
+        while candidate in objects or candidate in portions or candidate in substances:
             n += 1
             candidate = f"{prefix}-{n}"
         self._counters[prefix] = n + 1
@@ -282,8 +305,13 @@ class World:
         self.kinds[name] = kind
         self._check_acyclic(kind)
         # A kind is fixed once defined, and its parent was defined before it.
-        inherited = self.kinds[parent]._effective_spaces if parent is not None else {}
+        if parent is None:
+            inherited, inherited_substance = {}, None
+        else:
+            base = self.kinds[parent]
+            inherited, inherited_substance = base._effective_spaces, base._effective_substance
         kind._effective_spaces = {**inherited, **{s.variable: s for s in kind.state_spaces}}
+        kind._effective_substance = substance if substance is not None else inherited_substance
         return kind
 
     def _check_acyclic(self, kind: KindDef):
@@ -321,11 +349,9 @@ class World:
         return schema
 
     def effective_substance(self, kind_name: str) -> str | None:
-        sub = None
-        for kind in self.ancestry(kind_name):
-            if kind.substance is not None:
-                sub = kind.substance
-        return sub
+        """The substance of the nearest kind in the ancestry that names one,
+        as define_kind derived it once."""
+        return need(self.kinds, kind_name, "kind")._effective_substance
 
     # ------------------------------------------------------------------
     # instantiation
@@ -336,21 +362,17 @@ class World:
         Kinds tied to a substance instantiate as Portions at (0, 0) with the
         first location label; everything else becomes a SemObject.
         """
-        need(self.kinds, kind_name, "kind")
-        substance = self.effective_substance(kind_name)
+        kind = need(self.kinds, kind_name, "kind")
+        substance = kind._effective_substance
         if substance is not None:
-            return self._instantiate_portion(kind_name, substance, entity_id)
+            return self._instantiate_portion(kind, substance, entity_id)
 
         if kind_name in _stack:
             raise ModelError(
                 f"part schema recursion: {kind_name!r} contains itself with minimum > 0"
             )
-        obj_id = entity_id or self.next_id(kind_name)
-        if self.has_entity(obj_id):
-            raise DuplicateNameError(f"entity id {obj_id!r} already in use")
-        states = {
-            var: space.first for var, space in self.effective_state_spaces(kind_name).items()
-        }
+        obj_id = self._new_id(entity_id, kind_name)
+        states = {var: space.first for var, space in kind._effective_spaces.items()}
         obj = SemObject(obj_id, kind_name, [], states, {})
         self.objects[obj_id] = obj
         self.touched.add(obj_id)
@@ -358,27 +380,33 @@ class World:
             for _ in range(spec.minimum):
                 child = self.instantiate(spec.part_kind, _stack=_stack + (kind_name,))
                 obj.parts.append((role, child.id))
-        self._log(Transitional("birth", (obj_id,), (kind_name,), self.clock))
+        self.transitional_log.append(Transitional("birth", (obj_id,), (kind_name,), self.clock))
         return obj
 
-    def _instantiate_portion(self, kind_name, substance_name, entity_id):
+    def _new_id(self, entity_id: str | None, prefix: str) -> str:
+        """entity_id when it is free, or a fresh id minted under prefix when
+        it is not given; a minted id is free by construction."""
+        if not entity_id:
+            return self.next_id(prefix)
+        if self.has_entity(entity_id):
+            raise DuplicateNameError(f"entity id {entity_id!r} already in use")
+        return entity_id
+
+    def _instantiate_portion(self, kind: KindDef, substance_name, entity_id):
         sub = self.substances[substance_name]
-        pid = entity_id or self.next_id(substance_name)
-        if self.has_entity(pid):
-            raise DuplicateNameError(f"entity id {pid!r} already in use")
-        spaces = self.effective_state_spaces(kind_name)
-        location = spaces["Location"].first if "Location" in spaces else "null"
+        pid = self._new_id(entity_id, substance_name)
+        location = kind._effective_spaces.get("Location")
         portion = Portion(
             pid,
             substance_name,
-            kind=kind_name,
+            kind=kind.name,
             properties=dict(sub.default_properties),
             x=0,
             y=0,
-            location_state=location,
+            location_state="null" if location is None else location.first,
         )
         self.add_portion(portion)
-        self._log(Transitional("birth", (pid,), (kind_name,), self.clock))
+        self.transitional_log.append(Transitional("birth", (pid,), (kind.name,), self.clock))
         return portion
 
     def create_portion(
@@ -390,9 +418,7 @@ class World:
     ) -> Portion:
         """Create a portion directly (no kind), optionally placed in a compartment."""
         sub = need(self.substances, substance_name, "substance")
-        pid = entity_id or self.next_id(substance_name)
-        if self.has_entity(pid):
-            raise DuplicateNameError(f"entity id {pid!r} already in use")
+        pid = self._new_id(entity_id, substance_name)
         props = dict(sub.default_properties)
         for key, label in (properties or {}).items():
             props[key] = QualValue(self._property_scale(key), label)
@@ -400,7 +426,7 @@ class World:
         self.add_portion(portion)
         if compartment is not None:
             self.place_portion(pid, compartment)
-        self._log(Transitional("birth", (pid,), (substance_name,), self.clock))
+        self.transitional_log.append(Transitional("birth", (pid,), (substance_name,), self.clock))
         return portion
 
     def add_portion(self, portion: Portion) -> Portion:
@@ -436,7 +462,14 @@ class World:
 
     def set_state(self, entity_id: str, variable: str, label: str) -> Transitional:
         """Move one state variable to a new label, recording the transitional."""
-        ent = self.entity(entity_id)
+        # self.entity(entity_id), one lookup per registry.
+        ent = self.objects.get(entity_id)
+        if ent is None:
+            ent = self.portions.get(entity_id)
+            if ent is None:
+                ent = self.substances.get(entity_id)
+                if ent is None:
+                    raise UnknownEntityError(f"no entity {entity_id!r}")
         if isinstance(ent, Substance):
             if variable not in ("phase", "Phase"):
                 raise StateError(f"substances only have a phase, not {variable!r}")
@@ -445,36 +478,34 @@ class World:
         elif isinstance(ent, Portion):
             if not ent.alive:
                 raise DeadSubjectError(f"portion {entity_id!r} is dead")
-            self._set_portion_state(ent, variable, label)
+            properties = ent.properties
+            if variable == "Location":
+                if ent.kind is not None:
+                    spaces = need(self.kinds, ent.kind, "kind")._effective_spaces
+                    location = spaces.get("Location")
+                    if location is not None:
+                        location.index(label)
+                ent.location_state = label
+            elif variable in properties:
+                properties[variable] = QualValue(properties[variable].scale, label)
+            else:
+                raise StateError(
+                    f"portion {ent.id!r} has no property or location variable {variable!r}"
+                )
         else:
             if not ent.alive:
                 raise DeadSubjectError(f"object {entity_id!r} is dead")
-            spaces = self.effective_state_spaces(ent.kind)
-            if variable not in spaces:
+            space = need(self.kinds, ent.kind, "kind")._effective_spaces.get(variable)
+            if space is None:
                 raise StateError(
                     f"variable {variable!r} not declared for kind {ent.kind!r}"
                 )
-            spaces[variable].index(label)
+            space.index(label)
             ent.states[variable] = label
         self.touched.add(entity_id)
         t = Transitional("state_change", (entity_id,), ((variable, label),), self.clock)
-        self._log(t)
+        self.transitional_log.append(t)
         return t
-
-    def _set_portion_state(self, portion: Portion, variable: str, label: str):
-        if variable == "Location":
-            if portion.kind is not None:
-                spaces = self.effective_state_spaces(portion.kind)
-                if "Location" in spaces:
-                    spaces["Location"].index(label)
-            portion.location_state = label
-        elif variable in portion.properties:
-            scale = portion.properties[variable].scale
-            portion.properties[variable] = QualValue(scale, label)
-        else:
-            raise StateError(
-                f"portion {portion.id!r} has no property or location variable {variable!r}"
-            )
 
     # ------------------------------------------------------------------
     # transitionals
@@ -517,7 +548,7 @@ class World:
             ent.alive = False
             self.touched.add(entity_id)
         t = Transitional("death", (entity_id,), (), self.clock)
-        self._log(t)
+        self.transitional_log.append(t)
         return t
 
     def split_portion(self, portion_id: str, n_children: int) -> list[Portion]:
@@ -527,28 +558,26 @@ class World:
         parent = need(self.portions, portion_id, "portion")
         if not parent.alive:
             raise DeadSubjectError(f"portion {portion_id!r} is dead")
-        children = []
+        substance, where = parent.substance, parent.compartment
+        contents = None if where is None else self.compartments[where].contents
+        portions, live, touched = self.portions, self.live_registry, self.touched
+        children, child_ids = [], []
         for _ in range(n_children):
+            cid = self.next_id(substance)
             child = Portion(
-                self.next_id(parent.substance),
-                parent.substance,
-                kind=parent.kind,
-                properties=dict(parent.properties),
-                x=parent.x,
-                y=parent.y,
-                compartment=parent.compartment,
-                location_state=parent.location_state,
-                provenance=(parent.id,),
+                cid, substance, parent.kind, dict(parent.properties), parent.x, parent.y,
+                where, parent.location_state, (parent.id,),
             )
-            self.add_portion(child)
-            if parent.compartment is not None:
-                self.compartments[parent.compartment].contents.append(child.id)
+            # add_portion, for a portion known to be live and new
+            portions[cid] = live[cid] = child
+            touched.add(cid)
+            if contents is not None:
+                contents.append(cid)
             children.append(child)
+            child_ids.append(cid)
         self._retire_portion(parent)
-        self._log(
-            Transitional(
-                "split", (portion_id,), tuple(c.id for c in children), self.clock
-            )
+        self.transitional_log.append(
+            Transitional("split", (portion_id,), tuple(child_ids), self.clock)
         )
         return children
 
@@ -556,58 +585,52 @@ class World:
         """Retire the inputs and create one result.
 
         Qualitative properties follow the substance's merge policy per
-        property (min/max by ordinal rank, or the first parent's value).
+        property, in the order the parents first carry them, over the parents
+        that carry each: min/max by ordinal rank (a tie keeps the earlier
+        parent's value), or the first carrier's value for "first" or any
+        other rule.
         """
         ids = tuple(portion_ids)
         if len(ids) < 2:
             raise TransitionalError("merge needs at least two subjects")
+        portions = self.portions
         parents = []
         for pid in ids:
-            p = need(self.portions, pid, "portion")
+            p = need(portions, pid, "portion")
             if not p.alive:
                 raise DeadSubjectError(f"portion {pid!r} is dead")
             parents.append(p)
-        substance = parents[0].substance
-        if any(p.substance != substance for p in parents):
-            raise TransitionalError("cannot merge portions of different substances")
+        first = parents[0]
+        substance = first.substance
+        for p in parents:
+            if p.substance != substance:
+                raise TransitionalError("cannot merge portions of different substances")
         policy = self.substances[substance].merge_policy
 
         merged_props: dict[str, QualValue] = {}
-        keys: list[str] = []
         for p in parents:
-            for key in p.properties:
-                if key not in keys:
-                    keys.append(key)
-        for key in keys:
-            values = [p.properties[key] for p in parents if key in p.properties]
-            rule = policy.get(key, "first")
-            if rule == "min":
-                merged_props[key] = min(values, key=lambda v: v.rank())
-            elif rule == "max":
-                merged_props[key] = max(values, key=lambda v: v.rank())
-            else:
-                merged_props[key] = values[0]
+            for key, value in p.properties.items():
+                if key in merged_props:
+                    continue
+                rule = policy.get(key)
+                if rule == "min" or rule == "max":
+                    value = _ranked_pick(parents, key, rule == "max")
+                merged_props[key] = value
 
+        rid = self.next_id(substance)
         result = Portion(
-            self.next_id(substance),
-            substance,
-            kind=parents[0].kind,
-            properties=merged_props,
-            x=parents[0].x,
-            y=parents[0].y,
-            location_state=parents[0].location_state,
-            provenance=ids,
+            rid, substance, first.kind, merged_props, first.x, first.y,
+            None, first.location_state, ids,
         )
-        self.add_portion(result)
+        # add_portion, for a portion known to be live and new
+        portions[rid] = self.live_registry[rid] = result
+        self.touched.add(rid)
         for p in parents:
             self._retire_portion(p)
         if destination is not None:
-            self.place_portion(result.id, destination)
-        self._log(Transitional("merge", ids, (result.id,), self.clock))
+            self.place_portion(rid, destination)
+        self.transitional_log.append(Transitional("merge", ids, (rid,), self.clock))
         return result
-
-    def _log(self, t: Transitional):
-        self.transitional_log.append(t)
 
     # ------------------------------------------------------------------
     # parts and cardinality
@@ -698,6 +721,11 @@ class World:
         if name in self.circuits:
             raise DuplicateNameError(f"circuit {name!r} already defined")
         circuit = Circuit(name, tuple(order), {k: tuple(v) for k, v in successors.items()})
+        for cid in circuit.order:
+            need(self.compartments, cid, "compartment")
+        if len(circuit._position) != len(circuit.order):
+            repeated = sorted({cid for cid in circuit.order if circuit.order.count(cid) > 1})
+            raise ModelError(f"circuit {name!r} lists {repeated} more than once")
         for src, dsts in circuit.successors.items():
             for dst in dsts:
                 if not self.is_connected(src, dst, "fluid"):

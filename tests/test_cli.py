@@ -725,6 +725,20 @@ LOAD_CHECKS = {
     "name-a-number": (_mix_called_5, "mechanisms[6]: a mechanism's name must be a string, not 5"),
     "second-heart": (_second_heart, "objects[9]: duplicate object id 'heart'"),
     "portion-called-heart": (_portion_called_heart, "portions[10]: duplicate portion id 'heart'"),
+    # Both loaded; the first heartbeat then faulted with PushWithoutConnection
+    # (the circuit dead-ends at 'Nowhere') or DuplicateMover.
+    "circuit-through-nowhere": (
+        lambda data: data["circuits"][0]["order"].append("Nowhere"),
+        "circuits[0]: no compartment 'Nowhere'",
+    ),
+    "circuit-order-repeated": (
+        lambda data: data["circuits"][0]["order"].append("LeftAtrium"),
+        "circuits[0]: circuit 'cardio' lists ['LeftAtrium'] more than once",
+    ),
+    "pattern-unbalanced": (
+        lambda data: data["vocabulary"]["patterns"].append("(\\d+"),
+        "vocabulary: malformed entry: missing ), unterminated subpattern at position 0",
+    ),
 }
 
 # The same kind of edit made to the params of a version-2 file, which the

@@ -242,6 +242,69 @@ def test_merge_uses_min_max_mixing_rule():
     assert not a.alive and not b.alive
 
 
+def rules_world(policy):
+    """Blood with an ordinal, a binary and a nominal property, merged by policy."""
+    w = World("w")
+    w.define_scale(StateSpace("Warmth", ("cold", "warm", "hot"), "ordinal"))
+    w.define_scale(StateSpace("O2Level", ("low", "high"), "binary"))
+    w.define_scale(StateSpace("Color", ("red", "dark"), "nominal"))
+    w.define_substance("blood", phase="liquid", merge_policy=policy)
+    return w
+
+
+@pytest.mark.parametrize("rule", ["min", "max"])
+def test_a_merge_tie_keeps_the_first_parents_value(rule):
+    w = rules_world({"Warmth": rule})
+    a = w.create_portion("blood", properties={"Warmth": "warm"})
+    b = w.create_portion("blood", properties={"Warmth": "warm"})
+    assert a.properties["Warmth"] is not b.properties["Warmth"]
+    merged = w.merge_portions((a.id, b.id))
+    assert merged.properties["Warmth"] is a.properties["Warmth"]
+
+
+def test_a_merged_property_comes_from_the_parents_that_carry_it():
+    w = rules_world({"Warmth": "max", "O2Level": "min"})
+    a = w.create_portion("blood", properties={"O2Level": "high"})
+    b = w.create_portion("blood", properties={"Warmth": "warm"})
+    c = w.create_portion("blood", properties={"Warmth": "cold", "O2Level": "high"})
+    merged = w.merge_portions((a.id, b.id, c.id))
+    assert merged.properties["Warmth"] is b.properties["Warmth"]
+    assert merged.properties["O2Level"] is a.properties["O2Level"]  # a tie: the first carrier
+    d = w.create_portion("blood")
+    e = w.create_portion("blood", properties={"Color": "dark"})
+    assert w.merge_portions((d.id, e.id)).properties["Color"] is e.properties["Color"]
+
+
+def test_merged_properties_keep_their_first_seen_order():
+    w = rules_world({"Warmth": "max", "O2Level": "min"})
+    a = w.create_portion("blood", properties={"Color": "red"})
+    b = w.create_portion("blood", properties={"Warmth": "hot", "O2Level": "low"})
+    c = w.create_portion("blood", properties={"O2Level": "high", "Color": "dark"})
+    merged = w.merge_portions((a.id, b.id, c.id))
+    assert list(merged.properties) == ["Color", "Warmth", "O2Level"]
+
+
+@pytest.mark.parametrize("policy", [{"Warmth": "first"}, {"Warmth": "average"}, {}])
+def test_first_or_an_undeclared_rule_keeps_the_first_carriers_value(policy):
+    w = rules_world(policy)
+    a = w.create_portion("blood")
+    b = w.create_portion("blood", properties={"Warmth": "cold"})
+    c = w.create_portion("blood", properties={"Warmth": "hot"})
+    merged = w.merge_portions((a.id, b.id, c.id))
+    assert merged.properties["Warmth"] is b.properties["Warmth"]
+
+
+@pytest.mark.parametrize("rule", ["min", "max"])
+def test_min_or_max_on_a_nominal_scale_raises_before_any_change(rule):
+    w = rules_world({"Color": rule})
+    a = w.create_portion("blood", properties={"Color": "red"})
+    b = w.create_portion("blood", properties={"Color": "dark"})
+    before = (set(w.live_registry), len(w.portions), len(w.transitional_log))
+    with pytest.raises(StateError, match="scale 'Color' is nominal; ordinal comparison undefined"):
+        w.merge_portions((a.id, b.id))
+    assert (set(w.live_registry), len(w.portions), len(w.transitional_log)) == before
+
+
 def test_split_copies_properties_and_provenance():
     w = gas_world()
     p = w.create_portion("blood", properties={"O2Level": "high", "CO2Level": "low"})
@@ -392,3 +455,29 @@ def test_a_kinds_state_spaces_are_derived_once_and_read_only():
         assert clone.effective_state_spaces("Lamp") == spaces
     with pytest.raises(UnknownEntityError, match="no kind 'Ghost'"):
         w.effective_state_spaces("Ghost")
+
+
+def test_a_kinds_substance_is_derived_once_from_its_ancestry():
+    w = World("w")
+    w.define_substance("blood", phase="liquid")
+    w.define_substance("water", phase="liquid")
+    w.define_kind("Fluid")
+    w.define_kind("BloodPortion", parent="Fluid", substance="blood")
+    w.define_kind("Arterial", parent="BloodPortion")
+    w.define_kind("Odd", parent="Arterial", substance="water")
+    assert [w.effective_substance(k) for k in ("Fluid", "BloodPortion", "Arterial", "Odd")] == [
+        None, "blood", "blood", "water",
+    ]
+    assert w.instantiate("Arterial").substance == "blood"
+    with pytest.raises(UnknownEntityError, match="no kind 'Ghost'"):
+        w.effective_substance("Ghost")
+
+
+def test_a_minted_id_skips_the_slots_explicit_ids_claimed():
+    w = World("w")
+    w.define_substance("blood", phase="liquid")
+    w.create_portion("blood", entity_id="blood-0")
+    w.create_portion("blood", entity_id="blood-2")
+    assert [w.create_portion("blood").id for _ in range(3)] == ["blood-1", "blood-3", "blood-4"]
+    with pytest.raises(DuplicateNameError, match="entity id 'blood-4' already in use"):
+        w.create_portion("blood", entity_id="blood-4")

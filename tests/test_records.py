@@ -6,6 +6,7 @@ the console prints property reprs, so they must not drift.
 """
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -349,8 +350,11 @@ def test_a_kernel_that_has_traced_a_line_deep_copies():
          {"_position": {"A": 0, "B": 1, "C": 2}}),
         (lambda: StateSpace("O2Level", ("low", "mid", "high"), "ordinal"),
          {"_ranks": {"low": 0, "mid": 1, "high": 2}}),
+        (lambda: Vocabulary({"a"}, (r"\d+ pool", "b+")),
+         {"_literal_table": {"a": "a"},
+          "_compiled": (re.compile(r"\d+ pool"), re.compile("b+"))}),
     ],
-    ids=["Circuit", "StateSpace"],
+    ids=["Circuit", "StateSpace", "Vocabulary"],
 )
 def test_records_with_derived_tables_compare_hash_copy_and_pickle_by_their_fields(make, tables):
     record, twin = make(), make()
@@ -370,3 +374,17 @@ def test_a_state_spaces_rank_table_answers_index_and_rank():
     for outside in ("none", ["low"]):  # an unknown label, and an unhashable one
         with pytest.raises(StateError, match="is outside the 'O2Level' space"):
             space.index(outside)
+
+
+def test_a_circuit_position_off_the_circuit_sorts_last_and_is_not_kept():
+    ring = Circuit("ring", ("A", "B", "C"), {"A": ("B",), "B": ("C",), "C": ("A",)})
+    assert sorted(["X", "C", "A"], key=ring._position.__getitem__) == ["A", "C", "X"]
+    assert ring._position == {"A": 0, "B": 1, "C": 2}
+
+
+def test_a_vocabulary_compiles_its_patterns_once_and_refuses_a_bad_one():
+    vocabulary = Vocabulary({"a"}, (r"\d+ pool",))
+    assert vocabulary.canonical("12 pool") == "12 pool"
+    assert vocabulary.canonical("12 pools") is None and vocabulary.canonical("a") == "a"
+    with pytest.raises(re.error, match="missing \\)"):
+        Vocabulary(patterns=("(",))

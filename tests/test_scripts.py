@@ -42,3 +42,24 @@ def test_layer_split_prints_a_row_per_model_and_configuration(tmp_path):
     for row in rows:
         steps_per_s, micros, _added = (float(field) for field in row[33:].split())
         assert steps_per_s > 0 and micros > 0
+
+
+def test_ab_steps_compares_a_checkout_with_itself(tmp_path):
+    script = SCRIPTS[0].parent / "ab_steps.py"
+    checkout = script.parent.parent
+    result = subprocess.run(
+        [sys.executable, str(script), str(checkout), "--ticks", "8", "--rounds", "2"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    header, columns, *rows = result.stdout.splitlines()
+    assert header.startswith("8 ticks, 2 rounds;")
+    assert columns.split() == "model configuration this us other us ratio wins".split()
+    assert [(row[:10].strip(), row[11:27].strip()) for row in rows] == [
+        ("cardio", "--validate off"), ("cardio", "--validate halt"),
+        ("waterfall", "--validate halt"),
+    ]
+    for row in rows:
+        mine, theirs, ratio, wins = row[27:].split()
+        assert float(mine) > 0 and float(theirs) > 0 and float(ratio) > 0
+        assert wins in ("0/2", "1/2", "2/2")

@@ -10,6 +10,7 @@ from semsim.errors import (
     ModelError,
     PortionNotPresent,
     PushWithoutConnection,
+    SemsimError,
     UnknownEntityError,
 )
 from semsim.topology import MoveBatch
@@ -268,6 +269,20 @@ def test_pulse_traces_in_circuit_order():
     ]
 
 
+def test_a_compartment_off_the_circuit_reports_after_those_on_it():
+    w, circuit = cardio_ring()
+    w.add_compartment("X", "blood_path", 1)
+    w.connect("X", "LA", "fluid")
+    w.create_portion("blood", entity_id="x-0", compartment="X")
+    batch = MoveBatch()
+    topology.stage_move(w, batch, "x-0", "X", "LA")
+    for move in topology.ring_push(w, circuit).moves:
+        topology.stage_move(w, batch, move.portion, move.src, move.dst)
+    record = topology.commit(w, batch, circuit)
+    assert record.vacated == ["LA", "MC", "CC", "RA", "RV", "AC", "X"]
+    assert record.trace_lines[-2:] == ["pushed XBlood", "trigger updates"]
+
+
 def test_circuit_with_unwired_hop_errors_at_staging():
     w, circuit = cardio_ring()
     w.remove_connection("RA", "RV", "fluid")
@@ -282,6 +297,73 @@ def test_circuit_definition_requires_edges():
     w.add_compartment("B", "blood_path")
     with pytest.raises(ModelError):
         w.define_circuit("c", ("A", "B"), {"A": ("B",), "B": ("A",)})
+
+
+def test_circuit_definition_refuses_an_order_off_the_graph_or_repeated():
+    w, circuit = cardio_ring()
+    succ = circuit.successors
+    with pytest.raises(UnknownEntityError, match="no compartment 'Nowhere'"):
+        w.define_circuit("c", circuit.order + ("Nowhere",), succ)
+    with pytest.raises(ModelError, match=r"circuit 'c' lists \['LA', 'RV'\] more than once"):
+        w.define_circuit("c", ("RV",) + circuit.order + ("LA",), succ)
+    assert list(w.circuits) == ["loop"]
+
+
+def _outcome(stage):
+    """What staging gave: the batch's fields, or the exception's type and text."""
+    try:
+        batch = stage()
+    except SemsimError as exc:
+        return type(exc), str(exc)
+    return batch.moves, batch.splits, batch.movers, batch.status
+
+
+@given(data=st.data())
+def test_ring_push_stages_as_stage_move_and_stage_split_do(data):
+    n = data.draw(st.integers(min_value=3, max_value=6), label="compartments")
+    w = World("ring")
+    w.define_substance("blood", phase="liquid")
+    names = [f"N{i}" for i in range(n)]
+    capacities = {}
+    for name in names:
+        capacities[name] = data.draw(st.sampled_from([1, 2, 3, None]), label=f"capacity {name}")
+        w.add_compartment(name, "blood_path", capacities[name])
+    successors = {}
+    for i, name in enumerate(names):
+        succ = [names[(i + 1) % n]]
+        others = [m for m in names if m not in (name, succ[0])]
+        succ += data.draw(st.lists(st.sampled_from(others), max_size=2, unique=True),
+                          label=f"branches at {name}")
+        successors[name] = tuple(succ)
+        for dst in succ:
+            w.connect(name, dst, "fluid")
+    circuit = w.define_circuit("ring", names, successors)
+    for name in names:
+        most = 3 if capacities[name] is None else capacities[name]
+        for _ in range(data.draw(st.integers(0, most), label=f"portions in {name}")):
+            w.create_portion("blood", compartment=name)
+    if data.draw(st.booleans(), label="cut a connection"):
+        src = data.draw(st.sampled_from(names), label="cut from")
+        w.remove_connection(src, data.draw(st.sampled_from(successors[src]), label="cut to"))
+    if data.draw(st.booleans(), label="repeat a compartment"):
+        # define_circuit refuses this order; a Circuit built directly can carry it.
+        again = data.draw(st.sampled_from(names), label="repeated")
+        circuit = topology.Circuit("ring", tuple(names) + (again,), successors)
+
+    def staged_in_circuit_order():
+        batch = MoveBatch()
+        for cid in circuit.order:
+            succ = circuit.successors[cid]
+            for pid in w.compartments[cid].contents:
+                if len(succ) == 1:
+                    topology.stage_move(w, batch, pid, cid, succ[0])
+                else:
+                    topology.stage_split(w, batch, pid, cid, succ)
+        return batch
+
+    before = world_state(w)
+    assert _outcome(lambda: topology.ring_push(w, circuit)) == _outcome(staged_in_circuit_order)
+    assert world_state(w) == before
 
 
 # ----------------------------------------------------------------------

@@ -79,9 +79,6 @@ class QualValue(FrozenRecord):
             )
         return self.scale.index(self.level)
 
-    def same_scale(self, other: "QualValue") -> bool:
-        return self.scale.variable == other.scale.variable
-
 
 class PartSpec(FrozenRecord):
     """One role in a kind's part schema; cardinality is a finite allowed set."""

@@ -102,11 +102,6 @@ class PathSpec(FrozenRecord):
             raise ModelError("a path needs at least one segment")
         set_field(self, "segments", segments)
 
-    def total_displacement(self) -> tuple[int, int]:
-        dx = sum(seg.length * seg.unit_delta[0] for seg in self.segments)
-        dy = sum(seg.length * seg.unit_delta[1] for seg in self.segments)
-        return (dx, dy)
-
 
 class FrameBinding(Record):
     _fields = ("frame", "element_map", "produced_mechanism")

@@ -138,10 +138,6 @@ class MoveBatch(Record):
         self.status = status
         self.movers = set() if movers is None else movers
 
-    @property
-    def move_count(self) -> int:
-        return len(self.moves) + len(self.splits)
-
 
 class CommitRecord(Record):
     """What one commit did, kept for validation rules and tests."""
@@ -165,7 +161,8 @@ class CommitRecord(Record):
         self.trace_lines = trace_lines
 
 
-def _check_stageable(world, batch: MoveBatch, portion: str, src: str, dst: str):
+def stage_move(world, batch: MoveBatch, portion: str, src: str, dst: str) -> MoveBatch:
+    """Record one move. The world is left untouched."""
     if batch.status != "staging":
         raise BatchStateError("batch already committed")
     if portion in batch.movers:
@@ -176,27 +173,7 @@ def _check_stageable(world, batch: MoveBatch, portion: str, src: str, dst: str):
         raise PortionNotPresent(f"no live portion {portion!r} in {src!r}")
     if not world.is_connected(src, dst, "fluid"):
         raise PushWithoutConnection(f"no fluid connection {src!r} -> {dst!r}")
-
-
-def stage_move(world, batch: MoveBatch, portion: str, src: str, dst: str) -> MoveBatch:
-    """Record one move. The world is left untouched."""
-    _check_stageable(world, batch, portion, src, dst)
     batch.moves.append(Move(portion, src, dst))
-    batch.movers.add(portion)
-    return batch
-
-
-def stage_split(
-    world, batch: MoveBatch, portion: str, src: str, dsts: tuple[str, ...]
-) -> MoveBatch:
-    """Record a branch-point move: the portion splits at commit, one child per dst."""
-    if len(dsts) < 2:
-        raise PushWithoutConnection("a split needs at least two destinations")
-    for dst in dsts:
-        if not world.is_connected(src, dst, "fluid"):
-            raise PushWithoutConnection(f"no fluid connection {src!r} -> {dst!r}")
-    _check_stageable(world, batch, portion, src, dsts[0])
-    batch.splits.append(SplitPlan(portion, src, tuple(dsts)))
     batch.movers.add(portion)
     return batch
 
@@ -312,10 +289,11 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
 def ring_push(world, circuit: Circuit) -> MoveBatch:
     """Stage one move per occupied compartment toward its successor(s).
 
-    Each portion is staged as stage_move (one successor) or stage_split
-    (several) would stage it, with their checks in their order, made inline:
-    the batch is new, so it is staging, and a compartment's connections are
-    looked up once for all the portions it holds.
+    Each portion is staged with stage_move's checks in their order, made
+    inline (a split checks every successor's connection first), as the
+    oracle in tests/reference.py stages it portion by portion: the batch is
+    new, so it is staging, and a compartment's connections are looked up
+    once for all the portions it holds.
     """
     batch = MoveBatch()
     moves, splits, movers = batch.moves, batch.splits, batch.movers
@@ -333,7 +311,7 @@ def ring_push(world, circuit: Circuit) -> MoveBatch:
             wired = (cid, dst, "fluid") in connections
         else:
             dsts = tuple(succ)
-            for dst in dsts:  # stage_split checks these before the portion
+            for dst in dsts:  # checked before the portion
                 if (cid, dst, "fluid") not in connections:
                     raise PushWithoutConnection(f"no fluid connection {cid!r} -> {dst!r}")
         for pid in contents:

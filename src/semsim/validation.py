@@ -181,10 +181,6 @@ class ValidationReport(Record):
         self.violations = [] if violations is None else violations
         self.policy_applied = policy_applied
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
 
 #: The one report shared by every step that validated nothing (policy off, no
 #: wiring error), so an unvalidated run keeps none per step. Nothing adds to it.

@@ -303,8 +303,8 @@ class World:
             raise UnknownEntityError(f"substance {substance!r} not defined")
         kind = KindDef(name, parent, tuple(state_spaces), tuple(part_schema), granularity, substance)
         self.kinds[name] = kind
-        self._check_acyclic(kind)
-        # A kind is fixed once defined, and its parent was defined before it.
+        # A kind is fixed once defined, and its parent was defined before it,
+        # so every chain of parents ends: inheritance cannot cycle.
         if parent is None:
             inherited, inherited_substance = {}, None
         else:
@@ -313,16 +313,6 @@ class World:
         kind._effective_spaces = {**inherited, **{s.variable: s for s in kind.state_spaces}}
         kind._effective_substance = substance if substance is not None else inherited_substance
         return kind
-
-    def _check_acyclic(self, kind: KindDef):
-        seen = set()
-        cur: KindDef | None = kind
-        while cur is not None:
-            if cur.name in seen:
-                del self.kinds[kind.name]
-                raise CyclicInheritanceError(f"inheritance cycle through {cur.name!r}")
-            seen.add(cur.name)
-            cur = self.kinds.get(cur.parent) if cur.parent else None
 
     def ancestry(self, kind_name: str) -> list[KindDef]:
         """Root-first chain of kinds ending at kind_name."""
@@ -510,34 +500,6 @@ class World:
     # ------------------------------------------------------------------
     # transitionals
 
-    def apply_transitional(self, t: Transitional):
-        """Apply a birth/death/split/merge/state_change described as data."""
-        if t.kind == "state_change":
-            applied = [self.set_state(s, t.results[0][0], t.results[0][1]) for s in t.subjects]
-            return applied
-        if t.kind == "birth":
-            kind_or_sub = t.results[0]
-            if kind_or_sub in self.kinds:
-                return self.instantiate(kind_or_sub)
-            return self.create_portion(kind_or_sub)
-        self._require_live(t.subjects)
-        if t.kind == "death":
-            return [self.kill(s) for s in t.subjects]
-        if t.kind == "split":
-            return self.split_portion(t.subjects[0], len(t.results))
-        if t.kind == "merge":
-            # The single result names a destination compartment when it is
-            # one; otherwise it is a placeholder for the portion to come.
-            dest = t.results[0] if t.results and t.results[0] in self.compartments else None
-            return self.merge_portions(t.subjects, dest)
-        raise TransitionalError(f"cannot apply transitional kind {t.kind!r}")
-
-    def _require_live(self, subjects):
-        for s in subjects:
-            ent = self.entity(s)
-            if not getattr(ent, "alive", True):
-                raise DeadSubjectError(f"subject {s!r} is dead")
-
     def kill(self, entity_id: str) -> Transitional:
         ent = self.entity(entity_id)
         if not getattr(ent, "alive", True):
@@ -593,6 +555,9 @@ class World:
         ids = tuple(portion_ids)
         if len(ids) < 2:
             raise TransitionalError("merge needs at least two subjects")
+        if len(set(ids)) != len(ids):
+            repeated = sorted({pid for pid in ids if ids.count(pid) > 1})
+            raise TransitionalError(f"merge lists {repeated} more than once")
         portions = self.portions
         parents = []
         for pid in ids:

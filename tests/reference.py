@@ -1,13 +1,21 @@
-"""An independent reference for triple validation, shared by the tests.
+"""Independent references the tests compare the program against.
 
-It is the naive algorithm: derive every triple straight from the world's
-registries (every portion ever made, filtered by alive), sort the whole set
-by (subject, predicate, obj) and try every rule's pattern on every triple.
-It shares no code with semsim.validation beyond the Triple and Var types, so
-the snapshot and the rule evaluator there are checked against it, not
-against themselves.
+For triple validation it is the naive algorithm: derive every triple
+straight from the world's registries (every portion ever made, filtered by
+alive), sort the whole set by (subject, predicate, obj) and try every rule's
+pattern on every triple. It shares no code with semsim.validation beyond the
+Triple and Var types, so the snapshot and the rule evaluator there are
+checked against it, not against themselves.
+
+stage_split stages one branch-point move at a time, so that staging a
+circuit portion by portion, with it and topology.stage_move, checks
+topology.ring_push, which stages a whole circuit with its checks inline.
+total_displacement is the closed form of a path: what a portion that runs
+the whole path ends up displaced by.
 """
 from semsim import Triple, Var
+from semsim.errors import BatchStateError, DuplicateMover, PortionNotPresent, PushWithoutConnection
+from semsim.topology import SplitPlan
 
 
 def reference_match(pattern, triple):
@@ -76,3 +84,31 @@ def reference_triples(world):
 def as_items(violations):
     """Violation objects in reference_violations' form."""
     return [(v.rule, list(v.bindings.items())) for v in violations]
+
+
+def stage_split(world, batch, portion, src, dsts):
+    """Record a branch-point move: the portion splits at commit, one child per
+    dst. Every dst's connection is checked before the portion."""
+    if len(dsts) < 2:
+        raise PushWithoutConnection("a split needs at least two destinations")
+    for dst in dsts:
+        if not world.is_connected(src, dst, "fluid"):
+            raise PushWithoutConnection(f"no fluid connection {src!r} -> {dst!r}")
+    if batch.status != "staging":
+        raise BatchStateError("batch already committed")
+    if portion in batch.movers:
+        raise DuplicateMover(f"portion {portion!r} already staged in this batch")
+    p = world.portions.get(portion)
+    if p is None or p.compartment != src:
+        raise PortionNotPresent(f"no live portion {portion!r} in {src!r}")
+    batch.splits.append(SplitPlan(portion, src, tuple(dsts)))
+    batch.movers.add(portion)
+    return batch
+
+
+def total_displacement(path):
+    """(dx, dy) over the whole path: each segment's length times its slope's
+    (run, rise)."""
+    dx = sum(seg.length * seg.slope[1] for seg in path.segments)
+    dy = sum(seg.length * seg.slope[0] for seg in path.segments)
+    return (dx, dy)

@@ -134,8 +134,6 @@ def test_qual_value_comparisons_scale_bound():
     low = QualValue(gas, "low")
     high = QualValue(gas, "high")
     assert low.rank() < high.rank()
-    assert low.same_scale(high)
-    assert not low.same_scale(QualValue(phase, "solid"))
     with pytest.raises(StateError):
         QualValue(phase, "solid").rank()  # nominal scales have no order
     with pytest.raises(StateError):
@@ -340,6 +338,26 @@ def test_merge_needs_two_subjects():
         w.merge_portions((p.id,))
 
 
+@pytest.mark.parametrize("ids", [["blood-0", "blood-0"], ["blood-1", "blood-0", "blood-1"]])
+def test_a_merge_that_lists_a_portion_twice_changes_nothing(ids):
+    from semsim.models import build_cardio
+
+    w = build_cardio()
+
+    def state():
+        return (
+            list(w.live_registry),
+            {cid: list(c.contents) for cid, c in w.compartments.items()},
+            dict(w._counters),
+            list(w.transitional_log),
+        )
+
+    before = state()
+    with pytest.raises(TransitionalError, match=r"merge lists \['blood-\d'\] more than once"):
+        w.merge_portions(ids, "LeftAtrium")
+    assert state() == before
+
+
 def test_split_then_merge_counts():
     w = gas_world()
     p = w.create_portion("blood")
@@ -375,33 +393,6 @@ def test_dead_entities_retained_for_queries():
     assert not w.portions[p.id].alive
 
 
-def test_apply_transitional_data_forms():
-    from semsim import Transitional
-
-    w = gas_world()
-    a = w.create_portion("blood", properties={"O2Level": "low", "CO2Level": "high"})
-    b = w.create_portion("blood", properties={"O2Level": "high", "CO2Level": "high"})
-
-    w.apply_transitional(Transitional("state_change", (a.id,), (("O2Level", "high"),)))
-    assert a.properties["O2Level"].level == "high"
-
-    born = w.apply_transitional(Transitional("birth", (), ("blood",)))
-    assert born.alive and born.substance == "blood"
-
-    kids = w.apply_transitional(Transitional("split", (a.id,), ("left", "right")))
-    assert len(kids) == 2 and not a.alive
-
-    merged = w.apply_transitional(
-        Transitional("merge", (kids[0].id, kids[1].id), ("result",))
-    )
-    assert merged.alive and set(merged.provenance) == {kids[0].id, kids[1].id}
-
-    w.apply_transitional(Transitional("death", (b.id,), ()))
-    assert not b.alive
-    with pytest.raises(DeadSubjectError):
-        w.apply_transitional(Transitional("death", (b.id,), ()))
-
-
 # ----------------------------------------------------------------------
 # functions need context
 
@@ -427,6 +418,32 @@ def test_assert_function_unknown_subject():
     w.define_system("sys", [])
     with pytest.raises(UnknownEntityError):
         w.assert_function("nobody", "does things", "sys")
+
+
+def test_a_scenario_is_a_context_for_a_function():
+    from semsim.scenarios import Scenario, apply_scenario
+
+    w = World("w")
+    w.define_kind("Valve")
+    valve = w.instantiate("Valve")
+    apply_scenario(w, Scenario("drill"))
+    fa = w.assert_function(valve.id, "stays shut", "drill")
+    assert w.assertions == [fa]
+
+
+@pytest.mark.parametrize("target", ["pump", "loop"])
+def test_a_system_or_a_circuit_can_be_annotated(target):
+    w = World("w")
+    for name in ("A", "B"):
+        w.add_compartment(name, "blood_path")
+    w.connect("A", "B")
+    w.connect("B", "A")
+    w.define_circuit("loop", ("A", "B"), {"A": ("B",), "B": ("A",)})
+    w.define_system("pump", [])
+    note = w.annotate(target, "simplification", "one chamber stands for the heart")
+    assert w.list_annotations(target) == [note]
+    with pytest.raises(UnknownEntityError, match="annotation target 'ghost' does not exist"):
+        w.annotate("ghost", "simplification", "nothing to pin it to")
 
 
 def test_a_world_keeps_its_attributes_inline():

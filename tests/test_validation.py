@@ -84,7 +84,7 @@ def test_validate_passes_clean_world():
     register_rule(rules, capacity_rule())
     register_rule(rules, dangling_location_rule())
     report = validate(w, 0, rules)
-    assert report.passed
+    assert not report.violations
 
 
 def test_dangling_location_detected():
@@ -94,7 +94,7 @@ def test_dangling_location_detected():
     rules = {}
     register_rule(rules, dangling_location_rule())
     report = validate(w, 3, rules)
-    assert not report.passed
+    assert report.violations
     assert report.violations[0].rule == "location-resolves"
     assert report.violations[0].bindings["p"] == p.id
     assert report.step_index == 3
@@ -112,7 +112,7 @@ def test_fluidity_rule_flags_frozen_mid_path():
     w.set_state(p.id, "Location", "drop")
     rules = {}
     register_rule(rules, fluidity_rule("water"))
-    assert validate(w, 0, rules).passed
+    assert not validate(w, 0, rules).violations
     w.set_state("water", "phase", "solid")
     report = validate(w, 1, rules)
     assert [v.rule for v in report.violations] == ["water-fluid-while-moving"]
@@ -153,9 +153,9 @@ def test_count_in_set_expectation():
         counts=frozenset({1}),
     )
     rules = {"exactly-one-located": rule}
-    assert validate(w, 0, rules).passed
+    assert not validate(w, 0, rules).violations
     w.create_portion("blood", compartment="LeftVentricle")
-    assert not validate(w, 1, rules).passed
+    assert validate(w, 1, rules).violations
 
 
 def test_policy_off_skips_evaluation():
@@ -164,7 +164,7 @@ def test_policy_off_skips_evaluation():
     del w.compartments["LeftAtrium"]
     rules = {}
     register_rule(rules, dangling_location_rule())
-    assert validate(w, 0, rules, policy="off").passed
+    assert not validate(w, 0, rules, policy="off").violations
 
 
 def test_connection_rule_clean_on_unmodified_cardio(cardio_world):

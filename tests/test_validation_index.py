@@ -17,7 +17,7 @@ from semsim.modelfile import load_model, load_model_file, save_model, save_model
 from semsim.models import build_cardio, build_waterfall
 from semsim.validation import EXPECTATIONS, AssertionRule, derive_triples, validate
 
-from reference import as_items, reference_triples, reference_violations
+from reference import as_items, reference_triples, reference_violations, stage_split
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_registry_tracks_random_lifecycles(data):
                 src = w.portions[pid].compartment
                 dsts = SUCCESSORS[src]
                 if len(dsts) > 1 and data.draw(st.booleans(), label="split"):
-                    topology.stage_split(w, batch, pid, src, dsts)
+                    stage_split(w, batch, pid, src, dsts)
                 else:
                     topology.stage_move(w, batch, pid, src, data.draw(st.sampled_from(dsts)))
             topology.commit(w, batch)

@@ -25,12 +25,14 @@ def main():
     standard_rules(kernel)
     kernel.run(args.ticks)
 
-    for event in kernel.trace:
-        print(f"{event.step:4d}  {event.line}")
+    breaths = pulses = 0
+    for report in kernel.reports:
+        for line in report.lines:
+            print(f"{report.step:4d}  {line}")
+            breaths += line == "inhale cycle"
+            pulses += line == "SANode pulse"
 
     print()
-    breaths = sum(1 for e in kernel.trace if e.line == "inhale cycle")
-    pulses = sum(1 for e in kernel.trace if e.line == "SANode pulse")
     violations = sum(len(r.validation.violations) for r in kernel.reports)
     print(f"{args.ticks} ticks: {pulses} heartbeats, {breaths} breaths, "
           f"{len(world.live_portions('blood'))} live blood portions, "

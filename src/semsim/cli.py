@@ -120,7 +120,7 @@ def step_entry(r) -> str:
 
 
 def write_outputs(kernel: Kernel, config: RunConfig, exit_code: int):
-    """Write the trace, one line per event, and the report sidecar.
+    """Write the trace, each step's lines in order, and the report sidecar.
 
     The sidecar is one JSON document: the run's header keys, then "reports"
     with one compact step entry per line. Each entry is encoded on its own,
@@ -131,7 +131,9 @@ def write_outputs(kernel: Kernel, config: RunConfig, exit_code: int):
     if config.trace_path is None:
         return
     with open(config.trace_path, "w", encoding="utf-8", newline="\n") as out:
-        out.writelines(event.line + "\n" for event in kernel.trace)
+        for r in kernel.reports:
+            for line in r.lines:
+                out.write(line + "\n")
     header = json.dumps({
         "model": kernel.world.name,
         "seed": kernel.seed,
@@ -196,7 +198,7 @@ def run_command(config: RunConfig) -> int:
     except SemsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # A run's history (reports, trace events, transitionals, retired
+    # A run's history (reports, trace lines, transitionals, retired
     # portions) stays reachable until exit, so the cyclic collector would
     # only rescan it, at a cost that grows with the run. The steps make no
     # cyclic garbage (tests/test_cli.py::test_a_run_makes_no_cyclic_garbage

@@ -27,9 +27,10 @@ validation.Snapshot and refreshes it from the world's recorded changes.
 With the policy off it keeps none and only clears those records, and a
 step without wiring errors shares the one empty validation.NOT_VALIDATED.
 
-A step's record is published whole: its StepReport, trace events included,
-joins Kernel.reports only when the step finishes, and Kernel.trace reads the
-events from those reports. A step that raises publishes nothing and ends the
+A step's record is published whole: its StepReport, trace lines included,
+joins Kernel.reports only when the step finishes. A step keeps its trace as
+the vocabulary's own strings; Kernel.trace builds a TraceEvent for each line
+only as a caller iterates it. A step that raises publishes nothing and ends the
 run: whatever escaped it, KeyboardInterrupt included, is kept as Kernel.fault,
 and every later step() raises SemsimError and changes nothing.
 """
@@ -169,20 +170,20 @@ class GuardFailure(Record):
 
 
 class StepReport(Record):
-    _fields = __slots__ = ("step", "fired", "guard_failures", "traces", "validation")
+    _fields = __slots__ = ("step", "fired", "guard_failures", "lines", "validation")
 
     def __init__(
         self,
         step: int,
         fired: list[FiringRecord] | None = None,
         guard_failures: list[GuardFailure] | None = None,
-        traces: list[TraceEvent] | None = None,
+        lines: list[str] | None = None,
         validation: validation.ValidationReport | None = None,
     ):
         self.step = step
         self.fired = [] if fired is None else fired
         self.guard_failures = [] if guard_failures is None else guard_failures
-        self.traces = [] if traces is None else traces
+        self.lines = [] if lines is None else lines
         self.validation = validation
 
     def describe(self) -> str:
@@ -356,8 +357,11 @@ class Kernel:
 
     @property
     def trace(self) -> Iterator[TraceEvent]:
-        """The finished steps' trace events, in order."""
-        return (event for report in self.reports for event in report.traces)
+        """The finished steps' trace lines, in order, each built into a
+        TraceEvent as the iterator reaches it."""
+        return (
+            TraceEvent(report.step, line) for report in self.reports for line in report.lines
+        )
 
     def add_rule(self, rule: validation.AssertionRule):
         return validation.register_rule(self.rules, rule)
@@ -369,10 +373,10 @@ class Kernel:
                 f"line {line!r} is not in the declared vocabulary of "
                 f"{self.world.name!r}"
             )
-        self.current_report.traces.append(TraceEvent(self.current_report.step, canonical))
+        self.current_report.lines.append(canonical)
 
     def trace_lines(self) -> list[str]:
-        return [e.line for e in self.trace]
+        return [line for report in self.reports for line in report.lines]
 
     def _attempt(self, mechanism: Mechanism, via: str) -> bool:
         """Evaluate the guard once, then fire, or record the failing conditions."""

@@ -501,8 +501,13 @@ class World:
     # transitionals
 
     def kill(self, entity_id: str) -> Transitional:
+        """Log the death of an object or a portion; a substance is not a subject that dies."""
         ent = self.entity(entity_id)
-        if not getattr(ent, "alive", True):
+        if isinstance(ent, Substance):
+            raise TransitionalError(
+                f"cannot kill substance {entity_id!r}: only objects and portions die"
+            )
+        if not ent.alive:
             raise DeadSubjectError(f"subject {entity_id!r} is already dead")
         if isinstance(ent, Portion):
             self._retire_portion(ent)

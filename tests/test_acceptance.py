@@ -160,7 +160,7 @@ def test_criterion_4_causal_ordering_20_seeds_concurrent():
         # every alveolar diffusion happened with blood O2 low and air O2 high
         for report in kernel.reports:
             diffusions = [
-                e for e in report.traces if e.line == "AlvCapBlood O2 diffusion"
+                line for line in report.lines if line == "AlvCapBlood O2 diffusion"
             ]
             firings = [f for f in report.fired if f.mechanism == "GasExchangeAlv"]
             assert len(diffusions) == len(firings)

@@ -248,7 +248,8 @@ def test_a_step_that_raises_publishes_none_of_its_events():
         kernel.step()
     assert [(e.step, e.line) for e in kernel.trace] == [(0, "ping")]
     assert [r.step for r in kernel.reports] == [0]
-    assert [(e.step, e.line) for e in kernel.current_report.traces] == [(1, "ping")]
+    report = kernel.current_report
+    assert [(report.step, line) for line in report.lines] == [(1, "ping")]
 
 
 @pytest.mark.parametrize(
@@ -306,7 +307,9 @@ def test_the_trace_and_the_halt_are_each_stored_once():
     assert kernel.halted and kernel.halted_at == 0 and len(kernel.reports) == 1
     with pytest.raises(AttributeError):
         kernel.halted = False
-    assert list(kernel.trace) == [e for r in kernel.reports for e in r.traces] != []
+    assert list(kernel.trace) == [
+        TraceEvent(r.step, line) for r in kernel.reports for line in r.lines
+    ] != []
     assert not any(
         isinstance(value, list) and any(isinstance(x, TraceEvent) for x in value)
         for value in vars(kernel).values()

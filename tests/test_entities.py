@@ -12,6 +12,7 @@ from semsim.errors import (
     TransitionalError,
     UnknownEntityError,
 )
+from semsim.models import build_cardio
 
 
 def mammal_world():
@@ -322,6 +323,16 @@ def test_dead_subject_rejected():
         w.set_state(p.id, "O2Level", "high")
     with pytest.raises(DeadSubjectError):
         w.kill(p.id)  # never resurrected, never re-killed
+
+
+def test_a_substance_cannot_be_killed():
+    w = build_cardio()
+    blood = w.substances["blood"]
+    before = (vars(blood).copy(), set(w.touched), list(w.transitional_log))
+    with pytest.raises(TransitionalError, match="^cannot kill substance 'blood': "):
+        w.kill("blood")
+    assert (vars(blood), set(w.touched), list(w.transitional_log)) == before
+    assert not hasattr(blood, "alive")
 
 
 def test_split_needs_two_results():

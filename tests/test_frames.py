@@ -366,7 +366,7 @@ def test_circuit_flow_equivalent_to_heartbeat_for_one_hop(cardio_world):
     assert all(len(contents) == 1 for contents in moved.values())
     assert moved != {k: v for k, v in snapshot_before.items() if k in moved}
     # A direct fire() runs outside a step: its events stay on the open report.
-    pushes = [e.line for e in kernel.current_report.traces if e.line.startswith("pushed")]
+    pushes = [line for line in kernel.current_report.lines if line.startswith("pushed")]
     assert len(pushes) == 7
 
 
@@ -400,7 +400,7 @@ def test_a_heartbeat_over_an_empty_circuit_names_only_the_failed_condition(cardi
     report = cardio_kernel.step()
     (failure,) = [g for g in report.guard_failures if g.mechanism == "HeartbeatPush"]
     assert failure.failed == ["circuit occupied"]
-    assert "SANode pulse" not in [e.line for e in report.traces]
+    assert "SANode pulse" not in report.lines
 
 
 @pytest.mark.parametrize("pulse", [3, ["SANode pulse"], {"line": "SANode pulse"}])

@@ -84,7 +84,7 @@ UNREACHED_BY_DESIGN = {
 CHANGE_CONSUMERS = {("validation.py", "Snapshot.refresh"), ("engine.py", "Kernel.step")}
 RECORD_WRITERS = {
     "mechanism_specs": {("world.py", "World.__init__"), ("engine.py", "register_mechanism")},
-    "traces": {("engine.py", "StepReport.__init__"), ("engine.py", "Kernel.emit_trace")},
+    "lines": {("engine.py", "StepReport.__init__"), ("engine.py", "Kernel.emit_trace")},
     "fault": {("engine.py", "Kernel.__init__"), ("engine.py", "Kernel.step")},
     "clock": {("world.py", "World.__init__"), ("engine.py", "Kernel.step"),
               ("modelfile.py", "load_model")},
@@ -274,7 +274,7 @@ def test_the_guard_sees_each_kind_of_record_write():
     source = """
 class Kernel:
     def emit_trace(self, line):
-        self.current_report.traces.append(line)
+        self.current_report.lines.append(line)
 
 class Console:
     def _step(self):
@@ -284,9 +284,9 @@ def build(world, spec, report):
     world.mechanism_specs.append(spec)
     world.mechanism_specs += [spec]
     world.mechanism_specs[0] = spec
-    report.traces, n = [], 0
-    report.traces.clear()
-    n = len(report.traces) + len(world.mechanism_specs)
+    report.lines, n = [], 0
+    report.lines.clear()
+    n = len(report.lines) + len(world.mechanism_specs)
     specs = list(world.mechanism_specs)
     world.clock += 1
     signals, world.signals = world.signals, []
@@ -294,13 +294,13 @@ def build(world, spec, report):
     tick, pending = world.clock, list(world.signals)
 """
     assert record_writes(source) == [
-        (4, "traces", "Kernel.emit_trace"),
+        (4, "lines", "Kernel.emit_trace"),
         (8, "fault", "Console._step"),
         (11, "mechanism_specs", "build"),
         (12, "mechanism_specs", "build"),
         (13, "mechanism_specs", "build"),
-        (14, "traces", "build"),
-        (15, "traces", "build"),
+        (14, "lines", "build"),
+        (15, "lines", "build"),
         (18, "clock", "build"),
         (19, "signals", "build"),
         (20, "signals", "build"),

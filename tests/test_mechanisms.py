@@ -83,7 +83,7 @@ def fire_effects(world, *items, side_effects=()):
                             "side_effects": list(side_effects)})
     kernel = Kernel(world)
     kernel._attempt(world.mechanisms["M"], "direct")
-    return [event.line for event in kernel.current_report.traces], kernel
+    return kernel.current_report.lines, kernel
 
 
 def test_each_effect_acts_through_the_fire_context():

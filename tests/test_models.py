@@ -377,7 +377,7 @@ def test_tick_with_only_pacemaker_due_is_circulation_only():
     # tick 3: 3 % 4, 3 % 5, 3 % 7 are all nonzero, so only the SA node fires
     report = kernel.reports[3]
     assert {f.subsystem for f in report.fired} == {"circulation"}
-    lines = {e.line for e in report.traces}
+    lines = set(report.lines)
     assert lines <= {"SANode pulse", "trigger updates"} | {
         f"pushed {n}Blood" for n in world.circuits["cardio"].order
     }
@@ -388,7 +388,7 @@ def test_tick_with_nothing_due_is_empty():
     # tick 3: no trigger period divides it, and the only breath signal so far
     # was delivered at tick 1
     report = kernel.reports[3]
-    assert report.fired == [] and report.traces == []
+    assert report.fired == [] and report.lines == []
     assert report.validation is not None
 
 

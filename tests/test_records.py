@@ -174,7 +174,7 @@ def test_slotted_records_have_no_attribute_dict(record):
         (lambda: Substance("water", StateSpace("phase", ("solid", "liquid")), "liquid"),
          ("default_properties", "merge_policy")),
         (lambda: Portion("p", "blood"), ("properties",)),
-        (lambda: StepReport(0), ("fired", "guard_failures", "traces")),
+        (lambda: StepReport(0), ("fired", "guard_failures", "lines")),
         (lambda: Compartment("A", "A"), ("contents",)),
         (lambda: Circuit("ring", ("A",)), ("successors",)),
         (lambda: MoveBatch(), ("moves", "splits", "movers")),
@@ -277,7 +277,7 @@ EXAMPLES = [
     Trigger("t", 2, "M"),
     FiringRecord("M", "core", "trigger:t", {"always": True}),
     GuardFailure("M", "trigger:t", ["always"]),
-    StepReport(0, traces=[TraceEvent(0, "x")], validation=ValidationReport(0)),
+    StepReport(0, lines=["x"], validation=ValidationReport(0)),
     FrameBinding(Frame("F", ("Theme",)), {"Theme": "water"}),
     CardioConfig(),
     Scenario("s", [Directive("disable_trigger", ("SANode",))]),

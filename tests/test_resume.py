@@ -26,9 +26,9 @@ def _kernel(world) -> Kernel:
 
 
 def _run(kernel: Kernel, ticks: int):
-    """The (step, line) trace events and sidecar step entries of ticks more steps."""
+    """The (step, line) trace pairs and sidecar step entries of ticks more steps."""
     reports = kernel.run(ticks)
-    return [(e.step, e.line) for r in reports for e in r.traces], [step_entry(r) for r in reports]
+    return [(r.step, line) for r in reports for line in r.lines], [step_entry(r) for r in reports]
 
 
 @pytest.mark.parametrize("model", BUILDS)

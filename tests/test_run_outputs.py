@@ -5,6 +5,7 @@ parse to exactly the document the indented writer built before it, and the
 trace must keep its bytes. Writing must not build the whole document, and the
 per-step history must hold no per-record attribute dicts or per-line strings.
 """
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -22,6 +23,7 @@ from semsim.validation import NOT_VALIDATED, Violation
 from semsim.world import Vocabulary
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cardio_seed0_50ticks.txt"
 CUT_PHRENIC = str(SCENARIOS / "cut_phrenic.json")
 
 
@@ -201,11 +203,43 @@ def test_trace_keeps_the_vocabulary_string_for_each_literal():
     second = {line: line for line in world.vocabulary.literals}
     kernel.run(100)
 
-    pushes = [e for e in kernel.trace if e.line.startswith("pushed ")]
-    assert len(pushes) > len({e.line for e in pushes})  # lines repeat
-    for event in kernel.trace:
-        own = (first if event.step < 100 else second)[event.line]
-        assert event.line is own
+    pushes = [line for r in kernel.reports for line in r.lines if line.startswith("pushed ")]
+    assert len(pushes) > len(set(pushes))  # lines repeat
+    for report in kernel.reports:
+        own = first if report.step < 100 else second
+        for line in report.lines:
+            assert line is own[line]
+
+
+def test_a_run_keeps_its_trace_as_strings_and_builds_no_event():
+    # The events that exist already stay alive here, so no event the run
+    # built can take one of their ids.
+    before = [o for o in gc.get_objects() if type(o) is TraceEvent]
+    known = {id(o) for o in before}
+    kernel = make_kernel(build_cardio(), RunConfig(model="cardio"))
+    kernel.run(1000)
+    assert len(kernel.reports) == 1000
+    assert all(type(line) is str for r in kernel.reports for line in r.lines)
+    assert [o for o in gc.get_objects() if type(o) is TraceEvent and id(o) not in known] == []
+    assert list(kernel.trace) == [
+        TraceEvent(r.step, line) for r in kernel.reports for line in r.lines
+    ] != []
+
+
+@pytest.fixture
+def no_trace_events(monkeypatch):
+    def refuse(self, step, line):
+        raise AssertionError("a TraceEvent was built")
+
+    monkeypatch.setattr(TraceEvent, "__init__", refuse)
+
+
+def test_writing_the_golden_run_builds_no_trace_event(tmp_path, no_trace_events):
+    trace = tmp_path / "cardio.trace"
+    args = ["run", "--model", "cardio", "--steps", "50", "--seed", "0", "--trace", str(trace)]
+    assert cli.main(args) == 0
+    golden = GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert trace.read_text(encoding="utf-8") == "".join(f"{row[6:]}\n" for row in golden)
 
 
 def test_pattern_lines_are_stored_as_emitted():
@@ -244,7 +278,7 @@ PINNED_RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
-def test_a_cardio_run_writes_its_pinned_trace_and_sidecar(tmp_path, name):
+def test_a_cardio_run_writes_its_pinned_trace_and_sidecar(tmp_path, no_trace_events, name):
     flags, trace_sha256, sidecar_sha256 = PINNED_RUNS[name]
     trace = tmp_path / "cardio.trace"
     args = ["run", "--model", "cardio", "--steps", "200", *flags, "--trace", str(trace)]

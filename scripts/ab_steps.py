@@ -15,8 +15,10 @@ turns, and the side that goes first alternates between rounds, so a change
 in the host's speed reaches both sides alike.
 
 Per configuration it prints the median microseconds per tick on each side,
-the median of the per-round ratios (this / other: below 1 means this
-checkout is faster) and the number of rounds this checkout was faster.
+each beside that side's first and third quartiles, the median of the
+per-round ratios (this / other: below 1 means this checkout is faster) and
+the number of rounds this checkout was faster. A gain is clear of the noise
+when the medians differ by more than the other side's q3 - q1.
 Timings taken in separate invocations are not comparable on a shared host,
 whose speed can move by more than the difference being measured.
 """
@@ -74,6 +76,14 @@ def run_seconds(side, model, policy, ticks):
     return elapsed
 
 
+def quartiles(values):
+    """(q1, median, q3) of values, each within their range."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
 def compare(this, other, model, policy, ticks, rounds):
     """Per-round (this seconds, other seconds), the sides taking turns."""
     pairs = []
@@ -103,15 +113,17 @@ def main():
     other = load_package(args.other.resolve(), "semsim_other")
     print(f"{args.ticks} ticks, {args.rounds} rounds; this = {THIS_CHECKOUT}, "
           f"other = {args.other.resolve()}")
-    print(f"{'model':<10} {'configuration':<16} {'this us':>8} {'other us':>9} "
-          f"{'ratio':>6} {'wins':>7}")
+    print(f"{'model':<10} {'configuration':<16} {'this us':>8} {'q1':>6} {'q3':>6} "
+          f"{'other us':>9} {'q1':>6} {'q3':>6} {'ratio':>6} {'wins':>7}")
     for model, label, policy in CONFIGURATIONS:
         pairs = compare(this, other, model, policy, args.ticks, args.rounds)
-        mine = statistics.median(m for m, _ in pairs) / args.ticks * 1e6
-        theirs = statistics.median(t for _, t in pairs) / args.ticks * 1e6
+        per_tick = 1e6 / args.ticks
+        m1, mine, m3 = (q * per_tick for q in quartiles([m for m, _ in pairs]))
+        t1, theirs, t3 = (q * per_tick for q in quartiles([t for _, t in pairs]))
         ratio = statistics.median(m / t for m, t in pairs)
         wins = sum(m < t for m, t in pairs)
-        print(f"{model:<10} {label:<16} {mine:>8.1f} {theirs:>9.1f} {ratio:>6.3f} "
+        print(f"{model:<10} {label:<16} {mine:>8.1f} {m1:>6.1f} {m3:>6.1f} "
+              f"{theirs:>9.1f} {t1:>6.1f} {t3:>6.1f} {ratio:>6.3f} "
               f"{f'{wins}/{args.rounds}':>7}")
 
 

@@ -21,7 +21,7 @@ from .entities import (
 )
 from .errors import SemsimError
 from .frames import Frame, FrameBinding, PathSegment, PathSpec
-from .topology import Circuit, Compartment, Connection, MoveBatch
+from .topology import Circuit, Compartment, Connection
 from .validation import AssertionRule, Triple, TriplePattern, ValidationReport, Var
 from .world import Annotation, Microworld, System, Vocabulary, World
 
@@ -41,7 +41,6 @@ __all__ = [
     "KindDef",
     "Mechanism",
     "Microworld",
-    "MoveBatch",
     "PartSpec",
     "PathSegment",
     "PathSpec",

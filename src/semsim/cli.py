@@ -99,10 +99,8 @@ def planned_steps(config: RunConfig) -> int | None:
     if config.steps is not None:
         return config.steps
     # The builtin waterfall pools one portion per step, so --portions is its
-    # step budget; a model file fixes its own portion count and needs --steps.
-    if config.portions is not None and config.model == "waterfall":
-        return config.portions
-    return None
+    # step budget; prepare refuses it for any other model.
+    return config.portions
 
 
 def step_entry(r) -> str:
@@ -178,6 +176,10 @@ def prepare(config: RunConfig) -> Kernel:
     if trace is not None and (Path(trace).is_dir() or not Path(trace).parent.is_dir()):
         raise SemsimError(f"--trace {trace!r} is not a file in an existing directory")
     world = resolve_model(config)
+    # A model file fixes its own portion count and cardio has no pool, so
+    # there --portions would be ignored and the run would never end.
+    if config.portions is not None and config.model != "waterfall":
+        raise SemsimError("--portions applies to the builtin waterfall only")
     if config.scenario_path:
         apply_scenario(world, load_scenario(config.scenario_path))
     return make_kernel(world, config)

@@ -56,7 +56,6 @@ from .errors import (
     need,
 )
 from .records import FrozenRecord, Record, set_field
-from .topology import Circuit, MoveBatch
 from .world import World
 
 MODES = ("deterministic", "concurrent")
@@ -259,17 +258,9 @@ class FireContext:
     def emit_signal(self, sender: str, receiver: str, payload: str):
         send_signal(self.kernel, Signal(sender, receiver, payload))
 
-    def commit(self, batch: MoveBatch, circuit: Circuit | None = None):
-        record = topology.commit(self.world, batch, circuit)
-        for line in record.trace_lines:
-            self.emit(line)
-        return record
-
     def move(self, portion: str, src: str, dst: str):
-        """Stage and commit a single move, silently."""
-        batch = MoveBatch()
-        topology.stage_move(self.world, batch, portion, src, dst)
-        return topology.commit(self.world, batch)
+        """Commit a single move, silently."""
+        return topology.move(self.world, portion, src, dst)
 
     def fire_if_enabled(self, mechanism_name: str) -> bool:
         """Delegate to a registered sub-mechanism; False when its guard fails."""

@@ -23,8 +23,10 @@ TRANSITIONAL_KINDS = ("state_change", "birth", "death", "split", "merge")
 class StateSpace(FrozenRecord):
     """A named qualitative variable and its ordered set of labels.
 
-    Its label -> rank table is derived once here, so it takes no part in
-    repr, ==, hash, copy or pickle.
+    Its label -> rank table and its label -> QualValue table are derived
+    once here, so they take no part in repr, ==, hash, copy or pickle. Each
+    of those QualValues refers back to the space, a cycle only the cyclic
+    collector frees; spaces are made while a model is built, never per step.
     """
 
     _fields = ("variable", "labels", "scale_kind")
@@ -42,6 +44,7 @@ class StateSpace(FrozenRecord):
         set_field(self, "labels", labels)
         set_field(self, "scale_kind", scale_kind)
         set_field(self, "_ranks", {label: i for i, label in enumerate(labels)})
+        set_field(self, "_qual_values", {label: QualValue(self, label) for label in labels})
 
     @property
     def first(self) -> str:
@@ -51,10 +54,19 @@ class StateSpace(FrozenRecord):
         try:
             return self._ranks[label]
         except (KeyError, TypeError):  # TypeError: an unhashable label
-            raise StateError(
-                f"label {label!r} is outside the {self.variable!r} space "
-                f"{list(self.labels)}"
-            ) from None
+            raise self._outside(label) from None
+
+    def value(self, label: str) -> QualValue:
+        """The one QualValue of label on this scale."""
+        try:
+            return self._qual_values[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise self._outside(label) from None
+
+    def _outside(self, label) -> StateError:
+        return StateError(
+            f"label {label!r} is outside the {self.variable!r} space {list(self.labels)}"
+        )
 
     @property
     def ordered(self) -> bool:

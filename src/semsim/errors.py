@@ -52,7 +52,7 @@ class MissingContextError(SemsimError):
 
 
 class PushWithoutConnection(SemsimError):
-    """A move was staged over a connection that does not exist.
+    """A move was asked for over a connection that does not exist.
 
     Signals a model wiring bug rather than a runtime condition.
     """
@@ -68,10 +68,6 @@ class DuplicateMover(SemsimError):
 
 class CapacityExceeded(SemsimError):
     pass
-
-
-class BatchStateError(SemsimError):
-    """A committed batch was mutated or re-committed."""
 
 
 class FiredWhileDisabled(SemsimError):

@@ -338,7 +338,8 @@ def _circuit_flow(mech_name, fluid, circuit, pulse=None):
     def effect(ctx):
         if pulse is not None:
             ctx.emit(pulse)
-        ctx.commit(topology.ring_push(ctx.world, circuit), circuit=circuit)
+        for line in topology.ring_push(ctx.world, circuit).trace_lines:
+            ctx.emit(line)
 
     return Mechanism(
         mech_name,

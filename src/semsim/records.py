@@ -37,13 +37,6 @@ class Record:
 set_field = object.__setattr__
 
 
-def slot_setters(cls) -> tuple:
-    """The slot setter of each field of a slotted frozen record class, in
-    `_fields` order. A constructor run once per portion per step calls these
-    in place of set_field, which looks the field up by name on every call."""
-    return tuple(cls.__dict__[name].__set__ for name in cls._fields)
-
-
 class FrozenRecord(Record):
     """An immutable record, hashed by value. Its __init__ sets each field
     with set_field."""

@@ -1,20 +1,17 @@
-"""Compartment graph and stage-then-commit portion movement.
+"""Compartment graph and one-pass portion movement.
 
-Moves are recorded against the pre-move world and applied all at once, so a
-batch behaves as a single simultaneous update: a portion can arrive in a
-compartment that is vacated by the same batch. Staging never touches
-compartment contents.
+A commit moves portions as one simultaneous update: every mover is checked
+against the pre-commit world before anything changes, and then all of them
+move at once, so a portion can arrive in a compartment that the same commit
+vacates. ring_push (one hop around a circuit) and move (one portion) check
+each mover in the pass that collects it and hand commit plain tuples;
+commit checks capacity and merges, then applies. A commit that raises
+leaves the world untouched.
 """
 from __future__ import annotations
 
-from .errors import (
-    BatchStateError,
-    CapacityExceeded,
-    DuplicateMover,
-    PortionNotPresent,
-    PushWithoutConnection,
-)
-from .records import FrozenRecord, Record, set_field, slot_setters
+from .errors import CapacityExceeded, DuplicateMover, PortionNotPresent, PushWithoutConnection
+from .records import FrozenRecord, Record, set_field
 
 MEDIA = ("blood_path", "air_path", "other")
 CONDUIT_KINDS = ("fluid", "nerve")
@@ -57,22 +54,8 @@ class Connection(FrozenRecord):
         return (self.from_id, self.to_id, self.conduit_kind)
 
 
-class _Positions(dict):
-    """Compartment id -> index in a circuit's order. An id off the circuit
-    reads as the order's length, so it sorts after every id on it."""
-
-    __slots__ = ()
-
-    def __missing__(self, cid: str) -> int:
-        return len(self)
-
-
 class Circuit(FrozenRecord):
-    """A declared ordered ring over compartments, with branch/merge points.
-
-    Its position map (compartment id -> index in order) is derived once
-    here, so it takes no part in repr, ==, hash, copy or pickle.
-    """
+    """A declared ordered ring over compartments, with branch/merge points."""
 
     _fields = ("name", "order", "successors")
 
@@ -85,58 +68,10 @@ class Circuit(FrozenRecord):
         set_field(self, "name", name)
         set_field(self, "order", order)
         set_field(self, "successors", {} if successors is None else successors)
-        set_field(self, "_position", _Positions({cid: i for i, cid in enumerate(order)}))
 
     def __hash__(self) -> int:
         # successors is a dict, so it takes no part in the hash; == compares it.
         return hash((self.name, self.order))
-
-
-class Move(FrozenRecord):
-    _fields = __slots__ = ("portion", "src", "dst")
-
-    def __init__(self, portion: str, src: str, dst: str):
-        _set_move_portion(self, portion)
-        _set_move_src(self, src)
-        _set_move_dst(self, dst)
-
-
-_set_move_portion, _set_move_src, _set_move_dst = slot_setters(Move)
-
-
-class SplitPlan(FrozenRecord):
-    """A branch-point intent: split the portion at commit, one child per dst."""
-
-    _fields = __slots__ = ("portion", "src", "dsts")
-
-    def __init__(self, portion: str, src: str, dsts: tuple[str, ...]):
-        _set_split_portion(self, portion)
-        _set_split_src(self, src)
-        _set_split_dsts(self, dsts)
-
-
-_set_split_portion, _set_split_src, _set_split_dsts = slot_setters(SplitPlan)
-
-
-class MoveBatch(Record):
-    """One firing's staged moves. It compares by identity: two batches with the
-    same moves are still two batches."""
-
-    _fields = ("moves", "splits", "status", "movers")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        moves: list[Move] | None = None,
-        splits: list[SplitPlan] | None = None,
-        status: str = "staging",
-        movers: set[str] | None = None,  # every staged portion
-    ):
-        self.moves = [] if moves is None else moves
-        self.splits = [] if splits is None else splits
-        self.status = status
-        self.movers = set() if movers is None else movers
 
 
 class CommitRecord(Record):
@@ -161,67 +96,42 @@ class CommitRecord(Record):
         self.trace_lines = trace_lines
 
 
-def stage_move(world, batch: MoveBatch, portion: str, src: str, dst: str) -> MoveBatch:
-    """Record one move. The world is left untouched."""
-    if batch.status != "staging":
-        raise BatchStateError("batch already committed")
-    if portion in batch.movers:
-        raise DuplicateMover(f"portion {portion!r} already staged in this batch")
-    # Only a live portion is placed, so the placement check covers liveness.
-    p = world.portions.get(portion)
-    if p is None or p.compartment != src:
-        raise PortionNotPresent(f"no live portion {portion!r} in {src!r}")
-    if not world.is_connected(src, dst, "fluid"):
-        raise PushWithoutConnection(f"no fluid connection {src!r} -> {dst!r}")
-    batch.moves.append(Move(portion, src, dst))
-    batch.movers.add(portion)
-    return batch
+def commit(
+    world,
+    moves: list[tuple[str, str, str]],
+    splits: list[tuple[str, str, tuple[str, ...]]],
+    movers: set[str],
+    vacated: list[str],
+) -> CommitRecord:
+    """Apply checked moves and splits as one simultaneous update.
 
-
-def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRecord:
-    """Apply every staged move as one simultaneous update.
+    moves holds (portion, src, dst) and splits (portion, src, dsts), one
+    child per dst; the caller has checked each portion live in its src and
+    connected to each dst. movers is every portion in either, and vacated
+    the source of each, in the order the trace reports them. moves becomes
+    the record's applied list, split children appended.
 
     Portions overfilling a compartment merge when the medium is blood_path
     and all of them are one substance; any other overfill raises
-    CapacityExceeded. Every mover, split parent, merge and overfill is
-    checked against the pre-commit world before the first change, so a
-    commit that raises leaves the world untouched. Returns the record of
+    CapacityExceeded. Every overfill is checked before the first change, so
+    a commit that raises leaves the world untouched. Returns the record of
     what happened; trace lines ("pushed <X>Blood" per vacated blood
     compartment, then "trigger updates") are on the record for the caller
     to emit, so silent commits stay possible.
     """
-    if batch.status != "staging":
-        raise BatchStateError("batch already committed")
-
-    # One pass checks each mover against the pre-commit world and notes where
-    # it lands, what was applied and what it vacates; the world is untouched
-    # until every check has passed. Until it splits, a split parent stands in
-    # for each child it sends to a dst.
+    # Where each mover lands: every move's destination first, then each
+    # split's. Until it splits, a split parent stands in for each child.
     portions, compartments = world.portions, world.compartments
-    leaving = batch.movers
     arrivals: dict[str, list[str]] = {}
-    applied: list[tuple[str, str, str]] = []
-    vacated: list[str] = []
-    for move in batch.moves:
-        pid, src, dst = move.portion, move.src, move.dst
-        p = portions.get(pid)
-        if p is None or p.compartment != src:
-            raise PortionNotPresent(f"portion {pid!r} left {src!r}")
+    for pid, _src, dst in moves:
         landing = arrivals.get(dst)
         if landing is None:
             arrivals[dst] = [pid]
         else:
             landing.append(pid)
-        applied.append((pid, src, dst))
-        vacated.append(src)
-    for plan in batch.splits:
-        pid, src = plan.portion, plan.src
-        p = portions.get(pid)
-        if p is None or p.compartment != src:
-            raise PortionNotPresent(f"portion {pid!r} left {src!r}")
-        for dst in plan.dsts:
+    for pid, _src, dsts in splits:
+        for dst in dsts:
             arrivals.setdefault(dst, []).append(pid)
-        vacated.append(src)
 
     # Find every overfill. A blood compartment overfilled by one substance
     # merges its portions; any other overfill fails here, unchanged.
@@ -234,7 +144,7 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
         # comprehension costs a function call each time.
         stayers = []
         for pid in comp.contents:
-            if pid not in leaving:
+            if pid not in movers:
                 stayers.append(pid)
         occupancy = len(stayers) + len(arriving)
         if occupancy <= comp.capacity:
@@ -252,14 +162,14 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
             )
         merging[dst] = stayers
 
-    record = CommitRecord(world.clock, applied, vacated, [], [], [])
-    for plan in batch.splits:
-        children = world.split_portion(plan.portion, len(plan.dsts))
-        record.split_parents.append(plan.portion)
-        for child, dst in zip(children, plan.dsts):
+    record = CommitRecord(world.clock, moves, vacated, [], [], [])
+    for pid, src, dsts in splits:
+        children = world.split_portion(pid, len(dsts))
+        record.split_parents.append(pid)
+        for child, dst in zip(children, dsts):
             landing = arrivals[dst]
-            landing[landing.index(plan.portion)] = child.id
-            applied.append((child.id, plan.src, dst))
+            landing[landing.index(pid)] = child.id
+            moves.append((child.id, src, dst))
 
     # Arrivals leave their sources as they are placed or merged.
     for dst, arrived in arrivals.items():
@@ -269,11 +179,6 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
             for pid in arrived:
                 world.place_portion(pid, dst)
 
-    # Vacated compartments report in circuit order when one is given (the
-    # sort is stable, and a batch that ring_push staged is nearly in order).
-    if circuit is not None:
-        vacated.sort(key=circuit._position.__getitem__)
-
     lines = record.trace_lines
     for cid in vacated:
         comp = compartments[cid]
@@ -281,22 +186,37 @@ def commit(world, batch: MoveBatch, circuit: Circuit | None = None) -> CommitRec
             lines.append(f"pushed {comp.name}Blood")
     lines.append("trigger updates")
 
-    batch.status = "committed"
     world.last_commits.append(record)
     return record
 
 
-def ring_push(world, circuit: Circuit) -> MoveBatch:
-    """Stage one move per occupied compartment toward its successor(s).
+def move(world, portion: str, src: str, dst: str) -> CommitRecord:
+    """Move one portion from src to dst as one commit."""
+    # Only a live portion is placed, so the placement check covers liveness.
+    p = world.portions.get(portion)
+    if p is None or p.compartment != src:
+        raise PortionNotPresent(f"no live portion {portion!r} in {src!r}")
+    if not world.is_connected(src, dst, "fluid"):
+        raise PushWithoutConnection(f"no fluid connection {src!r} -> {dst!r}")
+    return commit(world, [(portion, src, dst)], [], {portion}, [src])
 
-    Each portion is staged with stage_move's checks in their order, made
-    inline (a split checks every successor's connection first), as the
-    oracle in tests/reference.py stages it portion by portion: the batch is
-    new, so it is staging, and a compartment's connections are looked up
-    once for all the portions it holds.
+
+def ring_push(world, circuit: Circuit) -> CommitRecord:
+    """Move every portion on the circuit one hop, as one commit.
+
+    Each occupied compartment sends its portions to its successor, or
+    splits each among its successors. The checks run in circuit order as
+    each portion is collected: a compartment must have a successor, a split
+    checks every successor's connection before its portions, and each
+    portion must be live in the compartment that lists it and not already
+    collected (a compartment the order repeats). The first that fails
+    raises with the world untouched. The vacated compartments reach commit
+    in circuit order, one per portion.
     """
-    batch = MoveBatch()
-    moves, splits, movers = batch.moves, batch.splits, batch.movers
+    moves: list[tuple[str, str, str]] = []
+    splits: list[tuple[str, str, tuple[str, ...]]] = []
+    movers: set[str] = set()
+    vacated: list[str] = []
     portions, compartments, connections = world.portions, world.compartments, world.connections
     successors = circuit.successors
     for cid in circuit.order:
@@ -323,8 +243,9 @@ def ring_push(world, circuit: Circuit) -> MoveBatch:
             if len(succ) == 1:
                 if not wired:
                     raise PushWithoutConnection(f"no fluid connection {cid!r} -> {dst!r}")
-                moves.append(Move(pid, cid, dst))
+                moves.append((pid, cid, dst))
             else:
-                splits.append(SplitPlan(pid, cid, dsts))
+                splits.append((pid, cid, dsts))
             movers.add(pid)
-    return batch
+            vacated.append(cid)
+    return commit(world, moves, splits, movers, vacated)

@@ -639,7 +639,7 @@ def dangling_location_rule() -> AssertionRule:
 def connection_present_rule() -> AssertionRule:
     """Every move committed this step happened over a declared connection.
 
-    Redundant with the staging-time check while the network never changes,
+    Redundant with the check each move makes while the network never changes,
     which is exactly what makes it a useful cross-check.
     """
 

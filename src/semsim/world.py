@@ -477,7 +477,7 @@ class World:
                         location.index(label)
                 ent.location_state = label
             elif variable in properties:
-                properties[variable] = QualValue(properties[variable].scale, label)
+                properties[variable] = properties[variable].scale.value(label)
             else:
                 raise StateError(
                     f"portion {ent.id!r} has no property or location variable {variable!r}"
@@ -693,7 +693,7 @@ class World:
         circuit = Circuit(name, tuple(order), {k: tuple(v) for k, v in successors.items()})
         for cid in circuit.order:
             need(self.compartments, cid, "compartment")
-        if len(circuit._position) != len(circuit.order):
+        if len(set(circuit.order)) != len(circuit.order):
             repeated = sorted({cid for cid in circuit.order if circuit.order.count(cid) > 1})
             raise ModelError(f"circuit {name!r} lists {repeated} more than once")
         for src, dsts in circuit.successors.items():

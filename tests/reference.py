@@ -7,15 +7,20 @@ pattern on every triple. It shares no code with semsim.validation beyond the
 Triple and Var types, so the snapshot and the rule evaluator there are
 checked against it, not against themselves.
 
-stage_split stages one branch-point move at a time, so that staging a
-circuit portion by portion, with it and topology.stage_move, checks
-topology.ring_push, which stages a whole circuit with its checks inline.
-total_displacement is the closed form of a path: what a portion that runs
+For portion movement it is stage-then-commit: stage_move and stage_split
+record one portion's move in a MoveBatch, checking it against the world,
+and commit_batch applies a whole batch as one simultaneous update.
+staged_ring_push stages a circuit portion by portion and staged_move stages
+one portion, so they check topology.ring_push and topology.move, which check
+each mover in the pass that collects it and apply through topology.commit.
+The oracle builds its own CommitRecord and shares no movement code with
+semsim.topology. total_displacement is the closed form of a path: what a portion that runs
 the whole path ends up displaced by.
 """
 from semsim import Triple, Var
-from semsim.errors import BatchStateError, DuplicateMover, PortionNotPresent, PushWithoutConnection
-from semsim.topology import SplitPlan
+from semsim.errors import CapacityExceeded, DuplicateMover, PortionNotPresent, PushWithoutConnection
+from semsim.records import FrozenRecord, Record, set_field
+from semsim.topology import CommitRecord
 
 
 def reference_match(pattern, triple):
@@ -86,6 +91,54 @@ def as_items(violations):
     return [(v.rule, list(v.bindings.items())) for v in violations]
 
 
+class Move(FrozenRecord):
+    _fields = __slots__ = ("portion", "src", "dst")
+
+    def __init__(self, portion, src, dst):
+        set_field(self, "portion", portion)
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+
+
+class SplitPlan(FrozenRecord):
+    """A branch-point intent: split the portion at commit, one child per dst."""
+
+    _fields = __slots__ = ("portion", "src", "dsts")
+
+    def __init__(self, portion, src, dsts):
+        set_field(self, "portion", portion)
+        set_field(self, "src", src)
+        set_field(self, "dsts", dsts)
+
+
+class MoveBatch(Record):
+    """Staged moves. It compares by identity: two batches with the same moves
+    are still two batches."""
+
+    _fields = ("moves", "splits", "movers")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, moves=None, splits=None, movers=None):
+        self.moves = [] if moves is None else moves
+        self.splits = [] if splits is None else splits
+        self.movers = set() if movers is None else movers  # every staged portion
+
+
+def stage_move(world, batch, portion, src, dst):
+    """Record one move. The world is left untouched."""
+    if portion in batch.movers:
+        raise DuplicateMover(f"portion {portion!r} already staged in this batch")
+    p = world.portions.get(portion)
+    if p is None or p.compartment != src:
+        raise PortionNotPresent(f"no live portion {portion!r} in {src!r}")
+    if not world.is_connected(src, dst, "fluid"):
+        raise PushWithoutConnection(f"no fluid connection {src!r} -> {dst!r}")
+    batch.moves.append(Move(portion, src, dst))
+    batch.movers.add(portion)
+    return batch
+
+
 def stage_split(world, batch, portion, src, dsts):
     """Record a branch-point move: the portion splits at commit, one child per
     dst. Every dst's connection is checked before the portion."""
@@ -94,8 +147,6 @@ def stage_split(world, batch, portion, src, dsts):
     for dst in dsts:
         if not world.is_connected(src, dst, "fluid"):
             raise PushWithoutConnection(f"no fluid connection {src!r} -> {dst!r}")
-    if batch.status != "staging":
-        raise BatchStateError("batch already committed")
     if portion in batch.movers:
         raise DuplicateMover(f"portion {portion!r} already staged in this batch")
     p = world.portions.get(portion)
@@ -104,6 +155,94 @@ def stage_split(world, batch, portion, src, dsts):
     batch.splits.append(SplitPlan(portion, src, tuple(dsts)))
     batch.movers.add(portion)
     return batch
+
+
+def commit_batch(world, batch, circuit=None):
+    """Apply every staged move as one simultaneous update.
+
+    Each destination gets its arrivals in staging order, moves before
+    splits. A blood compartment overfilled by one substance merges its
+    stayers and arrivals; any other overfill raises CapacityExceeded before
+    the first change. Vacated compartments report in circuit order when a
+    circuit is given, else moves' sources before splits'.
+    """
+    portions, compartments = world.portions, world.compartments
+    arrivals = {}
+    for move in batch.moves:
+        arrivals.setdefault(move.dst, []).append(move.portion)
+    for plan in batch.splits:
+        for dst in plan.dsts:
+            arrivals.setdefault(dst, []).append(plan.portion)
+
+    merging = {}
+    for dst, arriving in arrivals.items():
+        comp = compartments[dst]
+        if comp.capacity is None:
+            continue
+        stayers = [pid for pid in comp.contents if pid not in batch.movers]
+        occupancy = len(stayers) + len(arriving)
+        if occupancy <= comp.capacity:
+            continue
+        if comp.medium != "blood_path":
+            raise CapacityExceeded(
+                f"{occupancy} portions for {dst!r} (capacity {comp.capacity}, "
+                f"merging disallowed for {comp.medium})"
+            )
+        substances = {portions[pid].substance for pid in stayers + arriving}
+        if len(substances) > 1:
+            raise CapacityExceeded(
+                f"{occupancy} portions for {dst!r} (capacity {comp.capacity}, "
+                f"cannot merge substances {sorted(substances)})"
+            )
+        merging[dst] = stayers
+
+    applied = [(m.portion, m.src, m.dst) for m in batch.moves]
+    vacated = [m.src for m in batch.moves] + [plan.src for plan in batch.splits]
+    record = CommitRecord(world.clock, applied, vacated, [], [], [])
+    for plan in batch.splits:
+        children = world.split_portion(plan.portion, len(plan.dsts))
+        record.split_parents.append(plan.portion)
+        for child, dst in zip(children, plan.dsts):
+            landing = arrivals[dst]
+            landing[landing.index(plan.portion)] = child.id
+            applied.append((child.id, plan.src, dst))
+    for dst, arrived in arrivals.items():
+        if dst in merging:
+            record.merges.append(world.merge_portions(merging[dst] + arrived, dst).id)
+        else:
+            for pid in arrived:
+                world.place_portion(pid, dst)
+
+    if circuit is not None:
+        vacated.sort(key=circuit.order.index)
+    for cid in vacated:
+        comp = compartments[cid]
+        if comp.medium == "blood_path":
+            record.trace_lines.append(f"pushed {comp.name}Blood")
+    record.trace_lines.append("trigger updates")
+    world.last_commits.append(record)
+    return record
+
+
+def staged_ring_push(world, circuit):
+    """One hop around the circuit: stage each portion in circuit order, each
+    compartment's portions in its contents order, then commit the batch."""
+    batch = MoveBatch()
+    for cid in circuit.order:
+        succ = circuit.successors.get(cid, ())
+        if not succ:
+            raise PushWithoutConnection(f"circuit {circuit.name!r} dead-ends at {cid!r}")
+        for pid in world.compartments[cid].contents:
+            if len(succ) == 1:
+                stage_move(world, batch, pid, cid, succ[0])
+            else:
+                stage_split(world, batch, pid, cid, succ)
+    return commit_batch(world, batch, circuit)
+
+
+def staged_move(world, portion, src, dst):
+    """One portion's move, staged and committed."""
+    return commit_batch(world, stage_move(world, MoveBatch(), portion, src, dst))
 
 
 def total_displacement(path):

@@ -365,6 +365,27 @@ def test_negative_portions_exits_1_without_traceback(tmp_path):
         assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("model", ["saved-waterfall", "cardio"])
+def test_portions_for_any_model_but_the_builtin_waterfall_exits_1(tmp_path, monkeypatch,
+                                                                  capsys, model):
+    # Such a run would otherwise never end: the kernel is not even built.
+    def no_kernel(world, config):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(cli, "make_kernel", no_kernel)
+    if model == "saved-waterfall":
+        model = str(tmp_path / "wf.json")
+        save_model_file(build_waterfall(n_portions=3), model)
+    trace = tmp_path / "run.trace"
+    for command in ("run", "console"):
+        code = main([command, "--model", model, "--portions", "3", "--trace", str(trace)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --portions applies to the builtin waterfall only\n"
+        )
+        assert not trace.exists()
+
+
 # ----------------------------------------------------------------------
 # malformed input: exit 1 with a message naming the place, never a traceback
 
@@ -904,7 +925,8 @@ GARBAGE_FREE_RUNS = {
     "waterfall": (RunConfig(model="waterfall", portions=200), None),
     **{
         f"scenario-{name}": (RunConfig(
-            model=model, steps=200, portions=200, validate_policy="warn",
+            model=model, steps=200, portions=200 if model == "waterfall" else None,
+            validate_policy="warn",
             scenario_path=str(SCENARIO_DIR / f"{name}.json"),
         ), None)
         for name, model in SCENARIO_MODELS.items()

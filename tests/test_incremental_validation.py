@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from semsim import (
     Kernel,
     Mechanism,
-    MoveBatch,
     StateSpace,
     Trigger,
     Triple,
@@ -358,8 +357,7 @@ def test_a_commit_that_fails_midway_leaves_the_snapshot_exact():
     world.create_portion("air", entity_id="stayer", compartment="Dst")
 
     def push(ctx):
-        batch = topology.stage_move(ctx.world, MoveBatch(), "mover", "Src", "Dst")
-        ctx.commit(batch)  # Dst would overflow, so nothing moves
+        ctx.move("mover", "Src", "Dst")  # Dst would overflow, so nothing moves
 
     register_mechanism(world, Mechanism("push", guard=(), effect=push))
     register_trigger(world, Trigger("once", period=100, target="push", phase=1))

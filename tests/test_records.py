@@ -40,11 +40,14 @@ from semsim.models.cardio import CardioConfig
 from semsim.models.waterfall import WaterfallConfig
 from semsim.records import FrozenRecord, Record
 from semsim.scenarios import Directive, Scenario
-from semsim.topology import Circuit, CommitRecord, Compartment, Connection, Move, MoveBatch, SplitPlan
+from semsim.topology import Circuit, CommitRecord, Compartment, Connection
 from semsim.validation import AssertionRule, TriplePattern, ValidationReport, Var, Violation
 from semsim.world import Annotation, Microworld, System, Vocabulary
 
+from reference import Move, MoveBatch, SplitPlan
+
 O2 = StateSpace("O2Level", ("low", "high"), "ordinal")
+O2_3 = StateSpace("O2Level", ("low", "mid", "high"), "ordinal")
 
 
 def test_repr_prints_the_dataclass_text():
@@ -145,7 +148,7 @@ def test_move_batches_with_equal_contents_are_not_equal():
     assert a == a
     assert a in [a] and b not in [a]
     assert len({a, b}) == 2
-    assert repr(a) == "MoveBatch(moves=[], splits=[], status='staging', movers=set())"
+    assert repr(a) == "MoveBatch(moves=[], splits=[], movers=set())"
 
 
 @pytest.mark.parametrize(
@@ -346,15 +349,14 @@ def test_a_kernel_that_has_traced_a_line_deep_copies():
 @pytest.mark.parametrize(
     "make, tables",
     [
-        (lambda: Circuit("ring", ("A", "B", "C"), {"A": ("B",), "B": ("C",), "C": ("A",)}),
-         {"_position": {"A": 0, "B": 1, "C": 2}}),
         (lambda: StateSpace("O2Level", ("low", "mid", "high"), "ordinal"),
-         {"_ranks": {"low": 0, "mid": 1, "high": 2}}),
+         {"_ranks": {"low": 0, "mid": 1, "high": 2},
+          "_qual_values": {label: QualValue(O2_3, label) for label in ("low", "mid", "high")}}),
         (lambda: Vocabulary({"a"}, (r"\d+ pool", "b+")),
          {"_literal_table": {"a": "a"},
           "_compiled": (re.compile(r"\d+ pool"), re.compile("b+"))}),
     ],
-    ids=["Circuit", "StateSpace", "Vocabulary"],
+    ids=["StateSpace", "Vocabulary"],
 )
 def test_records_with_derived_tables_compare_hash_copy_and_pickle_by_their_fields(make, tables):
     record, twin = make(), make()
@@ -376,10 +378,19 @@ def test_a_state_spaces_rank_table_answers_index_and_rank():
             space.index(outside)
 
 
-def test_a_circuit_position_off_the_circuit_sorts_last_and_is_not_kept():
-    ring = Circuit("ring", ("A", "B", "C"), {"A": ("B",), "B": ("C",), "C": ("A",)})
-    assert sorted(["X", "C", "A"], key=ring._position.__getitem__) == ["A", "C", "X"]
-    assert ring._position == {"A": 0, "B": 1, "C": 2}
+def test_a_state_space_keeps_one_qual_value_per_label_and_set_state_uses_it():
+    space = StateSpace("O2Level", ("low", "mid", "high"), "ordinal")
+    assert space.value("mid") is space.value("mid") == QualValue(space, "mid")
+    for outside in ("none", ["low"]):
+        with pytest.raises(StateError, match=r"label .* is outside the 'O2Level' space \["):
+            space.value(outside)
+    world = build_cardio()
+    blood = world.live_portions("blood")[0]
+    scale = blood.properties["O2Level"].scale
+    world.set_state(blood.id, "O2Level", "low")
+    assert blood.properties["O2Level"] is scale.value("low")
+    with pytest.raises(StateError, match="is outside the 'O2Level' space"):
+        world.set_state(blood.id, "O2Level", "medium")
 
 
 def test_a_vocabulary_compiles_its_patterns_once_and_refuses_a_bad_one():

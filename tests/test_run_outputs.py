@@ -18,7 +18,7 @@ from semsim import cli
 from semsim.cli import RunConfig, make_kernel, resolve_model, write_outputs
 from semsim.engine import FiringRecord, GuardFailure
 from semsim.models import build_cardio
-from semsim.topology import CommitRecord, Move, SplitPlan
+from semsim.topology import CommitRecord
 from semsim.validation import NOT_VALIDATED, Violation
 from semsim.world import Vocabulary
 
@@ -183,8 +183,6 @@ def test_writing_outputs_does_not_build_the_whole_document(tmp_path):
         ValidationReport(0),
         Transitional("birth", ("p",), ("blood",)),
         Portion("p", "blood"),
-        Move("p", "A", "B"),
-        SplitPlan("p", "A", ("B", "C")),
         CommitRecord(0, [], [], [], [], []),
     ],
     ids=lambda record: type(record).__name__,

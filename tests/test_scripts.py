@@ -54,12 +54,15 @@ def test_ab_steps_compares_a_checkout_with_itself(tmp_path):
     assert result.returncode == 0, result.stderr
     header, columns, *rows = result.stdout.splitlines()
     assert header.startswith("8 ticks, 2 rounds;")
-    assert columns.split() == "model configuration this us other us ratio wins".split()
+    assert columns.split() == (
+        "model configuration this us q1 q3 other us q1 q3 ratio wins".split()
+    )
     assert [(row[:10].strip(), row[11:27].strip()) for row in rows] == [
         ("cardio", "--validate off"), ("cardio", "--validate halt"),
         ("waterfall", "--validate halt"),
     ]
     for row in rows:
-        mine, theirs, ratio, wins = row[27:].split()
-        assert float(mine) > 0 and float(theirs) > 0 and float(ratio) > 0
+        *sides, ratio, wins = row[27:].split()
+        mine, m1, m3, theirs, t1, t3 = (float(field) for field in sides)
+        assert 0 < m1 <= mine <= m3 and 0 < t1 <= theirs <= t3 and float(ratio) > 0
         assert wins in ("0/2", "1/2", "2/2")

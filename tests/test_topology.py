@@ -1,5 +1,8 @@
+import copy
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from semsim import World, topology
 from semsim.errors import (
@@ -13,9 +16,8 @@ from semsim.errors import (
     SemsimError,
     UnknownEntityError,
 )
-from semsim.topology import MoveBatch
 
-from reference import stage_split
+from reference import staged_move, staged_ring_push
 
 
 def world_state(w):
@@ -67,17 +69,19 @@ def test_is_connected_empty_graph():
 def test_stage_requires_connection():
     w, names = line_world()
     p = w.create_portion("blood", compartment="C1")
-    batch = MoveBatch()
+    before = world_state(w)
     with pytest.raises(PushWithoutConnection):
-        topology.stage_move(w, batch, p.id, "C1", "C0")  # edge is C0 -> C1 only
+        topology.move(w, p.id, "C1", "C0")  # edge is C0 -> C1 only
+    assert world_state(w) == before
 
 
 def test_stage_requires_presence():
     w, names = line_world()
     p = w.create_portion("blood", compartment="C0")
-    batch = MoveBatch()
+    before = world_state(w)
     with pytest.raises(PortionNotPresent):
-        topology.stage_move(w, batch, p.id, "C1", "C2")
+        topology.move(w, p.id, "C1", "C2")
+    assert world_state(w) == before
 
 
 def test_placing_a_dead_portion_is_refused():
@@ -93,26 +97,25 @@ def test_placing_a_dead_portion_is_refused():
 
 def test_commit_of_a_departed_mover_changes_nothing():
     w, names = line_world(4)
-    first = w.create_portion("blood", compartment="C0")
-    last = w.create_portion("blood", compartment="C2")
-    batch = MoveBatch()
-    topology.stage_move(w, batch, first.id, "C0", "C1")
-    topology.stage_move(w, batch, last.id, "C2", "C3")
-    w.kill(last.id)  # gone between staging and commit
+    w.create_portion("blood", compartment="C0")
+    gone = w.create_portion("blood", compartment="C2")
+    w.kill(gone.id)
     before = world_state(w)
-    with pytest.raises(PortionNotPresent):
-        topology.commit(w, batch)
+    with pytest.raises(PortionNotPresent, match=r"no live portion 'blood-1' in 'C2'"):
+        topology.move(w, gone.id, "C2", "C3")
     assert world_state(w) == before
-    assert batch.status == "staging"
 
 
 def test_duplicate_mover_rejected():
+    # define_circuit refuses a repeated compartment; a Circuit built directly
+    # can carry one, and its portions would move twice.
     w, names = line_world()
     p = w.create_portion("blood", compartment="C0")
-    batch = MoveBatch()
-    topology.stage_move(w, batch, p.id, "C0", "C1")
-    with pytest.raises(DuplicateMover):
-        topology.stage_move(w, batch, p.id, "C0", "C1")
+    twice = topology.Circuit("twice", ("C0", "C1", "C0"), {"C0": ("C1",), "C1": ("C2",)})
+    before = world_state(w)
+    with pytest.raises(DuplicateMover, match=f"portion {p.id!r} already staged"):
+        topology.ring_push(w, twice)
+    assert world_state(w) == before
 
 
 def test_a_split_portion_cannot_be_staged_again():
@@ -123,58 +126,41 @@ def test_a_split_portion_cannot_be_staged_again():
     w.connect("Src", "Left", "fluid")
     w.connect("Src", "Right", "fluid")
     p = w.create_portion("blood", compartment="Src")
-    batch = MoveBatch()
-    stage_split(w, batch, p.id, "Src", ("Left", "Right"))
-    assert batch.movers == {p.id}
-    with pytest.raises(DuplicateMover):
-        topology.stage_move(w, batch, p.id, "Src", "Left")
-    with pytest.raises(DuplicateMover):
-        stage_split(w, batch, p.id, "Src", ("Left", "Right"))
-    assert len(batch.moves) + len(batch.splits) == 1
+    twice = topology.Circuit("twice", ("Src", "Src"), {"Src": ("Left", "Right")})
+    before = world_state(w)
+    with pytest.raises(DuplicateMover, match=f"portion {p.id!r} already staged"):
+        topology.ring_push(w, twice)
+    assert world_state(w) == before
 
 
 def test_staging_is_pure():
-    w, names = line_world()
-    p = w.create_portion("blood", compartment="C0")
-    before = {cid: list(c.contents) for cid, c in w.compartments.items()}
-    batch = MoveBatch()
-    for _ in range(1):
-        topology.stage_move(w, batch, p.id, "C0", "C1")
-    after = {cid: list(c.contents) for cid, c in w.compartments.items()}
-    assert before == after
-    assert len(batch.moves) + len(batch.splits) == 1
+    # Every portion is checked before commit changes anything: a beat whose
+    # last hop is unwired leaves the earlier portions where they were.
+    w, circuit = cardio_ring()
+    w.remove_connection("AC", "LA", "fluid")
+    before = world_state(w)
+    with pytest.raises(PushWithoutConnection, match="no fluid connection 'AC' -> 'LA'"):
+        topology.ring_push(w, circuit)
+    assert world_state(w) == before
+    assert w.last_commits == []
 
 
 def test_commit_moves_and_traces():
     w, names = line_world()
     p = w.create_portion("blood", compartment="C0")
-    batch = MoveBatch()
-    topology.stage_move(w, batch, p.id, "C0", "C1")
-    record = topology.commit(w, batch)
+    record = topology.move(w, p.id, "C0", "C1")
     assert w.compartments["C1"].contents == [p.id]
     assert p.compartment == "C1" and p.location_state == "C1"
+    assert record.applied == [(p.id, "C0", "C1")] and record.vacated == ["C0"]
     assert record.trace_lines == ["pushed C0Blood", "trigger updates"]
-    assert batch.status == "committed"
+    assert w.last_commits == [record]
 
 
 def test_commit_empty_batch_is_noop_with_trigger_updates():
     w, names = line_world()
-    record = topology.commit(w, MoveBatch())
+    record = topology.commit(w, [], [], set(), [])
     assert record.applied == []
     assert record.trace_lines == ["trigger updates"]
-
-
-def test_committed_batch_is_immutable():
-    w, names = line_world()
-    p = w.create_portion("blood", compartment="C0")
-    batch = MoveBatch()
-    topology.commit(w, batch)
-    from semsim.errors import BatchStateError
-
-    with pytest.raises(BatchStateError):
-        topology.stage_move(w, batch, p.id, "C0", "C1")
-    with pytest.raises(BatchStateError):
-        topology.commit(w, batch)
 
 
 def test_air_capacity_collision_is_error():
@@ -187,14 +173,11 @@ def test_air_capacity_collision_is_error():
     w.connect("B", "Nose", "fluid")
     pa = w.create_portion("air", compartment="A")
     pb = w.create_portion("air", compartment="B")
-    batch = MoveBatch()
-    topology.stage_move(w, batch, pa.id, "A", "Nose")
-    topology.stage_move(w, batch, pb.id, "B", "Nose")
+    moves = [(pa.id, "A", "Nose"), (pb.id, "B", "Nose")]
     before = world_state(w)
     with pytest.raises(CapacityExceeded, match="merging disallowed for air_path"):
-        topology.commit(w, batch)
+        topology.commit(w, moves, [], {pa.id, pb.id}, ["A", "B"])
     assert world_state(w) == before
-    assert batch.status == "staging"
 
 
 def test_blood_capacity_collision_merges():
@@ -207,10 +190,8 @@ def test_blood_capacity_collision_merges():
     w.connect("B", "RA", "fluid")
     pa = w.create_portion("blood", compartment="A")
     pb = w.create_portion("blood", compartment="B")
-    batch = MoveBatch()
-    topology.stage_move(w, batch, pa.id, "A", "RA")
-    topology.stage_move(w, batch, pb.id, "B", "RA")
-    record = topology.commit(w, batch)
+    moves = [(pa.id, "A", "RA"), (pb.id, "B", "RA")]
+    record = topology.commit(w, moves, [], {pa.id, pb.id}, ["A", "B"])
     assert len(record.merges) == 1
     merged = w.portions[record.merges[0]]
     assert merged.compartment == "RA"
@@ -239,23 +220,28 @@ def cardio_ring():
 
 def test_ring_push_stages_one_move_per_occupied_compartment():
     w, circuit = cardio_ring()
-    batch = topology.ring_push(w, circuit)
-    assert len(batch.moves) + len(batch.splits) == 7
+    record = topology.ring_push(w, circuit)
+    assert record.vacated == list(circuit.order)
+    assert record.split_parents == ["b-1"]
+    # Six moves, then the two children LV's portion split into.
+    assert [src for _pid, src, _dst in record.applied] == [
+        "LA", "MC", "CC", "RA", "RV", "AC", "LV", "LV",
+    ]
 
 
 def test_ring_push_empty_circuit_is_empty_batch():
     w, circuit = cardio_ring()
     for p in list(w.live_portions()):
         w.kill(p.id)
-    batch = topology.ring_push(w, circuit)
-    assert len(batch.moves) + len(batch.splits) == 0
+    record = topology.ring_push(w, circuit)
+    assert record.applied == [] and record.vacated == []
+    assert record.trace_lines == ["trigger updates"]
 
 
 def test_full_pulse_conserves_portions_and_occupancy():
     w, circuit = cardio_ring()
     for _ in range(10):
-        batch = topology.ring_push(w, circuit)
-        topology.commit(w, batch, circuit)
+        topology.ring_push(w, circuit)
         assert len(w.live_portions("blood")) == 7
         for cid in circuit.order:
             assert len(w.compartments[cid].contents) == 1
@@ -263,8 +249,7 @@ def test_full_pulse_conserves_portions_and_occupancy():
 
 def test_pulse_traces_in_circuit_order():
     w, circuit = cardio_ring()
-    batch = topology.ring_push(w, circuit)
-    record = topology.commit(w, batch, circuit)
+    record = topology.ring_push(w, circuit)
     assert record.trace_lines == [
         "pushed LABlood", "pushed LVBlood", "pushed MCBlood", "pushed CCBlood",
         "pushed RABlood", "pushed RVBlood", "pushed ACBlood", "trigger updates",
@@ -272,15 +257,18 @@ def test_pulse_traces_in_circuit_order():
 
 
 def test_a_compartment_off_the_circuit_reports_after_those_on_it():
+    # commit reports the vacated compartments in the order it is handed them.
     w, circuit = cardio_ring()
+    w.kill("b-1")  # LV is empty, so nothing splits
     w.add_compartment("X", "blood_path", 1)
     w.connect("X", "LA", "fluid")
     w.create_portion("blood", entity_id="x-0", compartment="X")
-    batch = MoveBatch()
-    topology.stage_move(w, batch, "x-0", "X", "LA")
-    for move in topology.ring_push(w, circuit).moves:
-        topology.stage_move(w, batch, move.portion, move.src, move.dst)
-    record = topology.commit(w, batch, circuit)
+    moves = [
+        (pid, cid, circuit.successors[cid][0])
+        for cid in circuit.order for pid in w.compartments[cid].contents
+    ] + [("x-0", "X", "LA")]
+    record = topology.commit(w, moves, [], {pid for pid, _src, _dst in moves},
+                             [src for _pid, src, _dst in moves])
     assert record.vacated == ["LA", "MC", "CC", "RA", "RV", "AC", "X"]
     assert record.trace_lines[-2:] == ["pushed XBlood", "trigger updates"]
 
@@ -311,25 +299,47 @@ def test_circuit_definition_refuses_an_order_off_the_graph_or_repeated():
     assert list(w.circuits) == ["loop"]
 
 
-def _outcome(stage):
-    """What staging gave: the batch's fields, or the exception's type and text."""
+def full_state(w):
+    """Everything a commit can change: the portions in birth order, each
+    compartment's contents in placement order, the live registry, the id
+    counters, the transitional log, the touched ids and the commit records."""
+    return (
+        list(w.portions.items()),
+        {cid: list(c.contents) for cid, c in w.compartments.items()},
+        list(w.live_registry),
+        dict(w._counters),
+        list(w.transitional_log),
+        set(w.touched),
+        list(w.last_commits),
+    )
+
+
+def _outcome(w, act):
+    """The record and the world after act, or the exception's type and text
+    with the world as it was."""
+    before = full_state(w)
     try:
-        batch = stage()
+        record = act(w)
     except SemsimError as exc:
+        assert full_state(w) == before
         return type(exc), str(exc)
-    return batch.moves, batch.splits, batch.movers, batch.status
+    return record, full_state(w)
 
 
-@given(data=st.data())
-def test_ring_push_stages_as_stage_move_and_stage_split_do(data):
+def random_world(data):
+    """Compartments of random media and capacities holding blood and air,
+    each with its circuit successor and up to two branches, so some split
+    and some are merged into; one connection may be cut."""
     n = data.draw(st.integers(min_value=3, max_value=6), label="compartments")
     w = World("ring")
     w.define_substance("blood", phase="liquid")
+    w.define_substance("air", phase="gas")
     names = [f"N{i}" for i in range(n)]
     capacities = {}
     for name in names:
         capacities[name] = data.draw(st.sampled_from([1, 2, 3, None]), label=f"capacity {name}")
-        w.add_compartment(name, "blood_path", capacities[name])
+        medium = data.draw(st.sampled_from(topology.MEDIA), label=f"medium {name}")
+        w.add_compartment(name, medium, capacities[name])
     successors = {}
     for i, name in enumerate(names):
         succ = [names[(i + 1) % n]]
@@ -343,29 +353,66 @@ def test_ring_push_stages_as_stage_move_and_stage_split_do(data):
     for name in names:
         most = 3 if capacities[name] is None else capacities[name]
         for _ in range(data.draw(st.integers(0, most), label=f"portions in {name}")):
-            w.create_portion("blood", compartment=name)
+            substance = data.draw(st.sampled_from(["blood", "blood", "air"]), label="substance")
+            w.create_portion(substance, compartment=name)
     if data.draw(st.booleans(), label="cut a connection"):
         src = data.draw(st.sampled_from(names), label="cut from")
         w.remove_connection(src, data.draw(st.sampled_from(successors[src]), label="cut to"))
+    w.clear_changes()
+    return w, circuit
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ring_push_stages_as_stage_move_and_stage_split_do(data):
+    w, circuit = random_world(data)
     if data.draw(st.booleans(), label="repeat a compartment"):
         # define_circuit refuses this order; a Circuit built directly can carry it.
-        again = data.draw(st.sampled_from(names), label="repeated")
-        circuit = topology.Circuit("ring", tuple(names) + (again,), successors)
+        again = data.draw(st.sampled_from(circuit.order), label="repeated")
+        circuit = topology.Circuit("ring", circuit.order + (again,), circuit.successors)
+    twin = copy.deepcopy(w)
+    assert _outcome(w, lambda w: topology.ring_push(w, circuit)) == _outcome(
+        twin, lambda w: staged_ring_push(w, circuit)
+    )
 
-    def staged_in_circuit_order():
-        batch = MoveBatch()
-        for cid in circuit.order:
-            succ = circuit.successors[cid]
-            for pid in w.compartments[cid].contents:
-                if len(succ) == 1:
-                    topology.stage_move(w, batch, pid, cid, succ[0])
-                else:
-                    stage_split(w, batch, pid, cid, succ)
-        return batch
 
-    before = world_state(w)
-    assert _outcome(lambda: topology.ring_push(w, circuit)) == _outcome(staged_in_circuit_order)
-    assert world_state(w) == before
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_move_commits_as_the_staged_oracle_does(data):
+    w, _circuit = random_world(data)
+    names = sorted(w.compartments)
+    pid = data.draw(st.sampled_from(sorted(w.portions) + ["nobody"]), label="portion")
+    home = w.portions[pid].compartment if pid in w.portions else None
+    src = data.draw(st.sampled_from([home, *names] if home else names), label="src")
+    dst = data.draw(st.sampled_from(names), label="dst")
+    twin = copy.deepcopy(w)
+    assert _outcome(w, lambda w: topology.move(w, pid, src, dst)) == _outcome(
+        twin, lambda w: staged_move(w, pid, src, dst)
+    )
+
+
+@pytest.mark.parametrize("medium, mover, stayer, error", [
+    ("air_path", "air", "air", "merging disallowed for air_path"),
+    ("blood_path", "blood", "blood", None),
+    ("blood_path", "air", "blood", r"cannot merge substances \['air', 'blood'\]"),
+], ids=["air overfill", "blood merge", "mixed substances"])
+def test_move_into_a_full_compartment_does_as_the_oracle_does(medium, mover, stayer, error):
+    w = World("w")
+    w.define_substance("blood", phase="liquid")
+    w.define_substance("air", phase="gas")
+    w.add_compartment("Src", medium, 1)
+    w.add_compartment("Dst", medium, 1)
+    w.connect("Src", "Dst", "fluid")
+    pid = w.create_portion(mover, compartment="Src").id
+    w.create_portion(stayer, compartment="Dst")
+    twin = copy.deepcopy(w)
+    outcome = _outcome(w, lambda w: topology.move(w, pid, "Src", "Dst"))
+    assert outcome == _outcome(twin, lambda w: staged_move(w, pid, "Src", "Dst"))
+    if error is None:
+        record = outcome[0]
+        assert len(record.merges) == 1 and w.compartments["Dst"].contents == record.merges
+    else:
+        assert outcome[0] is CapacityExceeded and re.search(error, outcome[1])
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +440,7 @@ def test_conservation_over_random_batches(data):
             occupied.append((f"p{i}", name))
 
     before = len(w.live_portions("blood"))
-    batch = MoveBatch()
+    moves, splits, movers, vacated = [], [], set(), []
     split_gain = 0
     for pid, src in occupied:
         dsts = [b for (a, b) in edges if a == src]
@@ -401,11 +448,15 @@ def test_conservation_over_random_batches(data):
             continue
         action = data.draw(st.sampled_from(["skip", "move", "split"]), label=f"act {pid}")
         if action == "move":
-            topology.stage_move(w, batch, pid, src, dsts[0])
+            moves.append((pid, src, dsts[0]))
         elif action == "split" and len(dsts) >= 2:
-            stage_split(w, batch, pid, src, tuple(dsts[:2]))
+            splits.append((pid, src, tuple(dsts[:2])))
             split_gain += 1  # fan-out 2: one extra live portion
-    record = topology.commit(w, batch)
+        else:
+            continue
+        movers.add(pid)
+        vacated.append(src)
+    record = topology.commit(w, moves, splits, movers, vacated)
     merge_loss = sum(
         len(w.portions[mid].provenance) - 1 for mid in record.merges
     )
@@ -415,8 +466,7 @@ def test_conservation_over_random_batches(data):
 def test_atomicity_no_partial_world_after_commit():
     # Every staged move lands in the same commit; positions and contents agree.
     w, circuit = cardio_ring()
-    batch = topology.ring_push(w, circuit)
-    topology.commit(w, batch, circuit)
+    topology.ring_push(w, circuit)
     for cid, comp in w.compartments.items():
         for pid in comp.contents:
             assert w.portions[pid].compartment == cid
@@ -430,10 +480,7 @@ def test_mixed_substance_merge_fails_before_any_change():
     w.define_substance("air", phase="gas")
     w.kill("b-2")
     w.create_portion("air", entity_id="air-0", compartment="MC")
-    batch = topology.ring_push(w, circuit)
-    assert batch.splits and batch.moves
     before = world_state(w)
     with pytest.raises(CapacityExceeded, match=r"cannot merge substances \['air', 'blood'\]"):
-        topology.commit(w, batch, circuit)
+        topology.ring_push(w, circuit)
     assert world_state(w) == before
-    assert batch.status == "staging"

@@ -17,7 +17,7 @@ from semsim.modelfile import load_model, load_model_file, save_model, save_model
 from semsim.models import build_cardio, build_waterfall
 from semsim.validation import EXPECTATIONS, AssertionRule, derive_triples, validate
 
-from reference import as_items, reference_triples, reference_violations, stage_split
+from reference import as_items, reference_triples, reference_violations
 
 
 # ----------------------------------------------------------------------
@@ -200,16 +200,17 @@ def test_registry_tracks_random_lifecycles(data):
             where = data.draw(st.sampled_from(compartments), label="to")
             w.place_portion(data.draw(st.sampled_from(live)), where)
         elif op == "move" and placed:
-            batch = topology.MoveBatch()
+            moves, splits, vacated = [], [], []
             movers = st.lists(st.sampled_from(placed), min_size=1, max_size=3, unique=True)
             for pid in data.draw(movers, label="movers"):
                 src = w.portions[pid].compartment
                 dsts = SUCCESSORS[src]
                 if len(dsts) > 1 and data.draw(st.booleans(), label="split"):
-                    stage_split(w, batch, pid, src, dsts)
+                    splits.append((pid, src, dsts))
                 else:
-                    topology.stage_move(w, batch, pid, src, data.draw(st.sampled_from(dsts)))
-            topology.commit(w, batch)
+                    moves.append((pid, src, data.draw(st.sampled_from(dsts))))
+                vacated.append(src)
+            topology.commit(w, moves, splits, {pid for pid, _src, _dst in moves + splits}, vacated)
         assert_registry_consistent(w)
         assert_placement_invariant(w)
         for cid in compartments:

@@ -11,9 +11,12 @@ collector off, as `semsim run` steps; the last column is the step cost that
 row adds to the row above it. A fourth row per model runs with validation
 off and the collector on, as a library caller's Kernel.run does; its last
 column is what the collector adds to the validation-off row, per step. A
-model's rows take turns, one run of each per round, so a change in the
-host's speed reaches every row alike instead of reading as one layer's
-cost.
+fifth row is the fixed cost of a step: the standard rules under halt with
+every trigger disabled before the run, so each step dispatches nothing and
+validates an unchanged world; its last column counts from zero, like the
+first row's. A model's rows take turns, one run of each per round, so a
+change in the host's speed reaches every row alike instead of reading as
+one layer's cost.
 
 The last row is the fixed cost of starting a run: `import semsim.cli` in a
 fresh `python3 -I` interpreter, best of --repeats, next to the step costs
@@ -39,16 +42,20 @@ CONFIGURATIONS = (
     ("halt, standard rules", "halt", "rules"),
 )
 COLLECTOR_ON = "--validate off, gc on"
+NOTHING_DUE = "halt, nothing due"
 
 
 def make_kernel(build, policy, rules):
     """A kernel on a fresh model: with rules "rules" it carries the standard
-    rules; with "scope" it has none, and its snapshot is built beforehand
-    with the standard rules' scope, which a rule-less kernel would leave
-    empty."""
+    rules; with "idle" it also has every trigger disabled; with "scope" it
+    has none, and its snapshot is built beforehand with the standard rules'
+    scope, which a rule-less kernel would leave empty."""
     kernel = Kernel(build(), validate_policy=policy)
     if rules is not None:
         standard_rules(kernel)
+    if rules == "idle":
+        for trigger in kernel.world.triggers.values():
+            trigger.enabled = False
     if rules == "scope":
         scope = validation.rule_scope(kernel.rules)
         kernel.rules.clear()
@@ -126,13 +133,14 @@ def main():
     print(f"{'model':<10} {'configuration':<22} {'steps/s':>9} {'us/step':>8} {'added':>8}")
     for model, build in models:
         runs = [(build, policy, rules, False) for _label, policy, rules in CONFIGURATIONS]
-        *rows, collected = best_seconds(runs + [(build, "off", None, True)], args.ticks,
-                                        args.repeats)
+        runs += [(build, "off", None, True), (build, "halt", "idle", False)]
+        *rows, collected, idle = best_seconds(runs, args.ticks, args.repeats)
         micros = []
         for (label, _policy, _rules), seconds in zip(CONFIGURATIONS, rows):
             micros.append(print_row(model, label, seconds / args.ticks,
                                     micros[-1] if micros else 0.0))
         print_row(model, COLLECTOR_ON, collected / args.ticks, micros[0])
+        print_row(model, NOTHING_DUE, idle / args.ticks, 0.0)
     millis = best_import_seconds(args.repeats) * 1e3
     print(f"{'startup':<10} {'import semsim.cli':<22} {millis:>9.1f} ms, best of "
           f"{args.repeats} fresh python3 -I")

@@ -420,15 +420,26 @@ class Kernel:
             reason = "was interrupted" if interrupted else f"raised: {describe(self.fault)}"
             raise SemsimError(f"step {tick} {reason}") from self.fault
         try:
-            world.last_commits = []
-            self._wiring_errors = []
-            self.current_report = StepReport(step=tick)
-            # Signals sent during this step are delivered at the next.
-            signals, world.signals = world.signals, []
+            # Each per-step record is replaced only when the last step left
+            # something in it; an empty one is reused as it is.
+            if world.last_commits:
+                world.last_commits = []
+            if self._wiring_errors:
+                self._wiring_errors = []
+            self.current_report = StepReport(tick, [], [], [], None)
+            # Signals sent during this step are delivered at the next. With
+            # none in transit the deliveries below iterate an empty tuple,
+            # never the list this step's firings append to.
+            signals = world.signals
+            if signals:
+                world.signals = []
+            else:
+                signals = ()
 
             # The only writers of both registries append, so a size that
             # moved means something was registered since the last index.
-            if self._indexed != (len(world.triggers), len(world.mechanisms)):
+            n_triggers, n_mechanisms = self._indexed
+            if len(world.triggers) != n_triggers or len(world.mechanisms) != n_mechanisms:
                 self._index()
             due = [entry for entry in self._schedule if entry[0].due(tick)]
             if self.mode == "concurrent":
@@ -449,7 +460,8 @@ class Kernel:
             report = self.current_report
             if self.validate_policy == "off":
                 self.snapshot = None
-                world.clear_changes()
+                if world.touched or world.wiring_changed:
+                    world.clear_changes()
             elif self.snapshot is None:
                 world.clear_changes()  # the build below sees every change
                 self.snapshot = validation.Snapshot(world, validation.rule_scope(self.rules))
@@ -487,7 +499,8 @@ class Kernel:
         if n_ticks is not None and n_ticks < 0:
             raise ModelError("n_ticks must be >= 0")
         start = len(self.reports)
-        stop = None if n_ticks is None else self.tick + n_ticks
-        while not self.halted and (stop is None or self.tick < stop):
+        world = self.world
+        stop = None if n_ticks is None else world.clock + n_ticks
+        while self.halted_at is None and (stop is None or world.clock < stop):
             self.step()
         return self.reports[start:]

@@ -259,6 +259,13 @@ def _qual(world: World, prop, level, loc: str) -> QualValue:
     return QualValue(world.scales[prop], level)
 
 
+def _alive(entry: dict, loc: str) -> bool:
+    alive = entry.get("alive", True)
+    if type(alive) is not bool:
+        raise SchemaError(f"alive must be true or false, not {alive!r}", loc)
+    return alive
+
+
 def _add_missing(data: dict, key: str, field: str, entry: dict):
     """Append entry to a section that has no entry with its field's value."""
     section = _section(data, key)
@@ -418,14 +425,22 @@ def load_model(data: dict) -> World:
         with _diagnosed(loc):
             world.define_circuit(c["name"], c["order"], c.get("successors", {}))
 
+    wholes = []  # (location, object) of each object that lists parts
     for loc, o in _entries(data, "objects"):
         with _diagnosed(loc):
+            parts = o.get("parts", [])
+            pairs = isinstance(parts, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+                for p in parts
+            )
+            if not pairs:
+                raise SchemaError(f"parts must be [role, id] pairs of strings, not {parts!r}", loc)
             obj = SemObject(
                 o["id"],
                 o["kind"],
-                parts=[tuple(p) for p in o.get("parts", [])],
+                parts=[tuple(p) for p in parts],
                 states=dict(o.get("states", {})),
-                alive=o.get("alive", True),
+                alive=_alive(o, loc),
             )
             for prop, level in o.get("properties", {}).items():
                 obj.properties[prop] = _qual(world, prop, level, loc)
@@ -434,6 +449,8 @@ def load_model(data: dict) -> World:
             if world.has_entity(obj.id):
                 raise SchemaError(f"duplicate object id {obj.id!r}", loc)
             world.objects[obj.id] = obj
+            if obj.parts:
+                wholes.append((loc, obj))
 
     for loc, p in _entries(data, "portions"):
         with _diagnosed(loc):
@@ -446,7 +463,7 @@ def load_model(data: dict) -> World:
                 compartment=p.get("compartment"),
                 location_state=p.get("location_state", "null"),
                 provenance=tuple(p.get("provenance", [])),
-                alive=p.get("alive", True),
+                alive=_alive(p, loc),
             )
             if portion.substance not in world.substances:
                 raise SchemaError(f"unknown substance {portion.substance!r}", loc)
@@ -464,6 +481,12 @@ def load_model(data: dict) -> World:
                     f"portion {portion.id!r} lacks its substance's properties {missing}", loc
                 )
             world.add_portion(portion)
+
+    # A whole may list a part that comes after it in the file.
+    for loc, obj in wholes:
+        for _role, part in obj.parts:
+            if part not in world.objects and part not in world.portions:
+                raise SchemaError(f"part {part!r} is no object or portion", loc)
 
     # Contents restore reservoir draw order, so they are authoritative. Each
     # lists every live portion placed in its compartment once, and no other.

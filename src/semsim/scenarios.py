@@ -64,22 +64,38 @@ def apply_scenario(world: World, scenario: Scenario) -> Annotation:
     return world.annotate(world.name, "user_comment", note)
 
 
+# The fields a scenario file's override of each op may have besides "op".
+_FIELDS = {
+    "disable_trigger": ("target",),
+    "set_ambient": ("property", "label"),
+    "set_state": ("target", "variable", "label"),
+    "remove_connection": ("from", "to", "kind"),
+}
+
+
 def _directive(entry: dict) -> Directive:
     op = entry.get("op")
+    fields = _FIELDS.get(op) if isinstance(op, str) else None
+    if fields is None:
+        raise ScenarioError(f"unknown op {op!r}")
+    for key in entry:
+        if key != "op" and key not in fields:
+            raise ScenarioError(f"{op} takes no field {key!r}")
     if op == "disable_trigger":
         return disable_trigger(entry["target"])
     if op == "set_ambient":
         return set_ambient(entry["property"], entry["label"])
     if op == "set_state":
         return set_state(entry["target"], entry["variable"], entry["label"])
-    if op == "remove_connection":
-        return remove_connection(entry["from"], entry["to"], entry.get("kind", "fluid"))
-    raise ScenarioError(f"unknown op {op!r}")
+    return remove_connection(entry["from"], entry["to"], entry.get("kind", "fluid"))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict) or not isinstance(data.get("name"), str):
         raise ScenarioError("scenario file needs a top-level object with a name (a string)")
+    for key in data:
+        if key not in ("name", "overrides"):
+            raise ScenarioError(f"scenario file has no key {key!r} (only name and overrides)")
     entries = data.get("overrides", [])
     if not isinstance(entries, list):
         raise ScenarioError("overrides: expected a list")

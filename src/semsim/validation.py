@@ -277,7 +277,7 @@ def _wiring_triples(world, scope) -> list[Triple]:
 
 def _pushed_triples(world, scope) -> list[Triple]:
     """pushedTo for every move committed during the current step."""
-    if "pushedTo" not in scope:
+    if not world.last_commits or "pushedTo" not in scope:
         return []
     return [
         _new(Triple, (src, "pushedTo", dst))
@@ -476,8 +476,17 @@ class Snapshot:
             self._build(self.scope | needs)
 
     def refresh(self):
-        """Apply the world's recorded changes, then forget them."""
+        """Apply the world's recorded changes, then forget them.
+
+        With nothing recorded, no commit this step and no pushedTo triple
+        left from the last, nothing can change: only the last refresh's
+        additions and removals are forgotten.
+        """
         world = self.world
+        if not (world.touched or world.wiring_changed or world.last_commits or self._pushed):
+            if self._added or self._removed:
+                self._added, self._removed = {}, {}
+            return
         self._added, self._removed = self._apply(world.touched, world.wiring_changed)
         world.clear_changes()
 
@@ -572,8 +581,6 @@ class Snapshot:
         # Nothing added or removed: no rule with known reads is re-checked.
         changed = added.keys() | removed.keys() if added or removed else None
         states = self._rules
-        for key in [k for k in states if k not in rules]:
-            del states[key]
         out: list[Violation] = []
         for key, rule in rules.items():
             state = states.get(key)
@@ -596,6 +603,11 @@ class Snapshot:
                 out.extend(Violation(rule.name, dict(b)) for _, b in ordered)
             elif rule.expectation == "count_in_set" and len(passing) not in rule.counts:
                 out.append(Violation(rule.name, {"count": str(len(passing))}))
+        # Every rule now has a state, so a state more than the rules means
+        # one was removed: forget it.
+        if len(states) > len(rules):
+            for key in [k for k in states if k not in rules]:
+                del states[key]
         return out
 
 

@@ -427,6 +427,8 @@ def test_malformed_model_file_exits_1_naming_the_section(tmp_path, capsys, comma
         (5, "overrides: expected a list"),
         ([{"op": "disable_trigger", "target": ["Flow"]}], "overrides[0]: fields must be strings"),
         ([{"op": "fly"}], "overrides[0]: unknown op 'fly'"),
+        ([{"op": "disable_trigger", "target": "Flow", "extra": 1}],
+         "overrides[0]: disable_trigger takes no field 'extra'"),
     ],
 )
 def test_malformed_scenario_exits_1_naming_the_override(tmp_path, capsys, overrides, expected):
@@ -436,6 +438,22 @@ def test_malformed_scenario_exits_1_naming_the_override(tmp_path, capsys, overri
             "--trace", str(tmp_path / "t")]
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.strip() == f"error: {expected}"
+
+
+def test_a_scenario_with_an_unknown_top_level_key_exits_1_naming_it(tmp_path, capsys):
+    # A misspelled "overrides" once ran the model as if no scenario were given.
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(
+        {"name": "x", "override": [{"op": "disable_trigger", "target": "SANode"}]}
+    ), encoding="utf-8")
+    trace = tmp_path / "t"
+    args = ["run", "--model", "cardio", "--steps", "3", "--scenario", str(path),
+            "--trace", str(trace)]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", "error: scenario file has no key 'override' (only name and overrides)\n"
+    )
+    assert not trace.exists()
 
 
 def test_bad_vocabulary_pattern_is_a_schema_error(tmp_path, capsys):
@@ -819,6 +837,78 @@ def test_a_refused_file_prints_no_traceback(tmp_path):
         assert result.stderr.endswith(": mechanisms[3]: no mechanism to fire 'Nope'\n")
 
 
+_SAVED_WATERFALL = save_model(build_waterfall(n_portions=3))
+
+
+def _entry_with(model, section, index, field, value):
+    data = json.loads(json.dumps(model))
+    data[section][index][field] = value
+    return data
+
+
+# Object parts and alive flags the loader took unchecked: each loaded, and
+# `semsim run` then raised at step 0 or ran a portion marked "no" as live.
+PART_AND_ALIVE_CHECKS = {
+    "part-without-an-id": (
+        _entry_with(_SAVED_WATERFALL, "objects", 1, "parts", [["r"]]),
+        "objects[1]: parts must be [role, id] pairs of strings, not [['r']]",
+    ),
+    "part-of-numbers": (
+        _entry_with(_SAVED_WATERFALL, "objects", 1, "parts", [[1, 2]]),
+        "objects[1]: parts must be [role, id] pairs of strings, not [[1, 2]]",
+    ),
+    "part-a-string": (
+        _entry_with(_SAVED_WATERFALL, "objects", 1, "parts", ["ab"]),
+        "objects[1]: parts must be [role, id] pairs of strings, not ['ab']",
+    ),
+    "parts-an-object": (
+        _entry_with(_SAVED_WATERFALL, "objects", 1, "parts", {"r": "bedInlet"}),
+        "objects[1]: parts must be [role, id] pairs of strings, not {'r': 'bedInlet'}",
+    ),
+    "part-naming-nothing": (
+        _entry_with(_SAVED_WATERFALL, "objects", 1, "parts", [["r", "nonexistent"]]),
+        "objects[1]: part 'nonexistent' is no object or portion",
+    ),
+    "portion-alive-a-string": (
+        _entry_with(_SAVED_CARDIO, "portions", 0, "alive", "no"),
+        "portions[0]: alive must be true or false, not 'no'",
+    ),
+    "object-alive-a-number": (
+        _entry_with(_SAVED_CARDIO, "objects", 0, "alive", 1),
+        "objects[0]: alive must be true or false, not 1",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "data, message", list(PART_AND_ALIVE_CHECKS.values()), ids=list(PART_AND_ALIVE_CHECKS)
+)
+@pytest.mark.parametrize("command", ["validate-file", "run"])
+def test_malformed_parts_and_alive_flags_are_refused_at_load(
+    tmp_path, capsys, command, data, message
+):
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    trace = tmp_path / "t"
+    if command == "run":
+        args, prefix = ["run", "--model", str(path), "--steps", "3", "--trace", str(trace)], "error"
+    else:
+        args, prefix = ["validate-file", str(path)], "invalid"
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"{prefix}: {message}\n")
+    assert not trace.exists()  # refused before any step
+
+
+def test_a_whole_may_list_a_part_that_comes_later_or_is_a_portion(tmp_path):
+    heart = _SAVED_CARDIO["objects"][0]
+    assert heart["id"] == "heart"  # its chambers come after it in the file
+    parts = [*heart["parts"], ["blood", "blood-0"]]
+    data = _entry_with(_SAVED_CARDIO, "objects", 0, "parts", parts)
+    path = tmp_path / "wholes.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate-file", str(path)]) == EXIT_OK
+
+
 def _world_that_faults_at_tick_2():
     world = World("faulty")
     world.vocabulary = Vocabulary(literals=frozenset({"melting"}))
@@ -954,6 +1044,33 @@ def test_a_run_makes_no_cyclic_garbage(monkeypatch, name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _cyclic_garbage_after(config) -> int:
+    """The objects a collection finds once run_command, stepped with the
+    collector off, has returned and dropped its kernel."""
+    gc.collect()
+    gc.disable()
+    try:
+        run_command(config)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("model, policy", [
+    ("cardio", "halt"), ("cardio", "off"), ("waterfall", "halt"),
+])
+def test_a_finished_runs_history_is_freed_by_reference_counting(tmp_path, model, policy):
+    # test_a_run_makes_no_cyclic_garbage collects while the kernel is alive,
+    # so a cycle through the kernel itself passes there; here the whole
+    # history must go when run_command drops the kernel. What the model's
+    # build leaves for the collector is the same for any number of steps.
+    def config(steps):
+        return RunConfig(model=model, steps=steps, validate_policy=policy,
+                         trace_path=str(tmp_path / f"{steps}.trace"))
+
+    assert _cyclic_garbage_after(config(200)) == _cyclic_garbage_after(config(0))
 
 
 def test_a_run_keeps_a_freeze_its_caller_made(tmp_path):

@@ -35,13 +35,15 @@ def test_layer_split_prints_a_row_per_model_and_configuration(tmp_path):
     assert startup.startswith("startup    import semsim.cli")
     assert float(startup[33:].split()[0]) > 0
     labels = ("--validate off", "halt, scope only", "halt, standard rules",
-              "--validate off, gc on")
+              "--validate off, gc on", "halt, nothing due")
     assert [(row[:10].strip(), row[11:33].strip()) for row in rows] == [
         (model, label) for model in ("cardio", "waterfall") for label in labels
     ]
     for row in rows:
-        steps_per_s, micros, _added = (float(field) for field in row[33:].split())
+        steps_per_s, micros, added = (float(field) for field in row[33:].split())
         assert steps_per_s > 0 and micros > 0
+        if row[11:33].strip() in ("--validate off", "halt, nothing due"):
+            assert added == micros  # counted from zero
 
 
 def test_ab_steps_compares_a_checkout_with_itself(tmp_path):

@@ -420,21 +420,11 @@ class Kernel:
             reason = "was interrupted" if interrupted else f"raised: {describe(self.fault)}"
             raise SemsimError(f"step {tick} {reason}") from self.fault
         try:
-            # Each per-step record is replaced only when the last step left
-            # something in it; an empty one is reused as it is.
-            if world.last_commits:
-                world.last_commits = []
-            if self._wiring_errors:
-                self._wiring_errors = []
+            world.last_commits = []
+            self._wiring_errors = []
             self.current_report = StepReport(tick, [], [], [], None)
-            # Signals sent during this step are delivered at the next. With
-            # none in transit the deliveries below iterate an empty tuple,
-            # never the list this step's firings append to.
-            signals = world.signals
-            if signals:
-                world.signals = []
-            else:
-                signals = ()
+            # Signals sent during this step are delivered at the next.
+            signals, world.signals = world.signals, []
 
             # The only writers of both registries append, so a size that
             # moved means something was registered since the last index.
@@ -460,8 +450,7 @@ class Kernel:
             report = self.current_report
             if self.validate_policy == "off":
                 self.snapshot = None
-                if world.touched or world.wiring_changed:
-                    world.clear_changes()
+                world.clear_changes()
             elif self.snapshot is None:
                 world.clear_changes()  # the build below sees every change
                 self.snapshot = validation.Snapshot(world, validation.rule_scope(self.rules))

@@ -64,30 +64,27 @@ def apply_scenario(world: World, scenario: Scenario) -> Annotation:
     return world.annotate(world.name, "user_comment", note)
 
 
-# The fields a scenario file's override of each op may have besides "op".
-_FIELDS = {
-    "disable_trigger": ("target",),
-    "set_ambient": ("property", "label"),
-    "set_state": ("target", "variable", "label"),
-    "remove_connection": ("from", "to", "kind"),
+# What an override in a scenario file may name: per op, its constructor, the
+# fields it passes in argument order, and the defaults of the optional ones.
+_FILE_OPS = {
+    "disable_trigger": (disable_trigger, ("target",), {}),
+    "set_ambient": (set_ambient, ("property", "label"), {}),
+    "set_state": (set_state, ("target", "variable", "label"), {}),
+    "remove_connection": (remove_connection, ("from", "to", "kind"), {"kind": "fluid"}),
 }
 
 
 def _directive(entry: dict) -> Directive:
     op = entry.get("op")
-    fields = _FIELDS.get(op) if isinstance(op, str) else None
-    if fields is None:
+    spec = _FILE_OPS.get(op) if isinstance(op, str) else None
+    if spec is None:
         raise ScenarioError(f"unknown op {op!r}")
+    make, fields, defaults = spec
     for key in entry:
         if key != "op" and key not in fields:
             raise ScenarioError(f"{op} takes no field {key!r}")
-    if op == "disable_trigger":
-        return disable_trigger(entry["target"])
-    if op == "set_ambient":
-        return set_ambient(entry["property"], entry["label"])
-    if op == "set_state":
-        return set_state(entry["target"], entry["variable"], entry["label"])
-    return remove_connection(entry["from"], entry["to"], entry.get("kind", "fluid"))
+    given = {**defaults, **entry}
+    return make(*(given[field] for field in fields))
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -277,7 +277,7 @@ def _wiring_triples(world, scope) -> list[Triple]:
 
 def _pushed_triples(world, scope) -> list[Triple]:
     """pushedTo for every move committed during the current step."""
-    if not world.last_commits or "pushedTo" not in scope:
+    if "pushedTo" not in scope:
         return []
     return [
         _new(Triple, (src, "pushedTo", dst))

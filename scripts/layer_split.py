@@ -14,9 +14,9 @@ column is what the collector adds to the validation-off row, per step. A
 fifth row is the fixed cost of a step: the standard rules under halt with
 every trigger disabled before the run, so each step dispatches nothing and
 validates an unchanged world; its last column counts from zero, like the
-first row's. A model's rows take turns, one run of each per round, so a
-change in the host's speed reaches every row alike instead of reading as
-one layer's cost.
+first row's. Every row of both models takes turns, one run of each per
+round, so a change in the host's speed reaches every row of both models
+alike instead of reading as one layer's or one model's cost.
 
 The last row is the fixed cost of starting a run: `import semsim.cli` in a
 fresh `python3 -I` interpreter, best of --repeats, next to the step costs
@@ -131,10 +131,14 @@ def main():
     )
     print(f"{args.ticks} ticks, best of {args.repeats}")
     print(f"{'model':<10} {'configuration':<22} {'steps/s':>9} {'us/step':>8} {'added':>8}")
-    for model, build in models:
-        runs = [(build, policy, rules, False) for _label, policy, rules in CONFIGURATIONS]
+    runs = []
+    for _model, build in models:
+        runs += [(build, policy, rules, False) for _label, policy, rules in CONFIGURATIONS]
         runs += [(build, "off", None, True), (build, "halt", "idle", False)]
-        *rows, collected, idle = best_seconds(runs, args.ticks, args.repeats)
+    best = best_seconds(runs, args.ticks, args.repeats)
+    per_model = len(runs) // len(models)
+    for i, (model, _build) in enumerate(models):
+        *rows, collected, idle = best[i * per_model:(i + 1) * per_model]
         micros = []
         for (label, _policy, _rules), seconds in zip(CONFIGURATIONS, rows):
             micros.append(print_row(model, label, seconds / args.ticks,

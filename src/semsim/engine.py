@@ -1,7 +1,9 @@
 """Guarded mechanisms, periodic triggers, nerve signals, and the step kernel.
 
 A mechanism is a Petri-net-style transition: a pure guard over world state
-and an ordered effect that runs only when the guard holds. Independent
+and an ordered effect that runs only when the guard holds. The effect is a
+callable on the Kernel: it writes the kernel's world, emits trace lines,
+sends signals and attempts member mechanisms through it. Independent
 subsystems are driven by periodic triggers; the kernel interleaves them.
 
 Two execution modes:
@@ -23,9 +25,11 @@ the triggers, and replaces with those it sends. So a kernel on a saved and
 reloaded world carries on where the run stopped.
 
 Validation after each step is incremental: the kernel owns one
-validation.Snapshot and refreshes it from the world's recorded changes.
-With the policy off it keeps none and only clears those records, and a
-step without wiring errors shares the one empty validation.NOT_VALIDATED.
+validation.Snapshot, builds it when it has none and refreshes it from the
+world's recorded changes. With the policy off it keeps none and only clears
+those records, and a step without wiring errors shares the one empty
+validation.NOT_VALIDATED. A policy outside validation.POLICIES is refused
+when the kernel is built.
 
 A step's record is published whole: its StepReport, trace lines included,
 joins Kernel.reports only when the step finishes. A step keeps its trace as
@@ -39,12 +43,11 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator
 
-from . import topology, validation
+from . import validation
 from .errors import (
     CapacityExceeded,
     DuplicateMover,
     DuplicateNameError,
-    FiredWhileDisabled,
     ModelError,
     NoNervePath,
     PortionNotPresent,
@@ -82,21 +85,19 @@ class Condition(FrozenRecord):
 
 
 class Mechanism(Record):
-    _fields = ("name", "guard", "effect", "side_effects", "subsystem", "on_signal")
+    _fields = ("name", "guard", "effect", "subsystem", "on_signal")
 
     def __init__(
         self,
         name: str,
         guard: tuple[Condition, ...],
-        effect: Callable[[FireContext], None],
-        side_effects: tuple[Callable[[FireContext], None], ...] = (),
+        effect: Callable[[Kernel], None],
         subsystem: str = "core",
         on_signal: str | None = None,  # compartment this mechanism listens on
     ):
         self.name = name
         self.guard = guard
         self.effect = effect
-        self.side_effects = side_effects
         self.subsystem = subsystem
         self.on_signal = on_signal
 
@@ -241,56 +242,15 @@ def guard_report(mechanism: Mechanism, world: World) -> dict[str, bool]:
     return values
 
 
-class FireContext:
-    """Handed to an effect; every primitive action goes through it."""
+def fire(mechanism: Mechanism, kernel: Kernel, via: str, guard_values: dict[str, bool]):
+    """Record the firing of a mechanism whose guard held, then run its effect.
 
-    def __init__(self, kernel: "Kernel", mechanism: Mechanism):
-        self.kernel = kernel
-        self.world = kernel.world
-        self.mechanism = mechanism
-
-    def emit(self, line: str):
-        self.kernel.emit_trace(line)
-
-    def set_state(self, entity_id: str, variable: str, label: str):
-        return self.world.set_state(entity_id, variable, label)
-
-    def emit_signal(self, sender: str, receiver: str, payload: str):
-        send_signal(self.kernel, Signal(sender, receiver, payload))
-
-    def move(self, portion: str, src: str, dst: str):
-        """Commit a single move, silently."""
-        return topology.move(self.world, portion, src, dst)
-
-    def fire_if_enabled(self, mechanism_name: str) -> bool:
-        """Delegate to a registered sub-mechanism; False when its guard fails."""
-        return self.kernel._attempt(self.world.mechanisms[mechanism_name], "nested")
-
-
-def fire(
-    mechanism: Mechanism,
-    world: World,
-    kernel: "Kernel",
-    via: str = "direct",
-    guard_values: dict[str, bool] | None = None,
-):
-    """Run the effect (and side effects, unless stripped) of an enabled mechanism.
-
-    guard_values is the guard_report a caller has just taken; without it the
-    guard is evaluated here.
+    guard_values is the guard_report the caller has just taken, all true.
     """
-    values = guard_report(mechanism, world) if guard_values is None else guard_values
-    if not all(values.values()):
-        failing = [d for d, ok in values.items() if not ok]
-        raise FiredWhileDisabled(f"{mechanism.name}: guard failed on {failing}")
-    record = FiringRecord(mechanism.name, mechanism.subsystem, via, values)
-    kernel.current_report.fired.append(record)
-    ctx = FireContext(kernel, mechanism)
-    mechanism.effect(ctx)
-    if kernel.include_side_effects:
-        for action in mechanism.side_effects:
-            action(ctx)
-    return record
+    kernel.current_report.fired.append(
+        FiringRecord(mechanism.name, mechanism.subsystem, via, guard_values)
+    )
+    mechanism.effect(kernel)
 
 
 def send_signal(kernel: "Kernel", signal: Signal):
@@ -313,15 +273,15 @@ class Kernel:
         seed: int = 0,
         mode: str = "deterministic",
         validate_policy: str = "halt",
-        include_side_effects: bool = True,
     ):
         if mode not in MODES:
             raise ModelError(f"mode must be one of {MODES}")
+        if validate_policy not in validation.POLICIES:
+            raise ModelError(f"policy must be one of {validation.POLICIES}")
         self.world = world
         self.seed = seed
         self.mode = mode
         self.validate_policy = validate_policy
-        self.include_side_effects = include_side_effects
         self.rng = random.Random(seed)
         self.reports: list[StepReport] = []
         self.rules: dict[str, validation.AssertionRule] = {}
@@ -369,11 +329,11 @@ class Kernel:
     def trace_lines(self) -> list[str]:
         return [line for report in self.reports for line in report.lines]
 
-    def _attempt(self, mechanism: Mechanism, via: str) -> bool:
+    def attempt(self, mechanism: Mechanism, via: str) -> bool:
         """Evaluate the guard once, then fire, or record the failing conditions."""
         values = guard_report(mechanism, self.world)
         if all(values.values()):
-            fire(mechanism, self.world, self, via=via, guard_values=values)
+            fire(mechanism, self, via, values)
             return True
         failed = [d for d, ok in values.items() if not ok]
         self.current_report.guard_failures.append(
@@ -405,7 +365,7 @@ class Kernel:
     def _dispatch(self, mechanism: Mechanism, via: str):
         """Attempt one mechanism; wiring bugs become violations."""
         try:
-            self._attempt(mechanism, via)
+            self.attempt(mechanism, via)
         except WIRING_ERRORS as exc:
             self._wiring_errors.append((type(exc).__name__, f"{mechanism.name}: {exc}"))
 
@@ -451,13 +411,15 @@ class Kernel:
             if self.validate_policy == "off":
                 self.snapshot = None
                 world.clear_changes()
-            elif self.snapshot is None:
-                world.clear_changes()  # the build below sees every change
-                self.snapshot = validation.Snapshot(world, validation.rule_scope(self.rules))
-            unchecked = self.validate_policy == "off" and not self._wiring_errors
-            report.validation = validation.NOT_VALIDATED if unchecked else validation.validate(
-                world, tick, self.rules, self.validate_policy, self.snapshot
-            )
+                report.validation = (
+                    validation.ValidationReport() if self._wiring_errors
+                    else validation.NOT_VALIDATED
+                )
+            else:
+                if self.snapshot is None:
+                    world.clear_changes()  # the build below sees every change
+                    self.snapshot = validation.Snapshot(world, validation.rule_scope(self.rules))
+                report.validation = validation.validate(self.snapshot, self.rules)
             if self._wiring_errors:
                 report.validation.violations[:0] = [
                     validation.Violation(name, {"detail": detail})

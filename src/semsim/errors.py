@@ -70,10 +70,6 @@ class CapacityExceeded(SemsimError):
     pass
 
 
-class FiredWhileDisabled(SemsimError):
-    """A mechanism fired while its guard was false (kernel bug signal)."""
-
-
 class NoNervePath(SemsimError):
     pass
 

@@ -302,8 +302,8 @@ def path_flow(
     def remaining(w) -> bool:
         return n_portions is None or w._counters.get(fluid, 0) < n_portions
 
-    def effect(ctx):
-        w = ctx.world
+    def effect(kernel):
+        w = kernel.world
         if portion_kind is not None:
             portion = w.instantiate(portion_kind)
         else:
@@ -316,7 +316,7 @@ def path_flow(
             portion.x += dx
             portion.y += dy
         w.set_state(pid, "Location", goal_label)
-        ctx.emit(f"{pid.rpartition('-')[2]} {goal_label}")
+        kernel.emit_trace(f"{pid.rpartition('-')[2]} {goal_label}")
 
     return Mechanism(
         mech_name,
@@ -335,11 +335,11 @@ def _circuit_flow(mech_name, fluid, circuit, pulse=None):
     def occupied(w) -> bool:
         return any(w.occupant(cid) is not None for cid in circuit.order)
 
-    def effect(ctx):
+    def effect(kernel):
         if pulse is not None:
-            ctx.emit(pulse)
-        for line in topology.ring_push(ctx.world, circuit).trace_lines:
-            ctx.emit(line)
+            kernel.emit_trace(pulse)
+        for line in topology.ring_push(kernel.world, circuit).trace_lines:
+            kernel.emit_trace(line)
 
     return Mechanism(
         mech_name,

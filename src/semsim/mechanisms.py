@@ -4,8 +4,10 @@ A data mechanism is a model-file entry: a name, a subsystem, a guard,
 effects, side effects and the compartment it listens on. Each condition and
 effect is a list of strings, its kind first (CONDITIONS, EFFECTS).
 `build_mechanism` checks every argument by its type and compiles the lists
-once, at registration, into the engine's Mechanism of Conditions and effect
-closures, so a step pays nothing to interpret them. `check_links` checks,
+once, at registration, into the engine's Mechanism of Conditions and one
+effect, so a step pays nothing to interpret them. Each effect and side
+effect compiles to a callable on the Kernel; the side effects, effects no
+guard reads, always run after the effects. `check_links` checks,
 once all are registered, that each signal has a receiver and each fired
 member exists, and that no mechanism fires itself, directly or through its
 members: nested firing happens within one step, so a cycle never ends. A
@@ -14,7 +16,7 @@ violation: a scenario may cut one.
 """
 from __future__ import annotations
 
-from .engine import Condition, Mechanism, register_mechanism
+from .engine import Condition, Mechanism, Signal, register_mechanism, send_signal
 from .errors import ModelError, TraceVocabularyError, UnknownEntityError, need
 from .world import AMBIENT_SCALES, World
 
@@ -71,10 +73,11 @@ def _set_occupant(world, substance, compartment, prop, level):
     """Set P=L on the occupant of C, if there is one and it has P."""
     _occupant_level(world, substance, compartment, prop, level)
 
-    def effect(ctx):
-        portion = ctx.world.occupant(compartment)
+    def effect(kernel):
+        w = kernel.world
+        portion = w.occupant(compartment)
         if portion is not None and prop in portion.properties:
-            ctx.set_state(portion.id, prop, level)
+            w.set_state(portion.id, prop, level)
 
     return effect
 
@@ -86,7 +89,7 @@ def _set(world, entity, variable, label):
     else:
         kind = need(world.objects, entity, "object").kind
         need(world.effective_state_spaces(kind), variable, f"{kind} state").index(label)
-    return lambda ctx: ctx.set_state(entity, variable, label)
+    return lambda kernel: kernel.world.set_state(entity, variable, label)
 
 
 def _emit(world, line):
@@ -94,29 +97,35 @@ def _emit(world, line):
         raise TraceVocabularyError(
             f"line {line!r} is not in the declared vocabulary of {world.name!r}"
         )
-    return lambda ctx: ctx.emit(line)
+    return lambda kernel: kernel.emit_trace(line)
 
 
 def _signal(world, sender, receiver, payload):
     need(world.compartments, sender, "compartment")
     need(world.compartments, receiver, "compartment")
-    return lambda ctx: ctx.emit_signal(sender, receiver, payload)
+    return lambda kernel: send_signal(kernel, Signal(sender, receiver, payload))
 
 
 def _merge(world, compartment):
     """Merge C's contents into one portion, when it holds more than one."""
     need(world.compartments, compartment, "compartment")
 
-    def effect(ctx):
-        held = ctx.world.compartments[compartment].contents
+    def effect(kernel):
+        w = kernel.world
+        held = w.compartments[compartment].contents
         if len(held) > 1:
-            ctx.world.merge_portions(held, compartment)
+            w.merge_portions(held, compartment)
 
     return effect
 
 
+def _fire(world, member):
+    """Attempt member M: fire it if its guard holds, else record the failure."""
+    return lambda kernel: kernel.attempt(kernel.world.mechanisms[member], "nested")
+
+
 #: kind -> (number of arguments, compiler); a condition compiles to its
-#: description and test, an effect to a closure over the FireContext.
+#: description and test, an effect to a callable on the Kernel.
 CONDITIONS = {
     "occupant": (4, _occupant),
     "holds": (2, _holds),
@@ -131,7 +140,7 @@ EFFECTS = {
     "emit": (1, _emit),
     "signal": (3, _signal),
     "merge": (1, _merge),
-    "fire": (1, lambda world, member: lambda ctx: ctx.fire_if_enabled(member)),
+    "fire": (1, _fire),
 }
 
 
@@ -157,17 +166,16 @@ def build_mechanism(world: World, spec: dict) -> Mechanism:
         raise ModelError(f"unknown fields {sorted(unknown)}, expected some of {FIELDS}")
     guard = compile_items(world, CONDITIONS, spec["guard"], "guard")
     actions = compile_items(world, EFFECTS, spec["effects"], "effects")
-    side_effects = compile_items(world, EFFECTS, spec.get("side_effects", []), "side_effects")
+    actions += compile_items(world, EFFECTS, spec.get("side_effects", []), "side_effects")
 
-    def effect(ctx):
+    def effect(kernel):
         for action in actions:
-            action(ctx)
+            action(kernel)
 
     mechanism = Mechanism(
         spec["name"],
         guard=tuple(Condition(*c) for c in guard),
         effect=effect,
-        side_effects=tuple(side_effects),
         subsystem=spec.get("subsystem", "core"),
         on_signal=spec.get("on_signal"),
     )

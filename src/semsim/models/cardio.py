@@ -16,6 +16,7 @@ heartbeat is one firing of that circuit flow.
 """
 from __future__ import annotations
 
+from .. import topology
 from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
 from ..entities import PartSpec, QualValue, StateSpace, cardinality
 from ..errors import ModelError, need
@@ -209,21 +210,21 @@ def inhale_cycle(world: World, params: dict) -> Mechanism:
         (nose, external, 5), (alv, nose, 4), (nose, external, 5), (external, nose, 2), (nose, alv, 3),
     )
 
-    def effect(ctx):
-        w = ctx.world
-        ctx.emit(lines[0])
-        ctx.emit(lines[1])
-        contract(ctx)
+    def effect(kernel):
+        w = kernel.world
+        kernel.emit_trace(lines[0])
+        kernel.emit_trace(lines[1])
+        contract(kernel)
         completed = set()
         for src, dst, line in moves:
             p = w.occupant(src)
             # Fresh air goes on into the alveoli only when they are empty.
             if p is not None and (dst != alv or w.occupant(alv) is None):
-                ctx.move(p.id, src, dst)
+                topology.move(w, p.id, src, dst)
                 completed.add(line)
         for line in sorted(completed):
-            ctx.emit(lines[line])
-        relax(ctx)
+            kernel.emit_trace(lines[line])
+        relax(kernel)
 
     mech = Mechanism(
         params.get("name", "InhaleCycle"),

@@ -14,9 +14,10 @@ all. That index keeps each triple once; Snapshot.triples is a read-only set
 view over it (TripleView), which looks a triple up in its predicate's
 bucket. Only passing matches are sorted, by the (subject, predicate, obj) of the
 matched triple, so violations come out in the same order whatever the set's
-iteration order. A full recompute is a fresh Snapshot, which validate builds
-when it is given none and derive_triples reads; the independent reference
-both are checked against, a naive sort-everything evaluator, is in the tests.
+iteration order. A full recompute is a fresh Snapshot's violations,
+Snapshot(world).violations(rules), and derive_triples reads a fresh
+Snapshot's triples; the independent reference both are checked against, a
+naive sort-everything evaluator, is in the tests.
 
 A Kernel keeps one Snapshot from step to step, so validation works in
 proportion to what a step changed, not to how much is alive. The world
@@ -58,8 +59,8 @@ leaves the triples already in scope as they were, so the other rules'
 passing matches stay valid. A scope with no hasState: or hasPart:
 predicate holds no object's or substance's triple, so a refresh then
 derives only live portions' locatedIn, or no entity triple at all when
-locatedIn is out of scope too. validate without a snapshot and
-derive_triples still build with every predicate.
+locatedIn is out of scope too. A Snapshot built without a scope, as a
+full recompute and derive_triples build it, holds every predicate.
 """
 from __future__ import annotations
 
@@ -169,22 +170,15 @@ class Violation(Record):
 
 
 class ValidationReport(Record):
-    _fields = __slots__ = ("step_index", "violations", "policy_applied")
+    _fields = __slots__ = ("violations",)
 
-    def __init__(
-        self,
-        step_index: int | None,
-        violations: list[Violation] | None = None,
-        policy_applied: str = "halt",
-    ):
-        self.step_index = step_index
+    def __init__(self, violations: list[Violation] | None = None):
         self.violations = [] if violations is None else violations
-        self.policy_applied = policy_applied
 
 
 #: The one report shared by every step that validated nothing (policy off, no
 #: wiring error), so an unvalidated run keeps none per step. Nothing adds to it.
-NOT_VALIDATED = ValidationReport(None, [], "off")
+NOT_VALIDATED = ValidationReport()
 
 
 # The per-entity helpers build each triple as _new(Triple, (s, p, o)): the
@@ -357,28 +351,12 @@ def register_rule(rules: dict[str, AssertionRule], rule: AssertionRule) -> Asser
 _by_triple = itemgetter(0)
 
 
-def validate(
-    world, step_index: int, rules, policy: str = "halt", snapshot: Snapshot | None = None
-) -> ValidationReport:
-    """Evaluate every rule against the live world's triples.
-
-    Without a snapshot this builds a fresh one: a full recompute. With one,
-    the snapshot is refreshed from the world's recorded changes and only the
-    rules those changes can affect are re-checked; the report is the same.
-    """
-    if policy not in POLICIES:
-        raise ModelError(f"policy must be one of {POLICIES}")
-    report = ValidationReport(step_index, [], policy)
-    if policy == "off":
-        return report
-    if snapshot is None:
-        snapshot = Snapshot(world)
-    elif snapshot.world is not world:
-        raise ModelError("the snapshot belongs to another world")
-    else:
-        snapshot.refresh()
-    report.violations = snapshot.violations(rules)
-    return report
+def validate(snapshot: Snapshot, rules) -> ValidationReport:
+    """Refresh the snapshot from its world's recorded changes and re-check the
+    rules those changes can affect; the report equals a full recompute's,
+    Snapshot(world).violations(rules)."""
+    snapshot.refresh()
+    return ValidationReport(snapshot.violations(rules))
 
 
 class TripleView(Set):

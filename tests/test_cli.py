@@ -914,9 +914,9 @@ def _world_that_faults_at_tick_2():
     world.vocabulary = Vocabulary(literals=frozenset({"melting"}))
     world.define_substance("water", phase="solid")
 
-    def melt(ctx):
-        ctx.emit("melting")
-        ctx.set_state("water", "phase", "plasma")  # not a phase: StateError
+    def melt(kernel):
+        kernel.emit_trace("melting")
+        kernel.world.set_state("water", "phase", "plasma")  # not a phase: StateError
 
     register_mechanism(world, Mechanism("Melt", guard=(), effect=melt))
     register_trigger(world, Trigger("Sun", period=100, target="Melt", phase=2))
@@ -1156,10 +1156,10 @@ def _world_interrupted_at_tick_2(ticks):
     world = World("interrupted")
     world.vocabulary = Vocabulary(literals=frozenset({"tock"}))
 
-    def tock(ctx):
-        ticks.append(ctx.kernel.tick)
-        ctx.emit("tock")
-        if ticks.count(2) == 1 and ctx.kernel.tick == 2:
+    def tock(kernel):
+        ticks.append(kernel.tick)
+        kernel.emit_trace("tock")
+        if ticks.count(2) == 1 and kernel.tick == 2:
             raise KeyboardInterrupt
 
     register_mechanism(world, Mechanism("Tock", guard=(), effect=tock))

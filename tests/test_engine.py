@@ -1,9 +1,8 @@
 import pytest
 
-from semsim import Condition, Kernel, Mechanism, Signal, StateSpace, Trigger, World
+from semsim import Condition, Kernel, Mechanism, Signal, StateSpace, Trigger, World, topology
 from semsim.engine import (
     TraceEvent,
-    fire,
     guard_report,
     register_mechanism,
     register_trigger,
@@ -11,7 +10,6 @@ from semsim.engine import (
 )
 from semsim.errors import (
     DuplicateNameError,
-    FiredWhileDisabled,
     ModelError,
     NoNervePath,
     SemsimError,
@@ -20,9 +18,14 @@ from semsim.errors import (
     UnknownEntityError,
 )
 from semsim.models import build_cardio
+from semsim.modelfile import load_model, save_model
 from semsim.cli import standard_rules
 from semsim.validation import AssertionRule, TriplePattern
 from semsim.world import Vocabulary
+
+
+def _send_go(kernel):
+    send_signal(kernel, Signal("N1", "N2", "go"))
 
 
 def counter_world():
@@ -40,7 +43,7 @@ def counter_world():
 
 def test_register_mechanism_duplicate():
     w = counter_world()
-    mech = Mechanism("m", guard=(), effect=lambda ctx: None)
+    mech = Mechanism("m", guard=(), effect=lambda kernel: None)
     register_mechanism(w, mech)
     with pytest.raises(DuplicateNameError):
         register_mechanism(w, mech)
@@ -50,7 +53,7 @@ def test_register_mechanism_unknown_signal_compartment():
     w = counter_world()
     with pytest.raises(UnknownEntityError):
         register_mechanism(
-            w, Mechanism("m", guard=(), effect=lambda ctx: None, on_signal="Ghost")
+            w, Mechanism("m", guard=(), effect=lambda kernel: None, on_signal="Ghost")
         )
 
 
@@ -70,22 +73,13 @@ def test_enabled_is_pure_guard_evaluation():
     mech = Mechanism(
         "m",
         guard=(Condition("flag", lambda world: calls.append(1) or True),),
-        effect=lambda ctx: None,
+        effect=lambda kernel: None,
     )
     register_mechanism(w, mech)
     assert all(guard_report(mech, w).values())
     assert all(guard_report(mech, w).values())
     assert len(calls) == 2
     assert w.transitional_log == []
-
-
-def test_fire_while_disabled_raises():
-    w = counter_world()
-    mech = Mechanism("m", guard=(Condition("never", lambda _: False),), effect=lambda ctx: None)
-    register_mechanism(w, mech)
-    kernel = Kernel(w)
-    with pytest.raises(FiredWhileDisabled):
-        fire(mech, w, kernel)
 
 
 def test_trigger_period_validation():
@@ -123,14 +117,11 @@ def test_send_signal_needs_nerve_edge():
 def test_signal_delivery_fires_receiver_next_tick():
     w = counter_world()
     hits = []
-    register_mechanism(
-        w,
-        Mechanism("sender", guard=(), effect=lambda ctx: ctx.emit_signal("N1", "N2", "go")),
-    )
+    register_mechanism(w, Mechanism("sender", guard=(), effect=_send_go))
     register_mechanism(
         w,
         Mechanism(
-            "receiver", guard=(), effect=lambda ctx: hits.append(ctx.kernel.tick),
+            "receiver", guard=(), effect=lambda kernel: hits.append(kernel.tick),
             on_signal="N2",
         ),
     )
@@ -142,10 +133,7 @@ def test_signal_delivery_fires_receiver_next_tick():
 
 def test_signal_to_unlistened_compartment_errors():
     w = counter_world()
-    register_mechanism(
-        w,
-        Mechanism("sender", guard=(), effect=lambda ctx: ctx.emit_signal("N1", "N2", "go")),
-    )
+    register_mechanism(w, Mechanism("sender", guard=(), effect=_send_go))
     register_trigger(w, Trigger("once", period=100, target="sender"))
     kernel = Kernel(w)
     kernel.step()
@@ -158,7 +146,7 @@ def test_canonical_order_by_period_then_name():
     seen = []
     for name in ("Zeta", "Alpha", "Slow"):
         register_mechanism(
-            w, Mechanism(name, guard=(), effect=lambda ctx, n=name: seen.append(n))
+            w, Mechanism(name, guard=(), effect=lambda kernel, n=name: seen.append(n))
         )
     register_trigger(w, Trigger("Zeta", period=2, target="Zeta"))
     register_trigger(w, Trigger("Alpha", period=2, target="Alpha"))
@@ -175,7 +163,7 @@ def test_guard_failure_logged_not_fired():
         Mechanism(
             "blocked",
             guard=(Condition("moon is full", lambda _: False),),
-            effect=lambda ctx: ctx.emit("ping"),
+            effect=lambda kernel: kernel.emit_trace("ping"),
         ),
     )
     register_trigger(w, Trigger("t", period=1, target="blocked"))
@@ -199,7 +187,7 @@ def test_each_guard_condition_runs_once_per_dispatch():
 
     register_mechanism(
         w, Mechanism("go", guard=(Condition("open", counted("open", True)),),
-                     effect=lambda ctx: ctx.emit("ping")),
+                     effect=lambda kernel: kernel.emit_trace("ping")),
     )
     # Two conditions share a description; the failing one must still block.
     register_mechanism(
@@ -207,7 +195,7 @@ def test_each_guard_condition_runs_once_per_dispatch():
         Mechanism(
             "stop",
             guard=(Condition("gate", counted("shut", False)), Condition("gate", lambda _: True)),
-            effect=lambda ctx: ctx.emit("pong"),
+            effect=lambda kernel: kernel.emit_trace("pong"),
         ),
     )
     register_trigger(w, Trigger("t-go", period=1, target="go"))
@@ -224,7 +212,8 @@ def test_each_guard_condition_runs_once_per_dispatch():
 def test_trace_vocabulary_enforced():
     w = counter_world()
     register_mechanism(
-        w, Mechanism("noisy", guard=(), effect=lambda ctx: ctx.emit("undeclared line"))
+        w,
+        Mechanism("noisy", guard=(), effect=lambda kernel: kernel.emit_trace("undeclared line")),
     )
     register_trigger(w, Trigger("t", period=1, target="noisy"))
     kernel = Kernel(w)
@@ -235,10 +224,10 @@ def test_trace_vocabulary_enforced():
 def test_a_step_that_raises_publishes_none_of_its_events():
     w = counter_world()
 
-    def ping_then_fault(ctx):
-        ctx.emit("ping")
-        if ctx.kernel.tick == 1:
-            ctx.emit("undeclared line")
+    def ping_then_fault(kernel):
+        kernel.emit_trace("ping")
+        if kernel.tick == 1:
+            kernel.emit_trace("undeclared line")
 
     register_mechanism(w, Mechanism("pinger", guard=(), effect=ping_then_fault))
     register_trigger(w, Trigger("t", period=1, target="pinger"))
@@ -263,10 +252,10 @@ def test_a_step_that_raises_publishes_none_of_its_events():
 def test_no_step_runs_after_a_step_raised_or_was_interrupted(fault, refusal):
     w = counter_world()
 
-    def boil_then_fault(ctx):
-        ctx.emit("ping")
-        ctx.set_state("blood", "phase", "gas" if ctx.kernel.tick % 2 else "liquid")
-        if ctx.kernel.tick == 2:
+    def boil_then_fault(kernel):
+        kernel.emit_trace("ping")
+        kernel.world.set_state("blood", "phase", "gas" if kernel.tick % 2 else "liquid")
+        if kernel.tick == 2:
             raise fault
 
     register_mechanism(w, Mechanism("boiler", guard=(), effect=boil_then_fault))
@@ -286,9 +275,9 @@ def test_no_step_runs_after_a_step_raised_or_was_interrupted(fault, refusal):
 def test_run_without_a_count_runs_until_halted():
     w = counter_world()
 
-    def boil_at_tick_3(ctx):
-        if ctx.kernel.tick == 3:
-            ctx.set_state("blood", "phase", "gas")
+    def boil_at_tick_3(kernel):
+        if kernel.tick == 3:
+            kernel.world.set_state("blood", "phase", "gas")
 
     register_mechanism(w, Mechanism("boiler", guard=(), effect=boil_at_tick_3))
     register_trigger(w, Trigger("t", period=1, target="boiler"))
@@ -347,21 +336,38 @@ def test_run_zero_ticks_empty_trace():
     assert kernel.trace_lines() == []
 
 
+def test_an_unknown_policy_is_refused_when_the_kernel_is_built():
+    world = build_cardio()
+    changes = len(world.transitional_log)
+    with pytest.raises(ModelError, match=r"^policy must be one of \('halt', 'warn', 'off'\)$"):
+        Kernel(world, validate_policy="Halt")
+    assert world.clock == 0 and len(world.transitional_log) == changes  # no step ran
+
+
 def test_one_validation_report_per_step():
     w = counter_world()
     kernel = Kernel(w)
     kernel.run(9)
     assert len(kernel.reports) == 9
-    assert [r.validation.step_index for r in kernel.reports] == list(range(9))
+    assert [r.step for r in kernel.reports if r.validation is not None] == list(range(9))
 
 
 # ----------------------------------------------------------------------
 # determinism and causal structure on the cardio model
 
 
+def cardio_without_side_effects():
+    """The cardio model saved, stripped of every mechanism's side effects and
+    loaded again."""
+    data = save_model(build_cardio())
+    for spec in data["mechanisms"]:
+        spec.pop("side_effects", None)
+    return load_model(data)
+
+
 def run_cardio(seed=0, mode="deterministic", ticks=60, side_effects=True):
-    world = build_cardio()
-    kernel = Kernel(world, seed=seed, mode=mode, include_side_effects=side_effects)
+    world = build_cardio() if side_effects else cardio_without_side_effects()
+    kernel = Kernel(world, seed=seed, mode=mode)
     standard_rules(kernel)
     kernel.run(ticks)
     return world, kernel
@@ -458,8 +464,8 @@ def test_side_effect_observable_when_enabled():
     assert not warmed2
 
 
-def _move_back_over_no_connection(ctx):
-    ctx.move("p", "B", "A")
+def _move_back_over_no_connection(kernel):
+    topology.move(kernel.world, "p", "B", "A")
 
 
 @pytest.mark.parametrize("policy", ["warn", "off"])
@@ -498,7 +504,9 @@ def test_a_trigger_registered_mid_run_fires_at_its_next_due_tick(mode, seed):
     kernel = Kernel(world, seed=seed, mode=mode)
     standard_rules(kernel)
     kernel.run(5)
-    register_mechanism(world, Mechanism("Late", guard=(), effect=lambda ctx: None, subsystem="late"))
+    register_mechanism(
+        world, Mechanism("Late", guard=(), effect=lambda kernel: None, subsystem="late")
+    )
     register_trigger(world, Trigger("Late", period=3, target="Late"))
     kernel.run(8)
     assert _fired_at(kernel, "Late") == [6, 9, 12]
@@ -508,14 +516,12 @@ def test_a_trigger_registered_mid_run_fires_at_its_next_due_tick(mode, seed):
 def test_a_receiver_registered_mid_run_gets_the_next_delivery_after_the_earlier_ones():
     w = counter_world()
     heard = []
-    register_mechanism(
-        w, Mechanism("sender", guard=(), effect=lambda ctx: ctx.emit_signal("N1", "N2", "go"))
-    )
+    register_mechanism(w, Mechanism("sender", guard=(), effect=_send_go))
     register_trigger(w, Trigger("every-other", period=2, target="sender"))
 
     def listener(name):
         return Mechanism(
-            name, guard=(), effect=lambda ctx: heard.append((ctx.kernel.tick, name)),
+            name, guard=(), effect=lambda kernel: heard.append((kernel.tick, name)),
             on_signal="N2",
         )
 
@@ -543,11 +549,11 @@ def test_heart_stop_applied_mid_run_silences_the_pacemaker_at_the_next_tick():
 
 def test_a_signal_nobody_listens_for_faults_with_the_same_message():
     w = counter_world()
-    register_mechanism(
-        w, Mechanism("sender", guard=(), effect=lambda ctx: ctx.emit_signal("N1", "N2", "go"))
-    )
+    register_mechanism(w, Mechanism("sender", guard=(), effect=_send_go))
     # A listener elsewhere: the receivers index is not empty, only N2's entry is.
-    register_mechanism(w, Mechanism("elsewhere", guard=(), effect=lambda ctx: None, on_signal="A"))
+    register_mechanism(
+        w, Mechanism("elsewhere", guard=(), effect=lambda kernel: None, on_signal="A")
+    )
     register_trigger(w, Trigger("once", period=100, target="sender"))
     kernel = Kernel(w)
     kernel.step()

@@ -417,7 +417,7 @@ def test_assert_function_requires_context():
     with pytest.raises(MissingContextError):
         w.assert_function(b.id, "positions carburetor", None)
     register_mechanism(
-        w, Mechanism("mount", guard=(), effect=lambda ctx: None, subsystem="car")
+        w, Mechanism("mount", guard=(), effect=lambda kernel: None, subsystem="car")
     )
     fa = w.assert_function(b.id, "positions carburetor", "mount")
     assert fa in w.assertions

@@ -353,10 +353,8 @@ def test_circuit_flow_equivalent_to_heartbeat_for_one_hop(cardio_world):
     kernel = Kernel(w)
     snapshot_before = {cid: list(c.contents) for cid, c in w.compartments.items()}
 
-    from semsim.engine import fire
-
     kernel.current_report.step = 0
-    fire(w.mechanisms["BloodFlow"], w, kernel)
+    assert kernel.attempt(w.mechanisms["BloodFlow"], "direct")
     assert len(w.live_portions("blood")) == 7
     moved = {
         cid: list(c.contents)
@@ -365,7 +363,7 @@ def test_circuit_flow_equivalent_to_heartbeat_for_one_hop(cardio_world):
     }
     assert all(len(contents) == 1 for contents in moved.values())
     assert moved != {k: v for k, v in snapshot_before.items() if k in moved}
-    # A direct fire() runs outside a step: its events stay on the open report.
+    # A direct attempt runs outside a step: its events stay on the open report.
     pushes = [line for line in kernel.current_report.lines if line.startswith("pushed")]
     assert len(pushes) == 7
 

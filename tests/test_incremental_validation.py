@@ -32,8 +32,7 @@ from semsim.scenarios import (
     set_ambient,
     set_state,
 )
-from semsim.errors import ModelError
-from semsim.validation import AssertionRule, Snapshot, derive_triples, rule_scope, validate
+from semsim.validation import AssertionRule, Snapshot, derive_triples, rule_scope
 from semsim.world import Vocabulary
 
 from reference import as_items, reference_triples, reference_violations
@@ -356,8 +355,8 @@ def test_a_commit_that_fails_midway_leaves_the_snapshot_exact():
     world.create_portion("air", entity_id="mover", compartment="Src")
     world.create_portion("air", entity_id="stayer", compartment="Dst")
 
-    def push(ctx):
-        ctx.move("mover", "Src", "Dst")  # Dst would overflow, so nothing moves
+    def push(kernel):
+        topology.move(kernel.world, "mover", "Src", "Dst")  # Dst would overflow, so nothing moves
 
     register_mechanism(world, Mechanism("push", guard=(), effect=push))
     register_trigger(world, Trigger("once", period=100, target="push", phase=1))
@@ -411,22 +410,16 @@ def test_a_standalone_full_build_leaves_the_kernels_change_records():
     touched = set(world.touched)
     assert portion.id in touched
 
-    standalone = validate(world, kernel.tick, kernel.rules)
+    standalone = Snapshot(world).violations(kernel.rules)
     triples = reference_triples(world)
     assert derive_triples(world) == triples
-    assert as_items(standalone.violations) == reference_violations(world, triples, kernel.rules)
+    assert as_items(standalone) == reference_violations(world, triples, kernel.rules)
     assert world.touched == touched and not world.wiring_changed
 
     report = kernel.step()  # moves nothing, so only the records show the placement
     assert [v.rule for v in report.validation.violations] == ["compartment-capacity"] * 2
     assert (portion.id, "locatedIn", target) in kernel.snapshot.triples
     assert_kernel_matches_full_recompute(kernel, report)
-
-
-def test_a_snapshot_validates_only_its_own_world():
-    snapshot = Snapshot(build_cardio())
-    with pytest.raises(ModelError, match="another world"):
-        validate(build_cardio(), 0, {}, "halt", snapshot)
 
 
 def test_match_calls_per_step_stay_flat_as_the_pool_grows(monkeypatch):

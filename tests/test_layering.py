@@ -9,8 +9,8 @@ snapshot. The model-file loader is the one other module that fills a
 contents list, while it builds a world, and it checks what it fills.
 
 Only a snapshot's refresh and the kernel's step consume those records. A
-full build (a fresh Snapshot, as validate without a snapshot and
-derive_triples make) must leave them for the kernel's snapshot.
+full build (a fresh Snapshot, as a full recompute and derive_triples
+make) must leave them for the kernel's snapshot.
 
 Five more facts have one writer each. A builtin mechanism's spec is recorded
 by register_mechanism, so a model file names the mechanism a factory built.

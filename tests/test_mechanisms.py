@@ -82,7 +82,7 @@ def fire_effects(world, *items, side_effects=()):
     build_mechanism(world, {"name": "M", "guard": [["always"]], "effects": list(items),
                             "side_effects": list(side_effects)})
     kernel = Kernel(world)
-    kernel._attempt(world.mechanisms["M"], "direct")
+    kernel.attempt(world.mechanisms["M"], "direct")
     return kernel.current_report.lines, kernel
 
 
@@ -122,16 +122,17 @@ def test_setting_an_occupant_skips_an_empty_compartment_and_one_without_the_prop
     assert "Warmth" not in world.portions["air-alv"].properties
 
 
-def test_a_side_effect_runs_after_the_effect_unless_side_effects_are_off():
-    for include, level in ((True, "high"), (False, "low")):
-        world = build_cardio()
-        build_mechanism(world, {
-            "name": "M", "guard": [["always"]], "effects": [],
-            "side_effects": [["set_occupant", "blood", "CellCap", "Warmth", "high"]],
-        })
-        kernel = Kernel(world, include_side_effects=include)
-        kernel._attempt(world.mechanisms["M"], "direct")
-        assert world.occupant("CellCap").properties["Warmth"].level == level
+def test_a_side_effect_runs_after_the_effects():
+    world = build_cardio()
+    lines, _ = fire_effects(
+        world,
+        ["set_occupant", "blood", "CellCap", "Warmth", "low"],
+        ["emit", "diffusion check"],
+        side_effects=[["set_occupant", "blood", "CellCap", "Warmth", "high"],
+                      ["emit", "mixing external air"]],
+    )
+    assert world.occupant("CellCap").properties["Warmth"].level == "high"
+    assert lines == ["diffusion check", "mixing external air"]
 
 
 @pytest.mark.parametrize(

@@ -159,7 +159,7 @@ def test_move_batches_with_equal_contents_are_not_equal():
         StepReport(0),
         Move("p", "A", "B"),
         Violation("rule"),
-        ValidationReport(0),
+        ValidationReport(),
     ],
     ids=lambda record: type(record).__name__,
 )
@@ -182,7 +182,7 @@ def test_slotted_records_have_no_attribute_dict(record):
         (lambda: Circuit("ring", ("A",)), ("successors",)),
         (lambda: MoveBatch(), ("moves", "splits", "movers")),
         (lambda: Violation("rule"), ("bindings",)),
-        (lambda: ValidationReport(0), ("violations",)),
+        (lambda: ValidationReport(), ("violations",)),
         (lambda: FrameBinding(Frame("F", ("Theme",))), ("element_map",)),
         (lambda: Scenario("s"), ("overrides",)),
         (lambda: CardioConfig(), ("circuit", "periods", "initial_blood", "initial_air")),
@@ -269,18 +269,18 @@ EXAMPLES = [
     CommitRecord(1, [("p", "A", "B")], ["A"], [], [], ["pushed ABlood"]),
     AssertionRule("r", TriplePattern(Var("p"), "locatedIn", Var("c")), reads={"locatedIn"}),
     Violation("rule", {"c": "A"}),
-    ValidationReport(0, [Violation("rule")]),
+    ValidationReport([Violation("rule")]),
     KindDef("Heart", part_schema=(PartSpec("valve", "Valve"),)),
     SemObject("o", "Heart", states={"tension": "relaxed"}),
     Substance("water", StateSpace("phase", ("solid", "liquid")), "liquid"),
     Portion("p", "blood", properties={"O2Level": QualValue(O2, "low")}),
     Transitional("birth", ("p",), ("blood",)),
     Microworld(),
-    Mechanism("M", (ALWAYS,), lambda ctx: None),
+    Mechanism("M", (ALWAYS,), lambda kernel: None),
     Trigger("t", 2, "M"),
     FiringRecord("M", "core", "trigger:t", {"always": True}),
     GuardFailure("M", "trigger:t", ["always"]),
-    StepReport(0, lines=["x"], validation=ValidationReport(0)),
+    StepReport(0, lines=["x"], validation=ValidationReport()),
     FrameBinding(Frame("F", ("Theme",)), {"Theme": "water"}),
     CardioConfig(),
     Scenario("s", [Directive("disable_trigger", ("SANode",))]),

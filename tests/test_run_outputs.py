@@ -141,8 +141,8 @@ def test_steps_of_one_shape_keep_their_own_violations(tmp_path):
     quiet = [r for r in kernel.reports if not r.guard_failures]
     alike = [r for r in quiet if fired(r) == fired(quiet[0])]
     assert len(alike) >= 3
-    alike[0].validation = ValidationReport(alike[0].step, [Violation("A", {"x": "1"})])
-    alike[1].validation = ValidationReport(alike[1].step, [Violation("B")])
+    alike[0].validation = ValidationReport([Violation("A", {"x": "1"})])
+    alike[1].validation = ValidationReport([Violation("B")])
     write_outputs(kernel, config, 0)
     assert Path(config.report_path).read_text(encoding="utf-8") == per_entry_sidecar(kernel, 0)
 
@@ -180,7 +180,7 @@ def test_writing_outputs_does_not_build_the_whole_document(tmp_path):
         FiringRecord("m", "core", "trigger:t", {"ok": True}),
         GuardFailure("m", "trigger:t", ["ok"]),
         Violation("rule"),
-        ValidationReport(0),
+        ValidationReport(),
         Transitional("birth", ("p",), ("blood",)),
         Portion("p", "blood"),
         CommitRecord(0, [], [], [], [], []),
@@ -297,7 +297,7 @@ def test_an_unvalidated_step_keeps_no_report_of_its_own():
     kernel.world.remove_connection("LeftAtrium", "LeftVentricle")
     reports = kernel.run(4)  # ticks 50 to 53: the SA node beats at 52
     beat = reports[2]
-    assert beat.validation.step_index == beat.step == 52
+    assert beat.step == 52
     assert [v.rule for v in beat.validation.violations] == ["PushWithoutConnection"]
     assert all(r.validation is NOT_VALIDATED for r in reports if r is not beat)
     assert NOT_VALIDATED.violations == []

@@ -9,8 +9,8 @@ from semsim.validation import (
     dangling_location_rule,
     derive_triples,
     fluidity_rule,
+    Snapshot,
     register_rule,
-    validate,
 )
 
 
@@ -83,8 +83,7 @@ def test_validate_passes_clean_world():
     rules = {}
     register_rule(rules, capacity_rule())
     register_rule(rules, dangling_location_rule())
-    report = validate(w, 0, rules)
-    assert not report.violations
+    assert not Snapshot(w).violations(rules)
 
 
 def test_dangling_location_detected():
@@ -93,11 +92,10 @@ def test_dangling_location_detected():
     del w.compartments["LeftAtrium"]
     rules = {}
     register_rule(rules, dangling_location_rule())
-    report = validate(w, 3, rules)
-    assert report.violations
-    assert report.violations[0].rule == "location-resolves"
-    assert report.violations[0].bindings["p"] == p.id
-    assert report.step_index == 3
+    violations = Snapshot(w).violations(rules)
+    assert violations
+    assert violations[0].rule == "location-resolves"
+    assert violations[0].bindings["p"] == p.id
 
 
 def test_fluidity_rule_flags_frozen_mid_path():
@@ -112,10 +110,9 @@ def test_fluidity_rule_flags_frozen_mid_path():
     w.set_state(p.id, "Location", "drop")
     rules = {}
     register_rule(rules, fluidity_rule("water"))
-    assert not validate(w, 0, rules).violations
+    assert not Snapshot(w).violations(rules)
     w.set_state("water", "phase", "solid")
-    report = validate(w, 1, rules)
-    assert [v.rule for v in report.violations] == ["water-fluid-while-moving"]
+    assert [v.rule for v in Snapshot(w).violations(rules)] == ["water-fluid-while-moving"]
 
 
 def test_validate_is_pure():
@@ -123,9 +120,7 @@ def test_validate_is_pure():
     w.create_portion("blood", compartment="LeftAtrium")
     rules = {}
     register_rule(rules, capacity_rule())
-    r1 = validate(w, 0, rules)
-    r2 = validate(w, 0, rules)
-    assert r1.violations == r2.violations
+    assert Snapshot(w).violations(rules) == Snapshot(w).violations(rules)
     assert derive_triples(w) == derive_triples(w)
 
 
@@ -138,8 +133,8 @@ def test_rule_monotonicity():
     register_rule(few, capacity_rule())
     many = dict(few)
     register_rule(many, dangling_location_rule())
-    v_few = {(v.rule, tuple(sorted(v.bindings.items()))) for v in validate(w, 0, few).violations}
-    v_many = {(v.rule, tuple(sorted(v.bindings.items()))) for v in validate(w, 0, many).violations}
+    v_few = {(v.rule, tuple(sorted(v.bindings.items()))) for v in Snapshot(w).violations(few)}
+    v_many = {(v.rule, tuple(sorted(v.bindings.items()))) for v in Snapshot(w).violations(many)}
     assert v_few <= v_many
 
 
@@ -153,18 +148,9 @@ def test_count_in_set_expectation():
         counts=frozenset({1}),
     )
     rules = {"exactly-one-located": rule}
-    assert not validate(w, 0, rules).violations
+    assert not Snapshot(w).violations(rules)
     w.create_portion("blood", compartment="LeftVentricle")
-    assert validate(w, 1, rules).violations
-
-
-def test_policy_off_skips_evaluation():
-    w = small_world()
-    w.create_portion("blood", compartment="LeftAtrium")
-    del w.compartments["LeftAtrium"]
-    rules = {}
-    register_rule(rules, dangling_location_rule())
-    assert not validate(w, 0, rules, policy="off").violations
+    assert Snapshot(w).violations(rules)
 
 
 def test_connection_rule_clean_on_unmodified_cardio(cardio_world):

@@ -15,7 +15,7 @@ from semsim import Kernel, Triple, TriplePattern, Var, World, topology
 from semsim.cli import standard_rules
 from semsim.modelfile import load_model, load_model_file, save_model, save_model_file
 from semsim.models import build_cardio, build_waterfall
-from semsim.validation import EXPECTATIONS, AssertionRule, derive_triples, validate
+from semsim.validation import EXPECTATIONS, AssertionRule, Snapshot, derive_triples
 
 from reference import as_items, reference_triples, reference_violations
 
@@ -90,8 +90,8 @@ def test_indexed_validation_equals_full_scan(triples, rules):
     # reads the wiring.
     with mock.patch("semsim.validation._wiring_triples", return_value=list(triples)):
         assert derive_triples(world) == triples
-        report = validate(world, 0, rules)
-    assert as_items(report.violations) == reference_violations(world, triples, rules)
+        violations = Snapshot(world).violations(rules)
+    assert as_items(violations) == reference_violations(world, triples, rules)
 
 
 def test_repeated_variable_pattern_binds_once():
@@ -138,8 +138,8 @@ def test_model_runs_validate_like_full_scan(ticks, model):
         kernel.step()
         triples = reference_triples(world)
         assert derive_triples(world) == triples
-        report = validate(world, kernel.tick, rules)
-        assert as_items(report.violations) == reference_violations(world, triples, rules)
+        violations = Snapshot(world).violations(rules)
+        assert as_items(violations) == reference_violations(world, triples, rules)
 
 
 # ----------------------------------------------------------------------

@@ -59,7 +59,6 @@ def make_kernel(build, policy, rules):
     if rules == "scope":
         scope = validation.rule_scope(kernel.rules)
         kernel.rules.clear()
-        kernel.world.clear_changes()  # as the kernel does before its own build
         kernel.snapshot = validation.Snapshot(kernel.world, scope)
     return kernel
 

@@ -25,11 +25,12 @@ the triggers, and replaces with those it sends. So a kernel on a saved and
 reloaded world carries on where the run stopped.
 
 Validation after each step is incremental: the kernel owns one
-validation.Snapshot, builds it when it has none and refreshes it from the
-world's recorded changes. With the policy off it keeps none and only clears
-those records, and a step without wiring errors shares the one empty
-validation.NOT_VALIDATED. A policy outside validation.POLICIES is refused
-when the kernel is built.
+validation.Snapshot, builds it when it has none and refreshes it, which
+applies and empties World.changes. With the policy off it keeps none and
+empties the list itself, and a step without wiring errors shares the one
+empty validation.NOT_VALIDATED. A mode or policy outside MODES or
+validation.POLICIES is refused whenever it is set; a valid one may change
+between steps.
 
 A step's record is published whole: its StepReport, trace lines included,
 joins Kernel.reports only when the step finishes. A step keeps its trace as
@@ -41,6 +42,7 @@ and every later step() raises SemsimError and changes nothing.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from . import validation
@@ -103,7 +105,8 @@ class Mechanism(Record):
 
 
 class Trigger(Record):
-    """An independent periodic source that fires one mechanism."""
+    """An independent periodic source that fires one mechanism. Its period
+    and phase are fixed once built, so the kernel's sorted schedule holds."""
 
     _fields = ("name", "period", "target", "phase", "enabled")
 
@@ -116,10 +119,15 @@ class Trigger(Record):
         if type(enabled) is not bool:
             raise ModelError(f"trigger {name!r} needs enabled true or false, not {enabled!r}")
         self.name = name
-        self.period = period
+        set_field(self, "period", period)
         self.target = target
-        self.phase = phase
+        set_field(self, "phase", phase)
         self.enabled = enabled
+
+    def __setattr__(self, name, value):
+        if name == "period" or name == "phase":
+            raise AttributeError(f"trigger {self.name!r}: {name} is fixed once it is built")
+        set_field(self, name, value)
 
     def due(self, tick: int) -> bool:
         return self.enabled and tick >= self.phase and (tick - self.phase) % self.period == 0
@@ -264,8 +272,22 @@ def send_signal(kernel: "Kernel", signal: Signal):
     world.signals.append(signal)
 
 
+def _one_of(label: str, choices: tuple[str, ...]) -> property:
+    """A Kernel setting, kept in _<label>, that refuses a value outside choices."""
+
+    def assign(kernel, value):
+        if value not in choices:
+            raise ModelError(f"{label} must be one of {choices}")
+        setattr(kernel, "_" + label, value)
+
+    return property(attrgetter("_" + label), assign)
+
+
 class Kernel:
     """Steps a world on its clock; owns the per-step reports, which hold the trace, and the fault."""
+
+    mode = _one_of("mode", MODES)
+    validate_policy = _one_of("policy", validation.POLICIES)
 
     def __init__(
         self,
@@ -274,10 +296,6 @@ class Kernel:
         mode: str = "deterministic",
         validate_policy: str = "halt",
     ):
-        if mode not in MODES:
-            raise ModelError(f"mode must be one of {MODES}")
-        if validate_policy not in validation.POLICIES:
-            raise ModelError(f"policy must be one of {validation.POLICIES}")
         self.world = world
         self.seed = seed
         self.mode = mode
@@ -380,7 +398,6 @@ class Kernel:
             reason = "was interrupted" if interrupted else f"raised: {describe(self.fault)}"
             raise SemsimError(f"step {tick} {reason}") from self.fault
         try:
-            world.last_commits = []
             self._wiring_errors = []
             self.current_report = StepReport(tick, [], [], [], None)
             # Signals sent during this step are delivered at the next.
@@ -392,7 +409,7 @@ class Kernel:
             if len(world.triggers) != n_triggers or len(world.mechanisms) != n_mechanisms:
                 self._index()
             due = [entry for entry in self._schedule if entry[0].due(tick)]
-            if self.mode == "concurrent":
+            if self._mode == "concurrent":
                 due = self._shuffle_subsystems(due)
             for _trig, mech, via in due:
                 self._dispatch(mech, via)
@@ -408,16 +425,15 @@ class Kernel:
                     self._dispatch(mech, f"signal:{signal.payload}")
 
             report = self.current_report
-            if self.validate_policy == "off":
+            if self._policy == "off":
                 self.snapshot = None
-                world.clear_changes()
+                world.changes.clear()
                 report.validation = (
                     validation.ValidationReport() if self._wiring_errors
                     else validation.NOT_VALIDATED
                 )
             else:
                 if self.snapshot is None:
-                    world.clear_changes()  # the build below sees every change
                     self.snapshot = validation.Snapshot(world, validation.rule_scope(self.rules))
                 report.validation = validation.validate(self.snapshot, self.rules)
             if self._wiring_errors:
@@ -427,7 +443,7 @@ class Kernel:
                 ]
             self.reports.append(report)
 
-            if self.validate_policy == "halt" and report.validation.violations:
+            if self._policy == "halt" and report.validation.violations:
                 self.halted_at = tick
             world.clock = tick + 1
             return report

@@ -6,7 +6,7 @@ move at once, so a portion can arrive in a compartment that the same commit
 vacates. ring_push (one hop around a circuit) and move (one portion) check
 each mover in the pass that collects it and hand commit plain tuples;
 commit checks capacity and merges, then applies. A commit that raises
-leaves the world untouched.
+leaves the world unchanged.
 """
 from __future__ import annotations
 
@@ -75,24 +75,14 @@ class Circuit(FrozenRecord):
 
 
 class CommitRecord(Record):
-    """What one commit did, kept for validation rules and tests."""
+    """A commit's entry in the world's change list: the moves it applied and
+    the trace lines for its caller to emit. Its splits and merges are the
+    Transitionals just before it in the list."""
 
-    _fields = __slots__ = ("step", "applied", "vacated", "merges", "split_parents", "trace_lines")
+    _fields = __slots__ = ("applied", "trace_lines")
 
-    def __init__(
-        self,
-        step: int,
-        applied: list[tuple[str, str, str]],  # (portion, src, dst) incl. split children
-        vacated: list[str],
-        merges: list[str],  # merged result portion ids
-        split_parents: list[str],
-        trace_lines: list[str],
-    ):
-        self.step = step
-        self.applied = applied
-        self.vacated = vacated
-        self.merges = merges
-        self.split_parents = split_parents
+    def __init__(self, applied: list[tuple[str, str, str]], trace_lines: list[str]):
+        self.applied = applied  # (portion, src, dst), split children included
         self.trace_lines = trace_lines
 
 
@@ -114,7 +104,7 @@ def commit(
     Portions overfilling a compartment merge when the medium is blood_path
     and all of them are one substance; any other overfill raises
     CapacityExceeded. Every overfill is checked before the first change, so
-    a commit that raises leaves the world untouched. Returns the record of
+    a commit that raises leaves the world unchanged. Returns the record of
     what happened; trace lines ("pushed <X>Blood" per vacated blood
     compartment, then "trigger updates") are on the record for the caller
     to emit, so silent commits stay possible.
@@ -162,31 +152,31 @@ def commit(
             )
         merging[dst] = stayers
 
-    record = CommitRecord(world.clock, moves, vacated, [], [], [])
     for pid, src, dsts in splits:
         children = world.split_portion(pid, len(dsts))
-        record.split_parents.append(pid)
         for child, dst in zip(children, dsts):
             landing = arrivals[dst]
             landing[landing.index(pid)] = child.id
             moves.append((child.id, src, dst))
 
-    # Arrivals leave their sources as they are placed or merged.
+    # Arrivals leave their sources as they are placed (the record names
+    # them) or merged.
     for dst, arrived in arrivals.items():
         if dst in merging:
-            record.merges.append(world.merge_portions(merging[dst] + arrived, dst).id)
+            world.merge_portions(merging[dst] + arrived, dst)
         else:
             for pid in arrived:
-                world.place_portion(pid, dst)
+                world._place(pid, dst)
 
-    lines = record.trace_lines
+    lines = []
     for cid in vacated:
         comp = compartments[cid]
         if comp.medium == "blood_path":
             lines.append(f"pushed {comp.name}Blood")
     lines.append("trigger updates")
 
-    world.last_commits.append(record)
+    record = CommitRecord(moves, lines)
+    world.changes.append(record)
     return record
 
 
@@ -210,7 +200,7 @@ def ring_push(world, circuit: Circuit) -> CommitRecord:
     checks every successor's connection before its portions, and each
     portion must be live in the compartment that lists it and not already
     collected (a compartment the order repeats). The first that fails
-    raises with the world untouched. The vacated compartments reach commit
+    raises with the world unchanged. The vacated compartments reach commit
     in circuit order, one per portion.
     """
     moves: list[tuple[str, str, str]] = []

@@ -20,23 +20,23 @@ Snapshot's triples; the independent reference both are checked against, a
 naive sort-everything evaluator, is in the tests.
 
 A Kernel keeps one Snapshot from step to step, so validation works in
-proportion to what a step changed, not to how much is alive. The world
-records the ids of entities whose triples may have changed (World.touched)
-and whether any connection changed (World.wiring_changed). A build leaves
-those records alone. A refresh re-derives only those, plus the pushedTo
-triples of the step's commit records, with the build's per-entity helpers,
-diffs each against its cached triples, updates the predicate index and
-consumes the records, as Rete does (Forgy 1982). An entity whose one triple
-in scope was swapped for another (a moved portion's locatedIn) is diffed
-without building sets. Each rule keeps its passing matches: the matched
-triples whose bindings pass its check. A rule is re-evaluated in full when
-it is new or replaced (so every rule after a build), when its predicate is a
-variable, when its check's reads are unknown (reads=None), or when a
-predicate it reads changed. Otherwise only the added and removed triples of
-its predicate are matched and checked, as in differential dataflow
-(McSherry et al., CIDR 2013); after a refresh that added and removed
-nothing, no rule with known reads does any work. The report equals a fresh
-build's, violation order and bindings included.
+proportion to what a step changed, not to how much is alive. The world keeps
+the step's write records in one list, World.changes. A refresh folds it into
+the ids to re-derive, whether the wiring changed and the step's pushedTo
+triples, and empties it, a fold over a stream of changes as in DBSP (Budiu
+et al., VLDB 2023); a build leaves it alone. A refresh re-derives those ids
+with the build's per-entity helpers, diffs each against its cached triples
+and updates the predicate index, as Rete does (Forgy 1982). An entity whose
+one triple in scope was swapped for another (a moved portion's locatedIn) is
+diffed without building sets. Each rule keeps its passing matches: the
+matched triples whose bindings pass its check. A rule is re-evaluated in
+full when it is new or replaced (so every rule after a build), when its
+predicate is a variable, when its check's reads are unknown (reads=None), or
+when a predicate it reads changed. Otherwise only the added and removed
+triples of its predicate are matched and checked, as in differential
+dataflow (McSherry et al., CIDR 2013); after a refresh that added and
+removed nothing, no rule with known reads does any work. The report equals a
+fresh build's, violation order and bindings included.
 
 The reads contract. A rule's check may read its bindings; the triples of
 the predicates its rule lists in `reads`, from `triples` or from the world
@@ -68,8 +68,10 @@ from collections.abc import Set
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
+from .entities import Transitional
 from .errors import DuplicateNameError, ModelError
 from .records import FrozenRecord, Record, set_field
+from .topology import CommitRecord
 
 POLICIES = ("halt", "warn", "off")
 EXPECTATIONS = ("must_exist", "must_not_exist", "count_in_set")
@@ -269,15 +271,31 @@ def _wiring_triples(world, scope) -> list[Triple]:
     ]
 
 
-def _pushed_triples(world, scope) -> list[Triple]:
-    """pushedTo for every move committed during the current step."""
-    if "pushedTo" not in scope:
-        return []
-    return [
-        _new(Triple, (src, "pushedTo", dst))
-        for record in world.last_commits
-        for _portion, src, dst in record.applied
-    ]
+def _fold(changes) -> tuple[set[str], bool, list[Triple]]:
+    """The ids a change list may have changed, whether it changed a
+    connection, and a pushedTo triple per move its commits applied."""
+    ids: set[str] = set()
+    wiring = False
+    pushed: list[Triple] = []
+    for record in changes:
+        cls = record.__class__
+        if cls is Transitional:
+            kind = record.kind
+            if kind == "state_change":  # the commonest record, with one subject
+                ids.add(record.subjects[0])
+            else:
+                ids.update(record.subjects)
+                if kind == "split" or kind == "merge":  # results are portions
+                    ids.update(record.results)
+        elif cls is str:
+            ids.add(record)
+        elif cls is CommitRecord:
+            for pid, src, dst in record.applied:
+                ids.add(pid)
+                pushed.append(_new(Triple, (src, "pushedTo", dst)))
+        else:  # a Connection added or removed
+            wiring = True
+    return ids, wiring, pushed
 
 
 def _entity_triples(world, entity_id: str, scope) -> list[Triple]:
@@ -316,7 +334,7 @@ def derive_triples(world) -> frozenset[Triple]:
     """Pure snapshot of the live world in triple form: a fresh Snapshot's.
 
     Vocabulary: hasState:<var>, locatedIn, connectedTo, hasPart:<role>, and
-    pushedTo for moves committed during the current step.
+    pushedTo for the moves of the commits in the world's change list.
     """
     return frozenset(Snapshot(world).triples)
 
@@ -352,7 +370,7 @@ _by_triple = itemgetter(0)
 
 
 def validate(snapshot: Snapshot, rules) -> ValidationReport:
-    """Refresh the snapshot from its world's recorded changes and re-check the
+    """Refresh the snapshot from its world's change list and re-check the
     rules those changes can affect; the report equals a full recompute's,
     Snapshot(world).violations(rules)."""
     snapshot.refresh()
@@ -412,22 +430,22 @@ class Snapshot:
 
     A scope (a set of predicates, see rule_scope) limits it to the triples
     with those predicates; None, the default, keeps every triple. Building
-    one derives every triple in scope and leaves the world's recorded
-    changes alone. Each refresh applies and consumes the changes recorded
-    since; violations re-checks against what the last refresh changed, and
-    after a build evaluates every rule in full.
+    one derives every triple in scope and leaves the world's change list
+    alone. Each refresh applies and empties the list; violations re-checks
+    against what the last refresh changed, and after a build evaluates
+    every rule in full.
     """
 
     def __init__(self, world, scope: frozenset[str] | None = None):
         self.world = world
         self._rules: dict[str, _RuleState] = {}
-        self._build(scope)
+        self._build(scope, _fold(world.changes)[2])
         # The last refresh's (added, removed) triples by predicate.
         self._added: dict[str, list[Triple]] = {}
         self._removed: dict[str, list[Triple]] = {}
 
-    def _build(self, scope: frozenset[str] | None):
-        """Derive every triple in scope from the world's live state."""
+    def _build(self, scope: frozenset[str] | None, pushed: list[Triple]):
+        """Derive every triple in scope from live state, with these pushedTo."""
         world = self.world
         self.scope = scope
         self._keep = _EVERY if scope is None else scope
@@ -436,41 +454,39 @@ class Snapshot:
         self.triples = TripleView(self.by_predicate)
         self._entities: dict[str, list[Triple]] = {}  # subject id -> its triples
         self._wiring: list[Triple] = []
-        self._pushed: list[Triple] = []
-        self._apply([*world.objects, *world.live_registry, *world.substances], True)
+        self._pushed: list[Triple] = []  # the step's, indexed only when in scope
+        self._apply([*world.objects, *world.live_registry, *world.substances], True, pushed)
 
     def _widen(self, rule: AssertionRule):
         """Rebuild with a scope wide enough for this rule, if it is not yet.
 
-        The rebuild reads live state, so the triples already in scope come
-        out the same and the other rules' passing matches stay valid.
+        The rebuild reads live state and the last refresh's pushedTo triples,
+        so the triples already in scope come out the same and the other
+        rules' passing matches stay valid.
         """
         if self.scope is None:
             return
         needs = rule_scope({rule.name: rule})
         if needs is None:
-            self._build(None)
+            self._build(None, self._pushed)
         elif not needs <= self.scope:
-            self._build(self.scope | needs)
+            self._build(self.scope | needs, self._pushed)
 
     def refresh(self):
-        """Apply the world's recorded changes, then forget them.
-
-        With nothing recorded, no commit this step and no pushedTo triple
-        left from the last, nothing can change: only the last refresh's
-        additions and removals are forgotten.
-        """
-        world = self.world
-        if not (world.touched or world.wiring_changed or world.last_commits or self._pushed):
+        """Apply the world's change list, then empty it. With no change and
+        no pushedTo triple left from the last step, nothing can change: only
+        the last refresh's additions and removals are forgotten."""
+        changes = self.world.changes
+        if not changes and not self._pushed:
             if self._added or self._removed:
                 self._added, self._removed = {}, {}
             return
-        self._added, self._removed = self._apply(world.touched, world.wiring_changed)
-        world.clear_changes()
+        self._added, self._removed = self._apply(*_fold(changes))
+        changes.clear()
 
-    def _apply(self, ids, wiring: bool):
-        """Re-derive these entities, the wiring if it changed, and this step's
-        pushedTo triples; return (added, removed) by predicate."""
+    def _apply(self, ids, wiring: bool, pushed: list[Triple]):
+        """Re-derive these entities and the wiring if it changed, and swap in
+        this step's pushedTo triples; return (added, removed) by predicate."""
         world, scope, derive = self.world, self._keep, self._derive
         added: dict[str, list[Triple]] = {}
         removed: dict[str, list[Triple]] = {}
@@ -489,10 +505,9 @@ class Snapshot:
             new = _wiring_triples(world, scope)
             self._replace(self._wiring, new, added, removed)
             self._wiring = new
-        new = _pushed_triples(world, scope)
-        if new or self._pushed:
-            self._replace(self._pushed, new, added, removed)
-            self._pushed = new
+        if "pushedTo" in scope and (pushed or self._pushed):
+            self._replace(self._pushed, pushed, added, removed)
+        self._pushed = pushed
         return added, removed
 
     def _replace(self, old, new, added, removed):

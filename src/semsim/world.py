@@ -11,11 +11,11 @@ its old compartment, retiring one takes it out of its compartment, and the
 model-file loader rejects contents that break the rule. Other modules read
 contents as they are and never write `contents`, `compartment` or `alive`.
 
-Every operation that changes what the world looks like as triples records
-it: the entity's id goes into `touched`, and a connection added or removed
-sets `wiring_changed`. An incremental validation snapshot re-derives only
-those (see validation.Snapshot); `clear_changes` forgets them. Code that
-writes entity fields directly, as the model-file loader does while it
+Every operation that changes what the world looks like as triples appends
+one record to `changes`, in order: the Transitional it logs, a commit's
+CommitRecord, or else the entity's id or the Connection added or removed.
+A snapshot refresh folds and empties it (see validation.Snapshot). Code
+that writes entity fields directly, as the model-file loader does while it
 builds a world, is safe only before a snapshot's first (full) build.
 """
 from __future__ import annotations
@@ -203,14 +203,8 @@ class World:
         self.vocabulary = Vocabulary()
         self.clock = 0  # the tick the next kernel step runs
         self.signals: list = []  # Signals in transit (engine module), delivered next step
-        self.last_commits: list = []  # CommitRecords, cleared per kernel step
         self._counters: dict[str, int] = {}
-        self.touched: set[str] = set()  # ids whose triples may have changed
-        self.wiring_changed = False  # a connection was added or removed
-
-    def clear_changes(self):
-        self.touched.clear()
-        self.wiring_changed = False
+        self.changes: list = []  # this step's write records; see the module docstring
 
     # ------------------------------------------------------------------
     # identifiers
@@ -267,7 +261,7 @@ class World:
         space = StateSpace("phase", tuple(phases), "nominal")
         sub = Substance(name, space, phase, default_properties or {}, merge_policy or {})
         self.substances[name] = sub
-        self.touched.add(name)
+        self.changes.append(name)
         return sub
 
     # ------------------------------------------------------------------
@@ -365,12 +359,11 @@ class World:
         states = {var: space.first for var, space in kind._effective_spaces.items()}
         obj = SemObject(obj_id, kind_name, [], states, {})
         self.objects[obj_id] = obj
-        self.touched.add(obj_id)
         for role, spec in self.effective_part_schema(kind_name).items():
             for _ in range(spec.minimum):
                 child = self.instantiate(spec.part_kind, _stack=_stack + (kind_name,))
                 obj.parts.append((role, child.id))
-        self.transitional_log.append(Transitional("birth", (obj_id,), (kind_name,), self.clock))
+        self._log(Transitional("birth", (obj_id,), (kind_name,), self.clock))
         return obj
 
     def _new_id(self, entity_id: str | None, prefix: str) -> str:
@@ -396,7 +389,7 @@ class World:
             location_state="null" if location is None else location.first,
         )
         self.add_portion(portion)
-        self.transitional_log.append(Transitional("birth", (pid,), (kind.name,), self.clock))
+        self._log(Transitional("birth", (pid,), (kind.name,), self.clock))
         return portion
 
     def create_portion(
@@ -416,7 +409,7 @@ class World:
         self.add_portion(portion)
         if compartment is not None:
             self.place_portion(pid, compartment)
-        self.transitional_log.append(Transitional("birth", (pid,), (substance_name,), self.clock))
+        self._log(Transitional("birth", (pid,), (substance_name,), self.clock))
         return portion
 
     def add_portion(self, portion: Portion) -> Portion:
@@ -431,16 +424,21 @@ class World:
         self.portions[portion.id] = portion
         if portion.alive:
             self.live_registry[portion.id] = portion
-            self.touched.add(portion.id)
+            self.changes.append(portion.id)
         return portion
 
     def _retire_portion(self, portion: Portion):
         portion.alive = False
         del self.live_registry[portion.id]
-        self.touched.add(portion.id)
         if portion.compartment is not None:
             self.compartments[portion.compartment].contents.remove(portion.id)
             portion.compartment = None
+
+    def _log(self, t: Transitional) -> Transitional:
+        """Record a transitional in the run's log and in this step's changes."""
+        self.transitional_log.append(t)
+        self.changes.append(t)
+        return t
 
     def _property_scale(self, prop: str) -> StateSpace:
         if prop not in self.scales:
@@ -492,9 +490,9 @@ class World:
                 )
             space.index(label)
             ent.states[variable] = label
-        self.touched.add(entity_id)
         t = Transitional("state_change", (entity_id,), ((variable, label),), self.clock)
-        self.transitional_log.append(t)
+        self.transitional_log.append(t)  # _log, inline: the commonest write
+        self.changes.append(t)
         return t
 
     # ------------------------------------------------------------------
@@ -513,10 +511,7 @@ class World:
             self._retire_portion(ent)
         else:
             ent.alive = False
-            self.touched.add(entity_id)
-        t = Transitional("death", (entity_id,), (), self.clock)
-        self.transitional_log.append(t)
-        return t
+        return self._log(Transitional("death", (entity_id,), (), self.clock))
 
     def split_portion(self, portion_id: str, n_children: int) -> list[Portion]:
         """Retire the portion; children copy its properties, provenance links back."""
@@ -527,7 +522,7 @@ class World:
             raise DeadSubjectError(f"portion {portion_id!r} is dead")
         substance, where = parent.substance, parent.compartment
         contents = None if where is None else self.compartments[where].contents
-        portions, live, touched = self.portions, self.live_registry, self.touched
+        portions, live = self.portions, self.live_registry
         children, child_ids = [], []
         for _ in range(n_children):
             cid = self.next_id(substance)
@@ -537,15 +532,12 @@ class World:
             )
             # add_portion, for a portion known to be live and new
             portions[cid] = live[cid] = child
-            touched.add(cid)
             if contents is not None:
                 contents.append(cid)
             children.append(child)
             child_ids.append(cid)
         self._retire_portion(parent)
-        self.transitional_log.append(
-            Transitional("split", (portion_id,), tuple(child_ids), self.clock)
-        )
+        self._log(Transitional("split", (portion_id,), tuple(child_ids), self.clock))
         return children
 
     def merge_portions(self, portion_ids, destination: str | None = None) -> Portion:
@@ -594,12 +586,11 @@ class World:
         )
         # add_portion, for a portion known to be live and new
         portions[rid] = self.live_registry[rid] = result
-        self.touched.add(rid)
         for p in parents:
             self._retire_portion(p)
         if destination is not None:
-            self.place_portion(rid, destination)
-        self.transitional_log.append(Transitional("merge", ids, (rid,), self.clock))
+            self._place(rid, destination)
+        self._log(Transitional("merge", ids, (rid,), self.clock))
         return result
 
     # ------------------------------------------------------------------
@@ -609,11 +600,11 @@ class World:
         obj = self.objects[parent_id]
         self.entity(child_id)
         obj.parts.append((role, child_id))
-        self.touched.add(parent_id)
+        self.changes.append(parent_id)
 
     def remove_part(self, parent_id: str, role: str, child_id: str):
         self.objects[parent_id].parts.remove((role, child_id))
-        self.touched.add(parent_id)
+        self.changes.append(parent_id)
 
     def check_cardinality(self, object_id: str) -> list[tuple[str, int, frozenset[int]]]:
         """Report (role, actual count, allowed set) for every violated role."""
@@ -675,7 +666,7 @@ class World:
         if conn.key in self.connections:
             raise DuplicateNameError(f"connection {conn.key} already exists")
         self.connections[conn.key] = conn
-        self.wiring_changed = True
+        self.changes.append(conn)
         return conn
 
     def is_connected(self, from_id: str, to_id: str, conduit_kind: str = "fluid") -> bool:
@@ -684,8 +675,7 @@ class World:
     def remove_connection(self, from_id: str, to_id: str, conduit_kind: str = "fluid"):
         key = (from_id, to_id, conduit_kind)
         need(self.connections, key, "connection")
-        del self.connections[key]
-        self.wiring_changed = True
+        self.changes.append(self.connections.pop(key))
 
     def define_circuit(self, name: str, order, successors) -> Circuit:
         if name in self.circuits:
@@ -707,6 +697,11 @@ class World:
 
     def place_portion(self, portion_id: str, compartment_id: str):
         """Put a live portion in a compartment, taking it out of its old one."""
+        self._place(portion_id, compartment_id)
+        self.changes.append(portion_id)
+
+    def _place(self, portion_id: str, compartment_id: str):
+        """place_portion for a caller whose merge or commit record names the portion."""
         portion = self.portions[portion_id]
         comp = self.compartments[compartment_id]
         if not portion.alive:
@@ -716,7 +711,6 @@ class World:
         comp.contents.append(portion_id)
         portion.compartment = compartment_id
         portion.location_state = comp.name
-        self.touched.add(portion_id)
 
     def occupant(self, compartment_id: str) -> Portion | None:
         """The first portion placed in a compartment, or None."""

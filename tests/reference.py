@@ -56,8 +56,10 @@ def reference_violations(world, triples, rules):
     return out
 
 
-def reference_triples(world):
-    """The live world as triples, read from every registry in full."""
+def reference_triples(world, commits=None):
+    """The live world as triples, read from every registry in full, with a
+    pushedTo triple for each move of these commit records: by default the
+    ones in the world's change list, as a fresh build reads them."""
     triples = set()
     for obj in world.objects.values():
         if not obj.alive:
@@ -80,7 +82,9 @@ def reference_triples(world):
         triples.add(Triple(sub.name, "hasState:phase", sub.phase))
     for conn in world.connections.values():
         triples.add(Triple(conn.from_id, "connectedTo", conn.to_id))
-    for record in world.last_commits:
+    if commits is None:
+        commits = [r for r in world.changes if isinstance(r, CommitRecord)]
+    for record in commits:
         for _portion, src, dst in record.applied:
             triples.add(Triple(src, "pushedTo", dst))
     return frozenset(triples)
@@ -198,20 +202,19 @@ def commit_batch(world, batch, circuit=None):
 
     applied = [(m.portion, m.src, m.dst) for m in batch.moves]
     vacated = [m.src for m in batch.moves] + [plan.src for plan in batch.splits]
-    record = CommitRecord(world.clock, applied, vacated, [], [], [])
+    record = CommitRecord(applied, [])
     for plan in batch.splits:
         children = world.split_portion(plan.portion, len(plan.dsts))
-        record.split_parents.append(plan.portion)
         for child, dst in zip(children, plan.dsts):
             landing = arrivals[dst]
             landing[landing.index(plan.portion)] = child.id
             applied.append((child.id, plan.src, dst))
     for dst, arrived in arrivals.items():
         if dst in merging:
-            record.merges.append(world.merge_portions(merging[dst] + arrived, dst).id)
+            world.merge_portions(merging[dst] + arrived, dst)
         else:
             for pid in arrived:
-                world.place_portion(pid, dst)
+                world._place(pid, dst)  # the record names it, as commit's does
 
     if circuit is not None:
         vacated.sort(key=circuit.order.index)
@@ -220,7 +223,7 @@ def commit_batch(world, batch, circuit=None):
         if comp.medium == "blood_path":
             record.trace_lines.append(f"pushed {comp.name}Blood")
     record.trace_lines.append("trigger updates")
-    world.last_commits.append(record)
+    world.changes.append(record)
     return record
 
 

@@ -264,12 +264,13 @@ def test_no_step_runs_after_a_step_raised_or_was_interrupted(fault, refusal):
     with pytest.raises(type(fault)):
         kernel.run(5)
     assert kernel.fault is fault
-    before = (kernel.tick, len(kernel.reports), len(w.transitional_log), set(w.touched))
+    before = (kernel.tick, len(kernel.reports), len(w.transitional_log), list(w.changes))
     for attempt in (kernel.step, lambda: kernel.run(5)):
         with pytest.raises(SemsimError, match=f"^{refusal}$"):
             attempt()
-        assert (kernel.tick, len(kernel.reports), len(w.transitional_log), set(w.touched)) == before
-    assert before == (2, 2, 3, {"blood"})
+        assert (kernel.tick, len(kernel.reports), len(w.transitional_log), list(w.changes)) == before
+    assert before == (2, 2, 3, [w.transitional_log[-1]])
+    assert w.transitional_log[-1].subjects == ("blood",)
 
 
 def test_run_without_a_count_runs_until_halted():
@@ -342,6 +343,51 @@ def test_an_unknown_policy_is_refused_when_the_kernel_is_built():
     with pytest.raises(ModelError, match=r"^policy must be one of \('halt', 'warn', 'off'\)$"):
         Kernel(world, validate_policy="Halt")
     assert world.clock == 0 and len(world.transitional_log) == changes  # no step ran
+
+
+def test_a_policy_or_mode_assigned_after_construction_is_checked():
+    kernel = Kernel(build_cardio())
+    kernel.add_rule(AssertionRule("boiling", TriplePattern("blood", "hasState:phase", "gas")))
+    with pytest.raises(ModelError, match=r"^policy must be one of \('halt', 'warn', 'off'\)$"):
+        kernel.validate_policy = "Halt"
+    with pytest.raises(ModelError, match=r"^mode must be one of \('deterministic', 'concurrent'\)$"):
+        kernel.mode = "parallel"
+    assert (kernel.validate_policy, kernel.mode) == ("halt", "deterministic")
+    kernel.run(3)
+    assert kernel.halted_at == 0 and len(kernel.reports) == 1
+
+
+def test_a_valid_policy_still_switches_between_steps():
+    world = build_cardio()
+    kernel = Kernel(world, validate_policy="off")
+    standard_rules(kernel)
+    kernel.step()
+    assert kernel.snapshot is None
+    kernel.validate_policy = "warn"
+    kernel.step()
+    assert kernel.snapshot is not None and kernel.validate_policy == "warn"
+    kernel.mode = "concurrent"
+    kernel.step()
+    assert len(kernel.reports) == 3 and not kernel.halted
+
+
+def test_a_triggers_period_and_phase_are_fixed_once_it_is_built():
+    world = build_cardio()
+    kernel = Kernel(world)
+    kernel.step()
+    medulla = world.triggers["Medulla"]
+    period, phase = medulla.period, medulla.phase
+    with pytest.raises(AttributeError, match="^trigger 'Medulla': period is fixed"):
+        medulla.period = 1
+    with pytest.raises(AttributeError, match="^trigger 'Medulla': phase is fixed"):
+        medulla.phase = 1
+    assert (medulla.period, medulla.phase) == (period, phase)
+    medulla.enabled = False  # a switch, still read every tick
+    assert not medulla.due(period * 4)
+    # The schedule is the one a fresh kernel on the same world builds.
+    fresh = Kernel(load_model(save_model(world)))
+    fresh._index()
+    assert [t.name for t, _, _ in kernel._schedule] == [t.name for t, _, _ in fresh._schedule]
 
 
 def test_one_validation_report_per_step():
@@ -488,6 +534,51 @@ def test_a_steps_wiring_errors_are_reported_in_the_order_they_happened(policy):
     assert [v.rule for v in report.validation.violations[2:]] == (
         ["liquid"] if policy == "warn" else []
     )
+
+
+def _ring_world(contents_of_a):
+    """Blood compartments A -> B, a circuit over both that names no successor
+    of B, and a mechanism that pushes it and keeps the change list from just
+    before and after the push."""
+    w = counter_world()
+    w.create_portion("blood", entity_id="p", compartment="A")
+    w.compartments["A"].contents[:] = contents_of_a
+    circuit = w.define_circuit("loop", ("A", "B"), {"A": ("B",)})
+    seen = []
+
+    def push(kernel):
+        seen.append(list(kernel.world.changes))
+        try:
+            topology.ring_push(kernel.world, circuit)
+        finally:
+            seen.append(list(kernel.world.changes))
+
+    register_mechanism(w, Mechanism("push", guard=(), effect=push))
+    register_trigger(w, Trigger("push", period=1, target="push"))
+    return w, seen
+
+
+@pytest.mark.parametrize("contents, error, detail", [
+    (["p"], "PushWithoutConnection", "push: circuit 'loop' dead-ends at 'B'"),
+    (["p", "ghost"], "PortionNotPresent", "push: no live portion 'ghost' in 'A'"),
+], ids=["dead end", "stale contents"])
+def test_a_refused_ring_push_is_a_violation_and_changes_nothing(contents, error, detail):
+    w, seen = _ring_world(contents)
+
+    def state():
+        return (
+            {pid: (p.alive, p.compartment) for pid, p in w.portions.items()},
+            {cid: list(c.contents) for cid, c in w.compartments.items()},
+            list(w.transitional_log),
+        )
+
+    before = state()
+    (report,) = Kernel(w, validate_policy="warn").run(1)
+    assert [(v.rule, v.bindings) for v in report.validation.violations] == [
+        (error, {"detail": detail})
+    ]
+    assert seen[0] == seen[1]  # the change list, just before and after the push
+    assert state() == before
 
 
 # ----------------------------------------------------------------------

@@ -5,13 +5,22 @@ rules a step's changes can affect. After every step of a random schedule,
 its report must equal the naive reference evaluator's over the reference
 triples (violation order and bindings included), and its snapshot and
 predicate index must hold exactly those triples.
+
+A refresh empties the world's change list, so after a step the world no
+longer names the moves that step committed, though the kernel's snapshot
+still holds their pushedTo triples. The fixture below keeps, on each
+snapshot, the commit records its last refresh consumed, and the checks
+derive the reference's pushedTo triples from those.
 """
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semsim import (
     Kernel,
     Mechanism,
+    Portion,
     StateSpace,
     Trigger,
     Triple,
@@ -24,10 +33,12 @@ from semsim.engine import register_mechanism, register_trigger
 from semsim.cli import standard_rules
 from semsim.modelfile import load_model, save_model
 from semsim.models import build_cardio, build_waterfall
+from semsim.topology import CommitRecord
 from semsim.scenarios import (
     Scenario,
     apply_scenario,
     disable_trigger,
+    load_scenario,
     remove_connection,
     set_ambient,
     set_state,
@@ -36,6 +47,8 @@ from semsim.validation import AssertionRule, Snapshot, derive_triples, rule_scop
 from semsim.world import Vocabulary
 
 from reference import as_items, reference_triples, reference_violations
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
 
 
 def _even_snapshot(bindings, world, triples):
@@ -77,6 +90,17 @@ def extra_rules():
     )
 
 
+@pytest.fixture(autouse=True)
+def keep_the_commits_each_refresh_consumes(monkeypatch):
+    refresh = Snapshot.refresh
+
+    def refresh_keeping_commits(self):
+        self.consumed_commits = [r for r in self.world.changes if isinstance(r, CommitRecord)]
+        refresh(self)
+
+    monkeypatch.setattr(Snapshot, "refresh", refresh_keeping_commits)
+
+
 def violations(items):
     return [(v.rule, v.bindings) for v in items]
 
@@ -88,9 +112,9 @@ def assert_kernel_matches_full_recompute(kernel, report):
         assert own == []
         assert kernel.snapshot is None
         return
-    triples = reference_triples(world)
-    assert as_items(own) == reference_violations(world, triples, kernel.rules)
     snapshot = kernel.snapshot
+    triples = reference_triples(world, snapshot.consumed_commits)
+    assert as_items(own) == reference_violations(world, triples, kernel.rules)
     # The kernel's snapshot keeps only the predicates its rules match or read.
     scope = snapshot.scope
     in_scope = {t for t in triples if scope is None or t.predicate in scope}
@@ -339,9 +363,12 @@ def test_entities_defined_mid_run_enter_the_snapshot():
     world.instantiate("Quill", entity_id="quill")
     world.add_compartment("Inkwell", capacity=None)
     world.connect("Inkwell", "LeftVentricle")
+    nib = world.kinds["Quill"].state_spaces[0]
+    world.add_portion(Portion("drop", "ink", properties={"nib": nib.value("blunt")}))
     report = kernel.step()
     assert {("ink", "hasState:phase", "liquid"), ("quill", "hasState:nib", "sharp"),
-            ("Inkwell", "connectedTo", "LeftVentricle")} <= kernel.snapshot.triples
+            ("Inkwell", "connectedTo", "LeftVentricle"),
+            ("drop", "hasState:nib", "blunt")} <= kernel.snapshot.triples
     assert_kernel_matches_full_recompute(kernel, report)
 
 
@@ -391,7 +418,7 @@ def test_validation_off_keeps_no_snapshot_and_rebuilds_on_return():
     standard_rules(kernel)
     kernel.run(9)
     assert kernel.snapshot is None
-    assert not world.touched and not world.wiring_changed
+    assert world.changes == []
     kernel.validate_policy = "halt"
     report = kernel.step()
     assert_kernel_matches_full_recompute(kernel, report)
@@ -407,14 +434,14 @@ def test_a_standalone_full_build_leaves_the_kernels_change_records():
     target = next(c for c, comp in sorted(world.compartments.items())
                   if comp.medium == "blood_path" and c != portion.compartment)
     world.place_portion(portion.id, target)
-    touched = set(world.touched)
-    assert portion.id in touched
+    changes = list(world.changes)
+    assert changes == [portion.id]
 
     standalone = Snapshot(world).violations(kernel.rules)
     triples = reference_triples(world)
     assert derive_triples(world) == triples
     assert as_items(standalone) == reference_violations(world, triples, kernel.rules)
-    assert world.touched == touched and not world.wiring_changed
+    assert world.changes == changes
 
     report = kernel.step()  # moves nothing, so only the records show the placement
     assert [v.rule for v in report.validation.violations] == ["compartment-capacity"] * 2
@@ -474,15 +501,24 @@ def test_the_id_counters_equal_a_full_scan_across_a_run_and_a_reload():
     assert cardio._counters["blood"] == blood > 7
 
 
-@pytest.mark.parametrize("model", ["cardio", "waterfall"])
-def test_the_triples_view_is_a_fresh_build_in_scope_after_every_step(model):
+@pytest.mark.parametrize("model, scenario, ticks", [
+    ("cardio", None, 200),
+    ("waterfall", None, 200),
+    ("cardio", "heart_stop", 1000),
+    ("cardio", "cut_phrenic", 1000),
+    ("waterfall", "freeze", 1000),
+], ids=["cardio", "waterfall", "heart_stop", "cut_phrenic", "freeze"])
+def test_the_triples_view_is_a_fresh_build_in_scope_after_every_step(model, scenario, ticks):
     world = build_cardio() if model == "cardio" else build_waterfall(n_portions=200)
-    kernel = Kernel(world)
+    if scenario is not None:
+        apply_scenario(world, load_scenario(SCENARIOS / f"{scenario}.json"))
+    # A scenario's violations (cut_phrenic's severed nerve) would halt the run.
+    kernel = Kernel(world, validate_policy="halt" if scenario is None else "warn")
     standard_rules(kernel)
-    for _ in range(200):
+    for _ in range(ticks):
         kernel.step()
         view, scope = kernel.snapshot.triples, kernel.snapshot.scope
-        everything = reference_triples(world)
+        everything = reference_triples(world, kernel.snapshot.consumed_commits)
         in_scope = {t for t in everything if t.predicate in scope}
         assert len(view) == len(in_scope)
         assert all(t in view for t in in_scope)

@@ -1,16 +1,18 @@
 """Only world.py writes where portions are, and records what changed.
 
 `World` keeps the placement rule (a compartment's contents are exactly the
-live portions placed there, in placement order) and marks every change
-that triples can see in `touched`. A module that assigned `.compartment`,
-`.alive` or `.contents`, edited a contents list, or marked `touched` itself
-could break the rule or hide a change from the incremental validation
-snapshot. The model-file loader is the one other module that fills a
-contents list, while it builds a world, and it checks what it fills.
+live portions placed there, in placement order) and records every change
+that triples can see in its change list, `changes`. A module that assigned
+`.compartment`, `.alive` or `.contents`, edited a contents list, or added
+to `changes` itself could break the rule or hide a change from the
+incremental validation snapshot. The model-file loader is the one other
+module that fills a contents list, while it builds a world, and it checks
+what it fills; topology.commit is the one other module that adds to
+`changes`, the CommitRecord of the moves it applied.
 
-Only a snapshot's refresh and the kernel's step consume those records. A
-full build (a fresh Snapshot, as a full recompute and derive_triples
-make) must leave them for the kernel's snapshot.
+Only a snapshot's refresh and the kernel's step empty the change list, and
+only World.__init__ starts it. A full build (a fresh Snapshot, as a full
+recompute and derive_triples make) must leave it for the kernel's snapshot.
 
 Five more facts have one writer each. A builtin mechanism's spec is recorded
 by register_mechanism, so a model file names the mechanism a factory built.
@@ -53,7 +55,9 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "semsim"
 OWNED_FIELDS = {"compartment", "alive", "contents"}
 LIST_EDITS = {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
+LIST_ADDS = {"append", "extend", "insert"}
 LOADER_WRITES = {"edits .contents"}
+COMMIT_WRITES = {"calls .changes.append"}
 DECLARING_CONSTRUCTORS = {
     ("entities.py", "SemObject.__init__"): {"assigns .alive"},
     ("entities.py", "Portion.__init__"): {"assigns .compartment", "assigns .alive"},
@@ -81,7 +85,9 @@ UNREACHED_BY_DESIGN = {
     ("world.py", "check_cardinality"):
         "the check a planned cardinality validation rule runs over an object's parts",
 }
-CHANGE_CONSUMERS = {("validation.py", "Snapshot.refresh"), ("engine.py", "Kernel.step")}
+CHANGE_CONSUMERS = {
+    ("world.py", "World.__init__"), ("validation.py", "Snapshot.refresh"), ("engine.py", "Kernel.step"),
+}
 RECORD_WRITERS = {
     "mechanism_specs": {("world.py", "World.__init__"), ("engine.py", "register_mechanism")},
     "lines": {("engine.py", "StepReport.__init__"), ("engine.py", "Kernel.emit_trace")},
@@ -139,8 +145,8 @@ def writes(source: str):
             found.append((node.lineno, f"assigns .{node.args[1].value}"))
         elif isinstance(func, ast.Attribute):
             owner = _owner_name(func.value)
-            if owner == "touched":
-                found.append((node.lineno, f"calls .touched.{func.attr}"))
+            if owner == "changes" and func.attr in LIST_ADDS:
+                found.append((node.lineno, f"calls .changes.{func.attr}"))
             elif owner == "contents" and func.attr in LIST_EDITS:
                 found.append((node.lineno, "edits .contents"))
     return sorted(found)
@@ -154,7 +160,7 @@ def test_only_world_writes_placement_and_change_records():
             continue
         source = path.read_text(encoding="utf-8")
         scopes = {node.lineno: scope for node, scope in _scoped(source) if hasattr(node, "lineno")}
-        allowed = LOADER_WRITES if module == "modelfile.py" else set()
+        allowed = {"modelfile.py": LOADER_WRITES, "topology.py": COMMIT_WRITES}.get(module, set())
         for line, what in writes(source):
             constructor = (module, scopes[line])
             if what in DECLARING_CONSTRUCTORS.get(constructor, ()):
@@ -171,19 +177,21 @@ world.portions[pid].compartment = None
 first, portion.alive = 1, False
 comp.contents += [pid]
 setattr(portion, "compartment", "Dst")
-world.touched.add(pid)
-touched.update(ids)
+world.changes.append(pid)
+changes.extend(ids)
 world.compartments[src].contents.remove(pid)
 n = len(comp.contents)
 portion.location_state = comp.name
+world.changes.clear()
+ids = [r for r in world.changes]
 """
     assert writes(source) == [
         (2, "assigns .compartment"),
         (3, "assigns .alive"),
         (4, "assigns .contents"),
         (5, "assigns .compartment"),
-        (6, "calls .touched.add"),
-        (7, "calls .touched.update"),
+        (6, "calls .changes.append"),
+        (7, "calls .changes.extend"),
         (8, "edits .contents"),
     ]
 
@@ -202,13 +210,20 @@ def _scoped(source: str):
     return visit(ast.parse(source), ())
 
 
-def clear_changes_uses(source: str):
-    """(line, enclosing class and function) for every use of clear_changes."""
-    return [
-        (node.lineno, scope)
-        for node, scope in _scoped(source)
-        if isinstance(node, ast.Attribute) and node.attr == "clear_changes"
-    ]
+def change_list_resets(source: str):
+    """(line, enclosing class and function) for every assignment to `.changes`
+    and every use of a change list's clear."""
+    found = []
+    for node, scope in _scoped(source):
+        if isinstance(node, ast.Attribute) and node.attr == "clear":
+            if _owner_name(node.value) == "changes":
+                found.append((node.lineno, scope))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "changes"
+                   for target in targets for t in _assigned(target)):
+                found.append((node.lineno, scope))
+    return found
 
 
 def record_writes(source: str):
@@ -241,23 +256,30 @@ def test_only_refresh_and_the_kernel_step_consume_change_records():
     uses = []
     for path in sorted(PACKAGE.rglob("*.py")):
         module = path.relative_to(PACKAGE).as_posix()
-        for line, scope in clear_changes_uses(path.read_text(encoding="utf-8")):
+        for line, scope in change_list_resets(path.read_text(encoding="utf-8")):
             uses.append((module, scope))
             assert (module, scope) in CHANGE_CONSUMERS, f"{module}:{line}: {scope}"
     assert set(uses) == CHANGE_CONSUMERS
 
 
-def test_the_guard_sees_each_use_of_clear_changes():
+def test_the_guard_sees_each_reset_of_the_change_list():
     source = """
 class Snapshot:
     def __init__(self, world):
-        world.clear_changes()
+        world.changes.clear()
 
 def build(world):
-    forget = world.clear_changes
+    forget = world.changes.clear
     forget()
+    world.changes, n = [], 0
+    changes = world.changes
+    changes.clear()
+    n = len(world.changes) + len(changes)
+    world.changes.append(n)
 """
-    assert clear_changes_uses(source) == [(4, "Snapshot.__init__"), (7, "build")]
+    assert change_list_resets(source) == [
+        (4, "Snapshot.__init__"), (7, "build"), (9, "build"), (11, "build"),
+    ]
 
 
 def test_each_record_has_one_writer():

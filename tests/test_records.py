@@ -266,7 +266,7 @@ EXAMPLES = [
     Directive("disable_trigger", ("SANode",)),
     Compartment("A", "A", contents=["p"]),
     MoveBatch(),
-    CommitRecord(1, [("p", "A", "B")], ["A"], [], [], ["pushed ABlood"]),
+    CommitRecord([("p", "A", "B")], ["pushed ABlood"]),
     AssertionRule("r", TriplePattern(Var("p"), "locatedIn", Var("c")), reads={"locatedIn"}),
     Violation("rule", {"c": "A"}),
     ValidationReport([Violation("rule")]),

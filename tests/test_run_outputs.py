@@ -183,7 +183,7 @@ def test_writing_outputs_does_not_build_the_whole_document(tmp_path):
         ValidationReport(),
         Transitional("birth", ("p",), ("blood",)),
         Portion("p", "blood"),
-        CommitRecord(0, [], [], [], [], []),
+        CommitRecord([], []),
     ],
     ids=lambda record: type(record).__name__,
 )

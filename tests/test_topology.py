@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsim import World, topology
+from semsim import Transitional, World, topology
 from semsim.errors import (
     CapacityExceeded,
     DeadSubjectError,
@@ -26,8 +26,13 @@ def world_state(w):
         {pid: (p.alive, p.compartment) for pid, p in w.portions.items()},
         {cid: list(c.contents) for cid, c in w.compartments.items()},
         len(w.transitional_log),
-        set(w.touched),
+        list(w.changes),
     )
+
+
+def transitionals(w, kind):
+    """The change list's transitionals of one kind: a commit's splits and merges."""
+    return [r for r in w.changes if isinstance(r, Transitional) and r.kind == kind]
 
 
 def line_world(n=3, capacity=1, medium="blood_path"):
@@ -142,7 +147,6 @@ def test_staging_is_pure():
     with pytest.raises(PushWithoutConnection, match="no fluid connection 'AC' -> 'LA'"):
         topology.ring_push(w, circuit)
     assert world_state(w) == before
-    assert w.last_commits == []
 
 
 def test_commit_moves_and_traces():
@@ -151,9 +155,9 @@ def test_commit_moves_and_traces():
     record = topology.move(w, p.id, "C0", "C1")
     assert w.compartments["C1"].contents == [p.id]
     assert p.compartment == "C1" and p.location_state == "C1"
-    assert record.applied == [(p.id, "C0", "C1")] and record.vacated == ["C0"]
+    assert record.applied == [(p.id, "C0", "C1")]
     assert record.trace_lines == ["pushed C0Blood", "trigger updates"]
-    assert w.last_commits == [record]
+    assert w.changes[-1] is record
 
 
 def test_commit_empty_batch_is_noop_with_trigger_updates():
@@ -191,9 +195,9 @@ def test_blood_capacity_collision_merges():
     pa = w.create_portion("blood", compartment="A")
     pb = w.create_portion("blood", compartment="B")
     moves = [(pa.id, "A", "RA"), (pb.id, "B", "RA")]
-    record = topology.commit(w, moves, [], {pa.id, pb.id}, ["A", "B"])
-    assert len(record.merges) == 1
-    merged = w.portions[record.merges[0]]
+    topology.commit(w, moves, [], {pa.id, pb.id}, ["A", "B"])
+    (merge,) = transitionals(w, "merge")
+    merged = w.portions[merge.results[0]]
     assert merged.compartment == "RA"
     assert set(merged.provenance) == {pa.id, pb.id}
     assert len(w.live_portions("blood")) == 1
@@ -221,8 +225,10 @@ def cardio_ring():
 def test_ring_push_stages_one_move_per_occupied_compartment():
     w, circuit = cardio_ring()
     record = topology.ring_push(w, circuit)
-    assert record.vacated == list(circuit.order)
-    assert record.split_parents == ["b-1"]
+    assert record.trace_lines == [f"pushed {cid}Blood" for cid in circuit.order] + [
+        "trigger updates"
+    ]
+    assert [t.subjects for t in transitionals(w, "split")] == [("b-1",)]
     # Six moves, then the two children LV's portion split into.
     assert [src for _pid, src, _dst in record.applied] == [
         "LA", "MC", "CC", "RA", "RV", "AC", "LV", "LV",
@@ -234,7 +240,7 @@ def test_ring_push_empty_circuit_is_empty_batch():
     for p in list(w.live_portions()):
         w.kill(p.id)
     record = topology.ring_push(w, circuit)
-    assert record.applied == [] and record.vacated == []
+    assert record.applied == []
     assert record.trace_lines == ["trigger updates"]
 
 
@@ -269,8 +275,9 @@ def test_a_compartment_off_the_circuit_reports_after_those_on_it():
     ] + [("x-0", "X", "LA")]
     record = topology.commit(w, moves, [], {pid for pid, _src, _dst in moves},
                              [src for _pid, src, _dst in moves])
-    assert record.vacated == ["LA", "MC", "CC", "RA", "RV", "AC", "X"]
-    assert record.trace_lines[-2:] == ["pushed XBlood", "trigger updates"]
+    assert record.trace_lines == [
+        f"pushed {cid}Blood" for cid in ("LA", "MC", "CC", "RA", "RV", "AC", "X")
+    ] + ["trigger updates"]
 
 
 def test_circuit_with_unwired_hop_errors_at_staging():
@@ -302,15 +309,14 @@ def test_circuit_definition_refuses_an_order_off_the_graph_or_repeated():
 def full_state(w):
     """Everything a commit can change: the portions in birth order, each
     compartment's contents in placement order, the live registry, the id
-    counters, the transitional log, the touched ids and the commit records."""
+    counters, the transitional log and the change list."""
     return (
         list(w.portions.items()),
         {cid: list(c.contents) for cid, c in w.compartments.items()},
         list(w.live_registry),
         dict(w._counters),
         list(w.transitional_log),
-        set(w.touched),
-        list(w.last_commits),
+        list(w.changes),
     )
 
 
@@ -358,7 +364,7 @@ def random_world(data):
     if data.draw(st.booleans(), label="cut a connection"):
         src = data.draw(st.sampled_from(names), label="cut from")
         w.remove_connection(src, data.draw(st.sampled_from(successors[src]), label="cut to"))
-    w.clear_changes()
+    w.changes.clear()
     return w, circuit
 
 
@@ -409,8 +415,8 @@ def test_move_into_a_full_compartment_does_as_the_oracle_does(medium, mover, sta
     outcome = _outcome(w, lambda w: topology.move(w, pid, "Src", "Dst"))
     assert outcome == _outcome(twin, lambda w: staged_move(w, pid, "Src", "Dst"))
     if error is None:
-        record = outcome[0]
-        assert len(record.merges) == 1 and w.compartments["Dst"].contents == record.merges
+        (merge,) = transitionals(w, "merge")
+        assert w.compartments["Dst"].contents == list(merge.results)
     else:
         assert outcome[0] is CapacityExceeded and re.search(error, outcome[1])
 
@@ -456,10 +462,8 @@ def test_conservation_over_random_batches(data):
             continue
         movers.add(pid)
         vacated.append(src)
-    record = topology.commit(w, moves, splits, movers, vacated)
-    merge_loss = sum(
-        len(w.portions[mid].provenance) - 1 for mid in record.merges
-    )
+    topology.commit(w, moves, splits, movers, vacated)
+    merge_loss = sum(len(t.subjects) - 1 for t in transitionals(w, "merge"))
     assert len(w.live_portions("blood")) == before + split_gain - merge_loss
 
 

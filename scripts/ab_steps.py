@@ -14,6 +14,11 @@ steps; the model build is left out. Within a round the two sides take
 turns, and the side that goes first alternates between rounds, so a change
 in the host's speed reaches both sides alike.
 
+Before timing anything, it runs each configuration once on each side and
+checks that both give the same trace lines and the same number of
+transitionals: a faster step that changes what a run does is no gain. If
+they differ, it names the configuration and exits with status 1.
+
 Per configuration it prints the median microseconds per tick on each side,
 each beside that side's first and third quartiles, the median of the
 per-round ratios (this / other: below 1 means this checkout is faster) and
@@ -56,11 +61,23 @@ def load_package(checkout: Path, name: str):
     return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.models")
 
 
-def run_seconds(side, model, policy, ticks):
-    """Seconds one fresh kernel takes for `ticks` steps."""
+def fresh_kernel(side, model, policy, ticks):
+    """A kernel on a freshly built model, as `semsim run` makes it."""
     cli, models = side
     world = models.build_builtin(model, portions=ticks if model == "waterfall" else None)
-    kernel = cli.make_kernel(world, cli.RunConfig(model, steps=ticks, validate_policy=policy))
+    return cli.make_kernel(world, cli.RunConfig(model, steps=ticks, validate_policy=policy))
+
+
+def outcome(side, model, policy, ticks):
+    """The trace lines and the transitional count of one run of `ticks` steps."""
+    kernel = fresh_kernel(side, model, policy, ticks)
+    kernel.run(ticks)
+    return kernel.trace_lines(), len(kernel.world.transitional_log)
+
+
+def run_seconds(side, model, policy, ticks):
+    """Seconds one fresh kernel takes for `ticks` steps."""
+    kernel = fresh_kernel(side, model, policy, ticks)
     gc.collect()
     gc.disable()
     try:
@@ -111,6 +128,11 @@ def main():
 
     this = load_package(THIS_CHECKOUT, "semsim_this")
     other = load_package(args.other.resolve(), "semsim_other")
+    for model, label, policy in CONFIGURATIONS:
+        if outcome(this, model, policy, args.ticks) != outcome(other, model, policy, args.ticks):
+            raise SystemExit(
+                f"{model} {label}: the checkouts differ in trace lines or transitional count"
+            )
     print(f"{args.ticks} ticks, {args.rounds} rounds; this = {THIS_CHECKOUT}, "
           f"other = {args.other.resolve()}")
     print(f"{'model':<10} {'configuration':<16} {'this us':>8} {'q1':>6} {'q3':>6} "

@@ -27,10 +27,18 @@ reloaded world carries on where the run stopped.
 Validation after each step is incremental: the kernel owns one
 validation.Snapshot, builds it when it has none and refreshes it, which
 applies and empties World.changes. With the policy off it keeps none and
-empties the list itself, and a step without wiring errors shares the one
-empty validation.NOT_VALIDATED. A mode or policy outside MODES or
-validation.POLICIES is refused whenever it is set; a valid one may change
-between steps.
+empties the list itself. Every step that reports no violation, validated or
+not, shares the one empty validation.NO_VIOLATIONS. Only a step with a
+violation gets a report of its own: validate builds it for a rule's
+violations, and the kernel for wiring errors, which come first. A mode or
+policy outside MODES or validation.POLICIES is refused whenever it is set;
+a valid one may change between steps.
+
+An effect writes the world through its checked operations, set_state and
+the rest. A write whose caller holds the subject and has already done the
+checks may skip them: a path flow checks its labels when it is built and
+holds the portion it has just released, so it moves it with
+World.set_location, which records the same state_change as set_state.
 
 A step's record is published whole: its StepReport, trace lines included,
 joins Kernel.reports only when the step finishes. A step keeps its trace as
@@ -428,19 +436,18 @@ class Kernel:
             if self._policy == "off":
                 self.snapshot = None
                 world.changes.clear()
-                report.validation = (
-                    validation.ValidationReport() if self._wiring_errors
-                    else validation.NOT_VALIDATED
-                )
+                checked = validation.NO_VIOLATIONS
             else:
                 if self.snapshot is None:
                     self.snapshot = validation.Snapshot(world, validation.rule_scope(self.rules))
-                report.validation = validation.validate(self.snapshot, self.rules)
+                checked = validation.validate(self.snapshot, self.rules)
             if self._wiring_errors:
-                report.validation.violations[:0] = [
-                    validation.Violation(name, {"detail": detail})
-                    for name, detail in self._wiring_errors
-                ]
+                checked = validation.ValidationReport([
+                    *(validation.Violation(name, {"detail": detail})
+                      for name, detail in self._wiring_errors),
+                    *checked.violations,
+                ])
+            report.validation = checked
             self.reports.append(report)
 
             if self._policy == "halt" and report.validation.violations:

@@ -282,7 +282,9 @@ def path_flow(
     setting each leg's label and then the goal's, and emits "<i> <goal_label>".
     The flow keeps no state of its own: the world's id counter for the fluid,
     which a model file saves, bounds the releases by n_portions. With a
-    portion kind, every label is checked against its Location space here.
+    portion kind, every label is checked against its Location space here,
+    so a firing writes each label with World.set_location, which checks
+    nothing again; without one, a portion's Location takes any label.
     """
     if portion_kind is not None:
         if world.effective_substance(portion_kind) != fluid:
@@ -309,14 +311,14 @@ def path_flow(
         else:
             portion = w.create_portion(fluid)
             portion.x, portion.y = 0, 0
-        pid = portion.id
+        set_location = w.set_location
         for label, dx, dy in legs:
             if label is not None:
-                w.set_state(pid, "Location", label)
+                set_location(portion, label)
             portion.x += dx
             portion.y += dy
-        w.set_state(pid, "Location", goal_label)
-        kernel.emit_trace(f"{pid.rpartition('-')[2]} {goal_label}")
+        set_location(portion, goal_label)
+        kernel.emit_trace(f"{portion.id.rpartition('-')[2]} {goal_label}")
 
     return Mechanism(
         mech_name,

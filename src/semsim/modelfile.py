@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -489,12 +488,13 @@ def load_model(data: dict) -> World:
                 raise SchemaError(f"part {part!r} is no object or portion", loc)
 
     # Contents restore reservoir draw order, so they are authoritative. Each
-    # lists every live portion placed in its compartment once, and no other.
-    placed = Counter(p.compartment for p in world.live_registry.values())
+    # lists every live portion placed in its compartment once, and no other:
+    # the portions add_portion placed there, in the file's order.
     for loc, c in _entries(data, "compartments"):
         comp = world.compartments[c["name"]]
         with _diagnosed(loc):
-            for pid in c.get("contents", []):
+            listed = c.get("contents", [])
+            for pid in listed:
                 portion = world.portions.get(pid)
                 if portion is None:
                     raise SchemaError(f"contents reference unknown portion {pid!r}", loc)
@@ -502,12 +502,12 @@ def load_model(data: dict) -> World:
                     raise SchemaError(f"contents list dead portion {pid!r}", loc)
                 if portion.compartment != comp.id:
                     raise SchemaError(f"portion {pid!r} does not agree it is in {comp.id!r}", loc)
-                comp.contents.append(pid)
-            if len(set(comp.contents)) != len(comp.contents) or len(comp.contents) != placed[comp.id]:
+            if len(set(listed)) != len(listed) or len(listed) != len(comp.contents):
                 raise SchemaError(
-                    f"contents must list each of the {placed[comp.id]} live portions "
+                    f"contents must list each of the {len(comp.contents)} live portions "
                     f"in {comp.id!r} once", loc
                 )
+            comp.contents[:] = listed
 
     for loc, f in _entries(data, "frames"):
         with _diagnosed(loc):

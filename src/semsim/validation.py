@@ -2,7 +2,10 @@
 
 The kernel calls validate after each step, so any assertion violated by that
 step's transitionals shows up in that step's report. Violations are data, not
-exceptions; the kernel decides whether to halt or warn.
+exceptions; the kernel decides whether to halt or warn. A validation without
+a violation returns the one shared empty report, NO_VIOLATIONS, which the
+kernel also gives a step it did not validate; nothing adds to it, and a step
+with a violation gets a report of its own.
 
 There is one evaluator, Snapshot. It holds live state only: a build reads
 the world's live portion registry, so its size tracks what is alive now, not
@@ -10,23 +13,28 @@ how many portions the run has ever made. Its triples are grouped by
 predicate, after the permutation indexes of Hexastore (Weiss, Karras and
 Bernstein, VLDB 2008): a rule whose pattern names its predicate tries only
 the triples with that predicate; a rule with a variable predicate tries them
-all. That index keeps each triple once; Snapshot.triples is a read-only set
-view over it (TripleView), which looks a triple up in its predicate's
-bucket. Only passing matches are sorted, by the (subject, predicate, obj) of the
-matched triple, so violations come out in the same order whatever the set's
-iteration order. A full recompute is a fresh Snapshot's violations,
-Snapshot(world).violations(rules), and derive_triples reads a fresh
-Snapshot's triples; the independent reference both are checked against, a
-naive sort-everything evaluator, is in the tests.
+all. A pattern whose only ground term is its predicate binds subject and
+object after that one comparison. That index keeps each triple once;
+Snapshot.triples is a read-only set view over it (TripleView), which looks a
+triple up in its predicate's bucket. Only passing matches are sorted, by the
+(subject, predicate, obj) of the matched triple, so violations come out in
+the same order whatever the set's iteration order. A full recompute is a
+fresh Snapshot's violations, Snapshot(world).violations(rules), and
+derive_triples reads a fresh Snapshot's triples; the independent reference
+both are checked against, a naive sort-everything evaluator, is in the tests.
 
 A Kernel keeps one Snapshot from step to step, so validation works in
 proportion to what a step changed, not to how much is alive. The world keeps
 the step's write records in one list, World.changes. A refresh folds it into
 the ids to re-derive, whether the wiring changed and the step's pushedTo
 triples, and empties it, a fold over a stream of changes as in DBSP (Budiu
-et al., VLDB 2023); a build leaves it alone. A refresh re-derives those ids
-with the build's per-entity helpers, diffs each against its cached triples
-and updates the predicate index, as Rete does (Forgy 1982). An entity whose
+et al., VLDB 2023); a build leaves it alone. Each write appends one record: a
+born portion is named by its birth Transitional only, and a checked write
+(World.set_location, which skips the checks its caller has made) records the
+same state_change as set_state, so the fold cannot tell the two apart. A
+refresh re-derives those ids with the build's per-entity helpers, diffs each
+against its cached triples and updates the predicate index, as Rete does
+(Forgy 1982). An entity whose
 one triple in scope was swapped for another (a moved portion's locatedIn) is
 diffed without building sets. Each rule keeps its passing matches: the
 matched triples whose bindings pass its check. A rule is re-evaluated in
@@ -34,9 +42,10 @@ full when it is new or replaced (so every rule after a build), when its
 predicate is a variable, when its check's reads are unknown (reads=None), or
 when a predicate it reads changed. Otherwise only the added and removed
 triples of its predicate are matched and checked, as in differential
-dataflow (McSherry et al., CIDR 2013); after a refresh that added and
-removed nothing, no rule with known reads does any work. The report equals a
-fresh build's, violation order and bindings included.
+dataflow (McSherry et al., CIDR 2013), and a rule with no passing match has
+no removed triple to forget; after a refresh that added and removed
+nothing, no rule with known reads does any work. The report equals a fresh
+build's, violation order and bindings included.
 
 The reads contract. A rule's check may read its bindings; the triples of
 the predicates its rule lists in `reads`, from `triples` or from the world
@@ -108,11 +117,22 @@ class TriplePattern(FrozenRecord):
         set_field(self, "_vars", variables)
         # With every variable named once, a match binds without comparing.
         set_field(self, "_distinct", len({name for _, name in variables}) == len(variables))
+        # (subject name, object name) when the predicate is the only ground
+        # term and the two variables differ, the shape of every shipped rule.
+        so = None
+        if len(ground) == 1 and ground[0][0] == 1 and self._distinct:
+            so = (subject.name, obj.name)
+        set_field(self, "_so", so)
 
     def ground_terms(self) -> int:
         return len(self._ground)
 
     def match(self, triple: Triple) -> dict[str, str] | None:
+        so = self._so
+        if so is not None:
+            if triple[1] != self.predicate:
+                return None
+            return {so[0]: triple[0], so[1]: triple[2]}
         for slot, term in self._ground:
             if triple[slot] != term:
                 return None
@@ -178,9 +198,10 @@ class ValidationReport(Record):
         self.violations = [] if violations is None else violations
 
 
-#: The one report shared by every step that validated nothing (policy off, no
-#: wiring error), so an unvalidated run keeps none per step. Nothing adds to it.
-NOT_VALIDATED = ValidationReport()
+#: The one report shared by every step that reports no violation, whatever
+#: the validation policy, so a clean run keeps no report per step. Nothing
+#: adds to it: a step with a violation gets a report of its own.
+NO_VIOLATIONS = ValidationReport()
 
 
 # The per-entity helpers build each triple as _new(Triple, (s, p, o)): the
@@ -371,10 +392,12 @@ _by_triple = itemgetter(0)
 
 def validate(snapshot: Snapshot, rules) -> ValidationReport:
     """Refresh the snapshot from its world's change list and re-check the
-    rules those changes can affect; the report equals a full recompute's,
-    Snapshot(world).violations(rules)."""
+    rules those changes can affect; the report's violations equal a full
+    recompute's, Snapshot(world).violations(rules). Without a violation the
+    report is the shared NO_VIOLATIONS."""
     snapshot.refresh()
-    return ValidationReport(snapshot.violations(rules))
+    violations = snapshot.violations(rules)
+    return ValidationReport(violations) if violations else NO_VIOLATIONS
 
 
 class TripleView(Set):
@@ -583,10 +606,11 @@ class Snapshot:
             elif state.always or changed and not state.reads.isdisjoint(changed):
                 state.passing = self._matches(rule)
             elif changed and state.predicate in changed:
-                predicate = state.predicate
-                for triple in removed.get(predicate, ()):
-                    state.passing.pop(triple, None)
-                self._check_into(state.passing, rule, added.get(predicate, ()))
+                predicate, passing = state.predicate, state.passing
+                if passing:  # a removed triple can only leave a passing match
+                    for triple in removed.get(predicate, ()):
+                        passing.pop(triple, None)
+                self._check_into(passing, rule, added.get(predicate, ()))
             passing = state.passing
             if rule.expectation == "must_exist":
                 if not passing:

@@ -6,10 +6,11 @@ plain in-memory structure with no locking of its own.
 The world owns where portions are: a compartment's `contents` are exactly
 the live portions whose `compartment` is that compartment, in placement
 order. A dead portion is in no compartment: placing one is refused, and so
-is registering one that names a compartment. Placing takes a portion out of
-its old compartment, retiring one takes it out of its compartment, and the
-model-file loader rejects contents that break the rule. Other modules read
-contents as they are and never write `contents`, `compartment` or `alive`.
+is registering one that names a compartment; registering a live one places
+it. Placing takes a portion out of its old compartment, retiring one takes
+it out of its compartment, and the model-file loader rejects contents that
+break the rule. Other modules read contents as they are and never write
+`contents`, `compartment` or `alive`.
 
 Every operation that changes what the world looks like as triples appends
 one record to `changes`, in order: the Transitional it logs, a commit's
@@ -388,7 +389,9 @@ class World:
             y=0,
             location_state="null" if location is None else location.first,
         )
-        self.add_portion(portion)
+        # add_portion, for a portion known to be live, new and unplaced; the
+        # birth record names it, as a split's or a merge's names its results.
+        self.portions[pid] = self.live_registry[pid] = portion
         self._log(Transitional("birth", (pid,), (kind.name,), self.clock))
         return portion
 
@@ -405,25 +408,33 @@ class World:
         props = dict(sub.default_properties)
         for key, label in (properties or {}).items():
             props[key] = QualValue(self._property_scale(key), label)
-        portion = Portion(pid, substance_name, properties=props)
-        self.add_portion(portion)
         if compartment is not None:
-            self.place_portion(pid, compartment)
+            need(self.compartments, compartment, "compartment")
+        portion = Portion(pid, substance_name, properties=props)
+        # add_portion and place_portion, for a portion known to be live and
+        # new; the birth record names it.
+        self.portions[pid] = self.live_registry[pid] = portion
+        if compartment is not None:
+            self._place(pid, compartment)
         self._log(Transitional("birth", (pid,), (substance_name,), self.clock))
         return portion
 
     def add_portion(self, portion: Portion) -> Portion:
-        """Register a built portion; the live registry holds it while it lives.
+        """Register a built portion; the live registry holds it while it lives,
+        and the compartment it names, if any, lists it last in its contents.
 
         A dead portion is in no compartment, so one that names one is refused.
         """
-        if not portion.alive and portion.compartment is not None:
-            raise DeadSubjectError(
-                f"dead portion {portion.id!r} cannot be placed in {portion.compartment!r}"
-            )
+        where = portion.compartment
+        if where is not None:
+            if not portion.alive:
+                raise DeadSubjectError(f"dead portion {portion.id!r} cannot be placed in {where!r}")
+            contents = need(self.compartments, where, "compartment").contents
         self.portions[portion.id] = portion
         if portion.alive:
             self.live_registry[portion.id] = portion
+            if where is not None:
+                contents.append(portion.id)
             self.changes.append(portion.id)
         return portion
 
@@ -490,6 +501,17 @@ class World:
                 )
             space.index(label)
             ent.states[variable] = label
+        return self._state_changed(entity_id, variable, label)
+
+    def set_location(self, portion: Portion, label: str) -> Transitional:
+        """set_state(portion.id, "Location", label) for a caller that holds
+        the portion, knows it is live and has checked the label against its
+        kind's Location space, as a path flow does when it is built."""
+        portion.location_state = label
+        return self._state_changed(portion.id, "Location", label)
+
+    def _state_changed(self, entity_id: str, variable: str, label: str) -> Transitional:
+        """Record one state change: the record tail of every state write."""
         t = Transitional("state_change", (entity_id,), ((variable, label),), self.clock)
         self.transitional_log.append(t)  # _log, inline: the commonest write
         self.changes.append(t)

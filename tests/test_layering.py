@@ -82,6 +82,8 @@ UNREACHED_BY_DESIGN = {
         "a part-whole operation; the snapshot property tests change the world with it",
     ("world.py", "remove_part"):
         "a part-whole operation; the snapshot property tests change the world with it",
+    ("world.py", "place_portion"):
+        "library API: moves a portion; the snapshot property tests change the world with it",
     ("world.py", "check_cardinality"):
         "the check a planned cardinality validation rule runs over an object's parts",
 }

@@ -325,6 +325,18 @@ def test_contents_breaking_the_placement_rule_diagnosed(placement_breach):
     assert str(exc.value) == message
 
 
+def test_contents_keep_their_saved_order_and_list_each_portion_once():
+    # blood-1 comes after blood-0 among the portions but before it in the
+    # contents, which hold the order of placement.
+    data = save_model(build_cardio())
+    data["portions"][0]["compartment"] = "LeftVentricle"
+    data["compartments"][0]["contents"] = []
+    data["compartments"][1]["contents"] = ["blood-1", "blood-0"]
+    world = load_model(data)
+    assert world.compartments["LeftVentricle"].contents == ["blood-1", "blood-0"]
+    assert world.compartments["LeftAtrium"].contents == []
+
+
 def test_dead_portion_in_a_compartment_is_rejected():
     # Listed in no contents, so only the portion itself shows the breach.
     data = save_model(build_cardio())

@@ -19,7 +19,7 @@ from semsim.cli import RunConfig, make_kernel, resolve_model, write_outputs
 from semsim.engine import FiringRecord, GuardFailure
 from semsim.models import build_cardio
 from semsim.topology import CommitRecord
-from semsim.validation import NOT_VALIDATED, Violation
+from semsim.validation import NO_VIOLATIONS, Violation
 from semsim.world import Vocabulary
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
@@ -289,8 +289,8 @@ def test_a_cardio_run_writes_its_pinned_trace_and_sidecar(tmp_path, no_trace_eve
 def test_an_unvalidated_step_keeps_no_report_of_its_own():
     kernel = Kernel(build_cardio(), validate_policy="off")
     kernel.run(50)
-    assert all(r.validation is NOT_VALIDATED for r in kernel.reports)
-    assert NOT_VALIDATED.violations == []
+    assert all(r.validation is NO_VIOLATIONS for r in kernel.reports)
+    assert NO_VIOLATIONS.violations == []
     assert kernel.reports[3].describe() == "step 3: fired=- violations=0"
 
     # A wiring error is still reported, on the step's own report.
@@ -299,8 +299,37 @@ def test_an_unvalidated_step_keeps_no_report_of_its_own():
     beat = reports[2]
     assert beat.step == 52
     assert [v.rule for v in beat.validation.violations] == ["PushWithoutConnection"]
-    assert all(r.validation is NOT_VALIDATED for r in reports if r is not beat)
-    assert NOT_VALIDATED.violations == []
+    assert all(r.validation is NO_VIOLATIONS for r in reports if r is not beat)
+    assert NO_VIOLATIONS.violations == []
+
+
+@pytest.mark.parametrize("policy", ["halt", "warn"])
+def test_a_clean_validated_step_shares_the_empty_report(policy):
+    kernel = make_kernel(build_cardio(), RunConfig("cardio", validate_policy=policy))
+    kernel.run(50)
+    assert all(r.validation is NO_VIOLATIONS for r in kernel.reports)
+
+    # A wiring error is reported on the step's own report; the shared one
+    # stays empty.
+    kernel.world.remove_connection("LeftAtrium", "LeftVentricle")
+    reports = kernel.run(4)  # ticks 50 to 53: the SA node beats at 52
+    beat = reports[2]
+    assert beat.step == 52 and beat.validation is not NO_VIOLATIONS
+    assert [v.rule for v in beat.validation.violations] == ["PushWithoutConnection"]
+    assert all(r.validation is NO_VIOLATIONS for r in reports if r is not beat)
+    assert NO_VIOLATIONS.violations == []
+    assert kernel.halted_at == (52 if policy == "halt" else None)
+
+
+def test_a_step_with_a_rule_violation_gets_a_report_of_its_own():
+    kernel = make_kernel(build_cardio(), RunConfig("cardio", validate_policy="warn"))
+    kernel.world.place_portion("air-nose", "RightAtrium")  # two portions in one chamber
+    _beat, first, second = kernel.run(3)  # the beat at tick 0 also reports a wiring error
+    assert first.validation is not second.validation
+    for report in (first, second):
+        assert report.validation is not NO_VIOLATIONS
+        assert [v.rule for v in report.validation.violations] == ["compartment-capacity"] * 2
+    assert NO_VIOLATIONS.violations == []
 
 
 # `semsim run --model waterfall` trace and sidecar digests, as the program
@@ -339,3 +368,32 @@ def test_a_waterfall_run_writes_its_pinned_trace_and_sidecar(tmp_path, name):
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha256
     sidecar = Path(str(trace) + ".report.json").read_bytes()
     assert hashlib.sha256(sidecar).hexdigest() == sidecar_sha256
+
+
+# sha256 of repr([(kind, subjects, results, step), ...]) over a run's whole
+# transitional_log: what each write recorded, in order, with its tick.
+PINNED_TRANSITIONAL_LOGS = {
+    "cardio-1000": (
+        RunConfig("cardio", steps=1000),
+        "f15c8eb86e805f11dbdb9f646e588ded0a4c74ad825bceda2fc3cdcbefb76654",
+    ),
+    "waterfall-500": (
+        RunConfig("waterfall", portions=500),
+        "2d0f72b0993928e92ac2d177d075d69b5d068911d6f1d20a4b79e02feee0638c",
+    ),
+    "waterfall-500-freeze": (
+        RunConfig("waterfall", portions=500, validate_policy="warn",
+                  scenario_path=str(SCENARIOS / "freeze.json")),
+        "eb3cc9f0fd7a239ed3ce1b50a5932f8c19fea273b5c0e8e09336007e17564940",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRANSITIONAL_LOGS))
+def test_a_run_logs_its_pinned_transitionals(name):
+    config, digest = PINNED_TRANSITIONAL_LOGS[name]
+    kernel = cli.prepare(config)
+    kernel.run(cli.planned_steps(config))
+    assert len(kernel.reports) == cli.planned_steps(config) and not kernel.halted
+    log = [(t.kind, t.subjects, t.results, t.step) for t in kernel.world.transitional_log]
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 """Each example script under scripts/ runs to completion."""
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -68,3 +69,22 @@ def test_ab_steps_compares_a_checkout_with_itself(tmp_path):
         mine, m1, m3, theirs, t1, t3 = (float(field) for field in sides)
         assert 0 < m1 <= mine <= m3 and 0 < t1 <= theirs <= t3 and float(ratio) > 0
         assert wins in ("0/2", "1/2", "2/2")
+
+    # Against a copy whose waterfall flows every other tick (half the trace
+    # lines and transitionals, the cardio runs unchanged) it times nothing.
+    other = tmp_path / "other"
+    shutil.copytree(checkout / "src" / "semsim", other / "src" / "semsim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    waterfall = other / "src" / "semsim" / "models" / "waterfall.py"
+    source = waterfall.read_text()
+    assert 'Trigger("Flow", period=1,' in source
+    waterfall.write_text(source.replace('Trigger("Flow", period=1,', 'Trigger("Flow", period=2,'))
+    result = subprocess.run(
+        [sys.executable, str(script), str(other), "--ticks", "8", "--rounds", "2"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""  # refused before any timing
+    assert result.stderr == (
+        "waterfall --validate halt: the checkouts differ in trace lines or transitional count\n"
+    )

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsim import Transitional, World, topology
+from semsim import Portion, Transitional, World, topology
 from semsim.errors import (
     CapacityExceeded,
     DeadSubjectError,
@@ -16,6 +16,8 @@ from semsim.errors import (
     SemsimError,
     UnknownEntityError,
 )
+
+from semsim.validation import Snapshot, capacity_rule, derive_triples
 
 from reference import staged_move, staged_ring_push
 
@@ -98,6 +100,31 @@ def test_placing_a_dead_portion_is_refused():
     with pytest.raises(DeadSubjectError):
         w.place_portion(dead.id, "C1")
     assert world_state(w) == before
+
+
+def test_a_registered_portion_joins_the_contents_of_the_compartment_it_names():
+    w, _names = line_world()
+    w.create_portion("blood", entity_id="first", compartment="C0")
+    w.add_portion(Portion("second", "blood", compartment="C0"))
+    assert w.compartments["C0"].contents == ["first", "second"]
+    # The locatedIn triples and the capacity rule's count see the same two
+    # portions, so the over-full compartment is reported for both.
+    located = sorted(t.subject for t in derive_triples(w) if t.predicate == "locatedIn")
+    assert located == sorted(w.compartments["C0"].contents)
+    rules = {"compartment-capacity": capacity_rule()}
+    assert [v.bindings for v in Snapshot(w).violations(rules)] == [
+        {"p": "first", "c": "C0"}, {"p": "second", "c": "C0"},
+    ]
+
+
+def test_registering_a_portion_in_an_unknown_compartment_is_refused():
+    w, _names = line_world()
+    before = world_state(w)
+    with pytest.raises(UnknownEntityError):
+        w.add_portion(Portion("lost", "blood", compartment="Nowhere"))
+    with pytest.raises(UnknownEntityError):
+        w.create_portion("blood", entity_id="lost", compartment="Nowhere")
+    assert world_state(w) == before and "lost" not in w.portions
 
 
 def test_commit_of_a_departed_mover_changes_nothing():

@@ -41,8 +41,10 @@ holds the portion it has just released, so it moves it with
 World.set_location, which records the same state_change as set_state.
 
 A step's record is published whole: its StepReport, trace lines included,
-joins Kernel.reports only when the step finishes. A step keeps its trace as
-the vocabulary's own strings; Kernel.trace builds a TraceEvent for each line
+joins Kernel.reports only when the step finishes. A firing is recorded as
+its mechanism and via alone: its guard held, and its subsystem and saved
+form (Mechanism.spec) are the registry's. A step keeps its trace as the
+vocabulary's own strings; Kernel.trace builds a TraceEvent for each line
 only as a caller iterates it. A step that raises publishes nothing and ends the
 run: whatever escaped it, KeyboardInterrupt included, is kept as Kernel.fault,
 and every later step() raises SemsimError and changes nothing.
@@ -110,6 +112,7 @@ class Mechanism(Record):
         self.effect = effect
         self.subsystem = subsystem
         self.on_signal = on_signal
+        self.spec: dict | None = None  # its saved form, set by register_mechanism
 
 
 class Trigger(Record):
@@ -161,19 +164,11 @@ class TraceEvent(FrozenRecord):
 
 
 class FiringRecord(Record):
-    _fields = __slots__ = ("mechanism", "subsystem", "via", "guard_values")
+    _fields = __slots__ = ("mechanism", "via")
 
-    def __init__(
-        self,
-        mechanism: str,
-        subsystem: str,
-        via: str,  # "trigger:<name>" or "signal:<payload>"
-        guard_values: dict[str, bool],
-    ):
+    def __init__(self, mechanism: str, via: str):
         self.mechanism = mechanism
-        self.subsystem = subsystem
-        self.via = via
-        self.guard_values = guard_values
+        self.via = via  # "trigger:<name>", "signal:<payload>" or "nested"
 
 
 class GuardFailure(Record):
@@ -215,8 +210,8 @@ class StepReport(Record):
 
 
 def register_mechanism(world: World, mechanism: Mechanism, spec: dict | None = None) -> Mechanism:
-    """Add a mechanism. With a spec, its model-file entry less the name, also
-    record what a model file rebuilds it from.
+    """Add a mechanism, with its spec, the model-file entry less the name
+    that a model file rebuilds it from; without one it cannot be saved.
 
     This is the one writer of world.mechanisms: it appends and refuses a
     duplicate name, so a Kernel sees a new mechanism by the registry's size.
@@ -227,9 +222,8 @@ def register_mechanism(world: World, mechanism: Mechanism, spec: dict | None = N
         raise DuplicateNameError(f"mechanism {mechanism.name!r} already registered")
     if mechanism.on_signal is not None:
         need(world.compartments, mechanism.on_signal, "compartment to listen on")
+    mechanism.spec = spec
     world.mechanisms[mechanism.name] = mechanism
-    if spec is not None:
-        world.mechanism_specs.append({"name": mechanism.name, **spec})
     return mechanism
 
 
@@ -258,14 +252,9 @@ def guard_report(mechanism: Mechanism, world: World) -> dict[str, bool]:
     return values
 
 
-def fire(mechanism: Mechanism, kernel: Kernel, via: str, guard_values: dict[str, bool]):
-    """Record the firing of a mechanism whose guard held, then run its effect.
-
-    guard_values is the guard_report the caller has just taken, all true.
-    """
-    kernel.current_report.fired.append(
-        FiringRecord(mechanism.name, mechanism.subsystem, via, guard_values)
-    )
+def fire(mechanism: Mechanism, kernel: Kernel, via: str):
+    """Record the firing of a mechanism whose guard held, then run its effect."""
+    kernel.current_report.fired.append(FiringRecord(mechanism.name, via))
     mechanism.effect(kernel)
 
 
@@ -359,7 +348,7 @@ class Kernel:
         """Evaluate the guard once, then fire, or record the failing conditions."""
         values = guard_report(mechanism, self.world)
         if all(values.values()):
-            fire(mechanism, self, via, values)
+            fire(mechanism, self, via)
             return True
         failed = [d for d, ok in values.items() if not ok]
         self.current_report.guard_failures.append(

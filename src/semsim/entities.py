@@ -7,6 +7,8 @@ them in discrete units.
 """
 from __future__ import annotations
 
+import weakref
+
 from .errors import StateError, TransitionalError
 from .records import FrozenRecord, Record, set_field
 
@@ -23,10 +25,10 @@ TRANSITIONAL_KINDS = ("state_change", "birth", "death", "split", "merge")
 class StateSpace(FrozenRecord):
     """A named qualitative variable and its ordered set of labels.
 
-    Its label -> rank table and its label -> QualValue table are derived
-    once here, so they take no part in repr, ==, hash, copy or pickle. Each
-    of those QualValues refers back to the space, a cycle only the cyclic
-    collector frees; spaces are made while a model is built, never per step.
+    Its label -> rank table is derived here and its label -> QualValue table
+    as value() is asked, so neither takes part in repr, ==, hash, copy or
+    pickle. The table holds each QualValue, which refers to the space, weakly:
+    reference counting frees them, with no cycle for the collector.
     """
 
     _fields = ("variable", "labels", "scale_kind")
@@ -44,7 +46,7 @@ class StateSpace(FrozenRecord):
         set_field(self, "labels", labels)
         set_field(self, "scale_kind", scale_kind)
         set_field(self, "_ranks", {label: i for i, label in enumerate(labels)})
-        set_field(self, "_qual_values", {label: QualValue(self, label) for label in labels})
+        set_field(self, "_qual_values", {})  # label -> weakref.ref to its QualValue
 
     @property
     def first(self) -> str:
@@ -57,11 +59,16 @@ class StateSpace(FrozenRecord):
             raise self._outside(label) from None
 
     def value(self, label: str) -> QualValue:
-        """The one QualValue of label on this scale."""
+        """The QualValue of label on this scale: while one made here lives, that one."""
         try:
-            return self._qual_values[label]
-        except (KeyError, TypeError):  # TypeError: an unhashable label
+            ref = self._qual_values.get(label)
+        except TypeError:  # an unhashable label
             raise self._outside(label) from None
+        value = None if ref is None else ref()
+        if value is None:
+            value = QualValue(self, label)  # raises for a label outside the space
+            self._qual_values[label] = weakref.ref(value)
+        return value
 
     def _outside(self, label) -> StateError:
         return StateError(

@@ -8,7 +8,8 @@ Fluidic_Motion, and Natural_Features.
 A Fluidic_Motion binding whose Path is a PathSpec compiles to `path_flow`,
 the one path walk: the waterfall is such a binding. One whose Path is a
 declared circuit compiles to the one circuit flow: cardio's heartbeat is
-such a binding, its pulse line in the binding's Configuration.
+such a binding, its pulse line in the binding's Configuration. Each flow
+narrates its own moves; topology moves portions and emits nothing.
 """
 from __future__ import annotations
 
@@ -330,7 +331,9 @@ def path_flow(
 
 def _circuit_flow(mech_name, fluid, circuit, pulse=None):
     """A flow around a circuit. Each firing emits the pulse line, when there
-    is one, then moves every portion on the circuit one hop, all at once."""
+    is one, then moves every portion on the circuit one hop, all at once,
+    and emits "pushed <X>Blood" for each portion that left a blood_path
+    compartment X, in circuit order, then "trigger updates"."""
     if pulse is not None and not isinstance(pulse, str):
         raise ModelError(f"a circuit flow's pulse must be a trace line, not {pulse!r}")
 
@@ -340,8 +343,14 @@ def _circuit_flow(mech_name, fluid, circuit, pulse=None):
     def effect(kernel):
         if pulse is not None:
             kernel.emit_trace(pulse)
-        for line in topology.ring_push(kernel.world, circuit).trace_lines:
+        # Each portion's line, read in circuit order before the push moves it.
+        on_circuit = map(kernel.world.compartments.__getitem__, circuit.order)
+        lines = [f"pushed {comp.name}Blood" for comp in on_circuit
+                 if comp.medium == "blood_path" for _ in comp.contents]
+        topology.ring_push(kernel.world, circuit)
+        for line in lines:
             kernel.emit_trace(line)
+        kernel.emit_trace("trigger updates")
 
     return Mechanism(
         mech_name,

@@ -187,22 +187,23 @@ def _fired(spec: dict) -> list[str]:
             if kind == "fire"]
 
 
-def check_links(world: World, spec: dict):
-    """A mechanism's signals each reach one listening on their receiver, the
-    members it fires are registered, and none of them fires it again."""
+def check_links(world: World, name: str | None, spec: dict):
+    """Mechanism name's spec (None: a signal in transit's) signals only to listeners,
+    fires registered members only, and none of them fires it again."""
     listening = {m.on_signal for m in world.mechanisms.values()}
     for kind, *args in spec.get("effects", []) + spec.get("side_effects", []):
         if kind == "signal" and args[1] not in listening:
             raise UnknownEntityError(f"signal to {args[1]!r} has no receiving mechanism")
         if kind == "fire":
             need(world.mechanisms, args[0], "mechanism to fire")
-    name, specs = spec.get("name"), {s["name"]: s for s in world.mechanism_specs}
-    paths, seen = [(name,)], set()
+    # An unregistered member is reported by its own mechanism's check.
+    paths, seen = [((name,), spec)], set()
     while paths:
-        path = paths.pop()
-        for member in _fired(specs.get(path[-1], {})):
+        path, fired_by = paths.pop()
+        for member in _fired(fired_by):
             if member == name:
                 raise ModelError(f"fire cycle {' -> '.join(path + (member,))}")
-            if member not in seen:
+            registered = world.mechanisms.get(member)
+            if member not in seen and registered is not None and registered.spec is not None:
                 seen.add(member)
-                paths.append(path + (member,))
+                paths.append((path + (member,), registered.spec))

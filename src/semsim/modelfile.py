@@ -95,6 +95,12 @@ def _frame_to_dict(frame) -> dict:
             "non_core": list(frame.non_core_elements), "text": frame.definition_text}
 
 
+def _mechanism_to_dict(mechanism) -> dict:
+    if mechanism.spec is None:
+        raise ModelError(f"mechanism {mechanism.name!r} has no saved form (registered without a spec)")
+    return {"name": mechanism.name, **mechanism.spec}
+
+
 def save_model(world: World) -> dict:
     """Serialize the world to a JSON-compatible dict."""
     return {
@@ -191,7 +197,7 @@ def save_model(world: World) -> dict:
             for e in world.lexicon.values()
         ],
         "bindings": [_binding_to_dict(b.frame.name, b.element_map) for b in world.bindings],
-        "mechanisms": [dict(spec) for spec in world.mechanism_specs],
+        "mechanisms": [_mechanism_to_dict(m) for m in world.mechanisms.values()],
         "triggers": [
             {
                 "name": t.name,
@@ -541,9 +547,9 @@ def load_model(data: dict) -> World:
             models.BUILTIN_MECHANISMS[builtin](world, params)
 
     # A mechanism may signal or fire one that comes after it in the file.
-    for i, spec in enumerate(world.mechanism_specs):
+    for i, mechanism in enumerate(world.mechanisms.values()):
         with _diagnosed(f"mechanisms[{i}]"):
-            check_links(world, spec)
+            check_links(world, mechanism.name, mechanism.spec)
 
     for loc, t in _entries(data, "triggers"):
         with _diagnosed(loc):
@@ -582,7 +588,7 @@ def load_model(data: dict) -> World:
         with _diagnosed(f"signals[{i}]"):  # checked as the effect that sent it
             sent = ["signal", *signal]
             compile_items(world, EFFECTS, [sent], "signal")
-            check_links(world, {"effects": [sent]})
+            check_links(world, None, {"effects": [sent]})
             world.signals.append(Signal(*signal))
 
     return world

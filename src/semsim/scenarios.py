@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ScenarioError, UnknownEntityError
+from .errors import ScenarioError, SemsimError, need
 from .records import FrozenRecord, Record, set_field
 from .world import Annotation, World
 
@@ -46,19 +46,20 @@ def remove_connection(src: str, dst: str, conduit_kind: str = "fluid") -> Direct
 
 
 def apply_scenario(world: World, scenario: Scenario) -> Annotation:
-    """Apply every override; returns the annotation recording the scenario."""
-    for directive in scenario.overrides:
-        if directive.op == "disable_trigger":
-            (name,) = directive.args
-            if name not in world.triggers:
-                raise UnknownEntityError(f"scenario disables unknown trigger {name!r}")
-            world.triggers[name].enabled = False
-        elif directive.op == "set_ambient":
-            world.set_ambient(*directive.args)
-        elif directive.op == "set_state":
-            world.set_state(*directive.args)
-        elif directive.op == "remove_connection":
-            world.remove_connection(*directive.args)
+    """Apply every override in order; returns the annotation recording the scenario.
+    An override the world refuses raises a ScenarioError naming it, overrides[i]."""
+    for i, directive in enumerate(scenario.overrides):
+        try:
+            if directive.op == "disable_trigger":
+                need(world.triggers, directive.args[0], "trigger to disable").enabled = False
+            elif directive.op == "set_ambient":
+                world.set_ambient(*directive.args)
+            elif directive.op == "set_state":
+                world.set_state(*directive.args)
+            elif directive.op == "remove_connection":
+                world.remove_connection(*directive.args)
+        except SemsimError as exc:
+            raise ScenarioError(f"overrides[{i}]: {exc}") from exc
     world.scenarios[scenario.name] = scenario
     note = f"scenario {scenario.name!r} applied at step {world.clock}"
     return world.annotate(world.name, "user_comment", note)

@@ -6,7 +6,8 @@ move at once, so a portion can arrive in a compartment that the same commit
 vacates. ring_push (one hop around a circuit) and move (one portion) check
 each mover in the pass that collects it and hand commit plain tuples;
 commit checks capacity and merges, then applies. A commit that raises
-leaves the world unchanged.
+leaves the world unchanged. Movement emits no trace: a mechanism that moves
+portions narrates its own moves (frames' circuit flow, cardio's breath).
 """
 from __future__ import annotations
 
@@ -75,15 +76,13 @@ class Circuit(FrozenRecord):
 
 
 class CommitRecord(Record):
-    """A commit's entry in the world's change list: the moves it applied and
-    the trace lines for its caller to emit. Its splits and merges are the
-    Transitionals just before it in the list."""
+    """A commit's entry in the world's change list: the moves it applied. Its
+    splits and merges are the Transitionals just before it in the list."""
 
-    _fields = __slots__ = ("applied", "trace_lines")
+    _fields = __slots__ = ("applied",)
 
-    def __init__(self, applied: list[tuple[str, str, str]], trace_lines: list[str]):
+    def __init__(self, applied: list[tuple[str, str, str]]):
         self.applied = applied  # (portion, src, dst), split children included
-        self.trace_lines = trace_lines
 
 
 def commit(
@@ -91,23 +90,19 @@ def commit(
     moves: list[tuple[str, str, str]],
     splits: list[tuple[str, str, tuple[str, ...]]],
     movers: set[str],
-    vacated: list[str],
 ) -> CommitRecord:
     """Apply checked moves and splits as one simultaneous update.
 
     moves holds (portion, src, dst) and splits (portion, src, dsts), one
     child per dst; the caller has checked each portion live in its src and
-    connected to each dst. movers is every portion in either, and vacated
-    the source of each, in the order the trace reports them. moves becomes
+    connected to each dst. movers is every portion in either. moves becomes
     the record's applied list, split children appended.
 
     Portions overfilling a compartment merge when the medium is blood_path
     and all of them are one substance; any other overfill raises
     CapacityExceeded. Every overfill is checked before the first change, so
     a commit that raises leaves the world unchanged. Returns the record of
-    what happened; trace lines ("pushed <X>Blood" per vacated blood
-    compartment, then "trigger updates") are on the record for the caller
-    to emit, so silent commits stay possible.
+    the moves applied, which is also appended to world.changes.
     """
     # Where each mover lands: every move's destination first, then each
     # split's. Until it splits, a split parent stands in for each child.
@@ -168,14 +163,7 @@ def commit(
             for pid in arrived:
                 world._place(pid, dst)
 
-    lines = []
-    for cid in vacated:
-        comp = compartments[cid]
-        if comp.medium == "blood_path":
-            lines.append(f"pushed {comp.name}Blood")
-    lines.append("trigger updates")
-
-    record = CommitRecord(moves, lines)
+    record = CommitRecord(moves)
     world.changes.append(record)
     return record
 
@@ -188,7 +176,7 @@ def move(world, portion: str, src: str, dst: str) -> CommitRecord:
         raise PortionNotPresent(f"no live portion {portion!r} in {src!r}")
     if not world.is_connected(src, dst, "fluid"):
         raise PushWithoutConnection(f"no fluid connection {src!r} -> {dst!r}")
-    return commit(world, [(portion, src, dst)], [], {portion}, [src])
+    return commit(world, [(portion, src, dst)], [], {portion})
 
 
 def ring_push(world, circuit: Circuit) -> CommitRecord:
@@ -200,13 +188,11 @@ def ring_push(world, circuit: Circuit) -> CommitRecord:
     checks every successor's connection before its portions, and each
     portion must be live in the compartment that lists it and not already
     collected (a compartment the order repeats). The first that fails
-    raises with the world unchanged. The vacated compartments reach commit
-    in circuit order, one per portion.
+    raises with the world unchanged.
     """
     moves: list[tuple[str, str, str]] = []
     splits: list[tuple[str, str, tuple[str, ...]]] = []
     movers: set[str] = set()
-    vacated: list[str] = []
     portions, compartments, connections = world.portions, world.compartments, world.connections
     successors = circuit.successors
     for cid in circuit.order:
@@ -237,5 +223,4 @@ def ring_push(world, circuit: Circuit) -> CommitRecord:
             else:
                 splits.append((pid, cid, dsts))
             movers.add(pid)
-            vacated.append(cid)
-    return commit(world, moves, splits, movers, vacated)
+    return commit(world, moves, splits, movers)

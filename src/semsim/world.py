@@ -18,6 +18,7 @@ CommitRecord, or else the entity's id or the Connection added or removed.
 A snapshot refresh folds and empties it (see validation.Snapshot). Code
 that writes entity fields directly, as the model-file loader does while it
 builds a world, is safe only before a snapshot's first (full) build.
+Each mechanism in `mechanisms` carries its own saved form, its spec.
 """
 from __future__ import annotations
 
@@ -190,7 +191,6 @@ class World:
         self.connections: dict[tuple[str, str, str], Connection] = {}
         self.circuits: dict[str, Circuit] = {}
         self.mechanisms: dict = {}  # name -> Mechanism (engine module)
-        self.mechanism_specs: list[dict] = []  # declarative build records
         self.triggers: dict = {}  # name -> Trigger
         self.systems: dict[str, System] = {}
         self.scenarios: dict[str, object] = {}
@@ -673,8 +673,9 @@ class World:
             raise DuplicateNameError(f"compartment {name!r} already defined")
         if medium not in MEDIA:
             raise ModelError(f"medium must be one of {MEDIA}")
-        if capacity is not None and capacity < 1:
-            raise ModelError("capacity must be at least 1 (or None for unbounded)")
+        # type() rather than isinstance(): bool is an int subclass.
+        if capacity is not None and (type(capacity) is not int or capacity < 1):
+            raise ModelError(f"capacity must be an int >= 1, or None for unbounded, not {capacity!r}")
         comp = Compartment(name, name, medium, capacity, structure, region)
         self.compartments[name] = comp
         return comp

@@ -14,7 +14,8 @@ staged_ring_push stages a circuit portion by portion and staged_move stages
 one portion, so they check topology.ring_push and topology.move, which check
 each mover in the pass that collects it and apply through topology.commit.
 The oracle builds its own CommitRecord and shares no movement code with
-semsim.topology. total_displacement is the closed form of a path: what a portion that runs
+semsim.topology. staged_circuit_flow adds the circuit flow's narration, taken
+from the committed batch, so it checks the lines frames' circuit flow emits. total_displacement is the closed form of a path: what a portion that runs
 the whole path ends up displaced by.
 """
 from semsim import Triple, Var
@@ -161,14 +162,13 @@ def stage_split(world, batch, portion, src, dsts):
     return batch
 
 
-def commit_batch(world, batch, circuit=None):
+def commit_batch(world, batch):
     """Apply every staged move as one simultaneous update.
 
     Each destination gets its arrivals in staging order, moves before
     splits. A blood compartment overfilled by one substance merges its
     stayers and arrivals; any other overfill raises CapacityExceeded before
-    the first change. Vacated compartments report in circuit order when a
-    circuit is given, else moves' sources before splits'.
+    the first change.
     """
     portions, compartments = world.portions, world.compartments
     arrivals = {}
@@ -201,8 +201,7 @@ def commit_batch(world, batch, circuit=None):
         merging[dst] = stayers
 
     applied = [(m.portion, m.src, m.dst) for m in batch.moves]
-    vacated = [m.src for m in batch.moves] + [plan.src for plan in batch.splits]
-    record = CommitRecord(applied, [])
+    record = CommitRecord(applied)
     for plan in batch.splits:
         children = world.split_portion(plan.portion, len(plan.dsts))
         for child, dst in zip(children, plan.dsts):
@@ -216,13 +215,6 @@ def commit_batch(world, batch, circuit=None):
             for pid in arrived:
                 world._place(pid, dst)  # the record names it, as commit's does
 
-    if circuit is not None:
-        vacated.sort(key=circuit.order.index)
-    for cid in vacated:
-        comp = compartments[cid]
-        if comp.medium == "blood_path":
-            record.trace_lines.append(f"pushed {comp.name}Blood")
-    record.trace_lines.append("trigger updates")
     world.changes.append(record)
     return record
 
@@ -230,6 +222,11 @@ def commit_batch(world, batch, circuit=None):
 def staged_ring_push(world, circuit):
     """One hop around the circuit: stage each portion in circuit order, each
     compartment's portions in its contents order, then commit the batch."""
+    return commit_batch(world, staged_circuit(world, circuit))
+
+
+def staged_circuit(world, circuit):
+    """The batch of one hop around the circuit, staged and not committed."""
     batch = MoveBatch()
     for cid in circuit.order:
         succ = circuit.successors.get(cid, ())
@@ -240,7 +237,19 @@ def staged_ring_push(world, circuit):
                 stage_move(world, batch, pid, cid, succ[0])
             else:
                 stage_split(world, batch, pid, cid, succ)
-    return commit_batch(world, batch, circuit)
+    return batch
+
+
+def staged_circuit_flow(world, circuit):
+    """A circuit flow's push and narration: the commit record and the lines,
+    "pushed <X>Blood" for each staged portion's blood_path source X, sources
+    sorted into circuit order, then "trigger updates"."""
+    batch = staged_circuit(world, circuit)
+    vacated = [m.src for m in batch.moves] + [plan.src for plan in batch.splits]
+    vacated.sort(key=circuit.order.index)
+    lines = [f"pushed {world.compartments[cid].name}Blood" for cid in vacated
+             if world.compartments[cid].medium == "blood_path"]
+    return commit_batch(world, batch), lines + ["trigger updates"]
 
 
 def staged_move(world, portion, src, dst):

@@ -429,6 +429,12 @@ def test_malformed_model_file_exits_1_naming_the_section(tmp_path, capsys, comma
         ([{"op": "fly"}], "overrides[0]: unknown op 'fly'"),
         ([{"op": "disable_trigger", "target": "Flow", "extra": 1}],
          "overrides[0]: disable_trigger takes no field 'extra'"),
+        # Well formed, but the world refuses the write.
+        ([{"op": "set_state", "target": "water", "variable": "phase", "label": "solid"},
+          {"op": "set_state", "target": "water", "variable": "temperature", "label": "hot"}],
+         "overrides[1]: substances only have a phase, not 'temperature'"),
+        ([{"op": "set_state", "target": "pool", "variable": "depth", "label": "deep"}],
+         "overrides[0]: variable 'depth' not declared for kind 'Place'"),
     ],
 )
 def test_malformed_scenario_exits_1_naming_the_override(tmp_path, capsys, overrides, expected):
@@ -517,6 +523,17 @@ def assert_refused_at_load(tmp_path, capsys, data, message):
     args = ["run", "--model", str(path), "--steps", "2", "--trace", str(tmp_path / "t")]
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("capacity", [True, 2.5, "2"], ids=repr)
+def test_a_capacity_that_is_no_int_is_refused_at_load(tmp_path, capsys, capacity):
+    # It once loaded and ran, and validate-file printed ok: for it.
+    data = save_model(build_cardio())
+    data["compartments"][2]["capacity"] = capacity
+    assert_refused_at_load(
+        tmp_path, capsys, data,
+        f"compartments[2]: capacity must be an int >= 1, or None for unbounded, not {capacity!r}",
+    )
 
 
 def test_a_path_flow_whose_goal_is_no_place_is_refused_at_load(tmp_path, capsys):
@@ -1064,13 +1081,13 @@ def _cyclic_garbage_after(config) -> int:
 def test_a_finished_runs_history_is_freed_by_reference_counting(tmp_path, model, policy):
     # test_a_run_makes_no_cyclic_garbage collects while the kernel is alive,
     # so a cycle through the kernel itself passes there; here the whole
-    # history must go when run_command drops the kernel. What the model's
-    # build leaves for the collector is the same for any number of steps.
+    # history must go when run_command drops the kernel, and so must the
+    # model's build: a state space holds its values weakly, so it makes no cycle.
     def config(steps):
         return RunConfig(model=model, steps=steps, validate_policy=policy,
                          trace_path=str(tmp_path / f"{steps}.trace"))
 
-    assert _cyclic_garbage_after(config(200)) == _cyclic_garbage_after(config(0))
+    assert _cyclic_garbage_after(config(200)) == _cyclic_garbage_after(config(0)) == 0
 
 
 def test_a_run_keeps_a_freeze_its_caller_made(tmp_path):

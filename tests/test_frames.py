@@ -384,9 +384,10 @@ def test_cardio_heartbeat_is_the_circuit_flow_of_its_binding(cardio_kernel):
         (r.step, f) for r in cardio_kernel.reports for f in r.fired if f.mechanism == "HeartbeatPush"
     ]
     assert len(beats) == 10
-    for _, beat in beats:
-        assert beat.subsystem == "circulation"
-        assert beat.guard_values == {"blood is fluid": True, "circuit occupied": True}
+    heartbeat = cardio_kernel.world.mechanisms["HeartbeatPush"]
+    assert heartbeat.subsystem == "circulation"
+    assert [c.description for c in heartbeat.guard] == ["blood is fluid", "circuit occupied"]
+    assert {beat.via for _, beat in beats} == {"trigger:SANode"}
     pulses = [e.step for e in cardio_kernel.trace if e.line == "SANode pulse"]
     assert pulses == [step for step, _ in beats]
 

@@ -14,8 +14,8 @@ Only a snapshot's refresh and the kernel's step empty the change list, and
 only World.__init__ starts it. A full build (a fresh Snapshot, as a full
 recompute and derive_triples make) must leave it for the kernel's snapshot.
 
-Five more facts have one writer each. A builtin mechanism's spec is recorded
-by register_mechanism, so a model file names the mechanism a factory built.
+Five more facts have one writer each. A mechanism's spec, its saved form, is
+set by register_mechanism, so a model file names the mechanism a factory built.
 A step's trace events are kept on its StepReport, appended by
 Kernel.emit_trace, so the trace lists exactly the finished steps' events.
 The fault that ends stepping is kept by Kernel.step, which stores whatever
@@ -91,7 +91,7 @@ CHANGE_CONSUMERS = {
     ("world.py", "World.__init__"), ("validation.py", "Snapshot.refresh"), ("engine.py", "Kernel.step"),
 }
 RECORD_WRITERS = {
-    "mechanism_specs": {("world.py", "World.__init__"), ("engine.py", "register_mechanism")},
+    "spec": {("engine.py", "Mechanism.__init__"), ("engine.py", "register_mechanism")},
     "lines": {("engine.py", "StepReport.__init__"), ("engine.py", "Kernel.emit_trace")},
     "fault": {("engine.py", "Kernel.__init__"), ("engine.py", "Kernel.step")},
     "clock": {("world.py", "World.__init__"), ("engine.py", "Kernel.step"),
@@ -305,13 +305,13 @@ class Console:
         self.kernel.fault = None
 
 def build(world, spec, report):
-    world.mechanism_specs.append(spec)
-    world.mechanism_specs += [spec]
-    world.mechanism_specs[0] = spec
+    world.mechanisms["M"].spec = spec
+    mechanism.spec["effects"] += [spec]
+    mechanism.spec["guard"] = []
     report.lines, n = [], 0
     report.lines.clear()
-    n = len(report.lines) + len(world.mechanism_specs)
-    specs = list(world.mechanism_specs)
+    n = len(report.lines) + len(mechanism.spec)
+    spec = dict(mechanism.spec)
     world.clock += 1
     signals, world.signals = world.signals, []
     world.signals.append(signal)
@@ -320,9 +320,9 @@ def build(world, spec, report):
     assert record_writes(source) == [
         (4, "lines", "Kernel.emit_trace"),
         (8, "fault", "Console._step"),
-        (11, "mechanism_specs", "build"),
-        (12, "mechanism_specs", "build"),
-        (13, "mechanism_specs", "build"),
+        (11, "spec", "build"),
+        (12, "spec", "build"),
+        (13, "spec", "build"),
         (14, "lines", "build"),
         (15, "lines", "build"),
         (18, "clock", "build"),

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from semsim import Kernel
+from semsim import Kernel, Mechanism
 from semsim.cli import EXIT_CONFIG, main
+from semsim.engine import register_mechanism
 from semsim.errors import ModelError, StateError, TraceVocabularyError, UnknownEntityError
 from semsim.mechanisms import CONDITIONS, EFFECTS, build_mechanism, check_links, compile_items
 from semsim.modelfile import load_model, save_model
@@ -189,17 +190,20 @@ def test_a_guard_or_effect_list_must_be_a_list_and_an_entry_has_known_fields():
         build_mechanism(world, {"name": "M", "guard": [], "effect": []})
     with pytest.raises(UnknownEntityError, match="no compartment to listen on 'lungs'"):
         build_mechanism(world, {"name": "M", "guard": [], "effects": [], "on_signal": "lungs"})
-    assert "M" not in world.mechanisms and len(world.mechanism_specs) == 7
+    assert "M" not in world.mechanisms and len(world.mechanisms) == 7
 
 
 def test_links_are_checked_against_every_registered_mechanism():
     world = build_cardio()
-    for spec in world.mechanism_specs:
-        check_links(world, spec)
+    for mechanism in world.mechanisms.values():
+        check_links(world, mechanism.name, mechanism.spec)
     with pytest.raises(UnknownEntityError, match="no mechanism to fire 'Nope'"):
-        check_links(world, {"effects": [["fire", "Nope"]]})
+        check_links(world, "M", {"effects": [["fire", "Nope"]]})
     with pytest.raises(UnknownEntityError, match="signal to 'Medulla' has no receiving mechanism"):
-        check_links(world, {"effects": [], "side_effects": [["signal", "Diaphragm", "Medulla", "x"]]})
+        check_links(world, "M", {"effects": [], "side_effects": [["signal", "Diaphragm", "Medulla", "x"]]})
+    # A mechanism without a saved form fires nothing a spec could name.
+    register_mechanism(world, Mechanism("Bare", guard=(), effect=lambda kernel: None))
+    check_links(world, "M", {"effects": [["fire", "Bare"]]})
 
 
 @pytest.mark.parametrize(

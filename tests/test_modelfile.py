@@ -3,12 +3,16 @@ import json
 
 import pytest
 
-from semsim import Kernel
+from pathlib import Path
+
+from semsim import Kernel, Mechanism, Trigger
 from semsim.cli import standard_rules
-from semsim.errors import SchemaError
+from semsim.engine import register_mechanism, register_trigger
+from semsim.errors import ModelError, SchemaError
 from semsim.frames import bind, instantiate_fluidic_motion
 from semsim.modelfile import load_model, load_model_file, save_model, save_model_file, upgrade
-from semsim.models import build_cardio, build_waterfall, medulla_sense
+from semsim.models import build_builtin, build_cardio, build_waterfall, medulla_sense
+from semsim.scenarios import apply_scenario, load_scenario
 from semsim.validation import derive_triples
 
 from saved_forms import (
@@ -246,6 +250,31 @@ def test_a_version_1_file_without_its_version_marker_loads_as_version_1():
     )
 
 
+def test_a_mechanism_registered_without_a_spec_is_refused_by_save_model():
+    # A saved file without it would fail to load: its trigger names no mechanism.
+    world = build_cardio()
+    register_mechanism(world, Mechanism("Extra", guard=(), effect=lambda kernel: None))
+    register_trigger(world, Trigger("ExtraTimer", 3, "Extra"))
+    with pytest.raises(ModelError, match="mechanism 'Extra' has no saved form"):
+        save_model(world)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+
+
+@pytest.mark.parametrize("model, scenario", [
+    ("cardio", None), ("cardio", "heart_stop"), ("cardio", "cut_phrenic"),
+    ("waterfall", None), ("waterfall", "freeze"),
+])
+def test_every_shipped_model_and_scenario_round_trips_unchanged(model, scenario):
+    world = build_builtin(model, portions=3 if model == "waterfall" else None)
+    if scenario is not None:
+        apply_scenario(world, load_scenario(str(SCENARIOS / f"{scenario}.json")))
+    saved = json.dumps(save_model(world))
+    assert [entry["name"] for entry in json.loads(saved)["mechanisms"]] == list(world.mechanisms)
+    assert json.dumps(save_model(load_model(json.loads(saved)))) == saved
+
+
 def test_roundtrip_through_file(tmp_path):
     path = tmp_path / "cardio.json"
     save_model_file(build_cardio(), path)
@@ -414,6 +443,57 @@ def test_vocabulary_literals_and_patterns_are_lists_of_strings(vocabulary):
     with pytest.raises(SchemaError) as exc:
         load_model(data)
     assert str(exc.value) == "vocabulary: literals and patterns must be lists of strings"
+
+
+def _append(section, entry):
+    """Add entry at the end of a section; the refusal names that index."""
+    def breach(data):
+        data[section].append(entry(data) if callable(entry) else entry)
+        return f"{section}[{len(data[section]) - 1}]"
+    return breach
+
+
+def _set(section, field, value):
+    """Set a field of a section's first entry; the refusal names it."""
+    def breach(data):
+        data[section][0][field] = value
+        return f"{section}[0]"
+    return breach
+
+
+@pytest.mark.parametrize("breach, message", [
+    (_append("scales", lambda data: data["scales"][0]), "scale 'O2Level' already defined"),
+    (_append("substances", lambda data: data["substances"][0]), "substance 'blood' already defined"),
+    (_append("kinds", {"name": "Orphan", "parent": "Ghost"}), "parent kind 'Ghost' not defined"),
+    (_append("kinds", {"name": "Shell", "part_schema": [
+        {"role_name": "core", "part_kind": "Ghost", "cardinality": [1]}]}),
+     "part kind 'Ghost' of role 'core' not defined"),
+    (_append("kinds", {"name": "Ichor", "substance": "ichor"}), "substance 'ichor' not defined"),
+    (_set("compartments", "medium", "lymph_path"),
+     "medium must be one of ('blood_path', 'air_path', 'other')"),
+    (_set("compartments", "capacity", True),
+     "capacity must be an int >= 1, or None for unbounded, not True"),
+    (_set("compartments", "capacity", 2.5),
+     "capacity must be an int >= 1, or None for unbounded, not 2.5"),
+    (_set("compartments", "capacity", "2"),
+     "capacity must be an int >= 1, or None for unbounded, not '2'"),
+    (_set("connections", "kind", "wire"), "conduit kind must be one of ('fluid', 'nerve')"),
+    (_append("circuits", lambda data: data["circuits"][0]), "circuit 'cardio' already defined"),
+    (_append("triggers", lambda data: data["triggers"][0]), "trigger 'SANode' already registered"),
+    (_append("triggers", {"name": "Ghostly", "period": 2, "target": "Ghost"}),
+     "trigger target 'Ghost' is not a mechanism"),
+    (_append("systems", lambda data: data["systems"][0]), "system 'circulation' already defined"),
+    (_append("systems", {"name": "haunting", "members": ["Ghost"]}),
+     "system member 'Ghost' is not a mechanism"),
+    (_append("annotations", {"kind": "rumour", "target": "cardio", "note": ""}),
+     "unknown annotation kind 'rumour'"),
+], ids=lambda case: case if isinstance(case, str) else None)
+def test_an_entry_the_world_refuses_is_named(breach, message):
+    data = save_model(build_cardio())
+    loc = breach(data)
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == f"{loc}: {message}"
 
 
 @pytest.mark.parametrize("count", [True, False, -1, 1.0, "1"])

@@ -229,16 +229,19 @@ def test_empty_scenario_changes_nothing():
 
 
 def test_scenario_dangling_directives_rejected():
-    from semsim.errors import UnknownEntityError
+    from semsim.errors import ScenarioError, UnknownEntityError
     from semsim.scenarios import disable_trigger, remove_connection, set_state
 
     world = build_cardio()
-    with pytest.raises(UnknownEntityError):
-        apply_scenario(world, Scenario("x", [disable_trigger("NoSuchTrigger")]))
-    with pytest.raises(UnknownEntityError):
-        apply_scenario(world, Scenario("y", [remove_connection("A", "B")]))
-    with pytest.raises(UnknownEntityError):
-        apply_scenario(world, Scenario("z", [set_state("ghost", "phase", "solid")]))
+    for directive, message in [
+        (disable_trigger("NoSuchTrigger"), "no trigger to disable 'NoSuchTrigger'"),
+        (remove_connection("A", "B"), "no connection ('A', 'B', 'fluid')"),
+        (set_state("ghost", "phase", "solid"), "no entity 'ghost'"),
+    ]:
+        with pytest.raises(ScenarioError) as exc:
+            apply_scenario(world, Scenario("x", [heart_stop().overrides[0], directive]))
+        assert str(exc.value) == f"overrides[1]: {message}"
+        assert isinstance(exc.value.__cause__, UnknownEntityError)
 
 
 # ----------------------------------------------------------------------
@@ -293,10 +296,8 @@ def test_alveolar_exchange_flips_both_portions():
 
 def test_cell_respiration_consumes_o2():
     world, kernel = cardio_kernel(40)
-    for report in kernel.reports:
-        for record in report.fired:
-            if record.mechanism == "CellRespiration":
-                assert record.guard_values["blood at CellCap has O2Level=high"]
+    guard = [c.description for c in world.mechanisms["CellRespiration"].guard]
+    assert "blood at CellCap has O2Level=high" in guard
     assert any(
         l == "CellCapBlood O2 diffusion" for l in kernel.trace_lines()
     )
@@ -376,7 +377,7 @@ def test_tick_with_only_pacemaker_due_is_circulation_only():
     world, kernel = cardio_kernel(4, config=config)
     # tick 3: 3 % 4, 3 % 5, 3 % 7 are all nonzero, so only the SA node fires
     report = kernel.reports[3]
-    assert {f.subsystem for f in report.fired} == {"circulation"}
+    assert {world.mechanisms[f.mechanism].subsystem for f in report.fired} == {"circulation"}
     lines = set(report.lines)
     assert lines <= {"SANode pulse", "trigger updates"} | {
         f"pushed {n}Blood" for n in world.circuits["cardio"].order

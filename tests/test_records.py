@@ -266,7 +266,7 @@ EXAMPLES = [
     Directive("disable_trigger", ("SANode",)),
     Compartment("A", "A", contents=["p"]),
     MoveBatch(),
-    CommitRecord([("p", "A", "B")], ["pushed ABlood"]),
+    CommitRecord([("p", "A", "B")]),
     AssertionRule("r", TriplePattern(Var("p"), "locatedIn", Var("c")), reads={"locatedIn"}),
     Violation("rule", {"c": "A"}),
     ValidationReport([Violation("rule")]),
@@ -278,7 +278,7 @@ EXAMPLES = [
     Microworld(),
     Mechanism("M", (ALWAYS,), lambda kernel: None),
     Trigger("t", 2, "M"),
-    FiringRecord("M", "core", "trigger:t", {"always": True}),
+    FiringRecord("M", "trigger:t"),
     GuardFailure("M", "trigger:t", ["always"]),
     StepReport(0, lines=["x"], validation=ValidationReport()),
     FrameBinding(Frame("F", ("Theme",)), {"Theme": "water"}),
@@ -350,8 +350,7 @@ def test_a_kernel_that_has_traced_a_line_deep_copies():
     "make, tables",
     [
         (lambda: StateSpace("O2Level", ("low", "mid", "high"), "ordinal"),
-         {"_ranks": {"low": 0, "mid": 1, "high": 2},
-          "_qual_values": {label: QualValue(O2_3, label) for label in ("low", "mid", "high")}}),
+         {"_ranks": {"low": 0, "mid": 1, "high": 2}, "_qual_values": {}}),
         (lambda: Vocabulary({"a"}, (r"\d+ pool", "b+")),
          {"_literal_table": {"a": "a"},
           "_compiled": (re.compile(r"\d+ pool"), re.compile("b+"))}),
@@ -381,6 +380,12 @@ def test_a_state_spaces_rank_table_answers_index_and_rank():
 def test_a_state_space_keeps_one_qual_value_per_label_and_set_state_uses_it():
     space = StateSpace("O2Level", ("low", "mid", "high"), "ordinal")
     assert space.value("mid") is space.value("mid") == QualValue(space, "mid")
+    # The space holds it weakly: while one is alive, value() returns it.
+    mid = space.value("mid")
+    assert space.value("mid") is mid
+    del mid
+    assert space._qual_values["mid"]() is None
+    assert space.value("mid") == QualValue(space, "mid")
     for outside in ("none", ["low"]):
         with pytest.raises(StateError, match=r"label .* is outside the 'O2Level' space \["):
             space.value(outside)
@@ -389,6 +394,9 @@ def test_a_state_space_keeps_one_qual_value_per_label_and_set_state_uses_it():
     scale = blood.properties["O2Level"].scale
     world.set_state(blood.id, "O2Level", "low")
     assert blood.properties["O2Level"] is scale.value("low")
+    other = world.live_portions("blood")[1]
+    world.set_state(other.id, "O2Level", "low")
+    assert other.properties["O2Level"] is blood.properties["O2Level"]
     with pytest.raises(StateError, match="is outside the 'O2Level' space"):
         world.set_state(blood.id, "O2Level", "medium")
 

@@ -177,13 +177,13 @@ def test_writing_outputs_does_not_build_the_whole_document(tmp_path):
     [
         TraceEvent(0, "SANode pulse"),
         StepReport(0),
-        FiringRecord("m", "core", "trigger:t", {"ok": True}),
+        FiringRecord("m", "trigger:t"),
         GuardFailure("m", "trigger:t", ["ok"]),
         Violation("rule"),
         ValidationReport(),
         Transitional("birth", ("p",), ("blood",)),
         Portion("p", "blood"),
-        CommitRecord([], []),
+        CommitRecord([]),
     ],
     ids=lambda record: type(record).__name__,
 )

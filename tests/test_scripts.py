@@ -1,4 +1,5 @@
 """Each example script under scripts/ runs to completion."""
+import os
 import shutil
 import subprocess
 import sys
@@ -88,3 +89,40 @@ def test_ab_steps_compares_a_checkout_with_itself(tmp_path):
     assert result.stderr == (
         "waterfall --validate halt: the checkouts differ in trace lines or transitional count\n"
     )
+
+
+def test_coverage_reports_the_lines_no_test_ran(tmp_path):
+    script = SCRIPTS[0].parent / "coverage.py"
+    package = tmp_path / "tiny"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "sign.py").write_text(
+        "def sign(n):\n"          # 1
+        "    if n < 0:\n"         # 2
+        "        return -1\n"     # 3
+        "    return 1\n"          # 4
+        "\n"
+        "\n"
+        "def zero():\n"           # 7
+        "    return 0\n"          # 8
+    )
+    (tmp_path / "test_tiny.py").write_text(
+        "from tiny.sign import sign, zero\n\n\n"
+        "def test_positive():\n    assert sign(3) == 1\n\n\n"
+        "def test_untraced():\n    assert zero() == 0\n"
+    )
+    result = subprocess.run(
+        [sys.executable, str(script), "--source", str(package), "--untraced", "test_untraced",
+         "--", "test_tiny.py", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert "2 passed" in lines[-4]
+    # Line 8 ran only under the untraced test, so it counts as unexecuted.
+    assert lines[-3:] == [
+        "__init__.py: 0 of 0 unexecuted",
+        "sign.py: 2 of 6 unexecuted: 3, 8",
+        "total: 2 of 6 executable lines unexecuted (4 run)",
+    ]

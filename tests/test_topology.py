@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsim import Portion, Transitional, World, topology
+from semsim import Kernel, Portion, Transitional, Vocabulary, World, topology
 from semsim.errors import (
     CapacityExceeded,
     DeadSubjectError,
@@ -17,9 +17,10 @@ from semsim.errors import (
     UnknownEntityError,
 )
 
+from semsim.frames import _circuit_flow
 from semsim.validation import Snapshot, capacity_rule, derive_triples
 
-from reference import staged_move, staged_ring_push
+from reference import staged_circuit_flow, staged_move, staged_ring_push
 
 
 def world_state(w):
@@ -30,6 +31,15 @@ def world_state(w):
         len(w.transitional_log),
         list(w.changes),
     )
+
+
+def flow_push(w, circuit):
+    """One firing of a circuit flow over circuit: the commit record it made
+    and the lines it emitted."""
+    w.vocabulary = Vocabulary(patterns=(r"pushed \w+Blood", "trigger updates"))
+    kernel = Kernel(w, validate_policy="off")
+    _circuit_flow("Flow", "blood", circuit).effect(kernel)
+    return w.changes[-1], kernel.current_report.lines
 
 
 def transitionals(w, kind):
@@ -176,22 +186,21 @@ def test_staging_is_pure():
     assert world_state(w) == before
 
 
-def test_commit_moves_and_traces():
+def test_move_commits_and_records_one_move():
     w, names = line_world()
     p = w.create_portion("blood", compartment="C0")
     record = topology.move(w, p.id, "C0", "C1")
     assert w.compartments["C1"].contents == [p.id]
     assert p.compartment == "C1" and p.location_state == "C1"
     assert record.applied == [(p.id, "C0", "C1")]
-    assert record.trace_lines == ["pushed C0Blood", "trigger updates"]
     assert w.changes[-1] is record
 
 
-def test_commit_empty_batch_is_noop_with_trigger_updates():
+def test_commit_empty_batch_is_noop():
     w, names = line_world()
-    record = topology.commit(w, [], [], set(), [])
+    record = topology.commit(w, [], [], set())
     assert record.applied == []
-    assert record.trace_lines == ["trigger updates"]
+    assert w.changes[-1] is record
 
 
 def test_air_capacity_collision_is_error():
@@ -207,7 +216,7 @@ def test_air_capacity_collision_is_error():
     moves = [(pa.id, "A", "Nose"), (pb.id, "B", "Nose")]
     before = world_state(w)
     with pytest.raises(CapacityExceeded, match="merging disallowed for air_path"):
-        topology.commit(w, moves, [], {pa.id, pb.id}, ["A", "B"])
+        topology.commit(w, moves, [], {pa.id, pb.id})
     assert world_state(w) == before
 
 
@@ -222,7 +231,7 @@ def test_blood_capacity_collision_merges():
     pa = w.create_portion("blood", compartment="A")
     pb = w.create_portion("blood", compartment="B")
     moves = [(pa.id, "A", "RA"), (pb.id, "B", "RA")]
-    topology.commit(w, moves, [], {pa.id, pb.id}, ["A", "B"])
+    topology.commit(w, moves, [], {pa.id, pb.id})
     (merge,) = transitionals(w, "merge")
     merged = w.portions[merge.results[0]]
     assert merged.compartment == "RA"
@@ -251,10 +260,8 @@ def cardio_ring():
 
 def test_ring_push_stages_one_move_per_occupied_compartment():
     w, circuit = cardio_ring()
-    record = topology.ring_push(w, circuit)
-    assert record.trace_lines == [f"pushed {cid}Blood" for cid in circuit.order] + [
-        "trigger updates"
-    ]
+    record, lines = flow_push(w, circuit)
+    assert lines == [f"pushed {cid}Blood" for cid in circuit.order] + ["trigger updates"]
     assert [t.subjects for t in transitionals(w, "split")] == [("b-1",)]
     # Six moves, then the two children LV's portion split into.
     assert [src for _pid, src, _dst in record.applied] == [
@@ -266,9 +273,9 @@ def test_ring_push_empty_circuit_is_empty_batch():
     w, circuit = cardio_ring()
     for p in list(w.live_portions()):
         w.kill(p.id)
-    record = topology.ring_push(w, circuit)
+    record, lines = flow_push(w, circuit)
     assert record.applied == []
-    assert record.trace_lines == ["trigger updates"]
+    assert lines == ["trigger updates"]
 
 
 def test_full_pulse_conserves_portions_and_occupancy():
@@ -282,29 +289,11 @@ def test_full_pulse_conserves_portions_and_occupancy():
 
 def test_pulse_traces_in_circuit_order():
     w, circuit = cardio_ring()
-    record = topology.ring_push(w, circuit)
-    assert record.trace_lines == [
+    _record, lines = flow_push(w, circuit)
+    assert lines == [
         "pushed LABlood", "pushed LVBlood", "pushed MCBlood", "pushed CCBlood",
         "pushed RABlood", "pushed RVBlood", "pushed ACBlood", "trigger updates",
     ]
-
-
-def test_a_compartment_off_the_circuit_reports_after_those_on_it():
-    # commit reports the vacated compartments in the order it is handed them.
-    w, circuit = cardio_ring()
-    w.kill("b-1")  # LV is empty, so nothing splits
-    w.add_compartment("X", "blood_path", 1)
-    w.connect("X", "LA", "fluid")
-    w.create_portion("blood", entity_id="x-0", compartment="X")
-    moves = [
-        (pid, cid, circuit.successors[cid][0])
-        for cid in circuit.order for pid in w.compartments[cid].contents
-    ] + [("x-0", "X", "LA")]
-    record = topology.commit(w, moves, [], {pid for pid, _src, _dst in moves},
-                             [src for _pid, src, _dst in moves])
-    assert record.trace_lines == [
-        f"pushed {cid}Blood" for cid in ("LA", "MC", "CC", "RA", "RV", "AC", "X")
-    ] + ["trigger updates"]
 
 
 def test_circuit_with_unwired_hop_errors_at_staging():
@@ -411,6 +400,18 @@ def test_ring_push_stages_as_stage_move_and_stage_split_do(data):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
+def test_a_circuit_flow_narrates_its_push_as_the_staged_oracle_does(data):
+    # One line per portion leaving a blood compartment, in circuit order,
+    # whatever moves, splits or merges; a push that raises narrates nothing.
+    w, circuit = random_world(data)
+    twin = copy.deepcopy(w)
+    assert _outcome(w, lambda w: flow_push(w, circuit)) == _outcome(
+        twin, lambda w: staged_circuit_flow(w, circuit)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
 def test_move_commits_as_the_staged_oracle_does(data):
     w, _circuit = random_world(data)
     names = sorted(w.compartments)
@@ -473,7 +474,7 @@ def test_conservation_over_random_batches(data):
             occupied.append((f"p{i}", name))
 
     before = len(w.live_portions("blood"))
-    moves, splits, movers, vacated = [], [], set(), []
+    moves, splits, movers = [], [], set()
     split_gain = 0
     for pid, src in occupied:
         dsts = [b for (a, b) in edges if a == src]
@@ -488,8 +489,7 @@ def test_conservation_over_random_batches(data):
         else:
             continue
         movers.add(pid)
-        vacated.append(src)
-    topology.commit(w, moves, splits, movers, vacated)
+    topology.commit(w, moves, splits, movers)
     merge_loss = sum(len(t.subjects) - 1 for t in transitionals(w, "merge"))
     assert len(w.live_portions("blood")) == before + split_gain - merge_loss
 

@@ -13,6 +13,8 @@ from semsim.validation import (
     register_rule,
 )
 
+from reference import reference_triples
+
 
 def small_world():
     w = World("w")
@@ -52,9 +54,14 @@ def test_derive_triples_object_states_and_parts():
     cart = w.instantiate("Cart")
     wheel = w.instantiate("Wheel")
     w.add_part(cart.id, "wheels", wheel.id)
+    # A qualitative property, as a model file's object may carry one.
+    tone = w.define_scale(StateSpace("tone", ("slack", "taut"), "binary"))
+    cart.properties["tone"] = tone.value("taut")
     triples = derive_triples(w)
     assert Triple(cart.id, "hasState:motion", "still") in triples
     assert Triple(cart.id, "hasPart:wheels", wheel.id) in triples
+    assert Triple(cart.id, "hasState:tone", "taut") in triples
+    assert triples == reference_triples(w)
 
 
 def test_cardio_initial_world_has_seven_blood_locations(cardio_world):
@@ -108,11 +115,19 @@ def test_fluidity_rule_flags_frozen_mid_path():
     )
     p = w.instantiate("WaterPortion")
     w.set_state(p.id, "Location", "drop")
+    # Another substance's portion mid-path is not the rule's to flag.
+    w.define_substance("oil", phase="liquid")
+    w.define_kind("OilPortion", parent="WaterPortion", substance="oil")
+    oil = w.instantiate("OilPortion")
+    w.set_state(oil.id, "Location", "drop")
     rules = {}
     register_rule(rules, fluidity_rule("water"))
     assert not Snapshot(w).violations(rules)
     w.set_state("water", "phase", "solid")
-    assert [v.rule for v in Snapshot(w).violations(rules)] == ["water-fluid-while-moving"]
+    w.set_state("oil", "phase", "solid")
+    assert [(v.rule, v.bindings["p"]) for v in Snapshot(w).violations(rules)] == [
+        ("water-fluid-while-moving", p.id)
+    ]
 
 
 def test_validate_is_pure():

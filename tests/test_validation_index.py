@@ -101,6 +101,12 @@ def test_repeated_variable_pattern_binds_once():
     assert pattern.match(Triple("a", "q", "a")) is None
 
 
+def test_predicate_only_pattern_binds_subject_and_object():
+    pattern = TriplePattern(Var("s"), "p", Var("o"))
+    assert pattern.match(Triple("a", "p", "b")) == {"s": "a", "o": "b"}
+    assert pattern.match(Triple("a", "q", "b")) is None
+
+
 # ----------------------------------------------------------------------
 # shipped models, step by step
 
@@ -200,7 +206,7 @@ def test_registry_tracks_random_lifecycles(data):
             where = data.draw(st.sampled_from(compartments), label="to")
             w.place_portion(data.draw(st.sampled_from(live)), where)
         elif op == "move" and placed:
-            moves, splits, vacated = [], [], []
+            moves, splits = [], []
             movers = st.lists(st.sampled_from(placed), min_size=1, max_size=3, unique=True)
             for pid in data.draw(movers, label="movers"):
                 src = w.portions[pid].compartment
@@ -209,8 +215,7 @@ def test_registry_tracks_random_lifecycles(data):
                     splits.append((pid, src, dsts))
                 else:
                     moves.append((pid, src, data.draw(st.sampled_from(dsts))))
-                vacated.append(src)
-            topology.commit(w, moves, splits, {pid for pid, _src, _dst in moves + splits}, vacated)
+            topology.commit(w, moves, splits, {pid for pid, _src, _dst in moves + splits})
         assert_registry_consistent(w)
         assert_placement_invariant(w)
         for cid in compartments:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Line coverage of a package under its tests, with the standard library only.
 
-    python3 scripts/coverage.py [--source DIR] [--untraced NAME ...] [-- PYTEST_ARGS]
+    python3 scripts/coverage.py [--source DIR] [-- PYTEST_ARGS]
 
 Runs pytest in this process (default arguments: `tests -q`) with a
 sys.settrace hook that records each line run in a file under --source
@@ -10,11 +10,11 @@ every code object compiled from it (dis.findlinestarts), as the standard
 `trace` module counts them. For each file it prints how many of those lines
 no test ran, and which, as ranges; then the totals.
 
-The hook is off while a test named by --untraced runs (the test function's
-name, without parameters; default: the two tests in tests/test_cli.py that
-assert a run leaves nothing for the cyclic collector, which the hook's
-frames would make fail). Those tests still run and count toward the exit
-status, but the lines only they reach count as unexecuted.
+The hook is off while a test function named in COLLECTOR_TESTS runs: the
+two tests in tests/test_cli.py that assert a run leaves nothing for the
+cyclic collector, which the hook's frames would make fail. Those tests still
+run and count toward the exit status, but the lines only they reach count
+as unexecuted.
 
 The exit status is pytest's. Import nothing under --source before the hook
 is set, or its module-level lines read as unexecuted: this script imports
@@ -82,15 +82,14 @@ class LineRecorder:
 
 
 class SkipUntraced:
-    """A pytest plugin that turns the hook off around each untraced test."""
+    """A pytest plugin that turns the hook off around each collector test."""
 
-    def __init__(self, recorder: LineRecorder, names):
+    def __init__(self, recorder: LineRecorder):
         self.recorder = recorder
-        self.names = set(names)
 
     @pytest.hookimpl(hookwrapper=True)
     def pytest_runtest_protocol(self, item, nextitem):
-        untraced = getattr(item, "originalname", item.name) in self.names
+        untraced = getattr(item, "originalname", item.name) in COLLECTOR_TESTS
         if untraced:
             self.recorder.stop()
         yield
@@ -129,8 +128,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--source", type=Path, default=REPO / "src" / "semsim",
                         help="the directory whose lines are recorded")
-    parser.add_argument("--untraced", nargs="*", default=list(COLLECTOR_TESTS),
-                        help="test function names to run with the hook off")
     parser.add_argument("pytest_args", nargs="*", help="arguments for pytest (after --)")
     args = parser.parse_args(argv)
     if not args.source.is_dir():
@@ -139,7 +136,7 @@ def main(argv=None) -> int:
     recorder.start()
     try:
         status = pytest.main(args.pytest_args or ["tests", "-q"],
-                             plugins=[SkipUntraced(recorder, args.untraced)])
+                             plugins=[SkipUntraced(recorder)])
     finally:
         recorder.stop()
     report(args.source, recorder.hits)

@@ -210,8 +210,8 @@ class StepReport(Record):
 
 
 def register_mechanism(world: World, mechanism: Mechanism, spec: dict | None = None) -> Mechanism:
-    """Add a mechanism, with its spec, the model-file entry less the name
-    that a model file rebuilds it from; without one it cannot be saved.
+    """Add a mechanism, with a copy of its spec (the model-file entry less
+    the name, that a model file rebuilds it from); without one it cannot be saved.
 
     This is the one writer of world.mechanisms: it appends and refuses a
     duplicate name, so a Kernel sees a new mechanism by the registry's size.
@@ -222,7 +222,7 @@ def register_mechanism(world: World, mechanism: Mechanism, spec: dict | None = N
         raise DuplicateNameError(f"mechanism {mechanism.name!r} already registered")
     if mechanism.on_signal is not None:
         need(world.compartments, mechanism.on_signal, "compartment to listen on")
-    mechanism.spec = spec
+    mechanism.spec = None if spec is None else dict(spec)
     world.mechanisms[mechanism.name] = mechanism
     return mechanism
 

@@ -259,6 +259,17 @@ def test_a_mechanism_registered_without_a_spec_is_refused_by_save_model():
         save_model(world)
 
 
+def test_a_registered_spec_does_not_follow_later_changes_to_the_callers_dict():
+    world = build_cardio()
+    spec = {key: value for key, value in save_model(world)["mechanisms"][0].items()
+            if key != "name"}
+    register_mechanism(world, Mechanism("Extra", guard=(), effect=lambda kernel: None), spec)
+    saved = save_model(world)["mechanisms"][-1]
+    assert saved == {"name": "Extra", **spec}
+    spec.clear()
+    assert save_model(world)["mechanisms"][-1] == saved
+
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
 
 

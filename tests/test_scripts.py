@@ -109,10 +109,10 @@ def test_coverage_reports_the_lines_no_test_ran(tmp_path):
     (tmp_path / "test_tiny.py").write_text(
         "from tiny.sign import sign, zero\n\n\n"
         "def test_positive():\n    assert sign(3) == 1\n\n\n"
-        "def test_untraced():\n    assert zero() == 0\n"
+        "def test_a_run_makes_no_cyclic_garbage():\n    assert zero() == 0\n"
     )
     result = subprocess.run(
-        [sys.executable, str(script), "--source", str(package), "--untraced", "test_untraced",
+        [sys.executable, str(script), "--source", str(package),
          "--", "test_tiny.py", "-q", "-p", "no:cacheprovider"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(tmp_path)},
@@ -120,7 +120,8 @@ def test_coverage_reports_the_lines_no_test_ran(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     assert "2 passed" in lines[-4]
-    # Line 8 ran only under the untraced test, so it counts as unexecuted.
+    # Line 8 ran only under a test named as a collector test, which runs
+    # with the hook off, so it counts as unexecuted.
     assert lines[-3:] == [
         "__init__.py: 0 of 0 unexecuted",
         "sign.py: 2 of 6 unexecuted: 3, 8",

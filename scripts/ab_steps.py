@@ -16,8 +16,10 @@ in the host's speed reaches both sides alike.
 
 Before timing anything, it runs each configuration once on each side and
 checks that both give the same trace lines and the same number of
-transitionals: a faster step that changes what a run does is no gain. If
-they differ, it names the configuration and exits with status 1.
+transitionals, and then that both save the same model after the run
+(`json.dumps(save_model(world))`): a faster step that changes what a run
+does or leaves is no gain. If they differ, it names the configuration and
+exits with status 1.
 
 Per configuration it prints the median microseconds per tick on each side,
 each beside that side's first and third quartiles, the median of the
@@ -31,6 +33,7 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import json
 import statistics
 import sys
 import time
@@ -47,8 +50,8 @@ CONFIGURATIONS = (
 
 
 def load_package(checkout: Path, name: str):
-    """Import checkout's src/semsim as the package `name`; return its cli and
-    models modules."""
+    """Import checkout's src/semsim as the package `name`; return its cli,
+    models and modelfile modules."""
     init = checkout / "src" / "semsim" / "__init__.py"
     if not init.is_file():
         raise SystemExit(f"{checkout} has no src/semsim/__init__.py")
@@ -58,21 +61,25 @@ def load_package(checkout: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.models")
+    return tuple(importlib.import_module(f"{name}.{module}")
+                 for module in ("cli", "models", "modelfile"))
 
 
 def fresh_kernel(side, model, policy, ticks):
     """A kernel on a freshly built model, as `semsim run` makes it."""
-    cli, models = side
+    cli, models, _modelfile = side
     world = models.build_builtin(model, portions=ticks if model == "waterfall" else None)
     return cli.make_kernel(world, cli.RunConfig(model, steps=ticks, validate_policy=policy))
 
 
 def outcome(side, model, policy, ticks):
-    """The trace lines and the transitional count of one run of `ticks` steps."""
+    """The trace lines and the transitional count of one run of `ticks` steps,
+    and the model saved after it, as JSON."""
+    _cli, _models, modelfile = side
     kernel = fresh_kernel(side, model, policy, ticks)
     kernel.run(ticks)
-    return kernel.trace_lines(), len(kernel.world.transitional_log)
+    saved = json.dumps(modelfile.save_model(kernel.world))
+    return (kernel.trace_lines(), len(kernel.world.transitional_log)), saved
 
 
 def run_seconds(side, model, policy, ticks):
@@ -129,10 +136,15 @@ def main():
     this = load_package(THIS_CHECKOUT, "semsim_this")
     other = load_package(args.other.resolve(), "semsim_other")
     for model, label, policy in CONFIGURATIONS:
-        if outcome(this, model, policy, args.ticks) != outcome(other, model, policy, args.ticks):
+        (mine, my_save), (theirs, their_save) = (
+            outcome(side, model, policy, args.ticks) for side in (this, other)
+        )
+        if mine != theirs:
             raise SystemExit(
                 f"{model} {label}: the checkouts differ in trace lines or transitional count"
             )
+        if my_save != their_save:
+            raise SystemExit(f"{model} {label}: the checkouts save different models after the run")
     print(f"{args.ticks} ticks, {args.rounds} rounds; this = {THIS_CHECKOUT}, "
           f"other = {args.other.resolve()}")
     print(f"{'model':<10} {'configuration':<16} {'this us':>8} {'q1':>6} {'q3':>6} "

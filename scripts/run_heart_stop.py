@@ -26,7 +26,7 @@ def main():
     print(f"  blood pushes : {pushes}")
     print(f"  breaths      : {breaths}")
     medulla_blood = world.occupant("MedullaCap")
-    print(f"  medulla blood: CO2Level={medulla_blood.properties['CO2Level'].level}"
+    print(f"  medulla blood: CO2Level={medulla_blood.properties['CO2Level']}"
           f" (stale blood keeps the breathing reflex firing)")
 
 

@@ -12,7 +12,6 @@ from .entities import (
     KindDef,
     PartSpec,
     Portion,
-    QualValue,
     SemObject,
     StateSpace,
     Substance,
@@ -45,7 +44,6 @@ __all__ = [
     "PathSegment",
     "PathSpec",
     "Portion",
-    "QualValue",
     "SemObject",
     "SemsimError",
     "Signal",

@@ -56,7 +56,7 @@ def inspect_path(world, path: str) -> str:
         raise SemsimError("empty path")
     if segments[0] == "ambient":
         if len(segments) == 1:
-            return ", ".join(f"{k}={v.level}" for k, v in world.microworld.ambient.items())
+            return ", ".join(f"{k}={v}" for k, v in world.microworld.ambient.items())
         return world.ambient(segments[1])
     entity = resolve_entity(world, segments[0])
     if len(segments) == 1:
@@ -76,7 +76,7 @@ def inspect_path(world, path: str) -> str:
         if attr == "compartment":
             return str(entity.compartment)
         if attr in entity.properties:
-            return entity.properties[attr].level
+            return entity.properties[attr]
         raise SemsimError(f"portion {entity.id!r} has no property {attr!r}")
     if hasattr(entity, "contents"):  # compartment
         if attr == "contents":
@@ -87,7 +87,7 @@ def inspect_path(world, path: str) -> str:
     if attr in entity.states:
         return entity.states[attr]
     if attr in entity.properties:
-        return entity.properties[attr].level
+        return entity.properties[attr]
     raise SemsimError(f"object {entity.id!r} has no state or property {attr!r}")
 
 
@@ -95,7 +95,7 @@ def _summary(entity) -> str:
     if isinstance(entity, Substance):
         return f"substance {entity.name}: phase={entity.phase}"
     if isinstance(entity, Portion):
-        props = ", ".join(f"{k}={v.level}" for k, v in entity.properties.items())
+        props = ", ".join(f"{k}={v}" for k, v in entity.properties.items())
         where = entity.compartment or f"({entity.x}, {entity.y})"
         return (
             f"portion {entity.id} of {entity.substance} at {where} "

@@ -1,13 +1,15 @@
 """Entity vocabulary: kinds, objects, substances, portions, and transitionals.
 
-Everything here is qualitative: values are labels on nominal, binary, or
-ordinal scales, never numbers with units. Portions are the one exception in
-spirit; they may carry model-local (x, y) coordinates so path models can move
-them in discrete units.
+Everything here is qualitative: a value is a label on a nominal, binary, or
+ordinal scale, never a number with units. The label is the value: an
+object's states hold labels of its kind's spaces, a substance's phase a
+label of its phase space, and the properties of objects, substances and
+portions labels of the world's scale of the same name (World.scales), which
+the world checks each one against when it is written. Portions are the one
+exception in spirit; they may carry model-local (x, y) coordinates so path
+models can move them in discrete units.
 """
 from __future__ import annotations
-
-import weakref
 
 from .errors import StateError, TransitionalError
 from .records import FrozenRecord, Record, set_field
@@ -25,10 +27,8 @@ TRANSITIONAL_KINDS = ("state_change", "birth", "death", "split", "merge")
 class StateSpace(FrozenRecord):
     """A named qualitative variable and its ordered set of labels.
 
-    Its label -> rank table is derived here and its label -> QualValue table
-    as value() is asked, so neither takes part in repr, ==, hash, copy or
-    pickle. The table holds each QualValue, which refers to the space, weakly:
-    reference counting frees them, with no cycle for the collector.
+    Its label -> rank table is derived here, so it takes no part in repr,
+    ==, hash, copy or pickle.
     """
 
     _fields = ("variable", "labels", "scale_kind")
@@ -46,7 +46,6 @@ class StateSpace(FrozenRecord):
         set_field(self, "labels", labels)
         set_field(self, "scale_kind", scale_kind)
         set_field(self, "_ranks", {label: i for i, label in enumerate(labels)})
-        set_field(self, "_qual_values", {})  # label -> weakref.ref to its QualValue
 
     @property
     def first(self) -> str:
@@ -56,47 +55,13 @@ class StateSpace(FrozenRecord):
         try:
             return self._ranks[label]
         except (KeyError, TypeError):  # TypeError: an unhashable label
-            raise self._outside(label) from None
-
-    def value(self, label: str) -> QualValue:
-        """The QualValue of label on this scale: while one made here lives, that one."""
-        try:
-            ref = self._qual_values.get(label)
-        except TypeError:  # an unhashable label
-            raise self._outside(label) from None
-        value = None if ref is None else ref()
-        if value is None:
-            value = QualValue(self, label)  # raises for a label outside the space
-            self._qual_values[label] = weakref.ref(value)
-        return value
-
-    def _outside(self, label) -> StateError:
-        return StateError(
-            f"label {label!r} is outside the {self.variable!r} space {list(self.labels)}"
-        )
+            raise StateError(
+                f"label {label!r} is outside the {self.variable!r} space {list(self.labels)}"
+            ) from None
 
     @property
     def ordered(self) -> bool:
         return self.scale_kind in ("binary", "ordinal")
-
-
-class QualValue(FrozenRecord):
-    """A level on one scale. Comparisons are defined only within the scale."""
-
-    _fields = ("scale", "level")
-
-    def __init__(self, scale: StateSpace, level: str):
-        scale.index(level)
-        set_field(self, "scale", scale)
-        set_field(self, "level", level)
-
-    def rank(self) -> int:
-        if not self.scale.ordered:
-            raise StateError(
-                f"scale {self.scale.variable!r} is {self.scale.scale_kind}; "
-                "ordinal comparison undefined"
-            )
-        return self.scale.index(self.level)
 
 
 class PartSpec(FrozenRecord):
@@ -172,7 +137,7 @@ class SemObject(Record):
         kind: str,
         parts: list[tuple[str, str]] | None = None,  # (role, child id)
         states: dict[str, str] | None = None,
-        properties: dict[str, QualValue] | None = None,
+        properties: dict[str, str] | None = None,
         alive: bool = True,
     ):
         self.id = id
@@ -196,7 +161,7 @@ class Substance(Record):
         name: str,
         phase_space: StateSpace,
         phase: str,
-        default_properties: dict[str, QualValue] | None = None,
+        default_properties: dict[str, str] | None = None,
         # How portion properties combine on merge: property -> min | max | first.
         merge_policy: dict[str, str] | None = None,
     ):
@@ -225,7 +190,7 @@ class Portion(Record):
         id: str,
         substance: str,
         kind: str | None = None,
-        properties: dict[str, QualValue] | None = None,
+        properties: dict[str, str] | None = None,
         x: int | None = None,
         y: int | None = None,
         compartment: str | None = None,

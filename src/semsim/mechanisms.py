@@ -28,7 +28,8 @@ def _occupant_level(world, substance, compartment, prop, level):
     properties, which every S portion carries, and L one of its labels."""
     need(world.compartments, compartment, "compartment")
     defaults = need(world.substances, substance, "substance").default_properties
-    need(defaults, prop, f"{substance} property").scale.index(level)
+    need(defaults, prop, f"{substance} property")
+    world.scales[prop].index(level)
 
 
 def _occupant(world, substance, compartment, prop, level):
@@ -38,7 +39,7 @@ def _occupant(world, substance, compartment, prop, level):
         portion = w.occupant(compartment)
         if portion is None or portion.substance != substance:
             return False
-        return portion.properties[prop].level == level
+        return portion.properties[prop] == level
 
     return f"{substance} at {compartment} has {prop}={level}", test
 

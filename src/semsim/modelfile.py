@@ -2,14 +2,17 @@
 
 A file holds the full model - scales, substances, kinds, topology,
 portions, mechanisms (as data, or by builtin name plus parameters),
-triggers, frames, bindings, annotations, ambient state, id counters, the
-clock and the signals in transit - so a reloaded world produces the same
-triple snapshot as the programmatic build, and a kernel on it carries on
-the run. Runtime history (the transitional log, traces) is not part of a
-model file. Files are saved as version 4; older files (no version reads as
-1) load through `upgrade`, the one place that knows their forms. Once every
-mechanism is built, the loader checks each one's signals and fired members
-(semsim.mechanisms).
+triggers, frames, bindings, the names of the applied scenarios,
+assertions, annotations, ambient state, id counters, the clock and the
+signals in transit - so a reloaded world produces the same triple snapshot
+as the programmatic build, and a kernel on it carries on the run. Runtime
+history (the transitional log, traces) is not part of a model file. A
+property's value is saved as its label and loaded as its scale's own
+string for that label. Files are saved as version 4; older files (no
+version reads as 1) load through `upgrade`, the one place that knows their
+forms, and a file without `scenarios` loads with no scenario applied. Once
+every mechanism is built, the loader checks each one's signals and fired
+members (semsim.mechanisms).
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from .engine import Signal, Trigger, register_trigger
 from .entities import (
     PartSpec,
     Portion,
-    QualValue,
     SemObject,
     StateSpace,
     cardinality,
@@ -117,7 +119,7 @@ def save_model(world: World) -> dict:
                 "name": sub.name,
                 "phases": list(sub.phase_space.labels),
                 "phase": sub.phase,
-                "default_properties": {k: v.level for k, v in sub.default_properties.items()},
+                "default_properties": dict(sub.default_properties),
                 "merge_policy": dict(sub.merge_policy),
             }
             for sub in world.substances.values()
@@ -171,7 +173,7 @@ def save_model(world: World) -> dict:
                 "kind": o.kind,
                 "parts": [list(p) for p in o.parts],
                 "states": dict(o.states),
-                "properties": {k: v.level for k, v in o.properties.items()},
+                "properties": dict(o.properties),
                 "alive": o.alive,
             }
             for o in world.objects.values()
@@ -181,7 +183,7 @@ def save_model(world: World) -> dict:
                 "id": p.id,
                 "substance": p.substance,
                 "kind": p.kind,
-                "properties": {k: v.level for k, v in p.properties.items()},
+                "properties": dict(p.properties),
                 "x": p.x,
                 "y": p.y,
                 "compartment": p.compartment,
@@ -212,6 +214,7 @@ def save_model(world: World) -> dict:
             {"name": s.name, "members": list(s.members), "feedback": s.feedback}
             for s in world.systems.values()
         ],
+        "scenarios": list(world.scenarios),
         "assertions": [
             {"subject": a.subject, "function": a.function_label, "context": a.context}
             for a in world.assertions
@@ -219,7 +222,7 @@ def save_model(world: World) -> dict:
         "annotations": [
             {"kind": a.kind, "target": a.target, "note": a.note} for a in world.annotations
         ],
-        "ambient": {k: v.level for k, v in world.microworld.ambient.items()},
+        "ambient": dict(world.microworld.ambient),
         "counters": dict(world._counters),
         "clock": world.clock,
         "signals": [[s.sender, s.receiver, s.payload] for s in world.signals],
@@ -258,10 +261,13 @@ def _diagnosed(loc: str):
         raise SchemaError(f"malformed entry: {exc}", loc) from exc
 
 
-def _qual(world: World, prop, level, loc: str) -> QualValue:
+def _qual(world: World, prop, label, loc: str) -> str:
+    """label as its world scale's own string, so a loaded world keeps one
+    string per label, as a built one does."""
     if prop not in world.scales:
         raise SchemaError(f"property {prop!r} has no scale", loc)
-    return QualValue(world.scales[prop], level)
+    scale = world.scales[prop]
+    return scale.labels[scale.index(label)]
 
 
 def _alive(entry: dict, loc: str) -> bool:
@@ -385,14 +391,16 @@ def load_model(data: dict) -> World:
 
     for loc, s in _entries(data, "substances"):
         with _diagnosed(loc):
-            sub = world.define_substance(
+            world.define_substance(
                 s["name"],
                 phases=tuple(s.get("phases", ("solid", "liquid", "gas"))),
                 phase=s["phase"],
+                default_properties={
+                    prop: _qual(world, prop, label, loc)
+                    for prop, label in s.get("default_properties", {}).items()
+                },
                 merge_policy=dict(s.get("merge_policy", {})),
             )
-            for prop, level in s.get("default_properties", {}).items():
-                sub.default_properties[prop] = _qual(world, prop, level, loc)
 
     for loc, k in _entries(data, "kinds"):
         with _diagnosed(loc):
@@ -447,8 +455,8 @@ def load_model(data: dict) -> World:
                 states=dict(o.get("states", {})),
                 alive=_alive(o, loc),
             )
-            for prop, level in o.get("properties", {}).items():
-                obj.properties[prop] = _qual(world, prop, level, loc)
+            for prop, label in o.get("properties", {}).items():
+                obj.properties[prop] = _qual(world, prop, label, loc)
             if obj.kind not in world.kinds:
                 raise SchemaError(f"unknown kind {obj.kind!r}", loc)
             if world.has_entity(obj.id):
@@ -459,33 +467,21 @@ def load_model(data: dict) -> World:
 
     for loc, p in _entries(data, "portions"):
         with _diagnosed(loc):
-            portion = Portion(
+            world.add_portion(Portion(
                 p["id"],
                 p["substance"],
                 kind=p.get("kind"),
+                properties={
+                    prop: _qual(world, prop, label, loc)
+                    for prop, label in p.get("properties", {}).items()
+                },
                 x=p.get("x"),
                 y=p.get("y"),
                 compartment=p.get("compartment"),
                 location_state=p.get("location_state", "null"),
                 provenance=tuple(p.get("provenance", [])),
                 alive=_alive(p, loc),
-            )
-            if portion.substance not in world.substances:
-                raise SchemaError(f"unknown substance {portion.substance!r}", loc)
-            for prop, level in p.get("properties", {}).items():
-                portion.properties[prop] = _qual(world, prop, level, loc)
-            if portion.compartment is not None and portion.compartment not in world.compartments:
-                raise SchemaError(f"unknown compartment {portion.compartment!r}", loc)
-            if world.has_entity(portion.id):
-                raise SchemaError(f"duplicate portion id {portion.id!r}", loc)
-            # Mechanisms read a live portion's substance properties.
-            defaults = world.substances[portion.substance].default_properties
-            missing = [prop for prop in defaults if prop not in portion.properties]
-            if portion.alive and missing:
-                raise SchemaError(
-                    f"portion {portion.id!r} lacks its substance's properties {missing}", loc
-                )
-            world.add_portion(portion)
+            ))
 
     # A whole may list a part that comes after it in the file.
     for loc, obj in wholes:
@@ -561,6 +557,11 @@ def load_model(data: dict) -> World:
     for loc, s in _entries(data, "systems"):
         with _diagnosed(loc):
             world.define_system(s["name"], s.get("members", []), s.get("feedback", False))
+
+    scenarios = _section(data, "scenarios")
+    if not all(isinstance(name, str) for name in scenarios):
+        raise SchemaError("scenario names must be strings", "scenarios")
+    world.scenarios.extend(scenarios)
 
     for loc, a in _entries(data, "assertions"):
         with _diagnosed(loc):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .. import topology
 from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
-from ..entities import PartSpec, QualValue, StateSpace, cardinality
+from ..entities import PartSpec, StateSpace, cardinality
 from ..errors import ModelError, need
 from ..frames import bind, instantiate_fluidic_motion, standard_frames
 from ..mechanisms import CONDITIONS, EFFECTS, build_mechanism, compile_items
@@ -252,15 +252,14 @@ def build_cardio(config: CardioConfig | None = None) -> World:
         StateSpace("Warmth", ("low", "high"), "binary"),
     ):
         world.define_scale(space)
-    gas = world.scales
 
     world.define_substance(
         "blood",
         phase="liquid",
         default_properties={
-            "O2Level": QualValue(gas["O2Level"], config.initial_blood["O2Level"]),
-            "CO2Level": QualValue(gas["CO2Level"], config.initial_blood["CO2Level"]),
-            "Warmth": QualValue(gas["Warmth"], "low"),
+            "O2Level": config.initial_blood["O2Level"],
+            "CO2Level": config.initial_blood["CO2Level"],
+            "Warmth": "low",
         },
         # Conservative confluence: oxygenation only as good as the poorest
         # input, waste as bad as the worst.
@@ -270,8 +269,8 @@ def build_cardio(config: CardioConfig | None = None) -> World:
         "air",
         phase="gas",
         default_properties={
-            "O2Level": QualValue(gas["O2Level"], config.initial_air["O2Level"]),
-            "CO2Level": QualValue(gas["CO2Level"], config.initial_air["CO2Level"]),
+            "O2Level": config.initial_air["O2Level"],
+            "CO2Level": config.initial_air["CO2Level"],
         },
         merge_policy={"O2Level": "min", "CO2Level": "max"},
     )

@@ -60,7 +60,7 @@ def apply_scenario(world: World, scenario: Scenario) -> Annotation:
                 world.remove_connection(*directive.args)
         except SemsimError as exc:
             raise ScenarioError(f"overrides[{i}]: {exc}") from exc
-    world.scenarios[scenario.name] = scenario
+    world.scenarios.append(scenario.name)
     note = f"scenario {scenario.name!r} applied at step {world.clock}"
     return world.annotate(world.name, "user_comment", note)
 

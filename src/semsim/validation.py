@@ -252,10 +252,10 @@ def _object_triples(obj, scope) -> list[Triple]:
         predicate = _HAS_STATE[var]
         if predicate in scope:
             out.append(_new(Triple, (oid, predicate, label)))
-    for name, value in obj.properties.items():
+    for name, label in obj.properties.items():
         predicate = _HAS_STATE[name]
         if predicate in scope:
-            out.append(_new(Triple, (oid, predicate, value.level)))
+            out.append(_new(Triple, (oid, predicate, label)))
     for role, child in obj.parts:
         predicate = _HAS_PART[role]
         if predicate in scope:
@@ -269,10 +269,10 @@ def _portion_triples(portion, scope) -> list[Triple]:
     pid = portion.id
     if "hasState:Location" in scope:
         out.append(_new(Triple, (pid, "hasState:Location", portion.location_state)))
-    for name, value in portion.properties.items():
+    for name, label in portion.properties.items():
         predicate = _HAS_STATE[name]
         if predicate in scope:
-            out.append(_new(Triple, (pid, predicate, value.level)))
+            out.append(_new(Triple, (pid, predicate, label)))
     if portion.compartment is not None and "locatedIn" in scope:
         out.append(_new(Triple, (pid, "locatedIn", portion.compartment)))
     return out

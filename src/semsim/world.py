@@ -19,6 +19,12 @@ A snapshot refresh folds and empties it (see validation.Snapshot). Code
 that writes entity fields directly, as the model-file loader does while it
 builds a world, is safe only before a snapshot's first (full) build.
 Each mechanism in `mechanisms` carries its own saved form, its spec.
+
+A qualitative value is its label. A property's label is on the world's
+scale of that name, `scales[name]`, and an ambient property's on
+`AMBIENT_SCALES[name]`; every write checks it there (define_substance,
+create_portion, add_portion, set_state, set_ambient, Microworld), as an
+object state's label is checked on its kind's space.
 """
 from __future__ import annotations
 
@@ -32,7 +38,6 @@ from .entities import (
     KindDef,
     PartSpec,
     Portion,
-    QualValue,
     SemObject,
     StateSpace,
     Substance,
@@ -64,22 +69,25 @@ AMBIENT_SCALES = {
 }
 
 
-def stp_ambient() -> dict[str, QualValue]:
+def stp_ambient() -> dict[str, str]:
     """Standard temperature and pressure: every ambient property at 'standard'."""
-    return {name: QualValue(scale, "standard") for name, scale in AMBIENT_SCALES.items()}
+    return dict.fromkeys(AMBIENT_PROPERTIES, "standard")
 
 
 class Microworld(Record):
-    """Ambient properties of the idealized world frame; defaults at STP."""
+    """Ambient properties of the idealized world frame, each a label on its
+    AMBIENT_SCALES scale; defaults at STP."""
 
     _fields = ("ambient",)
 
-    def __init__(self, ambient: dict[str, QualValue] | None = None):
+    def __init__(self, ambient: dict[str, str] | None = None):
         if ambient is None:
             ambient = stp_ambient()
         missing = [k for k in AMBIENT_PROPERTIES if k not in ambient]
         if missing:
             raise ModelError(f"microworld missing ambient properties {missing}")
+        for prop, label in ambient.items():
+            need(AMBIENT_SCALES, prop, "ambient property").index(label)
         self.ambient = ambient
 
 
@@ -156,20 +164,24 @@ class Vocabulary(FrozenRecord):
         return self.canonical(line) is not None
 
 
-def _ranked_pick(parents, key: str, highest: bool) -> QualValue:
-    """The value of key, among the parents that carry it, with the lowest
+def _ranked_pick(parents, key: str, scale: StateSpace, highest: bool) -> str:
+    """The label of key, among the parents that carry it, with the lowest
     (or highest) rank on its scale; the earliest of those on a tie. Raises
-    StateError for a value on an unordered scale, as QualValue.rank does."""
+    StateError for an unordered scale."""
+    if not scale.ordered:
+        raise StateError(
+            f"scale {scale.variable!r} is {scale.scale_kind}; ordinal comparison undefined"
+        )
+    ranks = scale._ranks
     best = None
     for p in parents:
         props = p.properties
         if key not in props:
             continue
-        value = props[key]
-        scale = value.scale
-        rank = scale._ranks[value.level] if scale.ordered else value.rank()  # rank() raises
+        label = props[key]
+        rank = ranks[label]
         if best is None or (rank > best_rank if highest else rank < best_rank):
-            best, best_rank = value, rank
+            best, best_rank = label, rank
     return best
 
 
@@ -193,7 +205,7 @@ class World:
         self.mechanisms: dict = {}  # name -> Mechanism (engine module)
         self.triggers: dict = {}  # name -> Trigger
         self.systems: dict[str, System] = {}
-        self.scenarios: dict[str, object] = {}
+        self.scenarios: list[str] = []  # the applied scenarios' names, in order
         self.frames: dict = {}
         self.lexicon: dict = {}
         self.bindings: list = []
@@ -254,11 +266,13 @@ class World:
         name: str,
         phases: tuple[str, ...] = ("solid", "liquid", "gas"),
         phase: str = "liquid",
-        default_properties: dict[str, QualValue] | None = None,
+        default_properties: dict[str, str] | None = None,
         merge_policy: dict[str, str] | None = None,
     ) -> Substance:
         if name in self.substances:
             raise DuplicateNameError(f"substance {name!r} already defined")
+        for key, label in (default_properties or {}).items():
+            self._property_scale(key).index(label)
         space = StateSpace("phase", tuple(phases), "nominal")
         sub = Substance(name, space, phase, default_properties or {}, merge_policy or {})
         self.substances[name] = sub
@@ -404,13 +418,13 @@ class World:
     ) -> Portion:
         """Create a portion directly (no kind), optionally placed in a compartment."""
         sub = need(self.substances, substance_name, "substance")
-        pid = self._new_id(entity_id, substance_name)
-        props = dict(sub.default_properties)
-        for key, label in (properties or {}).items():
-            props[key] = QualValue(self._property_scale(key), label)
+        properties = properties or {}
+        for key, label in properties.items():
+            self._property_scale(key).index(label)
         if compartment is not None:
             need(self.compartments, compartment, "compartment")
-        portion = Portion(pid, substance_name, properties=props)
+        pid = self._new_id(entity_id, substance_name)
+        portion = Portion(pid, substance_name, properties={**sub.default_properties, **properties})
         # add_portion and place_portion, for a portion known to be live and
         # new; the birth record names it.
         self.portions[pid] = self.live_registry[pid] = portion
@@ -423,8 +437,21 @@ class World:
         """Register a built portion; the live registry holds it while it lives,
         and the compartment it names, if any, lists it last in its contents.
 
-        A dead portion is in no compartment, so one that names one is refused.
+        Refused before anything changes: an id any registry uses, an unknown
+        substance, a property label off its world scale, a live portion
+        without one of its substance's default properties (mechanisms read
+        them), and a dead portion that names a compartment (a dead portion is
+        in no compartment).
         """
+        if self.has_entity(portion.id):
+            raise DuplicateNameError(f"duplicate portion id {portion.id!r}")
+        defaults = need(self.substances, portion.substance, "substance").default_properties
+        properties = portion.properties
+        for key, label in properties.items():
+            self._property_scale(key).index(label)
+        missing = [key for key in defaults if key not in properties]
+        if portion.alive and missing:
+            raise ModelError(f"portion {portion.id!r} lacks its substance's properties {missing}")
         where = portion.compartment
         if where is not None:
             if not portion.alive:
@@ -486,7 +513,8 @@ class World:
                         location.index(label)
                 ent.location_state = label
             elif variable in properties:
-                properties[variable] = properties[variable].scale.value(label)
+                self.scales[variable].index(label)
+                properties[variable] = label
             else:
                 raise StateError(
                     f"portion {ent.id!r} has no property or location variable {variable!r}"
@@ -591,15 +619,15 @@ class World:
                 raise TransitionalError("cannot merge portions of different substances")
         policy = self.substances[substance].merge_policy
 
-        merged_props: dict[str, QualValue] = {}
+        merged_props: dict[str, str] = {}
         for p in parents:
-            for key, value in p.properties.items():
+            for key, label in p.properties.items():
                 if key in merged_props:
                     continue
                 rule = policy.get(key)
                 if rule == "min" or rule == "max":
-                    value = _ranked_pick(parents, key, rule == "max")
-                merged_props[key] = value
+                    label = _ranked_pick(parents, key, self.scales[key], rule == "max")
+                merged_props[key] = label
 
         rid = self.next_id(substance)
         result = Portion(
@@ -751,17 +779,14 @@ class World:
     # microworld, annotations, systems
 
     def set_ambient(self, prop: str, label: str) -> Microworld:
-        if prop not in AMBIENT_PROPERTIES:
-            raise ModelError(
-                f"unknown ambient property {prop!r}; expected one of {AMBIENT_PROPERTIES}"
-            )
-        self.microworld.ambient[prop] = QualValue(AMBIENT_SCALES[prop], label)
+        need(AMBIENT_SCALES, prop, "ambient property").index(label)
+        self.microworld.ambient[prop] = label
         return self.microworld
 
     def ambient(self, prop: str) -> str:
         if prop not in AMBIENT_PROPERTIES:
             raise ModelError(f"unknown ambient property {prop!r}")
-        return self.microworld.ambient[prop].level
+        return self.microworld.ambient[prop]
 
     def _element_exists(self, target: str) -> bool:
         return (

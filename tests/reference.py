@@ -67,16 +67,16 @@ def reference_triples(world, commits=None):
             continue
         for var, label in obj.states.items():
             triples.add(Triple(obj.id, f"hasState:{var}", label))
-        for prop, value in obj.properties.items():
-            triples.add(Triple(obj.id, f"hasState:{prop}", value.level))
+        for prop, label in obj.properties.items():
+            triples.add(Triple(obj.id, f"hasState:{prop}", label))
         for role, child in obj.parts:
             triples.add(Triple(obj.id, f"hasPart:{role}", child))
     for portion in world.portions.values():
         if not portion.alive:
             continue
         triples.add(Triple(portion.id, "hasState:Location", portion.location_state))
-        for prop, value in portion.properties.items():
-            triples.add(Triple(portion.id, f"hasState:{prop}", value.level))
+        for prop, label in portion.properties.items():
+            triples.add(Triple(portion.id, f"hasState:{prop}", label))
         if portion.compartment is not None:
             triples.add(Triple(portion.id, "locatedIn", portion.compartment))
     for sub in world.substances.values():

@@ -236,6 +236,23 @@ def test_console_inspect_and_set(tmp_path):
     assert "rule compartment-capacity: must_not_exist" in printed
 
 
+def test_inspect_prints_the_labels_a_world_holds():
+    from semsim.console import inspect_path
+
+    world = build_cardio()
+    world.set_ambient("pressure", "high")
+    world.objects["heart"].properties["Warmth"] = "high"  # as a model file's object may carry
+    assert inspect_path(world, "ambient") == (
+        "temperature=standard, pressure=high, humidity=standard, gravity=standard"
+    )
+    assert inspect_path(world, "cardio.blood-0") == (
+        "portion blood-0 of blood at LeftAtrium location=LeftAtrium "
+        "[O2Level=low, CO2Level=high, Warmth=low]"
+    )
+    assert inspect_path(world, "blood-0.CO2Level") == "high"
+    assert inspect_path(world, "heart.Warmth") == "high"
+
+
 def test_console_set_freeze_surfaces_guard_failure(tmp_path):
     inp = io.StringIO("set water.phase solid\nstep 1\nquit\n")
     out = io.StringIO()
@@ -444,6 +461,24 @@ def test_malformed_scenario_exits_1_naming_the_override(tmp_path, capsys, overri
             "--trace", str(tmp_path / "t")]
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.strip() == f"error: {expected}"
+
+
+@pytest.mark.parametrize("command, text, expected", [
+    ("validate-file", None, "invalid: cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+    ("run", None, "error: cannot read scenario {path}: [Errno 21] Is a directory: '{path}'"),
+    ("run", "[]", "error: scenario file needs a top-level object with a name (a string)"),
+], ids=["model-a-directory", "scenario-a-directory", "scenario-a-list"])
+def test_an_unreadable_or_non_object_file_exits_1_naming_it(tmp_path, capsys, command, text, expected):
+    path = tmp_path / "given"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text, encoding="utf-8")
+    args = ["validate-file", str(path)] if command == "validate-file" else [
+        "run", "--model", "cardio", "--steps", "1", "--scenario", str(path),
+        "--trace", str(tmp_path / "t")]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == expected.format(path=path)
 
 
 def test_a_scenario_with_an_unknown_top_level_key_exits_1_naming_it(tmp_path, capsys):

@@ -497,13 +497,13 @@ def test_side_effect_observable_when_enabled():
     world, kernel = run_cardio(ticks=60, side_effects=True)
     warmed = [
         p for p in world.portions.values()
-        if "Warmth" in p.properties and p.properties["Warmth"].level == "high"
+        if "Warmth" in p.properties and p.properties["Warmth"] == "high"
     ]
     assert warmed  # metabolic heat showed up somewhere
     world2, _ = run_cardio(ticks=60, side_effects=False)
     warmed2 = [
         p for p in world2.portions.values()
-        if "Warmth" in p.properties and p.properties["Warmth"].level == "high"
+        if "Warmth" in p.properties and p.properties["Warmth"] == "high"
     ]
     assert not warmed2
 

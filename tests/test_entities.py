@@ -1,18 +1,21 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from semsim import PartSpec, StateSpace, World, cardinality
+from semsim import Kernel, PartSpec, Portion, StateSpace, World, cardinality
 from semsim.errors import (
     CyclicInheritanceError,
     DeadSubjectError,
     DuplicateNameError,
     MissingContextError,
     ModelError,
+    SchemaError,
     StateError,
     TransitionalError,
     UnknownEntityError,
 )
+from semsim.modelfile import load_model, save_model
 from semsim.models import build_cardio
+from semsim.world import Microworld, stp_ambient
 
 
 def mammal_world():
@@ -128,17 +131,24 @@ def test_binary_space_needs_two_labels():
 
 
 def test_qual_value_comparisons_scale_bound():
-    from semsim import QualValue
+    # A qualitative value is a label; its world scale orders it, by label
+    # order, not by the strings ("high" < "low" < "mid" as text).
+    w = World("w")
+    w.define_scale(StateSpace("O2Level", ("low", "mid", "high"), "ordinal"))
+    w.define_scale(StateSpace("Color", ("red", "dark"), "nominal"))
+    w.define_substance("blood", merge_policy={"O2Level": "min", "Color": "max"})
+    w.define_substance("air", merge_policy={"O2Level": "max"})
 
-    gas = StateSpace("O2Level", ("low", "high"), "binary")
-    phase = StateSpace("phase", ("solid", "liquid", "gas"), "nominal")
-    low = QualValue(gas, "low")
-    high = QualValue(gas, "high")
-    assert low.rank() < high.rank()
-    with pytest.raises(StateError):
-        QualValue(phase, "solid").rank()  # nominal scales have no order
-    with pytest.raises(StateError):
-        QualValue(gas, "medium")  # label outside the scale
+    def merged(substance, prop, labels):
+        ids = [w.create_portion(substance, properties={prop: label}).id for label in labels]
+        return w.merge_portions(ids).properties[prop]
+
+    assert merged("blood", "O2Level", ["high", "mid"]) == "mid"
+    assert merged("air", "O2Level", ["mid", "high", "low"]) == "high"
+    with pytest.raises(StateError, match="scale 'Color' is nominal"):
+        merged("blood", "Color", ["red", "dark"])  # nominal scales have no order
+    with pytest.raises(StateError, match="label 'medium' is outside the 'O2Level' space"):
+        w.create_portion("blood", properties={"O2Level": "medium"})
 
 
 def test_interval_scales_rejected_at_registration():
@@ -235,8 +245,8 @@ def test_merge_uses_min_max_mixing_rule():
     a = w.create_portion("blood", properties={"O2Level": "low", "CO2Level": "high"})
     b = w.create_portion("blood", properties={"O2Level": "high", "CO2Level": "high"})
     merged = w.merge_portions((a.id, b.id))
-    assert merged.properties["O2Level"].level == "low"
-    assert merged.properties["CO2Level"].level == "high"
+    assert merged.properties["O2Level"] == "low"
+    assert merged.properties["CO2Level"] == "high"
     assert set(merged.provenance) == {a.id, b.id}
     assert not a.alive and not b.alive
 
@@ -254,8 +264,9 @@ def rules_world(policy):
 @pytest.mark.parametrize("rule", ["min", "max"])
 def test_a_merge_tie_keeps_the_first_parents_value(rule):
     w = rules_world({"Warmth": rule})
-    a = w.create_portion("blood", properties={"Warmth": "warm"})
-    b = w.create_portion("blood", properties={"Warmth": "warm"})
+    # Two equal labels that are distinct strings, to tell whose is kept.
+    a = w.create_portion("blood", properties={"Warmth": "".join("warm")})
+    b = w.create_portion("blood", properties={"Warmth": "".join("warm")})
     assert a.properties["Warmth"] is not b.properties["Warmth"]
     merged = w.merge_portions((a.id, b.id))
     assert merged.properties["Warmth"] is a.properties["Warmth"]
@@ -310,7 +321,7 @@ def test_split_copies_properties_and_provenance():
     kids = w.split_portion(p.id, 2)
     assert len(kids) == 2
     for kid in kids:
-        assert kid.properties["O2Level"].level == "high"
+        assert kid.properties["O2Level"] == "high"
         assert kid.provenance == (p.id,)
     assert not p.alive
 
@@ -323,6 +334,28 @@ def test_dead_subject_rejected():
         w.set_state(p.id, "O2Level", "high")
     with pytest.raises(DeadSubjectError):
         w.kill(p.id)  # never resurrected, never re-killed
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda w: w.entity("ghost"), UnknownEntityError, "no entity 'ghost'"),
+    (lambda w: w.ancestry("Ghost"), UnknownEntityError, "no kind 'Ghost'"),
+    (lambda w: w.set_state("heart", "tension", "contracted"), DeadSubjectError,
+     "object 'heart' is dead"),
+    (lambda w: w.split_portion("blood-0", 2), DeadSubjectError, "portion 'blood-0' is dead"),
+    (lambda w: w.merge_portions(["blood-1", "blood-0"]), DeadSubjectError,
+     "portion 'blood-0' is dead"),
+    (lambda w: w.ambient("wind"), ModelError, "unknown ambient property 'wind'"),
+    (lambda w: Kernel(w).run(-1), ModelError, "n_ticks must be >= 0"),
+], ids=["entity", "ancestry", "set_state", "split", "merge", "ambient", "run"])
+def test_a_call_on_an_unknown_or_dead_subject_changes_nothing(call, error, message):
+    w = build_cardio()
+    w.kill("heart")
+    w.kill("blood-0")
+    before = save_model(w)
+    with pytest.raises(error) as exc:
+        call(w)
+    assert str(exc.value) == message
+    assert save_model(w) == before
 
 
 def test_a_substance_cannot_be_killed():
@@ -532,3 +565,90 @@ def test_a_minted_id_skips_the_slots_explicit_ids_claimed():
     assert [w.create_portion("blood").id for _ in range(3)] == ["blood-1", "blood-3", "blood-4"]
     with pytest.raises(DuplicateNameError, match="entity id 'blood-4' already in use"):
         w.create_portion("blood", entity_id="blood-4")
+
+
+
+def _file_with(edit):
+    """A write that loads the world's saved document after edit(data)."""
+    def write(world):
+        data = save_model(world)
+        edit(data)
+        load_model(data)
+    return write
+
+
+# Blood's properties, so that only the label is wrong.
+BLOOD = {"O2Level": "low", "CO2Level": "low", "Warmth": "low"}
+OFF_O2 = "label 'medium' is outside the 'O2Level' space ['low', 'high']"
+OFF_TEMPERATURE = (
+    "label 'tepid' is outside the 'temperature' space "
+    "['below_freezing', 'cold', 'standard', 'warm', 'hot']"
+)
+
+
+@pytest.mark.parametrize("write, error, message", [
+    (lambda w: w.define_substance("ink", default_properties={"O2Level": "medium"}),
+     StateError, OFF_O2),
+    (lambda w: w.define_substance("ink", default_properties={"nib": "blunt"}),
+     StateError, "no scale defined for property 'nib'"),
+    (lambda w: w.create_portion("blood", properties={"O2Level": "medium"}), StateError, OFF_O2),
+    (lambda w: w.set_state("blood-0", "O2Level", "medium"), StateError, OFF_O2),
+    (lambda w: w.set_ambient("temperature", "tepid"), StateError, OFF_TEMPERATURE),
+    (lambda w: Microworld({**stp_ambient(), "temperature": "tepid"}), StateError, OFF_TEMPERATURE),
+    (lambda w: w.add_portion(Portion("extra", "blood", properties={**BLOOD, "O2Level": "medium"})),
+     StateError, OFF_O2),
+    (_file_with(lambda d: d["substances"][0]["default_properties"].update(O2Level="medium")),
+     SchemaError, f"substances[0]: {OFF_O2}"),
+    (_file_with(lambda d: d["objects"][0].update(properties={"O2Level": "medium"})),
+     SchemaError, f"objects[0]: {OFF_O2}"),
+    (_file_with(lambda d: d["portions"][0]["properties"].update(O2Level="medium")),
+     SchemaError, f"portions[0]: {OFF_O2}"),
+], ids=["define_substance", "define_substance-no-scale", "create_portion", "set_state",
+        "set_ambient", "Microworld", "add_portion", "file-substance", "file-object",
+        "file-portion"])
+def test_a_label_off_its_scale_is_refused_at_each_write(write, error, message):
+    w = build_cardio()
+    before = save_model(w)
+    with pytest.raises(error) as exc:
+        write(w)
+    assert str(exc.value) == message
+    assert save_model(w) == before
+
+
+def test_a_loaded_world_keeps_one_string_per_label():
+    world = load_model(save_model(build_cardio()))
+    values = [v for p in world.portions.values() for v in p.properties.values()]
+    assert len(values) == 27 and len({id(v) for v in values}) <= 6
+    for p in world.portions.values():
+        for prop, label in p.properties.items():
+            assert label is world.scales[prop].labels[world.scales[prop].index(label)]
+
+
+@pytest.mark.parametrize("portion, error, message", [
+    (Portion("blood-0", "blood", properties=BLOOD, compartment="AlvAir"),
+     DuplicateNameError, "duplicate portion id 'blood-0'"),
+    (Portion("heart", "blood", properties=BLOOD), DuplicateNameError, "duplicate portion id 'heart'"),
+    (Portion("blood", "blood", properties=BLOOD), DuplicateNameError, "duplicate portion id 'blood'"),
+    (Portion("ghost", "nosuch"), UnknownEntityError, "no substance 'nosuch'"),
+    (Portion("extra", "blood", properties={**BLOOD, "nib": "blunt"}),
+     StateError, "no scale defined for property 'nib'"),
+    (Portion("extra", "blood", properties={"O2Level": "low"}),
+     ModelError, "portion 'extra' lacks its substance's properties ['CO2Level', 'Warmth']"),
+    (Portion("extra", "blood", properties=BLOOD, compartment="AlvAir", alive=False),
+     DeadSubjectError, "dead portion 'extra' cannot be placed in 'AlvAir'"),
+], ids=["a-portion-id", "an-object-id", "a-substance-name", "unknown-substance",
+        "property-without-scale", "live-without-defaults", "dead-and-placed"])
+def test_registering_a_portion_checks_it_before_anything_changes(portion, error, message):
+    w = build_cardio()
+    before = save_model(w)
+    with pytest.raises(error) as exc:
+        w.add_portion(portion)
+    assert str(exc.value) == message
+    assert save_model(w) == before
+    assert w.portions["blood-0"].compartment == "LeftAtrium"
+
+
+def test_a_dead_portion_is_registered_without_its_substances_properties():
+    w = build_cardio()
+    w.add_portion(Portion("spent", "blood", alive=False))
+    assert w.portions["spent"].alive is False and "spent" not in w.live_registry

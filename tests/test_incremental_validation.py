@@ -159,7 +159,7 @@ def perturb(data, kernel, op, extras):
         portion = world.live_registry[data.draw(st.sampled_from(live), label="prop portion")]
         if portion.properties:
             prop = data.draw(st.sampled_from(sorted(portion.properties)))
-            labels = portion.properties[prop].scale.labels
+            labels = world.scales[prop].labels
             world.set_state(portion.id, prop, data.draw(st.sampled_from(labels)))
     elif op == "phase":
         sub = data.draw(st.sampled_from(sorted(world.substances)), label="substance")
@@ -359,12 +359,12 @@ def test_entities_defined_mid_run_enter_the_snapshot():
     ))
     kernel.step()
     world.define_substance("ink", phase="liquid")
-    world.define_kind("Quill", state_spaces=(StateSpace("nib", ("sharp", "blunt")),))
+    nib = world.define_scale(StateSpace("nib", ("sharp", "blunt")))
+    world.define_kind("Quill", state_spaces=(nib,))
     world.instantiate("Quill", entity_id="quill")
     world.add_compartment("Inkwell", capacity=None)
     world.connect("Inkwell", "LeftVentricle")
-    nib = world.kinds["Quill"].state_spaces[0]
-    world.add_portion(Portion("drop", "ink", properties={"nib": nib.value("blunt")}))
+    world.add_portion(Portion("drop", "ink", properties={"nib": "blunt"}))
     report = kernel.step()
     assert {("ink", "hasState:phase", "liquid"), ("quill", "hasState:nib", "sharp"),
             ("Inkwell", "connectedTo", "LeftVentricle"),

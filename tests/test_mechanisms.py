@@ -101,7 +101,7 @@ def test_each_effect_acts_through_the_fire_context():
         ["merge", "ExternalAir"],
         ["fire", "CellRespiration"],
     )
-    assert blood.properties["O2Level"].level == "low"  # set high, then respired
+    assert blood.properties["O2Level"] == "low"  # set high, then respired
     assert world.objects["diaphragm"].states["tension"] == "contracted"
     assert world.substances["blood"].phase == "gas"
     assert lines == ["mixing external air", "CellCapBlood O2 diffusion"]
@@ -132,7 +132,7 @@ def test_a_side_effect_runs_after_the_effects():
         side_effects=[["set_occupant", "blood", "CellCap", "Warmth", "high"],
                       ["emit", "mixing external air"]],
     )
-    assert world.occupant("CellCap").properties["Warmth"].level == "high"
+    assert world.occupant("CellCap").properties["Warmth"] == "high"
     assert lines == ["diffusion check", "mixing external air"]
 
 

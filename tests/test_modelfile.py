@@ -12,7 +12,7 @@ from semsim.errors import ModelError, SchemaError
 from semsim.frames import bind, instantiate_fluidic_motion
 from semsim.modelfile import load_model, load_model_file, save_model, save_model_file, upgrade
 from semsim.models import build_builtin, build_cardio, build_waterfall, medulla_sense
-from semsim.scenarios import apply_scenario, load_scenario
+from semsim.scenarios import Scenario, apply_scenario, heart_stop, load_scenario
 from semsim.validation import derive_triples
 
 from saved_forms import (
@@ -286,6 +286,26 @@ def test_every_shipped_model_and_scenario_round_trips_unchanged(model, scenario)
     assert json.dumps(save_model(load_model(json.loads(saved)))) == saved
 
 
+def test_applied_scenarios_survive_save_and_load():
+    world = build_cardio()
+    apply_scenario(world, heart_stop())
+    apply_scenario(world, Scenario("drill"))
+    world.assert_function("diaphragm", "rests", "heart-stop")
+    data = save_model(world)
+    assert data["scenarios"] == ["heart-stop", "drill"]
+    reloaded = load_model(data)
+    assert reloaded.scenarios == ["heart-stop", "drill"]
+    assert reloaded.assertions == world.assertions
+    assert save_model(reloaded) == data
+    # A file without the section loads with no scenario applied, so an
+    # assertion in a scenario's context is refused there.
+    del data["scenarios"]
+    with pytest.raises(SchemaError, match=r"^assertions\[3\]: .* got 'heart-stop'$"):
+        load_model(data)
+    data["assertions"].pop()
+    assert load_model(data).scenarios == []
+
+
 def test_roundtrip_through_file(tmp_path):
     path = tmp_path / "cardio.json"
     save_model_file(build_cardio(), path)
@@ -472,6 +492,13 @@ def _set(section, field, value):
     return breach
 
 
+def _heartbeat_over_no_circuit(data):
+    """The version-1 file, its heartbeat builtin over a circuit it lacks."""
+    data.clear()
+    data.update(saved_heartbeat_push(circuit="nowhere"))
+    return "mechanisms[0]"
+
+
 @pytest.mark.parametrize("breach, message", [
     (_append("scales", lambda data: data["scales"][0]), "scale 'O2Level' already defined"),
     (_append("substances", lambda data: data["substances"][0]), "substance 'blood' already defined"),
@@ -498,6 +525,15 @@ def _set(section, field, value):
      "system member 'Ghost' is not a mechanism"),
     (_append("annotations", {"kind": "rumour", "target": "cardio", "note": ""}),
      "unknown annotation kind 'rumour'"),
+    (_append("objects", {"id": "ghost", "kind": "Ghost"}), "unknown kind 'Ghost'"),
+    (_append("objects", {"id": "cart", "kind": "Heart", "properties": {"tone": "taut"}}),
+     "property 'tone' has no scale"),
+    (_append("bindings", {"frame": "Fluidic_Motion", "elements": {"Fluid": {"type": "blob"}}}),
+     "unknown binding value type 'blob'"),
+    (_set("compartments", "contents", ["ghost"]), "contents reference unknown portion 'ghost'"),
+    (_set("compartments", "contents", ["blood-1"]),
+     "portion 'blood-1' does not agree it is in 'LeftAtrium'"),
+    (_heartbeat_over_no_circuit, "no circuit 'nowhere' with compartments for the heartbeat"),
 ], ids=lambda case: case if isinstance(case, str) else None)
 def test_an_entry_the_world_refuses_is_named(breach, message):
     data = save_model(build_cardio())

@@ -285,13 +285,13 @@ def test_alveolar_exchange_flips_both_portions():
     standard_rules(kernel)
     blood = world.occupant("AlvCap")
     air = world.occupant("AlvAir")
-    assert blood.properties["O2Level"].level == "low"
-    assert air.properties["O2Level"].level == "high"
+    assert blood.properties["O2Level"] == "low"
+    assert air.properties["O2Level"] == "high"
     kernel.step()  # diffusion fires before the push at tick 0
-    assert blood.properties["O2Level"].level == "high"
-    assert blood.properties["CO2Level"].level == "low"
-    assert air.properties["O2Level"].level == "low"
-    assert air.properties["CO2Level"].level == "high"
+    assert blood.properties["O2Level"] == "high"
+    assert blood.properties["CO2Level"] == "low"
+    assert air.properties["O2Level"] == "low"
+    assert air.properties["CO2Level"] == "high"
 
 
 def test_cell_respiration_consumes_o2():
@@ -316,11 +316,11 @@ def test_gas_cycle_levels_at_departure():
         report = kernel.step()
         fired = {f.mechanism for f in report.fired}
         if {"GasExchangeAlv", "HeartbeatPush"} <= fired:
-            assert pre_alv.properties["O2Level"].level == "high"
-            assert pre_alv.properties["CO2Level"].level == "low"
+            assert pre_alv.properties["O2Level"] == "high"
+            assert pre_alv.properties["CO2Level"] == "low"
         if {"CellRespiration", "HeartbeatPush"} <= fired:
-            assert pre_cell.properties["O2Level"].level == "low"
-            assert pre_cell.properties["CO2Level"].level == "high"
+            assert pre_cell.properties["O2Level"] == "low"
+            assert pre_cell.properties["CO2Level"] == "high"
 
 
 def test_conservation_200_ticks():

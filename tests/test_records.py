@@ -27,7 +27,6 @@ from semsim.entities import (
     KindDef,
     PartSpec,
     Portion,
-    QualValue,
     SemObject,
     StateSpace,
     Substance,
@@ -54,10 +53,6 @@ def test_repr_prints_the_dataclass_text():
     assert repr(O2) == (
         "StateSpace(variable='O2Level', labels=('low', 'high'), scale_kind='ordinal')"
     )
-    assert repr(QualValue(O2, "high")) == (
-        "QualValue(scale=StateSpace(variable='O2Level', labels=('low', 'high'), "
-        "scale_kind='ordinal'), level='high')"
-    )
     portion = Portion("blood-1", "blood", compartment="LeftAtrium")
     assert repr(portion) == (
         "Portion(id='blood-1', substance='blood', kind=None, properties={}, x=None, y=None, "
@@ -79,7 +74,6 @@ def test_repr_prints_the_dataclass_text():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: QualValue(O2, "low"),
         lambda: StateSpace("O2Level", ("low", "high"), "ordinal"),
         lambda: Var("p"),
         lambda: TriplePattern(Var("p"), "locatedIn", "LeftAtrium"),
@@ -97,7 +91,7 @@ def test_equal_frozen_values_compare_and_hash_equal(make):
 
 
 def test_frozen_records_differ_by_any_field_and_never_equal_another_class():
-    assert QualValue(O2, "low") != QualValue(O2, "high")
+    assert O2 != O2_3
     assert Connection("A", "B") != Connection("A", "B", "nerve")
     assert Var("p") != ("p",)
     assert TriplePattern("a", "b", "c") != TriplePattern("a", "b", Var("c"))
@@ -116,7 +110,6 @@ def test_derived_fields_take_no_part_in_equality_and_are_set_at_construction():
     "record, name",
     [
         (O2, "labels"),
-        (QualValue(O2, "low"), "level"),
         (Var("p"), "name"),
         (TriplePattern(Var("p"), "locatedIn", "A"), "obj"),
         (Connection("A", "B"), "to_id"),
@@ -214,7 +207,7 @@ def test_constructors_keep_their_positional_order_and_defaults():
     [
         (lambda: StateSpace("v", ("a", "a")), StateError),
         (lambda: StateSpace("v", ("a", "b"), "interval_ish"), StateError),
-        (lambda: QualValue(O2, "medium"), StateError),
+        (lambda: Substance("water", StateSpace("phase", ("solid", "liquid")), "gas"), StateError),
         (lambda: Transitional("teleport", ("p",)), TransitionalError),
         (lambda: Transitional("split", ("p",), ("q",)), TransitionalError),
         (lambda: PartSpec("valve", "Valve", "decorative"), StateError),
@@ -231,6 +224,10 @@ def test_constructors_keep_their_positional_order_and_defaults():
         (lambda: AssertionRule("r", TriplePattern("a", "b", "c"), "count_in_set"), ModelError),
         (lambda: Trigger("t", 0, "M"), ModelError),
         (lambda: Microworld({}), ModelError),
+        (lambda: PartSpec("valve", "Valve", cardinality=frozenset({-1})), StateError),
+        (lambda: Transitional("split", ("p", "q"), ("r", "s")), TransitionalError),
+        (lambda: Transitional("merge", ("p",), ("r",)), TransitionalError),
+        (lambda: Transitional("merge", ("p", "q"), ("r", "s")), TransitionalError),
     ],
 )
 def test_construction_checks_still_raise(build, error):
@@ -249,7 +246,6 @@ EXAMPLES = [
     Var("p"),
     TriplePattern(Var("p"), "locatedIn", "LeftAtrium"),
     O2,
-    QualValue(O2, "high"),
     PartSpec("valve", "Valve"),
     FunctionAssertion("heart", "pumps blood", "circulation"),
     Annotation("idealization", "blood", "stays intact"),
@@ -273,7 +269,7 @@ EXAMPLES = [
     KindDef("Heart", part_schema=(PartSpec("valve", "Valve"),)),
     SemObject("o", "Heart", states={"tension": "relaxed"}),
     Substance("water", StateSpace("phase", ("solid", "liquid")), "liquid"),
-    Portion("p", "blood", properties={"O2Level": QualValue(O2, "low")}),
+    Portion("p", "blood", properties={"O2Level": "low"}),
     Transitional("birth", ("p",), ("blood",)),
     Microworld(),
     Mechanism("M", (ALWAYS,), lambda kernel: None),
@@ -350,7 +346,7 @@ def test_a_kernel_that_has_traced_a_line_deep_copies():
     "make, tables",
     [
         (lambda: StateSpace("O2Level", ("low", "mid", "high"), "ordinal"),
-         {"_ranks": {"low": 0, "mid": 1, "high": 2}, "_qual_values": {}}),
+         {"_ranks": {"low": 0, "mid": 1, "high": 2}}),
         (lambda: Vocabulary({"a"}, (r"\d+ pool", "b+")),
          {"_literal_table": {"a": "a"},
           "_compiled": (re.compile(r"\d+ pool"), re.compile("b+"))}),
@@ -371,34 +367,9 @@ def test_records_with_derived_tables_compare_hash_copy_and_pickle_by_their_field
 def test_a_state_spaces_rank_table_answers_index_and_rank():
     space = StateSpace("O2Level", ("low", "mid", "high"), "ordinal")
     assert [space.index(label) for label in space.labels] == [0, 1, 2]
-    assert QualValue(space, "high").rank() == 2
     for outside in ("none", ["low"]):  # an unknown label, and an unhashable one
         with pytest.raises(StateError, match="is outside the 'O2Level' space"):
             space.index(outside)
-
-
-def test_a_state_space_keeps_one_qual_value_per_label_and_set_state_uses_it():
-    space = StateSpace("O2Level", ("low", "mid", "high"), "ordinal")
-    assert space.value("mid") is space.value("mid") == QualValue(space, "mid")
-    # The space holds it weakly: while one is alive, value() returns it.
-    mid = space.value("mid")
-    assert space.value("mid") is mid
-    del mid
-    assert space._qual_values["mid"]() is None
-    assert space.value("mid") == QualValue(space, "mid")
-    for outside in ("none", ["low"]):
-        with pytest.raises(StateError, match=r"label .* is outside the 'O2Level' space \["):
-            space.value(outside)
-    world = build_cardio()
-    blood = world.live_portions("blood")[0]
-    scale = blood.properties["O2Level"].scale
-    world.set_state(blood.id, "O2Level", "low")
-    assert blood.properties["O2Level"] is scale.value("low")
-    other = world.live_portions("blood")[1]
-    world.set_state(other.id, "O2Level", "low")
-    assert other.properties["O2Level"] is blood.properties["O2Level"]
-    with pytest.raises(StateError, match="is outside the 'O2Level' space"):
-        world.set_state(blood.id, "O2Level", "medium")
 
 
 def test_a_vocabulary_compiles_its_patterns_once_and_refuses_a_bad_one():

@@ -72,23 +72,29 @@ def test_ab_steps_compares_a_checkout_with_itself(tmp_path):
         assert wins in ("0/2", "1/2", "2/2")
 
     # Against a copy whose waterfall flows every other tick (half the trace
-    # lines and transitionals, the cardio runs unchanged) it times nothing.
-    other = tmp_path / "other"
-    shutil.copytree(checkout / "src" / "semsim", other / "src" / "semsim",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    waterfall = other / "src" / "semsim" / "models" / "waterfall.py"
-    source = waterfall.read_text()
-    assert 'Trigger("Flow", period=1,' in source
-    waterfall.write_text(source.replace('Trigger("Flow", period=1,', 'Trigger("Flow", period=2,'))
-    result = subprocess.run(
-        [sys.executable, str(script), str(other), "--ticks", "8", "--rounds", "2"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 1
-    assert result.stdout == ""  # refused before any timing
-    assert result.stderr == (
-        "waterfall --validate halt: the checkouts differ in trace lines or transitional count\n"
-    )
+    # lines and transitionals, the cardio runs unchanged), or one that saves
+    # a model differently (the runs unchanged), it times nothing.
+    refusals = [
+        ("models/waterfall.py", 'Trigger("Flow", period=1,', 'Trigger("Flow", period=2,',
+         "waterfall --validate halt: the checkouts differ in trace lines or transitional count"),
+        ("modelfile.py", '"clock": world.clock,', '"clock": world.clock + 1,',
+         "cardio --validate off: the checkouts save different models after the run"),
+    ]
+    for i, (module, old, new, refusal) in enumerate(refusals):
+        other = tmp_path / f"other-{i}"
+        shutil.copytree(checkout / "src" / "semsim", other / "src" / "semsim",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = other / "src" / "semsim" / module
+        source = path.read_text()
+        assert source.count(old) == 1
+        path.write_text(source.replace(old, new))
+        result = subprocess.run(
+            [sys.executable, str(script), str(other), "--ticks", "8", "--rounds", "2"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""  # refused before any timing
+        assert result.stderr == refusal + "\n"
 
 
 def test_coverage_reports_the_lines_no_test_ran(tmp_path):

@@ -56,7 +56,7 @@ def test_derive_triples_object_states_and_parts():
     w.add_part(cart.id, "wheels", wheel.id)
     # A qualitative property, as a model file's object may carry one.
     tone = w.define_scale(StateSpace("tone", ("slack", "taut"), "binary"))
-    cart.properties["tone"] = tone.value("taut")
+    cart.properties["tone"] = "taut"
     triples = derive_triples(w)
     assert Triple(cart.id, "hasState:motion", "still") in triples
     assert Triple(cart.id, "hasPart:wheels", wheel.id) in triples

@@ -25,8 +25,10 @@ def main():
     standard_rules(kernel)
     kernel.run(n)
     p = world.portions["water-0"]
-    print(f"frame-built:  {kernel.trace_lines()}  final=({p.x}, {p.y})  "
-          f"mechanism={world.bindings[0].produced_mechanism}")
+    # The flow is the mechanism whose saved spec names binding 0.
+    flow = next(m.name for m in world.mechanisms.values()
+                if m.spec.get("params", {}).get("binding") == 0)
+    print(f"frame-built:  {kernel.trace_lines()}  final=({p.x}, {p.y})  mechanism={flow}")
 
     frozen = build_waterfall(config, n_portions=n)
     apply_scenario(frozen, waterfall_freeze())

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import models, validation
 from .console import Console
-from .engine import Kernel
+from .engine import MODES, Kernel
 from .errors import SemsimError, describe
 from .modelfile import load_model_file
 from .records import Record
@@ -252,9 +252,8 @@ def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--portions", type=int, default=None,
                         help="builtin waterfall only: portions to pool, one per step")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--mode", choices=("deterministic", "concurrent"),
-                        default="deterministic")
-    parser.add_argument("--validate", choices=("halt", "warn", "off"), default=None)
+    parser.add_argument("--mode", choices=MODES, default="deterministic")
+    parser.add_argument("--validate", choices=validation.POLICIES, default=None)
     parser.add_argument("--trace", default=None, help="trace file path")
     parser.add_argument("--scenario", default=None, help="scenario file to apply")
 

@@ -102,10 +102,10 @@ def cardinality(allowed) -> frozenset[int]:
 class KindDef(Record):
     """A named entity type; children overlay the parent's spaces and schema.
 
-    World.define_kind derives `_effective_spaces`, its state spaces over its
-    ancestors', and `_effective_substance`, the substance of the nearest kind
-    in its ancestry that names one, once; they are not fields, so they take
-    no part in repr or ==.
+    World.define_kind derives, once, `_effective_spaces` and `_effective_parts`,
+    its state spaces and part specs over its ancestors', and
+    `_effective_substance`, the substance of the nearest kind in its ancestry
+    that names one; they are not fields, so they take no part in repr or ==.
     """
 
     _fields = ("name", "parent", "state_spaces", "part_schema", "granularity", "substance")

@@ -105,17 +105,11 @@ class PathSpec(FrozenRecord):
 
 
 class FrameBinding(Record):
-    _fields = ("frame", "element_map", "produced_mechanism")
+    _fields = ("frame", "element_map")
 
-    def __init__(
-        self,
-        frame: Frame,
-        element_map: dict[str, object] | None = None,
-        produced_mechanism: str | None = None,
-    ):
+    def __init__(self, frame: Frame, element_map: dict[str, object] | None = None):
         self.frame = frame
         self.element_map = {} if element_map is None else element_map
-        self.produced_mechanism = produced_mechanism
 
 
 def standard_frames() -> dict[str, Frame]:
@@ -200,14 +194,10 @@ def _fluid_guard(world_substance: str) -> Condition:
     )
 
 
-def instantiate_fluidic_motion(
-    world: World,
-    binding: FrameBinding,
-    name: str | None = None,
-    n_portions: int | None = None,
-    portion_kind: str | None = None,
-) -> Mechanism:
-    """Turn a Fluidic_Motion binding into a runnable mechanism.
+def fluidic_motion(world: World, params: dict) -> Mechanism:
+    """Turn a Fluidic_Motion binding into a runnable mechanism: params name
+    the binding by its index in world.bindings, as a model file saves it,
+    and may give the mechanism's name, n_portions and portion_kind.
 
     Path bound to a PathSpec gives a path_flow: each firing releases the next
     portion and carries it down the whole path to the goal. Path bound to the
@@ -215,12 +205,14 @@ def instantiate_fluidic_motion(
     every portion per firing. A circuit is bound by name, the form a model
     file saves.
     """
+    index = params.get("binding", 0)
+    if type(index) is not int or not 0 <= index < len(world.bindings):
+        raise ModelError(f"binding index {index!r} out of range")
+    binding = world.bindings[index]
     if binding.frame.name != "Fluidic_Motion":
         raise ModelError("only Fluidic_Motion bindings instantiate here")
-    # The mechanism is saved by its binding's index: find it before building.
-    index = next((i for i, b in enumerate(world.bindings) if b is binding), None)
-    if index is None:
-        raise ModelError("the binding is not one of the world's bindings")
+    n_portions = params.get("n_portions")
+    portion_kind = params.get("portion_kind")
     # type() rather than isinstance(): bool is an int subclass.
     if n_portions is not None and (type(n_portions) is not int or n_portions < 0):
         raise ValueError(f"n_portions must be an int >= 0, not {n_portions!r}")
@@ -228,7 +220,7 @@ def instantiate_fluidic_motion(
     if not isinstance(fluid, str) or fluid not in world.substances:
         raise ModelError(f"Fluid must name a substance, got {fluid!r}")
     path = binding.element_map.get("Path")
-    mech_name = name or f"Flow({fluid})"
+    mech_name = params.get("name") or f"Flow({fluid})"
 
     if isinstance(path, PathSpec):
         goal = binding.element_map.get("Goal")
@@ -244,28 +236,11 @@ def instantiate_fluidic_motion(
         raise ModelError(
             "binding satisfies neither path mode: need a PathSpec or a declared circuit"
         )
-    register_mechanism(world, mech, {"builtin": "fluidic_motion", "params": {
+    return register_mechanism(world, mech, {"builtin": "fluidic_motion", "params": {
         "binding": index,
         "n_portions": n_portions,
         "portion_kind": portion_kind,
     }})
-    binding.produced_mechanism = mech.name
-    return mech
-
-
-def fluidic_motion(world: World, params: dict) -> Mechanism:
-    """Factory for a model file's Fluidic_Motion mechanism: params name the
-    binding by its index in world.bindings."""
-    idx = params.get("binding", 0)
-    if type(idx) is not int or not 0 <= idx < len(world.bindings):
-        raise ModelError(f"binding index {idx!r} out of range")
-    return instantiate_fluidic_motion(
-        world,
-        world.bindings[idx],
-        name=params.get("name"),
-        n_portions=params.get("n_portions"),
-        portion_kind=params.get("portion_kind"),
-    )
 
 
 def path_flow(

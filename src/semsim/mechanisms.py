@@ -84,12 +84,15 @@ def _set_occupant(world, substance, compartment, prop, level):
 
 
 def _set(world, entity, variable, label):
-    """Set a state on an object, or a substance's phase."""
+    """Set a state or a property on an object, or a substance's phase."""
     if entity in world.substances and variable == "phase":
         world.substances[entity].phase_space.index(label)
     else:
-        kind = need(world.objects, entity, "object").kind
-        need(world.effective_state_spaces(kind), variable, f"{kind} state").index(label)
+        obj = need(world.objects, entity, "object")
+        spaces = world.effective_state_spaces(obj.kind)
+        if variable not in spaces and variable in obj.properties:
+            spaces = world.scales  # a property the object carries
+        need(spaces, variable, f"{obj.kind} state").index(label)
     return lambda kernel: kernel.world.set_state(entity, variable, label)
 
 

@@ -457,11 +457,7 @@ def load_model(data: dict) -> World:
             )
             for prop, label in o.get("properties", {}).items():
                 obj.properties[prop] = _qual(world, prop, label, loc)
-            if obj.kind not in world.kinds:
-                raise SchemaError(f"unknown kind {obj.kind!r}", loc)
-            if world.has_entity(obj.id):
-                raise SchemaError(f"duplicate object id {obj.id!r}", loc)
-            world.objects[obj.id] = obj
+            world.add_object(obj)
             if obj.parts:
                 wholes.append((loc, obj))
 

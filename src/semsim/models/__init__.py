@@ -4,7 +4,6 @@ from __future__ import annotations
 from ..frames import fluidic_motion
 from .cardio import (
     BLOOD_ORDER,
-    CardioConfig,
     build_cardio,
     circulation_elements,
     cell_respiration,

@@ -20,9 +20,8 @@ from .. import topology
 from ..engine import Condition, Mechanism, Trigger, register_mechanism, register_trigger
 from ..entities import PartSpec, StateSpace, cardinality
 from ..errors import ModelError, need
-from ..frames import bind, instantiate_fluidic_motion, standard_frames
+from ..frames import bind, fluidic_motion, standard_frames
 from ..mechanisms import CONDITIONS, EFFECTS, build_mechanism, compile_items
-from ..records import Record
 from ..world import Vocabulary, World
 
 BLOOD_ORDER = (
@@ -47,41 +46,14 @@ CIRCUIT = {
 
 AIR_ORDER = ("ExternalAir", "NoseAir", "AlvAir")
 
-
-def _default_periods() -> dict[str, int]:
-    # SA node and medulla defaults interleave both subsystems within 25 ticks;
-    # the diffusion sweep shares the heartbeat period (and sorts before it by
-    # name), and the external-air mix lands between breaths.
-    return {"SANode": 4, "DiffusionTimer": 4, "ExternalMix": 5, "Medulla": 6}
+# SA node and medulla periods interleave both subsystems within 25 ticks; the
+# diffusion sweep shares the heartbeat period (and sorts before it by name),
+# and the external-air mix lands between breaths.
+PERIODS = {"SANode": 4, "DiffusionTimer": 4, "ExternalMix": 5, "Medulla": 6}
 
 
-class CardioConfig(Record):
-    _fields = (
-        "blood_compartments", "circuit", "periods",
-        "initial_blood", "initial_air",
-    )
-
-    def __init__(
-        self,
-        blood_compartments: tuple[str, ...] = BLOOD_ORDER,
-        circuit: dict[str, tuple[str, ...]] | None = None,
-        periods: dict[str, int] | None = None,
-        initial_blood: dict[str, str] | None = None,
-        initial_air: dict[str, str] | None = None,
-    ):
-        self.blood_compartments = blood_compartments
-        self.circuit = dict(CIRCUIT) if circuit is None else circuit
-        self.periods = _default_periods() if periods is None else periods
-        self.initial_blood = (
-            {"O2Level": "low", "CO2Level": "high"} if initial_blood is None else initial_blood
-        )
-        self.initial_air = (
-            {"O2Level": "high", "CO2Level": "low"} if initial_air is None else initial_air
-        )
-
-
-def cardio_vocabulary(blood_compartments=BLOOD_ORDER) -> Vocabulary:
-    lines = {f"pushed {name}Blood" for name in blood_compartments}
+def cardio_vocabulary() -> Vocabulary:
+    lines = {f"pushed {name}Blood" for name in BLOOD_ORDER}
     lines |= {
         "trigger updates",
         "SANode pulse",
@@ -240,10 +212,9 @@ def inhale_cycle(world: World, params: dict) -> Mechanism:
 # ----------------------------------------------------------------------
 
 
-def build_cardio(config: CardioConfig | None = None) -> World:
-    config = config or CardioConfig()
+def build_cardio() -> World:
     world = World("cardio")
-    world.vocabulary = cardio_vocabulary(config.blood_compartments)
+    world.vocabulary = cardio_vocabulary()
     world.frames.update(standard_frames())
 
     for space in (
@@ -257,8 +228,8 @@ def build_cardio(config: CardioConfig | None = None) -> World:
         "blood",
         phase="liquid",
         default_properties={
-            "O2Level": config.initial_blood["O2Level"],
-            "CO2Level": config.initial_blood["CO2Level"],
+            "O2Level": "low",
+            "CO2Level": "high",
             "Warmth": "low",
         },
         # Conservative confluence: oxygenation only as good as the poorest
@@ -269,8 +240,8 @@ def build_cardio(config: CardioConfig | None = None) -> World:
         "air",
         phase="gas",
         default_properties={
-            "O2Level": config.initial_air["O2Level"],
-            "CO2Level": config.initial_air["CO2Level"],
+            "O2Level": "high",
+            "CO2Level": "low",
         },
         merge_policy={"O2Level": "min", "CO2Level": "max"},
     )
@@ -303,7 +274,7 @@ def build_cardio(config: CardioConfig | None = None) -> World:
     world.instantiate("MedullaOrgan", entity_id="medulla")
     world.instantiate("DiaphragmOrgan", entity_id="diaphragm")
 
-    for name in config.blood_compartments:
+    for name in BLOOD_ORDER:
         world.add_compartment(name, "blood_path", capacity=1, region=name)
     world.add_compartment("ExternalAir", "air_path", capacity=None, region="outside")
     world.add_compartment("NoseAir", "air_path", capacity=1, structure="lungs")
@@ -311,7 +282,7 @@ def build_cardio(config: CardioConfig | None = None) -> World:
     world.add_compartment("Medulla", "other", capacity=1, structure="medulla")
     world.add_compartment("Diaphragm", "other", capacity=1, structure="diaphragm")
 
-    for src, dsts in config.circuit.items():
+    for src, dsts in CIRCUIT.items():
         for dst in dsts:
             world.connect(src, dst, "fluid")
     world.connect("ExternalAir", "NoseAir", "fluid")
@@ -320,26 +291,25 @@ def build_cardio(config: CardioConfig | None = None) -> World:
     world.connect("NoseAir", "ExternalAir", "fluid")
     world.connect("Medulla", "Diaphragm", "nerve")
 
-    world.define_circuit("cardio", config.blood_compartments, config.circuit)
+    world.define_circuit("cardio", BLOOD_ORDER, CIRCUIT)
 
-    for i, name in enumerate(config.blood_compartments):
+    for i, name in enumerate(BLOOD_ORDER):
         world.create_portion("blood", entity_id=f"blood-{i}", compartment=name)
     world.create_portion("air", entity_id="air-external", compartment="ExternalAir")
     world.create_portion("air", entity_id="air-nose", compartment="NoseAir")
     world.create_portion("air", entity_id="air-alv", compartment="AlvAir")
 
-    circulation = bind(world, "Fluidic_Motion", circulation_elements("cardio", config.blood_compartments))
-    instantiate_fluidic_motion(world, circulation, name="HeartbeatPush")
+    bind(world, "Fluidic_Motion", circulation_elements("cardio", BLOOD_ORDER))
+    fluidic_motion(world, {"binding": 0, "name": "HeartbeatPush"})
     for template in (gas_exchange_alv, cell_respiration, diffusion_check, medulla_sense):
         build_mechanism(world, template())
     inhale_cycle(world, {"air_path": list(AIR_ORDER), "diaphragm": "diaphragm", "on_signal": "Diaphragm"})
     build_mechanism(world, mix_external_air())
 
-    periods = config.periods
-    register_trigger(world, Trigger("SANode", periods["SANode"], "HeartbeatPush"))
-    register_trigger(world, Trigger("DiffusionTimer", periods["DiffusionTimer"], "DiffusionCheck"))
-    register_trigger(world, Trigger("ExternalMix", periods["ExternalMix"], "MixExternalAir"))
-    register_trigger(world, Trigger("Medulla", periods["Medulla"], "MedullaSense"))
+    register_trigger(world, Trigger("SANode", PERIODS["SANode"], "HeartbeatPush"))
+    register_trigger(world, Trigger("DiffusionTimer", PERIODS["DiffusionTimer"], "DiffusionCheck"))
+    register_trigger(world, Trigger("ExternalMix", PERIODS["ExternalMix"], "MixExternalAir"))
+    register_trigger(world, Trigger("Medulla", PERIODS["Medulla"], "MedullaSense"))
 
     world.define_system("circulation", ["HeartbeatPush"])
     world.define_system(

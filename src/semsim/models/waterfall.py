@@ -18,7 +18,7 @@ from ..frames import (
     add_lexical_entry,
     bind,
     check_leg,
-    instantiate_fluidic_motion,
+    fluidic_motion,
     standard_frames,
 )
 from ..records import FrozenRecord, set_field
@@ -87,11 +87,9 @@ def build_waterfall(
     world.define_kind("Place")
     for place in (elements["Source"], elements["Goal"]):
         world.instantiate("Place", entity_id=place)
-    binding = bind(world, "Fluidic_Motion", elements)
-    instantiate_fluidic_motion(
-        world, binding, name="WaterFlowing", n_portions=n_portions,
-        portion_kind="WaterPortion",
-    )
+    bind(world, "Fluidic_Motion", elements)
+    fluidic_motion(world, {"binding": 0, "name": "WaterFlowing", "n_portions": n_portions,
+                           "portion_kind": "WaterPortion"})
     register_trigger(world, Trigger("Flow", period=1, target="WaterFlowing"))
     world.define_system("waterfall-flow", ["WaterFlowing"])
     return world

@@ -23,8 +23,8 @@ Each mechanism in `mechanisms` carries its own saved form, its spec.
 A qualitative value is its label. A property's label is on the world's
 scale of that name, `scales[name]`, and an ambient property's on
 `AMBIENT_SCALES[name]`; every write checks it there (define_substance,
-create_portion, add_portion, set_state, set_ambient, Microworld), as an
-object state's label is checked on its kind's space.
+create_portion, add_portion, add_object, set_state, set_ambient,
+Microworld), as an object state's label is checked on its kind's space.
 """
 from __future__ import annotations
 
@@ -315,37 +315,25 @@ class World:
         # A kind is fixed once defined, and its parent was defined before it,
         # so every chain of parents ends: inheritance cannot cycle.
         if parent is None:
-            inherited, inherited_substance = {}, None
+            spaces, parts, inherited_substance = {}, {}, None
         else:
             base = self.kinds[parent]
-            inherited, inherited_substance = base._effective_spaces, base._effective_substance
-        kind._effective_spaces = {**inherited, **{s.variable: s for s in kind.state_spaces}}
+            spaces, parts = base._effective_spaces, base._effective_parts
+            inherited_substance = base._effective_substance
+        kind._effective_spaces = {**spaces, **{s.variable: s for s in kind.state_spaces}}
+        kind._effective_parts = {**parts, **{p.role_name: p for p in kind.part_schema}}
         kind._effective_substance = substance if substance is not None else inherited_substance
         return kind
-
-    def ancestry(self, kind_name: str) -> list[KindDef]:
-        """Root-first chain of kinds ending at kind_name."""
-        chain = []
-        cur = self.kinds.get(kind_name)
-        if cur is None:
-            raise UnknownEntityError(f"no kind {kind_name!r}")
-        while cur is not None:
-            chain.append(cur)
-            cur = self.kinds.get(cur.parent) if cur.parent else None
-        chain.reverse()
-        return chain
 
     def effective_state_spaces(self, kind_name: str) -> Mapping[str, StateSpace]:
         """The kind's state spaces by variable, a child's over its ancestors':
         a read-only view of what define_kind derived once."""
         return MappingProxyType(need(self.kinds, kind_name, "kind")._effective_spaces)
 
-    def effective_part_schema(self, kind_name: str) -> dict[str, PartSpec]:
-        schema: dict[str, PartSpec] = {}
-        for kind in self.ancestry(kind_name):
-            for spec in kind.part_schema:  # child overrides by role name
-                schema[spec.role_name] = spec
-        return schema
+    def effective_part_schema(self, kind_name: str) -> Mapping[str, PartSpec]:
+        """The kind's part specs by role name, a child's over its ancestors':
+        a read-only view of what define_kind derived once."""
+        return MappingProxyType(need(self.kinds, kind_name, "kind")._effective_parts)
 
     def effective_substance(self, kind_name: str) -> str | None:
         """The substance of the nearest kind in the ancestry that names one,
@@ -465,6 +453,29 @@ class World:
             self.changes.append(portion.id)
         return portion
 
+    def add_object(self, obj: SemObject) -> SemObject:
+        """Register a built object.
+
+        Refused before anything changes: an id any registry uses, an unknown
+        kind, a state its kind does not declare or whose label is off the
+        kind's space, and a property label off its world scale.
+        """
+        if self.has_entity(obj.id):
+            raise DuplicateNameError(f"duplicate object id {obj.id!r}")
+        kind = self.kinds.get(obj.kind)
+        if kind is None:
+            raise UnknownEntityError(f"unknown kind {obj.kind!r}")
+        for variable, label in obj.states.items():
+            space = kind._effective_spaces.get(variable)
+            if space is None:
+                raise StateError(f"variable {variable!r} not declared for kind {obj.kind!r}")
+            space.index(label)
+        for key, label in obj.properties.items():
+            self._property_scale(key).index(label)
+        self.objects[obj.id] = obj
+        self.changes.append(obj.id)
+        return obj
+
     def _retire_portion(self, portion: Portion):
         portion.alive = False
         del self.live_registry[portion.id]
@@ -487,7 +498,8 @@ class World:
     # state changes
 
     def set_state(self, entity_id: str, variable: str, label: str) -> Transitional:
-        """Move one state variable to a new label, recording the transitional."""
+        """Move one state variable, or a property of a portion or an object,
+        to a new label, recording the transitional."""
         # self.entity(entity_id), one lookup per registry.
         ent = self.objects.get(entity_id)
         if ent is None:
@@ -523,12 +535,16 @@ class World:
             if not ent.alive:
                 raise DeadSubjectError(f"object {entity_id!r} is dead")
             space = need(self.kinds, ent.kind, "kind")._effective_spaces.get(variable)
-            if space is None:
+            if space is not None:
+                space.index(label)
+                ent.states[variable] = label
+            elif variable in ent.properties:
+                self.scales[variable].index(label)
+                ent.properties[variable] = label
+            else:
                 raise StateError(
                     f"variable {variable!r} not declared for kind {ent.kind!r}"
                 )
-            space.index(label)
-            ent.states[variable] = label
         return self._state_changed(entity_id, variable, label)
 
     def set_location(self, portion: Portion, label: str) -> Transitional:

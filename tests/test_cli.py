@@ -69,9 +69,17 @@ def test_the_waterfall_has_one_builtin_name(tmp_path, capsys):
     )
 
 
-def test_run_negative_steps_exits_1(tmp_path):
-    result = run_cli(["run", "--model", "cardio", "--steps", "-3"], cwd=tmp_path)
-    assert result.returncode == EXIT_CONFIG
+def test_run_negative_steps_exits_1(tmp_path, capsys):
+    args = ["run", "--model", "cardio", "--steps", "-3", "--trace", str(tmp_path / "t")]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: --steps must be >= 0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_run_without_a_trace_path_writes_no_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_command(RunConfig("cardio", steps=3)) == EXIT_OK
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_malformed_scenario_exits_1(tmp_path):
@@ -898,8 +906,11 @@ def _entry_with(model, section, index, field, value):
     return data
 
 
-# Object parts and alive flags the loader took unchecked: each loaded, and
-# `semsim run` then raised at step 0 or ran a portion marked "no" as live.
+_DIAPHRAGM = [o["id"] for o in _SAVED_CARDIO["objects"]].index("diaphragm")
+
+# Object parts, states and alive flags the loader took unchecked: each
+# loaded, and `semsim run` then raised at step 0, ran a portion marked "no"
+# as live, or overwrote an off-space tension and kept an undeclared state.
 PART_AND_ALIVE_CHECKS = {
     "part-without-an-id": (
         _entry_with(_SAVED_WATERFALL, "objects", 1, "parts", [["r"]]),
@@ -928,6 +939,16 @@ PART_AND_ALIVE_CHECKS = {
     "object-alive-a-number": (
         _entry_with(_SAVED_CARDIO, "objects", 0, "alive", 1),
         "objects[0]: alive must be true or false, not 1",
+    ),
+    "state-off-its-space": (
+        _entry_with(_SAVED_CARDIO, "objects", _DIAPHRAGM, "states",
+                    {"tension": "bogus", "nonsense": "x"}),
+        f"objects[{_DIAPHRAGM}]: label 'bogus' is outside the 'tension' space "
+        "['relaxed', 'contracted']",
+    ),
+    "state-its-kind-lacks": (
+        _entry_with(_SAVED_CARDIO, "objects", _DIAPHRAGM, "states", {"nonsense": "x"}),
+        f"objects[{_DIAPHRAGM}]: variable 'nonsense' not declared for kind 'DiaphragmOrgan'",
     ),
 }
 

@@ -44,6 +44,21 @@ def test_child_kind_inherits_parent_schema():
     assert w.effective_part_schema("Dog") == w.effective_part_schema("Mammal")
 
 
+def test_a_childs_part_spec_overrides_its_parents_in_the_parents_position():
+    w = mammal_world()
+    w.define_kind("Tail")
+    w.define_kind("Biped", parent="Mammal", part_schema=(
+        PartSpec("legs", "Leg", "functional", cardinality(2)), PartSpec("tail", "Tail")))
+    schema = w.effective_part_schema("Biped")
+    assert list(schema) == ["ears", "eyes", "legs", "tail"]
+    assert schema["legs"].cardinality == {2}
+    assert w.effective_part_schema("Mammal")["legs"].cardinality == {2, 4}
+    with pytest.raises(TypeError):
+        schema["legs"] = PartSpec("legs", "Leg")
+    assert [role for role, _ in w.instantiate("Biped").parts] == ["ears"] * 2 + ["eyes"] * 2 + [
+        "legs"] * 2 + ["tail"]
+
+
 def test_self_parent_is_cyclic():
     w = World("w")
     with pytest.raises(CyclicInheritanceError):
@@ -338,7 +353,7 @@ def test_dead_subject_rejected():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda w: w.entity("ghost"), UnknownEntityError, "no entity 'ghost'"),
-    (lambda w: w.ancestry("Ghost"), UnknownEntityError, "no kind 'Ghost'"),
+    (lambda w: w.effective_part_schema("Ghost"), UnknownEntityError, "no kind 'Ghost'"),
     (lambda w: w.set_state("heart", "tension", "contracted"), DeadSubjectError,
      "object 'heart' is dead"),
     (lambda w: w.split_portion("blood-0", 2), DeadSubjectError, "portion 'blood-0' is dead"),
@@ -346,7 +361,7 @@ def test_dead_subject_rejected():
      "portion 'blood-0' is dead"),
     (lambda w: w.ambient("wind"), ModelError, "unknown ambient property 'wind'"),
     (lambda w: Kernel(w).run(-1), ModelError, "n_ticks must be >= 0"),
-], ids=["entity", "ancestry", "set_state", "split", "merge", "ambient", "run"])
+], ids=["entity", "part_schema", "set_state", "split", "merge", "ambient", "run"])
 def test_a_call_on_an_unknown_or_dead_subject_changes_nothing(call, error, message):
     w = build_cardio()
     w.kill("heart")

@@ -12,12 +12,11 @@ from semsim.errors import (
     UnknownEntityError,
 )
 from semsim.frames import (
-    FrameBinding,
     PathSegment,
     PathSpec,
     bind,
     define_frame,
-    instantiate_fluidic_motion,
+    fluidic_motion,
     standard_frames,
 )
 from semsim.models import (
@@ -81,7 +80,7 @@ def test_bind_stores_noncore_configuration():
         },
     )
     assert binding.element_map["Configuration"] == {"volume": "high"}
-    assert binding.produced_mechanism is None
+    assert w.mechanisms == {}  # a binding alone builds nothing
 
 
 def test_bind_unknown_element_rejected():
@@ -131,13 +130,13 @@ def test_instantiation_requires_a_path_mode():
     w.define_substance("water", phase="liquid")
     # Path resolves to an entity, but it is neither a PathSpec, a circuit,
     # nor are Source/Goal compartments: no flow mode fits.
-    binding = bind(
+    bind(
         w,
         "Fluidic_Motion",
         {"Fluid": "water", "Source": "water", "Goal": "water", "Path": "water"},
     )
     with pytest.raises(ModelError):
-        instantiate_fluidic_motion(w, binding)
+        fluidic_motion(w, {"binding": 0})
 
 
 def test_frozen_fluid_disables_flow():
@@ -218,8 +217,8 @@ def test_a_flow_counts_its_own_releases_not_every_portion_of_its_fluid(build):
 
 def test_two_path_flows_of_one_fluid_release_distinct_portions_and_both_pool():
     world = build_waterfall(WaterfallConfig(upper_bed_length=3, vertical_drop=2), n_portions=4)
-    binding = bind(world, "Fluidic_Motion", dict(world.bindings[0].element_map))
-    instantiate_fluidic_motion(world, binding, name="SecondFlow", portion_kind="WaterPortion")
+    bind(world, "Fluidic_Motion", dict(world.bindings[0].element_map))
+    fluidic_motion(world, {"binding": 1, "name": "SecondFlow", "portion_kind": "WaterPortion"})
     register_trigger(world, Trigger("SecondFlowTrigger", period=1, target="SecondFlow"))
     kernel = Kernel(world)
     kernel.run(2)
@@ -272,31 +271,21 @@ def test_a_flow_whose_name_is_taken_leaves_no_cursor():
     world = build_cardio()
     path = PathSpec((PathSegment(2, slope=(0, 1)),))
     elements = {"Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": path}
-    binding = bind(world, "Fluidic_Motion", elements)
+    bind(world, "Fluidic_Motion", elements)
     before = save_model(world)
     with pytest.raises(DuplicateNameError):
-        instantiate_fluidic_motion(world, binding, name="HeartbeatPush")
+        fluidic_motion(world, {"binding": 1, "name": "HeartbeatPush"})
     assert save_model(world) == before
-
-
-def test_a_binding_the_world_does_not_hold_builds_nothing():
-    world = build_waterfall(n_portions=1)
-    stray = FrameBinding(world.frames["Fluidic_Motion"], dict(world.bindings[0].element_map))
-    with pytest.raises(ModelError) as exc:
-        instantiate_fluidic_motion(world, stray, name="Stray", portion_kind="WaterPortion")
-    assert str(exc.value) == "the binding is not one of the world's bindings"
-    assert "Stray" not in world.mechanisms and stray.produced_mechanism is None
-    assert save_model(world)["counters"] == {}
 
 
 def test_a_path_flow_whose_goal_is_no_place_builds_nothing():
     world = build_waterfall(n_portions=1)
     elements = dict(world.bindings[0].element_map, Goal={"lake": 1})
-    binding = bind(world, "Fluidic_Motion", elements)
+    bind(world, "Fluidic_Motion", elements)
     with pytest.raises(ModelError) as exc:
-        instantiate_fluidic_motion(world, binding, name="Lake")
+        fluidic_motion(world, {"binding": 1, "name": "Lake"})
     assert str(exc.value) == "a path flow's Goal must name a place, not {'lake': 1}"
-    assert "Lake" not in world.mechanisms and binding.produced_mechanism is None
+    assert list(world.mechanisms) == ["WaterFlowing"]
     assert save_model(world)["counters"] == {}
 
 
@@ -325,11 +314,11 @@ def test_slope_consistency_total_displacement(lengths, rises, runs):
     w = World("w")
     w.frames.update(standard_frames())
     w.define_substance("water", phase="liquid")
-    binding = bind(
+    bind(
         w, "Fluidic_Motion",
         {"Fluid": "water", "Source": "water", "Goal": "water", "Path": path},
     )
-    instantiate_fluidic_motion(w, binding, name="flow", n_portions=1)
+    fluidic_motion(w, {"binding": 0, "name": "flow", "n_portions": 1})
     register_trigger(w, Trigger("t", period=1, target="flow"))
     from semsim.world import Vocabulary
 
@@ -344,12 +333,12 @@ def test_circuit_flow_equivalent_to_heartbeat_for_one_hop(cardio_world):
     from semsim.frames import bind as fbind
 
     w = cardio_world
-    binding = fbind(
+    fbind(
         w,
         "Fluidic_Motion",
         {"Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": "cardio"},
     )
-    instantiate_fluidic_motion(w, binding, name="BloodFlow")
+    fluidic_motion(w, {"binding": 1, "name": "BloodFlow"})
     kernel = Kernel(w)
     snapshot_before = {cid: list(c.contents) for cid, c in w.compartments.items()}
 
@@ -371,7 +360,7 @@ def test_circuit_flow_equivalent_to_heartbeat_for_one_hop(cardio_world):
 def test_cardio_heartbeat_is_the_circuit_flow_of_its_binding(cardio_kernel):
     world = cardio_kernel.world
     (binding,) = world.bindings
-    assert binding.produced_mechanism == "HeartbeatPush"
+    assert world.mechanisms["HeartbeatPush"].spec["params"]["binding"] == 0
     assert binding.element_map == {
         "Fluid": "blood",
         "Source": "LeftAtrium",
@@ -408,9 +397,9 @@ def test_a_circuit_flow_refuses_a_pulse_that_is_not_a_line(cardio_world, pulse):
         "Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": "cardio",
         "Configuration": {"pulse": pulse},
     }
-    binding = bind(cardio_world, "Fluidic_Motion", elements)
+    bind(cardio_world, "Fluidic_Motion", elements)
     with pytest.raises(ModelError) as exc:
-        instantiate_fluidic_motion(cardio_world, binding, name="Beat")
+        fluidic_motion(cardio_world, {"binding": 1, "name": "Beat"})
     assert str(exc.value) == f"a circuit flow's pulse must be a trace line, not {pulse!r}"
     assert "Beat" not in cardio_world.mechanisms
 
@@ -429,8 +418,8 @@ def test_a_circuit_bound_by_name_saves_and_reloads_to_the_same_trace(cardio_worl
     from semsim.modelfile import load_model_file, save_model_file
 
     elements = {"Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": "cardio"}
-    binding = bind(cardio_world, "Fluidic_Motion", elements)
-    instantiate_fluidic_motion(cardio_world, binding, name="ExtraPush")
+    bind(cardio_world, "Fluidic_Motion", elements)
+    fluidic_motion(cardio_world, {"binding": 1, "name": "ExtraPush"})
     register_trigger(cardio_world, Trigger("Extra", period=7, target="ExtraPush", phase=3))
     path = tmp_path / "cardio-extra.json"
     save_model_file(cardio_world, path)

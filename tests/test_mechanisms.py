@@ -173,6 +173,9 @@ def test_a_side_effect_runs_after_the_effects():
         (EFFECTS, ["signal", "Medulla", "lungs", "contract"], UnknownEntityError,
          "no compartment 'lungs'"),
         (EFFECTS, ["merge", "heart"], UnknownEntityError, "no compartment 'heart'"),
+        # A built heart carries no properties: Warmth is neither its state nor its property.
+        (EFFECTS, ["set", "heart", "Warmth", "high"], UnknownEntityError,
+         "no Heart state 'Warmth'"),
     ],
 )
 def test_a_malformed_or_mistyped_item_is_refused_when_compiled(table, item, error, message):

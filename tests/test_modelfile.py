@@ -8,12 +8,13 @@ from pathlib import Path
 from semsim import Kernel, Mechanism, Trigger
 from semsim.cli import standard_rules
 from semsim.engine import register_mechanism, register_trigger
-from semsim.errors import ModelError, SchemaError
-from semsim.frames import bind, instantiate_fluidic_motion
+from semsim.errors import ModelError, SchemaError, StateError
+from semsim.frames import bind, fluidic_motion
+from semsim.mechanisms import build_mechanism
 from semsim.modelfile import load_model, load_model_file, save_model, save_model_file, upgrade
 from semsim.models import build_builtin, build_cardio, build_waterfall, medulla_sense
-from semsim.scenarios import Scenario, apply_scenario, heart_stop, load_scenario
-from semsim.validation import derive_triples
+from semsim.scenarios import Scenario, apply_scenario, heart_stop, load_scenario, scenario_from_dict
+from semsim.validation import Snapshot, Triple, derive_triples
 
 from saved_forms import (
     WATER_FLOWING_FILE,
@@ -39,8 +40,7 @@ def test_frames_waterfall_roundtrip():
     original = build_waterfall(n_portions=2)
     reloaded = load_model(save_model(original))
     assert derive_triples(original) == derive_triples(reloaded)
-    assert "WaterFlowing" in reloaded.mechanisms
-    assert reloaded.bindings[0].produced_mechanism == "WaterFlowing"
+    assert reloaded.mechanisms["WaterFlowing"].spec["params"]["binding"] == 0
 
 
 def test_a_file_saved_while_the_waterfall_was_built_by_hand_runs_as_before():
@@ -75,7 +75,7 @@ def test_the_waterfall_saves_its_binding_and_the_flow_built_from_it():
         "name": "WaterFlowing", "builtin": "fluidic_motion",
         "params": {"binding": 0, "n_portions": 2, "portion_kind": "WaterPortion"},
     }]
-    assert load_model(data).bindings[0].produced_mechanism == "WaterFlowing"
+    assert load_model(data).mechanisms["WaterFlowing"].spec["params"]["binding"] == 0
 
 
 def test_reloaded_cardio_runs_like_the_original():
@@ -127,13 +127,16 @@ def test_a_mechanism_names_the_binding_it_was_built_from_not_an_equal_one():
     len_before = len(world.bindings)  # cardio's own heartbeat binding
     elements = {"Fluid": "blood", "Source": "LeftAtrium", "Goal": "LeftAtrium", "Path": "cardio"}
     bind(world, "Fluidic_Motion", elements)
-    instantiate_fluidic_motion(world, bind(world, "Fluidic_Motion", elements), name="Second")
+    bind(world, "Fluidic_Motion", elements)
+    fluidic_motion(world, {"binding": len_before + 1, "name": "Second"})
     data = save_model(world)
     assert [m["params"]["binding"] for m in data["mechanisms"] if m["name"] == "Second"] == [
         len_before + 1
     ]
     reloaded = load_model(data)
-    assert [b.produced_mechanism for b in reloaded.bindings] == ["HeartbeatPush", None, "Second"]
+    flows = {m.name: m.spec["params"]["binding"] for m in reloaded.mechanisms.values()
+             if m.spec.get("builtin") == "fluidic_motion"}
+    assert flows == {"HeartbeatPush": 0, "Second": len_before + 1}
 
 
 def run_trace(world, ticks: int) -> list[str]:
@@ -499,6 +502,14 @@ def _heartbeat_over_no_circuit(data):
     return "mechanisms[0]"
 
 
+def _heartbeat_binding(edit, loc):
+    """Edit cardio's heartbeat binding; the refusal names loc."""
+    def breach(data):
+        edit(data["bindings"][0])
+        return loc
+    return breach
+
+
 @pytest.mark.parametrize("breach, message", [
     (_append("scales", lambda data: data["scales"][0]), "scale 'O2Level' already defined"),
     (_append("substances", lambda data: data["substances"][0]), "substance 'blood' already defined"),
@@ -534,6 +545,17 @@ def _heartbeat_over_no_circuit(data):
     (_set("compartments", "contents", ["blood-1"]),
      "portion 'blood-1' does not agree it is in 'LeftAtrium'"),
     (_heartbeat_over_no_circuit, "no circuit 'nowhere' with compartments for the heartbeat"),
+    (_append("frames", lambda data: data["frames"][0]), "frame 'Motion' already defined"),
+    (_append("lexicon", {"word": "gushing", "frame": "Gush"}),
+     "no frame 'Gush' for lexical entry 'gushing'"),
+    (_heartbeat_binding(lambda b: b["elements"].update(Path={"type": "path", "segments": []}),
+                        "bindings[0]"),
+     "a path needs at least one segment"),
+    (_heartbeat_binding(lambda b: b.update(frame="Motion"), "mechanisms[0]"),
+     "only Fluidic_Motion bindings instantiate here"),
+    (_heartbeat_binding(lambda b: b["elements"].update(Fluid={"type": "ref", "id": "ink"}),
+                        "mechanisms[0]"),
+     "Fluid must name a substance, got 'ink'"),
 ], ids=lambda case: case if isinstance(case, str) else None)
 def test_an_entry_the_world_refuses_is_named(breach, message):
     data = save_model(build_cardio())
@@ -541,6 +563,44 @@ def test_an_entry_the_world_refuses_is_named(breach, message):
     with pytest.raises(SchemaError) as exc:
         load_model(data)
     assert str(exc.value) == f"{loc}: {message}"
+
+
+def _warm_heart():
+    """A loaded cardio whose heart carries a Warmth property, as a model file may give it."""
+    data = save_model(build_cardio())
+    (heart,) = [o for o in data["objects"] if o["id"] == "heart"]
+    heart["properties"] = {"Warmth": "low"}
+    return load_model(data)
+
+
+def test_an_objects_property_takes_a_scenario_set_state_and_its_triple_follows():
+    world = _warm_heart()
+    snapshot = Snapshot(world)
+    assert Triple("heart", "hasState:Warmth", "low") in snapshot.triples
+    apply_scenario(world, scenario_from_dict({"name": "fever", "overrides": [
+        {"op": "set_state", "target": "heart", "variable": "Warmth", "label": "high"},
+    ]}))
+    assert world.objects["heart"].properties == {"Warmth": "high"}
+    snapshot.refresh()
+    assert Triple("heart", "hasState:Warmth", "high") in snapshot.triples
+    assert Triple("heart", "hasState:Warmth", "low") not in snapshot.triples
+    assert set(snapshot.triples) == derive_triples(world)
+    with pytest.raises(StateError) as exc:
+        world.set_state("heart", "Warmth", "tepid")
+    assert str(exc.value) == "label 'tepid' is outside the 'Warmth' space ['low', 'high']"
+
+
+def test_a_set_effect_compiles_for_a_property_an_object_carries():
+    world = _warm_heart()
+    build_mechanism(world, {"name": "Flush", "guard": [["always"]],
+                            "effects": [["set", "heart", "Warmth", "high"]]})
+    kernel = Kernel(world)
+    assert kernel.attempt(world.mechanisms["Flush"], "direct")
+    assert world.objects["heart"].properties == {"Warmth": "high"}
+    with pytest.raises(StateError) as exc:
+        build_mechanism(world, {"name": "Chill", "guard": [["always"]],
+                                "effects": [["set", "heart", "Warmth", "tepid"]]})
+    assert str(exc.value) == "label 'tepid' is outside the 'Warmth' space ['low', 'high']"
 
 
 @pytest.mark.parametrize("count", [True, False, -1, 1.0, "1"])

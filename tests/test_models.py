@@ -7,10 +7,10 @@ from semsim import Kernel
 from semsim.cli import standard_rules
 from semsim.errors import ModelError
 from semsim.mechanisms import build_mechanism
-from semsim.modelfile import load_model
+from semsim.modelfile import load_model, save_model
 from semsim.models import (
-    CardioConfig,
     WaterfallConfig,
+    build_builtin,
     build_cardio,
     build_waterfall,
     freeze_watch,
@@ -248,8 +248,13 @@ def test_scenario_dangling_directives_rejected():
 # cardio
 
 
-def cardio_kernel(ticks, scenario=None, config=None):
-    world = build_cardio(config)
+def cardio_kernel(ticks, scenario=None, periods=None):
+    world = build_cardio()
+    if periods is not None:  # a model file owns its trigger periods
+        data = save_model(world)
+        for trigger in data["triggers"]:
+            trigger["period"] = periods[trigger["name"]]
+        world = load_model(data)
     if scenario is not None:
         apply_scenario(world, scenario)
     kernel = Kernel(world)
@@ -363,18 +368,22 @@ def test_both_models_ship_idealization_annotations():
             assert world._element_exists(ann.target)
 
 
+def test_a_builtin_model_is_built_by_one_of_its_names():
+    assert build_builtin("cardio").name == "cardio"
+    with pytest.raises(KeyError):
+        build_builtin("waterfall-frames")
+
+
 def test_cardio_config_periods_respected():
-    config = CardioConfig(periods={"SANode": 2, "DiffusionTimer": 3, "ExternalMix": 5, "Medulla": 7})
-    world, kernel = cardio_kernel(14, config=config)
+    periods = {"SANode": 2, "DiffusionTimer": 3, "ExternalMix": 5, "Medulla": 7}
+    world, kernel = cardio_kernel(14, periods=periods)
     pulses = [e.step for e in kernel.trace if e.line == "SANode pulse"]
     assert pulses == [0, 2, 4, 6, 8, 10, 12]
 
 
 def test_tick_with_only_pacemaker_due_is_circulation_only():
-    config = CardioConfig(
-        periods={"SANode": 3, "DiffusionTimer": 4, "ExternalMix": 5, "Medulla": 7}
-    )
-    world, kernel = cardio_kernel(4, config=config)
+    periods = {"SANode": 3, "DiffusionTimer": 4, "ExternalMix": 5, "Medulla": 7}
+    world, kernel = cardio_kernel(4, periods=periods)
     # tick 3: 3 % 4, 3 % 5, 3 % 7 are all nonzero, so only the SA node fires
     report = kernel.reports[3]
     assert {world.mechanisms[f.mechanism].subsystem for f in report.fired} == {"circulation"}

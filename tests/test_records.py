@@ -35,7 +35,6 @@ from semsim.entities import (
 from semsim.errors import ModelError, ScenarioError, StateError, TransitionalError
 from semsim.frames import Frame, FrameBinding, LexicalEntry, PathSegment, PathSpec
 from semsim.models import build_cardio
-from semsim.models.cardio import CardioConfig
 from semsim.models.waterfall import WaterfallConfig
 from semsim.records import FrozenRecord, Record
 from semsim.scenarios import Directive, Scenario
@@ -178,7 +177,6 @@ def test_slotted_records_have_no_attribute_dict(record):
         (lambda: ValidationReport(), ("violations",)),
         (lambda: FrameBinding(Frame("F", ("Theme",))), ("element_map",)),
         (lambda: Scenario("s"), ("overrides",)),
-        (lambda: CardioConfig(), ("circuit", "periods", "initial_blood", "initial_air")),
         (lambda: Microworld(), ("ambient",)),
     ],
     ids=lambda value: type(value()).__name__ if callable(value) else "",
@@ -278,7 +276,6 @@ EXAMPLES = [
     GuardFailure("M", "trigger:t", ["always"]),
     StepReport(0, lines=["x"], validation=ValidationReport()),
     FrameBinding(Frame("F", ("Theme",)), {"Theme": "water"}),
-    CardioConfig(),
     Scenario("s", [Directive("disable_trigger", ("SANode",))]),
     RunConfig("cardio", steps=3),
 ]

@@ -2,11 +2,14 @@
 """What happens when the heart stops: disable the pacemaker trigger and watch
 breathing continue on the medulla's own clock while circulation is silent."""
 import argparse
+from pathlib import Path
 
 from semsim.cli import standard_rules
 from semsim.engine import Kernel
 from semsim.models import build_cardio
-from semsim.scenarios import apply_scenario, heart_stop
+from semsim.scenarios import apply_scenario, load_scenario
+
+HEART_STOP = Path(__file__).resolve().parent / "scenarios" / "heart_stop.json"
 
 
 def main():
@@ -15,7 +18,7 @@ def main():
     args = parser.parse_args()
 
     world = build_cardio()
-    apply_scenario(world, heart_stop())
+    apply_scenario(world, load_scenario(HEART_STOP))
     kernel = Kernel(world)
     standard_rules(kernel)
     kernel.run(args.ticks)

@@ -1,26 +1,25 @@
 #!/usr/bin/env python3
-"""Pool a few portions through the waterfall three ways: built from its
-Fluidic_Motion binding, frozen mid-run, and loaded from a version-1 model file
-saved while the waterfall was built by hand (tests/golden/waterfall_water_flowing.json),
-which is upgraded at load."""
+"""Pool a few portions through the waterfall three ways: loaded from its
+model file, frozen by scripts/scenarios/freeze.json, and loaded from a
+version-1 model file saved while the waterfall was built by hand
+(tests/golden/waterfall_water_flowing.json), which is upgraded at load."""
 from pathlib import Path
 
 from semsim.cli import standard_rules
 from semsim.engine import Kernel
 from semsim.modelfile import load_model_file
-from semsim.models import WaterfallConfig, build_waterfall
-from semsim.scenarios import apply_scenario, waterfall_freeze
+from semsim.models import build_waterfall
+from semsim.scenarios import apply_scenario, load_scenario
 
-SAVED_BY_HAND = (
-    Path(__file__).resolve().parent.parent / "tests" / "golden" / "waterfall_water_flowing.json"
-)
+HERE = Path(__file__).resolve().parent
+FREEZE = HERE / "scenarios" / "freeze.json"
+SAVED_BY_HAND = HERE.parent / "tests" / "golden" / "waterfall_water_flowing.json"
 
 
 def main():
-    config = WaterfallConfig()
     n = 3
 
-    world = build_waterfall(config, n_portions=n)
+    world = build_waterfall(n_portions=n)
     kernel = Kernel(world)
     standard_rules(kernel)
     kernel.run(n)
@@ -28,10 +27,10 @@ def main():
     # The flow is the mechanism whose saved spec names binding 0.
     flow = next(m.name for m in world.mechanisms.values()
                 if m.spec.get("params", {}).get("binding") == 0)
-    print(f"frame-built:  {kernel.trace_lines()}  final=({p.x}, {p.y})  mechanism={flow}")
+    print(f"model file:   {kernel.trace_lines()}  final=({p.x}, {p.y})  mechanism={flow}")
 
-    frozen = build_waterfall(config, n_portions=n)
-    apply_scenario(frozen, waterfall_freeze())
+    frozen = build_waterfall(n_portions=n)
+    apply_scenario(frozen, load_scenario(FREEZE))
     k2 = Kernel(frozen)
     standard_rules(k2)
     k2.run(n)

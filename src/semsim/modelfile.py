@@ -5,23 +5,24 @@ portions, mechanisms (as data, or by builtin name plus parameters),
 triggers, frames, bindings, the names of the applied scenarios,
 assertions, annotations, ambient state, id counters, the clock and the
 signals in transit - so a reloaded world produces the same triple snapshot
-as the programmatic build, and a kernel on it carries on the run. Runtime
-history (the transitional log, traces) is not part of a model file. A
-property's value is saved as its label and loaded as its scale's own
-string for that label. Files are saved as version 4; older files (no
-version reads as 1) load through `upgrade`, the one place that knows their
-forms, and a file without `scenarios` loads with no scenario applied. Once
-every mechanism is built, the loader checks each one's signals and fired
-members (semsim.mechanisms).
+as the world that was saved, and a kernel on it carries on the run.
+`load_model` is the one way a world is built from a definition: the shipped
+models are model files too (semsim.models). Runtime history (the
+transitional log, traces) is not part of a model file. A property's value
+is saved as its label and loaded as its scale's own string for that label.
+Each binding is made by `frames.bind`, with its checks. Files are saved as
+version 4; older files (no version reads as 1) load through `upgrade`, the
+one place that knows their forms, and a file without `scenarios` loads with
+no scenario applied. Once every mechanism is built, the loader checks each
+one's signals and fired members (semsim.mechanisms).
 """
 from __future__ import annotations
 
 import json
 import re
-from contextlib import contextmanager
+import sys
 from pathlib import Path
 
-from . import models
 from .engine import Signal, Trigger, register_trigger
 from .entities import (
     PartSpec,
@@ -31,12 +32,26 @@ from .entities import (
     cardinality,
 )
 from .errors import ModelError, SchemaError, SemsimError
-from .frames import FrameBinding, PathSegment, PathSpec, define_frame, add_lexical_entry, standard_frames
+from .frames import (
+    PathSegment,
+    PathSpec,
+    add_lexical_entry,
+    bind,
+    check_leg,
+    define_frame,
+    fluidic_motion,
+    standard_frames,
+)
 from .mechanisms import EFFECTS, build_mechanism, check_links, compile_items
+from .models.cardio import inhale_cycle
 from .world import Vocabulary, World
 
 FORMAT = "semsim-model"
 VERSION = 4
+
+#: Mechanism factories addressable from model files: name -> f(world, params).
+#: Every other mechanism is saved as data (semsim.mechanisms).
+BUILTIN_MECHANISMS = {"inhale_cycle": inhale_cycle, "fluidic_motion": fluidic_motion}
 
 
 def _space_to_dict(space: StateSpace) -> dict:
@@ -246,19 +261,28 @@ def _entries(data: dict, key: str):
         yield loc, entry
 
 
-@contextmanager
-def _diagnosed(loc: str):
-    """Report whatever a malformed entry raises as a SchemaError naming it."""
-    try:
-        yield
-    except SchemaError:
-        raise
-    except KeyError as exc:
-        raise SchemaError(f"missing field {exc}", loc) from exc
-    except SemsimError as exc:
-        raise SchemaError(str(exc), loc) from exc
-    except (TypeError, ValueError, AttributeError, re.error) as exc:
-        raise SchemaError(f"malformed entry: {exc}", loc) from exc
+class _diagnosed:
+    """Report whatever a malformed entry raises as a SchemaError naming it.
+    A plain class: a shipped model enters one about a hundred times per
+    load, and a generator-based context manager costs several times more."""
+
+    __slots__ = ("loc",)
+
+    def __init__(self, loc: str):
+        self.loc = loc
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, _traceback):
+        if kind is None or issubclass(kind, SchemaError):
+            return
+        if issubclass(kind, KeyError):
+            raise SchemaError(f"missing field {exc}", self.loc) from exc
+        if issubclass(kind, SemsimError):
+            raise SchemaError(str(exc), self.loc) from exc
+        if issubclass(kind, (TypeError, ValueError, AttributeError, re.error)):
+            raise SchemaError(f"malformed entry: {exc}", self.loc) from exc
 
 
 def _qual(world: World, prop, label, loc: str) -> str:
@@ -284,25 +308,132 @@ def _add_missing(data: dict, key: str, field: str, entry: dict):
         data[key] = [*section, entry]
 
 
+# ----------------------------------------------------------------------
+# forms older than version 4, read only by upgrade
+
+
 def _heartbeat_push_v1(data: dict, params: dict):
-    """heartbeat_push's circulation, around its circuit."""
+    """heartbeat_push's circulation: blood around its circuit from the
+    circuit's first compartment, with the SA node's pulse."""
     circuit = params.get("circuit", "cardio")
     order = next((c.get("order") for _, c in _entries(data, "circuits") if c.get("name") == circuit), None)
     if not order:
         raise ModelError(f"no circuit {circuit!r} with compartments for the heartbeat")
-    return models.circulation_elements(circuit, order), {"name": params.get("name", "HeartbeatPush")}
+    elements = {"Fluid": "blood", "Source": order[0], "Goal": order[0], "Path": circuit,
+                "Configuration": {"pulse": "SANode pulse"}}
+    return elements, {"name": params.get("name", "HeartbeatPush")}
+
+
+def _waterfall_path_v1(upper_bed_length=1000, vertical_drop=100, upper_delta=(10, -1),
+                       drop_delta=(1, -10), labels=("upper", "drop", "pool")):
+    """The path and the goal water_flowing's config gave: a bed, then a drop,
+    each delta a (dx, dy) per unit."""
+    legs = ((upper_bed_length, upper_delta), (vertical_drop, drop_delta))
+    for length, delta in legs:
+        check_leg(length, delta, "bed length and drop must be positive ints",
+                  "a per-unit delta must be a pair of ints")
+    upper, drop, goal = labels
+    segments = tuple(PathSegment(length, slope=(dy, dx), label=label)
+                     for (length, (dx, dy)), label in zip(legs, (upper, drop)))
+    return PathSpec(segments), goal
 
 
 def _water_flowing_v1(data: dict, params: dict):
     """water_flowing's path flow, from the config in its params, and its places."""
     params = dict(params)
     name, n_portions = params.pop("name", "WaterFlowing"), params.pop("n_portions", None)
-    config = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
-    elements = models.waterfall_elements(models.WaterfallConfig(**config))
+    path, goal = _waterfall_path_v1(**{k: tuple(v) if isinstance(v, list) else v
+                                       for k, v in params.items()})
+    elements = {"Fluid": "water", "Source": "bedInlet", "Goal": goal, "Path": path,
+                "Configuration": {"volume": "high", "speed": "moderate"}}
     _add_missing(data, "kinds", "name", {"name": "Place"})
-    for place in (elements["Source"], elements["Goal"]):
+    for place in ("bedInlet", goal):
         _add_missing(data, "objects", "id", {"id": place, "kind": "Place"})
     return elements, {"name": name, "n_portions": n_portions, "portion_kind": "WaterPortion"}
+
+
+# Each template maps the params of a builtin retired in version 3 to its data
+# form (semsim.mechanisms).
+
+
+def gas_exchange_alv(name="GasExchangeAlv", blood_at="AlvCap", air_at="AlvAir") -> dict:
+    return {
+        "name": name,
+        "subsystem": "diffusion",
+        "guard": [
+            ["occupant", "blood", blood_at, "O2Level", "low"],
+            ["occupant", "air", air_at, "O2Level", "high"],
+        ],
+        "effects": [
+            ["set_occupant", "blood", blood_at, "O2Level", "high"],
+            ["set_occupant", "blood", blood_at, "CO2Level", "low"],
+            ["set_occupant", "air", air_at, "O2Level", "low"],
+            ["set_occupant", "air", air_at, "CO2Level", "high"],
+            ["emit", f"{blood_at}Blood O2 diffusion"],
+        ],
+    }
+
+
+def cell_respiration(name="CellRespiration", blood_at="CellCap") -> dict:
+    return {
+        "name": name,
+        "subsystem": "diffusion",
+        "guard": [["occupant", "blood", blood_at, "O2Level", "high"]],
+        "effects": [
+            ["set_occupant", "blood", blood_at, "O2Level", "low"],
+            ["set_occupant", "blood", blood_at, "CO2Level", "high"],
+            ["emit", f"{blood_at}Blood O2 diffusion"],
+        ],
+        "side_effects": [["set_occupant", "blood", blood_at, "Warmth", "high"]],
+    }
+
+
+def diffusion_check(name="DiffusionCheck", members=("GasExchangeAlv", "CellRespiration")) -> dict:
+    if isinstance(members, str):
+        raise ModelError(f"members must be a list of mechanism names, not {members!r}")
+    return {
+        "name": name,
+        "subsystem": "diffusion",
+        "guard": [["always"]],
+        "effects": [["emit", "diffusion check"]] + [["fire", member] for member in members],
+    }
+
+
+def medulla_sense(name="MedullaSense", blood_at="MedullaCap", nerve_from="Medulla",
+                  nerve_to="Diaphragm") -> dict:
+    return {
+        "name": name,
+        "subsystem": "respiration",
+        "guard": [["occupant", "blood", blood_at, "CO2Level", "high"]],
+        "effects": [
+            ["emit", "past phrenicNerve trigger"],
+            ["signal", nerve_from, nerve_to, "contract"],
+        ],
+    }
+
+
+def mix_external_air(name="MixExternalAir", reservoir="ExternalAir") -> dict:
+    return {
+        "name": name,
+        "subsystem": "respiration",
+        "guard": [["holds", reservoir, "air"]],
+        "effects": [
+            ["merge", reservoir],
+            ["set_occupant", "air", reservoir, "O2Level", "high"],
+            ["set_occupant", "air", reservoir, "CO2Level", "low"],
+            ["emit", "mixing external air"],
+        ],
+    }
+
+
+def freeze_watch(name="FreezeWatch", substance="water") -> dict:
+    """Water turns solid whenever the ambient temperature is below freezing."""
+    return {
+        "name": name,
+        "subsystem": "ambient",
+        "guard": [["ambient", "temperature", "below_freezing"], ["not_phase", substance, "solid"]],
+        "effects": [["set", substance, "phase", "solid"]],
+    }
 
 
 def _path_flow_fluid(data: dict, spec: dict):
@@ -328,9 +459,9 @@ def upgrade(data: dict) -> dict:
     if version == VERSION:
         return data
     rewrites = {"heartbeat_push": _heartbeat_push_v1, "water_flowing": _water_flowing_v1}
-    # Retired builtins, each now a template of its data form in models.
-    retired = ("gas_exchange_alv", "cell_respiration", "diffusion_check",
-               "medulla_sense", "mix_external_air", "freeze_watch")
+    retired = {"gas_exchange_alv": gas_exchange_alv, "cell_respiration": cell_respiration,
+               "diffusion_check": diffusion_check, "medulla_sense": medulla_sense,
+               "mix_external_air": mix_external_air, "freeze_watch": freeze_watch}
     data = dict(data, version=VERSION, mechanisms=list(_section(data, "mechanisms")))
     for i, (loc, spec) in enumerate(_entries(data, "mechanisms")):
         with _diagnosed(loc):
@@ -346,13 +477,13 @@ def upgrade(data: dict) -> dict:
                 params = dict(spec.get("params", {}))
                 if "name" in spec:
                     params["name"] = spec["name"]
-                data["mechanisms"][i] = getattr(models, builtin)(**params)
+                data["mechanisms"][i] = retired[builtin](**params)
     # A flow without a cursor counted the fluid's portions, as flows did then.
     counters = data["counters"] = dict(_section(data, "counters", dict))
     for i, (loc, spec) in enumerate(_entries(data, "mechanisms")):
         with _diagnosed(loc):
             fluid, cursor = _path_flow_fluid(data, spec), spec.get("cursor")
-            if "cursor" in spec and spec.get("builtin") in (None, *models.BUILTIN_MECHANISMS):
+            if "cursor" in spec and spec.get("builtin") in (None, *BUILTIN_MECHANISMS):
                 if fluid is None:
                     raise SchemaError(f"{spec.get('name')!r} is not a path flow; it has no cursor", loc)
                 if type(cursor) is not int or cursor < 0:  # bool is not a cursor
@@ -365,13 +496,28 @@ def upgrade(data: dict) -> dict:
     return data
 
 
+def _interned(value):
+    """value with every string in it interned. A built world shares one
+    string object per name, its source's literal, and so does a loaded one:
+    a step's lookups by name then match by identity, which made a loaded
+    cardio's steps about 3% faster."""
+    kind = type(value)
+    if kind is str:
+        return sys.intern(value)
+    if kind is list:
+        return [_interned(v) for v in value]
+    if kind is dict:
+        return {sys.intern(k) if type(k) is str else k: _interned(v) for k, v in value.items()}
+    return value
+
+
 def load_model(data: dict) -> World:
     """Rebuild a world from a dict produced by save_model (or written by hand)."""
     if not isinstance(data, dict) or not data:
         raise SchemaError("model file must be a non-empty JSON object")
     if data.get("format") != FORMAT:
         raise SchemaError(f"not a {FORMAT} document", "format")
-    data = upgrade(data)
+    data = _interned(upgrade(data))
     if not isinstance(data.get("name"), str):
         raise SchemaError("missing model name (a string)", "name")
     world = World(data["name"])
@@ -517,13 +663,10 @@ def load_model(data: dict) -> World:
 
     for loc, b in _entries(data, "bindings"):
         with _diagnosed(loc):
-            frame = world.frames.get(b.get("frame"))
-            if frame is None:
-                raise SchemaError(f"unknown frame {b.get('frame')!r}", loc)
             elements = {
                 k: _binding_value_from_dict(v, loc) for k, v in b.get("elements", {}).items()
             }
-            world.bindings.append(FrameBinding(frame, elements))
+            bind(world, b.get("frame"), elements)
 
     for loc, spec in _entries(data, "mechanisms"):
         with _diagnosed(loc):
@@ -531,12 +674,12 @@ def load_model(data: dict) -> World:
                 build_mechanism(world, spec)
                 continue
             builtin = spec["builtin"]
-            if builtin not in models.BUILTIN_MECHANISMS:
+            if builtin not in BUILTIN_MECHANISMS:
                 raise SchemaError(f"unknown builtin mechanism {builtin!r}", loc)
             params = dict(spec.get("params", {}))
             if "name" in spec:
                 params["name"] = spec["name"]
-            models.BUILTIN_MECHANISMS[builtin](world, params)
+            BUILTIN_MECHANISMS[builtin](world, params)
 
     # A mechanism may signal or fire one that comes after it in the file.
     for i, mechanism in enumerate(world.mechanisms.values()):

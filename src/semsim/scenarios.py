@@ -6,7 +6,7 @@ from pathlib import Path
 
 from .errors import ScenarioError, SemsimError, need
 from .records import FrozenRecord, Record, set_field
-from .world import Annotation, World
+from .world import AMBIENT_SCALES, Annotation, World
 
 DIRECTIVE_OPS = ("disable_trigger", "set_ambient", "set_state", "remove_connection")
 
@@ -45,21 +45,43 @@ def remove_connection(src: str, dst: str, conduit_kind: str = "fluid") -> Direct
     return Directive("remove_connection", (src, dst, conduit_kind))
 
 
+def _check(world: World, directive: Directive, connections: dict):
+    """Raise what applying directive would raise, and write nothing to the
+    world. connections holds those the scenario's earlier overrides leave."""
+    op, args = directive.op, directive.args
+    if op == "disable_trigger":
+        need(world.triggers, args[0], "trigger to disable")
+    elif op == "set_ambient":
+        need(AMBIENT_SCALES, args[0], "ambient property").index(args[1])
+    elif op == "set_state":
+        world.check_state(*args)
+    elif op == "remove_connection":
+        key = tuple(args)
+        need(connections, key, "connection")
+        del connections[key]
+
+
 def apply_scenario(world: World, scenario: Scenario) -> Annotation:
-    """Apply every override in order; returns the annotation recording the scenario.
-    An override the world refuses raises a ScenarioError naming it, overrides[i]."""
+    """Apply every override in order; returns the annotation recording the
+    scenario. Every override is checked before any is applied: one the world
+    refuses raises a ScenarioError naming it, overrides[i], and the world is
+    left unchanged."""
+    connections = dict(world.connections)
     for i, directive in enumerate(scenario.overrides):
         try:
-            if directive.op == "disable_trigger":
-                need(world.triggers, directive.args[0], "trigger to disable").enabled = False
-            elif directive.op == "set_ambient":
-                world.set_ambient(*directive.args)
-            elif directive.op == "set_state":
-                world.set_state(*directive.args)
-            elif directive.op == "remove_connection":
-                world.remove_connection(*directive.args)
+            _check(world, directive, connections)
         except SemsimError as exc:
             raise ScenarioError(f"overrides[{i}]: {exc}") from exc
+    for directive in scenario.overrides:
+        op, args = directive.op, directive.args
+        if op == "disable_trigger":
+            world.triggers[args[0]].enabled = False
+        elif op == "set_ambient":
+            world.set_ambient(*args)
+        elif op == "set_state":
+            world.set_state(*args)
+        elif op == "remove_connection":
+            world.remove_connection(*args)
     world.scenarios.append(scenario.name)
     note = f"scenario {scenario.name!r} applied at step {world.clock}"
     return world.annotate(world.name, "user_comment", note)
@@ -120,11 +142,3 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     return scenario_from_dict(data)
 
-
-def heart_stop() -> Scenario:
-    """The pacemaker trigger goes silent; breathing keeps its own clock."""
-    return Scenario("heart-stop", [disable_trigger("SANode")])
-
-
-def waterfall_freeze() -> Scenario:
-    return Scenario("freeze", [set_state("water", "phase", "solid")])

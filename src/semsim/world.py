@@ -458,18 +458,23 @@ class World:
 
         Refused before anything changes: an id any registry uses, an unknown
         kind, a state its kind does not declare or whose label is off the
-        kind's space, and a property label off its world scale.
+        kind's space, a state its kind declares that it lacks (rules and
+        guards read them), and a property label off its world scale.
         """
         if self.has_entity(obj.id):
             raise DuplicateNameError(f"duplicate object id {obj.id!r}")
         kind = self.kinds.get(obj.kind)
         if kind is None:
             raise UnknownEntityError(f"unknown kind {obj.kind!r}")
+        spaces = kind._effective_spaces
         for variable, label in obj.states.items():
-            space = kind._effective_spaces.get(variable)
+            space = spaces.get(variable)
             if space is None:
                 raise StateError(f"variable {variable!r} not declared for kind {obj.kind!r}")
             space.index(label)
+        missing = [variable for variable in spaces if variable not in obj.states]
+        if missing:
+            raise StateError(f"object {obj.id!r} lacks its kind's states {missing}")
         for key, label in obj.properties.items():
             self._property_scale(key).index(label)
         self.objects[obj.id] = obj
@@ -500,6 +505,20 @@ class World:
     def set_state(self, entity_id: str, variable: str, label: str) -> Transitional:
         """Move one state variable, or a property of a portion or an object,
         to a new label, recording the transitional."""
+        ent, slots = self.check_state(entity_id, variable, label)
+        if slots is not None:
+            slots[variable] = label
+        elif isinstance(ent, Substance):
+            ent.phase = label
+        else:
+            ent.location_state = label
+        return self._state_changed(entity_id, variable, label)
+
+    def check_state(self, entity_id: str, variable: str, label: str):
+        """(entity, slots): what set_state(entity_id, variable, label) writes,
+        the entity and the dict that takes the label (None for a substance's
+        phase or a portion's Location), after every check set_state makes.
+        Writes nothing."""
         # self.entity(entity_id), one lookup per registry.
         ent = self.objects.get(entity_id)
         if ent is None:
@@ -512,8 +531,8 @@ class World:
             if variable not in ("phase", "Phase"):
                 raise StateError(f"substances only have a phase, not {variable!r}")
             ent.phase_space.index(label)
-            ent.phase = label
-        elif isinstance(ent, Portion):
+            return ent, None
+        if isinstance(ent, Portion):
             if not ent.alive:
                 raise DeadSubjectError(f"portion {entity_id!r} is dead")
             properties = ent.properties
@@ -523,29 +542,23 @@ class World:
                     location = spaces.get("Location")
                     if location is not None:
                         location.index(label)
-                ent.location_state = label
-            elif variable in properties:
+                return ent, None
+            if variable in properties:
                 self.scales[variable].index(label)
-                properties[variable] = label
-            else:
-                raise StateError(
-                    f"portion {ent.id!r} has no property or location variable {variable!r}"
-                )
-        else:
-            if not ent.alive:
-                raise DeadSubjectError(f"object {entity_id!r} is dead")
-            space = need(self.kinds, ent.kind, "kind")._effective_spaces.get(variable)
-            if space is not None:
-                space.index(label)
-                ent.states[variable] = label
-            elif variable in ent.properties:
-                self.scales[variable].index(label)
-                ent.properties[variable] = label
-            else:
-                raise StateError(
-                    f"variable {variable!r} not declared for kind {ent.kind!r}"
-                )
-        return self._state_changed(entity_id, variable, label)
+                return ent, properties
+            raise StateError(
+                f"portion {ent.id!r} has no property or location variable {variable!r}"
+            )
+        if not ent.alive:
+            raise DeadSubjectError(f"object {entity_id!r} is dead")
+        space = need(self.kinds, ent.kind, "kind")._effective_spaces.get(variable)
+        if space is not None:
+            space.index(label)
+            return ent, ent.states
+        if variable in ent.properties:
+            self.scales[variable].index(label)
+            return ent, ent.properties
+        raise StateError(f"variable {variable!r} not declared for kind {ent.kind!r}")
 
     def set_location(self, portion: Portion, label: str) -> Transitional:
         """set_state(portion.id, "Location", label) for a caller that holds

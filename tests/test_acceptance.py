@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,16 +18,14 @@ from semsim.cli import RunConfig, console_command, standard_rules
 from semsim.errors import MissingCoreElement
 from semsim.frames import bind, standard_frames
 from semsim.modelfile import load_model, save_model
-from semsim.models import (
-    WaterfallConfig,
-    build_cardio,
-    build_waterfall,
-)
-from semsim.scenarios import apply_scenario, heart_stop, waterfall_freeze
+from semsim.models import build_cardio, build_waterfall
+from semsim.scenarios import apply_scenario, load_scenario
 from semsim.validation import derive_triples
 from semsim.world import World
 
-from saved_forms import saved_water_flowing
+from saved_forms import saved_water_flowing, waterfall_on_path
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
 
 FIG3_LINE_TYPES = [
     "pushed LeftAtriumBlood",
@@ -113,9 +112,7 @@ def test_criterion_2_waterfall_generalization():
     for _ in range(50):
         length = rng.randint(1, 2000)
         drop = rng.randint(1, 500)
-        world = build_waterfall(
-            WaterfallConfig(upper_bed_length=length, vertical_drop=drop), n_portions=1
-        )
+        world = load_model(waterfall_on_path(bed=length, drop=drop, n_portions=1))
         Kernel(world).run(1)
         portion = world.portions["water-0"]
         assert (portion.x, portion.y) == unit_loop_oracle(length, drop)
@@ -251,14 +248,14 @@ def test_criterion_7_two_phase_validation(tmp_path):
 
 def test_criterion_8_scenarios():
     # heart stop: no pushes, breathing persists
-    _, kernel = run_cardio(100, scenario=heart_stop())
+    _, kernel = run_cardio(100, scenario=load_scenario(SCENARIOS / "heart_stop.json"))
     lines = kernel.trace_lines()
     assert sum(1 for l in lines if l.startswith("pushed")) == 0
     assert lines.count("inhale cycle") >= 3
 
     # freeze: flow guard fails on fluidity; nothing advances
     world = build_waterfall(n_portions=5)
-    apply_scenario(world, waterfall_freeze())
+    apply_scenario(world, load_scenario(SCENARIOS / "freeze.json"))
     kernel = Kernel(world)
     standard_rules(kernel)
     kernel.run(10)
@@ -272,14 +269,13 @@ def test_criterion_8_scenarios():
 
 
 def test_criterion_9_frames_equivalence():
-    config = WaterfallConfig()  # full-size bed and drop
     # The hand-built waterfall, as a file saved before it had a binding.
     hand = load_model(saved_water_flowing())
     k_hand = Kernel(hand)
     standard_rules(k_hand)
     k_hand.run(2)
 
-    framed = build_waterfall(config, n_portions=2)
+    framed = build_waterfall(n_portions=2)  # full-size bed and drop
     k_framed = Kernel(framed)
     standard_rules(k_framed)
     k_framed.run(2)

@@ -19,16 +19,16 @@ from semsim.cli import (
     prepare,
     run_command,
 )
-from semsim.modelfile import save_model, save_model_file
-from semsim.engine import StepReport, register_mechanism, register_trigger
-from semsim.models import (
-    build_cardio,
-    build_waterfall,
+from semsim.modelfile import (
     cell_respiration,
     diffusion_check,
     medulla_sense,
     mix_external_air,
+    save_model,
+    save_model_file,
 )
+from semsim.engine import StepReport, register_mechanism, register_trigger
+from semsim.models import build_cardio, build_waterfall
 from semsim.world import Vocabulary
 
 from saved_forms import saved_cardio_version_2, saved_heartbeat_push, saved_water_flowing
@@ -682,6 +682,7 @@ def _frames_path_breach(field, value):
 
 
 def _frames_goal_breach(data):
+    data["objects"].append({"id": "lake", "kind": "Place"})
     data["bindings"][0]["elements"]["Goal"]["id"] = "lake"
 
 

@@ -59,7 +59,7 @@ def test_register_mechanism_unknown_signal_compartment():
 
 def test_register_mechanism_dangling_reference():
     from semsim.mechanisms import build_mechanism
-    from semsim.models.cardio import gas_exchange_alv
+    from semsim.modelfile import gas_exchange_alv
 
     w = counter_world()
     w.define_scale(StateSpace("O2Level", ("low", "high"), "binary"))
@@ -623,13 +623,13 @@ def test_a_receiver_registered_mid_run_gets_the_next_delivery_after_the_earlier_
 
 
 def test_heart_stop_applied_mid_run_silences_the_pacemaker_at_the_next_tick():
-    from semsim.scenarios import apply_scenario, heart_stop
+    from semsim.scenarios import Scenario, apply_scenario, disable_trigger
 
     beating, stopped = Kernel(build_cardio()), Kernel(build_cardio())
     for kernel in (beating, stopped):
         standard_rules(kernel)
         kernel.run(8)
-    apply_scenario(stopped.world, heart_stop())
+    apply_scenario(stopped.world, Scenario("heart-stop", [disable_trigger("SANode")]))
     beating.run(9)
     stopped.run(9)
     assert _fired_at(beating, "HeartbeatPush") == [0, 4, 8, 12, 16]

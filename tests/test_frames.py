@@ -19,17 +19,17 @@ from semsim.frames import (
     fluidic_motion,
     standard_frames,
 )
-from semsim.models import (
-    WaterfallConfig,
-    build_cardio,
-    build_waterfall,
-    waterfall_path,
-)
+from semsim.models import build_cardio, build_waterfall
 from semsim.engine import Trigger, guard_report, register_trigger
 from semsim.modelfile import load_model, save_model
 
 from reference import total_displacement
-from saved_forms import saved_water_flowing, saved_waterfall_version_3
+from saved_forms import saved_water_flowing, saved_waterfall_version_3, waterfall_on_path
+
+
+def shipped_path() -> PathSpec:
+    """The shipped waterfall's path: the Path of its one binding."""
+    return build_waterfall().bindings[0].element_map["Path"]
 
 
 def test_define_frame_fluidic_motion():
@@ -75,7 +75,7 @@ def test_bind_stores_noncore_configuration():
             "Fluid": "water",
             "Source": "inlet",
             "Goal": "basin",
-            "Path": waterfall_path(),
+            "Path": shipped_path(),
             "Configuration": {"volume": "high"},
         },
     )
@@ -95,7 +95,7 @@ def test_bind_unknown_element_rejected():
                 "Fluid": "water",
                 "Source": "water",
                 "Goal": "water",
-                "Path": waterfall_path(),
+                "Path": shipped_path(),
                 "Vibe": "moist",
             },
         )
@@ -148,7 +148,7 @@ def test_frozen_fluid_disables_flow():
 
 
 def test_waterfall_per_unit_deltas():
-    path = waterfall_path(WaterfallConfig())
+    path = shipped_path()
     assert path.segments[0].unit_delta == (10, -1)
     assert path.segments[1].unit_delta == (1, -10)
 
@@ -160,7 +160,7 @@ def test_frames_waterfall_trace_equivalent_to_hand_built():
     k1 = Kernel(hand)
     k1.run(3)
 
-    framed = build_waterfall(WaterfallConfig(upper_bed_length=30, vertical_drop=5), n_portions=3)
+    framed = load_model(waterfall_on_path(bed=30, drop=5, n_portions=3))
     k2 = Kernel(framed)
     k2.run(3)
 
@@ -174,12 +174,11 @@ def test_frames_waterfall_trace_equivalent_to_hand_built():
 
 @pytest.mark.parametrize("cut", [0, 1, 2, 3])
 def test_a_reloaded_frames_waterfall_runs_on_as_if_uninterrupted(cut):
-    config = WaterfallConfig(upper_bed_length=3, vertical_drop=2)
-    whole = build_waterfall(config, n_portions=3)
+    whole = load_model(waterfall_on_path(bed=3, drop=2, n_portions=3))
     k_whole = Kernel(whole)
     k_whole.run(4)
 
-    first = build_waterfall(config, n_portions=3)
+    first = load_model(waterfall_on_path(bed=3, drop=2, n_portions=3))
     k_first = Kernel(first)
     k_first.run(cut)
     reloaded = load_model(save_model(first))
@@ -201,7 +200,7 @@ def _build_hand(n_portions):
 
 
 def _build_framed(n_portions):
-    return build_waterfall(WaterfallConfig(upper_bed_length=3, vertical_drop=2), n_portions)
+    return load_model(waterfall_on_path(bed=3, drop=2, n_portions=n_portions))
 
 
 @pytest.mark.parametrize("build", [_build_hand, _build_framed], ids=["hand", "frames"])
@@ -216,7 +215,7 @@ def test_a_flow_counts_its_own_releases_not_every_portion_of_its_fluid(build):
 
 
 def test_two_path_flows_of_one_fluid_release_distinct_portions_and_both_pool():
-    world = build_waterfall(WaterfallConfig(upper_bed_length=3, vertical_drop=2), n_portions=4)
+    world = load_model(waterfall_on_path(bed=3, drop=2, n_portions=4))
     bind(world, "Fluidic_Motion", dict(world.bindings[0].element_map))
     fluidic_motion(world, {"binding": 1, "name": "SecondFlow", "portion_kind": "WaterPortion"})
     register_trigger(world, Trigger("SecondFlowTrigger", period=1, target="SecondFlow"))

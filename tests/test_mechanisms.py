@@ -10,8 +10,8 @@ from semsim.cli import EXIT_CONFIG, main
 from semsim.engine import register_mechanism
 from semsim.errors import ModelError, StateError, TraceVocabularyError, UnknownEntityError
 from semsim.mechanisms import CONDITIONS, EFFECTS, build_mechanism, check_links, compile_items
-from semsim.modelfile import load_model, save_model
-from semsim.models import build_cardio, build_waterfall, freeze_watch
+from semsim.modelfile import freeze_watch, load_model, save_model
+from semsim.models import build_cardio, build_waterfall
 
 
 def guard(world, *items):

@@ -6,18 +6,27 @@ import pytest
 from pathlib import Path
 
 from semsim import Kernel, Mechanism, Trigger
-from semsim.cli import standard_rules
+from semsim.cli import EXIT_CONFIG, main, standard_rules
 from semsim.engine import register_mechanism, register_trigger
 from semsim.errors import ModelError, SchemaError, StateError
 from semsim.frames import bind, fluidic_motion
 from semsim.mechanisms import build_mechanism
-from semsim.modelfile import load_model, load_model_file, save_model, save_model_file, upgrade
-from semsim.models import build_builtin, build_cardio, build_waterfall, medulla_sense
-from semsim.scenarios import Scenario, apply_scenario, heart_stop, load_scenario, scenario_from_dict
+from semsim.modelfile import (
+    load_model,
+    load_model_file,
+    medulla_sense,
+    save_model,
+    save_model_file,
+    upgrade,
+)
+from semsim.models import build_builtin, build_cardio, build_waterfall
+from semsim.scenarios import Scenario, apply_scenario, load_scenario, scenario_from_dict
 from semsim.validation import Snapshot, Triple, derive_triples
 
 from saved_forms import (
+    CARDIO_FILE,
     WATER_FLOWING_FILE,
+    WATERFALL_FILE,
     saved_cardio_version_2,
     saved_heartbeat_push,
     saved_water_flowing,
@@ -195,6 +204,26 @@ def test_a_version_2_cardio_file_runs_the_same_trace_and_saves_its_mechanisms_as
     )
 
 
+def test_a_version_2_freeze_watch_freezes_the_water_as_its_data_form_does():
+    old = save_model(build_waterfall(n_portions=5))
+    old["version"] = 2
+    old["mechanisms"].append({"name": "Frost", "builtin": "freeze_watch", "params": {}})
+    old["triggers"].append({"name": "FrostTimer", "period": 1, "target": "Frost"})
+    assert upgrade(old)["mechanisms"][1] == {
+        "name": "Frost",
+        "subsystem": "ambient",
+        "guard": [["ambient", "temperature", "below_freezing"], ["not_phase", "water", "solid"]],
+        "effects": [["set", "water", "phase", "solid"]],
+    }
+    world = load_model(old)
+    kernel = Kernel(world)
+    kernel.run(1)
+    world.set_ambient("temperature", "below_freezing")
+    kernel.run(2)  # the flow fires before the frost at tick 1, and not at tick 2
+    assert kernel.trace_lines() == ["0 pool", "1 pool"]
+    assert world.substances["water"].phase == "solid"
+
+
 def test_upgrade_writes_each_retired_builtin_as_its_template_with_the_entry_params():
     old = saved_cardio_version_2("MedullaSense", blood_at="CellCap")
     new = upgrade(old)
@@ -291,7 +320,7 @@ def test_every_shipped_model_and_scenario_round_trips_unchanged(model, scenario)
 
 def test_applied_scenarios_survive_save_and_load():
     world = build_cardio()
-    apply_scenario(world, heart_stop())
+    apply_scenario(world, load_scenario(SCENARIOS / "heart_stop.json"))
     apply_scenario(world, Scenario("drill"))
     world.assert_function("diaphragm", "rests", "heart-stop")
     data = save_model(world)
@@ -510,6 +539,29 @@ def _heartbeat_binding(edit, loc):
     return breach
 
 
+def _heartbeat_flow(edit):
+    """Edit the saved cardio so that its heartbeat binding holds and only the
+    flow built from it refuses it."""
+    def breach(data):
+        edit(data)
+        return "mechanisms[0]"
+    return breach
+
+
+def _bound_to_motion(data):
+    """The heartbeat's elements bound to Motion, as that frame takes them."""
+    elements = data["bindings"][0]["elements"]
+    elements["Theme"] = elements.pop("Fluid")
+    del elements["Configuration"]
+    data["bindings"][0]["frame"] = "Motion"
+
+
+def _ink(data):
+    """The heartbeat's Fluid an object called ink."""
+    data["objects"].append({"id": "ink", "kind": "Lungs"})
+    data["bindings"][0]["elements"]["Fluid"] = {"type": "ref", "id": "ink"}
+
+
 @pytest.mark.parametrize("breach, message", [
     (_append("scales", lambda data: data["scales"][0]), "scale 'O2Level' already defined"),
     (_append("substances", lambda data: data["substances"][0]), "substance 'blood' already defined"),
@@ -551,11 +603,8 @@ def _heartbeat_binding(edit, loc):
     (_heartbeat_binding(lambda b: b["elements"].update(Path={"type": "path", "segments": []}),
                         "bindings[0]"),
      "a path needs at least one segment"),
-    (_heartbeat_binding(lambda b: b.update(frame="Motion"), "mechanisms[0]"),
-     "only Fluidic_Motion bindings instantiate here"),
-    (_heartbeat_binding(lambda b: b["elements"].update(Fluid={"type": "ref", "id": "ink"}),
-                        "mechanisms[0]"),
-     "Fluid must name a substance, got 'ink'"),
+    (_heartbeat_flow(_bound_to_motion), "only Fluidic_Motion bindings instantiate here"),
+    (_heartbeat_flow(_ink), "Fluid must name a substance, got 'ink'"),
 ], ids=lambda case: case if isinstance(case, str) else None)
 def test_an_entry_the_world_refuses_is_named(breach, message):
     data = save_model(build_cardio())
@@ -647,3 +696,66 @@ def test_a_version_3_file_loads_at_clock_0_with_no_signals_in_transit():
     world = load_model(dict(data, version=3))
     assert world.clock == 0 and world.signals == []
     assert save_model(world) == save_model(build_cardio())
+
+
+# ----------------------------------------------------------------------
+# the shipped models are their files
+
+SHIPPED_DIGESTS = {
+    CARDIO_FILE: "930e09b6365045a1a79be0be17103641f73bd313e442d3ce3912822b8d94766e",
+    WATERFALL_FILE: "b08d316868f5fc679e213e49a0a276bc4e8859c69cee564f0948ae417a1a618f",
+}
+
+
+@pytest.mark.parametrize("path", sorted(SHIPPED_DIGESTS), ids=lambda path: path.name)
+def test_a_shipped_model_file_is_pinned_and_saves_to_itself(tmp_path, path):
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SHIPPED_DIGESTS[path]
+    saved = save_model_file(load_model_file(path), tmp_path / path.name)
+    assert saved.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(SHIPPED_DIGESTS), ids=lambda path: path.name)
+def test_a_shipped_model_file_validates(capsys, path):
+    assert main(["validate-file", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"ok: model {path.stem!r} (")
+
+
+@pytest.mark.parametrize("name, portions", [("cardio", None), ("waterfall", None), ("waterfall", 7)])
+def test_a_shipped_model_is_its_file_loaded(name, portions):
+    data = json.loads((CARDIO_FILE if name == "cardio" else WATERFALL_FILE).read_text(encoding="utf-8"))
+    if portions is not None:
+        data["mechanisms"][0]["params"]["n_portions"] = portions
+    assert save_model(build_builtin(name, portions)) == data
+
+
+def _rebound(edit):
+    """The saved cardio with its heartbeat binding's elements edited."""
+    data = json.loads(CARDIO_FILE.read_text(encoding="utf-8"))
+    edit(data["bindings"][0]["elements"])
+    return data
+
+
+@pytest.mark.parametrize("data, message", [
+    (_rebound(lambda elements: elements.update(Vibe=elements.pop("Source"))),
+     "core element 'Source' is not bound"),
+    (_rebound(lambda elements: elements.update(Vibe={"type": "ref", "id": "heart"})),
+     "frame 'Fluidic_Motion' has no element 'Vibe'"),
+    (_rebound(lambda elements: elements.update(Source={"type": "ref", "id": "Nowhere"})),
+     "element 'Source' maps to unresolvable value 'Nowhere'"),
+], ids=["core-renamed", "unknown-element", "unresolvable"])
+def test_a_binding_is_loaded_through_bind(tmp_path, capsys, data, message):
+    # Each once loaded: the loader appended the binding without bind's checks.
+    path = tmp_path / "rebound.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate-file", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"invalid: bindings[0]: {message}\n"
+
+
+def test_a_loaded_object_lists_every_state_its_kind_declares():
+    # It once loaded, and the diaphragm had no tension until a breath wrote one.
+    data = json.loads(CARDIO_FILE.read_text(encoding="utf-8"))
+    (i,) = [i for i, o in enumerate(data["objects"]) if o["id"] == "diaphragm"]
+    data["objects"][i]["states"] = {}
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == f"objects[{i}]: object 'diaphragm' lacks its kind's states ['tension']"

@@ -1,31 +1,32 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semsim import Kernel
 from semsim.cli import standard_rules
-from semsim.errors import ModelError
+from semsim.errors import ModelError, SchemaError
 from semsim.mechanisms import build_mechanism
-from semsim.modelfile import load_model, save_model
-from semsim.models import (
-    WaterfallConfig,
-    build_builtin,
-    build_cardio,
-    build_waterfall,
-    freeze_watch,
-    waterfall_path,
-)
+from semsim.modelfile import freeze_watch, load_model, save_model
+from semsim.models import build_builtin, build_cardio, build_waterfall
 from semsim.scenarios import (
     apply_scenario,
-    heart_stop,
+    disable_trigger,
+    load_scenario,
+    remove_connection,
     scenario_from_dict,
-    waterfall_freeze,
+    set_ambient,
+    set_state,
     Scenario,
 )
 
 from reference import total_displacement
-from saved_forms import saved_water_flowing
+from saved_forms import path_segments, saved_water_flowing, waterfall_on_path
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
+HEART_STOP = Scenario("heart-stop", [disable_trigger("SANode")])
 
 
 def waterfall_oracle(upper_bed_length, vertical_drop, upper_delta=(10, -1), drop_delta=(1, -10)):
@@ -47,19 +48,26 @@ def waterfall_oracle(upper_bed_length, vertical_drop, upper_delta=(10, -1), drop
     return mid, (x, y), states
 
 
-def build_saved_water_flowing(config, n_portions):
-    """The waterfall as a file saved while it was built by hand loads."""
+def build_on_path(path, n_portions):
+    """The shipped waterfall on the path given as waterfall_on_path's arguments."""
+    return load_model(waterfall_on_path(**path, n_portions=n_portions))
+
+
+def build_saved_water_flowing(path, n_portions):
+    """The waterfall as a file saved while it was built by hand loads, its
+    version-1 config giving the same path."""
+    config = {"bed": 1000, "drop": 100, "bed_delta": (10, -1), "drop_delta": (1, -10), **path}
     return load_model(saved_water_flowing(
-        upper_bed_length=config.upper_bed_length,
-        vertical_drop=config.vertical_drop,
-        upper_delta=list(config.upper_delta),
-        drop_delta=list(config.drop_delta),
+        upper_bed_length=config["bed"],
+        vertical_drop=config["drop"],
+        upper_delta=list(config["bed_delta"]),
+        drop_delta=list(config["drop_delta"]),
         n_portions=n_portions,
     ))
 
 
-def run_waterfall(config=WaterfallConfig(), n=3, ticks=None, build=build_waterfall):
-    world = build(config, n_portions=n)
+def run_waterfall(path=None, n=3, ticks=None, build=build_on_path):
+    world = build(path or {}, n_portions=n)
     kernel = Kernel(world)
     standard_rules(kernel)
     kernel.run(ticks if ticks is not None else n)
@@ -102,12 +110,13 @@ def test_waterfall_location_sequence_exactly_once():
 
 
 def test_waterfall_monotone_coordinates():
-    # X never decreases, Y never increases: both deltas have fixed signs.
-    config = WaterfallConfig(upper_bed_length=10, vertical_drop=4)
-    assert config.upper_delta[0] > 0 and config.drop_delta[0] > 0
-    assert config.upper_delta[1] < 0 and config.drop_delta[1] < 0
+    # X never decreases, Y never increases: every leg's (rise, run) slope
+    # has fixed signs.
+    for segment in path_segments(save_model(build_waterfall())):
+        rise, run = segment["slope"]
+        assert run > 0 and rise < 0
     _, final, _ = waterfall_oracle(10, 4)
-    world, _ = run_waterfall(config, n=1, ticks=1)
+    world, _ = run_waterfall({"bed": 10, "drop": 4}, n=1, ticks=1)
     assert (world.portions["water-0"].x, world.portions["water-0"].y) == final
 
 
@@ -116,8 +125,7 @@ def test_waterfall_totals_random_configs():
     for _ in range(10):
         length = rng.randint(1, 300)
         drop = rng.randint(1, 80)
-        config = WaterfallConfig(upper_bed_length=length, vertical_drop=drop)
-        world, _ = run_waterfall(config, n=1, ticks=1)
+        world, _ = run_waterfall({"bed": length, "drop": drop}, n=1, ticks=1)
         p = world.portions["water-0"]
         _, oracle_final, _ = waterfall_oracle(length, drop)
         assert (p.x, p.y) == oracle_final == (10 * length + drop, -(length + 10 * drop))
@@ -134,29 +142,47 @@ deltas = st.tuples(st.integers(-100, 100), st.integers(-100, 100))
     drop_delta=deltas,
 )
 def test_closed_form_flow_equals_unit_loops(length, drop, upper_delta, drop_delta):
-    config = WaterfallConfig(length, drop, upper_delta, drop_delta)
+    path = {"bed": length, "drop": drop, "bed_delta": upper_delta, "drop_delta": drop_delta}
     _, final, states = waterfall_oracle(length, drop, upper_delta, drop_delta)
-    for build in (build_waterfall, build_saved_water_flowing):
-        world, kernel = run_waterfall(config, n=1, ticks=1, build=build)
+    for build in (build_on_path, build_saved_water_flowing):
+        world, kernel = run_waterfall(path, n=1, ticks=1, build=build)
         p = world.portions["water-0"]
-        assert (p.x, p.y) == final == total_displacement(waterfall_path(config)), build
+        spec = world.bindings[0].element_map["Path"]
+        assert (p.x, p.y) == final == total_displacement(spec), build
         assert ["null"] + location_changes(world, "water-0") == states, build
         assert kernel.trace_lines() == ["0 pool"], build
 
 
 def test_a_billion_unit_bed_pools_in_one_tick():
-    config = WaterfallConfig(upper_bed_length=10**9)
-    world, kernel = run_waterfall(config, n=1, ticks=1)
+    world, kernel = run_waterfall({"bed": 10**9}, n=1, ticks=1)
     p = world.portions["water-0"]
     assert kernel.trace_lines() == ["0 pool"]
     assert (p.x, p.y) == (10 * 10**9 + 100, -(10**9) - 1000)
-    assert (p.x, p.y) == total_displacement(waterfall_path(config))
+    assert (p.x, p.y) == total_displacement(world.bindings[0].element_map["Path"])
     assert location_changes(world, "water-0") == ["upper", "drop", "pool"]
 
 
+def refused_geometry(field, value) -> str:
+    """The loader's refusal of the shipped waterfall with one leg's length,
+    or its (dx, dy) per unit, set to value: the bed's (upper_bed_length,
+    upper_delta) or the drop's (vertical_drop, drop_delta)."""
+    data = waterfall_on_path()
+    bed, drop = path_segments(data)
+    segment = {"upper_bed_length": bed, "vertical_drop": drop,
+               "upper_delta": bed, "drop_delta": drop}[field]
+    if field.endswith("_delta"):
+        segment["slope"] = list(value)[::-1]  # (rise, run)
+    else:
+        segment["length"] = value
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    return str(exc.value)
+
+
 def test_waterfall_rejects_nonpositive_config():
-    with pytest.raises(ValueError):
-        WaterfallConfig(upper_bed_length=0)
+    assert refused_geometry("upper_bed_length", 0) == (
+        "bindings[0]: malformed entry: a segment length must be a positive int, not 0"
+    )
 
 
 @pytest.mark.parametrize(
@@ -167,19 +193,22 @@ def test_waterfall_rejects_nonpositive_config():
         ("vertical_drop", "100"),
         ("upper_delta", (1,)),
         ("upper_delta", (0.1, -1)),
-        ("drop_delta", [1, -10]),
+        ("drop_delta", (1, "-10")),
         ("drop_delta", (1, -10, 0)),
     ],
 )
 def test_waterfall_rejects_non_integer_geometry(field, value):
     # The closed form equals the unit-by-unit walk only in integers.
-    with pytest.raises(ValueError):
-        WaterfallConfig(**{field: value})
+    if field.endswith("_delta"):
+        rule, shown = "a slope must be a pair of ints", tuple(value)[::-1]
+    else:
+        rule, shown = "a segment length must be a positive int", value
+    assert refused_geometry(field, value) == f"bindings[0]: malformed entry: {rule}, not {shown!r}"
 
 
 def test_waterfall_freeze_scenario_stops_flow():
     world = build_waterfall(n_portions=5)
-    apply_scenario(world, waterfall_freeze())
+    apply_scenario(world, load_scenario(SCENARIOS / "freeze.json"))
     kernel = Kernel(world)
     standard_rules(kernel)
     kernel.run(5)
@@ -194,7 +223,7 @@ def test_freeze_midway_keeps_portions_parked():
     kernel = Kernel(world)
     standard_rules(kernel)
     kernel.run(2)
-    apply_scenario(world, waterfall_freeze())
+    apply_scenario(world, load_scenario(SCENARIOS / "freeze.json"))
     kernel.run(3)
     assert kernel.trace_lines() == ["0 pool", "1 pool"]
     assert len(world.live_portions("water")) == 2
@@ -230,7 +259,7 @@ def test_empty_scenario_changes_nothing():
 
 def test_scenario_dangling_directives_rejected():
     from semsim.errors import ScenarioError, UnknownEntityError
-    from semsim.scenarios import disable_trigger, remove_connection, set_state
+    from semsim.scenarios import remove_connection
 
     world = build_cardio()
     for directive, message in [
@@ -239,9 +268,45 @@ def test_scenario_dangling_directives_rejected():
         (set_state("ghost", "phase", "solid"), "no entity 'ghost'"),
     ]:
         with pytest.raises(ScenarioError) as exc:
-            apply_scenario(world, Scenario("x", [heart_stop().overrides[0], directive]))
+            apply_scenario(world, Scenario("x", [HEART_STOP.overrides[0], directive]))
         assert str(exc.value) == f"overrides[1]: {message}"
         assert isinstance(exc.value.__cause__, UnknownEntityError)
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (set_state("ghost", "x", "y"), "no entity 'ghost'"),
+        (set_state("diaphragm", "tension", "limp"),
+         "label 'limp' is outside the 'tension' space ['relaxed', 'contracted']"),
+        (set_state("blood-0", "O2Level", "none"),
+         "label 'none' is outside the 'O2Level' space ['low', 'high']"),
+        (set_state("blood", "O2Level", "high"), "substances only have a phase, not 'O2Level'"),
+        (set_ambient("temperature", "scorching"),
+         "label 'scorching' is outside the 'temperature' space "
+         "['below_freezing', 'cold', 'standard', 'warm', 'hot']"),
+        # The first removal leaves nothing for the second.
+        (remove_connection("Medulla", "Diaphragm", "nerve"),
+         "no connection ('Medulla', 'Diaphragm', 'nerve')"),
+    ],
+    ids=["no-entity", "object-state", "portion-property", "substance", "ambient", "removed-twice"],
+)
+def test_a_refused_scenario_changes_nothing(refused, message):
+    from semsim.errors import ScenarioError
+
+    world = build_cardio()
+    before = json.dumps(save_model(world)), list(world.changes), list(world.transitional_log)
+    scenario = Scenario("x", [
+        disable_trigger("SANode"),
+        set_ambient("temperature", "below_freezing"),
+        set_state("diaphragm", "tension", "contracted"),
+        remove_connection("Medulla", "Diaphragm", "nerve"),
+        refused,
+    ])
+    with pytest.raises(ScenarioError) as exc:
+        apply_scenario(world, scenario)
+    assert str(exc.value) == f"overrides[4]: {message}"
+    assert (json.dumps(save_model(world)), world.changes, world.transitional_log) == before
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +403,7 @@ def test_conservation_200_ticks():
 
 
 def test_heart_stop_scenario():
-    _, kernel = cardio_kernel(100, scenario=heart_stop())
+    _, kernel = cardio_kernel(100, scenario=load_scenario(SCENARIOS / "heart_stop.json"))
     lines = kernel.trace_lines()
     assert not any(l.startswith("pushed") for l in lines)
     assert "SANode pulse" not in lines

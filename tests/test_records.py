@@ -35,7 +35,6 @@ from semsim.entities import (
 from semsim.errors import ModelError, ScenarioError, StateError, TransitionalError
 from semsim.frames import Frame, FrameBinding, LexicalEntry, PathSegment, PathSpec
 from semsim.models import build_cardio
-from semsim.models.waterfall import WaterfallConfig
 from semsim.records import FrozenRecord, Record
 from semsim.scenarios import Directive, Scenario
 from semsim.topology import Circuit, CommitRecord, Compartment, Connection
@@ -115,7 +114,7 @@ def test_derived_fields_take_no_part_in_equality_and_are_set_at_construction():
         (Move("p", "A", "B"), "dst"),
         (Vocabulary(), "literals"),
         (Directive("disable_trigger", ("SANode",)), "op"),
-        (WaterfallConfig(), "vertical_drop"),
+        (PathSegment(2, slope=(-1, 10)), "slope"),
     ],
     ids=lambda value: type(value).__name__ if not isinstance(value, str) else value,
 )
@@ -214,8 +213,8 @@ def test_constructors_keep_their_positional_order_and_defaults():
         (lambda: Frame("F", ("Theme",), ("Theme",)), ModelError),
         (lambda: PathSegment(0), ValueError),
         (lambda: PathSegment(2, slope=(0.5, 1)), ValueError),
-        (lambda: WaterfallConfig(upper_bed_length=True), ValueError),
-        (lambda: WaterfallConfig(drop_delta=(1,)), ValueError),
+        (lambda: PathSegment(True), ValueError),
+        (lambda: PathSegment(2, slope=(1,)), ValueError),
         (lambda: Directive("explode", ()), ScenarioError),
         (lambda: AssertionRule("r", TriplePattern("a", "b", "c"), "maybe"), ModelError),
         (lambda: AssertionRule("r", TriplePattern(Var("a"), Var("b"), Var("c"))), ModelError),
@@ -256,7 +255,6 @@ EXAMPLES = [
     LexicalEntry("flowing", "F"),
     PathSegment(2, slope=(-1, 10), label="upper"),
     PathSpec((PathSegment(2),)),
-    WaterfallConfig(),
     Directive("disable_trigger", ("SANode",)),
     Compartment("A", "A", contents=["p"]),
     MoveBatch(),

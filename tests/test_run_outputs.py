@@ -371,20 +371,22 @@ def test_a_waterfall_run_writes_its_pinned_trace_and_sidecar(tmp_path, name):
 
 
 # sha256 of repr([(kind, subjects, results, step), ...]) over a run's whole
-# transitional_log: what each write recorded, in order, with its tick.
+# transitional_log: what each write recorded, in order, with its tick. A
+# shipped model is loaded from its file, which records no births, so the log
+# starts with the scenario's writes, if any, and then the run's.
 PINNED_TRANSITIONAL_LOGS = {
     "cardio-1000": (
         RunConfig("cardio", steps=1000),
-        "f15c8eb86e805f11dbdb9f646e588ded0a4c74ad825bceda2fc3cdcbefb76654",
+        "3013a539dc64a5d2ece456178e459b408e7fb947b67b876f130f2459936f4591",
     ),
     "waterfall-500": (
         RunConfig("waterfall", portions=500),
-        "2d0f72b0993928e92ac2d177d075d69b5d068911d6f1d20a4b79e02feee0638c",
+        "9dd71e37de42281c3196058c996f46a6341fdd6c314cb8ef13a8c1392818d6cf",
     ),
     "waterfall-500-freeze": (
         RunConfig("waterfall", portions=500, validate_policy="warn",
                   scenario_path=str(SCENARIOS / "freeze.json")),
-        "eb3cc9f0fd7a239ed3ce1b50a5932f8c19fea273b5c0e8e09336007e17564940",
+        "6d3a864777c34d8f7dac8354096f5b51ba8ffead05420de340977aff5c0d8ece",
     ),
 }
 

@@ -75,7 +75,7 @@ def test_ab_steps_compares_a_checkout_with_itself(tmp_path):
     # lines and transitionals, the cardio runs unchanged), or one that saves
     # a model differently (the runs unchanged), it times nothing.
     refusals = [
-        ("models/waterfall.py", 'Trigger("Flow", period=1,', 'Trigger("Flow", period=2,',
+        ("models/waterfall.json", '"period": 1,', '"period": 2,',
          "waterfall --validate halt: the checkouts differ in trace lines or transitional count"),
         ("modelfile.py", '"clock": world.clock,', '"clock": world.clock + 1,',
          "cardio --validate off: the checkouts save different models after the run"),

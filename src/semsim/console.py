@@ -6,6 +6,7 @@ uninterrupted run.
 """
 from __future__ import annotations
 
+import re
 import sys
 
 from .entities import Portion, Substance
@@ -22,6 +23,12 @@ USAGE = """commands:
   assertions               list function assertions and registered rules
   scenario <file>          apply a scenario file now
   quit                     finish the session"""
+
+# Each command's synopsis, its USAGE line up to the description: "set <path> <value>".
+SYNOPSES = {
+    synopsis.split()[0]: synopsis
+    for synopsis in (re.split(r"\s{2,}", line.strip())[0] for line in USAGE.splitlines()[1:])
+}
 
 
 def resolve_entity(world, name: str):
@@ -178,6 +185,10 @@ class Console:
                 if not parts:
                     continue
                 cmd, args = parts[0], parts[1:]
+                synopsis = SYNOPSES.get(cmd)
+                if synopsis is not None and len(args) < synopsis.count(" <"):
+                    self._print(f"usage: {synopsis}")  # a <required> argument is missing
+                    continue
                 try:
                     if cmd == "quit":
                         break

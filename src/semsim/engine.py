@@ -19,6 +19,14 @@ Two execution modes:
   validation follow as in deterministic mode. Causal ordering holds, and a
   run replays exactly from its seed.
 
+A step pays only for the triggers due at its tick. The kernel keeps a
+calendar, a dict from each tick to the schedule entries due then; a step
+takes its own tick's entries, runs them in schedule order and files each
+again a period later. A trigger's period and phase are fixed once built, so
+the calendar is rebuilt only when a registry grows or the world's clock is
+not the tick it expects (a clock set between steps, or a kernel new to the
+world). Whether a trigger is enabled is read when it comes due.
+
 The world holds what a run carries on from: its clock, the tick the next
 step runs, and the signals in transit, which a step takes, delivers after
 the triggers, and replaces with those it sends. So a kernel on a saved and
@@ -38,7 +46,10 @@ An effect writes the world through its checked operations, set_state and
 the rest. A write whose caller holds the subject and has already done the
 checks may skip them: a path flow checks its labels when it is built and
 holds the portion it has just released, so it moves it with
-World.set_location, which records the same state_change as set_state.
+World.set_location, which records the same state_change as set_state. A
+set_occupant effect checks its compartment, property and label when it is
+compiled, and an occupant is live, so it writes with World.set_property,
+which records the same.
 
 A step's record is published whole: its StepReport, trace lines included,
 joins Kernel.reports only when the step finishes. A firing is recorded as
@@ -117,7 +128,8 @@ class Mechanism(Record):
 
 class Trigger(Record):
     """An independent periodic source that fires one mechanism. Its period
-    and phase are fixed once built, so the kernel's sorted schedule holds."""
+    and phase are fixed once built, so the kernel's sorted schedule and its
+    calendar of due ticks hold; enabled may change between steps."""
 
     _fields = ("name", "period", "target", "phase", "enabled")
 
@@ -139,9 +151,6 @@ class Trigger(Record):
         if name == "period" or name == "phase":
             raise AttributeError(f"trigger {self.name!r}: {name} is fixed once it is built")
         set_field(self, name, value)
-
-    def due(self, tick: int) -> bool:
-        return self.enabled and tick >= self.phase and (tick - self.phase) % self.period == 0
 
 
 class Signal(FrozenRecord):
@@ -305,9 +314,12 @@ class Kernel:
         self.snapshot: validation.Snapshot | None = None  # None while validation is off
         self.fault: BaseException | None = None  # what escaped a step; no step runs after it
         self._wiring_errors: list[tuple[str, str]] = []
-        # Dispatch tables, rebuilt when a registry's size changes (_index).
+        # Dispatch tables, rebuilt when a registry's size changes or the clock
+        # is not the tick the calendar expects (_index).
         self._indexed = (-1, -1)  # (len(world.triggers), len(world.mechanisms))
         self._schedule: list[tuple[Trigger, Mechanism, str]] = []
+        self._calendar: dict[int, list[int]] = {}  # tick -> indexes into _schedule
+        self._calendar_tick = -1  # the tick the calendar's next step runs
         self._receivers: dict[str, list[Mechanism]] = {}
 
     # ------------------------------------------------------------------
@@ -357,25 +369,52 @@ class Kernel:
         return False
 
     def _index(self):
-        """Rebuild the dispatch tables from the world's registries.
+        """Rebuild the dispatch tables from the world's registries and clock.
 
         The schedule is every trigger, sorted by (period, name), with its
         target and its via; the receivers are the mechanisms listening on
-        each compartment, in registration order. Both hold only what is fixed
-        at registration; whether a trigger is due, Trigger.due, is read every
-        tick, so a trigger disabled between steps is skipped at the next.
+        each compartment, in registration order. The calendar files each
+        schedule index under the first tick, from the world's clock on, at
+        which its trigger is due: tick >= phase and (tick - phase) % period
+        == 0. Whether a trigger is enabled is read when it comes due
+        (_take_due), so a trigger disabled between steps is skipped at the next.
         """
         world = self.world
         ordered = sorted(world.triggers.values(), key=lambda t: (t.period, t.name))
         self._schedule = [
             (trig, world.mechanisms[trig.target], f"trigger:{trig.name}") for trig in ordered
         ]
+        clock = world.clock
+        calendar: dict[int, list[int]] = {}
+        for i, trig in enumerate(ordered):
+            first = trig.phase if clock <= trig.phase else clock + (trig.phase - clock) % trig.period
+            calendar.setdefault(first, []).append(i)
+        self._calendar = calendar
+        self._calendar_tick = clock
         receivers: dict[str, list[Mechanism]] = {}
         for mech in world.mechanisms.values():
             if mech.on_signal is not None:
                 receivers.setdefault(mech.on_signal, []).append(mech)
         self._receivers = receivers
         self._indexed = (len(world.triggers), len(world.mechanisms))
+
+    def _take_due(self, tick: int) -> list[tuple[Trigger, Mechanism, str]]:
+        """The enabled schedule entries filed under tick, in schedule order;
+        each trigger taken is filed again at tick + period."""
+        filed = self._calendar.pop(tick, None)
+        self._calendar_tick = tick + 1
+        if filed is None:
+            return []
+        filed.sort()
+        schedule, calendar = self._schedule, self._calendar
+        due = []
+        for i in filed:
+            entry = schedule[i]
+            trig = entry[0]
+            calendar.setdefault(tick + trig.period, []).append(i)
+            if trig.enabled:
+                due.append(entry)
+        return due
 
     def _dispatch(self, mechanism: Mechanism, via: str):
         """Attempt one mechanism; wiring bugs become violations."""
@@ -401,11 +440,13 @@ class Kernel:
             signals, world.signals = world.signals, []
 
             # The only writers of both registries append, so a size that
-            # moved means something was registered since the last index.
+            # moved means something was registered since the last index. A
+            # clock the calendar does not expect was set since its last step.
             n_triggers, n_mechanisms = self._indexed
-            if len(world.triggers) != n_triggers or len(world.mechanisms) != n_mechanisms:
+            if (tick != self._calendar_tick or len(world.triggers) != n_triggers
+                    or len(world.mechanisms) != n_mechanisms):
                 self._index()
-            due = [entry for entry in self._schedule if entry[0].due(tick)]
+            due = self._take_due(tick)
             if self._mode == "concurrent":
                 due = self._shuffle_subsystems(due)
             for _trig, mech, via in due:

@@ -71,14 +71,21 @@ def _not_phase(world, substance, phase):
 
 
 def _set_occupant(world, substance, compartment, prop, level):
-    """Set P=L on the occupant of C, if there is one and it has P."""
+    """Set P=L on the occupant of C, if there is one and it has P.
+
+    Compiling checks C, P and L, and an occupant is live, so each firing
+    writes through World.set_property. P may not be Location, which
+    set_state reads as the portion's location, not as a property."""
     _occupant_level(world, substance, compartment, prop, level)
+    if prop == "Location":
+        raise ModelError("set_occupant cannot write 'Location': set_state reads it as "
+                         "the portion's location, not a property")
 
     def effect(kernel):
         w = kernel.world
         portion = w.occupant(compartment)
         if portion is not None and prop in portion.properties:
-            w.set_state(portion.id, prop, level)
+            w.set_property(portion, prop, level)
 
     return effect
 

@@ -25,6 +25,8 @@ scale of that name, `scales[name]`, and an ambient property's on
 `AMBIENT_SCALES[name]`; every write checks it there (define_substance,
 create_portion, add_portion, add_object, set_state, set_ambient,
 Microworld), as an object state's label is checked on its kind's space.
+set_location and set_property skip the checks for a caller that made them
+once, when it was built.
 """
 from __future__ import annotations
 
@@ -566,6 +568,14 @@ class World:
         kind's Location space, as a path flow does when it is built."""
         portion.location_state = label
         return self._state_changed(portion.id, "Location", label)
+
+    def set_property(self, portion: Portion, prop: str, label: str) -> Transitional:
+        """set_state(portion.id, prop, label) for a caller that holds the
+        portion, knows it is live and carries prop, which is not "Location",
+        and has checked the label on scales[prop], as a set_occupant effect
+        does when it is compiled."""
+        portion.properties[prop] = label
+        return self._state_changed(portion.id, prop, label)
 
     def _state_changed(self, entity_id: str, variable: str, label: str) -> Transitional:
         """Record one state change: the record tail of every state write."""

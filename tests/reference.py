@@ -17,6 +17,9 @@ The oracle builds its own CommitRecord and shares no movement code with
 semsim.topology. staged_circuit_flow adds the circuit flow's narration, taken
 from the committed batch, so it checks the lines frames' circuit flow emits. total_displacement is the closed form of a path: what a portion that runs
 the whole path ends up displaced by.
+
+For trigger dispatch it is the per-tick scan: due reads a trigger's enabled,
+phase and period at one tick, so it checks the kernel's calendar of due ticks.
 """
 from semsim import Triple, Var
 from semsim.errors import CapacityExceeded, DuplicateMover, PortionNotPresent, PushWithoutConnection
@@ -263,3 +266,8 @@ def total_displacement(path):
     dx = sum(seg.length * seg.slope[1] for seg in path.segments)
     dy = sum(seg.length * seg.slope[0] for seg in path.segments)
     return (dx, dy)
+
+
+def due(trigger, tick):
+    """Whether trigger fires at tick: enabled, and tick on its period from its phase."""
+    return trigger.enabled and tick >= trigger.phase and (tick - trigger.phase) % trigger.period == 0

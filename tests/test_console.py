@@ -99,6 +99,20 @@ def test_an_unknown_command_prints_the_usage():
     assert session("frobnicate\nquit\nstep\n") == [BANNER, "unknown command 'frobnicate'", *USAGE.splitlines()]
 
 
+def test_a_command_missing_an_argument_prints_its_usage_line_and_changes_nothing():
+    lines = session("set\nset blood-0.O2Level\ninspect\nscenario\n"
+                    "inspect blood-0.O2Level\npause\nquit\n")
+    assert lines == [
+        BANNER,
+        "usage: set <path> <value>",
+        "usage: set <path> <value>",
+        "usage: inspect <path>",
+        "usage: scenario <file>",
+        "low",
+        "paused at step 0",
+    ]
+
+
 # runpy warns that it runs semsim.cli afresh though the package has imported it.
 @pytest.mark.filterwarnings("ignore:'semsim.cli' found in sys.modules:RuntimeWarning")
 @pytest.mark.parametrize("module", ["semsim", "semsim.cli"])

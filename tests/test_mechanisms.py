@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from semsim import Kernel, Mechanism
+from semsim import Kernel, Mechanism, StateSpace
 from semsim.cli import EXIT_CONFIG, main
 from semsim.engine import register_mechanism
 from semsim.errors import ModelError, StateError, TraceVocabularyError, UnknownEntityError
@@ -121,6 +121,39 @@ def test_setting_an_occupant_skips_an_empty_compartment_and_one_without_the_prop
                  ["set_occupant", "blood", "Medulla", "Warmth", "high"])
     assert len(world.transitional_log) == before
     assert "Warmth" not in world.portions["air-alv"].properties
+
+
+@pytest.mark.parametrize("substance, compartment, prop, level", [
+    ("blood", "AlvCap", "O2Level", "high"),  # a new label
+    ("blood", "CellCap", "Warmth", "low"),   # the label it holds
+    ("air", "AlvAir", "CO2Level", "high"),
+])
+def test_an_occupant_write_leaves_what_set_state_leaves(substance, compartment, prop, level):
+    written, checked = build_cardio(), build_cardio()
+    for world in (written, checked):
+        world.clock = 5
+    built = len(written.changes), len(written.transitional_log)
+    (effect,) = compile_items(written, EFFECTS, [["set_occupant", substance, compartment, prop,
+                                                  level]], "effects")
+    effect(Kernel(written))
+    checked.set_state(checked.occupant(compartment).id, prop, level)
+    assert (len(written.changes), len(written.transitional_log)) == (built[0] + 1, built[1] + 1)
+    assert written.changes == checked.changes
+    assert written.transitional_log == checked.transitional_log
+    assert save_model(written) == save_model(checked)
+
+
+def test_an_occupant_write_refuses_a_property_named_location_when_compiled():
+    # set_state reads "Location" as a portion's location, not as its property.
+    world = build_cardio()
+    world.define_scale(StateSpace("Location", ("here", "there"), "nominal"))
+    world.define_substance("ink", default_properties={"Location": "here"})
+    assert guard(world, ["occupant", "ink", "AlvCap", "Location", "here"]) == [
+        ("ink at AlvCap has Location=here", False),
+    ]
+    with pytest.raises(ModelError, match="^set_occupant cannot write 'Location'"):
+        compile_items(world, EFFECTS, [["set_occupant", "ink", "AlvCap", "Location", "there"]],
+                      "effects")
 
 
 def test_a_side_effect_runs_after_the_effects():

@@ -97,6 +97,33 @@ def test_ab_steps_compares_a_checkout_with_itself(tmp_path):
         assert result.stderr == refusal + "\n"
 
 
+def test_ab_steps_times_a_checkout_whose_built_worlds_log_construction_births(tmp_path):
+    # A checkout that built its models with Python calls logged a birth for
+    # every portion it made; its runs append what this checkout's do.
+    script = SCRIPTS[0].parent / "ab_steps.py"
+    other = tmp_path / "other"
+    shutil.copytree(script.parent.parent / "src" / "semsim", other / "src" / "semsim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = other / "src" / "semsim" / "models" / "__init__.py"
+    source = path.read_text()
+    old = "    return modelfile.load_model(data)\n"
+    assert source.count(old) == 1
+    path.write_text(source.replace(old, (
+        "    world = modelfile.load_model(data)\n"
+        "    from ..entities import Transitional\n"
+        "    world.transitional_log.extend(\n"
+        "        Transitional('birth', (pid,), (p.substance,), 0) for pid, p in world.portions.items()\n"
+        "    )\n"
+        "    return world\n"
+    )))
+    result = subprocess.run(
+        [sys.executable, str(script), str(other), "--ticks", "8", "--rounds", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 5  # the header, the columns and three rows
+
+
 def test_coverage_reports_the_lines_no_test_ran(tmp_path):
     script = SCRIPTS[0].parent / "coverage.py"
     package = tmp_path / "tiny"

@@ -21,9 +21,17 @@ alike instead of reading as one layer's or one model's cost.
 The last row is the fixed cost of starting a run: `import semsim.cli` in a
 fresh `python3 -I` interpreter, best of --repeats, next to the step costs
 it is paid once beside.
+
+A second table splits a cardio run by kind of tick: the beat ticks (the
+steps in which HeartbeatPush fired), the tick after each beat, and the
+rest. Each step of a cardio run with the standard rules is timed on its
+own, with validation off and under halt, and each kind's median is taken
+over the steps of that kind in all --repeats runs. These runs take their
+turns in the same rounds as the rows above.
 """
 import argparse
 import gc
+import statistics
 import subprocess
 import sys
 import time
@@ -43,6 +51,10 @@ CONFIGURATIONS = (
 )
 COLLECTOR_ON = "--validate off, gc on"
 NOTHING_DUE = "halt, nothing due"
+# (label, validation policy) of the cardio runs timed step by step
+PER_TICK = (("--validate off", "off"), ("halt, standard rules", "halt"))
+BEAT = "HeartbeatPush"
+TICK_KINDS = ("beat", "after a beat", "other")
 
 
 def make_kernel(build, policy, rules):
@@ -79,14 +91,44 @@ def run_seconds(ticks, build, policy, rules, collect):
     return elapsed
 
 
-def best_seconds(runs, ticks, repeats):
-    """The best time of each (build, policy, rules, collect) run over
-    `repeats` rounds, each round timing every run once."""
+def tick_seconds(ticks, policy):
+    """(kind, seconds) of each step of a cardio run with the standard rules,
+    the collector off: a step is a beat when HeartbeatPush fired in it."""
+    kernel = make_kernel(build_cardio, policy, "rules")
+    step, clock = kernel.step, time.perf_counter
+    seconds = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(ticks):
+            start = clock()
+            step()
+            seconds.append(clock() - start)
+    finally:
+        gc.enable()
+    if kernel.halted:
+        raise SystemExit(f"{policy} cardio run halted at tick {kernel.halted_at}")
+    kinds, previous = [], None
+    for report in kernel.reports:
+        beat = any(firing.mechanism == BEAT for firing in report.fired)
+        kinds.append("beat" if beat else "after a beat" if previous == "beat" else "other")
+        previous = kinds[-1]
+    return zip(kinds, seconds)
+
+
+def time_rounds(runs, ticks, repeats):
+    """The best time of each (build, policy, rules, collect) run, and the
+    step times of each PER_TICK policy by kind of tick, over `repeats`
+    rounds, each round timing every run once."""
     best = [float("inf")] * len(runs)
+    per_tick = {policy: {kind: [] for kind in TICK_KINDS} for _label, policy in PER_TICK}
     for _ in range(repeats):
         for i, run in enumerate(runs):
             best[i] = min(best[i], run_seconds(ticks, *run))
-    return best
+        for _label, policy in PER_TICK:
+            for kind, seconds in tick_seconds(ticks, policy):
+                per_tick[policy][kind].append(seconds)
+    return best, per_tick
 
 
 def print_row(model, label, per_step, previous_micros):
@@ -134,7 +176,7 @@ def main():
     for _model, build in models:
         runs += [(build, policy, rules, False) for _label, policy, rules in CONFIGURATIONS]
         runs += [(build, "off", None, True), (build, "halt", "idle", False)]
-    best = best_seconds(runs, args.ticks, args.repeats)
+    best, per_tick = time_rounds(runs, args.ticks, args.repeats)
     per_model = len(runs) // len(models)
     for i, (model, _build) in enumerate(models):
         *rows, collected, idle = best[i * per_model:(i + 1) * per_model]
@@ -147,6 +189,15 @@ def main():
     millis = best_import_seconds(args.repeats) * 1e3
     print(f"{'startup':<10} {'import semsim.cli':<22} {millis:>9.1f} ms, best of "
           f"{args.repeats} fresh python3 -I")
+    print()
+    counts = per_tick[PER_TICK[0][1]]
+    print(f"cardio, median us per tick by kind, over {args.repeats} runs of {args.ticks} ticks ("
+          + ", ".join(f"{kind} {len(counts[kind]) // args.repeats}" for kind in TICK_KINDS)
+          + " per run)")
+    print(f"{'configuration':<22} " + " ".join(f"{kind:>12}" for kind in TICK_KINDS))
+    for label, policy in PER_TICK:
+        medians = (statistics.median(per_tick[policy][kind]) * 1e6 for kind in TICK_KINDS)
+        print(f"{label:<22} " + " ".join(f"{micros:>12.1f}" for micros in medians))
 
 
 if __name__ == "__main__":

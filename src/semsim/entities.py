@@ -216,9 +216,12 @@ class Transitional(Record):
     _fields = __slots__ = ("kind", "subjects", "results", "step")
 
     def __init__(self, kind: str, subjects: tuple[str, ...], results: tuple = (), step: int = 0):
-        if kind not in TRANSITIONAL_KINDS:
+        # state_change, the commonest kind, needs no check past its name.
+        if kind == "state_change":
+            pass
+        elif kind not in TRANSITIONAL_KINDS:
             raise TransitionalError(f"unknown transitional kind {kind!r}")
-        if kind == "split":
+        elif kind == "split":
             if len(subjects) != 1:
                 raise TransitionalError("split takes exactly one subject")
             if len(results) < 2:

@@ -9,7 +9,10 @@ A Fluidic_Motion binding whose Path is a PathSpec compiles to `path_flow`,
 the one path walk: the waterfall is such a binding. One whose Path is a
 declared circuit compiles to the one circuit flow: cardio's heartbeat is
 such a binding, its pulse line in the binding's Configuration. Each flow
-narrates its own moves; topology moves portions and emits nothing.
+narrates its own moves; topology moves portions and emits nothing. A flow
+builds its lines when it is compiled: a path flow its legs, a circuit flow
+each blood_path compartment's "pushed <X>Blood". A firing still emits each
+line through Kernel.emit_trace.
 """
 from __future__ import annotations
 
@@ -231,7 +234,7 @@ def fluidic_motion(world: World, params: dict) -> Mechanism:
         circuit = world.circuits[path]
         config = binding.element_map.get("Configuration")
         pulse = config.get("pulse") if isinstance(config, dict) else None
-        mech = _circuit_flow(mech_name, fluid, circuit, pulse)
+        mech = _circuit_flow(world, mech_name, fluid, circuit, pulse)
     else:
         raise ModelError(
             "binding satisfies neither path mode: need a PathSpec or a declared circuit"
@@ -304,13 +307,18 @@ def path_flow(
     )
 
 
-def _circuit_flow(mech_name, fluid, circuit, pulse=None):
+def _circuit_flow(world, mech_name, fluid, circuit, pulse=None):
     """A flow around a circuit. Each firing emits the pulse line, when there
     is one, then moves every portion on the circuit one hop, all at once,
     and emits "pushed <X>Blood" for each portion that left a blood_path
-    compartment X, in circuit order, then "trigger updates"."""
+    compartment X, in circuit order, then "trigger updates". Each blood_path
+    compartment's line is built here, once: nothing renames a compartment
+    or changes its medium."""
     if pulse is not None and not isinstance(pulse, str):
         raise ModelError(f"a circuit flow's pulse must be a trace line, not {pulse!r}")
+    built = world.compartments
+    narrated = tuple((cid, f"pushed {built[cid].name}Blood") for cid in circuit.order
+                     if built[cid].medium == "blood_path")
 
     def occupied(w) -> bool:
         return any(w.occupant(cid) is not None for cid in circuit.order)
@@ -319,9 +327,8 @@ def _circuit_flow(mech_name, fluid, circuit, pulse=None):
         if pulse is not None:
             kernel.emit_trace(pulse)
         # Each portion's line, read in circuit order before the push moves it.
-        on_circuit = map(kernel.world.compartments.__getitem__, circuit.order)
-        lines = [f"pushed {comp.name}Blood" for comp in on_circuit
-                 if comp.medium == "blood_path" for _ in comp.contents]
+        compartments = kernel.world.compartments
+        lines = [line for cid, line in narrated for _ in compartments[cid].contents]
         topology.ring_push(kernel.world, circuit)
         for line in lines:
             kernel.emit_trace(line)

@@ -5,9 +5,12 @@ against the pre-commit world before anything changes, and then all of them
 move at once, so a portion can arrive in a compartment that the same commit
 vacates. ring_push (one hop around a circuit) and move (one portion) check
 each mover in the pass that collects it and hand commit plain tuples;
-commit checks capacity and merges, then applies. A commit that raises
-leaves the world unchanged. Movement emits no trace: a mechanism that moves
-portions narrates its own moves (frames' circuit flow, cardio's breath).
+commit checks capacity and plans each merge, its properties included, then
+applies. A commit that raises leaves the world unchanged. The checks are
+made once: commit splits and merges through World._split and World._merge,
+the cores of split_portion and merge_portions, which trust them. Movement
+emits no trace: a mechanism that moves portions narrates its own moves
+(frames' circuit flow, cardio's breath).
 """
 from __future__ import annotations
 
@@ -94,15 +97,19 @@ def commit(
     """Apply checked moves and splits as one simultaneous update.
 
     moves holds (portion, src, dst) and splits (portion, src, dsts), one
-    child per dst; the caller has checked each portion live in its src and
-    connected to each dst. movers is every portion in either. moves becomes
-    the record's applied list, split children appended.
+    child per dst and two or more dsts; the caller has checked each portion
+    live in its src and connected to each dst. movers is every portion in
+    either. moves becomes the record's applied list, split children
+    appended.
 
     Portions overfilling a compartment merge when the medium is blood_path
     and all of them are one substance; any other overfill raises
-    CapacityExceeded. Every overfill is checked before the first change, so
-    a commit that raises leaves the world unchanged. Returns the record of
-    the moves applied, which is also appended to world.changes.
+    CapacityExceeded, and a merge whose properties cannot be ranked raises
+    StateError. Every overfill and every merge's properties are checked
+    before the first change, so a commit that raises leaves the world
+    unchanged. The splits and merges then go to the world's cores, which
+    trust these checks. Returns the record of the moves applied, which is
+    also appended to world.changes.
     """
     # Where each mover lands: every move's destination first, then each
     # split's. Until it splits, a split parent stands in for each child.
@@ -119,8 +126,9 @@ def commit(
             arrivals.setdefault(dst, []).append(pid)
 
     # Find every overfill. A blood compartment overfilled by one substance
-    # merges its portions; any other overfill fails here, unchanged.
-    merging: dict[str, list[str]] = {}  # dst -> stayers to merge with its arrivals
+    # merges its portions, with the properties planned here (a split
+    # parent's are its children's); any other overfill fails here, unchanged.
+    merging: dict[str, tuple[list[str], dict[str, str]]] = {}  # dst -> (stayers, properties)
     for dst, arriving in arrivals.items():
         comp = compartments[dst]
         if comp.capacity is None:
@@ -139,16 +147,17 @@ def commit(
                 f"{occupancy} portions for {dst!r} (capacity {comp.capacity}, "
                 f"merging disallowed for {comp.medium})"
             )
-        substances = {portions[pid].substance for pid in stayers + arriving}
+        parents = [portions[pid] for pid in stayers + arriving]
+        substances = {p.substance for p in parents}
         if len(substances) > 1:
             raise CapacityExceeded(
                 f"{occupancy} portions for {dst!r} (capacity {comp.capacity}, "
                 f"cannot merge substances {sorted(substances)})"
             )
-        merging[dst] = stayers
+        merging[dst] = (stayers, world._merged_properties(parents))
 
     for pid, src, dsts in splits:
-        children = world.split_portion(pid, len(dsts))
+        children = world._split(portions[pid], len(dsts))
         for child, dst in zip(children, dsts):
             landing = arrivals[dst]
             landing[landing.index(pid)] = child.id
@@ -157,11 +166,13 @@ def commit(
     # Arrivals leave their sources as they are placed (the record names
     # them) or merged.
     for dst, arrived in arrivals.items():
-        if dst in merging:
-            world.merge_portions(merging[dst] + arrived, dst)
-        else:
+        plan = merging.get(dst)
+        if plan is None:
             for pid in arrived:
                 world._place(pid, dst)
+        else:
+            stayers, properties = plan
+            world._merge([portions[pid] for pid in stayers + arrived], properties, dst)
 
     record = CommitRecord(moves)
     world.changes.append(record)

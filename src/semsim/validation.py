@@ -47,6 +47,16 @@ no removed triple to forget; after a refresh that added and removed
 nothing, no rule with known reads does any work. The report equals a fresh
 build's, violation order and bindings included.
 
+A pushedTo triple stands for a move a commit of the step made: it is the
+step's delta, as in DBSP, not standing state. validate adds the step's
+pushedTo triples with the refresh, checks the rules, and then drops them
+in one pass: the pushedTo bucket is emptied, a rule whose pattern's
+predicate is pushedTo forgets its passing matches (all of them the step's)
+and a rule that reads pushedTo is re-checked at the next validation. So
+between steps a kernel's snapshot holds what a fresh build holds, one
+limited to its scope, and a refresh never has a last step's triples to
+take out: with no change it returns at once.
+
 The reads contract. A rule's check may read its bindings; the triples of
 the predicates its rule lists in `reads`, from `triples` or from the world
 state they describe (a compartment's contents are its locatedIn
@@ -391,12 +401,15 @@ _by_triple = itemgetter(0)
 
 
 def validate(snapshot: Snapshot, rules) -> ValidationReport:
-    """Refresh the snapshot from its world's change list and re-check the
-    rules those changes can affect; the report's violations equal a full
-    recompute's, Snapshot(world).violations(rules). Without a violation the
-    report is the shared NO_VIOLATIONS."""
+    """Refresh the snapshot from its world's change list, re-check the
+    rules those changes can affect, then drop the step's pushedTo triples;
+    the report's violations equal a full recompute's before the refresh
+    emptied the list, Snapshot(world).violations(rules). Without a violation
+    the report is the shared NO_VIOLATIONS."""
     snapshot.refresh()
     violations = snapshot.violations(rules)
+    if snapshot._pushed:  # each pushedTo triple the snapshot holds is in _pushed
+        snapshot.drop_pushed()
     return ValidationReport(violations) if violations else NO_VIOLATIONS
 
 
@@ -456,7 +469,8 @@ class Snapshot:
     one derives every triple in scope and leaves the world's change list
     alone. Each refresh applies and empties the list; violations re-checks
     against what the last refresh changed, and after a build evaluates
-    every rule in full.
+    every rule in full; drop_pushed then takes out the step's pushedTo
+    triples, as validate does after every check.
     """
 
     def __init__(self, world, scope: frozenset[str] | None = None):
@@ -466,6 +480,8 @@ class Snapshot:
         # The last refresh's (added, removed) triples by predicate.
         self._added: dict[str, list[Triple]] = {}
         self._removed: dict[str, list[Triple]] = {}
+        # Whether drop_pushed took pushedTo triples out since the last check.
+        self._dropped = False
 
     def _build(self, scope: frozenset[str] | None, pushed: list[Triple]):
         """Derive every triple in scope from live state, with these pushedTo."""
@@ -477,14 +493,16 @@ class Snapshot:
         self.triples = TripleView(self.by_predicate)
         self._entities: dict[str, list[Triple]] = {}  # subject id -> its triples
         self._wiring: list[Triple] = []
-        self._pushed: list[Triple] = []  # the step's, indexed only when in scope
+        # The step's pushedTo triples, indexed only when in scope, until
+        # drop_pushed takes them out.
+        self._pushed: list[Triple] = []
         self._apply([*world.objects, *world.live_registry, *world.substances], True, pushed)
 
     def _widen(self, rule: AssertionRule):
         """Rebuild with a scope wide enough for this rule, if it is not yet.
 
-        The rebuild reads live state and the last refresh's pushedTo triples,
-        so the triples already in scope come out the same and the other
+        The rebuild reads live state and the step's pushedTo triples, so
+        the triples already in scope come out the same and the other
         rules' passing matches stay valid.
         """
         if self.scope is None:
@@ -496,11 +514,11 @@ class Snapshot:
             self._build(self.scope | needs, self._pushed)
 
     def refresh(self):
-        """Apply the world's change list, then empty it. With no change and
-        no pushedTo triple left from the last step, nothing can change: only
-        the last refresh's additions and removals are forgotten."""
+        """Apply the world's change list, then empty it. With no change,
+        nothing can change: only the last refresh's additions and removals
+        are forgotten."""
         changes = self.world.changes
-        if not changes and not self._pushed:
+        if not changes:
             if self._added or self._removed:
                 self._added, self._removed = {}, {}
             return
@@ -508,7 +526,7 @@ class Snapshot:
         changes.clear()
 
     def _apply(self, ids, wiring: bool, pushed: list[Triple]):
-        """Re-derive these entities and the wiring if it changed, and swap in
+        """Re-derive these entities and the wiring if it changed, and add
         this step's pushedTo triples; return (added, removed) by predicate."""
         world, scope, derive = self.world, self._keep, self._derive
         added: dict[str, list[Triple]] = {}
@@ -528,10 +546,26 @@ class Snapshot:
             new = _wiring_triples(world, scope)
             self._replace(self._wiring, new, added, removed)
             self._wiring = new
-        if "pushedTo" in scope and (pushed or self._pushed):
-            self._replace(self._pushed, pushed, added, removed)
-        self._pushed = pushed
+        if pushed:
+            if "pushedTo" in scope:
+                self._add(pushed, added)
+            self._pushed.extend(pushed)
         return added, removed
+
+    def drop_pushed(self):
+        """Take out the step's pushedTo triples once its rules are checked:
+        empty the pushedTo bucket, forget the passing matches of each rule
+        whose pattern's predicate is pushedTo (all of them the step's), and
+        have the next violations re-check each rule that reads pushedTo."""
+        self._pushed = []
+        bucket = self.by_predicate.get("pushedTo")
+        if not bucket:
+            return
+        bucket.clear()
+        for state in self._rules.values():
+            if state.predicate == "pushedTo":
+                state.passing.clear()
+        self._dropped = True
 
     def _replace(self, old, new, added, removed):
         """Swap one source's triples; a birth, a retirement or a swap of one
@@ -596,6 +630,9 @@ class Snapshot:
         added, removed = self._added, self._removed
         # Nothing added or removed: no rule with known reads is re-checked.
         changed = added.keys() | removed.keys() if added or removed else None
+        if self._dropped:  # the pushedTo triples drop_pushed took out
+            changed = {"pushedTo"} if changed is None else changed | {"pushedTo"}
+            self._dropped = False
         states = self._rules
         out: list[Violation] = []
         for key, rule in rules.items():

@@ -27,6 +27,13 @@ create_portion, add_portion, add_object, set_state, set_ambient,
 Microworld), as an object state's label is checked on its kind's space.
 set_location and set_property skip the checks for a caller that made them
 once, when it was built.
+
+split_portion and merge_portions check their inputs, then call their
+cores, _split and _merge, which a commit calls directly on the portions
+it holds: it has checked each mover live, its movers are distinct and it
+has checked each merge's substances. A merge's properties are planned by
+_merged_properties before any change, so a commit plans every merge of
+its batch first and a merge that cannot rank a property changes nothing.
 """
 from __future__ import annotations
 
@@ -164,27 +171,6 @@ class Vocabulary(FrozenRecord):
 
     def allows(self, line: str) -> bool:
         return self.canonical(line) is not None
-
-
-def _ranked_pick(parents, key: str, scale: StateSpace, highest: bool) -> str:
-    """The label of key, among the parents that carry it, with the lowest
-    (or highest) rank on its scale; the earliest of those on a tie. Raises
-    StateError for an unordered scale."""
-    if not scale.ordered:
-        raise StateError(
-            f"scale {scale.variable!r} is {scale.scale_kind}; ordinal comparison undefined"
-        )
-    ranks = scale._ranks
-    best = None
-    for p in parents:
-        props = p.properties
-        if key not in props:
-            continue
-        label = props[key]
-        rank = ranks[label]
-        if best is None or (rank > best_rank if highest else rank < best_rank):
-            best, best_rank = label, rank
-    return best
 
 
 class World:
@@ -609,6 +595,11 @@ class World:
         parent = need(self.portions, portion_id, "portion")
         if not parent.alive:
             raise DeadSubjectError(f"portion {portion_id!r} is dead")
+        return self._split(parent, n_children)
+
+    def _split(self, parent: Portion, n_children: int) -> list[Portion]:
+        """split_portion for a caller that holds the parent, knows it is live
+        and asks for two or more children, as a commit does."""
         substance, where = parent.substance, parent.compartment
         contents = None if where is None else self.compartments[where].contents
         portions, live = self.portions, self.live_registry
@@ -626,18 +617,12 @@ class World:
             children.append(child)
             child_ids.append(cid)
         self._retire_portion(parent)
-        self._log(Transitional("split", (portion_id,), tuple(child_ids), self.clock))
+        self._log(Transitional("split", (parent.id,), tuple(child_ids), self.clock))
         return children
 
     def merge_portions(self, portion_ids, destination: str | None = None) -> Portion:
-        """Retire the inputs and create one result.
-
-        Qualitative properties follow the substance's merge policy per
-        property, in the order the parents first carry them, over the parents
-        that carry each: min/max by ordinal rank (a tie keeps the earlier
-        parent's value), or the first carrier's value for "first" or any
-        other rule.
-        """
+        """Retire the inputs and create one result, whose properties are
+        _merged_properties(parents)."""
         ids = tuple(portion_ids)
         if len(ids) < 2:
             raise TransitionalError("merge needs at least two subjects")
@@ -651,30 +636,62 @@ class World:
             if not p.alive:
                 raise DeadSubjectError(f"portion {pid!r} is dead")
             parents.append(p)
-        first = parents[0]
-        substance = first.substance
+        substance = parents[0].substance
         for p in parents:
             if p.substance != substance:
                 raise TransitionalError("cannot merge portions of different substances")
-        policy = self.substances[substance].merge_policy
+        return self._merge(parents, self._merged_properties(parents), destination)
 
-        merged_props: dict[str, str] = {}
+    def _merged_properties(self, parents) -> dict[str, str]:
+        """The properties a merge of these parents (one substance) takes.
+
+        Each property follows the substance's merge policy, in the order
+        the parents first carry them, over the parents that carry it:
+        min/max by rank on its scale, a tie keeping the earlier parent's
+        label, or the first carrier's label for "first" or any other rule.
+        Raises StateError for min/max on an unordered scale. Writes nothing.
+        """
+        policy = self.substances[parents[0].substance].merge_policy
+        merged: dict[str, str] = {}
         for p in parents:
             for key, label in p.properties.items():
-                if key in merged_props:
+                if key in merged:
                     continue
                 rule = policy.get(key)
                 if rule == "min" or rule == "max":
-                    label = _ranked_pick(parents, key, self.scales[key], rule == "max")
-                merged_props[key] = label
+                    # One pass over the parents; p is the first carrier.
+                    scale = self.scales[key]
+                    if not scale.ordered:
+                        raise StateError(
+                            f"scale {scale.variable!r} is {scale.scale_kind}; "
+                            "ordinal comparison undefined"
+                        )
+                    ranks, highest = scale._ranks, rule == "max"
+                    best = ranks[label]
+                    for q in parents:
+                        other = q.properties.get(key)
+                        if other is not None:
+                            rank = ranks[other]
+                            if rank > best if highest else rank < best:
+                                label, best = other, rank
+                merged[key] = label
+        return merged
 
+    def _merge(self, parents: list[Portion], properties: dict[str, str],
+               destination: str | None) -> Portion:
+        """merge_portions for a caller that holds two or more distinct live
+        parents of one substance and their _merged_properties, as a commit
+        does: retire them and create the result."""
+        first = parents[0]
+        substance = first.substance
+        ids = tuple([p.id for p in parents])
         rid = self.next_id(substance)
         result = Portion(
-            rid, substance, first.kind, merged_props, first.x, first.y,
+            rid, substance, first.kind, properties, first.x, first.y,
             None, first.location_state, ids,
         )
         # add_portion, for a portion known to be live and new
-        portions[rid] = self.live_registry[rid] = result
+        self.portions[rid] = self.live_registry[rid] = result
         for p in parents:
             self._retire_portion(p)
         if destination is not None:

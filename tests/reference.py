@@ -18,11 +18,23 @@ semsim.topology. staged_circuit_flow adds the circuit flow's narration, taken
 from the committed batch, so it checks the lines frames' circuit flow emits. total_displacement is the closed form of a path: what a portion that runs
 the whole path ends up displaced by.
 
+For merged properties it is merged_properties: each property's label
+picked by a plain reading of the substance's merge policy, ranks looked
+up label by label, so it checks World.merge_portions and a commit's merge.
+commit_batch plans each merge's properties with it before the first change
+and gives the merged portion those, not the program's.
+
 For trigger dispatch it is the per-tick scan: due reads a trigger's enabled,
 phase and period at one tick, so it checks the kernel's calendar of due ticks.
 """
 from semsim import Triple, Var
-from semsim.errors import CapacityExceeded, DuplicateMover, PortionNotPresent, PushWithoutConnection
+from semsim.errors import (
+    CapacityExceeded,
+    DuplicateMover,
+    PortionNotPresent,
+    PushWithoutConnection,
+    StateError,
+)
 from semsim.records import FrozenRecord, Record, set_field
 from semsim.topology import CommitRecord
 
@@ -165,13 +177,43 @@ def stage_split(world, batch, portion, src, dsts):
     return batch
 
 
+def merged_properties(world, parents):
+    """The properties a merge of these parents takes, in the order the
+    parents first carry them. Under a "min" or "max" rule a property takes
+    the lowest or highest ranked label among the parents that carry it, the
+    earliest of those on a tie, and a scale neither ordinal nor binary raises
+    StateError; under any other rule, the first carrier's label."""
+    policy = world.substances[parents[0].substance].merge_policy
+    keys = []
+    for parent in parents:
+        keys += [key for key in parent.properties if key not in keys]
+    merged = {}
+    for key in keys:
+        labels = [parent.properties[key] for parent in parents if key in parent.properties]
+        rule = policy.get(key)
+        if rule in ("min", "max"):
+            scale = world.scales[key]
+            if scale.scale_kind not in ("ordinal", "binary"):
+                raise StateError(
+                    f"scale {scale.variable!r} is {scale.scale_kind}; ordinal comparison undefined"
+                )
+            ranked = [scale.labels.index(label) for label in labels]
+            best = min(ranked) if rule == "min" else max(ranked)
+            merged[key] = labels[ranked.index(best)]
+        else:
+            merged[key] = labels[0]
+    return merged
+
+
 def commit_batch(world, batch):
     """Apply every staged move as one simultaneous update.
 
     Each destination gets its arrivals in staging order, moves before
     splits. A blood compartment overfilled by one substance merges its
-    stayers and arrivals; any other overfill raises CapacityExceeded before
-    the first change.
+    stayers and arrivals, with merged_properties planned before the first
+    change (a split parent's properties are its children's); any other
+    overfill raises CapacityExceeded, and properties that cannot be merged
+    raise StateError, before the first change.
     """
     portions, compartments = world.portions, world.compartments
     arrivals = {}
@@ -201,7 +243,8 @@ def commit_batch(world, batch):
                 f"{occupancy} portions for {dst!r} (capacity {comp.capacity}, "
                 f"cannot merge substances {sorted(substances)})"
             )
-        merging[dst] = stayers
+        parents = [portions[pid] for pid in stayers + arriving]
+        merging[dst] = (stayers, merged_properties(world, parents))
 
     applied = [(m.portion, m.src, m.dst) for m in batch.moves]
     record = CommitRecord(applied)
@@ -213,7 +256,8 @@ def commit_batch(world, batch):
             applied.append((child.id, plan.src, dst))
     for dst, arrived in arrivals.items():
         if dst in merging:
-            world.merge_portions(merging[dst] + arrived, dst)
+            stayers, properties = merging[dst]
+            world.merge_portions(stayers + arrived, dst).properties = properties
         else:
             for pid in arrived:
                 world._place(pid, dst)  # the record names it, as commit's does

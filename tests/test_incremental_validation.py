@@ -6,11 +6,14 @@ its report must equal the naive reference evaluator's over the reference
 triples (violation order and bindings included), and its snapshot and
 predicate index must hold exactly those triples.
 
-A refresh empties the world's change list, so after a step the world no
-longer names the moves that step committed, though the kernel's snapshot
-still holds their pushedTo triples. The fixture below keeps, on each
-snapshot, the commit records its last refresh consumed, and the checks
-derive the reference's pushedTo triples from those.
+A pushedTo triple lives for the step whose commit made it: the step's
+rules see it, and validate drops it once they are checked. A refresh
+empties the world's change list, so after a step the world no longer names
+the moves that step committed. The fixture below keeps, on each snapshot,
+the commit records its last refresh consumed, and the step's violations are
+checked against reference triples with those moves' pushedTo. Between
+steps the snapshot holds a fresh build's triples in scope, which name no
+move.
 """
 from pathlib import Path
 
@@ -59,6 +62,10 @@ def _co2_rich_in_lungs(bindings, world, triples):
     return Triple(bindings["p"], "locatedIn", "PulmCap") in triples
 
 
+def _pushed_from_the_atrium(bindings, world, triples):
+    return Triple("LeftAtrium", "pushedTo", bindings["c"]) in triples
+
+
 def extra_rules():
     return (
         AssertionRule(
@@ -86,6 +93,15 @@ def extra_rules():
             expectation="must_not_exist",
             check=_co2_rich_in_lungs,
             reads=frozenset({"locatedIn"}),
+        ),
+        # Reads pushedTo, not its own predicate: when validate drops a
+        # step's pushedTo triples, the rule must be checked again.
+        AssertionRule(
+            "pushed-from-the-atrium",
+            TriplePattern(Var("p"), "locatedIn", Var("c")),
+            expectation="must_not_exist",
+            check=_pushed_from_the_atrium,
+            reads=frozenset({"pushedTo"}),
         ),
     )
 
@@ -115,9 +131,11 @@ def assert_kernel_matches_full_recompute(kernel, report):
     snapshot = kernel.snapshot
     triples = reference_triples(world, snapshot.consumed_commits)
     assert as_items(own) == reference_violations(world, triples, kernel.rules)
-    # The kernel's snapshot keeps only the predicates its rules match or read.
+    # Between steps the kernel's snapshot holds no pushedTo triple, and only
+    # the predicates its rules match or read.
+    assert world.changes == []
     scope = snapshot.scope
-    in_scope = {t for t in triples if scope is None or t.predicate in scope}
+    in_scope = {t for t in reference_triples(world) if scope is None or t.predicate in scope}
     assert snapshot.triples == in_scope
     grouped = {}
     for triple in in_scope:
@@ -254,7 +272,8 @@ def test_the_kernel_snapshot_holds_only_what_the_standard_rules_read():
     kernel.run(9)  # the last step, tick 8, is a heartbeat
     snapshot = kernel.snapshot
     assert snapshot.scope == {"locatedIn", "pushedTo", "connectedTo"}
-    assert {t.predicate for t in snapshot.triples} == snapshot.scope
+    # The heartbeat's pushedTo triples left the snapshot when validate returned.
+    assert {t.predicate for t in snapshot.triples} == {"locatedIn", "connectedTo"}
     assert not [t for t in snapshot.triples if t.predicate == "hasState:O2Level"]
     assert_kernel_matches_full_recompute(kernel, kernel.reports[-1])
     # A standalone validate is still a full recompute.
@@ -263,8 +282,9 @@ def test_the_kernel_snapshot_holds_only_what_the_standard_rules_read():
 
 @pytest.mark.parametrize(
     "names, scope",
-    [((), set()), (("some-push",), {"pushedTo"}), (("located-count",), {"locatedIn"})],
-    ids=["no-rules", "pushedTo", "locatedIn"],
+    [((), set()), (("some-push",), {"pushedTo"}), (("located-count",), {"locatedIn"}),
+     (("pushed-from-the-atrium",), {"locatedIn", "pushedTo"})],
+    ids=["no-rules", "pushedTo", "locatedIn", "reads-pushedTo"],
 )
 def test_a_scope_without_state_or_part_predicates_stays_exact(names, scope):
     # Such a scope holds no object's or substance's triple and at most a live
@@ -518,7 +538,7 @@ def test_the_triples_view_is_a_fresh_build_in_scope_after_every_step(model, scen
     for _ in range(ticks):
         kernel.step()
         view, scope = kernel.snapshot.triples, kernel.snapshot.scope
-        everything = reference_triples(world, kernel.snapshot.consumed_commits)
+        everything = reference_triples(world)
         in_scope = {t for t in everything if t.predicate in scope}
         assert len(view) == len(in_scope)
         assert all(t in view for t in in_scope)
@@ -527,6 +547,29 @@ def test_the_triples_view_is_a_fresh_build_in_scope_after_every_step(model, scen
     assert not kernel.halted
     # Cardio's scope leaves out its objects' and properties' triples.
     assert (everything != in_scope) == (model == "cardio")
+
+
+@pytest.mark.parametrize("scenario", [None, "heart_stop", "cut_phrenic"],
+                         ids=["cardio", "heart_stop", "cut_phrenic"])
+def test_between_steps_the_kernels_snapshot_is_a_fresh_build_in_scope(scenario):
+    # A step's pushedTo triples leave with the step, so a fresh build, which
+    # names the moves of the commits still in the world's change list (none
+    # between steps), holds the same triples in the kernel's scope.
+    world = build_cardio()
+    if scenario is not None:
+        apply_scenario(world, load_scenario(SCENARIOS / f"{scenario}.json"))
+    kernel = Kernel(world, validate_policy="warn")
+    standard_rules(kernel)
+    pushes = 0
+    for _ in range(150):
+        kernel.step()
+        pushes += len(kernel.snapshot.consumed_commits)
+        assert world.changes == []
+        scope = kernel.snapshot.scope
+        assert "pushedTo" in scope
+        fresh = {t for t in derive_triples(world) if t.predicate in scope}
+        assert kernel.snapshot.triples == fresh
+    assert pushes > 0
 
 
 def test_the_triples_view_is_read_only_and_compares_as_a_set():

@@ -33,7 +33,8 @@ def test_layer_split_prints_a_row_per_model_and_configuration(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    *rows, startup = result.stdout.splitlines()[2:]
+    table, _per_tick = result.stdout.split("\n\n")
+    *rows, startup = table.splitlines()[2:]
     assert startup.startswith("startup    import semsim.cli")
     assert float(startup[33:].split()[0]) > 0
     labels = ("--validate off", "halt, scope only", "halt, standard rules",
@@ -46,6 +47,26 @@ def test_layer_split_prints_a_row_per_model_and_configuration(tmp_path):
         assert steps_per_s > 0 and micros > 0
         if row[11:33].strip() in ("--validate off", "halt, nothing due"):
             assert added == micros  # counted from zero
+
+
+def test_layer_split_prints_cardio_medians_by_kind_of_tick(tmp_path):
+    script = SCRIPTS[0].parent / "layer_split.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--ticks", "20", "--repeats", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    _table, per_tick = result.stdout.split("\n\n")
+    title, header, *rows = per_tick.splitlines()
+    # Cardio beats every 4 ticks: 0, 4, ..., 16.
+    assert title == ("cardio, median us per tick by kind, over 1 runs of 20 ticks "
+                     "(beat 5, after a beat 5, other 10 per run)")
+    assert header.split()[1:] == ["beat", "after", "a", "beat", "other"]
+    assert [row[:22].strip() for row in rows] == ["--validate off", "halt, standard rules"]
+    for row in rows:
+        beat, after, other = (float(field) for field in row[22:].split())
+        assert beat > 0 and after > 0 and other > 0
+        assert beat > other  # a beat moves every portion on the circuit
 
 
 def test_ab_steps_compares_a_checkout_with_itself(tmp_path):

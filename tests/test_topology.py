@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsim import Kernel, Portion, Transitional, Vocabulary, World, topology
+from semsim import Kernel, Portion, StateSpace, Transitional, Vocabulary, World, topology
 from semsim.errors import (
     CapacityExceeded,
     DeadSubjectError,
@@ -14,13 +14,15 @@ from semsim.errors import (
     PortionNotPresent,
     PushWithoutConnection,
     SemsimError,
+    StateError,
     UnknownEntityError,
 )
+from semsim.modelfile import save_model
 
 from semsim.frames import _circuit_flow
 from semsim.validation import Snapshot, capacity_rule, derive_triples
 
-from reference import staged_circuit_flow, staged_move, staged_ring_push
+from reference import merged_properties, staged_circuit_flow, staged_move, staged_ring_push
 
 
 def world_state(w):
@@ -38,7 +40,7 @@ def flow_push(w, circuit):
     and the lines it emitted."""
     w.vocabulary = Vocabulary(patterns=(r"pushed \w+Blood", "trigger updates"))
     kernel = Kernel(w, validate_policy="off")
-    _circuit_flow("Flow", "blood", circuit).effect(kernel)
+    _circuit_flow(w, "Flow", "blood", circuit).effect(kernel)
     return w.changes[-1], kernel.current_report.lines
 
 
@@ -239,9 +241,13 @@ def test_blood_capacity_collision_merges():
     assert len(w.live_portions("blood")) == 1
 
 
-def cardio_ring():
+def cardio_ring(scales=(), **blood):
+    """Seven blood compartments in cardio's ring, one portion in each; the
+    scales are defined first and blood takes define_substance's keywords."""
     w = World("ring")
-    w.define_substance("blood", phase="liquid")
+    for scale in scales:
+        w.define_scale(scale)
+    w.define_substance("blood", phase="liquid", **blood)
     order = ("LA", "LV", "MC", "CC", "RA", "RV", "AC")
     succ = {
         "LA": ("LV",), "LV": ("MC", "CC"), "MC": ("RA",), "CC": ("RA",),
@@ -323,11 +329,13 @@ def test_circuit_definition_refuses_an_order_off_the_graph_or_repeated():
 
 
 def full_state(w):
-    """Everything a commit can change: the portions in birth order, each
-    compartment's contents in placement order, the live registry, the id
-    counters, the transitional log and the change list."""
+    """Everything a commit can change: the portions in birth order with
+    each one's properties in key order, each compartment's contents in
+    placement order, the live registry, the id counters, the transitional
+    log and the change list."""
     return (
         list(w.portions.items()),
+        [list(p.properties.items()) for p in w.portions.values()],
         {cid: list(c.contents) for cid, c in w.compartments.items()},
         list(w.live_registry),
         dict(w._counters),
@@ -348,14 +356,48 @@ def _outcome(w, act):
     return record, full_state(w)
 
 
+#: Property scales for merges: two ordered ones, with few labels so that
+#: merges tie, and a nominal one, which a min or max rule cannot rank.
+MERGE_SCALES = (
+    StateSpace("O2Level", ("low", "medium", "high"), "ordinal"),
+    StateSpace("Warmth", ("cool", "warm"), "binary"),
+    StateSpace("Color", ("red", "blue"), "nominal"),
+)
+MERGE_RULES = ("min", "max", "first", "mix")  # "mix" is a rule merges do not know
+
+
+def merge_world(data, substances=("blood",)):
+    """A world with the merge scales and these substances, the first with a
+    drawn merge policy: each scale's rule, or none."""
+    w = World("merges")
+    for scale in MERGE_SCALES:
+        w.define_scale(scale)
+    policy = {}
+    for scale in MERGE_SCALES:
+        rule = data.draw(st.sampled_from((None,) + MERGE_RULES), label=f"rule {scale.variable}")
+        if rule is not None:
+            policy[scale.variable] = rule
+    w.define_substance(substances[0], phase="liquid", merge_policy=policy)
+    for other in substances[1:]:
+        w.define_substance(other, phase="gas")
+    return w
+
+
+def draw_properties(data):
+    """Some of the merge scales' properties, in a drawn key order."""
+    names = data.draw(st.permutations([scale.variable for scale in MERGE_SCALES]), label="keys")
+    scales = {scale.variable: scale for scale in MERGE_SCALES}
+    return {name: data.draw(st.sampled_from(scales[name].labels), label=name)
+            for name in names if data.draw(st.booleans(), label=f"carries {name}")}
+
+
 def random_world(data):
     """Compartments of random media and capacities holding blood and air,
     each with its circuit successor and up to two branches, so some split
-    and some are merged into; one connection may be cut."""
+    and some are merged into; one connection may be cut. Blood portions
+    carry drawn properties, merged by a drawn policy."""
     n = data.draw(st.integers(min_value=3, max_value=6), label="compartments")
-    w = World("ring")
-    w.define_substance("blood", phase="liquid")
-    w.define_substance("air", phase="gas")
+    w = merge_world(data, ("blood", "air"))
     names = [f"N{i}" for i in range(n)]
     capacities = {}
     for name in names:
@@ -376,7 +418,8 @@ def random_world(data):
         most = 3 if capacities[name] is None else capacities[name]
         for _ in range(data.draw(st.integers(0, most), label=f"portions in {name}")):
             substance = data.draw(st.sampled_from(["blood", "blood", "air"]), label="substance")
-            w.create_portion(substance, compartment=name)
+            properties = draw_properties(data) if substance == "blood" else None
+            w.create_portion(substance, compartment=name, properties=properties)
     if data.draw(st.booleans(), label="cut a connection"):
         src = data.draw(st.sampled_from(names), label="cut from")
         w.remove_connection(src, data.draw(st.sampled_from(successors[src]), label="cut to"))
@@ -515,3 +558,56 @@ def test_mixed_substance_merge_fails_before_any_change():
     with pytest.raises(CapacityExceeded, match=r"cannot merge substances \['air', 'blood'\]"):
         topology.ring_push(w, circuit)
     assert world_state(w) == before
+
+
+def test_a_merge_that_cannot_rank_its_properties_fails_before_any_change():
+    # LV's portion splits toward MC and CC, and MC's and CC's portions
+    # meet in RA: their max over the nominal Color raises, with nothing moved.
+    w, circuit = cardio_ring((StateSpace("Color", ("red", "blue"), "nominal"),),
+                             default_properties={"Color": "red"}, merge_policy={"Color": "max"})
+    saved = save_model(w)
+    before = full_state(w)
+    with pytest.raises(StateError, match="scale 'Color' is nominal; ordinal comparison undefined"):
+        topology.ring_push(w, circuit)
+    assert save_model(w) == saved
+    assert full_state(w) == before
+    assert {c: comp.contents for c, comp in w.compartments.items()} == {
+        name: [f"b-{i}"] for i, name in enumerate(circuit.order)
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), via=st.sampled_from(["merge_portions", "commit"]))
+def test_merged_properties_follow_the_merge_oracle(data, via):
+    # 2-4 parents carrying drawn subsets of the properties, in drawn key
+    # orders, under min, max, first, unknown or no rules; few labels, so ties.
+    w = merge_world(data)
+    n = data.draw(st.integers(min_value=2, max_value=4), label="parents")
+    w.add_compartment("Dst", "blood_path", 1)
+    parents = [w.create_portion("blood", compartment="Dst" if i == 0 else None,
+                                properties=draw_properties(data)) for i in range(n)]
+    try:
+        expected = merged_properties(w, parents)
+    except StateError as exc:
+        expected = (StateError, str(exc))
+    ids = [p.id for p in parents]
+    if via == "merge_portions":
+        act = lambda w: w.merge_portions(ids)
+    else:
+        # The first parent stays in Dst; each other arrives from a source of its own.
+        moves = []
+        for pid in ids[1:]:
+            src = f"Src-{pid}"
+            w.add_compartment(src, "blood_path", 1)
+            w.connect(src, "Dst")
+            w.place_portion(pid, src)
+            moves.append((pid, src, "Dst"))
+        act = lambda w: topology.commit(w, moves, [], set(ids[1:]))
+    outcome = _outcome(w, act)
+    if isinstance(expected, tuple):
+        assert outcome == expected
+        return
+    (merge,) = transitionals(w, "merge")
+    assert merge.subjects == tuple(ids)
+    merged = w.portions[merge.results[0]]
+    assert list(merged.properties.items()) == list(expected.items())

@@ -1,8 +1,9 @@
 """Command-line runner: `semsim run|console|validate-file`.
 
 Exit codes: 0 on clean completion or Ctrl-C, 1 on configuration errors
-(unknown model, malformed files, a model fault raised inside a step), 2 when
-the validation policy halted the run.
+(a malformed command line, unknown model, malformed files, an output path
+that cannot be written, a model fault raised inside a step), 2 when the
+validation policy halted the run.
 """
 from __future__ import annotations
 
@@ -167,14 +168,28 @@ def write_outputs(kernel: Kernel, config: RunConfig, exit_code: int):
         out.write("\n]}\n")
 
 
+def _file_in_a_directory(path: str) -> bool:
+    """Whether path, its symlinks followed, names no directory and lies in an
+    existing one; judged without creating anything."""
+    real = os.path.realpath(path)
+    return not os.path.isdir(real) and os.path.isdir(os.path.dirname(real))
+
+
 def prepare(config: RunConfig) -> Kernel:
-    """Check the flags and build the world and its kernel, all before the first step."""
+    """Check the flags and build the world and its kernel, all before the
+    first step; a refused run creates no file."""
     for flag, value in (("--steps", config.steps), ("--portions", config.portions)):
         if value is not None and value < 0:
             raise SemsimError(f"{flag} must be >= 0")
     trace = config.trace_path
-    if trace is not None and (Path(trace).is_dir() or not Path(trace).parent.is_dir()):
-        raise SemsimError(f"--trace {trace!r} is not a file in an existing directory")
+    if trace is not None:
+        if not _file_in_a_directory(trace):
+            raise SemsimError(f"--trace {trace!r} is not a file in an existing directory")
+        if not _file_in_a_directory(config.report_path):
+            raise SemsimError(
+                f"--trace {trace!r}: its report {config.report_path!r} is not a file "
+                "in an existing directory"
+            )
     world = resolve_model(config)
     # A model file fixes its own portion count and cardio has no pool, so
     # there --portions would be ignored and the run would never end.
@@ -186,11 +201,16 @@ def prepare(config: RunConfig) -> Kernel:
 
 
 def finish(kernel: Kernel, config: RunConfig) -> int:
-    """Write the outputs; the exit code is read from the kernel's state."""
+    """Write the outputs; the exit code is read from the kernel's state, or
+    is EXIT_CONFIG if they cannot be written."""
     exit_code = EXIT_HALTED if kernel.halted else EXIT_OK
     if kernel.fault is not None and not isinstance(kernel.fault, KeyboardInterrupt):
         exit_code = EXIT_CONFIG  # a model fault inside a step
-    write_outputs(kernel, config, exit_code)
+    try:
+        write_outputs(kernel, config, exit_code)
+    except OSError as exc:
+        print(f"error: cannot write the run's outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return exit_code
 
 
@@ -246,6 +266,15 @@ def validate_file_command(path: str) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line exits EXIT_CONFIG, not argparse's 2, which
+    would read as a run the validation policy halted."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
+
+
 def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--model", required=True, help="builtin name or model file path")
     parser.add_argument("--steps", type=int, default=None)
@@ -277,7 +306,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="semsim", description=__doc__)
+    parser = _Parser(prog="semsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a model, writing trace and report files")
     _add_run_flags(run_p)

@@ -197,8 +197,10 @@ class Console:
                     elif cmd == "resume":
                         self._resume()
                     elif cmd == "step":
-                        k = int(args[0]) if args else 1
-                        self._advance(k)
+                        if len(args) > 1 or (args and not args[0].isdecimal()):
+                            self._print(f"usage: {synopsis}")  # k is one count >= 0
+                        else:
+                            self._advance(int(args[0]) if args else 1)
                     elif cmd == "inspect":
                         self._print(inspect_path(self.world, args[0]))
                     elif cmd == "set":

@@ -14,10 +14,20 @@ Two execution modes:
   (model, seed, periods, phases).
 * concurrent: subsystems are independent, so any order of their firings
   is a valid interleaving. Each tick the due triggers are grouped by
-  subsystem and the groups run in a random order drawn from the kernel's
-  seeded generator, all on the kernel thread; signal delivery, commits and
-  validation follow as in deterministic mode. Causal ordering holds, and a
-  run replays exactly from its seed.
+  subsystem, groups taken in schedule order, and the groups run in an order
+  that is a pure function of (seed, tick), all on the kernel thread; signal
+  delivery, commits and validation follow as in deterministic mode. Causal
+  ordering holds, a run replays exactly from its seed, and a kernel on a
+  saved and reloaded world carries on its run, since no step reads state a
+  model file does not save.
+
+  The draw: let M = 2**64, and mix(z) be splitmix64's output function:
+  z += 0x9E3779B97F4A7C15; z ^= z >> 30; z *= 0xBF58476D1CE4E5B9;
+  z ^= z >> 27; z *= 0x94D049BB133111EB; z ^= z >> 31, each sum and
+  product taken mod M. A tick with two or more groups draws
+  d = mix(mix(seed) ^ tick) and reads d as a Lehmer code: while
+  groups remain, d, i = divmod(d, the number remaining), and the group at
+  index i of those remaining runs next. A tick with one group draws nothing.
 
 A step pays only for the triggers due at its tick. The kernel keeps a
 calendar, a dict from each tick to the schedule entries due then; a step
@@ -62,7 +72,6 @@ and every later step() raises SemsimError and changes nothing.
 """
 from __future__ import annotations
 
-import random
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -278,6 +287,17 @@ def send_signal(kernel: "Kernel", signal: Signal):
     world.signals.append(signal)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _mix(z: int) -> int:
+    """splitmix64's output function for state z, taken mod 2**64."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def _one_of(label: str, choices: tuple[str, ...]) -> property:
     """A Kernel setting, kept in _<label>, that refuses a value outside choices."""
 
@@ -306,7 +326,6 @@ class Kernel:
         self.seed = seed
         self.mode = mode
         self.validate_policy = validate_policy
-        self.rng = random.Random(seed)
         self.reports: list[StepReport] = []
         self.rules: dict[str, validation.AssertionRule] = {}
         self.halted_at: int | None = None
@@ -448,7 +467,7 @@ class Kernel:
                 self._index()
             due = self._take_due(tick)
             if self._mode == "concurrent":
-                due = self._shuffle_subsystems(due)
+                due = self._shuffle_subsystems(due, tick)
             for _trig, mech, via in due:
                 self._dispatch(mech, via)
 
@@ -488,15 +507,21 @@ class Kernel:
             self.fault = exc
             raise
 
-    def _shuffle_subsystems(self, due):
+    def _shuffle_subsystems(self, due, tick):
         """The due schedule entries grouped by their mechanism's subsystem,
-        groups in a seeded random order."""
+        groups in the order drawn from (seed, tick) (module docstring)."""
         by_subsystem: dict[str, list] = {}
         for entry in due:
             by_subsystem.setdefault(entry[1].subsystem, []).append(entry)
-        groups = list(by_subsystem.values())
-        self.rng.shuffle(groups)
-        return [entry for group in groups for entry in group]
+        if len(by_subsystem) < 2:
+            return due
+        rest = list(by_subsystem.values())
+        d = _mix(_mix(self.seed) ^ tick)
+        ordered = []
+        while rest:
+            d, i = divmod(d, len(rest))
+            ordered += rest.pop(i)
+        return ordered
 
     def run(self, n_ticks: int | None = None) -> list[StepReport]:
         """Step until the kernel halts, or at most n_ticks times."""

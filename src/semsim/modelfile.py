@@ -285,15 +285,6 @@ class _diagnosed:
             raise SchemaError(f"malformed entry: {exc}", self.loc) from exc
 
 
-def _qual(world: World, prop, label, loc: str) -> str:
-    """label as its world scale's own string, so a loaded world keeps one
-    string per label, as a built one does."""
-    if prop not in world.scales:
-        raise SchemaError(f"property {prop!r} has no scale", loc)
-    scale = world.scales[prop]
-    return scale.labels[scale.index(label)]
-
-
 def _alive(entry: dict, loc: str) -> bool:
     alive = entry.get("alive", True)
     if type(alive) is not bool:
@@ -541,10 +532,7 @@ def load_model(data: dict) -> World:
                 s["name"],
                 phases=tuple(s.get("phases", ("solid", "liquid", "gas"))),
                 phase=s["phase"],
-                default_properties={
-                    prop: _qual(world, prop, label, loc)
-                    for prop, label in s.get("default_properties", {}).items()
-                },
+                default_properties=dict(s.get("default_properties", {})),
                 merge_policy=dict(s.get("merge_policy", {})),
             )
 
@@ -599,10 +587,9 @@ def load_model(data: dict) -> World:
                 o["kind"],
                 parts=[tuple(p) for p in parts],
                 states=dict(o.get("states", {})),
+                properties=dict(o.get("properties", {})),
                 alive=_alive(o, loc),
             )
-            for prop, label in o.get("properties", {}).items():
-                obj.properties[prop] = _qual(world, prop, label, loc)
             world.add_object(obj)
             if obj.parts:
                 wholes.append((loc, obj))
@@ -613,10 +600,7 @@ def load_model(data: dict) -> World:
                 p["id"],
                 p["substance"],
                 kind=p.get("kind"),
-                properties={
-                    prop: _qual(world, prop, label, loc)
-                    for prop, label in p.get("properties", {}).items()
-                },
+                properties=dict(p.get("properties", {})),
                 x=p.get("x"),
                 y=p.get("y"),
                 compartment=p.get("compartment"),

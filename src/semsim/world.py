@@ -484,7 +484,7 @@ class World:
 
     def _property_scale(self, prop: str) -> StateSpace:
         if prop not in self.scales:
-            raise StateError(f"no scale defined for property {prop!r}")
+            raise StateError(f"property {prop!r} has no scale")
         return self.scales[prop]
 
     # ------------------------------------------------------------------

@@ -26,6 +26,9 @@ and gives the merged portion those, not the program's.
 
 For trigger dispatch it is the per-tick scan: due reads a trigger's enabled,
 phase and period at one tick, so it checks the kernel's calendar of due ticks.
+concurrent_order is concurrent mode's group order written from the draw's
+description in semsim.engine's docstring, so it checks the kernel's
+_shuffle_subsystems.
 """
 from semsim import Triple, Var
 from semsim.errors import (
@@ -315,3 +318,27 @@ def total_displacement(path):
 def due(trigger, tick):
     """Whether trigger fires at tick: enabled, and tick on its period from its phase."""
     return trigger.enabled and tick >= trigger.phase and (tick - trigger.phase) % trigger.period == 0
+
+
+def splitmix64(z):
+    """splitmix64's output for a generator whose state is z before its step."""
+    z = (z + 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def concurrent_order(seed, tick, groups):
+    """groups, a list of a tick's subsystem groups in schedule order, in the
+    order concurrent mode runs them at tick: the draw
+    splitmix64(splitmix64(seed) ^ tick) read as a Lehmer code,
+    each digit picking among the groups left. One group draws nothing."""
+    if len(groups) < 2:
+        return list(groups)
+    code = splitmix64(splitmix64(seed) ^ tick)
+    left = list(groups)
+    order = []
+    while left:
+        code, i = divmod(code, len(left))
+        order.append(left.pop(i))
+    return order

@@ -67,6 +67,7 @@ def test_the_waterfall_has_one_builtin_name(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: unknown model 'waterfall-frames' (not a builtin, not a file)\n"
     )
+    assert list(tmp_path.iterdir()) == []  # a refused run creates no file
 
 
 def test_run_negative_steps_exits_1(tmp_path, capsys):
@@ -1306,6 +1307,74 @@ def test_an_unwritable_trace_path_exits_1_before_any_step(
         f"error: --trace {where!r} is not a file in an existing directory\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "console"])
+def test_a_dangling_trace_symlink_exits_1_before_any_step(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "resolve_model", lambda config: pytest.fail("model built"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.trace").symlink_to(tmp_path / "missing" / "c.trace")
+    argv = [command, "--model", "cardio", "--steps", "3", "--trace", "c.trace"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: --trace 'c.trace' is not a file in an existing directory\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.trace"]  # the symlink
+
+
+@pytest.mark.parametrize("command", ["run", "console"])
+def test_a_report_path_that_is_a_directory_exits_1_before_any_step(
+    tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(cli, "resolve_model", lambda config: pytest.fail("model built"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.trace.report.json").mkdir()
+    argv = [command, "--model", "cardio", "--steps", "3", "--trace", "c.trace"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: --trace 'c.trace': its report 'c.trace.report.json' is not a file "
+        "in an existing directory\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.trace.report.json"]
+
+
+def test_outputs_that_cannot_be_written_after_the_run_exit_1_with_one_line(tmp_path, capsys):
+    where = tmp_path / "out"
+    where.mkdir()
+    config = RunConfig(model="cardio", steps=3, trace_path=str(where / "c.trace"))
+    kernel = prepare(config)
+    kernel.run(3)
+    where.rmdir()
+    assert cli.finish(kernel, config) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the run's outputs: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--model", "cardio", "--steps", "abc"],
+    ["run", "--model", "cardio", "--mode", "fast"],
+    ["run", "--steps", "3"],
+    ["run", "--model", "cardio", "--colour"],
+    ["walk", "--model", "cardio"],
+], ids=["bad-int", "bad-choice", "missing-model", "unknown-flag", "unknown-command"])
+def test_a_malformed_command_line_prints_its_usage_and_exits_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and lines[0].startswith("usage: semsim")
+    assert [line for line in lines if "error" in line] == [lines[-1]]
+    assert lines[-1].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: semsim run")
 
 
 def test_concurrent_runs_with_one_seed_write_identical_traces(tmp_path):

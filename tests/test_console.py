@@ -101,6 +101,7 @@ def test_an_unknown_command_prints_the_usage():
 
 def test_a_command_missing_an_argument_prints_its_usage_line_and_changes_nothing():
     lines = session("set\nset blood-0.O2Level\ninspect\nscenario\n"
+                    "step abc\nstep -2\nstep 1 2\n"
                     "inspect blood-0.O2Level\npause\nquit\n")
     assert lines == [
         BANNER,
@@ -108,6 +109,9 @@ def test_a_command_missing_an_argument_prints_its_usage_line_and_changes_nothing
         "usage: set <path> <value>",
         "usage: inspect <path>",
         "usage: scenario <file>",
+        "usage: step [k]",
+        "usage: step [k]",
+        "usage: step [k]",
         "low",
         "paused at step 0",
     ]

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from semsim import Condition, Kernel, Mechanism, Signal, StateSpace, Trigger, World, topology
@@ -23,7 +25,7 @@ from semsim.cli import standard_rules
 from semsim.validation import AssertionRule, TriplePattern
 from semsim.world import Vocabulary
 
-from reference import due
+from reference import concurrent_order, due, splitmix64
 
 
 def _send_go(kernel):
@@ -475,6 +477,42 @@ def test_concurrent_mode_keeps_causal_invariants():
         _, kernel = run_cardio(seed=seed, mode="concurrent", ticks=60)
         assert causal_violations(kernel.trace_lines()) == []
         assert not kernel.halted
+
+
+def test_the_reference_draw_is_the_published_splitmix64():
+    # The first two outputs of splitmix64 seeded with 1234567.
+    gamma = 0x9E3779B97F4A7C15
+    assert [splitmix64(1234567), splitmix64((1234567 + gamma) % 2**64)] == [
+        6457827717110365317, 3203168211198807973,
+    ]
+
+
+def test_concurrent_mode_draws_every_order_of_three_groups_about_equally_often():
+    kernel = Kernel(build_cardio(), mode="concurrent")
+    due = [
+        (None, Mechanism(name, guard=(), effect=lambda kernel: None, subsystem=name[0]), name)
+        for name in ("a", "a2", "b", "c")
+    ]
+    groups = [due[:2], due[2:3], due[3:]]  # by subsystem: a, b, c
+    orders = Counter()
+    for seed in range(6000):
+        kernel.seed = seed
+        drawn = kernel._shuffle_subsystems(due, 12)
+        assert drawn == [entry for group in concurrent_order(seed, 12, groups) for entry in group]
+        orders[" ".join(via for _trig, _mech, via in drawn)] += 1
+    assert len(orders) == 6
+    assert all(900 <= n <= 1100 for n in orders.values()), orders
+    # A seed is taken mod 2**64.
+    kernel.seed = -1
+    assert kernel._shuffle_subsystems(due, 12) == [
+        entry for group in concurrent_order(2**64 - 1, 12, groups) for entry in group
+    ]
+
+
+def test_a_tick_with_one_subsystem_due_keeps_schedule_order():
+    kernel = Kernel(build_cardio(), seed=3, mode="concurrent")
+    due = [(None, Mechanism(name, guard=(), effect=lambda kernel: None), name) for name in "xyz"]
+    assert all(kernel._shuffle_subsystems(due, tick) == due for tick in range(50))
 
 
 def test_medulla_fired_only_with_high_co2():

@@ -605,7 +605,7 @@ OFF_TEMPERATURE = (
     (lambda w: w.define_substance("ink", default_properties={"O2Level": "medium"}),
      StateError, OFF_O2),
     (lambda w: w.define_substance("ink", default_properties={"nib": "blunt"}),
-     StateError, "no scale defined for property 'nib'"),
+     StateError, "property 'nib' has no scale"),
     (lambda w: w.create_portion("blood", properties={"O2Level": "medium"}), StateError, OFF_O2),
     (lambda w: w.set_state("blood-0", "O2Level", "medium"), StateError, OFF_O2),
     (lambda w: w.set_ambient("temperature", "tepid"), StateError, OFF_TEMPERATURE),
@@ -646,7 +646,7 @@ def test_a_loaded_world_keeps_one_string_per_label():
     (Portion("blood", "blood", properties=BLOOD), DuplicateNameError, "duplicate portion id 'blood'"),
     (Portion("ghost", "nosuch"), UnknownEntityError, "no substance 'nosuch'"),
     (Portion("extra", "blood", properties={**BLOOD, "nib": "blunt"}),
-     StateError, "no scale defined for property 'nib'"),
+     StateError, "property 'nib' has no scale"),
     (Portion("extra", "blood", properties={"O2Level": "low"}),
      ModelError, "portion 'extra' lacks its substance's properties ['CO2Level', 'Warmth']"),
     (Portion("extra", "blood", properties=BLOOD, compartment="AlvAir", alive=False),

@@ -249,18 +249,20 @@ def test_pattern_lines_are_stored_as_emitted():
     assert not vocabulary.allows("12 puddle")
 
 
-# `semsim run --model cardio --steps 200` trace and sidecar digests, as the
-# program wrote them before cardio's heartbeat was built from its binding.
+# `semsim run --model cardio --steps 200` trace and sidecar digests: the
+# deterministic ones as the program wrote them before cardio's heartbeat was
+# built from its binding, the concurrent ones since concurrent mode has drawn
+# each tick's order from (seed, tick).
 PINNED_RUNS = {
     "concurrent-seed-11": (
         ["--mode", "concurrent", "--seed", "11"],
-        "c23b957a6e2fa147fe7d64df7d6d1c59b433ee521794b83879146cfbec979976",
-        "183cd995478b5ce0390bd3fb213fd9a69e2d03ca803987fed8e2c30b13b5400c",
+        "29b813cabde620c4603cd32a4f043c6b8d560fb8485b67f5364290c4bf674a22",
+        "ee355f6b957b9d1c42571a495534d9c483fba0e3c725543b2d0fe38bb9b95120",
     ),
     "concurrent-seed-12": (
         ["--mode", "concurrent", "--seed", "12"],
-        "6f87b647ec91e0fad5006fe346696d3b2009e5f37f0b720c578ce9b3cde731f4",
-        "be3be60ddf881371e15ca125d0415a7e7b71de54ad06746b0f2ca22edd64a3d3",
+        "014b92efa764842bf037805a62de2a2abd80a02c97e335ccb7043017159c8900",
+        "1dc9e4761df28305920b6543f63d6a691ac7efd8b84764592a8209be4e04f805",
     ),
     "deterministic-seed-0": (
         ["--seed", "0"],

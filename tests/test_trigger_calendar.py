@@ -2,15 +2,13 @@
 
 At every tick, the triggers a step dispatches are compared with those
 reference.due selects from the world's triggers sorted by (period, name): in
-that order in deterministic mode, and in the order the seeded subsystem
-shuffle makes of it in concurrent mode. Between steps a random sequence
-flips triggers' enabled flags (directly, and off by a scenario's
-disable_trigger), registers a mechanism and a trigger on it, sets the
-world's clock, or saves and reloads the world and carries on with a fresh
-kernel on it.
+that order in deterministic mode, and in concurrent mode with their
+subsystem groups in the order reference.concurrent_order draws from
+(seed, tick). Between steps a random sequence flips triggers' enabled
+flags (directly, and off by a scenario's disable_trigger), registers a
+mechanism and a trigger on it, sets the world's clock, or saves and reloads
+the world and carries on with a fresh kernel on it.
 """
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,15 +19,14 @@ from semsim.modelfile import load_model, save_model
 from semsim.models import build_cardio
 from semsim.scenarios import Scenario, apply_scenario, disable_trigger
 
-from reference import due
+from reference import concurrent_order, due
 
 SUBSYSTEMS = ("circulation", "diffusion", "respiration", "extra")
 
 
 def expected_dispatches(kernel, tick):
     """The vias of the triggers the scan selects at tick, in the order the
-    kernel's step must dispatch them. Reads the kernel's generator without
-    drawing from it."""
+    kernel's step must dispatch them."""
     world = kernel.world
     ordered = sorted(world.triggers.values(), key=lambda t: (t.period, t.name))
     selected = [t for t in ordered if due(t, tick)]
@@ -37,10 +34,7 @@ def expected_dispatches(kernel, tick):
         groups = {}
         for trig in selected:
             groups.setdefault(world.mechanisms[trig.target].subsystem, []).append(trig)
-        groups = list(groups.values())
-        rng = random.Random()
-        rng.setstate(kernel.rng.getstate())
-        rng.shuffle(groups)
+        groups = concurrent_order(kernel.seed, tick, list(groups.values()))
         selected = [trig for group in groups for trig in group]
     return [f"trigger:{trig.name}" for trig in selected]
 

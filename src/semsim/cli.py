@@ -59,14 +59,6 @@ class RunConfig(Record):
         return str(self.trace_path) + ".report.json"
 
 
-def default_seed() -> int:
-    raw = os.environ.get("SEMSIM_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SemsimError(f"SEMSIM_SEED must be an integer, not {raw!r}") from None
-
-
 def resolve_model(config: RunConfig) -> World:
     if config.model in models.BUILTIN_MODEL_NAMES:
         return models.build_builtin(config.model, portions=config.portions)
@@ -280,7 +272,7 @@ def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--portions", type=int, default=None,
                         help="builtin waterfall only: portions to pool, one per step")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--mode", choices=MODES, default="deterministic")
     parser.add_argument("--validate", choices=validation.POLICIES, default=None)
     parser.add_argument("--trace", default=None, help="trace file path")
@@ -297,7 +289,7 @@ def _config_from_args(args) -> RunConfig:
         model=args.model,
         steps=args.steps,
         portions=args.portions,
-        seed=args.seed if args.seed is not None else default_seed(),
+        seed=args.seed,
         mode=args.mode,
         validate_policy=policy,
         trace_path=args.trace if args.trace is not None else f"{Path(args.model).name}.trace",
@@ -318,11 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "validate-file":
         return validate_file_command(args.path)
-    try:
-        config = _config_from_args(args)
-    except SemsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _config_from_args(args)
     return run_command(config) if args.command == "run" else console_command(config)
 
 

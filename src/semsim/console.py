@@ -186,8 +186,11 @@ class Console:
                     continue
                 cmd, args = parts[0], parts[1:]
                 synopsis = SYNOPSES.get(cmd)
-                if synopsis is not None and len(args) < synopsis.count(" <"):
-                    self._print(f"usage: {synopsis}")  # a <required> argument is missing
+                # Each <required> argument, and at most one per synopsis word.
+                if synopsis is not None and not (
+                    synopsis.count(" <") <= len(args) < len(synopsis.split())
+                ):
+                    self._print(f"usage: {synopsis}")
                     continue
                 try:
                     if cmd == "quit":
@@ -197,8 +200,8 @@ class Console:
                     elif cmd == "resume":
                         self._resume()
                     elif cmd == "step":
-                        if len(args) > 1 or (args and not args[0].isdecimal()):
-                            self._print(f"usage: {synopsis}")  # k is one count >= 0
+                        if args and not args[0].isdecimal():
+                            self._print(f"usage: {synopsis}")  # k is a count >= 0
                         else:
                             self._advance(int(args[0]) if args else 1)
                     elif cmd == "inspect":

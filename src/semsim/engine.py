@@ -43,14 +43,15 @@ the triggers, and replaces with those it sends. So a kernel on a saved and
 reloaded world carries on where the run stopped.
 
 Validation after each step is incremental: the kernel owns one
-validation.Snapshot, builds it when it has none and refreshes it, which
-applies and empties World.changes. With the policy off it keeps none and
-empties the list itself. Every step that reports no violation, validated or
-not, shares the one empty validation.NO_VIOLATIONS. Only a step with a
-violation gets a report of its own: validate builds it for a rule's
-violations, and the kernel for wiring errors, which come first. A mode or
-policy outside MODES or validation.POLICIES is refused whenever it is set;
-a valid one may change between steps.
+validation.Snapshot, built for its rules, and refreshes it, which applies
+and empties World.changes; it builds a new one when its rules are not the
+snapshot's. With the policy off it keeps none and empties the list itself.
+Every step that reports no violation, validated or not, shares the one
+empty validation.NO_VIOLATIONS. Only a step with a violation gets a report
+of its own: validate builds it for a rule's violations, and the kernel for
+wiring errors, which come first. A mode or policy outside MODES or
+validation.POLICIES is refused whenever it is set; a valid one may change
+between steps.
 
 An effect writes the world through its checked operations, set_state and
 the rest. A write whose caller holds the subject and has already done the
@@ -487,9 +488,9 @@ class Kernel:
                 world.changes.clear()
                 checked = validation.NO_VIOLATIONS
             else:
-                if self.snapshot is None:
-                    self.snapshot = validation.Snapshot(world, validation.rule_scope(self.rules))
-                checked = validation.validate(self.snapshot, self.rules)
+                if self.snapshot is None or self.snapshot.rules != self.rules:
+                    self.snapshot = validation.Snapshot(world, self.rules)
+                checked = validation.validate(self.snapshot)
             if self._wiring_errors:
                 checked = validation.ValidationReport([
                     *(validation.Violation(name, {"detail": detail})

@@ -563,6 +563,8 @@ def load_model(data: dict) -> World:
                 c["name"], c.get("medium", "other"), c.get("capacity", 1),
                 c.get("structure"), c.get("region"),
             )
+            if c.get("id", c["name"]) != c["name"]:
+                raise SchemaError(f"id {c['id']!r} is not its name {c['name']!r}", loc)
 
     for loc, c in _entries(data, "connections"):
         with _diagnosed(loc):

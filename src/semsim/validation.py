@@ -19,9 +19,10 @@ Snapshot.triples is a read-only set view over it (TripleView), which looks a
 triple up in its predicate's bucket. Only passing matches are sorted, by the
 (subject, predicate, obj) of the matched triple, so violations come out in
 the same order whatever the set's iteration order. A full recompute is a
-fresh Snapshot's violations, Snapshot(world).violations(rules), and
-derive_triples reads a fresh Snapshot's triples; the independent reference
-both are checked against, a naive sort-everything evaluator, is in the tests.
+fresh Snapshot's violations, Snapshot(world, rules).violations(), and
+derive_triples reads the triples of a fresh Snapshot built without rules;
+the independent reference both are checked against, a naive sort-everything
+evaluator, is in the tests.
 
 A Kernel keeps one Snapshot from step to step, so validation works in
 proportion to what a step changed, not to how much is alive. The world keeps
@@ -34,18 +35,18 @@ born portion is named by its birth Transitional only, and a checked write
 same state_change as set_state, so the fold cannot tell the two apart. A
 refresh re-derives those ids with the build's per-entity helpers, diffs each
 against its cached triples and updates the predicate index, as Rete does
-(Forgy 1982). An entity whose
-one triple in scope was swapped for another (a moved portion's locatedIn) is
-diffed without building sets. Each rule keeps its passing matches: the
-matched triples whose bindings pass its check. A rule is re-evaluated in
-full when it is new or replaced (so every rule after a build), when its
-predicate is a variable, when its check's reads are unknown (reads=None), or
-when a predicate it reads changed. Otherwise only the added and removed
-triples of its predicate are matched and checked, as in differential
-dataflow (McSherry et al., CIDR 2013), and a rule with no passing match has
-no removed triple to forget; after a refresh that added and removed
-nothing, no rule with known reads does any work. The report equals a fresh
-build's, violation order and bindings included.
+(Forgy 1982). An entity whose one triple in scope was swapped for another
+(a moved portion's locatedIn) is diffed without building sets. Each rule
+keeps its passing matches: the matched triples whose bindings pass its
+check. Every rule is evaluated in full at a snapshot's first check; after
+that a rule is re-evaluated in full when its predicate is a variable, when
+its check's reads are unknown (reads=None), or when a predicate it reads
+changed. Otherwise only the added and removed triples of its predicate are
+matched and checked, as in differential dataflow (McSherry et al., CIDR
+2013), and a rule with no passing match has no removed triple to forget;
+after a refresh that added and removed nothing, no rule with known reads
+does any work. The report equals a fresh build's, violation order and
+bindings included.
 
 A pushedTo triple stands for a move a commit of the step made: it is the
 step's delta, as in DBSP, not standing state. validate adds the step's
@@ -66,20 +67,19 @@ capacities, and a portion's substance. A check that reads anything else
 A rule without a check reads nothing. The `triples` a check receives is
 read-only and valid only during the call.
 
-The contract also decides what the kernel's snapshot holds. rule_scope gives
-the predicates a rule set matches or reads, and the kernel builds its
-Snapshot with that scope, so it derives, indexes and diffs no triple that
-no rule looks at (the demand-driven evaluation of magic sets: Bancilhon,
-Maier, Sagiv and Ullman, PODS 1986). A variable predicate, or a check with
-reads=None, widens the scope to every predicate. A rule that is new or
-replaced and needs a predicate outside the scope rebuilds the snapshot
-from live state with the wider scope before it is evaluated. The rebuild
-leaves the triples already in scope as they were, so the other rules'
-passing matches stay valid. A scope with no hasState: or hasPart:
+The contract also decides what a snapshot holds. A snapshot is built for
+one rule set, which never changes under it. rule_scope gives the predicates
+the rules match or read, and the snapshot holds only the triples with those
+predicates, so it derives, indexes and diffs no triple that no rule looks
+at (the demand-driven evaluation of magic sets: Bancilhon, Maier, Sagiv and
+Ullman, PODS 1986). A variable predicate, or a check with reads=None, widens
+the scope to every predicate. A kernel whose rules changed builds a new
+snapshot at its next validation, from live state and the step's pending
+pushedTo, as it builds its first. A scope with no hasState: or hasPart:
 predicate holds no object's or substance's triple, so a refresh then
 derives only live portions' locatedIn, or no entity triple at all when
-locatedIn is out of scope too. A Snapshot built without a scope, as a
-full recompute and derive_triples build it, holds every predicate.
+locatedIn is out of scope too. A Snapshot built without rules, as
+derive_triples builds it, holds every predicate and checks nothing.
 """
 from __future__ import annotations
 
@@ -125,12 +125,10 @@ class TriplePattern(FrozenRecord):
         variables = tuple((i, t.name) for i, t in enumerate(terms) if isinstance(t, Var))
         set_field(self, "_ground", ground)
         set_field(self, "_vars", variables)
-        # With every variable named once, a match binds without comparing.
-        set_field(self, "_distinct", len({name for _, name in variables}) == len(variables))
         # (subject name, object name) when the predicate is the only ground
         # term and the two variables differ, the shape of every shipped rule.
         so = None
-        if len(ground) == 1 and ground[0][0] == 1 and self._distinct:
+        if len(ground) == 1 and ground[0][0] == 1 and subject.name != obj.name:
             so = (subject.name, obj.name)
         set_field(self, "_so", so)
 
@@ -147,10 +145,6 @@ class TriplePattern(FrozenRecord):
             if triple[slot] != term:
                 return None
         bindings: dict[str, str] = {}
-        if self._distinct:
-            for slot, name in self._vars:
-                bindings[name] = triple[slot]
-            return bindings
         for slot, name in self._vars:
             value = triple[slot]
             if bindings.setdefault(name, value) != value:
@@ -362,7 +356,8 @@ def _entity_deriver(scope):
 
 
 def derive_triples(world) -> frozenset[Triple]:
-    """Pure snapshot of the live world in triple form: a fresh Snapshot's.
+    """Pure snapshot of the live world in triple form: a fresh Snapshot's,
+    built without rules.
 
     Vocabulary: hasState:<var>, locatedIn, connectedTo, hasPart:<role>, and
     pushedTo for the moves of the commits in the world's change list.
@@ -400,15 +395,15 @@ def register_rule(rules: dict[str, AssertionRule], rule: AssertionRule) -> Asser
 _by_triple = itemgetter(0)
 
 
-def validate(snapshot: Snapshot, rules) -> ValidationReport:
+def validate(snapshot: Snapshot) -> ValidationReport:
     """Refresh the snapshot from its world's change list, re-check the
     rules those changes can affect, then drop the step's pushedTo triples;
     the report's violations equal a full recompute's before the refresh
-    emptied the list, Snapshot(world).violations(rules). Without a violation
-    the report is the shared NO_VIOLATIONS."""
+    emptied the list, Snapshot(world, rules).violations(). Without a
+    violation the report is the shared NO_VIOLATIONS."""
     snapshot.refresh()
-    violations = snapshot.violations(rules)
-    if snapshot._pushed:  # each pushedTo triple the snapshot holds is in _pushed
+    violations = snapshot.violations()
+    if snapshot.by_predicate.get("pushedTo"):
         snapshot.drop_pushed()
     return ValidationReport(violations) if violations else NO_VIOLATIONS
 
@@ -452,9 +447,9 @@ class _RuleState:
 
     __slots__ = ("rule", "passing", "predicate", "reads", "always")
 
-    def __init__(self, rule: AssertionRule, passing: dict[Triple, dict[str, str]]):
+    def __init__(self, rule: AssertionRule):
         self.rule = rule
-        self.passing = passing
+        self.passing: dict[Triple, dict[str, str]] = {}
         self.predicate = rule.pattern.predicate
         self.reads = frozenset() if rule.check is None else rule.reads
         # A variable predicate, or reads unknown: re-checked in full every time.
@@ -462,56 +457,38 @@ class _RuleState:
 
 
 class Snapshot:
-    """The live triple set of one world, kept up to date from step to step.
+    """The live triple set of one world, for one rule set, kept up to date
+    from step to step.
 
-    A scope (a set of predicates, see rule_scope) limits it to the triples
-    with those predicates; None, the default, keeps every triple. Building
-    one derives every triple in scope and leaves the world's change list
-    alone. Each refresh applies and empties the list; violations re-checks
-    against what the last refresh changed, and after a build evaluates
-    every rule in full; drop_pushed then takes out the step's pushedTo
-    triples, as validate does after every check.
+    Built with rules, it keeps a copy of them and holds only the triples
+    with the predicates they match or read (rule_scope); built without, it
+    holds every triple and checks nothing. Building one derives every triple
+    in scope, with the pushedTo of the commits in the world's change list,
+    and leaves the list alone. Each refresh applies and empties the list;
+    violations checks every rule in full the first time, and after that
+    re-checks against what the last refresh changed; drop_pushed then takes
+    out the step's pushedTo triples, as validate does after every check.
+    The rules never change under a snapshot: other rules need a new one.
     """
 
-    def __init__(self, world, scope: frozenset[str] | None = None):
+    def __init__(self, world, rules: dict[str, AssertionRule] | None = None):
         self.world = world
-        self._rules: dict[str, _RuleState] = {}
-        self._build(scope, _fold(world.changes)[2])
+        self.rules = {} if rules is None else dict(rules)
+        self.scope = None if rules is None else rule_scope(self.rules)
+        self._keep = _EVERY if self.scope is None else self.scope
+        self._derive = _entity_deriver(self.scope)
+        self.by_predicate: dict[str, set[Triple]] = {}
+        self.triples = TripleView(self.by_predicate)
+        self._entities: dict[str, list[Triple]] = {}  # subject id -> its triples
+        self._wiring: list[Triple] = []
+        self._states: list[_RuleState] | None = None  # built by the first check
+        everything = [*world.objects, *world.live_registry, *world.substances]
+        self._apply(everything, True, _fold(world.changes)[2])
         # The last refresh's (added, removed) triples by predicate.
         self._added: dict[str, list[Triple]] = {}
         self._removed: dict[str, list[Triple]] = {}
         # Whether drop_pushed took pushedTo triples out since the last check.
         self._dropped = False
-
-    def _build(self, scope: frozenset[str] | None, pushed: list[Triple]):
-        """Derive every triple in scope from live state, with these pushedTo."""
-        world = self.world
-        self.scope = scope
-        self._keep = _EVERY if scope is None else scope
-        self._derive = _entity_deriver(scope)
-        self.by_predicate: dict[str, set[Triple]] = {}
-        self.triples = TripleView(self.by_predicate)
-        self._entities: dict[str, list[Triple]] = {}  # subject id -> its triples
-        self._wiring: list[Triple] = []
-        # The step's pushedTo triples, indexed only when in scope, until
-        # drop_pushed takes them out.
-        self._pushed: list[Triple] = []
-        self._apply([*world.objects, *world.live_registry, *world.substances], True, pushed)
-
-    def _widen(self, rule: AssertionRule):
-        """Rebuild with a scope wide enough for this rule, if it is not yet.
-
-        The rebuild reads live state and the step's pushedTo triples, so
-        the triples already in scope come out the same and the other
-        rules' passing matches stay valid.
-        """
-        if self.scope is None:
-            return
-        needs = rule_scope({rule.name: rule})
-        if needs is None:
-            self._build(None, self._pushed)
-        elif not needs <= self.scope:
-            self._build(self.scope | needs, self._pushed)
 
     def refresh(self):
         """Apply the world's change list, then empty it. With no change,
@@ -546,23 +523,18 @@ class Snapshot:
             new = _wiring_triples(world, scope)
             self._replace(self._wiring, new, added, removed)
             self._wiring = new
-        if pushed:
-            if "pushedTo" in scope:
-                self._add(pushed, added)
-            self._pushed.extend(pushed)
+        if pushed and "pushedTo" in scope:
+            self._add(pushed, added)
         return added, removed
 
     def drop_pushed(self):
         """Take out the step's pushedTo triples once its rules are checked:
         empty the pushedTo bucket, forget the passing matches of each rule
         whose pattern's predicate is pushedTo (all of them the step's), and
-        have the next violations re-check each rule that reads pushedTo."""
-        self._pushed = []
-        bucket = self.by_predicate.get("pushedTo")
-        if not bucket:
-            return
-        bucket.clear()
-        for state in self._rules.values():
+        have the next violations re-check each rule that reads pushedTo.
+        validate calls it when the bucket holds a triple."""
+        self.by_predicate["pushedTo"].clear()
+        for state in self._states or ():
             if state.predicate == "pushedTo":
                 state.passing.clear()
         self._dropped = True
@@ -625,22 +597,23 @@ class Snapshot:
             return self._check_into({}, rule, self.triples)
         return self._check_into({}, rule, self.by_predicate.get(predicate, ()))
 
-    def violations(self, rules) -> list[Violation]:
-        """Re-check the rules the last refresh's changes can affect, and report."""
+    def violations(self) -> list[Violation]:
+        """Check every rule the first time; after that, re-check the rules
+        the last refresh's changes can affect. Report."""
         added, removed = self._added, self._removed
         # Nothing added or removed: no rule with known reads is re-checked.
         changed = added.keys() | removed.keys() if added or removed else None
         if self._dropped:  # the pushedTo triples drop_pushed took out
             changed = {"pushedTo"} if changed is None else changed | {"pushedTo"}
             self._dropped = False
-        states = self._rules
+        states = self._states
+        first = states is None
+        if first:
+            states = self._states = [_RuleState(rule) for rule in self.rules.values()]
         out: list[Violation] = []
-        for key, rule in rules.items():
-            state = states.get(key)
-            if state is None or state.rule is not rule:
-                self._widen(rule)
-                state = states[key] = _RuleState(rule, self._matches(rule))
-            elif state.always or changed and not state.reads.isdisjoint(changed):
+        for state in states:
+            rule = state.rule
+            if first or state.always or changed and not state.reads.isdisjoint(changed):
                 state.passing = self._matches(rule)
             elif changed and state.predicate in changed:
                 predicate, passing = state.predicate, state.passing
@@ -657,11 +630,6 @@ class Snapshot:
                 out.extend(Violation(rule.name, dict(b)) for _, b in ordered)
             elif rule.expectation == "count_in_set" and len(passing) not in rule.counts:
                 out.append(Violation(rule.name, {"count": str(len(passing))}))
-        # Every rule now has a state, so a state more than the rules means
-        # one was removed: forget it.
-        if len(states) > len(rules):
-            for key in [k for k in states if k not in rules]:
-                del states[key]
         return out
 
 

@@ -104,13 +104,6 @@ def test_report_sidecar_counts_steps(tmp_path):
     assert sidecar["halted_at_step"] is None
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEMSIM_SEED", "17")
-    from semsim.cli import default_seed
-
-    assert default_seed() == 17
-
-
 def test_removed_connection_halts_with_exit_2(tmp_path):
     scenario = tmp_path / "cut.json"
     scenario.write_text(
@@ -314,24 +307,14 @@ def test_heart_stop_scenario_file_via_cli(tmp_path):
     assert lines.count("inhale cycle") >= 3
 
 
-def test_semsim_seed_env_is_equivalent_to_flag(tmp_path):
+def test_the_seed_flag_sets_the_runs_seed(tmp_path):
     flagged = run_cli(
         ["run", "--model", "cardio", "--steps", "40", "--seed", "9",
          "--trace", "flag.trace"],
         cwd=tmp_path,
     )
     assert flagged.returncode == EXIT_OK
-    env_run = subprocess.run(
-        [sys.executable, "-m", "semsim", "run", "--model", "cardio", "--steps", "40",
-         "--trace", "env.trace"],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**__import__("os").environ, "SEMSIM_SEED": "9"},
-    )
-    assert env_run.returncode == EXIT_OK
-    assert (tmp_path / "flag.trace").read_bytes() == (tmp_path / "env.trace").read_bytes()
+    assert json.loads((tmp_path / "flag.trace.report.json").read_text())["seed"] == 9
 
 
 def test_console_unresolvable_path_keeps_session(tmp_path):
@@ -1284,14 +1267,6 @@ def test_an_interrupted_run_exits_0_with_the_finished_steps(tmp_path, monkeypatc
     report = json.loads((tmp_path / "interrupted.trace.report.json").read_text())
     assert report["exit_code"] == EXIT_OK
     assert [r["step"] for r in report["reports"]] == [0, 1]
-
-
-def test_a_malformed_seed_variable_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SEMSIM_SEED", "abc")
-    monkeypatch.chdir(tmp_path)
-    assert main(["run", "--model", "cardio", "--steps", "1"]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: SEMSIM_SEED must be an integer, not 'abc'\n"
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["run", "console"])

@@ -102,6 +102,8 @@ def test_an_unknown_command_prints_the_usage():
 def test_a_command_missing_an_argument_prints_its_usage_line_and_changes_nothing():
     lines = session("set\nset blood-0.O2Level\ninspect\nscenario\n"
                     "step abc\nstep -2\nstep 1 2\n"
+                    "inspect blood-0.O2Level extra\npause now\nresume 3\n"
+                    "annotations a b\nquit now\n"
                     "inspect blood-0.O2Level\npause\nquit\n")
     assert lines == [
         BANNER,
@@ -112,6 +114,11 @@ def test_a_command_missing_an_argument_prints_its_usage_line_and_changes_nothing
         "usage: step [k]",
         "usage: step [k]",
         "usage: step [k]",
+        "usage: inspect <path>",
+        "usage: pause",
+        "usage: resume",
+        "usage: annotations [<element>]",
+        "usage: quit",
         "low",
         "paused at step 0",
     ]

@@ -145,7 +145,8 @@ def assert_kernel_matches_full_recompute(kernel, report):
 
 OPS = (
     "step", "step", "step", "step", "step", "place", "kill", "set_location",
-    "set_property", "phase", "unwire", "part", "scenario", "add_rule", "toggle", "policy",
+    "set_property", "phase", "unwire", "part", "scenario", "add_rule", "drop_rule",
+    "replace_rule", "toggle", "policy",
 )
 
 
@@ -200,6 +201,12 @@ def perturb(data, kernel, op, extras):
         fresh = [r for r in extras if r.name not in kernel.rules]
         if fresh:
             kernel.add_rule(data.draw(st.sampled_from(fresh), label="rule"))
+    elif op == "drop_rule" and kernel.rules:
+        del kernel.rules[data.draw(st.sampled_from(sorted(kernel.rules)), label="drop")]
+    elif op == "replace_rule" and kernel.rules:
+        name = data.draw(st.sampled_from(sorted(kernel.rules)), label="replace")
+        others = [r for r in extras if r is not kernel.rules[name]]
+        kernel.rules[name] = data.draw(st.sampled_from(others), label="replacement")
     elif op == "toggle":
         trigger = world.triggers[data.draw(st.sampled_from(sorted(world.triggers)))]
         trigger.enabled = not trigger.enabled
@@ -302,12 +309,13 @@ def test_a_scope_without_state_or_part_predicates_stays_exact(names, scope):
 
 
 @pytest.mark.parametrize("via", ["pattern", "reads"])
-def test_a_rule_added_mid_run_widens_the_scope(via):
+def test_a_rule_set_change_rebuilds_the_snapshot(via):
     world = build_cardio()
     kernel = Kernel(world, validate_policy="warn")
     standard_rules(kernel)
     kernel.run(5)
     built = kernel.snapshot
+    assert "hasState:O2Level" not in built.scope
     if via == "pattern":
         rule = AssertionRule(
             "oxygen-poor", TriplePattern(Var("p"), "hasState:O2Level", "low"),
@@ -321,12 +329,19 @@ def test_a_rule_added_mid_run_widens_the_scope(via):
         )
     kernel.add_rule(rule)
     report = kernel.step()
-    assert kernel.snapshot is built
-    assert "hasState:O2Level" in built.scope
+    rebuilt = kernel.snapshot
+    assert rebuilt is not built and rebuilt.rules == kernel.rules
+    assert "hasState:O2Level" in rebuilt.scope
     assert [v.rule for v in report.validation.violations].count("oxygen-poor") > 0
     assert_kernel_matches_full_recompute(kernel, report)
-    for _ in range(12):
+    for _ in range(12):  # no rule changes: the snapshot is kept
         assert_kernel_matches_full_recompute(kernel, kernel.step())
+        assert kernel.snapshot is rebuilt
+    del kernel.rules["oxygen-poor"]
+    report = kernel.step()
+    assert kernel.snapshot is not rebuilt and kernel.snapshot.scope == built.scope
+    assert "oxygen-poor" not in [v.rule for v in report.validation.violations]
+    assert_kernel_matches_full_recompute(kernel, report)
 
 
 def test_replaced_and_removed_rules_are_rechecked():
@@ -457,7 +472,7 @@ def test_a_standalone_full_build_leaves_the_kernels_change_records():
     changes = list(world.changes)
     assert changes == [portion.id]
 
-    standalone = Snapshot(world).violations(kernel.rules)
+    standalone = Snapshot(world, kernel.rules).violations()
     triples = reference_triples(world)
     assert derive_triples(world) == triples
     assert as_items(standalone) == reference_violations(world, triples, kernel.rules)

@@ -131,6 +131,17 @@ def test_a_mechanism_entry_is_named_by_its_name(build, old):
     assert json.dumps(save_model(load_model(json.loads(saved)))) == saved
 
 
+def test_a_compartment_entry_whose_id_is_not_its_name_is_refused():
+    data = save_model(build_cardio())
+    assert data["compartments"][0]["name"] == "LeftAtrium"
+    data["compartments"][0]["id"] = "Elsewhere"
+    with pytest.raises(SchemaError) as exc:
+        load_model(data)
+    assert str(exc.value) == "compartments[0]: id 'Elsewhere' is not its name 'LeftAtrium'"
+    del data["compartments"][0]["id"]  # an entry without an id is named by its name
+    assert save_model(load_model(data)) == save_model(build_cardio())
+
+
 def test_a_mechanism_names_the_binding_it_was_built_from_not_an_equal_one():
     world = build_cardio()
     len_before = len(world.bindings)  # cardio's own heartbeat binding

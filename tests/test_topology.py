@@ -124,7 +124,7 @@ def test_a_registered_portion_joins_the_contents_of_the_compartment_it_names():
     located = sorted(t.subject for t in derive_triples(w) if t.predicate == "locatedIn")
     assert located == sorted(w.compartments["C0"].contents)
     rules = {"compartment-capacity": capacity_rule()}
-    assert [v.bindings for v in Snapshot(w).violations(rules)] == [
+    assert [v.bindings for v in Snapshot(w, rules).violations()] == [
         {"p": "first", "c": "C0"}, {"p": "second", "c": "C0"},
     ]
 

@@ -90,7 +90,7 @@ def test_validate_passes_clean_world():
     rules = {}
     register_rule(rules, capacity_rule())
     register_rule(rules, dangling_location_rule())
-    assert not Snapshot(w).violations(rules)
+    assert not Snapshot(w, rules).violations()
 
 
 def test_dangling_location_detected():
@@ -99,7 +99,7 @@ def test_dangling_location_detected():
     del w.compartments["LeftAtrium"]
     rules = {}
     register_rule(rules, dangling_location_rule())
-    violations = Snapshot(w).violations(rules)
+    violations = Snapshot(w, rules).violations()
     assert violations
     assert violations[0].rule == "location-resolves"
     assert violations[0].bindings["p"] == p.id
@@ -122,10 +122,10 @@ def test_fluidity_rule_flags_frozen_mid_path():
     w.set_state(oil.id, "Location", "drop")
     rules = {}
     register_rule(rules, fluidity_rule("water"))
-    assert not Snapshot(w).violations(rules)
+    assert not Snapshot(w, rules).violations()
     w.set_state("water", "phase", "solid")
     w.set_state("oil", "phase", "solid")
-    assert [(v.rule, v.bindings["p"]) for v in Snapshot(w).violations(rules)] == [
+    assert [(v.rule, v.bindings["p"]) for v in Snapshot(w, rules).violations()] == [
         ("water-fluid-while-moving", p.id)
     ]
 
@@ -135,7 +135,7 @@ def test_validate_is_pure():
     w.create_portion("blood", compartment="LeftAtrium")
     rules = {}
     register_rule(rules, capacity_rule())
-    assert Snapshot(w).violations(rules) == Snapshot(w).violations(rules)
+    assert Snapshot(w, rules).violations() == Snapshot(w, rules).violations()
     assert derive_triples(w) == derive_triples(w)
 
 
@@ -148,8 +148,8 @@ def test_rule_monotonicity():
     register_rule(few, capacity_rule())
     many = dict(few)
     register_rule(many, dangling_location_rule())
-    v_few = {(v.rule, tuple(sorted(v.bindings.items()))) for v in Snapshot(w).violations(few)}
-    v_many = {(v.rule, tuple(sorted(v.bindings.items()))) for v in Snapshot(w).violations(many)}
+    v_few = {(v.rule, tuple(sorted(v.bindings.items()))) for v in Snapshot(w, few).violations()}
+    v_many = {(v.rule, tuple(sorted(v.bindings.items()))) for v in Snapshot(w, many).violations()}
     assert v_few <= v_many
 
 
@@ -163,9 +163,9 @@ def test_count_in_set_expectation():
         counts=frozenset({1}),
     )
     rules = {"exactly-one-located": rule}
-    assert not Snapshot(w).violations(rules)
+    assert not Snapshot(w, rules).violations()
     w.create_portion("blood", compartment="LeftVentricle")
-    assert Snapshot(w).violations(rules)
+    assert Snapshot(w, rules).violations()
 
 
 def test_connection_rule_clean_on_unmodified_cardio(cardio_world):

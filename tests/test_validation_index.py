@@ -90,7 +90,7 @@ def test_indexed_validation_equals_full_scan(triples, rules):
     # reads the wiring.
     with mock.patch("semsim.validation._wiring_triples", return_value=list(triples)):
         assert derive_triples(world) == triples
-        violations = Snapshot(world).violations(rules)
+        violations = Snapshot(world, rules).violations()
     assert as_items(violations) == reference_violations(world, triples, rules)
 
 
@@ -144,7 +144,7 @@ def test_model_runs_validate_like_full_scan(ticks, model):
         kernel.step()
         triples = reference_triples(world)
         assert derive_triples(world) == triples
-        violations = Snapshot(world).violations(rules)
+        violations = Snapshot(world, rules).violations()
         assert as_items(violations) == reference_violations(world, triples, rules)
 
 
